@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/rng.h"
 #include "llm/runtime.h"
 #include "llm/tokenizer.h"
 #include "medusa/artifact.h"
@@ -88,6 +89,41 @@ BM_EagerDecode(benchmark::State &state)
     }
 }
 BENCHMARK(BM_EagerDecode)->Arg(1)->Arg(64);
+
+/**
+ * The shared GEMM routine alone at the forward pass's functional
+ * shapes (out x k): qkv 96x32, gate_up 128x32, down 32x64 and
+ * lm_head 256x32, for n = 1..256 rows. Reports MAC/s, so the kernel's
+ * speed is tracked apart from the set-ups it dominates.
+ */
+void
+BM_Matmul(benchmark::State &state)
+{
+    const u64 n = static_cast<u64>(state.range(0));
+    const u64 out = static_cast<u64>(state.range(1));
+    const u64 k = static_cast<u64>(state.range(2));
+    Rng rng(5);
+    std::vector<f32> a(n * k), w(out * k), c(n * out);
+    for (f32 &x : a) {
+        x = rng.nextSymmetricFloat();
+    }
+    for (f32 &x : w) {
+        x = rng.nextSymmetricFloat();
+    }
+    for (auto _ : state) {
+        simcuda::matmulF32(a.data(), w.data(), c.data(), n, out, k);
+        benchmark::DoNotOptimize(c.data());
+        benchmark::ClobberMemory();
+    }
+    state.counters["MAC/s"] = benchmark::Counter(
+        static_cast<double>(n * out * k),
+        benchmark::Counter::kIsIterationInvariantRate);
+}
+BENCHMARK(BM_Matmul)
+    ->ArgNames({"n", "out", "k"})
+    ->ArgsProduct({{1, 4, 64, 256}, {96, 128}, {32}})
+    ->ArgsProduct({{1, 4, 64, 256}, {32}, {64}})
+    ->ArgsProduct({{1, 4, 64, 256}, {256}, {32}});
 
 void
 BM_TokenizerEncode(benchmark::State &state)

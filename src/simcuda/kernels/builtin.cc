@@ -1,7 +1,10 @@
 #include "simcuda/kernels/builtin.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "simcuda/memory.h"
@@ -302,6 +305,10 @@ kvWrite(DeviceMemoryManager &mem, const KernelArgs &args)
  * buffer with a shared row stride (in floats).
  * params: q*, k*, v*, seq_starts*, out*, bs, q_heads, kv_heads,
  *         head_dim, stride, scale
+ *
+ * q, k and v are each resolved once, over the whole strided extent of
+ * rows [0, total), where total = seq_starts[bs]. Non-negative,
+ * non-decreasing seq_starts keep every sequence inside those rows.
  */
 Status
 attentionPrefill(DeviceMemoryManager &mem, const KernelArgs &args)
@@ -312,40 +319,46 @@ attentionPrefill(DeviceMemoryManager &mem, const KernelArgs &args)
     const i32 hd = args.i32At(8);
     const i32 stride = args.i32At(9);
     const f32 scale = args.f32At(10);
+    if (bs < 0 || qh <= 0 || kvh <= 0 || hd <= 0 || stride < 0) {
+        return invalidArgument("attention_prefill: bad dims");
+    }
     SPAN_I32(starts, args.ptrAt(3), static_cast<u64>(bs) + 1);
+    if (starts[0] < 0) {
+        return invalidArgument("attention_prefill: negative seq_starts");
+    }
+    for (i32 b = 0; b < bs; ++b) {
+        if (starts[b] > starts[b + 1]) {
+            return invalidArgument(
+                "attention_prefill: seq_starts not monotone");
+        }
+    }
     const i32 total = starts[bs];
-    SPAN_F32(out, args.ptrAt(4), static_cast<u64>(total) * qh * hd);
-    auto qRow = [&](i32 t) {
-        return mem.f32Span(args.ptrAt(0) +
-                               static_cast<u64>(t) * stride * sizeof(f32),
-                           static_cast<u64>(qh) * hd);
-    };
-    auto kRow = [&](i32 t) {
-        return mem.f32Span(args.ptrAt(1) +
-                               static_cast<u64>(t) * stride * sizeof(f32),
-                           static_cast<u64>(kvh) * hd);
-    };
-    auto vRow = [&](i32 t) {
-        return mem.f32Span(args.ptrAt(2) +
-                               static_cast<u64>(t) * stride * sizeof(f32),
-                           static_cast<u64>(kvh) * hd);
-    };
+    const u64 q_width = static_cast<u64>(qh) * hd;
+    const u64 kv_width = static_cast<u64>(kvh) * hd;
+    SPAN_F32(out, args.ptrAt(4), static_cast<u64>(total) * q_width);
+    if (total == 0) {
+        return Status::ok();
+    }
+    const u64 row_stride = static_cast<u64>(stride);
+    const u64 last_row = static_cast<u64>(total - 1) * row_stride;
+    SPAN_F32(q, args.ptrAt(0), last_row + q_width);
+    SPAN_F32(k, args.ptrAt(1), last_row + kv_width);
+    SPAN_F32(v, args.ptrAt(2), last_row + kv_width);
     std::vector<f32> scores;
     for (i32 b = 0; b < bs; ++b) {
         const i32 s0 = starts[b];
         const i32 s1 = starts[b + 1];
         for (i32 t = s0; t < s1; ++t) {
-            MEDUSA_ASSIGN_OR_RETURN(f32 *qv_row, qRow(t));
             for (i32 head = 0; head < qh; ++head) {
-                const i32 kv_head = head * kvh / qh;
-                const f32 *qv = qv_row + static_cast<u64>(head) * hd;
+                const u64 kv_off = static_cast<u64>(head * kvh / qh) * hd;
+                const f32 *qv = q + static_cast<u64>(t) * row_stride +
+                                static_cast<u64>(head) * hd;
                 const i32 ctx = t - s0 + 1;
                 scores.assign(ctx, 0.0f);
                 f32 max_s = -std::numeric_limits<f32>::infinity();
                 for (i32 j = 0; j < ctx; ++j) {
-                    MEDUSA_ASSIGN_OR_RETURN(f32 *kv_row, kRow(s0 + j));
                     const f32 *kv =
-                        kv_row + static_cast<u64>(kv_head) * hd;
+                        k + static_cast<u64>(s0 + j) * row_stride + kv_off;
                     f32 dot = 0;
                     for (i32 d = 0; d < hd; ++d) {
                         dot += qv[d] * kv[d];
@@ -364,9 +377,8 @@ attentionPrefill(DeviceMemoryManager &mem, const KernelArgs &args)
                 }
                 for (i32 j = 0; j < ctx; ++j) {
                     const f32 w = scores[j] / denom;
-                    MEDUSA_ASSIGN_OR_RETURN(f32 *vv_row, vRow(s0 + j));
                     const f32 *vv =
-                        vv_row + static_cast<u64>(kv_head) * hd;
+                        v + static_cast<u64>(s0 + j) * row_stride + kv_off;
                     for (i32 d = 0; d < hd; ++d) {
                         ov[d] += w * vv[d];
                     }
@@ -387,6 +399,10 @@ attentionPrefill(DeviceMemoryManager &mem, const KernelArgs &args)
  * high-address-like prefix — a deliberate pointer-classification decoy
  * (the "false positive candidates" of the paper's §4). The kernel
  * validates its prefix, so a wrong restoration is caught functionally.
+ *
+ * The k/v caches are resolved once, on the first live sequence, and
+ * every slot a block table names is checked against their extent
+ * before any of it is read.
  */
 Status
 pagedAttentionDecode(DeviceMemoryManager &mem, const KernelArgs &args)
@@ -403,43 +419,66 @@ pagedAttentionDecode(DeviceMemoryManager &mem, const KernelArgs &args)
     if ((static_cast<u64>(stream_tag) >> 32) != 0x7fabu) {
         return invalidArgument("paged_attention: corrupted stream tag");
     }
+    if (bs < 0 || qh <= 0 || kvh <= 0 || hd <= 0 || block_size <= 0 ||
+        max_blocks < 0 || q_stride < 0) {
+        return invalidArgument("paged_attention: bad dims");
+    }
     SPAN_I32(tables, args.ptrAt(3),
              static_cast<u64>(bs) * max_blocks);
     SPAN_I32(lens, args.ptrAt(4), static_cast<u64>(bs));
     SPAN_F32(out, args.ptrAt(5), static_cast<u64>(bs) * qh * hd);
+    const u64 slot_width = static_cast<u64>(kvh) * hd;
+    bool caches_resolved = false;
+    std::span<f32> k_cache;
+    std::span<f32> v_cache;
+    u64 cache_slots = 0;
+    std::vector<u64> slot_of;
     std::vector<f32> scores;
     for (i32 b = 0; b < bs; ++b) {
         const i32 len = lens[b];
         if (len <= 0) {
             // Padding slot in a fixed-batch graph replay: emit zeros.
-            for (i32 i = 0; i < qh * hd; ++i) {
-                out[b * qh * hd + i] = 0;
-            }
+            std::fill_n(out + static_cast<u64>(b) * qh * hd,
+                        static_cast<u64>(qh) * hd, 0.0f);
             continue;
         }
-        if ((len + block_size - 1) / block_size > max_blocks) {
+        if ((static_cast<i64>(len) + block_size - 1) / block_size >
+            max_blocks) {
             return invalidArgument("sequence overflows block table");
+        }
+        if (!caches_resolved) {
+            MEDUSA_ASSIGN_OR_RETURN(k_cache, mem.f32Tail(args.ptrAt(1)));
+            MEDUSA_ASSIGN_OR_RETURN(v_cache, mem.f32Tail(args.ptrAt(2)));
+            cache_slots =
+                std::min(k_cache.size(), v_cache.size()) / slot_width;
+            caches_resolved = true;
+        }
+        slot_of.resize(static_cast<std::size_t>(len));
+        for (i32 t = 0; t < len; ++t) {
+            const i32 block = tables[b * max_blocks + t / block_size];
+            if (block < 0) {
+                return invalidArgument("unmapped block in table");
+            }
+            const u64 slot = static_cast<u64>(block) * block_size +
+                             static_cast<u64>(t % block_size);
+            if (slot >= cache_slots) {
+                return invalidArgument(
+                    "paged_attention: KV slot beyond cache extent");
+            }
+            slot_of[t] = slot;
         }
         SPAN_F32(q_row,
                  args.ptrAt(0) +
                      static_cast<u64>(b) * q_stride * sizeof(f32),
                  static_cast<u64>(qh) * hd);
         for (i32 head = 0; head < qh; ++head) {
-            const i32 kv_head = head * kvh / qh;
+            const u64 kv_off = static_cast<u64>(head * kvh / qh) * hd;
             const f32 *qv = q_row + static_cast<u64>(head) * hd;
             scores.assign(static_cast<std::size_t>(len), 0.0f);
             f32 max_s = -std::numeric_limits<f32>::infinity();
             for (i32 t = 0; t < len; ++t) {
-                const i32 block = tables[b * max_blocks + t / block_size];
-                if (block < 0) {
-                    return invalidArgument("unmapped block in table");
-                }
-                const u64 slot = static_cast<u64>(block) * block_size +
-                                 static_cast<u64>(t % block_size);
-                SPAN_F32(kc,
-                         args.ptrAt(1) +
-                             (slot * kvh + kv_head) * hd * sizeof(f32),
-                         static_cast<u64>(hd));
+                const f32 *kc =
+                    k_cache.data() + slot_of[t] * slot_width + kv_off;
                 f32 dot = 0;
                 for (i32 d = 0; d < hd; ++d) {
                     dot += qv[d] * kc[d];
@@ -457,13 +496,8 @@ pagedAttentionDecode(DeviceMemoryManager &mem, const KernelArgs &args)
                 ov[d] = 0;
             }
             for (i32 t = 0; t < len; ++t) {
-                const i32 block = tables[b * max_blocks + t / block_size];
-                const u64 slot = static_cast<u64>(block) * block_size +
-                                 static_cast<u64>(t % block_size);
-                SPAN_F32(vc,
-                         args.ptrAt(2) +
-                             (slot * kvh + kv_head) * hd * sizeof(f32),
-                         static_cast<u64>(hd));
+                const f32 *vc =
+                    v_cache.data() + slot_of[t] * slot_width + kv_off;
                 const f32 w = scores[t] / denom;
                 for (i32 d = 0; d < hd; ++d) {
                     ov[d] += w * vc[d];
@@ -487,6 +521,62 @@ pagedAttentionReduce(DeviceMemoryManager &mem, const KernelArgs &args)
 
 // --------------------------------------------------------------- cublas
 
+/** Four f32 lanes (SSE2 on x86-64) via GCC vector extensions. */
+using F32x4 = f32 __attribute__((vector_size(16)));
+
+/** Output rows and columns of one register tile. */
+constexpr u64 kTileRows = 4;
+constexpr u64 kTileCols = 8;
+
+/** acc = acc + x * w, lane-wise: one rounded product, one rounded sum. */
+inline void
+macInto(F32x4 &lo, F32x4 &hi, f32 x, F32x4 w_lo, F32x4 w_hi)
+{
+    const F32x4 xv = {x, x, x, x};
+    lo = lo + xv * w_lo;
+    hi = hi + xv * w_hi;
+}
+
+/**
+ * Outputs C[r, j] for r < R (1 or kTileRows) rows of A starting at
+ * @p a and the @p cols <= kTileCols columns packed in @p panel
+ * (d-major: two vectors per d, zero-padded past @p cols). Every output
+ * owns one accumulator lane and takes its products in order
+ * d = 0..k-1. The accumulators are named locals, not an array, so
+ * they stay in registers.
+ */
+template <u64 R>
+void
+matmulTile(const f32 *a, u64 k, const F32x4 *panel, u64 cols, f32 *c,
+           u64 c_stride)
+{
+    static_assert(R == 1 || R == kTileRows);
+    F32x4 c00 = {}, c01 = {}, c10 = {}, c11 = {};
+    F32x4 c20 = {}, c21 = {}, c30 = {}, c31 = {};
+    for (u64 d = 0; d < k; ++d) {
+        const F32x4 w_lo = panel[2 * d];
+        const F32x4 w_hi = panel[2 * d + 1];
+        macInto(c00, c01, a[d], w_lo, w_hi);
+        if constexpr (R == kTileRows) {
+            macInto(c10, c11, a[k + d], w_lo, w_hi);
+            macInto(c20, c21, a[2 * k + d], w_lo, w_hi);
+            macInto(c30, c31, a[3 * k + d], w_lo, w_hi);
+        }
+    }
+    const F32x4 acc[kTileRows][2] = {
+        {c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
+    for (u64 r = 0; r < R; ++r) {
+        f32 *row = c + r * c_stride;
+        if (cols == kTileCols) {
+            std::memcpy(row, acc[r], sizeof(acc[r]));
+            continue;
+        }
+        for (u64 j = 0; j < cols; ++j) {
+            row[j] = acc[r][j / 4][j % 4];
+        }
+    }
+}
+
 /**
  * C[n, out] = A[n, k] x W[out, k]^T — the shared GEMM body.
  * params: A*, W*, C*, n, out, k  (+ sem0*, sem1* for split-K)
@@ -498,6 +588,9 @@ gemmBody(DeviceMemoryManager &mem, const KernelArgs &args, bool splitk)
     const i32 n = args.i32At(base + 3);
     const i32 out_dim = args.i32At(base + 4);
     const i32 k = args.i32At(base + 5);
+    if (n < 0 || out_dim < 0 || k < 0) {
+        return invalidArgument("bad GEMM dims");
+    }
     if (splitk) {
         // Verify the persistent semaphore workspaces hold the magic —
         // this is what makes permanent-buffer content restoration
@@ -515,17 +608,8 @@ gemmBody(DeviceMemoryManager &mem, const KernelArgs &args, bool splitk)
     SPAN_F32(a, args.ptrAt(base + 0), static_cast<u64>(n) * k);
     SPAN_F32(w, args.ptrAt(base + 1), static_cast<u64>(out_dim) * k);
     SPAN_F32(c, args.ptrAt(base + 2), static_cast<u64>(n) * out_dim);
-    for (i32 t = 0; t < n; ++t) {
-        for (i32 o = 0; o < out_dim; ++o) {
-            f32 acc = 0;
-            const f32 *wr = w + static_cast<u64>(o) * k;
-            const f32 *ar = a + static_cast<u64>(t) * k;
-            for (i32 d = 0; d < k; ++d) {
-                acc += ar[d] * wr[d];
-            }
-            c[t * out_dim + o] = acc;
-        }
-    }
+    matmulF32(a, w, c, static_cast<u64>(n), static_cast<u64>(out_dim),
+              static_cast<u64>(k));
     return Status::ok();
 }
 
@@ -554,23 +638,17 @@ gemmBatched(DeviceMemoryManager &mem, const KernelArgs &args)
     const i32 n = args.i32At(1);
     const i32 out_dim = args.i32At(2);
     const i32 k = args.i32At(3);
+    if (n < 0 || out_dim < 0 || k < 0) {
+        return invalidArgument("bad GEMM dims");
+    }
     u64 operands[3];
     MEDUSA_RETURN_IF_ERROR(
         mem.read(args.ptrAt(0), operands, sizeof(operands)));
     SPAN_F32(a, operands[0], static_cast<u64>(n) * k);
     SPAN_F32(w, operands[1], static_cast<u64>(out_dim) * k);
     SPAN_F32(c, operands[2], static_cast<u64>(n) * out_dim);
-    for (i32 t = 0; t < n; ++t) {
-        for (i32 o = 0; o < out_dim; ++o) {
-            f32 acc = 0;
-            const f32 *wr = w + static_cast<u64>(o) * k;
-            const f32 *ar = a + static_cast<u64>(t) * k;
-            for (i32 d = 0; d < k; ++d) {
-                acc += ar[d] * wr[d];
-            }
-            c[t * out_dim + o] = acc;
-        }
-    }
+    matmulF32(a, w, c, static_cast<u64>(n), static_cast<u64>(out_dim),
+              static_cast<u64>(k));
     return Status::ok();
 }
 
@@ -578,6 +656,35 @@ gemmBatched(DeviceMemoryManager &mem, const KernelArgs &args)
 #undef SPAN_I32
 
 } // namespace
+
+void
+matmulF32(const f32 *a, const f32 *w, f32 *c, u64 n, u64 out, u64 k)
+{
+    std::vector<F32x4> panel(2 * k);
+    // Columns past the last W row read this zero row instead.
+    const std::vector<f32> zeros(k, 0.0f);
+    for (u64 o0 = 0; o0 < out; o0 += kTileCols) {
+        const u64 cols = std::min(kTileCols, out - o0);
+        const f32 *wr[kTileCols];
+        for (u64 j = 0; j < kTileCols; ++j) {
+            wr[j] = j < cols ? w + (o0 + j) * k : zeros.data();
+        }
+        for (u64 d = 0; d < k; ++d) {
+            panel[2 * d] = F32x4{wr[0][d], wr[1][d], wr[2][d], wr[3][d]};
+            panel[2 * d + 1] =
+                F32x4{wr[4][d], wr[5][d], wr[6][d], wr[7][d]};
+        }
+        u64 t = 0;
+        for (; t + kTileRows <= n; t += kTileRows) {
+            matmulTile<kTileRows>(a + t * k, k, panel.data(), cols,
+                                  c + t * out + o0, out);
+        }
+        for (; t < n; ++t) {
+            matmulTile<1>(a + t * k, k, panel.data(), cols,
+                          c + t * out + o0, out);
+        }
+    }
+}
 
 void
 registerBuiltinKernels(KernelRegistry &reg)

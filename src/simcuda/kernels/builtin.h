@@ -38,6 +38,20 @@ inline constexpr const char *kAttnModule = "libsimattn.so";
 inline constexpr const char *kNcclModule = "libsimnccl.so";
 
 /**
+ * C[n, out] = A[n, k] x W[out, k]^T over row-major f32 operands: the
+ * arithmetic of every functional GEMM kernel (DESIGN.md, "Functional
+ * kernel arithmetic contract"). Each output is
+ *
+ *     acc = +0.0f;  for d in 0..k-1:  acc = acc + a[t][d] * w[o][d]
+ *
+ * with every product and every sum rounded to f32 in that order — no
+ * reassociation, no fused multiply-add. Register tiling only
+ * interleaves the chains of independent outputs, so the result is
+ * bit-identical to the naive triple loop. C must not overlap A or W.
+ */
+void matmulF32(const f32 *a, const f32 *w, f32 *c, u64 n, u64 out, u64 k);
+
+/**
  * Dense ids of every built-in kernel, resolved once against the global
  * registry.
  */

@@ -1,6 +1,7 @@
 #include "simcuda/memory.h"
 
 #include <cstring>
+#include <limits>
 
 namespace medusa::simcuda {
 
@@ -73,7 +74,8 @@ DeviceMemoryManager::resolve(DeviceAddr addr, u64 bytes)
     --it;
     AllocationRecord &rec = it->second;
     const u64 offset = addr - rec.base;
-    if (offset + bytes > rec.backing.size()) {
+    if (offset > rec.backing.size() ||
+        bytes > rec.backing.size() - offset) {
         return invalidArgument(
             "illegal device access: out of backing bounds (offset " +
             std::to_string(offset) + " + " + std::to_string(bytes) +
@@ -115,18 +117,41 @@ DeviceMemoryManager::memset(DeviceAddr addr, u8 value, u64 n)
     return Status::ok();
 }
 
+namespace {
+
+/** Bytes of @p count 4-byte elements, saturated so it cannot wrap. */
+u64
+elementBytes(u64 count)
+{
+    constexpr u64 kMax = std::numeric_limits<u64>::max();
+    return count > kMax / 4 ? kMax : count * 4;
+}
+
+} // namespace
+
 StatusOr<f32 *>
 DeviceMemoryManager::f32Span(DeviceAddr addr, u64 count)
 {
-    MEDUSA_ASSIGN_OR_RETURN(auto loc, resolve(addr, count * sizeof(f32)));
+    MEDUSA_ASSIGN_OR_RETURN(auto loc, resolve(addr, elementBytes(count)));
     return reinterpret_cast<f32 *>(loc.first->backing.data() + loc.second);
 }
 
 StatusOr<i32 *>
 DeviceMemoryManager::i32Span(DeviceAddr addr, u64 count)
 {
-    MEDUSA_ASSIGN_OR_RETURN(auto loc, resolve(addr, count * sizeof(i32)));
+    MEDUSA_ASSIGN_OR_RETURN(auto loc, resolve(addr, elementBytes(count)));
     return reinterpret_cast<i32 *>(loc.first->backing.data() + loc.second);
+}
+
+StatusOr<std::span<f32>>
+DeviceMemoryManager::f32Tail(DeviceAddr addr)
+{
+    MEDUSA_ASSIGN_OR_RETURN(auto loc, resolve(addr, 0));
+    const u64 floats = (loc.first->backing.size() - loc.second) /
+                       sizeof(f32);
+    return std::span<f32>(
+        reinterpret_cast<f32 *>(loc.first->backing.data() + loc.second),
+        floats);
 }
 
 const AllocationRecord *

@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -207,6 +208,15 @@ class DeviceMemoryManager
 
     /** A mutable i32 view, for index buffers (token ids, block tables). */
     StatusOr<i32 *> i32Span(DeviceAddr addr, u64 count);
+
+    /**
+     * A mutable float view from @p addr to the end of its allocation's
+     * backing: every whole float that follows @p addr. For kernels that
+     * resolve a buffer once per launch and then bounds-check each row
+     * or slot index against the view's size themselves. Fails if
+     * @p addr is unmapped or past the backing.
+     */
+    StatusOr<std::span<f32>> f32Tail(DeviceAddr addr);
 
     /**
      * The allocation containing @p addr, or nullptr. Containment is

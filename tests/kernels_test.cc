@@ -8,8 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <vector>
 
+#include "common/rng.h"
 #include "simcuda/gpu_process.h"
 #include "simcuda/kernels/builtin.h"
 
@@ -187,6 +190,178 @@ TEST_F(KernelsTest, SplitKGemmRequiresMagicSemaphores)
     // (this is what makes §4.3 content restoration functionally
     // necessary).
     EXPECT_FALSE(launch(k_.gemm_splitk, bad.take()).isOk());
+}
+
+// ---- bitwise GEMM --------------------------------------------------------
+
+/**
+ * The arithmetic contract of every GEMM kernel, written the obvious way:
+ * one serial f32 chain per output. The kernels must match it bit for bit.
+ */
+std::vector<f32>
+naiveMatmul(const std::vector<f32> &a, const std::vector<f32> &w, u64 n,
+            u64 out, u64 k)
+{
+    std::vector<f32> c(n * out);
+    for (u64 t = 0; t < n; ++t) {
+        for (u64 o = 0; o < out; ++o) {
+            f32 acc = 0.0f;
+            for (u64 d = 0; d < k; ++d) {
+                acc += a[t * k + d] * w[o * k + d];
+            }
+            c[t * out + o] = acc;
+        }
+    }
+    return c;
+}
+
+/**
+ * Operands mixing ordinary values over a wide exponent range with
+ * -0.0, denormals, ±Inf and NaN, so rounding, underflow and special
+ * propagation all take part. The only NaN used is the one x86 itself
+ * produces (Inf - Inf), so IEEE 754's freedom in which NaN operand's
+ * payload survives cannot tell two correct orderings apart.
+ */
+std::vector<f32>
+gemmOperand(Rng &rng, u64 count)
+{
+    constexpr f32 kInf = std::numeric_limits<f32>::infinity();
+    const f32 specials[] = {-0.0f, 0.0f, 1e-40f, -3e-39f,
+                            std::numeric_limits<f32>::denorm_min(),
+                            kInf, -kInf, kInf - kInf};
+    std::vector<f32> v(count);
+    for (f32 &x : v) {
+        const u64 r = rng.nextU64();
+        if (r % 23 == 0) {
+            x = specials[(r >> 8) % std::size(specials)];
+        } else {
+            // Magnitudes 2^-17..2^12 make sums lose bits to rounding;
+            // one value in seven is scaled by 2^-120, so its products
+            // land in the denormal range.
+            const int exp = static_cast<int>((r >> 16) % 30) - 17;
+            x = std::ldexp(rng.nextSymmetricFloat(), exp);
+            if (r % 7 == 0) {
+                x = std::ldexp(x, -120);
+            }
+        }
+    }
+    return v;
+}
+
+bool
+sameBits(const std::vector<f32> &x, const std::vector<f32> &y)
+{
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(f32)) == 0;
+}
+
+constexpr u64 kGemmRows[] = {1, 2, 3, 4, 5, 7, 9, 256};
+constexpr u64 kGemmOuts[] = {1, 7, 8, 9, 33, 96, 256};
+constexpr u64 kGemmDepths[] = {1, 3, 32, 64};
+
+TEST(MatmulTest, BitIdenticalToNaiveLoopOnRaggedShapes)
+{
+    Rng rng(12);
+    u64 nonfinite = 0;
+    u64 subnormal = 0;
+    for (u64 n : kGemmRows) {
+        for (u64 out : kGemmOuts) {
+            for (u64 k : kGemmDepths) {
+                const auto a = gemmOperand(rng, n * k);
+                const auto w = gemmOperand(rng, out * k);
+                const auto want = naiveMatmul(a, w, n, out, k);
+                std::vector<f32> got(n * out, 42.0f);
+                matmulF32(a.data(), w.data(), got.data(), n, out, k);
+                ASSERT_TRUE(sameBits(want, got))
+                    << "n=" << n << " out=" << out << " k=" << k;
+                for (f32 x : got) {
+                    nonfinite += std::isfinite(x) ? 0 : 1;
+                    subnormal += std::fpclassify(x) == FP_SUBNORMAL;
+                }
+            }
+        }
+    }
+    // The special inputs really reached the outputs, and denormal
+    // results were produced (no flush-to-zero anywhere).
+    EXPECT_GT(nonfinite, 0u);
+    EXPECT_GT(subnormal, 0u);
+}
+
+TEST_F(KernelsTest, AllGemmKernelsBitIdenticalToNaiveLoop)
+{
+    const u32 magic = kGemmWorkspaceMagic;
+    const DeviceAddr sem = floats({0});
+    ASSERT_TRUE(
+        process_.memory().write(sem, &magic, sizeof(magic)).isOk());
+    Rng rng(34);
+    for (u64 n : kGemmRows) {
+        for (u64 out : kGemmOuts) {
+            for (u64 k : kGemmDepths) {
+                const auto av = gemmOperand(rng, n * k);
+                const auto wv = gemmOperand(rng, out * k);
+                const auto want = naiveMatmul(av, wv, n, out, k);
+                const DeviceAddr a = floats(av);
+                const DeviceAddr w = floats(wv);
+                const DeviceAddr c = floats(std::vector<f32>(n * out));
+                const i32 dims[] = {static_cast<i32>(n),
+                                    static_cast<i32>(out),
+                                    static_cast<i32>(k)};
+                for (KernelId id : {k_.gemm_128x128, k_.gemm_64x64,
+                                    k_.gemm_lmhead}) {
+                    ParamsBuilder pb;
+                    pb.ptr(a).ptr(w).ptr(c).i32(dims[0]).i32(dims[1])
+                        .i32(dims[2]);
+                    ASSERT_TRUE(launch(id, pb.take()).isOk());
+                    ASSERT_TRUE(sameBits(want, readF(c, n * out)))
+                        << "kernel " << id << " n=" << n
+                        << " out=" << out << " k=" << k;
+                    ASSERT_TRUE(process_.memory().memset(c, 0, n * out * 4)
+                                    .isOk());
+                }
+
+                ParamsBuilder split;
+                split.ptr(sem).ptr(sem).ptr(a).ptr(w).ptr(c).i32(dims[0])
+                    .i32(dims[1]).i32(dims[2]);
+                ASSERT_TRUE(launch(k_.gemm_splitk, split.take()).isOk());
+                ASSERT_TRUE(sameBits(want, readF(c, n * out)))
+                    << "splitk n=" << n << " out=" << out << " k=" << k;
+                ASSERT_TRUE(
+                    process_.memory().memset(c, 0, n * out * 4).isOk());
+
+                const u64 operands[] = {a, w, c};
+                auto ptrs = process_.memory().malloc(sizeof(operands),
+                                                     sizeof(operands));
+                ASSERT_TRUE(ptrs.isOk());
+                ASSERT_TRUE(process_.memory()
+                                .write(*ptrs, operands, sizeof(operands))
+                                .isOk());
+                ParamsBuilder batched;
+                batched.ptr(*ptrs).i32(dims[0]).i32(dims[1]).i32(dims[2]);
+                ASSERT_TRUE(
+                    launch(k_.gemm_batched, batched.take()).isOk());
+                ASSERT_TRUE(sameBits(want, readF(c, n * out)))
+                    << "batched n=" << n << " out=" << out << " k=" << k;
+
+                for (DeviceAddr buf : {a, w, c, *ptrs}) {
+                    ASSERT_TRUE(process_.memory().free(buf).isOk());
+                }
+            }
+        }
+    }
+}
+
+TEST_F(KernelsTest, GemmRejectsNegativeDims)
+{
+    const DeviceAddr a = floats({1, 2, 3, 4});
+    const DeviceAddr w = floats({1, 2, 3, 4});
+    const DeviceAddr c = floats({0, 0, 0, 0});
+    for (const auto &dims : {std::vector<i32>{-1, 2, 2},
+                             std::vector<i32>{2, -1, 2},
+                             std::vector<i32>{2, 2, -1}}) {
+        ParamsBuilder pb;
+        pb.ptr(a).ptr(w).ptr(c).i32(dims[0]).i32(dims[1]).i32(dims[2]);
+        EXPECT_FALSE(launch(k_.gemm_64x64, pb.take()).isOk());
+    }
 }
 
 TEST_F(KernelsTest, BiasAddAndResidualAdd)
@@ -416,6 +591,80 @@ TEST_F(KernelsTest, AttentionPrefillIsCausal)
     // Token 1 attends to both, with key 5 >> 1 it leans to v1 = 20.
     EXPECT_GT(got[1], 15);
     EXPECT_LT(got[1], 20);
+}
+
+/**
+ * q/k/v are resolved once over rows [0, seq_starts[bs]), so seq_starts
+ * that point outside those rows must be rejected before any row is
+ * read. The fused buffer holds exactly two rows: under ASan, any read
+ * past it would be reported even if the kernel later failed.
+ */
+TEST_F(KernelsTest, AttentionPrefillRejectsBadSeqStarts)
+{
+    const DeviceAddr fused = floats({1, 1, 10, 1, 5, 20});
+    const DeviceAddr out = floats(std::vector<f32>(8, 0));
+    auto prefill = [&](const std::vector<i32> &starts) {
+        ParamsBuilder pb;
+        pb.ptr(fused)
+            .ptr(fused + 4)
+            .ptr(fused + 8)
+            .ptr(ints(starts))
+            .ptr(out)
+            .i32(static_cast<i32>(starts.size()) - 1)
+            .i32(1)
+            .i32(1)
+            .i32(1)
+            .i32(3)
+            .f32(1.0f);
+        return launch(k_.attention_prefill, pb.take());
+    };
+    EXPECT_TRUE(prefill({0, 2}).isOk());
+    EXPECT_TRUE(prefill({0, 1, 2}).isOk());
+    EXPECT_TRUE(prefill({0, 0, 2}).isOk()); // empty sequence is fine
+    // Negative start: rows before the buffer.
+    EXPECT_FALSE(prefill({-3, 2}).isOk());
+    // Non-monotone: the first sequence would run to row 6 of 2.
+    EXPECT_FALSE(prefill({0, 6, 2}).isOk());
+    EXPECT_FALSE(prefill({1, 0}).isOk());
+    // Bad dims never reach a row.
+    ParamsBuilder pb;
+    pb.ptr(fused).ptr(fused + 4).ptr(fused + 8).ptr(ints({0, 2})).ptr(out)
+        .i32(1).i32(1).i32(1).i32(1).i32(-3).f32(1.0f);
+    EXPECT_FALSE(launch(k_.attention_prefill, pb.take()).isOk());
+}
+
+/**
+ * The k/v caches are resolved once per launch; every slot a block table
+ * names is checked against the cache extent first. Each cache holds 4
+ * slots here (kvh=1, hd=2, 8 floats).
+ */
+TEST_F(KernelsTest, PagedAttentionRejectsSlotBeyondCache)
+{
+    const DeviceAddr kc = floats(std::vector<f32>(8, 1));
+    const DeviceAddr vc = floats(std::vector<f32>(8, 1));
+    const DeviceAddr small_vc = floats(std::vector<f32>(4, 1));
+    const DeviceAddr q = floats({1, 1});
+    const DeviceAddr out = floats({0, 0});
+    auto decode = [&](DeviceAddr v, const std::vector<i32> &table,
+                      i32 len) {
+        ParamsBuilder pb;
+        pb.ptr(q).ptr(kc).ptr(v).ptr(ints(table)).ptr(ints({len}))
+            .ptr(out).i32(1).i32(1).i32(1).i32(2).i32(2)
+            .i32(static_cast<i32>(table.size())).i32(2)
+            .i64(static_cast<i64>(0x7fabull << 32))
+            .f32(1.0f);
+        return launch(k_.paged_attention_decode, pb.take());
+    };
+    EXPECT_TRUE(decode(vc, {1, 0}, 4).isOk()); // slots 2, 3, 0, 1
+    // Block 2 maps slots 4-5: past both caches.
+    EXPECT_FALSE(decode(vc, {2}, 1).isOk());
+    EXPECT_FALSE(decode(vc, {0, 2}, 3).isOk());
+    // A huge block id must not wrap the slot arithmetic.
+    EXPECT_FALSE(
+        decode(vc, {std::numeric_limits<i32>::max()}, 1).isOk());
+    // Slot 3 fits the k cache but not a 2-slot v cache.
+    EXPECT_FALSE(decode(small_vc, {1}, 2).isOk());
+    EXPECT_TRUE(decode(small_vc, {0}, 2).isOk());
 }
 
 TEST_F(KernelsTest, WrongParamCountRejected)

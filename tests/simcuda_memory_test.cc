@@ -149,6 +149,38 @@ TEST(DeviceMemoryTest, I32SpanWorks)
     EXPECT_EQ(out, -7);
 }
 
+TEST(DeviceMemoryTest, F32TailSpansToEndOfBacking)
+{
+    DeviceMemoryManager mem(units::GiB, 1);
+    // Logical 4096 but 66 bytes of backing: 16 whole floats after +2.
+    auto a = mem.malloc(4096, 66);
+    auto tail = mem.f32Tail(*a + 2);
+    ASSERT_TRUE(tail.isOk());
+    EXPECT_EQ(tail->size(), 16u);
+    (*tail)[15] = 2.5f;
+    f32 out = 0;
+    ASSERT_TRUE(mem.read(*a + 62, &out, 4).isOk());
+    EXPECT_FLOAT_EQ(out, 2.5f);
+
+    auto end = mem.f32Tail(*a + 66);
+    ASSERT_TRUE(end.isOk());
+    EXPECT_TRUE(end->empty());
+    EXPECT_FALSE(mem.f32Tail(*a + 67).isOk());
+    EXPECT_FALSE(mem.f32Tail(DeviceMemoryManager::kAddrBase).isOk());
+}
+
+TEST(DeviceMemoryTest, HugeSpanCountsDoNotWrap)
+{
+    DeviceMemoryManager mem(units::GiB, 1);
+    auto a = mem.malloc(64, 64);
+    // count * 4 wraps to 64 - 4 in u64 arithmetic; it must still fail.
+    const u64 wraps = (~0ull / 4) + 16;
+    EXPECT_FALSE(mem.f32Span(*a + 4, wraps).isOk());
+    EXPECT_FALSE(mem.i32Span(*a + 4, wraps).isOk());
+    u8 byte = 0;
+    EXPECT_FALSE(mem.read(*a + 8, &byte, ~0ull - 4).isOk());
+}
+
 TEST(DeviceMemoryTest, FindContainingUsesLogicalExtent)
 {
     DeviceMemoryManager mem(units::GiB, 1);
