@@ -2,7 +2,7 @@
  * @file
  * Chaos / SLO study (DESIGN.md §16): replay a seeded 10^5-request
  * synthetic trace (diurnal arrivals, Zipf multi-model mix, per-request
- * TTFT deadlines) through the fast engine under a SchedulerPolicy x
+ * TTFT deadlines) through the cluster simulator under a SchedulerPolicy x
  * chaos-intensity matrix, and report per cell: SLO attainment and
  * goodput, shed / retry / requeue counts, crash and outage activity,
  * and the usual latency and cost columns.

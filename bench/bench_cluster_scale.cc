@@ -5,9 +5,8 @@
  * lengths, Zipf multi-model mix) over thousands of serving instances,
  * and report:
  *
- *  1. Engine throughput — events/sec of the zero-allocation fast
- *     engine vs the legacy std::function EventLoop on the same
- *     (truncated) trace prefix. The acceptance bar is >= 25x.
+ *  1. Engine throughput — events, wall seconds and events/sec of the
+ *     zero-allocation event engine over the single-model trace.
  *  2. Scheduler policies — baseline autoscaler vs keep-alive warm pool
  *     vs artifact-affinity routing, each over the full trace: cold
  *     start P50/P99, cold-start count, GPU-seconds, and the policy
@@ -16,13 +15,16 @@
  *
  * --json emits one machine-readable object (scripts/bench.sh captures
  * it as BENCH_sim.json; tools/trace_check --sim validates it).
- * --requests / --legacy-requests / --seed resize the study (check.sh
- * runs a truncated smoke).
+ * --requests / --seed resize the study (check.sh runs a truncated
+ * smoke); a --requests that is not a positive integer, or a --seed
+ * that is not a non-negative one, is a usage error (exit 2).
  */
 
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,10 +121,25 @@ struct PolicyRow
     RunStats run;
 };
 
-u64
+/**
+ * The decimal number after @p prefix; nullopt unless the rest of @p arg
+ * is all digits and fits in a u64 (strtoull alone would accept "", a
+ * sign, or trailing junk).
+ */
+std::optional<u64>
 parseCount(const std::string &arg, std::size_t prefix)
 {
-    return std::strtoull(arg.c_str() + prefix, nullptr, 10);
+    const char *text = arg.c_str() + prefix;
+    if (*text < '0' || *text > '9') {
+        return std::nullopt;
+    }
+    char *end = nullptr;
+    errno = 0;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno != 0) {
+        return std::nullopt;
+    }
+    return v;
 }
 
 unsigned long long
@@ -138,56 +155,39 @@ main(int argc, char **argv)
 {
     bool json = false;
     u64 requests = 1000000;
-    u64 legacy_requests = 100000;
     u64 seed = 20250808;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
+        bool ok = true;
         if (arg == "--json") {
             json = true;
         } else if (arg.rfind("--requests=", 0) == 0) {
-            requests = parseCount(arg, 11);
-        } else if (arg.rfind("--legacy-requests=", 0) == 0) {
-            legacy_requests = parseCount(arg, 18);
+            const std::optional<u64> n = parseCount(arg, 11);
+            ok = n.has_value() && *n > 0;
+            requests = n.value_or(0);
         } else if (arg.rfind("--seed=", 0) == 0) {
-            seed = parseCount(arg, 7);
+            const std::optional<u64> n = parseCount(arg, 7);
+            ok = n.has_value();
+            seed = n.value_or(0);
         } else {
+            ok = false;
+        }
+        if (!ok) {
             std::fprintf(stderr,
                          "usage: %s [--json] [--requests=N] "
-                         "[--legacy-requests=N] [--seed=N]\n",
+                         "[--seed=N]\n",
                          argv[0]);
             return 2;
         }
     }
-    if (legacy_requests > requests) {
-        legacy_requests = requests;
-    }
 
     const serverless::ServingProfile profile = scaleProfile();
 
-    // ---- 1. engine throughput: fast vs legacy on the same prefix ----
-    // Single-model trace: the legacy loop predates the multi-model
-    // study. The legacy run replays a truncated prefix (its
-    // O(instances) dispatch scan makes the full trace minutes long);
-    // the fast engine replays the same prefix so events/sec divide
-    // like-for-like.
+    // ---- 1. engine throughput over the single-model trace -----------
     const auto engine_trace = workload::generateSyntheticTrace(
-        traceOptions(seed, legacy_requests, 1));
-    serverless::ClusterOptions eopts = clusterOptions();
-    eopts.engine = serverless::SimEngine::kLegacy;
-    const RunStats legacy = timedRun(eopts, profile, engine_trace);
-    eopts.engine = serverless::SimEngine::kFast;
-    const RunStats fast_prefix = timedRun(eopts, profile, engine_trace);
-    const f64 speedup =
-        fast_prefix.events_per_sec / legacy.events_per_sec;
-    // The equivalence the cluster_equiv_test proves, re-checked here
-    // on the bench's own trace.
-    if (legacy.metrics.completed != fast_prefix.metrics.completed ||
-        legacy.metrics.ttft_sec.samples() !=
-            fast_prefix.metrics.ttft_sec.samples()) {
-        std::fprintf(stderr,
-                     "FAIL: engines disagree on the prefix trace\n");
-        return 1;
-    }
+        traceOptions(seed, requests, 1));
+    const RunStats engine =
+        timedRun(clusterOptions(), profile, engine_trace);
 
     // ---- 2. policy study over the full multi-model trace ------------
     const u32 kNumModels = 8;
@@ -220,19 +220,12 @@ main(int argc, char **argv)
         std::printf("{\n");
         std::printf("  \"schema_version\": 1,\n");
         std::printf("  \"requests\": %llu,\n", ull(requests));
-        std::printf("  \"legacy_requests\": %llu,\n",
-                    ull(legacy_requests));
         std::printf("  \"seed\": %llu,\n", ull(seed));
         std::printf("  \"engine\": {\n");
-        std::printf("    \"legacy\": {\"events\": %llu, "
-                    "\"wall_sec\": %.4f, \"events_per_sec\": %.0f},\n",
-                    ull(legacy.metrics.sim_events), legacy.wall_sec,
-                    legacy.events_per_sec);
         std::printf("    \"fast\": {\"events\": %llu, "
-                    "\"wall_sec\": %.4f, \"events_per_sec\": %.0f},\n",
-                    ull(fast_prefix.metrics.sim_events),
-                    fast_prefix.wall_sec, fast_prefix.events_per_sec);
-        std::printf("    \"events_per_sec_speedup\": %.2f\n", speedup);
+                    "\"wall_sec\": %.4f, \"events_per_sec\": %.0f}\n",
+                    ull(engine.metrics.sim_events), engine.wall_sec,
+                    engine.events_per_sec);
         std::printf("  },\n");
         std::printf("  \"policies\": [\n");
         for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -269,16 +262,10 @@ main(int argc, char **argv)
                     "%u GPUs ===\n\n",
                     ull(requests), kNumModels,
                     clusterOptions().num_gpus);
-        std::printf("--- engine throughput (same %llu-request prefix) "
-                    "---\n",
-                    ull(legacy_requests));
-        std::printf("legacy: %9llu events in %7.3f s  (%11.0f ev/s)\n",
-                    ull(legacy.metrics.sim_events), legacy.wall_sec,
-                    legacy.events_per_sec);
-        std::printf("fast:   %9llu events in %7.3f s  (%11.0f ev/s)\n",
-                    ull(fast_prefix.metrics.sim_events),
-                    fast_prefix.wall_sec, fast_prefix.events_per_sec);
-        std::printf("speedup: %.1fx events/sec\n\n", speedup);
+        std::printf("--- engine throughput (single-model trace) ---\n");
+        std::printf("%llu events in %.3f s  (%.0f ev/s)\n\n",
+                    ull(engine.metrics.sim_events), engine.wall_sec,
+                    engine.events_per_sec);
         std::printf("--- scheduler policies (full trace) ---\n");
         std::printf("%-10s %9s %8s %7s %10s %10s %10s %12s %9s\n",
                     "policy", "events", "wall(s)", "peak", "colds",

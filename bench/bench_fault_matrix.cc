@@ -83,7 +83,7 @@ runCell(const llm::ModelConfig &model, const core::Artifact &artifact,
     auto engine = core::MedusaEngine::coldStart(opts, artifact);
     cell.ok = engine.isOk();
     if (engine.isOk()) {
-        const core::RestoreReport &r = (*engine)->coldStartReport().restore;
+        const RestoreReport &r = (*engine)->coldStartReport().restore;
         cell.fallback_vanilla = r.fallback_vanilla;
         cell.attempts = r.restore_attempts;
         cell.retries = r.retries;

@@ -27,7 +27,7 @@ main()
     opts.warm_container = false;
     auto engine =
         bench::unwrap(llm::BaselineEngine::coldStart(opts), "coldStart");
-    const llm::StageTimes &t = engine->coldStartReport().times;
+    const StageTimes &t = engine->coldStartReport().times;
 
     // First-token generation: prefill of the ShareGPT-average prompt
     // (161 tokens) plus one decode step.

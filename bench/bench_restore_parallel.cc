@@ -68,8 +68,8 @@ bestMs(int reps, Fn &&fn)
 struct ColdStartSample
 {
     f64 wall_ms = 0;
-    llm::StageTimes times;
-    core::RestoreReport report;
+    StageTimes times;
+    RestoreReport report;
     /** Post-restore process state fingerprint (fidelity witness). */
     u64 fingerprint = 0;
     /** Decode logits for bs=1 on the restored graphs (fidelity). */
@@ -157,7 +157,7 @@ runPatchArm(const llm::ModelConfig &model,
 }
 
 bool
-sameTimes(const llm::StageTimes &a, const llm::StageTimes &b)
+sameTimes(const StageTimes &a, const StageTimes &b)
 {
     return a.struct_init == b.struct_init && a.weights == b.weights &&
            a.tokenizer == b.tokenizer && a.kv_init == b.kv_init &&
@@ -166,7 +166,7 @@ sameTimes(const llm::StageTimes &a, const llm::StageTimes &b)
 }
 
 bool
-sameReport(const core::RestoreReport &a, const core::RestoreReport &b)
+sameReport(const RestoreReport &a, const RestoreReport &b)
 {
     return a.nodes_restored == b.nodes_restored &&
            a.graphs_restored == b.graphs_restored &&

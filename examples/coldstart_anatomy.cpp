@@ -65,8 +65,8 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const llm::StageTimes &tv = (*vllm)->coldStartReport().times;
-    const llm::StageTimes &tm = (*medusa)->coldStartReport().times;
+    const StageTimes &tv = (*vllm)->coldStartReport().times;
+    const StageTimes &tm = (*medusa)->coldStartReport().times;
     const f64 scale = 50.0 / tv.loading; // 50 columns for vLLM total
 
     std::printf("=== cold start anatomy: %s ===\n\n", name.c_str());

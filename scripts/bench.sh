@@ -12,12 +12,12 @@
 #                         policies, and §7.5-trace p50/p99 TTFT under
 #                         0/1/5% artifact corruption; exits non-zero if
 #                         any trace request fails to complete.
-#   BENCH_sim.json      — cluster-scale study: fast vs legacy event
-#                         engine throughput on the same trace prefix,
-#                         and the scheduler-policy sweep (baseline /
+#   BENCH_sim.json      — cluster-scale study: event-engine
+#                         throughput (events, wall seconds, events/sec)
+#                         on a million-request single-model trace, and
+#                         the scheduler-policy sweep (baseline /
 #                         keep-alive / artifact-affinity) over a
-#                         million-request synthetic trace; exits
-#                         non-zero if the engines disagree.
+#                         million-request multi-model synthetic trace.
 #   BENCH_chaos.json    — chaos / SLO study: scheduler policies ×
 #                         chaos intensities (node/instance crashes,
 #                         store outages, gray fetches) over a

@@ -129,12 +129,11 @@ note "sim-scale smoke: truncated cluster-scale run, schema-checked"
 if [ -x "$BUILD/bench/bench_cluster_scale" ] &&
    [ -x "$BUILD/tools/trace_check" ]; then
     SIM_JSON="$BUILD/check-sim.json"
-    # A 10^5-request prefix (10^4 for the legacy oracle) keeps the
-    # sanitized smoke inside a tight wall budget; the full
-    # million-request study runs unsanitized in scripts/bench.sh.
+    # A 10^5-request prefix keeps the sanitized smoke inside a tight
+    # wall budget; the full million-request study runs unsanitized in
+    # scripts/bench.sh.
     if ! timeout 300 "$BUILD/bench/bench_cluster_scale" --json \
-            --requests=100000 --legacy-requests=10000 \
-            > "$SIM_JSON"; then
+            --requests=100000 > "$SIM_JSON"; then
         fail "bench_cluster_scale smoke failed or exceeded wall budget"
     elif ! "$BUILD/tools/trace_check" --sim "$SIM_JSON"; then
         fail "BENCH_sim JSON failed schema validation"

@@ -9,9 +9,8 @@
  * simulator consume this one schema instead of five per-subsystem
  * structs.
  *
- * StageTimes and RestoreReport are defined here (they predate the
- * unified report) and re-exported from their historical namespaces
- * (llm::StageTimes, core::RestoreReport) for back-compat.
+ * StageTimes and RestoreReport (they predate the unified report) are
+ * defined here too, in namespace medusa.
  */
 
 #ifndef MEDUSA_COMMON_COLD_START_REPORT_H

@@ -45,12 +45,6 @@ enum class Strategy {
 const char *strategyName(Strategy strategy);
 
 /**
- * StageTimes moved to common/cold_start_report.h with the unified
- * reporting schema; llm::StageTimes remains valid via this alias.
- */
-using medusa::StageTimes;
-
-/**
  * Runs a full cold start under one of the three baseline strategies and
  * leaves a ready-to-serve runtime behind.
  */

@@ -68,7 +68,7 @@ CheckpointEngine::restore(const CheckpointImage &image,
     std::unique_ptr<CheckpointEngine> engine(
         new CheckpointEngine(std::move(baseline)));
     const CostModel &c = engine->engine_->runtime().process().cost();
-    llm::StageTimes t;
+    StageTimes t;
     t.runtime_init = warm_container ? c.runtime_init_warm_ms / 1e3
                                     : c.runtime_init_cold_ms / 1e3;
     // The restore is dominated by reading the full image.

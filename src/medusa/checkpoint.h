@@ -58,7 +58,7 @@ class CheckpointEngine
             bool warm_container = true);
 
     llm::ModelRuntime &runtime() { return engine_->runtime(); }
-    const llm::StageTimes &times() const { return times_; }
+    const StageTimes &times() const { return times_; }
 
   private:
     explicit CheckpointEngine(std::unique_ptr<llm::BaselineEngine> e)
@@ -67,7 +67,7 @@ class CheckpointEngine
     }
 
     std::unique_ptr<llm::BaselineEngine> engine_;
-    llm::StageTimes times_;
+    StageTimes times_;
 };
 
 } // namespace medusa::core

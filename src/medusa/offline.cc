@@ -28,7 +28,7 @@ materialize(const OfflineOptions &opts)
     ModelRuntime rt(ropts);
     const CostModel &cost = rt.process().cost();
     SimClock &clock = rt.clock();
-    llm::StageTimes &t = result.capture_cold_start;
+    StageTimes &t = result.capture_cold_start;
 
     TraceRecorder rec(&clock);
     f64 mark = clock.nowSec();

@@ -60,7 +60,7 @@ struct OfflineResult
     /** Validation dry-run virtual seconds (not part of Figure 9). */
     f64 validation_sec = 0;
     /** The recorded cold start's per-stage times (vLLM-shaped). */
-    llm::StageTimes capture_cold_start;
+    StageTimes capture_cold_start;
     /** Offline-phase spans (offline.* taxonomy), simulated time. */
     std::vector<TraceEvent> spans;
 

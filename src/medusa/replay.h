@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/cold_start_report.h"
 #include "common/thread_pool.h"
 #include "llm/runtime.h"
 #include "medusa/artifact.h"

@@ -8,7 +8,6 @@
 namespace medusa::core {
 
 using llm::ModelRuntime;
-using llm::StageTimes;
 using simcuda::CudaGraph;
 
 namespace {

@@ -94,7 +94,7 @@ class MedusaEngine
     using MakeTableFn = std::function<std::unique_ptr<ReplayTable>()>;
     using AttemptFn =
         std::function<Status(const Options &, llm::ModelRuntime &,
-                             ReplayTable &, llm::StageTimes &,
+                             ReplayTable &, StageTimes &,
                              RestoreReport &)>;
 
     /**

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "common/cold_start_report.h"
 #include "common/fault.h"
 #include "common/pipeline_options.h"
 #include "common/types.h"
@@ -71,12 +70,6 @@ struct RestoreOptions
     /** What to do when a restore attempt fails mid-flight. */
     FallbackPolicy fallback;
 };
-
-/**
- * RestoreReport moved to common/cold_start_report.h with the unified
- * reporting schema; core::RestoreReport remains valid via this alias.
- */
-using medusa::RestoreReport;
 
 } // namespace medusa::core
 

@@ -1,11 +1,10 @@
 /**
  * @file
- * Scheduler implementation — the former cluster_fast.cc state machine
- * (see scheduler.h and DESIGN.md §15–§17). The arithmetic in
- * launchInstance/startStep is kept expression-for-expression
- * identical to the legacy cluster.cc loop so the two engines produce
- * bit-equal latencies; every hook call is a pure observation added
- * after the corresponding state transition.
+ * Scheduler implementation (see scheduler.h and DESIGN.md §15–§17).
+ * The expression order of the timing arithmetic in
+ * launchInstance/startStep is pinned bit for bit by
+ * tests/data/golden_cluster.txt; every hook call is a pure observation
+ * added after the corresponding state transition.
  */
 
 #include <algorithm>
@@ -397,8 +396,7 @@ Scheduler::dispatch()
 {
     const u32 cap = options_.max_seqs_per_instance;
     // Feed live instances, packing onto the most-loaded one that
-    // still has capacity (the legacy bin-packing rule, served by
-    // the load index).
+    // still has capacity (bin-packing, served by the load index).
     for (u16 m = 0; m < options_.num_models; ++m) {
         while (wait_count_[m] > 0) {
             const u32 best = by_load_[m].bestBelow(cap);
@@ -462,8 +460,8 @@ Scheduler::assignTo(u32 inst, u32 req)
             }
         }
     }
-    // Enqueue for prefill; cancel any pending idle reclaim (the
-    // legacy epoch bump, as a real O(log n) heap removal).
+    // Enqueue for prefill; cancel any pending idle reclaim (an
+    // O(log n) heap removal).
     if (inst_prefill_tail_[inst] == kNil) {
         inst_prefill_head_[inst] = req;
     } else {
@@ -480,7 +478,7 @@ Scheduler::assignTo(u32 inst, u32 req)
     }
 }
 
-// ---- instance launch (identical timing math to cluster.cc) ---------------
+// ---- instance launch ------------------------------------------------------
 
 void
 Scheduler::traceLaunchSpan(std::string_view name,
@@ -606,8 +604,8 @@ Scheduler::launchInstance(u16 m)
     metrics_.counter("cluster.cold_starts").add(1);
     const u32 inst = newInstance(m, node);
     const f64 t0 = engine_.now();
-    // Artifact fetch via the process-wide cache (legacy semantics:
-    // first cold start loads, later ones share for free).
+    // Artifact fetch via the process-wide cache (the first cold
+    // start loads, later ones share for free).
     f64 fetch_sec = 0;
     if (options_.artifact_cache != nullptr && options_.artifact_loader) {
         bool hit = false;
@@ -660,9 +658,8 @@ Scheduler::launchInstance(u16 m)
             vanilla, Ev{Ev::Kind::kLaunchDone, 1, inst});
         return true;
     }
-    // Restore / fault / fallback timing — the arithmetic below is
-    // kept expression-for-expression identical to cluster.cc so
-    // the two engines produce bit-equal launch latencies.
+    // Restore / fault / fallback timing. The expression order below
+    // is pinned bit for bit by the golden cluster fixture.
     f64 launch_delay = fetch_sec;
     bool comes_alive = true;
     FaultInjector *fault = options_.pipeline.fault;
@@ -804,8 +801,7 @@ Scheduler::onStepDone(u32 inst)
     u32 load = load_before;
     if (inst_step_is_prefill_[inst] != 0) {
         // Prefill completion: the batch emits its first tokens;
-        // survivors join the decode set (in batch order, as the
-        // legacy push_back did).
+        // survivors join the decode set in batch order.
         u32 req = inst_batch_head_[inst];
         inst_batch_head_[inst] = kNil;
         while (req != kNil) {
@@ -898,7 +894,7 @@ Scheduler::onIdleReclaim(u32 inst)
     killInstance(inst);
 }
 
-// ---- the step loop (identical timing math to cluster.cc) -----------------
+// ---- the step loop --------------------------------------------------------
 
 void
 Scheduler::startStep(u32 inst)
@@ -906,8 +902,7 @@ Scheduler::startStep(u32 inst)
     MEDUSA_CHECK(inst_stepping_[inst] == 0, "instance already stepping");
     if (inst_prefill_count_[inst] > 0) {
         // Prefill step: batch admitted prompts up to the token
-        // budget (they leave the load count while in flight, as
-        // the legacy local batch vector did).
+        // budget (they leave the load count while in flight).
         const u32 load_before = instLoad(inst);
         u32 tokens = 0;
         u32 batched = 0;
@@ -1281,7 +1276,7 @@ Scheduler::expectedLaunchSec()
     return fetch + profile_.cold_start_sec;
 }
 
-// ---- epilogue (mirrors cluster.cc's run() tail) --------------------------
+// ---- epilogue -------------------------------------------------------------
 
 TraceMetrics
 Scheduler::finish()

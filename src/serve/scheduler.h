@@ -4,9 +4,9 @@
  * the simulator so one implementation drives both worlds:
  *
  *  - **sim mode** — src/serve/sim.cc merges a pre-recorded trace into
- *    the event loop as an external sorted cursor and calls finish();
- *    bit-identical TraceMetrics to the historical cluster_fast.cc
- *    (pinned by cluster_equiv_test);
+ *    the event loop as an external sorted cursor and calls finish()
+ *    (outputs pinned by cluster_equiv_test against
+ *    tests/data/golden_cluster.txt);
  *  - **serve mode** — serve::Server submits live HTTP requests with
  *    submit(), paces the engine against a wall→virtual clock with
  *    pumpUntil(), and receives per-token callbacks through
@@ -16,9 +16,9 @@
  * step model over the captured-graph batch sizes, keep-alive /
  * artifact-affinity placement policies, admission control via
  * projectedWaitSec, deadline shedding, bounded crash retry, and the
- * chaos layer. The implementation is the zero-allocation
- * EventEngine + struct-of-arrays state machine described in the old
- * cluster_fast.cc header comment; only the driving loop moved out.
+ * chaos layer. The implementation is a struct-of-arrays state machine
+ * on the zero-allocation EventEngine (event_engine.h); only the
+ * driving loop lives outside, in sim.cc or serve::Server.
  *
  * Not thread-safe: serve mode serializes all calls (including hook
  * re-entry) under the server's engine mutex.
@@ -139,7 +139,7 @@ class Scheduler
     static constexpr u32 kNil = 0xffffffffu;
     static constexpr u16 kNoModel = 0xffffu;
 
-    /** The typed event payload (old cluster_fast.cc Ev). 8 bytes. */
+    /** The typed event payload. 8 bytes. */
     struct Ev
     {
         enum class Kind : u8
@@ -167,8 +167,8 @@ class Scheduler
     /**
      * Per-model dispatch index: for each load value, a bitset of the
      * live instance ids currently at that load. bestBelow(cap)
-     * reproduces the legacy scan "max load among live instances with
-     * load < cap, ties to the lowest id" in O(cap + instances/64).
+     * answers "max load among live instances with load < cap, ties to
+     * the lowest id" in O(cap + instances/64).
      */
     class LoadIndex
     {

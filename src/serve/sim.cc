@@ -1,28 +1,27 @@
 /**
  * @file
- * Sim-mode driver: the public simulateCluster() facade and the fast
- * engine-variant entry, both expressed over serve::Scheduler. The
- * arrival merge reproduces the historical cluster_fast.cc runLoop
- * exactly — the sorted trace is an external cursor whose entries
- * (conceptually scheduled before any dynamic event) win ties at equal
- * times — so TraceMetrics stay bit-identical to the pre-extraction
- * simulator (cluster_equiv_test pins this against the legacy loop).
+ * Sim-mode driver: the public simulateCluster() entry, expressed over
+ * serve::Scheduler. The sorted trace is an external cursor whose
+ * entries win ties at equal times: conceptually every arrival is
+ * scheduled up front, before any dynamic event, so under the engine's
+ * (time, seq) FIFO order it precedes them. cluster_equiv_test pins the
+ * outputs against tests/data/golden_cluster.txt.
  */
 
 #include "serve/scheduler.h"
-#include "serverless/cluster_internal.h"
 
 namespace medusa::serverless {
 
-namespace detail {
-
 TraceMetrics
-simulateClusterFast(const ClusterOptions &options,
-                    const ServingProfile &profile,
-                    const std::vector<workload::Request> &trace)
+simulateCluster(const ClusterOptions &options,
+                const std::vector<workload::Request> &trace)
 {
+    MEDUSA_CHECK(options.profile != nullptr,
+                 "ClusterOptions::profile must be set");
     ClusterOptions opts = options;
-    opts.profile = &profile;
+    if (opts.chaos == nullptr) {
+        opts.chaos = envChaosPlan();
+    }
     const f64 horizon = trace.empty() ? 0 : trace.back().arrival_sec;
     serve::Scheduler sched(opts, /*hooks=*/nullptr, horizon);
     std::size_t next_arrival = 0;
@@ -41,37 +40,6 @@ simulateClusterFast(const ClusterOptions &options,
         sched.step();
     }
     return sched.finish();
-}
-
-} // namespace detail
-
-TraceMetrics
-simulateCluster(const ClusterOptions &options,
-                const std::vector<workload::Request> &trace)
-{
-    MEDUSA_CHECK(options.profile != nullptr,
-                 "ClusterOptions::profile must be set");
-    const ServingProfile &profile = *options.profile;
-    if (options.engine == SimEngine::kLegacy) {
-        MEDUSA_CHECK(options.policy == SchedulerPolicy::kBaseline &&
-                         options.num_models <= 1,
-                     "the legacy event loop supports neither scheduler "
-                     "policies nor multi-model traces");
-        MEDUSA_CHECK((options.chaos == nullptr ||
-                      !options.chaos->enabled()) &&
-                         !options.slo.enabled(),
-                     "the legacy event loop supports neither chaos "
-                     "plans nor SLO policies");
-        return detail::simulateClusterLegacy(options, profile, trace);
-    }
-    if (options.chaos == nullptr) {
-        if (const ChaosPlan *env = envChaosPlan(); env != nullptr) {
-            ClusterOptions armed = options;
-            armed.chaos = env;
-            return detail::simulateClusterFast(armed, profile, trace);
-        }
-    }
-    return detail::simulateClusterFast(options, profile, trace);
 }
 
 } // namespace medusa::serverless

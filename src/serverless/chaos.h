@@ -12,7 +12,7 @@
  * simulation starts, so a given (trace, plan, seed) replays
  * bit-identically run after run (cluster_equiv_test's chaos suite).
  *
- * Event semantics inside the fast engine (cluster_fast.cc):
+ * Event semantics inside the simulator (src/serve/scheduler.cc):
  *
  *  - node crash: every instance on the node dies instantly; their
  *    in-flight requests are requeued (bounded by SloPolicy retries);
@@ -116,9 +116,7 @@ struct ChaosPlan
  * The process-wide plan from MEDUSA_CHAOS_PLAN, or null when unset,
  * empty, disabled, or malformed (the envFaultInjector() contract).
  * simulateCluster consults it when ClusterOptions::chaos is null, so
- * an exported plan chaos-hardens any simulation in the process — the
- * legacy engine excepted: it has no chaos support, so it ignores the
- * environment rather than aborting unrelated runs.
+ * an exported plan chaos-hardens any simulation in the process.
  */
 const ChaosPlan *envChaosPlan();
 

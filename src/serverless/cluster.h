@@ -30,26 +30,12 @@
 namespace medusa::serverless {
 
 /**
- * Which discrete-event core runs the simulation (DESIGN.md §15).
- * kFast is the zero-allocation EventEngine with struct-of-arrays
- * instance state — bit-identical results, orders of magnitude faster.
- * kLegacy is the original std::function EventLoop, kept for one
- * release as the equivalence oracle (cluster_equiv_test); it does not
- * support scheduler policies or multi-model traces.
- */
-enum class SimEngine : u8
-{
-    kFast = 0,
-    kLegacy,
-};
-
-/**
- * Scheduler policy for the cluster-scale placement study (fast engine
- * only). kBaseline is the paper's §7.5 autoscaler: scale up on demand,
- * reclaim after idle_timeout_sec. kKeepAlive adds a warm pool: a floor
- * of live instances is never reclaimed and idle instances linger
- * longer, trading GPU-seconds for fewer cold starts (the §2.4
- * trade-off, now measurable per policy). kAffinity routes instance
+ * Scheduler policy for the cluster-scale placement study. kBaseline
+ * is the paper's §7.5 autoscaler: scale up on demand, reclaim after
+ * idle_timeout_sec. kKeepAlive adds a warm pool: a floor of live
+ * instances is never reclaimed and idle instances linger longer,
+ * trading GPU-seconds for fewer cold starts (the §2.4 trade-off, now
+ * measurable per policy). kAffinity routes instance
  * launches to nodes whose artifact store already holds the model —
  * ServerlessLLM-style startup-time-optimized placement / Tangram-style
  * memory-reuse affinity (PAPERS.md) — so a launch pays the artifact
@@ -63,7 +49,7 @@ enum class SchedulerPolicy : u8
 };
 
 /**
- * Service-level-objective policy (fast engine only; DESIGN.md §16).
+ * Service-level-objective policy (DESIGN.md §16).
  * Requests carry a TTFT deadline (workload::Request::ttft_deadline_sec,
  * with default_ttft_sec as the fallback); the scheduler treats the
  * deadline as a first-class dimension: it sheds work it cannot serve in
@@ -188,8 +174,6 @@ struct ClusterOptions
 
     // ---- cluster-scale scheduling study (DESIGN.md §15) ----
 
-    /** Event core; see SimEngine. */
-    SimEngine engine = SimEngine::kFast;
     /** Placement / keep-alive policy; see SchedulerPolicy. */
     SchedulerPolicy policy = SchedulerPolicy::kBaseline;
     /**
@@ -220,7 +204,7 @@ struct ClusterOptions
      */
     f64 node_artifact_miss_sec = 0.0;
 
-    // ---- chaos + SLO study (DESIGN.md §16, fast engine only) ----
+    // ---- chaos + SLO study (DESIGN.md §16) ----
 
     /**
      * Deterministic cluster-failure schedule; null or a disabled plan
@@ -277,14 +261,15 @@ struct TraceMetrics
     u64 peak_live_instances = 0;
     /**
      * Events the engine dispatched (arrivals included). NOT mirrored
-     * into the metrics registry: the legacy loop fires stale idle
-     * timers that the fast engine cancels outright, so the counts
-     * legitimately differ between engines while every other output is
-     * bit-identical. Benches divide by wall time for events/sec.
+     * into the metrics registry: it counts the event core's work, not
+     * anything the simulated cluster does, so a change to the core
+     * (e.g. cancelling a pending idle timer instead of letting a stale
+     * one fire) may move it while every simulated output stays the
+     * same. Benches divide by wall time for events/sec.
      */
     u64 sim_events = 0;
 
-    // Policy counters (0 under kBaseline / the legacy engine):
+    // Policy counters (0 under kBaseline):
     /** Assignments absorbed by instances a baseline would have killed. */
     u64 cold_pool_hits = 0;
     /** Instance-seconds spent idle beyond the baseline timeout. */
@@ -343,10 +328,9 @@ struct TraceMetrics
 
 /**
  * Replay a trace against a cluster running the profiled engine. The
- * one public entry point: options.engine selects the event core
- * (kFast is serve::Scheduler driven in sim mode; kLegacy the
- * equivalence oracle), options.profile must be set. Implemented in
- * src/serve/sim.cc on top of the extracted Scheduler.
+ * one public entry point; options.profile must be set. Implemented in
+ * src/serve/sim.cc: serve::Scheduler on the EventEngine, driven in sim
+ * mode.
  */
 TraceMetrics simulateCluster(const ClusterOptions &options,
                              const std::vector<workload::Request> &trace);

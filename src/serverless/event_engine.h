@@ -3,13 +3,12 @@
  * The zero-allocation discrete-event engine behind the scaled cluster
  * simulator (DESIGN.md §15).
  *
- * The legacy EventLoop (event_sim.h) stores a std::function per event
- * inside a std::priority_queue: every schedule() may heap-allocate a
- * closure, every dispatch copies/moves a 48-byte element through the
- * sift, and cancellation is only possible by tombstoning (stale events
+ * A std::function per event inside a std::priority_queue would let
+ * every schedule() heap-allocate a closure, move a 48-byte element
+ * through every sift, and cancel only by tombstoning (stale events
  * fire and no-op). At 10^7 events that overhead dominates the run.
  *
- * EventEngine replaces all of that with plain data:
+ * EventEngine uses plain data instead:
  *
  *  - events are a POD payload (a typed tag + a few words, dispatched
  *    by `switch` in the caller's handler) stored in a slab with a
@@ -23,8 +22,8 @@
  *    slot was already recycled is a safe no-op.
  *
  * Determinism contract: events fire in strictly non-decreasing time,
- * FIFO among equal times (seq order), exactly like the legacy loop —
- * the cluster equivalence suite (cluster_equiv_test) relies on it.
+ * FIFO among equal times (seq order) — the cluster simulator's golden
+ * outputs (cluster_equiv_test) rely on it.
  */
 
 #ifndef MEDUSA_SERVERLESS_EVENT_ENGINE_H

@@ -2,7 +2,7 @@
  * @file
  * Chaos-layer suite (DESIGN.md §16): ChaosPlan parsing in all three
  * forms (spec string, JSON, environment), the deterministic failure
- * schedule built from it, and the fast engine's behavior under every
+ * schedule built from it, and the simulator's behavior under every
  * failure class — instance crashes that requeue in-flight work, node
  * crashes that drop artifact residency, store outages that stall or
  * degrade launches, gray windows that slow fetches — plus the SLO

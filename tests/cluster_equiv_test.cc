@@ -1,27 +1,40 @@
 /**
  * @file
- * Engine-equivalence suite for the cluster simulator (DESIGN.md §15):
- * the zero-allocation fast engine (cluster_fast.cc) must produce
- * BIT-IDENTICAL TraceMetrics, metric snapshots and Chrome trace streams
- * to the legacy std::function EventLoop (cluster.cc) on the paper's
- * fig10/§7.5 traces and on every feature the legacy loop supports —
- * hot spares, deferred capture, idle reclaim, fault injection with
- * every fallback mode, and the artifact cache. Plus: the fast engine's
- * own determinism at the million-request scale of the bench.
+ * Golden fixture for the cluster simulator (DESIGN.md §15): the exact
+ * outputs simulateCluster() produces on the paper's fig10/§7.5 traces
+ * and on every feature the simulator models — hot spares, deferred
+ * capture, idle reclaim, fault injection with every fallback mode, the
+ * artifact cache, scheduler policies and an armed chaos/SLO plan —
+ * pinned against tests/data/golden_cluster.txt. This is the committed
+ * oracle for changes that must not move a single simulated float.
+ * Plus: determinism at the million-request scale of the bench, and
+ * serve-mode / empty-chaos-plan parity.
  *
- * sim_events is the one field deliberately excluded: the legacy loop
- * dispatches stale idle-timer tombstones that the fast engine cancels
- * outright (see TraceMetrics::sim_events).
+ * Each row holds one cell:
+ *   cell ttft_crc e2e_crc launch_crc metrics_crc chrome_crc
+ *   instances_launched peak_live_instances sim_events
+ * where ttft_crc, e2e_crc and launch_crc are the CRC-32 of the
+ * TraceMetrics sample bytes (in recording order), metrics_crc the
+ * CRC-32 of the run's MetricsRegistry JSON (gauges print at %.17g, so
+ * it pins every mirrored float exactly), chrome_crc the CRC-32 of the
+ * run's Chrome trace JSON, all in hex; the last three are decimal. On
+ * a mismatch the test prints the row it computed; a row may only be
+ * replaced when the change is meant to alter simulated behaviour, and
+ * CHANGES.md must say why.
  */
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <optional>
+#include <sstream>
+#include <string>
 
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "medusa/artifact_cache.h"
 #include "serve/scheduler.h"
-#include "serverless/cluster_internal.h"
+#include "serverless/cluster.h"
 #include "workload/synthetic.h"
 #include "workload/trace.h"
 
@@ -44,7 +57,7 @@ toyProfile(f64 cold_start = 2.0)
     return p;
 }
 
-/** One engine run with its own sinks and (optional) fault stream. */
+/** One simulator run with its own sinks. */
 struct RunResult
 {
     TraceMetrics metrics;
@@ -52,23 +65,35 @@ struct RunResult
     std::string metrics_json;
 };
 
+/**
+ * Run @p trace with fresh sinks, a fresh fault stream from @p plan and,
+ * with @p with_cache, a fresh artifact cache: both are stateful in hit
+ * order, so every run must start from the same state.
+ */
 RunResult
-runEngine(ClusterOptions opts, const ServingProfile &profile,
-          const std::vector<workload::Request> &trace, SimEngine engine,
-          const FaultPlan *plan = nullptr,
-          core::ArtifactCache *cache = nullptr)
+runSim(ClusterOptions opts, const ServingProfile &profile,
+          const std::vector<workload::Request> &trace,
+          const FaultPlan *plan = nullptr, bool with_cache = false)
 {
     TraceRecorder rec;
     MetricsRegistry reg;
     std::optional<FaultInjector> injector;
+    std::optional<core::ArtifactCache> cache;
     if (plan != nullptr) {
         injector.emplace(*plan);
         opts.pipeline.fault = &*injector;
     }
+    if (with_cache) {
+        cache.emplace();
+        opts.artifact_cache = &*cache;
+        opts.artifact_key = "toy";
+        opts.artifact_loader = []() -> StatusOr<core::Artifact> {
+            return core::Artifact{};
+        };
+        opts.artifact_miss_sec = 0.7;
+    }
     opts.pipeline.trace = &rec;
     opts.pipeline.metrics = &reg;
-    opts.artifact_cache = cache;
-    opts.engine = engine;
     opts.profile = &profile;
     RunResult r;
     r.metrics = simulateCluster(opts, trace);
@@ -78,15 +103,14 @@ runEngine(ClusterOptions opts, const ServingProfile &profile,
 }
 
 /**
- * Bit-identity between the engines: exact == on every float (no
- * EXPECT_NEAR — the refactor preserves expression order, so results
- * must match to the last ulp).
+ * Bit-identity between two runs: exact == on every float (no
+ * EXPECT_NEAR — results must match to the last ulp).
  */
 void
-expectBitIdentical(const RunResult &legacy, const RunResult &fast)
+expectBitIdentical(const RunResult &x, const RunResult &y)
 {
-    const TraceMetrics &a = legacy.metrics;
-    const TraceMetrics &b = fast.metrics;
+    const TraceMetrics &a = x.metrics;
+    const TraceMetrics &b = y.metrics;
     EXPECT_EQ(a.ttft_sec.samples(), b.ttft_sec.samples());
     EXPECT_EQ(a.e2e_sec.samples(), b.e2e_sec.samples());
     EXPECT_EQ(a.launch_sec.samples(), b.launch_sec.samples());
@@ -103,39 +127,107 @@ expectBitIdentical(const RunResult &legacy, const RunResult &fast)
     EXPECT_EQ(a.wasted_restore_sec, b.wasted_restore_sec);
     EXPECT_EQ(a.instances_launched, b.instances_launched);
     EXPECT_EQ(a.peak_live_instances, b.peak_live_instances);
-    EXPECT_EQ(legacy.metrics_json, fast.metrics_json);
-    EXPECT_EQ(legacy.chrome_json, fast.chrome_json);
+    EXPECT_EQ(x.metrics_json, y.metrics_json);
+    EXPECT_EQ(x.chrome_json, y.chrome_json);
+}
+
+struct GoldenRow
+{
+    u32 ttft_crc = 0;
+    u32 e2e_crc = 0;
+    u32 launch_crc = 0;
+    u32 metrics_crc = 0;
+    u32 chrome_crc = 0;
+    u64 instances_launched = 0;
+    u64 peak_live_instances = 0;
+    u64 sim_events = 0;
+
+    bool operator==(const GoldenRow &) const = default;
+};
+
+u32
+samplesCrc(const PercentileTracker &t)
+{
+    return crc32(t.samples().data(), t.samples().size() * sizeof(f64));
+}
+
+GoldenRow
+rowOf(const RunResult &r)
+{
+    GoldenRow row;
+    row.ttft_crc = samplesCrc(r.metrics.ttft_sec);
+    row.e2e_crc = samplesCrc(r.metrics.e2e_sec);
+    row.launch_crc = samplesCrc(r.metrics.launch_sec);
+    row.metrics_crc = crc32(r.metrics_json.data(), r.metrics_json.size());
+    row.chrome_crc = crc32(r.chrome_json.data(), r.chrome_json.size());
+    row.instances_launched = r.metrics.instances_launched;
+    row.peak_live_instances = r.metrics.peak_live_instances;
+    row.sim_events = r.metrics.sim_events;
+    return row;
+}
+
+std::string
+formatRow(const std::string &cell, const GoldenRow &r)
+{
+    std::ostringstream os;
+    os << cell << std::hex;
+    for (u32 v : {r.ttft_crc, r.e2e_crc, r.launch_crc, r.metrics_crc,
+                  r.chrome_crc}) {
+        os << " 0x" << v;
+    }
+    os << std::dec;
+    for (u64 v :
+         {r.instances_launched, r.peak_live_instances, r.sim_events}) {
+        os << ' ' << v;
+    }
+    return os.str();
+}
+
+/** The committed row for @p cell, or nullopt if it has none. */
+std::optional<GoldenRow>
+committedRow(const std::string &cell)
+{
+    std::ifstream in(std::string(MEDUSA_TEST_DATA_DIR) +
+                     "/golden_cluster.txt");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#') {
+            continue;
+        }
+        std::istringstream is(line);
+        std::string name;
+        GoldenRow r;
+        is >> name >> std::hex >> r.ttft_crc >> r.e2e_crc >>
+            r.launch_crc >> r.metrics_crc >> r.chrome_crc >> std::dec >>
+            r.instances_launched >> r.peak_live_instances >> r.sim_events;
+        if (is && name == cell) {
+            return r;
+        }
+    }
+    return std::nullopt;
 }
 
 void
-expectEnginesAgree(const ClusterOptions &opts,
-                   const ServingProfile &profile,
-                   const std::vector<workload::Request> &trace,
-                   const FaultPlan *plan = nullptr,
-                   bool with_cache = false)
+expectGolden(const std::string &cell, const RunResult &run)
 {
-    // Each run gets a fresh fault stream and artifact cache: both are
-    // stateful in hit order, and the engines must consume them
-    // identically.
-    std::optional<core::ArtifactCache> legacy_cache;
-    std::optional<core::ArtifactCache> fast_cache;
-    ClusterOptions copts = opts;
-    if (with_cache) {
-        legacy_cache.emplace();
-        fast_cache.emplace();
-        copts.artifact_key = "toy";
-        copts.artifact_loader = []() -> StatusOr<core::Artifact> {
-            return core::Artifact{};
-        };
-        copts.artifact_miss_sec = 0.7;
-    }
-    const RunResult legacy =
-        runEngine(copts, profile, trace, SimEngine::kLegacy, plan,
-                  with_cache ? &*legacy_cache : nullptr);
-    const RunResult fast =
-        runEngine(copts, profile, trace, SimEngine::kFast, plan,
-                  with_cache ? &*fast_cache : nullptr);
-    expectBitIdentical(legacy, fast);
+    const GoldenRow got = rowOf(run);
+    const std::optional<GoldenRow> want = committedRow(cell);
+    ASSERT_TRUE(want.has_value())
+        << "no fixture row; computed: " << formatRow(cell, got);
+    EXPECT_EQ(*want, got) << "computed: " << formatRow(cell, got)
+                          << "\ncommitted: " << formatRow(cell, *want);
+}
+
+/** Run one cell and check it against its committed row. */
+RunResult
+expectCellGolden(const std::string &cell, const ClusterOptions &opts,
+                 const ServingProfile &profile,
+                 const std::vector<workload::Request> &trace,
+                 const FaultPlan *plan = nullptr, bool with_cache = false)
+{
+    RunResult run = runSim(opts, profile, trace, plan, with_cache);
+    expectGolden(cell, run);
+    return run;
 }
 
 /** The fig10 bench's trace family (§7.5 replay statistics). */
@@ -149,13 +241,46 @@ fig10Trace(f64 rps, u64 seed, f64 duration_sec = 120)
     return workload::generateShareGptTrace(topts);
 }
 
+/** A small multi-model synthetic trace for the policy cells. */
+std::vector<workload::Request>
+multiModelTrace()
+{
+    workload::SyntheticTraceOptions sopts;
+    sopts.seed = 43;
+    sopts.duration_sec = 60;
+    sopts.requests_per_sec = 6;
+    sopts.diurnal_period_sec = 30;
+    sopts.mean_output_tokens = 64;
+    sopts.max_output_tokens = 256;
+    sopts.num_models = 4;
+    return workload::generateSyntheticTrace(sopts);
+}
+
+/**
+ * Cluster sizing shared by the policy cells: 2 nodes of 4 GPUs, one
+ * artifact slot each, so 4 models contend for node residency.
+ */
+ClusterOptions
+multiModelOptions()
+{
+    ClusterOptions opts;
+    opts.num_gpus = 8;
+    opts.gpus_per_node = 4;
+    opts.num_models = 4;
+    opts.node_artifact_slots = 1;
+    opts.node_artifact_miss_sec = 0.8;
+    opts.idle_timeout_sec = 1.0;
+    return opts;
+}
+
 TEST(ClusterEquivTest, Fig10TracesBitIdentical)
 {
     const ServingProfile p = toyProfile(2.0);
-    for (const f64 rps : {2.0, 10.0}) {
+    for (const int rps : {2, 10}) {
         for (const u64 seed : {20250330ull, 20250331ull}) {
-            ClusterOptions opts;
-            expectEnginesAgree(opts, p, fig10Trace(rps, seed));
+            expectCellGolden("fig10_rps" + std::to_string(rps) + "_" +
+                                 std::to_string(seed),
+                             ClusterOptions{}, p, fig10Trace(rps, seed));
         }
     }
 }
@@ -165,8 +290,8 @@ TEST(ClusterEquivTest, TightIdleTimeoutBitIdentical)
     ClusterOptions opts;
     opts.idle_timeout_sec = 0.5; // heavy reclaim/relaunch churn
     opts.num_gpus = 2;
-    expectEnginesAgree(opts, toyProfile(1.0),
-                       fig10Trace(6.0, 20250401ull));
+    expectCellGolden("tight_idle", opts, toyProfile(1.0),
+                     fig10Trace(6.0, 20250401ull));
 }
 
 TEST(ClusterEquivTest, HotSparesBitIdentical)
@@ -174,8 +299,8 @@ TEST(ClusterEquivTest, HotSparesBitIdentical)
     ClusterOptions opts;
     opts.hot_spares = 2;
     opts.idle_timeout_sec = 2.0;
-    expectEnginesAgree(opts, toyProfile(1.5),
-                       fig10Trace(4.0, 20250402ull));
+    expectCellGolden("hot_spares", opts, toyProfile(1.5),
+                     fig10Trace(4.0, 20250402ull));
 }
 
 TEST(ClusterEquivTest, DeferredCaptureBitIdentical)
@@ -185,7 +310,8 @@ TEST(ClusterEquivTest, DeferredCaptureBitIdentical)
     p.capture_penalty_sec = {0.5, 0.5};
     ClusterOptions opts;
     opts.max_seqs_per_instance = 8; // varied decode batch sizes
-    expectEnginesAgree(opts, p, fig10Trace(8.0, 20250403ull));
+    expectCellGolden("deferred_capture", opts, p,
+                     fig10Trace(8.0, 20250403ull));
 }
 
 TEST(ClusterEquivTest, SmallBatchBudgetBitIdentical)
@@ -193,8 +319,8 @@ TEST(ClusterEquivTest, SmallBatchBudgetBitIdentical)
     ClusterOptions opts;
     opts.max_batched_tokens = 200; // force multi-step prefill queues
     opts.max_seqs_per_instance = 4;
-    expectEnginesAgree(opts, toyProfile(1.0),
-                       fig10Trace(8.0, 20250404ull));
+    expectCellGolden("small_batch_budget", opts, toyProfile(1.0),
+                     fig10Trace(8.0, 20250404ull));
 }
 
 TEST(ClusterEquivTest, FaultRetryThenVanillaBitIdentical)
@@ -208,8 +334,8 @@ TEST(ClusterEquivTest, FaultRetryThenVanillaBitIdentical)
     opts.fallback.backoff_sec = 0.05;
     opts.vanilla_cold_start_sec = 4.0;
     opts.idle_timeout_sec = 1.0;
-    expectEnginesAgree(opts, toyProfile(2.0),
-                       fig10Trace(5.0, 20250405ull), &plan);
+    expectCellGolden("retry_then_vanilla", opts, toyProfile(2.0),
+                     fig10Trace(5.0, 20250405ull), &plan);
 }
 
 TEST(ClusterEquivTest, FaultFailModeBitIdentical)
@@ -220,17 +346,19 @@ TEST(ClusterEquivTest, FaultFailModeBitIdentical)
     ClusterOptions opts;
     opts.fallback.mode = core::FallbackMode::kFail;
     opts.num_gpus = 2;
-    expectEnginesAgree(opts, toyProfile(1.0),
-                       fig10Trace(4.0, 20250406ull), &plan);
+    expectCellGolden("fail_mode", opts, toyProfile(1.0),
+                     fig10Trace(4.0, 20250406ull), &plan);
 }
 
 TEST(ClusterEquivTest, ArtifactCacheBitIdentical)
 {
     ClusterOptions opts;
     opts.idle_timeout_sec = 0.5; // several cold starts share the cache
-    expectEnginesAgree(opts, toyProfile(1.0),
-                       fig10Trace(5.0, 20250407ull), nullptr,
-                       /*with_cache=*/true);
+    const RunResult run =
+        expectCellGolden("artifact_cache", opts, toyProfile(1.0),
+                         fig10Trace(5.0, 20250407ull), nullptr,
+                         /*with_cache=*/true);
+    EXPECT_GT(run.metrics.artifact_cache_hits, 0u);
 }
 
 TEST(ClusterEquivTest, SyntheticTraceBitIdentical)
@@ -243,11 +371,37 @@ TEST(ClusterEquivTest, SyntheticTraceBitIdentical)
     ASSERT_GT(trace.size(), 500u);
     ClusterOptions opts;
     opts.num_gpus = 8;
-    expectEnginesAgree(opts, toyProfile(1.5), trace);
+    expectCellGolden("synthetic", opts, toyProfile(1.5), trace);
+}
+
+TEST(ClusterEquivTest, KeepAlivePolicyBitIdentical)
+{
+    ClusterOptions opts = multiModelOptions();
+    opts.policy = SchedulerPolicy::kKeepAlive;
+    opts.keep_alive_instances = 2;
+    opts.keep_alive_idle_sec = 3.0;
+    const RunResult run = expectCellGolden("keep_alive", opts,
+                                           toyProfile(1.0),
+                                           multiModelTrace());
+    // The cell exercises the policy, not just the baseline autoscaler.
+    EXPECT_GT(run.metrics.cold_pool_hits, 0u);
+    EXPECT_GT(run.metrics.keep_alive_gpu_seconds, 0.0);
+}
+
+TEST(ClusterEquivTest, AffinityPolicyBitIdentical)
+{
+    ClusterOptions opts = multiModelOptions();
+    opts.policy = SchedulerPolicy::kAffinity;
+    const RunResult run = expectCellGolden("affinity", opts,
+                                           toyProfile(1.0),
+                                           multiModelTrace());
+    EXPECT_GT(run.metrics.node_warm_launches, 0u);
+    EXPECT_GT(run.metrics.node_artifact_fetches, 0u);
+    EXPECT_GT(run.metrics.affinity_evictions, 0u);
 }
 
 /**
- * The scale contract: the fast engine replays a million-request trace
+ * The scale contract: a million-request trace replays
  * deterministically — two runs from the same seed produce byte-equal
  * metric snapshots and identical latency sample streams.
  */
@@ -265,13 +419,14 @@ TEST(ClusterEquivTest, MillionRequestRunIsDeterministic)
     const auto trace = workload::generateSyntheticTrace(sopts);
     ASSERT_EQ(trace.size(), 1000000u);
 
+    const ServingProfile p = toyProfile(1.0);
     ClusterOptions opts;
     opts.num_gpus = 2048;
     opts.idle_timeout_sec = 2.0;
-    const ServingProfile p = toyProfile(1.0);
+    opts.profile = &p;
 
-    TraceMetrics a = detail::simulateClusterFast(opts, p, trace);
-    TraceMetrics b = detail::simulateClusterFast(opts, p, trace);
+    TraceMetrics a = simulateCluster(opts, trace);
+    TraceMetrics b = simulateCluster(opts, trace);
 
     EXPECT_EQ(a.completed, 1000000u);
     EXPECT_EQ(a.ttft_sec.samples(), b.ttft_sec.samples());
@@ -301,7 +456,7 @@ TEST(ClusterEquivTest, HookedSchedulerBitIdenticalToSimulateCluster)
     const auto trace = fig10Trace(6.0, 20250406ull);
 
     ClusterOptions opts;
-    const RunResult sim = runEngine(opts, p, trace, SimEngine::kFast);
+    const RunResult sim = runSim(opts, p, trace);
 
     TraceRecorder rec;
     MetricsRegistry reg;
@@ -356,9 +511,9 @@ TEST(ClusterEquivTest, HookedSchedulerBitIdenticalToSimulateCluster)
 
 /**
  * An empty (default-constructed) ChaosPlan and a default SloPolicy must
- * leave the fast engine BYTE-IDENTICAL to today's fault-free simulator:
- * same TraceMetrics, same metric-name set, same span stream. This is
- * the contract that lets chaos ship inside the hot path.
+ * leave the simulator BYTE-IDENTICAL to today's fault-free run: same
+ * TraceMetrics, same metric-name set, same span stream. This is the
+ * contract that lets chaos ship inside the hot path.
  */
 TEST(ClusterChaosTest, EmptyPlanIsByteIdenticalToFaultFree)
 {
@@ -369,8 +524,8 @@ TEST(ClusterChaosTest, EmptyPlanIsByteIdenticalToFaultFree)
     ClusterOptions armed = plain;
     const ChaosPlan empty; // all mtbf = 0: enabled() is false
     armed.chaos = &empty;
-    const RunResult a = runEngine(plain, p, trace, SimEngine::kFast);
-    const RunResult b = runEngine(armed, p, trace, SimEngine::kFast);
+    const RunResult a = runSim(plain, p, trace);
+    const RunResult b = runSim(armed, p, trace);
     expectBitIdentical(a, b);
     EXPECT_EQ(a.metrics.sim_events, b.metrics.sim_events);
     // No chaos/SLO names may leak into the fault-free snapshot.
@@ -378,7 +533,10 @@ TEST(ClusterChaosTest, EmptyPlanIsByteIdenticalToFaultFree)
     EXPECT_EQ(b.metrics_json.find("cluster.slo."), std::string::npos);
 }
 
-/** Same (trace, plan, seed) ⇒ bit-identical everything, run after run. */
+/**
+ * Same (trace, plan, seed) ⇒ bit-identical everything, run after run,
+ * and equal to the committed row.
+ */
 TEST(ClusterChaosTest, ArmedPlanIsDeterministic)
 {
     const ServingProfile p = toyProfile(1.5);
@@ -398,8 +556,8 @@ TEST(ClusterChaosTest, ArmedPlanIsDeterministic)
     opts.slo.default_ttft_sec = 15.0;
     opts.slo.admission_control = true;
     opts.slo.shed_on_deadline = true;
-    const RunResult a = runEngine(opts, p, trace, SimEngine::kFast);
-    const RunResult b = runEngine(opts, p, trace, SimEngine::kFast);
+    const RunResult a = expectCellGolden("chaos_slo_armed", opts, p, trace);
+    const RunResult b = runSim(opts, p, trace);
     EXPECT_EQ(a.metrics_json, b.metrics_json);
     EXPECT_EQ(a.chrome_json, b.chrome_json);
     EXPECT_EQ(a.metrics.ttft_sec.samples(), b.metrics.ttft_sec.samples());
@@ -431,21 +589,21 @@ TEST(ClusterChaosTest, SeedChangesSchedule)
     EXPECT_TRUE(differs);
 }
 
-/** Policy runs must not disturb baseline metric names or results. */
+/**
+ * Policy runs must not disturb baseline metric names or results: the
+ * baseline snapshot carries no policy counters, and its row was
+ * generated by the engine that predates the policy study.
+ */
 TEST(ClusterEquivTest, BaselinePolicyMatchesLegacyMetricNames)
 {
-    ClusterOptions opts;
-    const RunResult legacy = runEngine(opts, toyProfile(1.0),
-                                       fig10Trace(3.0, 20250408ull),
-                                       SimEngine::kLegacy);
-    const RunResult fast = runEngine(opts, toyProfile(1.0),
-                                     fig10Trace(3.0, 20250408ull),
-                                     SimEngine::kFast);
-    // Identical metric NAME SETS too: the baseline fast engine must not
-    // leak policy counters into the snapshot.
-    EXPECT_EQ(legacy.metrics_json, fast.metrics_json);
-    EXPECT_EQ(fast.metrics.cold_pool_hits, 0u);
-    EXPECT_EQ(fast.metrics.affinity_evictions, 0u);
+    const RunResult run =
+        expectCellGolden("baseline_rps3", ClusterOptions{},
+                         toyProfile(1.0), fig10Trace(3.0, 20250408ull));
+    EXPECT_EQ(run.metrics.cold_pool_hits, 0u);
+    EXPECT_EQ(run.metrics.affinity_evictions, 0u);
+    EXPECT_EQ(run.metrics_json.find("cluster.cold_pool_hits"),
+              std::string::npos);
+    EXPECT_EQ(run.metrics_json.find("cluster.node_"), std::string::npos);
 }
 
 } // namespace

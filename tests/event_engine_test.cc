@@ -3,14 +3,17 @@
  * Tests of the zero-allocation EventEngine (DESIGN.md §15): (time, seq)
  * dispatch order, O(log n) cancellation and reschedule, slab recycling
  * with generation-guarded handles, and a randomized stress run checked
- * against the legacy EventLoop as the ordering oracle.
+ * against a stable-sort reference.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <utility>
+
 #include "common/rng.h"
 #include "serverless/event_engine.h"
-#include "serverless/event_sim.h"
 
 namespace medusa::serverless {
 namespace {
@@ -149,31 +152,25 @@ TEST(EventEngineTest, AdvanceToMovesClockWithoutDispatch)
 }
 
 /**
- * Randomized oracle test: a mixed schedule/cancel workload replayed on
- * the engine and on the legacy EventLoop (cancellation emulated by
- * tombstoning) must dispatch identical id sequences.
+ * Randomized oracle test: a mixed schedule/cancel workload must
+ * dispatch the surviving events in (time, seq) order. Ids are issued in
+ * schedule order, so the reference is the surviving (time, id) pairs
+ * stable-sorted by time. Whole-second times make ties common, so the
+ * FIFO tie-break is exercised too.
  */
-TEST(EventEngineTest, StressMatchesLegacyEventLoop)
+TEST(EventEngineTest, StressMatchesStableSortReference)
 {
     Rng rng(20250808);
     Engine engine;
-    EventLoop loop;
-    std::vector<int> engine_order;
-    std::vector<int> loop_order;
+    std::vector<std::pair<f64, int>> scheduled;
     std::vector<EventHandle> handles;
-    std::vector<bool> cancelled(4096, false);
-    int next_id = 0;
+    std::vector<bool> cancelled;
 
-    // Seed both queues with the same (time, id) stream.
-    for (int i = 0; i < 1000; ++i) {
-        const f64 at = rng.nextDouble() * 100.0;
-        const int id = next_id++;
+    for (int id = 0; id < 1000; ++id) {
+        const f64 at = std::floor(rng.nextDouble() * 100.0);
+        scheduled.emplace_back(at, id);
         handles.push_back(engine.schedule(at, Tag{id}));
-        loop.schedule(at, [&, id]() {
-            if (!cancelled[static_cast<std::size_t>(id)]) {
-                loop_order.push_back(id);
-            }
-        });
+        cancelled.push_back(false);
     }
     // Cancel a random subset before running.
     for (int i = 0; i < 300; ++i) {
@@ -182,9 +179,23 @@ TEST(EventEngineTest, StressMatchesLegacyEventLoop)
             cancelled[pick] = true;
         }
     }
-    engine.run([&](const Tag &t) { engine_order.push_back(t.id); });
-    loop.run();
-    EXPECT_EQ(engine_order, loop_order);
+
+    std::vector<std::pair<f64, int>> survivors;
+    for (const auto &event : scheduled) {
+        if (!cancelled[static_cast<std::size_t>(event.second)]) {
+            survivors.push_back(event);
+        }
+    }
+    std::stable_sort(survivors.begin(), survivors.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    std::vector<int> want;
+    for (const auto &event : survivors) {
+        want.push_back(event.second);
+    }
+    EXPECT_GT(want.size(), 700u);
+    EXPECT_EQ(drain(engine), want);
 }
 
 } // namespace

@@ -252,7 +252,7 @@ TEST(FaultRestoreTest, RetrySucceedsAndAccountsWaste)
     auto engine = MedusaEngine::coldStart(eopts, tinyArtifact());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
-    const core::RestoreReport &report = (*engine)->coldStartReport().restore;
+    const RestoreReport &report = (*engine)->coldStartReport().restore;
     EXPECT_EQ(report.restore_attempts, 2u);
     EXPECT_EQ(report.restore_failures, 1u);
     EXPECT_EQ(report.retries, 1u);
@@ -289,7 +289,7 @@ TEST(FaultRestoreTest, VanillaFallbackYieldsWorkingEngine)
     auto engine = MedusaEngine::coldStart(eopts, tinyArtifact());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
-    const core::RestoreReport &report = (*engine)->coldStartReport().restore;
+    const RestoreReport &report = (*engine)->coldStartReport().restore;
     EXPECT_TRUE(report.fallback_vanilla);
     EXPECT_EQ(report.restore_attempts, 1u);
     EXPECT_EQ(report.restore_failures, 1u);
@@ -319,7 +319,7 @@ TEST(FaultRestoreTest, RetriesExhaustedDegradeToVanilla)
     auto engine = MedusaEngine::coldStart(eopts, tinyArtifact());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
-    const core::RestoreReport &report = (*engine)->coldStartReport().restore;
+    const RestoreReport &report = (*engine)->coldStartReport().restore;
     EXPECT_EQ(report.restore_attempts, 3u);
     EXPECT_EQ(report.restore_failures, 3u);
     EXPECT_EQ(report.retries, 2u);

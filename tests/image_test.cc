@@ -234,7 +234,7 @@ TEST(ImageTest, PatchRestoreFingerprintAndLogitsMatchRebuildPath)
 
     // The patch report counts per-unique-kernel resolution and
     // relocations instead of per-node rebuild work.
-    const core::RestoreReport &pr = (*patch)->coldStartReport().restore;
+    const RestoreReport &pr = (*patch)->coldStartReport().restore;
     EXPECT_EQ(pr.graphs_patched, f.artifact.graphs.size());
     EXPECT_EQ(pr.nodes_restored, f.artifact.totalNodes());
     EXPECT_GT(pr.relocations_applied, 0u);

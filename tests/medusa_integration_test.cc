@@ -72,7 +72,7 @@ TEST(MedusaIntegration, OnlineRestoreValidatesAgainstEager)
     auto engine = MedusaEngine::coldStart(eopts, offline->artifact);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
-    const core::RestoreReport &report = (*engine)->coldStartReport().restore;
+    const RestoreReport &report = (*engine)->coldStartReport().restore;
     EXPECT_TRUE(report.validated);
     EXPECT_EQ(report.graphs_restored, 35u);
     EXPECT_GT(report.kernels_via_dlsym, 0u);

@@ -28,11 +28,9 @@ using core::Artifact;
 using core::ArtifactReadOptions;
 using core::MedusaEngine;
 using core::OfflineOptions;
-using core::RestoreReport;
 using core::materialize;
 using llm::findModel;
 using llm::ModelConfig;
-using llm::StageTimes;
 
 /** A reduced model keeps the tests fast but structurally real. */
 ModelConfig

@@ -387,7 +387,7 @@ TEST(RollbackTest, TpRetryRollsBackEveryRankCoherently)
     // The rank-1 fault rolled BOTH ranks back; the retry restored the
     // whole cluster, and every rank carries the same accounting.
     for (u32 r = 0; r < 2; ++r) {
-        const core::RestoreReport &report = (*engine)->rankRestoreReports()[r];
+        const RestoreReport &report = (*engine)->rankRestoreReports()[r];
         EXPECT_EQ(report.restore_attempts, 2u) << "rank " << r;
         EXPECT_EQ(report.restore_failures, 1u) << "rank " << r;
         EXPECT_EQ(report.retries, 1u) << "rank " << r;
@@ -430,7 +430,7 @@ TEST(RollbackTest, TpFallbackDegradesAllRanksTogether)
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
     for (u32 r = 0; r < 2; ++r) {
-        const core::RestoreReport &report = (*engine)->rankRestoreReports()[r];
+        const RestoreReport &report = (*engine)->rankRestoreReports()[r];
         EXPECT_TRUE(report.fallback_vanilla) << "rank " << r;
         EXPECT_EQ(report.restore_attempts, 1u) << "rank " << r;
         EXPECT_EQ(report.restore_failures, 1u) << "rank " << r;

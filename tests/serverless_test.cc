@@ -1,52 +1,16 @@
 /**
  * @file
- * Tests of the serverless layer: the event loop, serving-profile
- * interpolation, and the cluster simulation (cold starts, autoscaling,
- * idle reclaim, TTFT accounting).
+ * Tests of the serverless layer: serving-profile interpolation and
+ * the cluster simulation (cold starts, autoscaling, idle reclaim, TTFT
+ * accounting).
  */
 
 #include <gtest/gtest.h>
 
 #include "serverless/cluster.h"
-#include "serverless/event_sim.h"
 
 namespace medusa::serverless {
 namespace {
-
-TEST(EventLoopTest, RunsInTimeOrder)
-{
-    EventLoop loop;
-    std::vector<int> order;
-    loop.schedule(3.0, [&]() { order.push_back(3); });
-    loop.schedule(1.0, [&]() { order.push_back(1); });
-    loop.schedule(2.0, [&]() { order.push_back(2); });
-    loop.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-    EXPECT_DOUBLE_EQ(loop.now(), 3.0);
-}
-
-TEST(EventLoopTest, SameTimeIsFifo)
-{
-    EventLoop loop;
-    std::vector<int> order;
-    loop.schedule(1.0, [&]() { order.push_back(1); });
-    loop.schedule(1.0, [&]() { order.push_back(2); });
-    loop.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(EventLoopTest, HandlersCanScheduleMore)
-{
-    EventLoop loop;
-    int fired = 0;
-    loop.schedule(1.0, [&]() {
-        ++fired;
-        loop.scheduleAfter(0.5, [&]() { ++fired; });
-    });
-    loop.run();
-    EXPECT_EQ(fired, 2);
-    EXPECT_DOUBLE_EQ(loop.now(), 1.5);
-}
 
 /** A hand-made profile with easy arithmetic. */
 ServingProfile

@@ -14,8 +14,8 @@
  *                                run with a named driver, every result
  *                                referencing a declared rule)
  *   trace_check --sim FILE       bench_cluster_scale --json report
- *                                (BENCH_sim.json: engine fast/legacy
- *                                throughput with a positive speedup,
+ *                                (BENCH_sim.json: positive event-engine
+ *                                events, wall_sec and events/sec,
  *                                >= 3 policies each with completed
  *                                requests and cold-start percentiles)
  *                                or bench_chaos --json report
@@ -728,28 +728,17 @@ checkSim(const JsonValue &root)
     if (engine == nullptr || engine->kind != JsonValue::Kind::kObject) {
         return violation("sim: 'engine' must be an object");
     }
-    for (const char *key : {"legacy", "fast"}) {
-        const JsonValue *side = engine->find(key);
-        if (side == nullptr || side->kind != JsonValue::Kind::kObject) {
-            return violation("sim: engine needs legacy and fast runs");
-        }
-        for (const char *field :
-             {"events", "wall_sec", "events_per_sec"}) {
-            const JsonValue *v = side->find(field);
-            if (v == nullptr || v->kind != JsonValue::Kind::kNumber ||
-                v->number <= 0) {
-                return violation(
-                    "sim: engine run needs positive events/wall_sec/"
-                    "events_per_sec");
-            }
-        }
+    const JsonValue *fast = engine->find("fast");
+    if (fast == nullptr || fast->kind != JsonValue::Kind::kObject) {
+        return violation("sim: engine needs a fast run");
     }
-    const JsonValue *speedup = engine->find("events_per_sec_speedup");
-    if (speedup == nullptr ||
-        speedup->kind != JsonValue::Kind::kNumber ||
-        speedup->number <= 1.0) {
-        return violation(
-            "sim: events_per_sec_speedup must be a number > 1");
+    for (const char *field : {"events", "wall_sec", "events_per_sec"}) {
+        const JsonValue *v = fast->find(field);
+        if (v == nullptr || v->kind != JsonValue::Kind::kNumber ||
+            v->number <= 0) {
+            return violation("sim: engine run needs positive events/"
+                             "wall_sec/events_per_sec");
+        }
     }
     const JsonValue *policies = root.find("policies");
     if (policies == nullptr ||
@@ -785,8 +774,9 @@ checkSim(const JsonValue &root)
         }
     }
     std::printf("trace_check: sim report OK (%zu policies, "
-                "speedup %.1fx)\n",
-                policies->array.size(), speedup->number);
+                "%.0f events/sec)\n",
+                policies->array.size(),
+                fast->find("events_per_sec")->number);
     return 0;
 }
 
