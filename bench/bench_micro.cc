@@ -125,6 +125,127 @@ BENCHMARK(BM_Matmul)
     ->ArgsProduct({{1, 4, 64, 256}, {32}, {64}})
     ->ArgsProduct({{1, 4, 64, 256}, {256}, {32}});
 
+/** A device buffer holding @p values; aborts the bench on failure. */
+DeviceAddr
+deviceCopy(simcuda::GpuProcess &process, const void *values, u64 bytes)
+{
+    auto addr = process.memory().malloc(bytes, bytes);
+    bench::checkOk(addr.status(), "device malloc");
+    bench::checkOk(process.memory().write(*addr, values, bytes),
+                   "device write");
+    return *addr;
+}
+
+/**
+ * The per-layer attention bookkeeping kernels at the forward pass's
+ * functional shapes: MHA with 4 heads of head_dim 8 in a fused
+ * [q | k | v] row of 96 floats, n = 1..256 tokens, and (kv_write) the
+ * full 2049-block paged cache. Each iteration is one launch through
+ * the default stream, operand resolution included.
+ */
+constexpr i32 kHeads = 4;
+constexpr i32 kHeadDim = 8;
+constexpr i32 kFusedRow = 3 * kHeads * kHeadDim;
+constexpr u64 kCacheSlots = 2049 * 8;
+
+/** @p n random fused [q | k | v] rows. */
+std::vector<f32>
+fusedRows(Rng &rng, i32 n)
+{
+    std::vector<f32> rows(static_cast<std::size_t>(n) * kFusedRow);
+    for (f32 &x : rows) {
+        x = rng.nextSymmetricFloat();
+    }
+    return rows;
+}
+
+void
+BM_Rope(benchmark::State &state)
+{
+    const i32 n = static_cast<i32>(state.range(0));
+    SimClock clock;
+    CostModel cost;
+    simcuda::GpuProcess process(simcuda::GpuProcessOptions{}, &clock,
+                                &cost);
+    Rng rng(3);
+    const std::vector<f32> rows = fusedRows(rng, n);
+    std::vector<i32> pos(static_cast<std::size_t>(n));
+    for (i32 &p : pos) {
+        p = static_cast<i32>(rng.nextBounded(64));
+    }
+    const DeviceAddr fused =
+        deviceCopy(process, rows.data(), rows.size() * sizeof(f32));
+    const DeviceAddr pos_buf =
+        deviceCopy(process, pos.data(), pos.size() * sizeof(i32));
+    const auto &k = simcuda::BuiltinKernels::get();
+    for (auto _ : state) {
+        simcuda::ParamsBuilder pb;
+        pb.ptr(fused).ptr(fused + kHeads * kHeadDim * sizeof(f32))
+            .ptr(pos_buf).i32(n).i32(kHeads).i32(kHeads).i32(kHeadDim)
+            .i32(kFusedRow).i32(kFusedRow).f32(10000.0f);
+        bench::checkOk(
+            process.defaultStream().launch(k.rope, pb.take(), TimingInfo{}),
+            "rope");
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_Rope)->ArgName("n")->Arg(1)->Arg(64)->Arg(256);
+
+void
+BM_KvWrite(benchmark::State &state)
+{
+    const i32 n = static_cast<i32>(state.range(0));
+    SimClock clock;
+    CostModel cost;
+    simcuda::GpuProcess process(simcuda::GpuProcessOptions{}, &clock,
+                                &cost);
+    Rng rng(4);
+    const std::vector<f32> rows = fusedRows(rng, n);
+    std::vector<i32> slots(static_cast<std::size_t>(n));
+    for (i32 &slot : slots) {
+        slot = static_cast<i32>(rng.nextBounded(kCacheSlots));
+    }
+    const DeviceAddr fused =
+        deviceCopy(process, rows.data(), rows.size() * sizeof(f32));
+    const DeviceAddr slot_buf =
+        deviceCopy(process, slots.data(), slots.size() * sizeof(i32));
+    const u64 cache_bytes = kCacheSlots * kHeads * kHeadDim * sizeof(f32);
+    auto k_cache = process.memory().malloc(cache_bytes, cache_bytes);
+    auto v_cache = process.memory().malloc(cache_bytes, cache_bytes);
+    bench::checkOk(k_cache.status(), "k cache");
+    bench::checkOk(v_cache.status(), "v cache");
+    const u64 row_bytes = kHeads * kHeadDim * sizeof(f32);
+    const auto &k = simcuda::BuiltinKernels::get();
+    for (auto _ : state) {
+        simcuda::ParamsBuilder pb;
+        pb.ptr(fused + row_bytes).ptr(fused + 2 * row_bytes).ptr(*k_cache)
+            .ptr(*v_cache).ptr(slot_buf).i32(n).i32(kHeads).i32(kHeadDim)
+            .i32(kFusedRow);
+        bench::checkOk(process.defaultStream().launch(k.kv_write,
+                                                      pb.take(),
+                                                      TimingInfo{}),
+                       "kv_write");
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_KvWrite)->ArgName("n")->Arg(1)->Arg(64)->Arg(256);
+
+/** BPE training exactly as each runtime's tokenizer load runs it. */
+void
+BM_TokenizerTrain(benchmark::State &state)
+{
+    const std::string corpus = llm::syntheticCorpus(7, 8192);
+    for (auto _ : state) {
+        auto tokenizer = llm::BpeTokenizer::train(corpus, 256 + 64);
+        benchmark::DoNotOptimize(tokenizer);
+    }
+    state.SetBytesProcessed(
+        static_cast<i64>(state.iterations() * corpus.size()));
+}
+BENCHMARK(BM_TokenizerTrain)->Unit(benchmark::kMillisecond);
+
 void
 BM_TokenizerEncode(benchmark::State &state)
 {

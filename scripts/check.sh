@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # The repository hygiene gate: formatting, static analysis, sanitizers,
-# static artifact verification and a fault-injected test pass (a fixed
+# static artifact verification, a fault-injected test pass (a fixed
 # MEDUSA_FAULT_PLAN seed keeps the restore-stack fault hooks live under
-# ASan and TSan). Steps whose tools are not installed are skipped with
-# a notice, so the script is useful on minimal images.
+# ASan and TSan) and the golden fixtures in a Release build. Steps
+# whose tools are not installed are skipped with a notice, so the
+# script is useful on minimal images.
 #
 # Usage: scripts/check.sh [build-dir]   (default: build-check)
 set -u
@@ -240,6 +241,28 @@ elif ! MEDUSA_FAULT_PLAN='replay_prefix@1000000000;seed=20250805' \
     # The Chaos suite's concurrent-runs test drives the crash-requeue
     # path from two threads sharing a const plan/profile/trace.
     fail "TSan test run failed"
+fi
+
+note "golden fixtures and kernel oracles in a Release build"
+# The benchmark (perfbench/run.py) measures a Release build, while
+# tier-1 builds RelWithDebInfo and the passes above add sanitizer
+# flags. Bit-identity is what lets the benchmark's virtual TTFT stay
+# unchanged, so it is also checked under the flags perfbench measures.
+REL_BUILD="$BUILD-release"
+REL_TESTS="golden_numeric_test cluster_equiv_test kernels_test tokenizer_test"
+if ! cmake -B "$REL_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
+        >/dev/null; then
+    fail "Release cmake configure failed"
+# shellcheck disable=SC2086
+elif ! cmake --build "$REL_BUILD" -j "$(nproc)" --target $REL_TESTS \
+        >/dev/null; then
+    fail "Release build failed"
+else
+    for TEST in $REL_TESTS; do
+        if ! "$REL_BUILD/tests/$TEST" --gtest_brief=1; then
+            fail "Release $TEST failed"
+        fi
+    done
 fi
 
 note "summary"

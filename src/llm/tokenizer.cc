@@ -25,25 +25,37 @@ BpeTokenizer::train(const std::string &corpus, u32 target_vocab)
         v = static_cast<i32>(static_cast<u8>(v));
     }
 
+    // Pair counts in a flat dim x dim table, key = first * dim + second,
+    // so key order is pair order. Every id stays below dim: merges are
+    // capped by target_vocab and, since each one shortens the work
+    // sequence, by the corpus length.
+    const u64 dim = std::min<u64>(target_vocab, 256 + seq.size());
+    std::vector<u32> counts(dim * dim, 0);
+    auto key = [dim](i32 first, i32 second) {
+        return static_cast<u64>(first) * dim + static_cast<u64>(second);
+    };
     while (tok.vocabSize() < target_vocab && seq.size() >= 2) {
-        // Count adjacent pairs.
-        std::map<std::pair<i32, i32>, u32> counts;
+        // Count adjacent pairs in one pass, tracking the most frequent
+        // (ties to the smallest pair, for determinism).
+        u64 best_key = 0;
+        u32 best_count = 0;
         for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
-            ++counts[{seq[i], seq[i + 1]}];
-        }
-        // Pick the most frequent pair (ties broken by pair order for
-        // determinism).
-        std::pair<i32, i32> best{};
-        u32 best_count = 1; // require at least 2 occurrences
-        for (const auto &[pair, count] : counts) {
-            if (count > best_count) {
-                best_count = count;
-                best = pair;
+            const u64 k = key(seq[i], seq[i + 1]);
+            const u32 c = ++counts[k];
+            if (c > best_count || (c == best_count && k < best_key)) {
+                best_count = c;
+                best_key = k;
             }
+        }
+        // Reset only the entries this round touched.
+        for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
+            counts[key(seq[i], seq[i + 1])] = 0;
         }
         if (best_count <= 1) {
             break; // nothing repeats; no compression left
         }
+        const std::pair<i32, i32> best{static_cast<i32>(best_key / dim),
+                                       static_cast<i32>(best_key % dim)};
         const i32 new_id = static_cast<i32>(tok.vocabSize());
         tok.merges_.push_back(best);
         tok.merge_to_id_[best] = new_id;

@@ -31,7 +31,11 @@ class BpeTokenizer
   public:
     /**
      * Learn merges from @p corpus until the vocabulary reaches
-     * @p target_vocab ids (or no pair repeats).
+     * @p target_vocab ids (or no pair repeats). Each round merges the
+     * most frequent adjacent pair, ties going to the smallest
+     * (left, right). Pair counts live in a flat table of
+     * min(target_vocab, 256 + corpus size)^2 counters, sized for the
+     * small vocabularies the zoo trains.
      */
     static BpeTokenizer train(const std::string &corpus, u32 target_vocab);
 

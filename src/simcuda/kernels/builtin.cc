@@ -219,6 +219,12 @@ copyF32(DeviceMemoryManager &mem, const KernelArgs &args)
  * give the row stride in floats.
  * params: q*, k*, pos*, n, q_heads, kv_heads, head_dim, q_stride,
  *         k_stride, theta
+ *
+ * q and k are each resolved once, over the whole strided extent of
+ * their n rows. freq(d) is computed once per launch and cos/sin once
+ * per (token, d), then shared by every q and k head: the same
+ * expressions on the same float arguments as evaluating them per
+ * element, so the results are bit-identical.
  */
 Status
 rope(DeviceMemoryManager &mem, const KernelArgs &args)
@@ -230,23 +236,45 @@ rope(DeviceMemoryManager &mem, const KernelArgs &args)
     const i32 q_stride = args.i32At(7);
     const i32 k_stride = args.i32At(8);
     const f32 theta = args.f32At(9);
+    if (n < 0 || qh <= 0 || kvh <= 0 || hd <= 0 || q_stride < 0 ||
+        k_stride < 0) {
+        return invalidArgument("rope: bad dims");
+    }
     SPAN_I32(pos, args.ptrAt(2), static_cast<u64>(n));
+    if (n == 0) {
+        return Status::ok();
+    }
+    const u64 last = static_cast<u64>(n - 1);
+    SPAN_F32(q, args.ptrAt(0),
+             last * q_stride + static_cast<u64>(qh) * hd);
+    SPAN_F32(k, args.ptrAt(1),
+             last * k_stride + static_cast<u64>(kvh) * hd);
     const i32 half = hd / 2;
-    auto rotate = [&](DeviceAddr base, i32 heads,
-                      i32 stride) -> Status {
+    std::vector<f32> freq(static_cast<std::size_t>(half));
+    for (i32 d = 0; d < half; ++d) {
+        freq[d] = std::pow(theta, -2.0f * static_cast<f32>(d) /
+                                      static_cast<f32>(hd));
+    }
+    // Token t's (cos, sin) pairs start at cos_sin[t * half * 2].
+    std::vector<f32> cos_sin(static_cast<std::size_t>(n) * half * 2);
+    for (i32 t = 0; t < n; ++t) {
+        f32 *cs = cos_sin.data() + static_cast<std::size_t>(t) * half * 2;
+        for (i32 d = 0; d < half; ++d) {
+            const f32 angle = static_cast<f32>(pos[t]) * freq[d];
+            cs[2 * d] = std::cos(angle);
+            cs[2 * d + 1] = std::sin(angle);
+        }
+    }
+    auto rotate = [&](f32 *base, i32 heads, i32 stride) {
         for (i32 t = 0; t < n; ++t) {
-            SPAN_F32(row,
-                     base + static_cast<u64>(t) * stride * sizeof(f32),
-                     static_cast<u64>(heads) * hd);
+            const f32 *cs =
+                cos_sin.data() + static_cast<std::size_t>(t) * half * 2;
             for (i32 head = 0; head < heads; ++head) {
-                f32 *v = row + static_cast<u64>(head) * hd;
+                f32 *v = base + static_cast<u64>(t) * stride +
+                         static_cast<u64>(head) * hd;
                 for (i32 d = 0; d < half; ++d) {
-                    const f32 freq = std::pow(
-                        theta, -2.0f * static_cast<f32>(d) /
-                                   static_cast<f32>(hd));
-                    const f32 angle = static_cast<f32>(pos[t]) * freq;
-                    const f32 c = std::cos(angle);
-                    const f32 s = std::sin(angle);
+                    const f32 c = cs[2 * d];
+                    const f32 s = cs[2 * d + 1];
                     const f32 x = v[d];
                     const f32 y = v[half + d];
                     v[d] = x * c - y * s;
@@ -254,10 +282,10 @@ rope(DeviceMemoryManager &mem, const KernelArgs &args)
                 }
             }
         }
-        return Status::ok();
     };
-    MEDUSA_RETURN_IF_ERROR(rotate(args.ptrAt(0), qh, q_stride));
-    return rotate(args.ptrAt(1), kvh, k_stride);
+    rotate(q, qh, q_stride);
+    rotate(k, kvh, k_stride);
+    return Status::ok();
 }
 
 /**
@@ -267,6 +295,10 @@ rope(DeviceMemoryManager &mem, const KernelArgs &args)
  * slot = block_id * block_size + in-block offset.
  * params: k*, v*, k_cache*, v_cache*, slots*, n, kv_heads, head_dim,
  *         kv_stride
+ *
+ * k and v are resolved once over their strided extent and the caches
+ * once to the end of their backing; each slot is then checked against
+ * the cache extent before its row is written.
  */
 Status
 kvWrite(DeviceMemoryManager &mem, const KernelArgs &args)
@@ -275,26 +307,38 @@ kvWrite(DeviceMemoryManager &mem, const KernelArgs &args)
     const i32 kvh = args.i32At(6);
     const i32 hd = args.i32At(7);
     const i32 stride = args.i32At(8);
+    if (n < 0 || kvh <= 0 || hd <= 0 || stride < 0) {
+        return invalidArgument("kv_write: bad dims");
+    }
     SPAN_I32(slots, args.ptrAt(4), static_cast<u64>(n));
+    if (n == 0) {
+        return Status::ok();
+    }
+    const u64 width = static_cast<u64>(kvh) * hd;
+    const u64 last_row = static_cast<u64>(n - 1) * stride;
+    SPAN_F32(k, args.ptrAt(0), last_row + width);
+    SPAN_F32(v, args.ptrAt(1), last_row + width);
+    MEDUSA_ASSIGN_OR_RETURN(std::span<f32> k_cache,
+                            mem.f32Tail(args.ptrAt(2)));
+    MEDUSA_ASSIGN_OR_RETURN(std::span<f32> v_cache,
+                            mem.f32Tail(args.ptrAt(3)));
+    const u64 cache_slots =
+        std::min(k_cache.size(), v_cache.size()) / width;
     for (i32 t = 0; t < n; ++t) {
         const i32 slot = slots[t];
         if (slot < 0) {
             return invalidArgument("negative KV slot");
         }
-        SPAN_F32(k, args.ptrAt(0) +
-                        static_cast<u64>(t) * stride * sizeof(f32),
-                 static_cast<u64>(kvh) * hd);
-        SPAN_F32(v, args.ptrAt(1) +
-                        static_cast<u64>(t) * stride * sizeof(f32),
-                 static_cast<u64>(kvh) * hd);
-        const u64 row = static_cast<u64>(slot) * kvh * hd;
-        SPAN_F32(kc, args.ptrAt(2) + row * sizeof(f32),
-                 static_cast<u64>(kvh) * hd);
-        SPAN_F32(vc, args.ptrAt(3) + row * sizeof(f32),
-                 static_cast<u64>(kvh) * hd);
-        for (i32 i = 0; i < kvh * hd; ++i) {
-            kc[i] = k[i];
-            vc[i] = v[i];
+        if (static_cast<u64>(slot) >= cache_slots) {
+            return invalidArgument("kv_write: KV slot beyond cache extent");
+        }
+        const f32 *kr = k + static_cast<u64>(t) * stride;
+        const f32 *vr = v + static_cast<u64>(t) * stride;
+        f32 *kc = k_cache.data() + static_cast<u64>(slot) * width;
+        f32 *vc = v_cache.data() + static_cast<u64>(slot) * width;
+        for (u64 i = 0; i < width; ++i) {
+            kc[i] = kr[i];
+            vc[i] = vr[i];
         }
     }
     return Status::ok();

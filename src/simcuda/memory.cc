@@ -1,9 +1,41 @@
 #include "simcuda/memory.h"
 
+#include <sys/mman.h>
+
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 
 namespace medusa::simcuda {
+
+u8 *
+ZeroBytes::allocateZeroed(u64 n)
+{
+    void *p = nullptr;
+    if (n >= kMmapBytes) {
+        p = ::mmap(nullptr, n, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        p = p == MAP_FAILED ? nullptr : p;
+    } else {
+        p = std::calloc(n, 1);
+    }
+    MEDUSA_CHECK(p != nullptr, "host OOM in ZeroBytes");
+    return static_cast<u8 *>(p);
+}
+
+void
+ZeroBytes::release()
+{
+    if (data_ != nullptr) {
+        if (size_ >= kMmapBytes) {
+            ::munmap(data_, size_);
+        } else {
+            std::free(data_);
+        }
+    }
+    data_ = nullptr;
+    size_ = 0;
+}
 
 DeviceMemoryManager::DeviceMemoryManager(u64 total_logical_bytes,
                                          u64 aslr_seed, u32 device_index)

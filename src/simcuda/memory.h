@@ -21,7 +21,6 @@
 #ifndef MEDUSA_SIMCUDA_MEMORY_H
 #define MEDUSA_SIMCUDA_MEMORY_H
 
-#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <span>
@@ -42,12 +41,29 @@ namespace medusa::simcuda {
  * dominated cold-start wall time — mostly as mmap/munmap system time.
  * Untouched stores report their size and hash as all-zero without ever
  * allocating.
+ *
+ * Materialization is demand-zero too. A store of kMmapBytes or more
+ * (the paged KV caches) is an anonymous mapping, so the kernel supplies
+ * zero pages only as they are touched; a KV cache that receives a few
+ * KB of writes costs a few pages, not a memset of the whole store
+ * (glibc's dynamic mmap threshold soon serves callocs of this size
+ * from the heap, which clears them eagerly).
+ * Smaller stores (every per-tensor buffer) come from calloc. The size
+ * alone selects the class, so release() frees by the same rule.
  */
 class ZeroBytes
 {
   public:
+    /**
+     * Stores at least this large are mmap'd, smaller ones calloc'd.
+     * Above every per-tensor store of the zoo's scaled-down models (the
+     * largest, 256 tokens of logits, is 256 KiB) and below every paged
+     * KV store (MQA's, the smallest, is 2049 blocks x 256 B = 512.25 KiB).
+     */
+    static constexpr u64 kMmapBytes = 384 * units::KiB;
+
     ZeroBytes() = default;
-    ~ZeroBytes() { std::free(data_); }
+    ~ZeroBytes() { release(); }
 
     ZeroBytes(const ZeroBytes &other) { copyFrom(other); }
 
@@ -55,9 +71,7 @@ class ZeroBytes
     operator=(const ZeroBytes &other)
     {
         if (this != &other) {
-            std::free(data_);
-            data_ = nullptr;
-            size_ = 0;
+            release();
             copyFrom(other);
         }
         return *this;
@@ -82,8 +96,7 @@ class ZeroBytes
     assign(u64 n, u8 value)
     {
         MEDUSA_CHECK(value == 0, "ZeroBytes only supports zero fill");
-        std::free(data_);
-        data_ = nullptr;
+        release();
         size_ = n;
     }
 
@@ -92,8 +105,7 @@ class ZeroBytes
     data()
     {
         if (data_ == nullptr && size_ > 0) {
-            data_ = static_cast<u8 *>(std::calloc(size_, 1));
-            MEDUSA_CHECK(data_ != nullptr, "host OOM in ZeroBytes");
+            data_ = allocateZeroed(size_);
         }
         return data_;
     }
@@ -107,6 +119,12 @@ class ZeroBytes
     const u8 *rawData() const { return data_; }
 
   private:
+    /** @p n zero bytes, from the size class kMmapBytes selects. */
+    static u8 *allocateZeroed(u64 n);
+
+    /** Free the buffer by its size class and become empty. */
+    void release();
+
     void
     copyFrom(const ZeroBytes &other)
     {
@@ -114,8 +132,7 @@ class ZeroBytes
         if (other.data_ == nullptr || other.size_ == 0) {
             return;
         }
-        data_ = static_cast<u8 *>(std::malloc(other.size_));
-        MEDUSA_CHECK(data_ != nullptr, "host OOM in ZeroBytes");
+        data_ = allocateZeroed(other.size_);
         std::memcpy(data_, other.data_, other.size_);
     }
 

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -475,6 +476,214 @@ TEST_F(KernelsTest, KvWriteScattersToSlots)
     const auto vcache = readF(vc, 16);
     EXPECT_FLOAT_EQ(vcache[3 * 2 + 0], 20);
     EXPECT_FLOAT_EQ(vcache[1 * 2 + 1], 23);
+}
+
+/**
+ * rope as specified, one element at a time: freq, cos and sin are
+ * evaluated afresh for every (token, head, d).
+ */
+void
+naiveRope(std::vector<f32> &buf, u64 q_off, u64 k_off,
+          const std::vector<i32> &pos, i32 qh, i32 kvh, i32 hd,
+          i32 stride, f32 theta)
+{
+    const i32 half = hd / 2;
+    auto rotate = [&](u64 off, i32 heads) {
+        for (std::size_t t = 0; t < pos.size(); ++t) {
+            for (i32 head = 0; head < heads; ++head) {
+                f32 *v = buf.data() + off + t * stride +
+                         static_cast<u64>(head) * hd;
+                for (i32 d = 0; d < half; ++d) {
+                    const f32 freq = std::pow(
+                        theta, -2.0f * static_cast<f32>(d) /
+                                   static_cast<f32>(hd));
+                    const f32 angle = static_cast<f32>(pos[t]) * freq;
+                    const f32 c = std::cos(angle);
+                    const f32 s = std::sin(angle);
+                    const f32 x = v[d];
+                    const f32 y = v[half + d];
+                    v[d] = x * c - y * s;
+                    v[half + d] = x * s + y * c;
+                }
+            }
+        }
+    };
+    rotate(q_off, qh);
+    rotate(k_off, kvh);
+}
+
+std::vector<f32>
+randomFloats(Rng &rng, std::size_t count)
+{
+    std::vector<f32> v(count);
+    for (f32 &x : v) {
+        x = std::ldexp(rng.nextSymmetricFloat(),
+                       static_cast<int>(rng.nextBounded(16)) - 8);
+    }
+    return v;
+}
+
+/** The zoo's attention layouts: MHA, GQA and MQA. */
+constexpr std::pair<i32, i32> kHeadLayouts[] = {{4, 4}, {4, 2}, {4, 1}};
+constexpr i32 kRopeTokens[] = {1, 3, 64, 256};
+/** Odd and even head_dim; the odd one leaves its last dim unrotated. */
+constexpr i32 kHeadDims[] = {5, 8};
+/** Row padding past the fused [q | k | v] row. */
+constexpr i32 kRowPads[] = {0, 3};
+/** The zoo's functional max_seq. */
+constexpr i32 kMaxSeq = 64;
+
+TEST_F(KernelsTest, RopeBitIdenticalToPerElementLoop)
+{
+    Rng rng(56);
+    for (i32 n : kRopeTokens) {
+        for (const auto &[qh, kvh] : kHeadLayouts) {
+            for (i32 hd : kHeadDims) {
+                for (i32 pad : kRowPads) {
+                    const i32 stride = (qh + 2 * kvh) * hd + pad;
+                    auto want = randomFloats(
+                        rng, static_cast<std::size_t>(n) * stride);
+                    std::vector<i32> pos(static_cast<std::size_t>(n));
+                    for (i32 &p : pos) {
+                        p = static_cast<i32>(rng.nextBounded(kMaxSeq + 1));
+                    }
+                    pos.back() = kMaxSeq;
+                    const DeviceAddr fused = floats(want);
+                    const DeviceAddr pos_buf = ints(pos);
+                    const u64 k_off = static_cast<u64>(qh) * hd;
+                    ParamsBuilder pb;
+                    pb.ptr(fused).ptr(fused + k_off * 4).ptr(pos_buf)
+                        .i32(n).i32(qh).i32(kvh).i32(hd).i32(stride)
+                        .i32(stride).f32(10000.0f);
+                    ASSERT_TRUE(launch(k_.rope, pb.take()).isOk());
+                    naiveRope(want, 0, k_off, pos, qh, kvh, hd, stride,
+                              10000.0f);
+                    ASSERT_TRUE(sameBits(want, readF(fused, want.size())))
+                        << "n=" << n << " qh=" << qh << " kvh=" << kvh
+                        << " hd=" << hd << " stride=" << stride;
+                    ASSERT_TRUE(process_.memory().free(fused).isOk());
+                    ASSERT_TRUE(process_.memory().free(pos_buf).isOk());
+                }
+            }
+        }
+    }
+}
+
+TEST_F(KernelsTest, KvWriteBitIdenticalToPerElementLoop)
+{
+    Rng rng(78);
+    for (i32 n : kRopeTokens) {
+        for (const auto &[qh, kvh] : kHeadLayouts) {
+            for (i32 hd : kHeadDims) {
+                for (i32 pad : kRowPads) {
+                    const i32 stride = (qh + 2 * kvh) * hd + pad;
+                    const u64 width = static_cast<u64>(kvh) * hd;
+                    const auto rows = randomFloats(
+                        rng, static_cast<std::size_t>(n) * stride);
+                    // Distinct slots out of a cache with spare room;
+                    // the last slot of the cache is always written.
+                    const u64 cache_slots = static_cast<u64>(n) + 7;
+                    std::vector<i32> order(cache_slots);
+                    for (u64 i = 0; i < cache_slots; ++i) {
+                        order[i] = static_cast<i32>(i);
+                    }
+                    for (u64 i = cache_slots - 1; i > 0; --i) {
+                        std::swap(order[i], order[rng.nextBounded(i + 1)]);
+                    }
+                    std::swap(order[n - 1],
+                              *std::find(order.begin(), order.end(),
+                                         static_cast<i32>(cache_slots - 1)));
+                    std::vector<i32> slots(order.begin(), order.begin() + n);
+                    auto want_k = randomFloats(rng, cache_slots * width);
+                    auto want_v = randomFloats(rng, cache_slots * width);
+                    const DeviceAddr fused = floats(rows);
+                    const DeviceAddr kc = floats(want_k);
+                    const DeviceAddr vc = floats(want_v);
+                    const DeviceAddr slot_buf = ints(slots);
+                    const u64 k_off = static_cast<u64>(qh) * hd;
+                    const u64 v_off = k_off + width;
+                    ParamsBuilder pb;
+                    pb.ptr(fused + k_off * 4).ptr(fused + v_off * 4)
+                        .ptr(kc).ptr(vc).ptr(slot_buf).i32(n).i32(kvh)
+                        .i32(hd).i32(stride);
+                    ASSERT_TRUE(launch(k_.kv_write, pb.take()).isOk());
+                    for (i32 t = 0; t < n; ++t) {
+                        for (u64 i = 0; i < width; ++i) {
+                            const u64 src =
+                                static_cast<u64>(t) * stride + i;
+                            const u64 dst = slots[t] * width + i;
+                            want_k[dst] = rows[k_off + src];
+                            want_v[dst] = rows[v_off + src];
+                        }
+                    }
+                    ASSERT_TRUE(sameBits(want_k, readF(kc, want_k.size())))
+                        << "n=" << n << " kvh=" << kvh << " hd=" << hd
+                        << " stride=" << stride;
+                    ASSERT_TRUE(sameBits(want_v, readF(vc, want_v.size())))
+                        << "n=" << n << " kvh=" << kvh << " hd=" << hd
+                        << " stride=" << stride;
+                    for (DeviceAddr buf : {fused, kc, vc, slot_buf}) {
+                        ASSERT_TRUE(process_.memory().free(buf).isOk());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/**
+ * rope and kv_write resolve their rows once per launch and check each
+ * slot against the cache extent, so bad dims, negative strides and
+ * out-of-range slots fail with a Status before any access. The caches
+ * hold 4 slots here (kvh=1, hd=2, 8 floats); rows are fused
+ * [q | k | v] of stride 6.
+ */
+TEST_F(KernelsTest, RopeAndKvWriteRejectBadDimsAndSlots)
+{
+    const DeviceAddr fused = floats(std::vector<f32>(12, 1));
+    const DeviceAddr kc = floats(std::vector<f32>(8, 0));
+    const DeviceAddr vc = floats(std::vector<f32>(8, 0));
+    const DeviceAddr small_vc = floats(std::vector<f32>(4, 0));
+    auto kv = [&](i32 n, i32 stride, const std::vector<i32> &slots,
+                  DeviceAddr v_cache) {
+        ParamsBuilder pb;
+        pb.ptr(fused + 2 * 4).ptr(fused + 4 * 4).ptr(kc).ptr(v_cache)
+            .ptr(ints(slots)).i32(n).i32(1).i32(2).i32(stride);
+        return launch(k_.kv_write, pb.take());
+    };
+    EXPECT_TRUE(kv(2, 6, {3, 1}, vc).isOk());
+    EXPECT_TRUE(kv(0, 6, {}, vc).isOk());
+    EXPECT_FALSE(kv(-1, 6, {0}, vc).isOk());
+    EXPECT_FALSE(kv(2, -6, {0, 1}, vc).isOk());
+    // Stride -1: the u64 extent of rows 0..1 would wrap to a small one.
+    EXPECT_FALSE(kv(2, -1, {0, 1}, vc).isOk());
+    EXPECT_FALSE(kv(2, 6, {0, -1}, vc).isOk());
+    // Slot 4 is one past both caches; INT_MAX must not wrap.
+    EXPECT_FALSE(kv(2, 6, {0, 4}, vc).isOk());
+    EXPECT_FALSE(kv(1, 6, {std::numeric_limits<i32>::max()}, vc).isOk());
+    // Slot 2 fits the k cache but not a 2-slot v cache.
+    EXPECT_FALSE(kv(1, 6, {2}, small_vc).isOk());
+    EXPECT_TRUE(kv(1, 6, {1}, small_vc).isOk());
+    // A third row would run past the fused buffer.
+    EXPECT_FALSE(kv(3, 6, {0, 1, 2}, vc).isOk());
+
+    const DeviceAddr pos = ints({1, 2});
+    auto rope = [&](i32 n, i32 q_stride, i32 k_stride) {
+        ParamsBuilder pb;
+        pb.ptr(fused).ptr(fused + 2 * 4).ptr(pos).i32(n).i32(1).i32(1)
+            .i32(2).i32(q_stride).i32(k_stride).f32(10000.0f);
+        return launch(k_.rope, pb.take());
+    };
+    EXPECT_TRUE(rope(2, 6, 6).isOk());
+    EXPECT_TRUE(rope(0, 6, 6).isOk());
+    EXPECT_FALSE(rope(-1, 6, 6).isOk());
+    EXPECT_FALSE(rope(2, -6, 6).isOk());
+    EXPECT_FALSE(rope(2, 6, -6).isOk());
+    EXPECT_FALSE(rope(2, -1, 6).isOk());
+    EXPECT_FALSE(rope(2, 6, -1).isOk());
+    // Row 1 of stride 12 ends past the 12-float buffer.
+    EXPECT_FALSE(rope(2, 12, 6).isOk());
+    EXPECT_FALSE(rope(2, 6, 12).isOk());
 }
 
 TEST_F(KernelsTest, PagedAttentionDecodeMatchesBruteForce)

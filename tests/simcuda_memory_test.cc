@@ -2,10 +2,15 @@
  * @file
  * Unit tests for the simulated device memory: allocation accounting,
  * address non-determinism across process launches (ASLR), bounds
- * checking of functional accesses, and containment queries.
+ * checking of functional accesses, containment queries, and the
+ * demand-zero backing store on both sides of its size cut-off.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "simcuda/memory.h"
 
@@ -192,6 +197,148 @@ TEST(DeviceMemoryTest, FindContainingUsesLogicalExtent)
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->base, *a);
     EXPECT_EQ(mem.findContaining(*a + 4096 + 100000), nullptr);
+}
+
+constexpr u64 kLarge = ZeroBytes::kMmapBytes;
+constexpr u64 kSmall = ZeroBytes::kMmapBytes - 1;
+
+TEST(ZeroBytesTest, UntouchedLargeStoreReadsAsZeros)
+{
+    const u64 big = 2 * kLarge + 12;
+    ZeroBytes z;
+    z.assign(big, 0);
+    const u8 *p = z.data();
+    ASSERT_NE(p, nullptr);
+    EXPECT_TRUE(std::all_of(p, p + big, [](u8 b) { return b == 0; }));
+
+    DeviceMemoryManager mem(units::GiB, 1);
+    auto a = mem.malloc(big, big);
+    ASSERT_TRUE(a.isOk());
+    // Touch only the last float; everything before it reads as zero.
+    auto last = mem.f32Span(*a + big - 4, 1);
+    ASSERT_TRUE(last.isOk());
+    (*last)[0] = 1.5f;
+    std::vector<u8> bytes(big, 0xff);
+    ASSERT_TRUE(mem.read(*a, bytes.data(), big).isOk());
+    EXPECT_TRUE(std::all_of(bytes.begin(), bytes.end() - 4,
+                            [](u8 b) { return b == 0; }));
+    f32 tail = 0;
+    std::memcpy(&tail, bytes.data() + big - 4, 4);
+    EXPECT_EQ(tail, 1.5f);
+}
+
+/** Materializing a store without writing to it moves no fingerprint. */
+TEST(ZeroBytesTest, MaterializingDoesNotMoveFingerprint)
+{
+    DeviceMemoryManager lazy(units::GiB, 3);
+    DeviceMemoryManager touched(units::GiB, 3);
+    for (u64 size : {kSmall, kLarge}) {
+        auto a = lazy.malloc(size, size);
+        auto b = touched.malloc(size, size);
+        ASSERT_TRUE(a.isOk());
+        ASSERT_TRUE(b.isOk());
+        ASSERT_TRUE(touched.f32Tail(*b).isOk());
+    }
+    EXPECT_EQ(lazy.stateFingerprint(), touched.stateFingerprint());
+}
+
+TEST(ZeroBytesTest, RoundTripsOnBothSidesOfCutOff)
+{
+    DeviceMemoryManager mem(units::GiB, 1);
+    for (u64 size : {u64{64}, kSmall, kLarge, kLarge + 4099}) {
+        auto a = mem.malloc(size, size);
+        ASSERT_TRUE(a.isOk());
+        for (u64 off : {u64{0}, size / 2, size - 4}) {
+            const u32 word = static_cast<u32>(size ^ off);
+            ASSERT_TRUE(mem.write(*a + off, &word, 4).isOk());
+            u32 out = 0;
+            ASSERT_TRUE(mem.read(*a + off, &out, 4).isOk());
+            EXPECT_EQ(out, word) << "size=" << size << " off=" << off;
+        }
+        ASSERT_TRUE(mem.free(*a).isOk());
+    }
+}
+
+/** A materialized store of @p n bytes marked at both ends. */
+ZeroBytes
+marked(u64 n, u8 mark)
+{
+    ZeroBytes z;
+    z.assign(n, 0);
+    z.data()[0] = mark;
+    z.data()[n - 1] = mark + 1;
+    return z;
+}
+
+bool
+holds(const ZeroBytes &z, u64 n, u8 mark)
+{
+    return z.size() == n && z.rawData() != nullptr &&
+           z.rawData()[0] == mark && z.rawData()[n / 2] == 0 &&
+           z.rawData()[n - 1] == mark + 1;
+}
+
+/**
+ * The allocator (mmap or calloc) follows the size, so every path that
+ * moves a buffer between stores must move the size with it; a free()
+ * of a mapping or a munmap() of a heap block would crash or show under
+ * ASan.
+ */
+TEST(ZeroBytesTest, CopyMoveAndAssignAcrossCutOff)
+{
+    const std::pair<u64, u64> pairs[] = {
+        {kLarge, kSmall}, {kSmall, kLarge}, {kLarge, kLarge + 8}};
+    for (const auto &[from, to] : pairs) {
+        const ZeroBytes src = marked(from, 7);
+
+        ZeroBytes copy(src);
+        EXPECT_TRUE(holds(copy, from, 7));
+
+        ZeroBytes copy_assigned = marked(to, 3);
+        copy_assigned = src;
+        EXPECT_TRUE(holds(copy_assigned, from, 7));
+
+        ZeroBytes moved_from = marked(from, 7);
+        ZeroBytes moved(std::move(moved_from));
+        EXPECT_TRUE(holds(moved, from, 7));
+        EXPECT_EQ(moved_from.size(), 0u);
+
+        ZeroBytes move_assigned = marked(to, 3);
+        ZeroBytes donor = marked(from, 7);
+        move_assigned = std::move(donor);
+        EXPECT_TRUE(holds(move_assigned, from, 7));
+
+        ZeroBytes reassigned = marked(from, 7);
+        reassigned.assign(to, 0);
+        EXPECT_EQ(reassigned.size(), to);
+        EXPECT_FALSE(reassigned.materialized());
+        reassigned.data()[to - 1] = 9;
+        EXPECT_EQ(reassigned.rawData()[0], 0);
+    }
+
+    ZeroBytes self = marked(kLarge, 5);
+    ZeroBytes &alias = self;
+    self = alias;
+    EXPECT_TRUE(holds(self, kLarge, 5));
+    self = std::move(alias);
+    EXPECT_TRUE(holds(self, kLarge, 5));
+}
+
+TEST(ZeroBytesTest, F32TailSpansWholeLargeBacking)
+{
+    DeviceMemoryManager mem(units::GiB, 1);
+    const u64 big = 2 * kLarge + 8;
+    auto a = mem.malloc(big, big);
+    ASSERT_TRUE(a.isOk());
+    auto tail = mem.f32Tail(*a);
+    ASSERT_TRUE(tail.isOk());
+    ASSERT_EQ(tail->size(), big / 4);
+    EXPECT_EQ(tail->front(), 0.0f);
+    EXPECT_EQ(tail->back(), 0.0f);
+    tail->back() = -2.0f;
+    f32 out = 0;
+    ASSERT_TRUE(mem.read(*a + big - 4, &out, 4).isOk());
+    EXPECT_EQ(out, -2.0f);
 }
 
 } // namespace

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "llm/tokenizer.h"
 
 namespace medusa::llm {
@@ -90,6 +95,87 @@ TEST(TokenizerTest, SyntheticCorpusDeterministicAndSized)
     EXPECT_GE(a.size(), 1000u);
     EXPECT_LT(a.size(), 1100u);
     EXPECT_NE(a, syntheticCorpus(12, 1000));
+}
+
+/**
+ * Reference trainer: rebuilds an ordered map of pair counts every round
+ * and scans it for the first pair with the highest count.
+ */
+std::vector<std::pair<i32, i32>>
+referenceMerges(const std::string &corpus, u32 target_vocab)
+{
+    std::vector<std::pair<i32, i32>> merges;
+    std::vector<i32> seq;
+    for (char c : corpus) {
+        seq.push_back(static_cast<i32>(static_cast<u8>(c)));
+    }
+    while (256 + merges.size() < target_vocab && seq.size() >= 2) {
+        std::map<std::pair<i32, i32>, u32> counts;
+        for (std::size_t i = 0; i + 1 < seq.size(); ++i) {
+            ++counts[{seq[i], seq[i + 1]}];
+        }
+        std::pair<i32, i32> best{};
+        u32 best_count = 1;
+        for (const auto &[pair, count] : counts) {
+            if (count > best_count) {
+                best_count = count;
+                best = pair;
+            }
+        }
+        if (best_count <= 1) {
+            break;
+        }
+        const i32 new_id = static_cast<i32>(256 + merges.size());
+        merges.push_back(best);
+        std::vector<i32> next;
+        for (std::size_t i = 0; i < seq.size();) {
+            if (i + 1 < seq.size() && seq[i] == best.first &&
+                seq[i + 1] == best.second) {
+                next.push_back(new_id);
+                i += 2;
+            } else {
+                next.push_back(seq[i]);
+                ++i;
+            }
+        }
+        seq.swap(next);
+    }
+    return merges;
+}
+
+constexpr u32 kTargetVocabs[] = {257, 300, 320, 400, 512};
+
+/**
+ * Training is greedy, so the merges for a smaller target vocabulary are
+ * a prefix of those for the largest: one reference run per corpus
+ * covers every target.
+ */
+TEST(TokenizerTest, TrainingMatchesReferenceTrainer)
+{
+    for (u64 seed = 1; seed <= 20; ++seed) {
+        const std::string corpus = syntheticCorpus(seed, 4096);
+        const auto reference = referenceMerges(corpus, 512);
+        for (u32 vocab : kTargetVocabs) {
+            const std::size_t len =
+                std::min<std::size_t>(vocab - 256, reference.size());
+            const std::vector<std::pair<i32, i32>> want(
+                reference.begin(), reference.begin() + len);
+            EXPECT_EQ(BpeTokenizer::train(corpus, vocab).merges(), want)
+                << "seed=" << seed << " vocab=" << vocab;
+        }
+    }
+}
+
+TEST(TokenizerTest, TieHeavyCorporaMatchReferenceTrainer)
+{
+    for (const std::string corpus :
+         {"abababab", "aaaaaaaaaa", "", "x", "abba abba baab"}) {
+        for (u32 vocab : kTargetVocabs) {
+            EXPECT_EQ(BpeTokenizer::train(corpus, vocab).merges(),
+                      referenceMerges(corpus, vocab))
+                << "corpus=\"" << corpus << "\" vocab=" << vocab;
+        }
+    }
 }
 
 } // namespace
