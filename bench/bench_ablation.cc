@@ -104,6 +104,8 @@ main()
     oopts.model = model;
     oopts.pipeline.validate = false;
     auto offline = bench::unwrap(core::materialize(oopts), "materialize");
+    const core::MaterializedImage image =
+        bench::openImage(offline.image_bytes);
 
     struct Mode
     {
@@ -120,12 +122,11 @@ main()
         mopts.aslr_seed = 4242;
         mopts.restore.use_dlsym = mode.dlsym;
         mopts.restore.use_triggering_kernels = mode.triggering;
-        auto engine = core::MedusaEngine::coldStart(mopts,
-                                                    offline.artifact);
+        auto engine = core::MedusaEngine::coldStartFromImage(mopts, image);
         if (engine.isOk()) {
             const auto &r = (*engine)->coldStartReport().restore;
-            std::printf("  %-28s OK: %llu via dlsym, %llu via module "
-                        "enumeration, loading %.2f s\n",
+            std::printf("  %-28s OK: %llu kernels via dlsym, %llu via "
+                        "module enumeration, loading %.2f s\n",
                         mode.name,
                         static_cast<unsigned long long>(
                             r.kernels_via_dlsym),

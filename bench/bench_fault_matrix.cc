@@ -60,7 +60,7 @@ policyName(core::FallbackMode mode)
 
 /** One cold start with @p point firing on the first attempt only. */
 MatrixCell
-runCell(const llm::ModelConfig &model, const core::Artifact &artifact,
+runCell(const llm::ModelConfig &model, const core::MaterializedImage &image,
         FaultPoint point, core::FallbackMode mode)
 {
     FaultPlan plan;
@@ -80,7 +80,7 @@ runCell(const llm::ModelConfig &model, const core::Artifact &artifact,
     MatrixCell cell;
     cell.point = faultPointName(point);
     cell.policy = policyName(mode);
-    auto engine = core::MedusaEngine::coldStart(opts, artifact);
+    auto engine = core::MedusaEngine::coldStartFromImage(opts, image);
     cell.ok = engine.isOk();
     if (engine.isOk()) {
         const RestoreReport &r = (*engine)->coldStartReport().restore;
@@ -133,8 +133,9 @@ main(int argc, char **argv)
 
     const llm::ModelConfig model =
         unwrap(llm::findModel(model_name), "model lookup");
-    const core::Artifact artifact =
+    const bench::Materialized m =
         unwrap(materializeCached(model), "materialization");
+    const core::MaterializedImage image = bench::openImage(m.image_bytes);
 
     // ---- engine matrix: fault point × fallback policy -------------------
     // Points that sit on the single-GPU restore path, in stack order.
@@ -157,7 +158,7 @@ main(int argc, char **argv)
         opts.aslr_seed = 20250805;
         opts.restore.pipeline.validate = true;
         opts.restore.pipeline.validate_batch_sizes = {1};
-        auto engine = core::MedusaEngine::coldStart(opts, artifact);
+        auto engine = core::MedusaEngine::coldStartFromImage(opts, image);
         bench::checkOk(engine.status(), "clean restore");
         clean_loading = (*engine)->coldStartReport().times.loading;
     }
@@ -165,7 +166,7 @@ main(int argc, char **argv)
     std::vector<MatrixCell> matrix;
     for (FaultPoint point : points) {
         for (core::FallbackMode mode : modes) {
-            matrix.push_back(runCell(model, artifact, point, mode));
+            matrix.push_back(runCell(model, image, point, mode));
         }
     }
 
@@ -173,7 +174,7 @@ main(int argc, char **argv)
     serverless::ProfileOptions popts;
     popts.model = model;
     popts.strategy = llm::Strategy::kMedusa;
-    popts.artifact = &artifact;
+    popts.artifact = &m.artifact;
     const serverless::ServingProfile medusa_profile =
         unwrap(serverless::buildServingProfile(popts), "medusa profile");
     popts.strategy = llm::Strategy::kVllm;
@@ -188,10 +189,13 @@ main(int argc, char **argv)
     const std::vector<workload::Request> trace =
         workload::generateShareGptTrace(topts);
 
-    // Shared per-node artifact store: the sweep's first launch loads,
+    // Shared per-node image store: the sweep's first launch loads,
     // every later one hits. Zero latency impact (miss cost 0) — it
     // exists so a traced run shows the cache.load/cache.hit events.
-    core::ArtifactCache artifact_cache(4);
+    core::ImageCache image_cache(4);
+    const auto load_image = [&m]() {
+        return core::MaterializedImage::open(m.image_bytes);
+    };
 
     std::vector<TraceRow> rows;
     u32 sweep_track = 0;
@@ -207,11 +211,9 @@ main(int argc, char **argv)
         copts.pipeline.trace =
             reporter.trace() != nullptr ? &run_trace : nullptr;
         copts.pipeline.metrics = reporter.metrics();
-        copts.artifact_cache = &artifact_cache;
+        copts.artifact_cache = &image_cache;
         copts.artifact_key = model.name;
-        copts.artifact_loader = [&artifact]() -> StatusOr<core::Artifact> {
-            return core::Artifact(artifact);
-        };
+        copts.artifact_loader = load_image;
         copts.fallback.mode = core::FallbackMode::kRetryThenVanilla;
         copts.fallback.max_attempts = 2;
         // A launch that degrades pays the classic cold start.
@@ -274,11 +276,9 @@ main(int argc, char **argv)
         copts.pipeline.fault = &injector;
         copts.pipeline.trace = &run_trace;
         copts.pipeline.metrics = reporter.metrics();
-        copts.artifact_cache = &artifact_cache;
+        copts.artifact_cache = &image_cache;
         copts.artifact_key = model.name;
-        copts.artifact_loader = [&artifact]() -> StatusOr<core::Artifact> {
-            return core::Artifact(artifact);
-        };
+        copts.artifact_loader = load_image;
         copts.fallback.mode = core::FallbackMode::kRetryThenVanilla;
         copts.fallback.max_attempts = 2;
         copts.vanilla_cold_start_sec = vllm_profile.cold_start_sec;

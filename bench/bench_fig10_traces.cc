@@ -30,8 +30,8 @@ main()
 
     for (const char *name : {"Llama2-7B", "Qwen1.5-4B"}) {
         auto model = bench::unwrap(llm::findModel(name), "findModel");
-        auto artifact = bench::unwrap(bench::materializeCached(model),
-                                      "materialize");
+        const auto m = bench::unwrap(bench::materializeCached(model),
+                                     "materialize");
 
         // Build the per-strategy serving profiles once.
         std::vector<serverless::ServingProfile> profiles;
@@ -39,7 +39,7 @@ main()
             serverless::ProfileOptions popts;
             popts.model = model;
             popts.strategy = s;
-            popts.artifact = &artifact;
+            popts.artifact = &m.artifact;
             profiles.push_back(bench::unwrap(
                 serverless::buildServingProfile(popts), "profile"));
         }

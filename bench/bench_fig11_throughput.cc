@@ -29,15 +29,15 @@ main()
 
     for (const char *name : {"Llama2-7B", "Qwen1.5-4B"}) {
         auto model = bench::unwrap(llm::findModel(name), "findModel");
-        auto artifact = bench::unwrap(bench::materializeCached(model),
-                                      "materialize");
+        const auto m = bench::unwrap(bench::materializeCached(model),
+                                     "materialize");
 
         std::vector<serverless::ServingProfile> profiles;
         for (llm::Strategy s : strategies) {
             serverless::ProfileOptions popts;
             popts.model = model;
             popts.strategy = s;
-            popts.artifact = &artifact;
+            popts.artifact = &m.artifact;
             profiles.push_back(bench::unwrap(
                 serverless::buildServingProfile(popts), "profile"));
         }

@@ -31,8 +31,9 @@ main()
     int count = 0;
 
     for (const llm::ModelConfig &model : llm::modelZoo()) {
-        auto artifact = bench::unwrap(bench::materializeCached(model),
-                                      model.name.c_str());
+        const auto m = bench::unwrap(bench::materializeCached(model),
+                                     model.name.c_str());
+        const core::MaterializedImage image = bench::openImage(m.image_bytes);
 
         llm::BaselineEngine::Options bopts;
         bopts.model = model;
@@ -48,7 +49,7 @@ main()
         mopts.model = model;
         mopts.warm_container = false;
         auto medusa = bench::unwrap(
-            core::MedusaEngine::coldStart(mopts, artifact), "Medusa");
+            core::MedusaEngine::coldStartFromImage(mopts, image), "Medusa");
 
         const f64 l_vllm = vllm->coldStartReport().times.loading;
         const f64 l_async = async->coldStartReport().times.loading;

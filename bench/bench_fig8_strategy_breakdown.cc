@@ -50,8 +50,10 @@ main(int argc, char **argv)
     bench::Reporter reporter(argc, argv);
     auto model =
         bench::unwrap(llm::findModel("Qwen1.5-4B"), "findModel");
-    auto artifact = bench::unwrap(bench::materializeCached(model),
-                                  "materialize");
+    const std::vector<u8> image_bytes =
+        bench::unwrap(bench::materializeCached(model), "materialize")
+            .image_bytes;
+    const core::MaterializedImage image = bench::openImage(image_bytes);
 
     llm::BaselineEngine::Options bopts;
     bopts.model = model;
@@ -65,7 +67,7 @@ main(int argc, char **argv)
     mopts.model = model;
     mopts.restore.pipeline.metrics = reporter.metrics();
     auto medusa = bench::unwrap(
-        core::MedusaEngine::coldStart(mopts, artifact), "Medusa");
+        core::MedusaEngine::coldStartFromImage(mopts, image), "Medusa");
 
     const Stages v(vllm->coldStartReport());
     const Stages a(async->coldStartReport());

@@ -338,7 +338,9 @@ runTracedColdStart(bench::Reporter &reporter)
     eopts.model = oopts.model;
     eopts.restore.pipeline.trace = reporter.trace();
     eopts.restore.pipeline.metrics = reporter.metrics();
-    auto engine = core::MedusaEngine::coldStart(eopts, offline->artifact);
+    const core::MaterializedImage image =
+        bench::openImage(offline->image_bytes);
+    auto engine = core::MedusaEngine::coldStartFromImage(eopts, image);
     bench::checkOk(engine.status(), "cold start");
     reporter.setTrackName(0, "medusa");
 }

@@ -25,8 +25,8 @@ main()
 {
     auto model = bench::unwrap(llm::findModel("Qwen1.5-4B"),
                                "findModel");
-    auto artifact = bench::unwrap(bench::materializeCached(model),
-                                  "materialize");
+    const auto m = bench::unwrap(bench::materializeCached(model),
+                                 "materialize");
 
     // ---- shared trace ------------------------------------------------
     workload::TraceOptions topts;
@@ -39,7 +39,7 @@ main()
         serverless::ProfileOptions popts;
         popts.model = model;
         popts.strategy = s;
-        popts.artifact = &artifact;
+        popts.artifact = &m.artifact;
         return bench::unwrap(serverless::buildServingProfile(popts),
                              "profile");
     };
@@ -132,8 +132,11 @@ main()
 
     core::MedusaEngine::Options mopts;
     mopts.model = model;
+    const core::MaterializedImage medusa_image =
+        bench::openImage(m.image_bytes);
     auto medusa = bench::unwrap(
-        core::MedusaEngine::coldStart(mopts, artifact), "medusa");
+        core::MedusaEngine::coldStartFromImage(mopts, medusa_image),
+        "medusa");
 
     std::printf("%-22s %12s %14s\n", "approach", "loading (s)",
                 "persisted state");
@@ -144,12 +147,12 @@ main()
                 formatBytes(image.totalBytes()).c_str());
     std::printf("%-22s %12.2f %14s\n", "Medusa",
                 medusa->coldStartReport().times.loading,
-                formatBytes(artifact.serialize().size()).c_str());
+                formatBytes(m.image_bytes.size()).c_str());
     std::printf("\n-> a full checkpoint restores in one sequential "
                 "read but ships the whole device footprint;\n   Medusa "
                 "materializes only what cannot be cheaply rebuilt "
                 "(%llux smaller state).\n",
                 static_cast<unsigned long long>(
-                    image.totalBytes() / artifact.serialize().size()));
+                    image.totalBytes() / m.image_bytes.size()));
     return 0;
 }

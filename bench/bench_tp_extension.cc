@@ -45,11 +45,13 @@ main()
     oopts.world = world;
     auto offline = bench::unwrap(core::materializeTp(oopts),
                                  "tp offline");
-    u64 artifact_bytes = 0;
+    u64 image_bytes = 0;
+    for (const auto &bytes : offline.rank_images) {
+        image_bytes += bytes.size();
+    }
     u64 total_nodes = 0;
     u64 collectives = 0;
     for (const auto &artifact : offline.rank_artifacts) {
-        artifact_bytes += artifact.serialize().size();
         total_nodes += artifact.totalNodes();
         for (const auto &g : artifact.graphs) {
             for (const auto &n : g.nodes) {
@@ -67,18 +69,20 @@ main()
     mopts.world = world;
     mopts.restore.pipeline.validate = true;
     mopts.restore.pipeline.validate_batch_sizes = {1, 64};
+    const auto images =
+        bench::unwrap(core::openRankImages(offline.rank_images), "tp open");
     auto restored = bench::unwrap(
-        core::TpMedusaEngine::coldStart(mopts, offline.rank_artifacts),
+        core::TpMedusaEngine::coldStartFromImages(mopts, images),
         "tp restore");
 
     std::printf("offline phase: capturing %.1f s + analysis %.1f s "
                 "(once per <GPU type, model, world>)\n",
                 offline.capture_stage_sec, offline.analysis_stage_sec);
-    std::printf("artifacts: %u ranks, %llu nodes total (%llu all-reduce "
+    std::printf("images: %u ranks, %llu nodes total (%llu all-reduce "
                 "collective nodes), %.2f MiB\n\n",
                 world, static_cast<unsigned long long>(total_nodes),
                 static_cast<unsigned long long>(collectives),
-                static_cast<f64>(artifact_bytes) /
+                static_cast<f64>(image_bytes) /
                     static_cast<f64>(units::MiB));
 
     std::printf("%-34s %12s\n", "cold-start strategy", "loading (s)");
@@ -92,8 +96,8 @@ main()
                 "reference cluster bit-for-bit\n");
     for (u32 r = 0; r < world; ++r) {
         const auto &rep = restored->rankRestoreReports()[r];
-        std::printf("  rank %u: %llu nodes restored (%llu via dlsym, "
-                    "%llu via module enumeration)\n",
+        std::printf("  rank %u: %llu nodes restored (%llu kernels via "
+                    "dlsym, %llu via module enumeration)\n",
                     r,
                     static_cast<unsigned long long>(rep.nodes_restored),
                     static_cast<unsigned long long>(

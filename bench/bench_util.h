@@ -136,59 +136,38 @@ class Reporter
     MetricsRegistry registry_;
 };
 
-/**
- * Materialize a model's artifact, caching it on disk under ./artifacts
- * so experiment binaries can share offline phases.
- * @param[out] offline_result if non-null and a fresh materialization
- *             ran, receives the full offline result (timings).
- */
-inline StatusOr<core::Artifact>
-materializeCached(const llm::ModelConfig &model,
-                  core::OfflineResult *offline_result = nullptr)
+/** A model's offline products as cached on disk under ./artifacts. */
+struct Materialized
 {
-    const std::string path = "artifacts/" + model.name + ".medusa";
-    auto bytes = readFile(path);
-    if (bytes.isOk()) {
-        auto artifact = core::Artifact::deserialize(std::move(*bytes));
-        if (artifact.isOk() && artifact->model_name == model.name &&
-            artifact->model_seed == model.seed) {
-            return artifact;
-        }
-        // Stale or corrupt cache: fall through and rebuild.
-    }
-    core::OfflineOptions opts;
-    opts.model = model;
-    opts.pipeline.validate = true;
-    opts.pipeline.validate_batch_sizes = {1, 64};
-    MEDUSA_ASSIGN_OR_RETURN(core::OfflineResult result,
-                            core::materialize(opts));
-    if (offline_result != nullptr) {
-        *offline_result = result;
-    }
-    MEDUSA_RETURN_IF_ERROR(
-        writeFile(path, result.artifact.serialize()));
-    MEDUSA_RETURN_IF_ERROR(writeFile(
-        "artifacts/" + model.name + ".image", result.image_bytes));
-    return std::move(result.artifact);
-}
+    /** The in-memory artifact (analysis stats, serving profiles). */
+    core::Artifact artifact;
+    /** Its serialized v6 image: what every Medusa cold start restores. */
+    std::vector<u8> image_bytes;
+};
 
 /**
- * The serialized v6 image for a model, disk-cached under ./artifacts
- * next to the artifact. A stale or corrupt cache re-materializes both
- * files so the artifact and image always come from the same offline
- * run.
+ * Materialize a model, caching the artifact and its image on disk
+ * under ./artifacts so experiment binaries can share offline phases. A
+ * stale or corrupt cache re-materializes both files, so the artifact
+ * and the image always come from the same offline run.
  */
-inline StatusOr<std::vector<u8>>
-materializeImageCached(const llm::ModelConfig &model)
+inline StatusOr<Materialized>
+materializeCached(const llm::ModelConfig &model)
 {
-    const std::string path = "artifacts/" + model.name + ".image";
-    auto bytes = readFile(path);
-    if (bytes.isOk()) {
+    const std::string stem = "artifacts/" + model.name;
+    auto artifact_bytes = readFile(stem + ".medusa");
+    auto image_bytes = readFile(stem + ".image");
+    if (artifact_bytes.isOk() && image_bytes.isOk()) {
+        auto artifact = core::Artifact::deserialize(std::move(*artifact_bytes));
         auto image = core::MaterializedImage::openView(
-            std::span<const u8>(*bytes));
-        if (image.isOk() && image->model_name == model.name &&
+            std::span<const u8>(*image_bytes));
+        if (artifact.isOk() && image.isOk() &&
+            artifact->model_name == model.name &&
+            artifact->model_seed == model.seed &&
+            image->model_name == model.name &&
             image->model_seed == model.seed) {
-            return std::move(*bytes);
+            return Materialized{std::move(*artifact),
+                                std::move(*image_bytes)};
         }
         // Stale or corrupt cache: fall through and rebuild.
     }
@@ -198,11 +177,11 @@ materializeImageCached(const llm::ModelConfig &model)
     opts.pipeline.validate_batch_sizes = {1, 64};
     MEDUSA_ASSIGN_OR_RETURN(core::OfflineResult result,
                             core::materialize(opts));
-    MEDUSA_RETURN_IF_ERROR(writeFile(
-        "artifacts/" + model.name + ".medusa",
-        result.artifact.serialize()));
-    MEDUSA_RETURN_IF_ERROR(writeFile(path, result.image_bytes));
-    return std::move(result.image_bytes);
+    MEDUSA_RETURN_IF_ERROR(
+        writeFile(stem + ".medusa", result.artifact.serialize()));
+    MEDUSA_RETURN_IF_ERROR(writeFile(stem + ".image", result.image_bytes));
+    return Materialized{std::move(result.artifact),
+                        std::move(result.image_bytes)};
 }
 
 /** Abort the bench with a message if a status is an error. */
@@ -226,6 +205,17 @@ unwrap(StatusOr<T> value, const char *what)
         std::exit(1);
     }
     return std::move(value).value();
+}
+
+/**
+ * Open @p bytes as a zero-copy image (the caller keeps the bytes
+ * alive); aborts the bench on a decode failure.
+ */
+inline core::MaterializedImage
+openImage(const std::vector<u8> &bytes)
+{
+    return unwrap(core::MaterializedImage::openView(std::span<const u8>(bytes)),
+                  "image open");
 }
 
 inline void

@@ -56,10 +56,19 @@ main(int argc, char **argv)
     oopts.model = *model;
     oopts.pipeline.validate = false;
     auto offline = core::materialize(oopts);
+    if (!offline.isOk()) {
+        std::fprintf(stderr, "offline phase failed\n");
+        return 1;
+    }
+    auto image = core::MaterializedImage::openView(
+        std::span<const u8>(offline->image_bytes));
+    if (!image.isOk()) {
+        std::fprintf(stderr, "image open failed\n");
+        return 1;
+    }
     core::MedusaEngine::Options mopts;
     mopts.model = *model;
-    auto medusa =
-        core::MedusaEngine::coldStart(mopts, offline->artifact);
+    auto medusa = core::MedusaEngine::coldStartFromImage(mopts, *image);
     if (!vllm.isOk() || !async.isOk() || !medusa.isOk()) {
         std::fprintf(stderr, "cold start failed\n");
         return 1;

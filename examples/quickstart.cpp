@@ -58,17 +58,20 @@ main()
     oopts.model = model;
     auto offline = orDie(core::materialize(oopts), "offline phase");
     std::printf("offline phase:        %.1f s (capturing %.1f s + "
-                "analysis %.1f s), artifact %zu KiB\n",
+                "analysis %.1f s), image %zu KiB\n",
                 offline.totalOffline(), offline.capture_stage_sec,
                 offline.analysis_stage_sec,
-                offline.artifact.serialize().size() / 1024);
+                offline.image_bytes.size() / 1024);
 
     core::MedusaEngine::Options mopts;
     mopts.model = model;
     mopts.aslr_seed = 0xf5e5; // a different process address layout
-    auto medusa = orDie(
-        core::MedusaEngine::coldStart(mopts, offline.artifact),
-        "Medusa cold start");
+    const core::MaterializedImage image = orDie(
+        core::MaterializedImage::openView(
+            std::span<const u8>(offline.image_bytes)),
+        "image open");
+    auto medusa = orDie(core::MedusaEngine::coldStartFromImage(mopts, image),
+                        "Medusa cold start");
     std::printf("Medusa loading phase: %.2f virtual seconds "
                 "(-%.1f%%)\n\n",
                 medusa->coldStartReport().times.loading,

@@ -75,8 +75,13 @@ main(int argc, char **argv)
     mopts.aslr_seed = 0xdead;
     mopts.restore.pipeline.validate = true;
     mopts.restore.pipeline.validate_batch_sizes = {1, 64};
-    auto engine = core::TpMedusaEngine::coldStart(
-        mopts, offline->rank_artifacts);
+    auto images = core::openRankImages(offline->rank_images);
+    if (!images.isOk()) {
+        std::fprintf(stderr, "image open failed: %s\n",
+                     images.status().toString().c_str());
+        return 1;
+    }
+    auto engine = core::TpMedusaEngine::coldStartFromImages(mopts, *images);
     if (!engine.isOk()) {
         std::fprintf(stderr, "online restore failed: %s\n",
                      engine.status().toString().c_str());

@@ -2,10 +2,10 @@
 # Machine-readable bench harness: builds the bench binaries and writes
 # BENCH_*.json files at the repo root.
 #
-#   BENCH_restore.json  — the parallel restore pipeline (parse, cold
-#                         start at 1 vs N threads, artifact cache);
-#                         exits non-zero if simulated results are not
-#                         thread-count independent.
+#   BENCH_restore.json  — the online restore: image open, image cold
+#                         start vs a vanilla cold start, image cache;
+#                         exits non-zero if the restored graphs do not
+#                         replay to the vanilla capture's logits.
 #   BENCH_micro.json    — google-benchmark microbenchmarks of the
 #                         substrate hot paths.
 #   BENCH_fault.json    — fault matrix: restore fault points × fallback
@@ -31,25 +31,23 @@
 #                         token conservation breaks across the
 #                         HTTP path.
 #
-# Usage: scripts/bench.sh [build-dir] [threads]
-#   build-dir defaults to ./build, threads to the hardware concurrency.
+# Usage: scripts/bench.sh [build-dir]
+#   build-dir defaults to ./build.
 set -eu
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build}"
-THREADS="${2:-0}"
 
 cmake -B "$BUILD" -S "$ROOT" >/dev/null
 cmake --build "$BUILD" -j "$(nproc)" \
-    --target bench_restore_parallel bench_micro bench_fault_matrix \
+    --target bench_restore bench_micro bench_fault_matrix \
     bench_cluster_scale bench_chaos bench_serve \
     >/dev/null
 
 cd "$ROOT" # bench binaries cache artifacts under ./artifacts
 
-echo "== bench_restore_parallel (threads=$THREADS; 0 = hardware)"
-"$BUILD/bench/bench_restore_parallel" --json "--threads=$THREADS" \
-    > "$ROOT/BENCH_restore.json"
+echo "== bench_restore"
+"$BUILD/bench/bench_restore" --json > "$ROOT/BENCH_restore.json"
 cat "$ROOT/BENCH_restore.json"
 
 echo "== bench_micro"

@@ -96,21 +96,22 @@ else
     fail "bench_micro / trace_check binaries missing"
 fi
 
-note "restore-speed smoke: patch path beats rebuild, patch spans traced"
-if [ -x "$BUILD/bench/bench_restore_parallel" ] &&
+note "restore-speed smoke: image cold start beats vanilla, patch spans traced"
+if [ -x "$BUILD/bench/bench_restore" ] &&
    [ -x "$BUILD/tools/trace_check" ]; then
     BUILD_ABS="$(cd "$BUILD" && pwd)"
     RESTORE_JSON="$BUILD_ABS/check-restore.json"
     RESTORE_TRACE="$BUILD_ABS/check-restore-trace.json"
     # cd: the bench caches materialized artifacts under ./artifacts.
-    if ! (cd "$BUILD_ABS" && ./bench/bench_restore_parallel --json \
+    if ! (cd "$BUILD_ABS" && ./bench/bench_restore --json \
             --reps=1 --trace-out "$RESTORE_TRACE") > "$RESTORE_JSON"; then
-        fail "bench_restore_parallel reported a determinism/fidelity bug"
+        fail "bench_restore reported a fidelity bug"
     else
         SPEEDUP=$(sed -n 's/.*"coldstart_speedup": \([0-9.]*\).*/\1/p' \
                       "$RESTORE_JSON")
-        # 1.5 is a smoke floor for sanitized single-rep runs; release
-        # numbers (BENCH_restore.json) must clear 5x (DESIGN.md §13).
+        # Image cold start vs a vanilla cold start of the same model.
+        # 1.5 is a smoke floor for sanitized single-rep runs (DESIGN.md
+        # §13 has release numbers).
         if [ -z "$SPEEDUP" ] ||
            ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 1.5) }'; then
             fail "coldstart_speedup ${SPEEDUP:-missing} below 1.5x floor"
@@ -123,7 +124,7 @@ if [ -x "$BUILD/bench/bench_restore_parallel" ] &&
         fi
     fi
 else
-    fail "bench_restore_parallel / trace_check binaries missing"
+    fail "bench_restore / trace_check binaries missing"
 fi
 
 note "sim-scale smoke: truncated cluster-scale run, schema-checked"
@@ -230,14 +231,14 @@ TSAN_BUILD="$BUILD-tsan"
 if ! cmake -B "$TSAN_BUILD" -S "$ROOT" -DMEDUSA_TSAN=ON >/dev/null; then
     fail "TSan cmake configure failed"
 elif ! cmake --build "$TSAN_BUILD" -j "$(nproc)" \
-        --target restore_parallel_test artifact_cache_test \
-                 fault_test rollback_test chaos_test \
+        --target artifact_cache_test fault_test rollback_test \
+                 chaos_test \
         >/dev/null; then
     fail "TSan build failed"
 elif ! MEDUSA_FAULT_PLAN='replay_prefix@1000000000;seed=20250805' \
         ctest --test-dir "$TSAN_BUILD" --output-on-failure \
         -j "$(nproc)" \
-        -R 'RestoreParallel|ArtifactCache|Fault|Rollback|Chaos'; then
+        -R 'ArtifactCache|Fault|Rollback|Chaos'; then
     # The Chaos suite's concurrent-runs test drives the crash-requeue
     # path from two threads sharing a const plan/profile/trace.
     fail "TSan test run failed"

@@ -65,7 +65,7 @@ struct RestoreReport
     u64 indirect_pointers_fixed = 0;
     bool validated = false;
 
-    // ---- v6 relocation-patch path (zero for the rebuild path) --------
+    // ---- v6 relocation-patch counters ---------------------------------
     /** Relocation entries applied by the in-place patch pass. */
     u64 relocations_applied = 0;
     /** Distinct kernels resolved for the image's kernel table. */

@@ -28,7 +28,6 @@ constexpr PointName kPointNames[] = {
     {FaultPoint::kTpRankRestore, "tp_rank"},
     {FaultPoint::kTpLockstep, "tp_lockstep"},
     {FaultPoint::kClusterRestore, "cluster_restore"},
-    {FaultPoint::kGraphBuild, "graph_build"},
     {FaultPoint::kImageOpen, "image_open"},
     {FaultPoint::kImagePatch, "image_patch"},
 };

@@ -68,8 +68,6 @@ enum class FaultPoint : u8 {
     kTpLockstep,
     /** Cluster-simulator coarse per-cold-start restore outcome. */
     kClusterRestore,
-    /** One parallel graph build of restoreGraphs phase 2. */
-    kGraphBuild,
     /** v6 image open (structure decode + whole-image CRC). */
     kImageOpen,
     /** One relocation batch of the in-place patch pass (torn patch). */

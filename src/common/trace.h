@@ -7,7 +7,7 @@
  * and pre-timed complete events — against an *injected clock*, so the
  * same recorder type serves both the simulated clock (SimClock, the
  * default throughout the reproduction) and host wall time. Recorders
- * are thread-safe; events may be appended from ThreadPool workers.
+ * are thread-safe; events may be appended from any thread.
  *
  * Two disciplines keep the layer honest:
  *
@@ -18,9 +18,9 @@
  *    fault hooks, verified by trace_test).
  *
  *  - deterministic export: exporters emit events in a canonical order
- *    (start time, track, name) independent of the append order, so a
- *    restore that fans out over a ThreadPool produces a byte-identical
- *    trace for every thread count.
+ *    (start time, track, name) independent of the append order, so
+ *    events appended concurrently from several threads export
+ *    byte-identically for every interleaving.
  *
  * Export formats: Chrome trace_event JSON (load in chrome://tracing or
  * https://ui.perfetto.dev) and the raw event list that ColdStartReport

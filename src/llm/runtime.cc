@@ -117,8 +117,7 @@ ModelRuntime::loadTokenizer()
 {
     // Functional: train a small BPE deterministically from the model
     // seed. Timing: charged from the real vocabulary size.
-    const std::string corpus = syntheticCorpus(model_.seed, 8192);
-    tokenizer_ = BpeTokenizer::train(corpus, 256 + 64);
+    tokenizer_ = trainModelTokenizer(model_.seed);
     clock_.advance(units::msToNs(cost_->tokenizer_fixed_ms));
     clock_.advance(
         units::usToNs(cost_->tokenizer_per_entry_ns *

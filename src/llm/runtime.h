@@ -92,11 +92,10 @@ class ModelRuntime
     Status loadTokenizer();
 
     /**
-     * ❸ Medusa patch path: adopt a tokenizer rebuilt from materialized
+     * ❸ Medusa restore: adopt a tokenizer rebuilt from materialized
      * merges instead of re-training over the corpus. Charges exactly
      * the simulated cost of loadTokenizer — the real system still reads
-     * the tokenizer data — so simulated stage times are identical
-     * across the rebuild and patch paths; only host time drops.
+     * the tokenizer data — so only host time drops.
      */
     Status adoptTokenizer(BpeTokenizer tokenizer);
 

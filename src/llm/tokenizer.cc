@@ -214,4 +214,10 @@ syntheticCorpus(u64 seed, std::size_t approx_bytes)
     return corpus;
 }
 
+BpeTokenizer
+trainModelTokenizer(u64 model_seed)
+{
+    return BpeTokenizer::train(syntheticCorpus(model_seed, 8192), 256 + 64);
+}
+
 } // namespace medusa::llm

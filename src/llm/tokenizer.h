@@ -81,6 +81,14 @@ class BpeTokenizer
  */
 std::string syntheticCorpus(u64 seed, std::size_t approx_bytes);
 
+/**
+ * The tokenizer a model loads: BPE trained over the model's synthetic
+ * corpus, deterministic in @p model_seed. ModelRuntime::loadTokenizer
+ * trains it, and so does anything that needs the model's merge list
+ * without a runtime.
+ */
+BpeTokenizer trainModelTokenizer(u64 model_seed);
+
 } // namespace medusa::llm
 
 #endif // MEDUSA_LLM_TOKENIZER_H

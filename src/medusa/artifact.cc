@@ -7,7 +7,6 @@
 #include "common/crc32.h"
 #include "common/fault.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 
 namespace medusa::core {
@@ -265,45 +264,7 @@ readTags(BinaryReader &r, std::map<std::string, u64> &tags)
     return Status::ok();
 }
 
-/** The flat (kLegacyVersion) body, after magic + version. */
-Status
-readFlatBody(BinaryReader &r, Artifact &a)
-{
-    MEDUSA_ASSIGN_OR_RETURN(a.model_name, r.readString());
-    MEDUSA_ASSIGN_OR_RETURN(a.model_seed, r.readU64());
-    MEDUSA_ASSIGN_OR_RETURN(a.free_gpu_memory, r.readU64());
-
-    auto ops_result = r.readVector<AllocOp>(readAllocOp);
-    if (!ops_result.isOk()) {
-        return ops_result.status();
-    }
-    a.ops = std::move(ops_result).value();
-    MEDUSA_ASSIGN_OR_RETURN(a.organic_op_count, r.readU64());
-    MEDUSA_ASSIGN_OR_RETURN(a.organic_alloc_count, r.readU64());
-
-    auto graphs_result = r.readVector<GraphBlueprint>(
-        [](BinaryReader &r2) { return readGraphPayload(r2); });
-    if (!graphs_result.isOk()) {
-        return graphs_result.status();
-    }
-    a.graphs = std::move(graphs_result).value();
-
-    auto perm_result = r.readVector<PermanentBuffer>(readPermanent);
-    if (!perm_result.isOk()) {
-        return perm_result.status();
-    }
-    a.permanent = std::move(perm_result).value();
-
-    auto fixes_result = r.readVector<PointerWordFix>(readPointerFix);
-    if (!fixes_result.isOk()) {
-        return fixes_result.status();
-    }
-    a.pointer_fixes = std::move(fixes_result).value();
-    MEDUSA_RETURN_IF_ERROR(readTags(r, a.tags));
-    return readStats(r, a.stats);
-}
-
-/** Decode the sectioned graphs payload, optionally in parallel. */
+/** Decode the sectioned graphs payload, one CRC-checked graph at a time. */
 Status
 readGraphsSection(std::span<const u8> payload,
                   const ArtifactReadOptions &options,
@@ -333,55 +294,20 @@ readGraphsSection(std::span<const u8> payload,
         }
     }
 
-    // Each slot is written by exactly one task; the clock, the report
-    // and every other piece of shared state stay untouched, so the
-    // result is bit-identical for any thread count.
     out.assign(count, GraphBlueprint{});
-    std::vector<Status> statuses(count);
-    auto decodeOne = [&](std::size_t i) {
+    for (std::size_t i = 0; i < count; ++i) {
         const GraphEntry &e = entries[i];
         const std::span<const u8> bytes =
             payload.subspan(e.offset, e.size);
-        if (options.fault != nullptr) {
-            const Status injected = options.fault->check(
-                FaultPoint::kArtifactCrc,
-                "graph section " + std::to_string(i));
-            if (!injected.isOk()) {
-                statuses[i] = injected;
-                return;
-            }
-        }
+        MEDUSA_FAULT_POINT(options.fault, FaultPoint::kArtifactCrc,
+                           "graph section " + std::to_string(i));
         if (options.verify_crc &&
             crc32(bytes.data(), bytes.size()) != e.crc) {
-            statuses[i] = internalError(
-                "graph section " + std::to_string(i) +
-                " failed its CRC32 check");
-            return;
+            return internalError("graph section " + std::to_string(i) +
+                                 " failed its CRC32 check");
         }
         BinaryReader gr(bytes);
-        auto graph = readGraphPayload(gr);
-        if (!graph.isOk()) {
-            statuses[i] = graph.status();
-            return;
-        }
-        out[i] = std::move(graph).value();
-    };
-
-    ThreadPool *pool = options.pool;
-    std::unique_ptr<ThreadPool> local_pool;
-    if (pool == nullptr && options.threads > 1 && count > 1) {
-        local_pool = std::make_unique<ThreadPool>(options.threads - 1);
-        pool = local_pool.get();
-    }
-    if (pool != nullptr && count > 1) {
-        pool->parallelFor(count, decodeOne);
-    } else {
-        for (std::size_t i = 0; i < count; ++i) {
-            decodeOne(i);
-        }
-    }
-    for (const Status &s : statuses) {
-        MEDUSA_RETURN_IF_ERROR(s);
+        MEDUSA_ASSIGN_OR_RETURN(out[i], readGraphPayload(gr));
     }
     return Status::ok();
 }
@@ -393,10 +319,9 @@ Artifact::serialize() const
 {
     // Build every section payload, then assemble header + table +
     // payloads. The graphs section leads with a per-graph sub-index
-    // (batch_size, crc, offset, size) so readers can decode blueprints
-    // independently — the enabler for parallel deserialization. Its
-    // section-table CRC covers only that sub-index; the per-graph CRCs
-    // cover the blueprint payloads.
+    // (batch_size, crc, offset, size) so readers can check and decode
+    // blueprints independently. Its section-table CRC covers only that
+    // sub-index; the per-graph CRCs cover the blueprint payloads.
     BinaryWriter meta;
     meta.writeString(model_name);
     meta.writeU64(model_seed);
@@ -473,28 +398,6 @@ Artifact::serialize() const
     return out.takeBytes();
 }
 
-std::vector<u8>
-Artifact::serializeFlat() const
-{
-    BinaryWriter w;
-    w.writeU32(kMagic);
-    w.writeU32(kLegacyVersion);
-    w.writeString(model_name);
-    w.writeU64(model_seed);
-    w.writeU64(free_gpu_memory);
-    w.writeVector(ops, writeAllocOp);
-    w.writeU64(organic_op_count);
-    w.writeU64(organic_alloc_count);
-    w.writeVector(graphs, [](BinaryWriter &w2, const GraphBlueprint &g) {
-        writeGraphPayload(w2, g);
-    });
-    w.writeVector(permanent, writePermanent);
-    w.writeVector(pointer_fixes, writePointerFix);
-    writeTags(w, tags);
-    writeStats(w, stats);
-    return w.takeBytes();
-}
-
 StatusOr<Artifact>
 Artifact::deserialize(std::vector<u8> bytes)
 {
@@ -519,11 +422,6 @@ Artifact::deserializeView(std::span<const u8> bytes,
         return internalError("artifact magic mismatch");
     }
     MEDUSA_ASSIGN_OR_RETURN(u32 version, r.readU32());
-    if (version == kLegacyVersion) {
-        MEDUSA_RETURN_IF_ERROR(readFlatBody(r, a));
-        a.serialized_size_hint = bytes.size();
-        return a;
-    }
     if (version != kVersion) {
         return internalError("artifact version mismatch");
     }
@@ -600,7 +498,7 @@ Artifact::deserializeView(std::span<const u8> bytes,
             return internalError("artifact missing graphs section");
         }
         // The table CRC covers the sub-index; per-graph CRCs cover the
-        // payloads (verified inside readGraphsSection, in parallel).
+        // payloads (verified inside readGraphsSection).
         const std::span<const u8> raw = bytes.subspan(e->offset, e->size);
         const u64 count = peekU64(raw);
         std::size_t index_bytes = raw.size();
@@ -645,17 +543,7 @@ Artifact::deserializeView(std::span<const u8> bytes,
         BinaryReader sr(payload);
         MEDUSA_RETURN_IF_ERROR(readStats(sr, a.stats));
     }
-    a.serialized_size_hint = bytes.size();
     return a;
-}
-
-u64
-Artifact::serializedByteSize() const
-{
-    if (serialized_size_hint != 0) {
-        return serialized_size_hint;
-    }
-    return serialize().size();
 }
 
 u64

@@ -34,7 +34,6 @@
 namespace medusa {
 class FaultInjector;
 class MetricsRegistry;
-class ThreadPool;
 class TraceRecorder;
 }
 
@@ -159,21 +158,12 @@ struct ArtifactReadOptions
      * Load the permanent-buffer contents and pointer-fix sections.
      * Cold starts with RestoreOptions::restore_contents off never touch
      * them, so skipping saves both the decode and the checksum pass
-     * over the (potentially large) content payload. Only available for
-     * the sectioned format; the flat legacy format is always read in
-     * full. Sets Artifact::contents_skipped when it takes effect.
+     * over the (potentially large) content payload. Sets
+     * Artifact::contents_skipped when it takes effect.
      */
     bool load_permanent_contents = true;
     /** Verify each loaded section's CRC32 before decoding it. */
     bool verify_crc = true;
-    /**
-     * Decode graph-blueprint sections with this many threads (<= 1:
-     * serial). Ignored when @p pool is set. The decoded artifact is
-     * bit-identical for every thread count.
-     */
-    u32 threads = 1;
-    /** Optional caller-owned pool to run the decode on. */
-    ThreadPool *pool = nullptr;
     /**
      * Deterministic fault injection for the deserialize and CRC paths
      * (FaultPoint::kArtifactDeserialize / kArtifactCrc). Null disables.
@@ -192,8 +182,6 @@ struct Artifact
     static constexpr u32 kMagic = 0x4d445341; // "MDSA"
     /** Sectioned format (header + per-section offset/size/CRC table). */
     static constexpr u32 kVersion = 5;
-    /** The flat tagged stream of earlier releases; still readable. */
-    static constexpr u32 kLegacyVersion = 4;
 
     std::string model_name;
     u64 model_seed = 0;
@@ -223,12 +211,6 @@ struct Artifact
     // ---- runtime-only fields (never serialized) -----------------------
 
     /**
-     * Byte size of the stream this artifact was parsed from, or 0 when
-     * it was built in memory. Lets the restore path charge the
-     * simulated artifact-read time without re-serializing.
-     */
-    u64 serialized_size_hint = 0;
-    /**
      * True when the permanent-contents / pointer-fix sections were
      * skipped at read time (ArtifactReadOptions); such an artifact must
      * only be restored with restore_contents off.
@@ -238,30 +220,17 @@ struct Artifact
     /** Serialize to the sectioned format (kVersion). */
     std::vector<u8> serialize() const;
 
-    /**
-     * Serialize to the flat legacy format (kLegacyVersion). Kept so
-     * compatibility with pre-sectioned artifacts stays testable.
-     */
-    std::vector<u8> serializeFlat() const;
-
     /** Parse from an owned buffer; validates magic and version. */
     static StatusOr<Artifact> deserialize(std::vector<u8> bytes);
 
     /**
      * Zero-copy parse: decodes out of @p bytes without copying the
-     * buffer. Understands both the sectioned and the flat legacy
-     * format; section CRCs, content skipping and parallel graph decode
-     * apply to the sectioned format only.
+     * buffer. Any version other than kVersion is rejected with a
+     * Status.
      */
     static StatusOr<Artifact>
     deserializeView(std::span<const u8> bytes,
                     const ArtifactReadOptions &options = {});
-
-    /**
-     * The artifact's on-disk size: the parse-time hint when present,
-     * else the size of a fresh serialization.
-     */
-    u64 serializedByteSize() const;
 
     /** Total graph nodes across batch sizes. */
     u64 totalNodes() const;

@@ -1,15 +1,15 @@
 /**
  * @file
- * A process-wide cache of deserialized materialization outputs.
+ * A process-wide cache of opened materialized images.
  *
  * Serverless platforms run many instances of the same <GPU type, model>
  * pair per node, and every Medusa cold start begins by loading that
- * pair's artifact or image (§3). The cache makes the load pay once per
- * node: entries are shared immutably (shared_ptr<const T>), a miss is
- * single-flight — concurrent requests for one key run the loader
- * exactly once while the rest block for the result — and capacity is
- * bounded with least-recently-used eviction (an evicted entry stays
- * alive for engines still holding it).
+ * pair's v6 image (§3). The cache makes the load pay once per node:
+ * entries are shared immutably (shared_ptr<const MaterializedImage>),
+ * a miss is single-flight — concurrent requests for one key run the
+ * loader exactly once while the rest block for the result — and
+ * capacity is bounded with least-recently-used eviction (an evicted
+ * entry stays alive for engines still holding it).
  *
  * A failed load is not cached as a value, but it is *recorded*: the
  * per-key failure keeps the full Status (not just a counter) and an
@@ -21,10 +21,8 @@
  * deadline passes, keyFailure() reports ok() again instead of serving
  * the stale Status to later callers.
  *
- * MaterializationCache<T> is the generic engine; ArtifactCache (v5
- * artifacts) and ImageCache (v6 materialized images) are its two
- * instantiations. Both publish under the `artifact_cache.*` metric
- * names (DESIGN.md §12) so dashboards survived the generalization.
+ * The cache publishes under the `artifact_cache.*` metric names
+ * (DESIGN.md §12).
  */
 
 #ifndef MEDUSA_MEDUSA_ARTIFACT_CACHE_H
@@ -43,27 +41,25 @@
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/trace.h"
-#include "medusa/artifact.h"
 #include "medusa/image.h"
 
 namespace medusa::core {
 
-/** Thread-safe, single-flight, LRU-bounded materialization store. */
-template <typename T>
-class MaterializationCache
+/** Thread-safe, single-flight, LRU-bounded image store. */
+class ImageCache
 {
   public:
-    /** Produces the value on a miss (runs outside the cache lock). */
-    using Loader = std::function<StatusOr<T>()>;
+    /** Produces the image on a miss (runs outside the cache lock). */
+    using Loader = std::function<StatusOr<MaterializedImage>()>;
 
     /**
      * @param capacity max resident entries (floored at 1).
      * @param initial_backoff_ms pause before retrying a failed key;
      *        doubles per consecutive failure up to @p max_backoff_ms.
      */
-    explicit MaterializationCache(std::size_t capacity = 8,
-                                  f64 initial_backoff_ms = 1.0,
-                                  f64 max_backoff_ms = 100.0)
+    explicit ImageCache(std::size_t capacity = 8,
+                        f64 initial_backoff_ms = 1.0,
+                        f64 max_backoff_ms = 100.0)
         : capacity_(std::max<std::size_t>(1, capacity)),
           initial_backoff_ms_(std::max(0.0, initial_backoff_ms)),
           max_backoff_ms_(std::max(initial_backoff_ms, max_backoff_ms))
@@ -121,7 +117,7 @@ class MaterializationCache
      *             already resident (waiting on an in-flight load counts
      *             as a hit).
      */
-    StatusOr<std::shared_ptr<const T>>
+    StatusOr<std::shared_ptr<const MaterializedImage>>
     getOrLoad(const std::string &key, const Loader &loader,
               bool *was_hit = nullptr)
     {
@@ -167,7 +163,8 @@ class MaterializationCache
         lock.unlock();
         Span load_span(trace, "cache.load", "cache");
         load_span.arg("key", key);
-        StatusOr<T> loaded = [&]() -> StatusOr<T> {
+        using Loaded = StatusOr<MaterializedImage>;
+        Loaded loaded = [&]() -> Loaded {
             if (fault != nullptr) {
                 const Status injected =
                     fault->check(FaultPoint::kCacheLoader, key);
@@ -200,9 +197,10 @@ class MaterializationCache
         }
         Slot &slot = slots_[key];
         slot.loading = false;
-        slot.value = std::make_shared<const T>(std::move(loaded).value());
+        slot.value = std::make_shared<const MaterializedImage>(
+            std::move(loaded).value());
         slot.last_used = ++tick_;
-        std::shared_ptr<const T> value = slot.value;
+        std::shared_ptr<const MaterializedImage> value = slot.value;
         failures_.erase(key);
         evictOverCapacity();
         cv_.notify_all();
@@ -252,7 +250,7 @@ class MaterializationCache
     {
         /** True while the loading caller is off running the loader. */
         bool loading = true;
-        std::shared_ptr<const T> value;
+        std::shared_ptr<const MaterializedImage> value;
         u64 last_used = 0;
     };
 
@@ -310,16 +308,6 @@ class MaterializationCache
     /** Guarded by mu_ (Status is not atomic, unlike the counters). */
     Status last_failure_ = Status::ok();
 };
-
-/** The v5-artifact instantiation (the original ArtifactCache API). */
-using ArtifactCache = MaterializationCache<Artifact>;
-/** The v6-image instantiation used by the patch restore path. */
-using ImageCache = MaterializationCache<MaterializedImage>;
-
-// The template is fully defined above; artifact_cache.cc pins explicit
-// instantiations so both caches compile once.
-extern template class MaterializationCache<Artifact>;
-extern template class MaterializationCache<MaterializedImage>;
 
 } // namespace medusa::core
 

@@ -1,15 +1,15 @@
 /**
  * @file
  * The v6 materialized image: a memory-mappable, relocation-patchable
- * flattening of the v5 artifact (ROADMAP item 4; DESIGN.md §13).
+ * flattening of the v5 artifact (DESIGN.md §13), and the one format
+ * the online phase restores from.
  *
  * The v5 artifact stores graph *blueprints* — per-node kernel names and
- * per-param indirect (alloc_index, offset) pairs — which the online
- * phase turns back into executable graphs by rebuilding a CudaGraph
- * object per blueprint and re-resolving every node's kernel. That
- * rebuild dominates restore wall time. The v6 image moves that work
- * offline, the way a dynamic linker moves symbol binding into a
- * precomputed relocation table:
+ * per-param indirect (alloc_index, offset) pairs. Turning those back
+ * into executable graphs online would mean rebuilding a CudaGraph
+ * object per blueprint and re-resolving every node's kernel. The v6
+ * image moves that work offline, the way a dynamic linker moves symbol
+ * binding into a precomputed relocation table:
  *
  *  - graph topology, execution order, timings and param widths are
  *    stored as structure-of-arrays POD sections that the reader *views*
@@ -25,9 +25,9 @@
  * patched arrays (GpuProcess::instantiatePatched) — no CudaGraph
  * reconstruction, no per-node name lookups. The kernel name table is
  * emitted in first-occurrence order (graph order, then node order) so
- * resolving it loads modules in exactly the order the rebuild path
- * would, keeping ASLR draws — and therefore restore fingerprints —
- * bit-identical across the two paths.
+ * resolving it loads modules in the order the capture first launched
+ * them, keeping ASLR draws — and therefore restore fingerprints —
+ * deterministic.
  *
  * The image also embeds the tokenizer's learned merge list so the
  * online phase can rebuild the tokenizer without re-training over the
@@ -238,7 +238,7 @@ struct ImageBuildOptions
 };
 
 /**
- * Flatten a v5/v4 artifact into the serialized v6 image — the offline
+ * Flatten a v5 artifact into the serialized v6 image — the offline
  * emission step, doubling as the v5→v6 migration path. Precomputes
  * each graph's topological order, builds the first-occurrence kernel
  * name table, prefills constant params into the patch template and

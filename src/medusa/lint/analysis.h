@@ -10,8 +10,10 @@
 #ifndef MEDUSA_MEDUSA_LINT_ANALYSIS_H
 #define MEDUSA_MEDUSA_LINT_ANALYSIS_H
 
+#include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "medusa/artifact.h"
@@ -140,6 +142,48 @@ void checkGraphRaces(const RaceGraph &graph,
  * captured one).
  */
 void checkCaptureWindowAllocs(const Recorder &trace, LintReport &report);
+
+/**
+ * MDL101-MDL105: allocation-sequence well-formedness of @p ops and its
+ * organic boundary. @p owner names the container in locations and
+ * hints ("artifact" or "image").
+ */
+void checkAllocSequence(std::span<const AllocOp> ops, u64 organic_op_count,
+                        u64 organic_alloc_count, u64 device_memory_bytes,
+                        const std::string &owner, LintReport &report);
+
+/**
+ * What the cross-rank rules compare of one rank's materialization,
+ * extracted from either an artifact or an image.
+ */
+struct RankShape
+{
+    struct Graph
+    {
+        u64 node_count = 0;
+        std::vector<std::pair<u32, u32>> edges;
+        /** Collective-module kernel names, in node order. */
+        std::vector<std::string> collectives;
+    };
+
+    std::string model_name;
+    u64 model_seed = 0;
+    /** Captured graphs by batch size. */
+    std::map<u32, Graph> graphs;
+};
+
+/**
+ * Fold @p rank's per-rank diagnostics into @p report with every
+ * location prefixed "rank[r].".
+ */
+void mergeRankReport(u64 r, LintReport rank, LintReport &report);
+
+/**
+ * MDL601-MDL604: cross-rank identity, batch-size set, topology and
+ * collective ordering, rank 0 as the reference.
+ */
+void checkCrossRank(const std::vector<RankShape> &ranks,
+                    LintReport &report);
 
 } // namespace detail
 } // namespace lint

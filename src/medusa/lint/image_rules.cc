@@ -19,9 +19,10 @@
  *      silent corruption, surfacing at the image layer (MDL705),
  *  (d) the kernel name table is in first-occurrence order, which is
  *      what keeps module-load order — and therefore ASLR draws and
- *      restore fingerprints — identical to the rebuild path (MDL706).
+ *      restore fingerprints — deterministic (MDL706).
  *
- * The MDL8xx determinism rules run over the image's graphs as well,
+ * The MDL1xx allocation-sequence rules run over the image's op
+ * sequence, and the MDL8xx determinism rules over its graphs as well,
  * deriving per-node access sets from the data relocations plus the
  * kernel registry's declared parameter access sets.
  */
@@ -64,8 +65,12 @@ class ImageLinter
     LintReport
     run()
     {
-        lives_ = detail::reconstructLifetimes(
-            std::span<const AllocOp>(img_.ops.data(), img_.ops.size()));
+        const std::span<const AllocOp> ops(img_.ops.data(), img_.ops.size());
+        lives_ = detail::reconstructLifetimes(ops);
+        detail::checkAllocSequence(ops, img_.organic_op_count,
+                                   img_.organic_alloc_count,
+                                   opt_.device_memory_bytes, "image",
+                                   report_);
         mapSlots();
         checkKernelRelocs();
         resolveNodeKernels();
@@ -716,6 +721,49 @@ LintReport
 lintImage(const MaterializedImage &image, const LintOptions &options)
 {
     return ImageLinter(image, options).run();
+}
+
+LintReport
+lintTpImages(const std::vector<MaterializedImage> &rank_images,
+             const LintOptions &options)
+{
+    // Per-rank image rules, rank-prefixed; the per-launch trace (if
+    // any) belongs to one rank only, so it is not forwarded.
+    LintReport report;
+    LintOptions rank_options = options;
+    rank_options.trace = nullptr;
+    std::vector<detail::RankShape> shapes;
+    for (u64 r = 0; r < rank_images.size(); ++r) {
+        const MaterializedImage &img = rank_images[r];
+        detail::mergeRankReport(r, lintImage(img, rank_options), report);
+        // A node's kernel is the table entry its fn slot relocates to.
+        std::map<u64, u64> fn_kernel;
+        for (const MaterializedImage::KernelReloc &kr : img.kernel_relocs) {
+            fn_kernel.emplace(kr.slot, kr.kernel_index);
+        }
+        detail::RankShape &shape = shapes.emplace_back();
+        shape.model_name = img.model_name;
+        shape.model_seed = img.model_seed;
+        for (const MaterializedImage::GraphView &g : img.graphs) {
+            detail::RankShape::Graph &sg = shape.graphs[g.batch_size];
+            sg.node_count = g.node_count;
+            for (const simcuda::GraphEdge &e : g.edges) {
+                sg.edges.emplace_back(e.src, e.dst);
+            }
+            for (u64 ni = 0; ni < g.node_count; ++ni) {
+                auto it = fn_kernel.find(g.fn_slot_begin + ni);
+                if (it != fn_kernel.end() &&
+                    it->second < img.kernel_table.size() &&
+                    img.kernel_table[it->second].module ==
+                        options.collective_module) {
+                    sg.collectives.push_back(
+                        img.kernel_table[it->second].name);
+                }
+            }
+        }
+    }
+    detail::checkCrossRank(shapes, report);
+    return report;
 }
 
 LintReport

@@ -176,13 +176,20 @@ LintReport lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
                            const LintOptions &options = {});
 
 /**
- * Run the image rule families (MDL7xx structural + coverage proof,
- * MDL8xx determinism) over a decoded v6 image. When options.trace is
- * set, MDL803 additionally checks the raw capture trace for
- * allocation-order nondeterminism.
+ * Run the image rule families (MDL1xx allocation sequence, MDL7xx
+ * structural + coverage proof, MDL8xx determinism) over a decoded v6
+ * image. When options.trace is set, MDL803 additionally checks the raw
+ * capture trace for allocation-order nondeterminism.
  */
 LintReport lintImage(const MaterializedImage &image,
                      const LintOptions &options = {});
+
+/**
+ * Run the image rules on every rank's image (locations prefixed with
+ * "rank[i].") PLUS the cross-rank tensor-parallel rules (MDL6xx).
+ */
+LintReport lintTpImages(const std::vector<MaterializedImage> &rank_images,
+                        const LintOptions &options = {});
 
 /**
  * Decode serialized v6 image bytes (CRC-checked, relocation bounds

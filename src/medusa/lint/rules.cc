@@ -57,7 +57,10 @@ class ArtifactLinter
     {
         lives_ = detail::reconstructLifetimes(
             std::span<const AllocOp>(a_.ops.data(), a_.ops.size()));
-        checkAllocSequence();
+        detail::checkAllocSequence(
+            std::span<const AllocOp>(a_.ops.data(), a_.ops.size()),
+            a_.organic_op_count, a_.organic_alloc_count,
+            opt_.device_memory_bytes, "artifact", report_);
         checkIndirectCoverage();
         checkGraphTables();
         checkPermanentContents();
@@ -74,104 +77,6 @@ class ArtifactLinter
         report_.diagnostics.push_back(
             {rule, severity, std::move(location), std::move(message),
              std::move(fix_hint)});
-    }
-
-    // ---- MDL1xx: allocation-sequence well-formedness -----------------
-
-    void
-    checkAllocSequence()
-    {
-        std::vector<bool> freed;
-        u64 alloc_count = 0;
-        for (u64 pos = 0; pos < a_.ops.size(); ++pos) {
-            const AllocOp &op = a_.ops[pos];
-            if (op.kind == AllocOp::kAlloc) {
-                ++alloc_count;
-                freed.push_back(false);
-                if (op.logical_size == 0) {
-                    emit("MDL104", Severity::kError, opLoc(pos),
-                         "allocation of zero logical bytes (the "
-                         "allocator rejects it; replay would abort)",
-                         "re-run the offline analysis; the recorded "
-                         "sequence is corrupt");
-                } else if (op.logical_size > opt_.device_memory_bytes) {
-                    emit("MDL104", Severity::kError, opLoc(pos),
-                         "logical size " +
-                             std::to_string(op.logical_size) +
-                             " exceeds the device capacity " +
-                             std::to_string(opt_.device_memory_bytes),
-                         "check for a size-field overflow or a "
-                         "wrong-device artifact");
-                }
-                if (op.backing_size > op.logical_size) {
-                    emit("MDL104", Severity::kError, opLoc(pos),
-                         "backing size " +
-                             std::to_string(op.backing_size) +
-                             " exceeds the logical size " +
-                             std::to_string(op.logical_size),
-                         "backing bytes are a functional subset of the "
-                         "accounted footprint; the op is corrupt");
-                }
-                continue;
-            }
-            // kFree.
-            if (op.freed_alloc_index >= alloc_count) {
-                emit("MDL102", Severity::kError, opLoc(pos),
-                     "free of allocation index " +
-                         std::to_string(op.freed_alloc_index) +
-                         " which does not exist yet (only " +
-                         std::to_string(alloc_count) +
-                         " allocations precede this op)",
-                     "the replay would have no address for this index; "
-                     "re-materialize the artifact");
-                continue;
-            }
-            if (freed[op.freed_alloc_index]) {
-                emit("MDL101", Severity::kError, opLoc(pos),
-                     "double free of allocation index " +
-                         std::to_string(op.freed_alloc_index),
-                     "the replayed allocator would reject the second "
-                     "free; re-materialize the artifact");
-                continue;
-            }
-            freed[op.freed_alloc_index] = true;
-            if (pos >= a_.organic_op_count &&
-                op.freed_alloc_index < a_.organic_alloc_count) {
-                emit("MDL103", Severity::kWarning, opLoc(pos),
-                     "replayed free of organic allocation index " +
-                         std::to_string(op.freed_alloc_index) +
-                         " (created by structure init, which still "
-                         "references it)",
-                     "verify the recorder's organic boundary; the "
-                     "replay frees a buffer the runtime owns");
-            }
-        }
-        if (a_.organic_op_count > a_.ops.size()) {
-            emit("MDL105", Severity::kError, "artifact",
-                 "organic_op_count " +
-                     std::to_string(a_.organic_op_count) +
-                     " exceeds the op sequence length " +
-                     std::to_string(a_.ops.size()),
-                 "the replay boundary is out of range; "
-                 "re-materialize the artifact");
-        } else {
-            u64 organic_allocs = 0;
-            for (u64 pos = 0; pos < a_.organic_op_count; ++pos) {
-                if (a_.ops[pos].kind == AllocOp::kAlloc) {
-                    ++organic_allocs;
-                }
-            }
-            if (organic_allocs != a_.organic_alloc_count) {
-                emit("MDL105", Severity::kError, "artifact",
-                     "organic_alloc_count " +
-                         std::to_string(a_.organic_alloc_count) +
-                         " disagrees with the " +
-                         std::to_string(organic_allocs) +
-                         " alloc ops before the replay boundary",
-                     "the online interceptor would mis-verify the "
-                     "organic prefix; re-materialize the artifact");
-            }
-        }
     }
 
     // ---- MDL2xx: indirect-index coverage ------------------------------
@@ -608,19 +513,6 @@ class ArtifactLinter
     LintReport report_;
 };
 
-/** The ordered collective-kernel names of one blueprint. */
-std::vector<std::string>
-collectiveOrder(const GraphBlueprint &g, const std::string &module)
-{
-    std::vector<std::string> order;
-    for (const NodeBlueprint &n : g.nodes) {
-        if (n.module_name == module) {
-            order.push_back(n.kernel_name);
-        }
-    }
-    return order;
-}
-
 } // namespace
 
 LintReport
@@ -633,7 +525,151 @@ LintReport
 lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
                 const LintOptions &options)
 {
+    // Per-rank single-artifact rules, rank-prefixed. The per-launch
+    // trace (if any) belongs to one rank only, so it is not forwarded.
     LintReport report;
+    LintOptions rank_options = options;
+    rank_options.trace = nullptr;
+    std::vector<detail::RankShape> shapes;
+    for (u64 r = 0; r < rank_artifacts.size(); ++r) {
+        const Artifact &a = rank_artifacts[r];
+        detail::mergeRankReport(r, lintArtifact(a, rank_options), report);
+        detail::RankShape &shape = shapes.emplace_back();
+        shape.model_name = a.model_name;
+        shape.model_seed = a.model_seed;
+        for (const GraphBlueprint &g : a.graphs) {
+            detail::RankShape::Graph &sg = shape.graphs[g.batch_size];
+            sg.node_count = g.nodes.size();
+            sg.edges = g.edges;
+            for (const NodeBlueprint &n : g.nodes) {
+                if (n.module_name == options.collective_module) {
+                    sg.collectives.push_back(n.kernel_name);
+                }
+            }
+        }
+    }
+    detail::checkCrossRank(shapes, report);
+    return report;
+}
+
+namespace detail {
+
+void
+checkAllocSequence(std::span<const AllocOp> ops, u64 organic_op_count,
+                   u64 organic_alloc_count, u64 device_memory_bytes,
+                   const std::string &owner, LintReport &report)
+{
+    auto emit = [&report](const char *rule, Severity severity,
+                          std::string location, std::string message,
+                          std::string fix_hint) {
+        report.diagnostics.push_back({rule, severity, std::move(location),
+                                      std::move(message),
+                                      std::move(fix_hint)});
+    };
+    std::vector<bool> freed;
+    u64 alloc_count = 0;
+    for (u64 pos = 0; pos < ops.size(); ++pos) {
+        const AllocOp &op = ops[pos];
+        if (op.kind == AllocOp::kAlloc) {
+            ++alloc_count;
+            freed.push_back(false);
+            if (op.logical_size == 0) {
+                emit("MDL104", Severity::kError, opLoc(pos),
+                     "allocation of zero logical bytes (the "
+                     "allocator rejects it; replay would abort)",
+                     "re-run the offline analysis; the recorded "
+                     "sequence is corrupt");
+            } else if (op.logical_size > device_memory_bytes) {
+                emit("MDL104", Severity::kError, opLoc(pos),
+                     "logical size " +
+                         std::to_string(op.logical_size) +
+                         " exceeds the device capacity " +
+                         std::to_string(device_memory_bytes),
+                     "check for a size-field overflow or a "
+                     "wrong-device artifact");
+            }
+            if (op.backing_size > op.logical_size) {
+                emit("MDL104", Severity::kError, opLoc(pos),
+                     "backing size " +
+                         std::to_string(op.backing_size) +
+                         " exceeds the logical size " +
+                         std::to_string(op.logical_size),
+                     "backing bytes are a functional subset of the "
+                     "accounted footprint; the op is corrupt");
+            }
+            continue;
+        }
+        // kFree.
+        if (op.freed_alloc_index >= alloc_count) {
+            emit("MDL102", Severity::kError, opLoc(pos),
+                 "free of allocation index " +
+                     std::to_string(op.freed_alloc_index) +
+                     " which does not exist yet (only " +
+                     std::to_string(alloc_count) +
+                     " allocations precede this op)",
+                 "the replay would have no address for this index; "
+                 "re-materialize the " + owner);
+            continue;
+        }
+        if (freed[op.freed_alloc_index]) {
+            emit("MDL101", Severity::kError, opLoc(pos),
+                 "double free of allocation index " +
+                     std::to_string(op.freed_alloc_index),
+                 "the replayed allocator would reject the second "
+                 "free; re-materialize the " + owner);
+            continue;
+        }
+        freed[op.freed_alloc_index] = true;
+        if (pos >= organic_op_count &&
+            op.freed_alloc_index < organic_alloc_count) {
+            emit("MDL103", Severity::kWarning, opLoc(pos),
+                 "replayed free of organic allocation index " +
+                     std::to_string(op.freed_alloc_index) +
+                     " (created by structure init, which still "
+                     "references it)",
+                 "verify the recorder's organic boundary; the "
+                 "replay frees a buffer the runtime owns");
+        }
+    }
+    if (organic_op_count > ops.size()) {
+        emit("MDL105", Severity::kError, owner,
+             "organic_op_count " + std::to_string(organic_op_count) +
+                 " exceeds the op sequence length " +
+                 std::to_string(ops.size()),
+             "the replay boundary is out of range; "
+             "re-materialize the " + owner);
+    } else {
+        u64 organic_allocs = 0;
+        for (u64 pos = 0; pos < organic_op_count; ++pos) {
+            if (ops[pos].kind == AllocOp::kAlloc) {
+                ++organic_allocs;
+            }
+        }
+        if (organic_allocs != organic_alloc_count) {
+            emit("MDL105", Severity::kError, owner,
+                 "organic_alloc_count " +
+                     std::to_string(organic_alloc_count) +
+                     " disagrees with the " +
+                     std::to_string(organic_allocs) +
+                     " alloc ops before the replay boundary",
+                 "the online interceptor would mis-verify the "
+                 "organic prefix; re-materialize the " + owner);
+        }
+    }
+}
+
+void
+mergeRankReport(u64 r, LintReport rank, LintReport &report)
+{
+    for (Diagnostic &d : rank.diagnostics) {
+        d.location = "rank[" + std::to_string(r) + "]." + d.location;
+    }
+    report.merge(std::move(rank));
+}
+
+void
+checkCrossRank(const std::vector<RankShape> &ranks, LintReport &report)
+{
     auto emit = [&report](const char *rule, std::string location,
                           std::string message, std::string hint) {
         report.diagnostics.push_back({rule, Severity::kError,
@@ -641,30 +677,12 @@ lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
                                       std::move(message),
                                       std::move(hint)});
     };
-
-    // Per-rank single-artifact rules, rank-prefixed. The per-launch
-    // trace (if any) belongs to one rank only, so it is not forwarded.
-    LintOptions rank_options = options;
-    rank_options.trace = nullptr;
-    for (u64 r = 0; r < rank_artifacts.size(); ++r) {
-        LintReport rank = lintArtifact(rank_artifacts[r], rank_options);
-        for (Diagnostic &d : rank.diagnostics) {
-            d.location = "rank[" + std::to_string(r) + "]." + d.location;
-        }
-        report.merge(std::move(rank));
+    if (ranks.size() < 2) {
+        return;
     }
-    if (rank_artifacts.size() < 2) {
-        return report;
-    }
-
-    // ---- MDL6xx: cross-rank consistency, rank 0 as reference ---------
-    const Artifact &ref = rank_artifacts[0];
-    std::map<u32, const GraphBlueprint *> ref_graphs;
-    for (const GraphBlueprint &g : ref.graphs) {
-        ref_graphs[g.batch_size] = &g;
-    }
-    for (u64 r = 1; r < rank_artifacts.size(); ++r) {
-        const Artifact &a = rank_artifacts[r];
+    const RankShape &ref = ranks[0];
+    for (u64 r = 1; r < ranks.size(); ++r) {
+        const RankShape &a = ranks[r];
         const std::string rank_loc = "rank[" + std::to_string(r) + "]";
         if (a.model_name != ref.model_name ||
             a.model_seed != ref.model_seed) {
@@ -677,42 +695,35 @@ lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
                  "capturing-stage run");
             continue;
         }
-        std::map<u32, const GraphBlueprint *> graphs;
-        for (const GraphBlueprint &g : a.graphs) {
-            graphs[g.batch_size] = &g;
-        }
-        if (graphs.size() != ref_graphs.size() ||
-            !std::equal(graphs.begin(), graphs.end(),
-                        ref_graphs.begin(),
+        if (a.graphs.size() != ref.graphs.size() ||
+            !std::equal(a.graphs.begin(), a.graphs.end(),
+                        ref.graphs.begin(),
                         [](const auto &x, const auto &y) {
                             return x.first == y.first;
                         })) {
             emit("MDL602", rank_loc,
                  "captured batch-size set diverges from rank 0 (" +
-                     std::to_string(graphs.size()) + " vs " +
-                     std::to_string(ref_graphs.size()) + " sizes)",
+                     std::to_string(a.graphs.size()) + " vs " +
+                     std::to_string(ref.graphs.size()) + " sizes)",
                  "a decode on a size one rank lacks would deadlock "
                  "the collective; re-capture all ranks together");
             continue;
         }
-        for (const auto &[bs, g] : graphs) {
-            const GraphBlueprint &rg = *ref_graphs.at(bs);
+        for (const auto &[bs, g] : a.graphs) {
+            const RankShape::Graph &rg = ref.graphs.at(bs);
             const std::string gloc = rank_loc + "." + graphLoc(bs);
-            if (g->nodes.size() != rg.nodes.size() ||
-                g->edges != rg.edges) {
+            if (g.node_count != rg.node_count || g.edges != rg.edges) {
                 emit("MDL603", gloc,
                      "graph topology diverges from rank 0 (" +
-                         std::to_string(g->nodes.size()) + " nodes, " +
-                         std::to_string(g->edges.size()) +
-                         " edges vs " +
-                         std::to_string(rg.nodes.size()) + "/" +
-                         std::to_string(rg.edges.size()) + ")",
+                         std::to_string(g.node_count) + " nodes, " +
+                         std::to_string(g.edges.size()) +
+                         " edges vs " + std::to_string(rg.node_count) +
+                         "/" + std::to_string(rg.edges.size()) + ")",
                      "lockstep replay requires rank-identical "
                      "structure; re-capture all ranks together");
                 continue;
             }
-            if (collectiveOrder(*g, options.collective_module) !=
-                collectiveOrder(rg, options.collective_module)) {
+            if (g.collectives != rg.collectives) {
                 emit("MDL604", gloc,
                      "collective-kernel ordering diverges from rank "
                      "0; lockstep replay would mismatch all-reduce "
@@ -722,7 +733,8 @@ lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
             }
         }
     }
-    return report;
 }
+
+} // namespace detail
 
 } // namespace medusa::core::lint

@@ -105,95 +105,100 @@ materialize(const OfflineOptions &opts)
     result.analysis_stage_sec = clock.nowSec() - result.capture_stage_sec;
     result.artifact = std::move(analysis.artifact);
 
-    // ---- validation dry-run + repair loop -------------------------------
-    if (opts.pipeline.validate) {
-        MedusaEngine::Options vopts;
-        vopts.model = opts.model;
-        vopts.aslr_seed = opts.aslr_seed + 7777;
-        vopts.cost = opts.cost;
-        vopts.restore.pipeline.validate = true;
-        vopts.restore.pipeline.validate_batch_sizes =
-            opts.pipeline.validate_batch_sizes;
+    // ---- lint -> emit -> validate, with the repair loop ----------------
+    // Each round proves the (possibly repaired) artifact replay-safe,
+    // flattens it into the v6 image and dry-runs the online phase on
+    // exactly those bytes. A failed dry-run demotes the next risky
+    // pointer classification to a constant and goes round again.
+    MedusaEngine::Options vopts;
+    vopts.model = opts.model;
+    vopts.aslr_seed = opts.aslr_seed + 7777;
+    vopts.cost = opts.cost;
+    vopts.restore.pipeline.validate = true;
+    vopts.restore.pipeline.validate_batch_sizes =
+        opts.pipeline.validate_batch_sizes;
+    std::size_t next_repair = 0;
+    for (u32 attempt = 0;; ++attempt) {
+        // Static lint gate: executes nothing, proves replay-safety
+        // properties of the artifact directly, using the raw trace for
+        // exact per-launch liveness.
+        if (opts.pipeline.lint) {
+            lint::LintOptions lopts;
+            lopts.trace = &recorder;
+            const lint::LintReport report =
+                lint::lintArtifact(result.artifact, lopts);
+            if (!report.replaySafe()) {
+                return validationFailure("artifact failed lint: " +
+                                         report.firstError());
+            }
+        }
 
-        std::size_t next_repair = 0;
-        for (u32 attempt = 0;; ++attempt) {
-            auto engine = MedusaEngine::coldStart(vopts, result.artifact);
-            if (engine.isOk()) {
-                result.validation_sec +=
-                    (*engine)->runtime().clock().nowSec();
+        // v6 image emission, embedding the merges the capture stage's
+        // tokenizer learned — the online phase rebuilds the tokenizer
+        // from them instead of re-training.
+        {
+            Span s(&rec, "offline.emit_image", "offline");
+            // With pipeline.lint on, emission re-verifies its own
+            // output: the freshly emitted bytes are decoded and run
+            // through the MDL7xx/MDL8xx image rules (with the raw trace
+            // for MDL803) before the image can be cached or shipped.
+            ImageBuildOptions image_options;
+            image_options.lint = opts.pipeline.lint;
+            image_options.trace = &recorder;
+            MEDUSA_ASSIGN_OR_RETURN(
+                result.image_bytes,
+                buildImageBytes(result.artifact, rt.tokenizer().merges(),
+                                image_options));
+            s.arg("bytes", std::to_string(result.image_bytes.size()));
+        }
+        if (!opts.pipeline.validate) {
+            break;
+        }
+
+        // Validation dry-run on the emitted image, in a fresh process.
+        MEDUSA_ASSIGN_OR_RETURN(
+            const MaterializedImage image,
+            MaterializedImage::openView(
+                std::span<const u8>(result.image_bytes)));
+        auto engine = MedusaEngine::coldStartFromImage(vopts, image);
+        if (engine.isOk()) {
+            result.validation_sec = (*engine)->runtime().clock().nowSec();
+            // The dry-run executes on a fresh process with its own
+            // clock; charge it as a pre-timed span at the
+            // materializer's clock.
+            rec.complete("offline.validation", "offline", 0, clock.now(),
+                         units::secToNs(result.validation_sec));
+            break;
+        }
+        if (attempt >= opts.max_repair_attempts ||
+            next_repair >= analysis.risky_params.size()) {
+            return Status(engine.status().code(),
+                          "offline validation failed beyond repair: " +
+                              engine.status().message());
+        }
+        // Demote the next risky pointer classification to a constant,
+        // restoring the original captured bytes.
+        const ParamRef ref = analysis.risky_params[next_repair++];
+        const CudaGraph *graph = nullptr;
+        for (const auto &[bs, g] : graphs) {
+            if (bs == ref.batch_size) {
+                graph = &g;
                 break;
             }
-            if (attempt >= opts.max_repair_attempts ||
-                next_repair >= analysis.risky_params.size()) {
-                return Status(engine.status().code(),
-                              "offline validation failed beyond repair: " +
-                                  engine.status().message());
-            }
-            // Demote the next risky pointer classification to a
-            // constant, restoring the original captured bytes.
-            const ParamRef ref = analysis.risky_params[next_repair++];
-            const CudaGraph *graph = nullptr;
-            for (const auto &[bs, g] : graphs) {
-                if (bs == ref.batch_size) {
-                    graph = &g;
-                    break;
-                }
-            }
-            MEDUSA_CHECK(graph != nullptr, "risky param in unknown graph");
-            GraphBlueprint *bp = nullptr;
-            for (auto &g : result.artifact.graphs) {
-                if (g.batch_size == ref.batch_size) {
-                    bp = &g;
-                    break;
-                }
-            }
-            MEDUSA_CHECK(bp != nullptr, "blueprint missing for repair");
-            ParamSpec &spec = bp->nodes.at(ref.node).params.at(ref.param);
-            spec.kind = ParamSpec::kConstant;
-            spec.constant_bytes =
-                graph->node(ref.node).params.at(ref.param);
-            ++result.artifact.stats.validation_repairs;
         }
-        // The dry-run executes on a fresh process with its own clock;
-        // charge it as a pre-timed span at the materializer's clock.
-        rec.complete("offline.validation", "offline", 0, clock.now(),
-                     units::secToNs(result.validation_sec));
-    }
-
-    // ---- static lint gate -----------------------------------------------
-    // Unlike the dry-run above this executes nothing: it proves
-    // replay-safety properties of the (possibly repaired) artifact
-    // directly, using the raw trace for exact per-launch liveness.
-    if (opts.pipeline.lint) {
-        lint::LintOptions lopts;
-        lopts.trace = &recorder;
-        const lint::LintReport report =
-            lint::lintArtifact(result.artifact, lopts);
-        if (!report.replaySafe()) {
-            return validationFailure("artifact failed lint: " +
-                                     report.firstError());
+        MEDUSA_CHECK(graph != nullptr, "risky param in unknown graph");
+        GraphBlueprint *bp = nullptr;
+        for (auto &g : result.artifact.graphs) {
+            if (g.batch_size == ref.batch_size) {
+                bp = &g;
+                break;
+            }
         }
-    }
-
-    // ---- v6 image emission ----------------------------------------------
-    // Flatten the (repaired, linted) artifact into the
-    // relocation-patchable image, embedding the merges the capture
-    // stage's tokenizer learned — the online patch path rebuilds the
-    // tokenizer from them instead of re-training.
-    {
-        Span s(&rec, "offline.emit_image", "offline");
-        // With pipeline.lint on, emission re-verifies its own output:
-        // the freshly emitted bytes are decoded and run through the
-        // MDL7xx/MDL8xx image rules (with the raw trace for MDL803)
-        // before the image can be cached or shipped.
-        ImageBuildOptions image_options;
-        image_options.lint = opts.pipeline.lint;
-        image_options.trace = &recorder;
-        MEDUSA_ASSIGN_OR_RETURN(
-            result.image_bytes,
-            buildImageBytes(result.artifact, rt.tokenizer().merges(),
-                            image_options));
-        s.arg("bytes", std::to_string(result.image_bytes.size()));
+        MEDUSA_CHECK(bp != nullptr, "blueprint missing for repair");
+        ParamSpec &spec = bp->nodes.at(ref.node).params.at(ref.param);
+        spec.kind = ParamSpec::kConstant;
+        spec.constant_bytes = graph->node(ref.node).params.at(ref.param);
+        ++result.artifact.stats.validation_repairs;
     }
 
     result.spans = rec.events();

@@ -1,12 +1,13 @@
 /**
  * @file
  * The offline phase driver (paper §3 left half): capturing stage +
- * analysis stage, followed by a validation dry-run of the online phase
- * in a fresh simulated process (the paper's §4 output comparison), with
- * an iterative repair loop that demotes false-positive pointer
- * classifications to constants.
+ * analysis stage, then lint, v6 image emission and a validation
+ * dry-run of the online phase on the emitted image in a fresh
+ * simulated process (the paper's §4 output comparison), with an
+ * iterative repair loop that demotes false-positive pointer
+ * classifications to constants and re-emits.
  *
- * Run once per <GPU type, model>; the output Artifact is what every
+ * Run once per <GPU type, model>; the output image is what every
  * online cold start restores from.
  */
 
@@ -30,7 +31,7 @@ struct OfflineOptions
     /**
      * Cross-cutting pipeline knobs (shared shape with RestoreOptions
      * and ClusterOptions). `pipeline.validate` runs the online dry-run
-     * validation (and repair) after analysis — on by default here;
+     * validation (and repair) on the emitted image — on by default here;
      * `pipeline.lint` runs medusa-lint over the final artifact with
      * the raw recorder trace, so indirect-index liveness is checked at
      * each launch's exact trace position, and fails materialization on

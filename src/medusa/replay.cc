@@ -1,24 +1,9 @@
 #include "medusa/replay.h"
 
-#include <atomic>
-#include <cstring>
-
 namespace medusa::core {
 
 using llm::ModelRuntime;
 using simcuda::CudaGraph;
-using simcuda::RawParams;
-
-ReplayTable::ReplayTable(const Artifact *artifact)
-    : organic_alloc_count_(artifact->organic_alloc_count)
-{
-    alloc_ops_.reserve(artifact->ops.size());
-    for (const AllocOp &op : artifact->ops) {
-        if (op.kind == AllocOp::kAlloc) {
-            alloc_ops_.push_back(&op);
-        }
-    }
-}
 
 ReplayTable::ReplayTable(std::span<const AllocOp> ops,
                          u64 organic_alloc_count)
@@ -74,16 +59,6 @@ ReplayTable::organicStatus() const
 }
 
 Status
-replayAllocSequence(const Artifact &artifact, ModelRuntime &rt,
-                    const ReplayTable &table, RestoreReport &report,
-                    FaultInjector *fault)
-{
-    return replayAllocSequence(std::span<const AllocOp>(artifact.ops),
-                               artifact.organic_op_count, rt, table,
-                               report, fault);
-}
-
-Status
 replayAllocSequence(std::span<const AllocOp> ops, u64 organic_op_count,
                     ModelRuntime &rt, const ReplayTable &table,
                     RestoreReport &report, FaultInjector *fault)
@@ -112,15 +87,6 @@ replayAllocSequence(std::span<const AllocOp> ops, u64 organic_op_count,
         }
     }
     return Status::ok();
-}
-
-Status
-rebindEngineBuffers(const Artifact &artifact,
-                    const llm::ModelConfig &m, const ReplayTable &table,
-                    ModelRuntime &rt)
-{
-    return rebindEngineBuffers(artifact.tags, artifact.free_gpu_memory,
-                               m, table, rt);
 }
 
 Status
@@ -171,36 +137,6 @@ rebindEngineBuffers(const std::map<std::string, u64> &tags,
     return rt.adoptBuffers(bufs, std::move(kv));
 }
 
-Status
-restoreContents(const Artifact &artifact, ModelRuntime &rt,
-                const ReplayTable &table, RestoreReport &report)
-{
-    for (const PermanentBuffer &pb : artifact.permanent) {
-        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr addr,
-                                table.addrOf(pb.alloc_index));
-        if (!pb.contents.empty()) {
-            MEDUSA_RETURN_IF_ERROR(rt.process().memcpyH2D(
-                addr, pb.contents.data(), pb.contents.size(),
-                pb.contents.size()));
-        }
-        report.restored_content_bytes += pb.contents.size();
-    }
-    // §8 extension: rewrite indirect pointer words inside restored
-    // buffers to the replayed addresses of their targets.
-    for (const PointerWordFix &fix : artifact.pointer_fixes) {
-        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr buffer,
-                                table.addrOf(fix.buffer_alloc_index));
-        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr target,
-                                table.addrOf(fix.target_alloc_index));
-        const u64 word = target + fix.target_offset;
-        MEDUSA_RETURN_IF_ERROR(rt.process().memcpyH2D(
-            buffer + fix.byte_offset, &word, sizeof(word),
-            sizeof(word)));
-        ++report.indirect_pointers_fixed;
-    }
-    return Status::ok();
-}
-
 StatusOr<std::unordered_map<std::string, KernelAddr>>
 buildKernelNameTable(ModelRuntime &rt, FaultInjector *fault)
 {
@@ -226,9 +162,9 @@ buildKernelNameTable(ModelRuntime &rt, FaultInjector *fault)
 namespace {
 
 /**
- * Restore one node's kernel address (§5): dlsym where visible, else the
+ * Restore one kernel's address (§5): dlsym where visible, else the
  * enumeration-built name table. Mutates process state (clock, module
- * loads) and the report — callers keep this on the restoring thread.
+ * loads) and the report.
  */
 StatusOr<KernelAddr>
 resolveKernel(const std::string &kernel_name,
@@ -262,204 +198,15 @@ resolveKernel(const std::string &kernel_name,
 }
 
 /**
- * The pure tail of a graph rebuild: dependency lists and parameter
- * patching through the (const) replay table. No clock, no report, no
- * process state — safe to run concurrently for distinct graphs.
+ * Resolve the image's kernel table to addresses, in table order (once
+ * per unique kernel).
  */
-StatusOr<CudaGraph>
-buildGraphFromBlueprint(const GraphBlueprint &bp,
-                        const std::vector<KernelAddr> &fns,
-                        const ReplayTable &table)
-{
-    CudaGraph graph;
-    std::vector<std::vector<simcuda::NodeId>> deps(bp.nodes.size());
-    for (const auto &[src, dst] : bp.edges) {
-        deps[dst].push_back(src);
-    }
-    for (u32 ni = 0; ni < bp.nodes.size(); ++ni) {
-        const NodeBlueprint &nb = bp.nodes[ni];
-        RawParams params;
-        params.reserve(nb.params.size());
-        for (const ParamSpec &spec : nb.params) {
-            if (spec.kind == ParamSpec::kConstant) {
-                params.push_back(spec.constant_bytes);
-            } else {
-                MEDUSA_ASSIGN_OR_RETURN(
-                    DeviceAddr base, table.addrOf(spec.alloc_index));
-                const u64 value = base + spec.offset;
-                std::vector<u8> bytes(8);
-                std::memcpy(bytes.data(), &value, 8);
-                params.push_back(std::move(bytes));
-            }
-        }
-        graph.addKernelNode(fns[ni], std::move(params), nb.timing,
-                            deps[ni]);
-    }
-    return graph;
-}
-
-Status
-validateEdges(const GraphBlueprint &bp)
-{
-    for (const auto &[src, dst] : bp.edges) {
-        if (dst >= bp.nodes.size() || src >= dst) {
-            return validationFailure("corrupt edge in artifact");
-        }
-    }
-    return Status::ok();
-}
-
-} // namespace
-
-StatusOr<CudaGraph>
-rebuildGraph(const GraphBlueprint &bp, const ReplayTable &table,
-             ModelRuntime &rt,
-             const std::unordered_map<std::string, KernelAddr>
-                 &name_table,
-             const RestoreOptions &options, RestoreReport &report)
-{
-    const CostModel &cost = rt.process().cost();
-    MEDUSA_RETURN_IF_ERROR(validateEdges(bp));
-    std::vector<KernelAddr> fns(bp.nodes.size());
-    for (u32 ni = 0; ni < bp.nodes.size(); ++ni) {
-        MEDUSA_ASSIGN_OR_RETURN(
-            fns[ni], resolveKernel(bp.nodes[ni].kernel_name,
-                                   bp.nodes[ni].module_name, rt,
-                                   name_table, options, report));
-        ++report.nodes_restored;
-        rt.clock().advance(units::usToNs(cost.restore_per_node_us));
-    }
-    return buildGraphFromBlueprint(bp, fns, table);
-}
-
-Status
-restoreGraphs(const Artifact &artifact, const ReplayTable &table,
-              ModelRuntime &rt,
-              const std::unordered_map<std::string, KernelAddr>
-                  &name_table,
-              const RestoreOptions &options, RestoreReport &report,
-              ThreadPool *pool)
-{
-    const CostModel &cost = rt.process().cost();
-    const std::size_t n = artifact.graphs.size();
-    TraceRecorder *rec = options.pipeline.trace;
-
-    // Phase 1 — serial resolution: every clock charge and counter
-    // mutation stays on this thread, in exact artifact order.
-    Span resolve_span(rec, "restore.graphs.resolve", "restore");
-    std::vector<std::vector<KernelAddr>> fns(n);
-    for (std::size_t g = 0; g < n; ++g) {
-        const GraphBlueprint &bp = artifact.graphs[g];
-        MEDUSA_RETURN_IF_ERROR(validateEdges(bp));
-        fns[g].resize(bp.nodes.size());
-        for (u32 ni = 0; ni < bp.nodes.size(); ++ni) {
-            MEDUSA_ASSIGN_OR_RETURN(
-                fns[g][ni], resolveKernel(bp.nodes[ni].kernel_name,
-                                          bp.nodes[ni].module_name, rt,
-                                          name_table, options, report));
-            ++report.nodes_restored;
-            rt.clock().advance(
-                units::usToNs(cost.restore_per_node_us));
-        }
-    }
-    resolve_span.end();
-
-    // Phase 2 — parallel pure build into disjoint pre-sized slots.
-    // The build does not advance the simulated clock, so the span
-    // records fan-out shape (graph count), not virtual time.
-    Span build_span(rec, "restore.graphs.build", "restore");
-    build_span.arg("graphs", std::to_string(n));
-    std::vector<CudaGraph> graphs(n);
-    std::vector<Status> statuses(n);
-    // The first failing task flips `cancel`; later tasks finish as
-    // no-ops instead of building graphs destined for the bin. The
-    // parallelFor below joins before anything propagates, so when an
-    // error reaches the caller every worker is quiescent — a rollback
-    // can never race a straggling build task.
-    std::atomic<bool> cancel{false};
-    auto buildOne = [&](std::size_t g) {
-        if (cancel.load(std::memory_order_acquire)) {
-            return; // statuses[g] stays OK: cancelled, not failed
-        }
-        if (options.pipeline.fault != nullptr) {
-            const Status injected = options.pipeline.fault->check(
-                FaultPoint::kGraphBuild, "graph " + std::to_string(g));
-            if (!injected.isOk()) {
-                statuses[g] = injected;
-                cancel.store(true, std::memory_order_release);
-                return;
-            }
-        }
-        auto built = buildGraphFromBlueprint(artifact.graphs[g],
-                                             fns[g], table);
-        if (built.isOk()) {
-            graphs[g] = std::move(built).value();
-        } else {
-            statuses[g] = built.status();
-            cancel.store(true, std::memory_order_release);
-        }
-    };
-    if (pool != nullptr && n > 1) {
-        pool->parallelFor(n, buildOne);
-    } else {
-        for (std::size_t g = 0; g < n; ++g) {
-            buildOne(g);
-        }
-    }
-    // First real failure in artifact order, independent of thread count.
-    for (const Status &s : statuses) {
-        MEDUSA_RETURN_IF_ERROR(s);
-    }
-    build_span.end();
-
-    // Phase 3 — serial instantiation in artifact order.
-    Span inst_span(rec, "restore.graphs.instantiate", "restore");
-    std::vector<std::pair<u32, const CudaGraph *>> ordered;
-    ordered.reserve(n);
-    for (std::size_t g = 0; g < n; ++g) {
-        ordered.emplace_back(artifact.graphs[g].batch_size, &graphs[g]);
-    }
-    MEDUSA_RETURN_IF_ERROR(
-        rt.instantiateGraphs(ordered, options.pipeline.fault));
-    report.graphs_restored += n;
-    return Status::ok();
-}
-
-Status
-restoreImageContents(const MaterializedImage &image, ModelRuntime &rt,
-                     const ReplayTable &table, RestoreReport &report)
-{
-    for (const MaterializedImage::PermanentView &pb : image.permanent) {
-        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr addr,
-                                table.addrOf(pb.alloc_index));
-        if (!pb.contents.empty()) {
-            MEDUSA_RETURN_IF_ERROR(rt.process().memcpyH2D(
-                addr, pb.contents.data(), pb.contents.size(),
-                pb.contents.size()));
-        }
-        report.restored_content_bytes += pb.contents.size();
-    }
-    for (const PointerWordFix &fix : image.pointer_fixes) {
-        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr buffer,
-                                table.addrOf(fix.buffer_alloc_index));
-        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr target,
-                                table.addrOf(fix.target_alloc_index));
-        const u64 word = target + fix.target_offset;
-        MEDUSA_RETURN_IF_ERROR(rt.process().memcpyH2D(
-            buffer + fix.byte_offset, &word, sizeof(word),
-            sizeof(word)));
-        ++report.indirect_pointers_fixed;
-    }
-    return Status::ok();
-}
-
 StatusOr<std::vector<KernelAddr>>
 resolveImageKernels(const MaterializedImage &image, ModelRuntime &rt,
                     const std::unordered_map<std::string, KernelAddr>
                         &name_table,
                     const RestoreOptions &options, RestoreReport &report)
 {
-    const CostModel &cost = rt.process().cost();
     std::vector<KernelAddr> addrs(image.kernel_table.size());
     for (std::size_t k = 0; k < image.kernel_table.size(); ++k) {
         const MaterializedImage::KernelEntry &entry =
@@ -468,11 +215,14 @@ resolveImageKernels(const MaterializedImage &image, ModelRuntime &rt,
             addrs[k], resolveKernel(entry.name, entry.module, rt,
                                     name_table, options, report));
         ++report.kernels_resolved;
-        rt.clock().advance(units::usToNs(cost.restore_per_node_us));
     }
     return addrs;
 }
 
+/**
+ * The patch pass: copy the template, apply every relocation, charge
+ * the per-node patch cost.
+ */
 StatusOr<std::vector<u64>>
 applyImageRelocations(const MaterializedImage &image,
                       const ReplayTable &table,
@@ -507,15 +257,19 @@ applyImageRelocations(const MaterializedImage &image,
     const u64 applied =
         image.data_relocs.size() + image.kernel_relocs.size();
     report.relocations_applied += applied;
-    rt.clock().advance(units::usToNs(
-        rt.process().cost().restore_reloc_us *
-        static_cast<f64>(applied)));
+    rt.clock().advance(
+        units::usToNs(rt.process().cost().restore_per_node_us *
+                      static_cast<f64>(image.total_nodes)));
     span.arg("relocations", std::to_string(applied));
     return slots;
 }
 
+/**
+ * Instantiate every graph from spans carved out of @p patched_slots
+ * (which must outlive the call) and the image's SoA columns.
+ */
 Status
-patchRestoreGraphs(const MaterializedImage &image,
+instantiatePatched(const MaterializedImage &image,
                    const std::vector<u64> &patched_slots,
                    ModelRuntime &rt, const RestoreOptions &options,
                    RestoreReport &report)
@@ -556,17 +310,56 @@ patchRestoreGraphs(const MaterializedImage &image,
     return Status::ok();
 }
 
-std::unique_ptr<ThreadPool>
-makeRestorePool(const RestoreOptions &options)
+} // namespace
+
+Status
+restoreContents(const MaterializedImage &image, ModelRuntime &rt,
+                const ReplayTable &table, RestoreReport &report)
 {
-    const u32 want = options.restore_threads == 0
-                         ? ThreadPool::hardwareThreads()
-                         : options.restore_threads;
-    if (want <= 1) {
-        return nullptr;
+    for (const MaterializedImage::PermanentView &pb : image.permanent) {
+        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr addr,
+                                table.addrOf(pb.alloc_index));
+        if (!pb.contents.empty()) {
+            MEDUSA_RETURN_IF_ERROR(rt.process().memcpyH2D(
+                addr, pb.contents.data(), pb.contents.size(),
+                pb.contents.size()));
+        }
+        report.restored_content_bytes += pb.contents.size();
     }
-    // parallelFor participants = workers + the calling thread.
-    return std::make_unique<ThreadPool>(want - 1);
+    // §8 extension: rewrite indirect pointer words inside restored
+    // buffers to the replayed addresses of their targets.
+    for (const PointerWordFix &fix : image.pointer_fixes) {
+        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr buffer,
+                                table.addrOf(fix.buffer_alloc_index));
+        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr target,
+                                table.addrOf(fix.target_alloc_index));
+        const u64 word = target + fix.target_offset;
+        MEDUSA_RETURN_IF_ERROR(rt.process().memcpyH2D(
+            buffer + fix.byte_offset, &word, sizeof(word),
+            sizeof(word)));
+        ++report.indirect_pointers_fixed;
+    }
+    return Status::ok();
+}
+
+Status
+patchGraphs(const MaterializedImage &image, const ReplayTable &table,
+            const std::unordered_map<std::string, KernelAddr> &name_table,
+            ModelRuntime &rt, const RestoreOptions &options,
+            RestoreReport &report)
+{
+    std::vector<KernelAddr> kernel_addrs;
+    {
+        Span s(options.pipeline.trace, "restore.graphs.resolve", "restore");
+        MEDUSA_ASSIGN_OR_RETURN(
+            kernel_addrs,
+            resolveImageKernels(image, rt, name_table, options, report));
+    }
+    MEDUSA_ASSIGN_OR_RETURN(
+        const std::vector<u64> patched,
+        applyImageRelocations(image, table, kernel_addrs, rt, options,
+                              report));
+    return instantiatePatched(image, patched, rt, options, report);
 }
 
 } // namespace medusa::core

@@ -8,14 +8,12 @@
 namespace medusa::core {
 
 using llm::ModelRuntime;
-using simcuda::CudaGraph;
 
 namespace {
 
 /**
  * Optional output validation (§4): replayed-graph logits must match an
- * eager forwarding from identical staged state. Shared by the rebuild
- * and patch attempts — the fidelity bar is the same for both.
+ * eager forwarding from identical staged state.
  */
 Status
 validateOutputs(const MedusaEngine::Options &opts, ModelRuntime &rt,
@@ -47,138 +45,15 @@ validateOutputs(const MedusaEngine::Options &opts, ModelRuntime &rt,
 
 /**
  * One restore attempt: steps 1-8 of the online phase plus optional
- * output validation. Fills @p t (including the overlap-composed
- * t.loading) and @p report. On error the caller rolls the runtime back;
- * nothing here needs to clean up.
+ * output validation. Steps 7-8 resolve the first-occurrence kernel
+ * table, apply the relocation table to a copy of the patch template,
+ * and instantiate executable graphs straight from the patched arrays.
+ * Fills @p t (including the overlap-composed t.loading) and @p report.
+ * On error the caller rolls the runtime back; nothing here needs to
+ * clean up.
  */
 Status
 runRestoreAttempt(const MedusaEngine::Options &opts,
-                  const Artifact &artifact, ModelRuntime &rt,
-                  ReplayTable &table, StageTimes &t,
-                  RestoreReport &report)
-{
-    const CostModel &cost = rt.process().cost();
-    FaultInjector *fault = opts.restore.pipeline.fault;
-    TraceRecorder *rec = opts.restore.pipeline.trace;
-
-    SimClock &clock = rt.clock();
-    f64 mark = clock.nowSec();
-    auto lap = [&clock, &mark]() {
-        const f64 now = clock.nowSec();
-        const f64 d = now - mark;
-        mark = now;
-        return d;
-    };
-
-    // 1. Structure init (organic; verified against the artifact).
-    {
-        Span s(rec, "cold_start.struct_init", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.initStructure());
-        MEDUSA_RETURN_IF_ERROR(table.organicStatus());
-        if (table.allocCount() != artifact.organic_alloc_count) {
-            return validationFailure(
-                "structure init produced a different allocation count "
-                "than the materialized sequence");
-        }
-    }
-    t.struct_init = lap();
-
-    // 2. Tokenizer.
-    {
-        Span s(rec, "cold_start.tokenizer", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.loadTokenizer());
-    }
-    t.tokenizer = lap();
-
-    Span kv_span(rec, "cold_start.kv_init", "stage");
-    // 3. KV-init restoration: read the artifact, adopt the materialized
-    //    free-memory value (no profiling forwarding). The parse-time
-    //    size hint avoids re-serializing just to price the read.
-    {
-        Span s(rec, "restore.artifact_read", "restore");
-        clock.advance(units::usToNs(
-            static_cast<f64>(artifact.serializedByteSize()) /
-            (cost.artifact_read_gbps * 1e3)));
-    }
-
-    // 4. Replay the recorded (de)allocation sequence (§4.2).
-    {
-        Span s(rec, "restore.replay_alloc_seq", "restore");
-        MEDUSA_RETURN_IF_ERROR(
-            replayAllocSequence(artifact, rt, table, report, fault));
-    }
-    {
-        Span s(rec, "restore.rebind", "restore");
-        MEDUSA_RETURN_IF_ERROR(
-            rebindEngineBuffers(artifact, opts.model, table, rt));
-    }
-    kv_span.end();
-    t.kv_init = lap();
-
-    // 5. Weights.
-    {
-        Span s(rec, "cold_start.weights", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.loadWeights());
-    }
-    t.weights = lap();
-
-    Span cap_span(rec, "cold_start.capture", "stage");
-    // 6. Permanent-buffer contents (§4.3 copy-free restoration) and
-    //    indirect pointer words (§8 extension).
-    if (opts.restore.restore_contents) {
-        Span s(rec, "restore.contents", "restore");
-        MEDUSA_RETURN_IF_ERROR(
-            restoreContents(artifact, rt, table, report));
-    }
-
-    // 7. Triggering-kernels: warm up + capture the first layer, then
-    //    build the kernel name -> address table (§5).
-    std::unordered_map<std::string, KernelAddr> name_table;
-    if (opts.restore.use_triggering_kernels) {
-        Span s(rec, "restore.kernel_table", "restore");
-        MEDUSA_ASSIGN_OR_RETURN(name_table,
-                                buildKernelNameTable(rt, fault));
-    }
-
-    // 8. Rebuild and instantiate every materialized graph. The pure
-    //    build stage fans out over restore_threads; simulated time and
-    //    the report are unchanged by the thread count.
-    std::unique_ptr<ThreadPool> pool = makeRestorePool(opts.restore);
-    MEDUSA_RETURN_IF_ERROR(restoreGraphs(artifact, table, rt,
-                                         name_table, opts.restore,
-                                         report, pool.get()));
-    cap_span.end();
-    t.capture = lap();
-
-    // Visible loading latency (Figure 8(c)'s timeline): the tokenizer,
-    // the KV restore and the overlappable front of the capture/restore
-    // stage run concurrently with the weights loading; the rest of the
-    // restoration is serial. Structure init precedes everything.
-    const f64 overlappable = cost.restore_overlap_fraction * t.capture;
-    t.loading = t.struct_init +
-                std::max(t.weights,
-                         t.tokenizer + t.kv_init + overlappable) +
-                (t.capture - overlappable);
-
-    // Optional output validation (used by the offline dry-run).
-    if (opts.restore.pipeline.validate) {
-        MEDUSA_RETURN_IF_ERROR(validateOutputs(opts, rt, report));
-    }
-    return Status::ok();
-}
-
-/**
- * One PATCH restore attempt — the v6 image twin of runRestoreAttempt.
- * Steps 1-6 are shared physics (structure init, tokenizer, replay,
- * rebind, weights, contents); steps 7-8 become: resolve the
- * first-occurrence kernel table, apply the relocation table to a copy
- * of the patch template, and instantiate executable graphs straight
- * from the patched arrays. Device and module state after this attempt
- * is bit-identical to the rebuild path's (same fingerprint, same
- * logits); only the charged restore work differs.
- */
-Status
-runPatchRestoreAttempt(const MedusaEngine::Options &opts,
                        const MaterializedImage &image, ModelRuntime &rt,
                        ReplayTable &table, StageTimes &t,
                        RestoreReport &report)
@@ -188,10 +63,12 @@ runPatchRestoreAttempt(const MedusaEngine::Options &opts,
     TraceRecorder *rec = opts.restore.pipeline.trace;
 
     SimClock &clock = rt.clock();
-    f64 mark = clock.nowSec();
+    // Laps are taken on the integer clock, so each stage time equals
+    // its span's duration exactly.
+    SimTimeNs mark = clock.now();
     auto lap = [&clock, &mark]() {
-        const f64 now = clock.nowSec();
-        const f64 d = now - mark;
+        const SimTimeNs now = clock.now();
+        const f64 d = units::nsToSec(now - mark);
         mark = now;
         return d;
     };
@@ -220,8 +97,9 @@ runPatchRestoreAttempt(const MedusaEngine::Options &opts,
     t.tokenizer = lap();
 
     Span kv_span(rec, "cold_start.kv_init", "stage");
-    // 3. Image read: same bandwidth pricing as the artifact read; the
-    //    image was decoded zero-copy, so this is the whole parse cost.
+    // 3. KV-init restoration: read the image (decoded zero-copy, so the
+    //    read is the whole parse cost) and adopt the materialized
+    //    free-memory value (no profiling forwarding).
     {
         Span s(rec, "restore.image_open", "restore");
         clock.advance(
@@ -252,46 +130,38 @@ runPatchRestoreAttempt(const MedusaEngine::Options &opts,
     t.weights = lap();
 
     Span cap_span(rec, "cold_start.capture", "stage");
-    // 6. Permanent-buffer contents + indirect pointer words.
+    // 6. Permanent-buffer contents (§4.3 copy-free restoration) and
+    //    indirect pointer words (§8 extension).
     if (opts.restore.restore_contents) {
         Span s(rec, "restore.contents", "restore");
-        MEDUSA_RETURN_IF_ERROR(
-            restoreImageContents(image, rt, table, report));
+        MEDUSA_RETURN_IF_ERROR(restoreContents(image, rt, table, report));
     }
 
     // 7. Triggering-kernels + the §5 name table, then ONE resolution
-    //    per unique kernel in first-occurrence order — the order that
-    //    makes module loads (and ASLR draws) match the rebuild path.
+    //    per unique kernel in first-occurrence order.
     std::unordered_map<std::string, KernelAddr> name_table;
     if (opts.restore.use_triggering_kernels) {
         Span s(rec, "restore.kernel_table", "restore");
         MEDUSA_ASSIGN_OR_RETURN(name_table,
                                 buildKernelNameTable(rt, fault));
     }
-    std::vector<KernelAddr> kernel_addrs;
-    {
-        Span s(rec, "restore.graphs.resolve", "restore");
-        MEDUSA_ASSIGN_OR_RETURN(
-            kernel_addrs, resolveImageKernels(image, rt, name_table,
-                                              opts.restore, report));
-    }
-
     // 8. The patch pass + direct instantiation from the patched image.
-    MEDUSA_ASSIGN_OR_RETURN(
-        const std::vector<u64> patched,
-        applyImageRelocations(image, table, kernel_addrs, rt,
-                              opts.restore, report));
     MEDUSA_RETURN_IF_ERROR(
-        patchRestoreGraphs(image, patched, rt, opts.restore, report));
+        patchGraphs(image, table, name_table, rt, opts.restore, report));
     cap_span.end();
     t.capture = lap();
 
+    // Visible loading latency (Figure 8(c)'s timeline): the tokenizer,
+    // the KV restore and the overlappable front of the capture/restore
+    // stage run concurrently with the weights loading; the rest of the
+    // restoration is serial. Structure init precedes everything.
     const f64 overlappable = cost.restore_overlap_fraction * t.capture;
     t.loading = t.struct_init +
                 std::max(t.weights,
                          t.tokenizer + t.kv_init + overlappable) +
                 (t.capture - overlappable);
 
+    // Optional output validation (used by the offline dry-run).
     if (opts.restore.pipeline.validate) {
         MEDUSA_RETURN_IF_ERROR(validateOutputs(opts, rt, report));
     }
@@ -307,10 +177,10 @@ Status
 runVanillaColdStart(ModelRuntime &rt, StageTimes &t, TraceRecorder *rec)
 {
     SimClock &clock = rt.clock();
-    f64 mark = clock.nowSec();
+    SimTimeNs mark = clock.now();
     auto lap = [&clock, &mark]() {
-        const f64 now = clock.nowSec();
-        const f64 d = now - mark;
+        const SimTimeNs now = clock.now();
+        const f64 d = units::nsToSec(now - mark);
         mark = now;
         return d;
     };
@@ -350,8 +220,8 @@ runVanillaColdStart(ModelRuntime &rt, StageTimes &t, TraceRecorder *rec)
 } // namespace
 
 StatusOr<std::unique_ptr<MedusaEngine>>
-MedusaEngine::coldStart(const Options &caller_opts,
-                        const Artifact &artifact)
+MedusaEngine::coldStartFromImage(const Options &caller_opts,
+                                 const MaterializedImage &image)
 {
     // MEDUSA_FAULT_PLAN applies to any engine that was not handed an
     // explicit injector, so whole test suites can run fault-hooked
@@ -362,41 +232,6 @@ MedusaEngine::coldStart(const Options &caller_opts,
     }
     // Spans always land in the engine-local recorder (and thus the
     // ColdStartReport); the caller's sink, when set, gets a copy.
-    TraceRecorder *user_trace = opts.restore.pipeline.trace;
-
-    if (artifact.model_name != opts.model.name ||
-        artifact.model_seed != opts.model.seed) {
-        return validationFailure("artifact was materialized for model " +
-                                 artifact.model_name);
-    }
-
-    // Optional static pre-restore check: refuse to replay an artifact
-    // that provably faults or corrupts, before touching device state.
-    if (opts.restore.pipeline.lint) {
-        const lint::LintReport lint_report = lint::lintArtifact(artifact);
-        if (!lint_report.replaySafe()) {
-            return validationFailure("artifact failed pre-restore lint: " +
-                                     lint_report.firstError());
-        }
-    }
-
-    return runTransactional(
-        std::move(opts), user_trace,
-        [&artifact]() { return std::make_unique<ReplayTable>(&artifact); },
-        [&artifact](const Options &o, ModelRuntime &rt, ReplayTable &tb,
-                    StageTimes &t, RestoreReport &rep) {
-            return runRestoreAttempt(o, artifact, rt, tb, t, rep);
-        });
-}
-
-StatusOr<std::unique_ptr<MedusaEngine>>
-MedusaEngine::coldStartFromImage(const Options &caller_opts,
-                                 const MaterializedImage &image)
-{
-    Options opts = caller_opts;
-    if (opts.restore.pipeline.fault == nullptr) {
-        opts.restore.pipeline.fault = envFaultInjector();
-    }
     TraceRecorder *user_trace = opts.restore.pipeline.trace;
 
     if (image.model_name != opts.model.name ||
@@ -421,24 +256,8 @@ MedusaEngine::coldStartFromImage(const Options &caller_opts,
         }
     }
 
-    return runTransactional(
-        std::move(opts), user_trace,
-        [&image]() {
-            return std::make_unique<ReplayTable>(
-                std::span<const AllocOp>(image.ops),
-                image.organic_alloc_count);
-        },
-        [&image](const Options &o, ModelRuntime &rt, ReplayTable &tb,
-                 StageTimes &t, RestoreReport &rep) {
-            return runPatchRestoreAttempt(o, image, rt, tb, t, rep);
-        });
-}
-
-StatusOr<std::unique_ptr<MedusaEngine>>
-MedusaEngine::runTransactional(Options opts, TraceRecorder *user_trace,
-                               const MakeTableFn &make_table,
-                               const AttemptFn &attempt_fn)
-{
+    // The transactional attempt loop: journalled attempts,
+    // rollback-on-failure, retry backoff and the vanilla fallback tail.
     ModelRuntime::Options ropts;
     ropts.model = opts.model;
     ropts.aslr_seed = opts.aslr_seed;
@@ -486,7 +305,8 @@ MedusaEngine::runTransactional(Options opts, TraceRecorder *user_trace,
         ++report.restore_attempts;
         // Fresh interceptor per attempt: the replay table's sequence
         // numbering restarts with the reconstructed allocator.
-        std::unique_ptr<ReplayTable> table = make_table();
+        auto table = std::make_unique<ReplayTable>(
+            std::span<const AllocOp>(image.ops), image.organic_alloc_count);
         rt.allocator().setObserver(table.get());
         rt.process().beginJournal();
 
@@ -496,7 +316,8 @@ MedusaEngine::runTransactional(Options opts, TraceRecorder *user_trace,
         const f64 start = clock.nowSec();
         Span attempt_span(&rec, "restore.attempt", "restore");
         attempt_span.arg("attempt", std::to_string(attempt));
-        const Status st = attempt_fn(opts, rt, *table, t, working);
+        const Status st =
+            runRestoreAttempt(opts, image, rt, *table, t, working);
         attempt_span.end();
         if (st.isOk()) {
             rt.process().endJournal();

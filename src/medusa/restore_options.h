@@ -60,13 +60,6 @@ struct RestoreOptions
      * OfflineOptions and ClusterOptions.
      */
     PipelineOptions pipeline;
-    /**
-     * Host threads for the graph-rebuild stage (restoreGraphs): 1 =
-     * serial, 0 = one per hardware thread. Parallelism only shrinks
-     * host wall-clock; the simulated StageTimes, the RestoreReport and
-     * every restored graph are bit-identical for all values.
-     */
-    u32 restore_threads = 1;
     /** What to do when a restore attempt fails mid-flight. */
     FallbackPolicy fallback;
 };

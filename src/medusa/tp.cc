@@ -113,39 +113,54 @@ materializeTp(const TpOfflineOptions &opts)
     return result;
 }
 
-StatusOr<std::unique_ptr<TpMedusaEngine>>
-TpMedusaEngine::coldStart(const Options &caller_opts,
-                          const std::vector<Artifact> &rank_artifacts)
+StatusOr<std::vector<MaterializedImage>>
+openRankImages(const std::vector<std::vector<u8>> &rank_images)
 {
-    // As in MedusaEngine::coldStart: the environment's fault plan
-    // applies when no injector was wired explicitly.
+    std::vector<MaterializedImage> images;
+    images.reserve(rank_images.size());
+    for (const std::vector<u8> &bytes : rank_images) {
+        MEDUSA_ASSIGN_OR_RETURN(
+            auto image,
+            MaterializedImage::openView(std::span<const u8>(bytes)));
+        images.push_back(std::move(image));
+    }
+    return images;
+}
+
+StatusOr<std::unique_ptr<TpMedusaEngine>>
+TpMedusaEngine::coldStartFromImages(
+    const Options &caller_opts,
+    const std::vector<MaterializedImage> &rank_images)
+{
+    // As in MedusaEngine::coldStartFromImage: the environment's fault
+    // plan applies when no injector was wired explicitly.
     Options opts = caller_opts;
     if (opts.restore.pipeline.fault == nullptr) {
         opts.restore.pipeline.fault = envFaultInjector();
     }
     TraceRecorder *user_trace = opts.restore.pipeline.trace;
 
-    if (rank_artifacts.size() != opts.world) {
-        return invalidArgument("one artifact per rank required");
+    if (rank_images.size() != opts.world) {
+        return invalidArgument("one image per rank required");
     }
-    for (const Artifact &a : rank_artifacts) {
-        if (a.model_name != opts.model.name ||
-            a.model_seed != opts.model.seed) {
+    for (const MaterializedImage &image : rank_images) {
+        if (image.model_name != opts.model.name ||
+            image.model_seed != opts.model.seed) {
             return validationFailure(
-                "rank artifact was materialized for model " +
-                a.model_name);
+                "rank image was materialized for model " +
+                image.model_name);
         }
     }
 
-    // Optional static pre-restore check: per-rank rules plus the
+    // Optional static pre-restore check: per-rank image rules plus the
     // cross-rank MDL6xx family (topology, batch sets, collective
     // ordering) — a divergent rank would deadlock lockstep replay.
     if (opts.restore.pipeline.lint) {
         const lint::LintReport lint_report =
-            lint::lintTpArtifacts(rank_artifacts);
+            lint::lintTpImages(rank_images);
         if (!lint_report.replaySafe()) {
             return validationFailure(
-                "rank artifacts failed pre-restore lint: " +
+                "rank images failed pre-restore lint: " +
                 lint_report.firstError());
         }
     }
@@ -160,9 +175,6 @@ TpMedusaEngine::coldStart(const Options &caller_opts,
                             TpCluster::create(copts));
     TpCluster &cluster = *engine->cluster_;
     engine->reports_.resize(opts.world);
-
-    // One pool serves every rank's graph-rebuild stage in turn.
-    std::unique_ptr<ThreadPool> pool = makeRestorePool(opts.restore);
 
     // Per-rank recorders bound to each rank's clock; merged into the
     // consolidated report on track = rank at the end.
@@ -212,50 +224,52 @@ TpMedusaEngine::coldStart(const Options &caller_opts,
         }
         for (u32 r = 0; r < opts.world; ++r) {
             TraceRecorder *rec = recs[r].get();
+            const MaterializedImage &image = rank_images[r];
+            ModelRuntime &rank = cluster.rank(r);
+            ReplayTable &table = *engine->tables_[r];
+            RestoreReport &report = engine->reports_[r];
             Span rank_span(rec, "tp.rank_restore", "restore");
             rank_span.arg("rank", std::to_string(r));
             MEDUSA_FAULT_POINT(fault, FaultPoint::kTpRankRestore,
                                "rank " + std::to_string(r));
             {
                 Span s(rec, "cold_start.tokenizer", "stage");
-                MEDUSA_RETURN_IF_ERROR(cluster.rank(r).loadTokenizer());
+                MEDUSA_ASSIGN_OR_RETURN(
+                    auto tok,
+                    llm::BpeTokenizer::fromMerges(image.tokenizer_merges));
+                MEDUSA_RETURN_IF_ERROR(rank.adoptTokenizer(std::move(tok)));
             }
             {
                 Span s(rec, "restore.replay_alloc_seq", "restore");
                 MEDUSA_RETURN_IF_ERROR(replayAllocSequence(
-                    rank_artifacts[r], cluster.rank(r),
-                    *engine->tables_[r], engine->reports_[r], fault));
+                    std::span<const AllocOp>(image.ops),
+                    image.organic_op_count, rank, table, report, fault));
             }
             llm::ModelConfig rank_model = opts.model;
             rank_model.tp_world = opts.world;
             rank_model.tp_rank = r;
-            MEDUSA_RETURN_IF_ERROR(
-                rebindEngineBuffers(rank_artifacts[r], rank_model,
-                                    *engine->tables_[r],
-                                    cluster.rank(r)));
+            MEDUSA_RETURN_IF_ERROR(rebindEngineBuffers(
+                image.tags, image.free_gpu_memory, rank_model, table,
+                rank));
             {
                 Span s(rec, "cold_start.weights", "stage");
-                MEDUSA_RETURN_IF_ERROR(cluster.rank(r).loadWeights());
+                MEDUSA_RETURN_IF_ERROR(rank.loadWeights());
             }
             if (opts.restore.restore_contents) {
                 Span s(rec, "restore.contents", "restore");
-                MEDUSA_RETURN_IF_ERROR(restoreContents(
-                    rank_artifacts[r], cluster.rank(r),
-                    *engine->tables_[r], engine->reports_[r]));
+                MEDUSA_RETURN_IF_ERROR(
+                    restoreContents(image, rank, table, report));
             }
             std::unordered_map<std::string, KernelAddr> name_table;
             if (opts.restore.use_triggering_kernels) {
                 Span s(rec, "restore.kernel_table", "restore");
-                MEDUSA_ASSIGN_OR_RETURN(
-                    name_table,
-                    buildKernelNameTable(cluster.rank(r), fault));
+                MEDUSA_ASSIGN_OR_RETURN(name_table,
+                                        buildKernelNameTable(rank, fault));
             }
             RestoreOptions rank_restore = opts.restore;
             rank_restore.pipeline.trace = rec;
-            MEDUSA_RETURN_IF_ERROR(restoreGraphs(
-                rank_artifacts[r], *engine->tables_[r],
-                cluster.rank(r), name_table, rank_restore,
-                engine->reports_[r], pool.get()));
+            MEDUSA_RETURN_IF_ERROR(patchGraphs(image, table, name_table,
+                                               rank, rank_restore, report));
         }
         restored_loading = maxClockSec();
 
@@ -308,8 +322,9 @@ TpMedusaEngine::coldStart(const Options &caller_opts,
         // with each rank's reconstructed allocator.
         engine->tables_.clear();
         for (u32 r = 0; r < opts.world; ++r) {
-            engine->tables_.push_back(
-                std::make_unique<ReplayTable>(&rank_artifacts[r]));
+            engine->tables_.push_back(std::make_unique<ReplayTable>(
+                std::span<const AllocOp>(rank_images[r].ops),
+                rank_images[r].organic_alloc_count));
             cluster.rank(r).allocator().setObserver(
                 engine->tables_[r].get());
             cluster.rank(r).process().beginJournal();

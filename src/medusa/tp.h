@@ -6,11 +6,12 @@
  *
  * Offline, each rank runs its own recorder through the capturing-stage
  * cold start (per-rank allocation sequences, per-rank graphs with
- * all-reduce collective nodes) and the analysis produces one artifact
- * per rank. Online, every rank replays its own allocation sequence,
- * patches its own graphs and restores kernel addresses in its own
- * process; the restored graphs are validated by lockstep replay against
- * a reference capture.
+ * all-reduce collective nodes), the analysis produces one artifact
+ * per rank and each artifact is flattened into that rank's v6 image.
+ * Online, every rank replays its own allocation sequence, restores
+ * kernel addresses and patches its own graphs from its own image in
+ * its own process; the restored graphs are validated by lockstep
+ * replay against a reference capture.
  */
 
 #ifndef MEDUSA_MEDUSA_TP_H
@@ -21,6 +22,7 @@
 
 #include "llm/tensor_parallel.h"
 #include "medusa/artifact.h"
+#include "medusa/image.h"
 #include "medusa/replay.h"
 #include "medusa/restore_options.h"
 
@@ -60,6 +62,13 @@ struct TpOfflineResult
 StatusOr<TpOfflineResult> materializeTp(const TpOfflineOptions &opts);
 
 /**
+ * Open every rank's serialized image as a zero-copy view; the caller
+ * keeps @p rank_images alive for as long as the images are used.
+ */
+StatusOr<std::vector<MaterializedImage>>
+openRankImages(const std::vector<std::vector<u8>> &rank_images);
+
+/**
  * A tensor-parallel serving cluster cold-started through Medusa's
  * online phase on every rank.
  */
@@ -75,10 +84,14 @@ class TpMedusaEngine
         RestoreOptions restore;
     };
 
-    /** Restore every rank from its artifact. */
+    /**
+     * Restore every rank from its image (index = rank). The images
+     * must outlive the returned engine (each rank's replay interceptor
+     * observes against its image's op sequence).
+     */
     static StatusOr<std::unique_ptr<TpMedusaEngine>>
-    coldStart(const Options &opts,
-              const std::vector<Artifact> &rank_artifacts);
+    coldStartFromImages(const Options &opts,
+                        const std::vector<MaterializedImage> &rank_images);
 
     llm::TpCluster &cluster() { return *cluster_; }
 

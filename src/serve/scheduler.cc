@@ -604,15 +604,15 @@ Scheduler::launchInstance(u16 m)
     metrics_.counter("cluster.cold_starts").add(1);
     const u32 inst = newInstance(m, node);
     const f64 t0 = engine_.now();
-    // Artifact fetch via the process-wide cache (the first cold
-    // start loads, later ones share for free).
+    // Image fetch via the process-wide cache (the first cold start
+    // loads, later ones share for free).
     f64 fetch_sec = 0;
     if (options_.artifact_cache != nullptr && options_.artifact_loader) {
         bool hit = false;
-        auto artifact = options_.artifact_cache->getOrLoad(
+        auto image = options_.artifact_cache->getOrLoad(
             options_.artifact_key, options_.artifact_loader, &hit);
         metrics_.counter("cluster.artifact_loads").add(1);
-        if (artifact.isOk() && hit) {
+        if (image.isOk() && hit) {
             metrics_.counter("cluster.artifact_cache_hits").add(1);
         } else {
             fetch_sec = options_.artifact_miss_sec;

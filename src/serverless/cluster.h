@@ -127,17 +127,17 @@ struct ClusterOptions
      */
     u32 hot_spares = 0;
     /**
-     * Process-wide artifact store consulted at every cold start. When
+     * Process-wide image store consulted at every cold start. When
      * set (with artifact_key + artifact_loader), the first cold start
-     * on the node loads the artifact — charging artifact_miss_sec on
-     * top of the profile's cold start — and later ones share the
-     * resident copy for free. Null leaves cold starts untouched.
+     * on the node loads the image — charging artifact_miss_sec on top
+     * of the profile's cold start — and later ones share the resident
+     * copy for free. Null leaves cold starts untouched.
      */
-    core::ArtifactCache *artifact_cache = nullptr;
-    /** Cache key for this cluster's <GPU type, model> artifact. */
+    core::ImageCache *artifact_cache = nullptr;
+    /** Cache key for this cluster's <GPU type, model> image. */
     std::string artifact_key;
-    /** Loads the artifact on a cache miss. */
-    core::ArtifactCache::Loader artifact_loader;
+    /** Loads the image on a cache miss. */
+    core::ImageCache::Loader artifact_loader;
     /** Extra cold-start latency charged on an artifact-cache miss. */
     f64 artifact_miss_sec = 0.0;
     /**

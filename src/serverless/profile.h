@@ -5,9 +5,9 @@
  *
  * Rather than hand-writing analytic formulas, the profile is *measured*
  * from the functional engine on the virtual clock: one real cold start
- * under the strategy (Medusa restores from a materialized artifact),
- * then decode-step and prefill latencies sampled at several batch
- * sizes/token counts and interpolated.
+ * under the strategy (Medusa restores from the v6 image of a
+ * materialized artifact), then decode-step and prefill latencies
+ * sampled at several batch sizes/token counts and interpolated.
  */
 
 #ifndef MEDUSA_SERVERLESS_PROFILE_H
@@ -67,7 +67,10 @@ struct ProfileOptions
     llm::ModelConfig model;
     llm::Strategy strategy = llm::Strategy::kVllm;
     const CostModel *cost = nullptr;
-    /** Required when strategy == kMedusa. */
+    /**
+     * Required when strategy == kMedusa: the materialized artifact,
+     * flattened into its v6 image for the restore.
+     */
     const core::Artifact *artifact = nullptr;
     u64 aslr_seed = 21;
     /** Warm container pool (eliminates runtime init), as in §7.5. */

@@ -399,9 +399,9 @@ class GpuProcess
      * GPU-ready timestamps). Two processes with equal logical
      * fingerprints hold identical memory, module, stream-topology and
      * counter state but may have reached it on different simulated
-     * clocks — the equality contract for restore paths that produce
-     * the same state faster (the v6 relocation patch vs the graph
-     * rebuild, DESIGN.md §13).
+     * clocks — the equality contract for restores that produce the
+     * same state at a different simulated time (a retried restore, a
+     * cost-model change; DESIGN.md §13).
      */
     u64 logicalStateFingerprint() const;
 

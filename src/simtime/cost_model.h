@@ -115,16 +115,14 @@ struct CostModel
     // ---- Medusa restoration ------------------------------------------
     /** Artifact deserialization bandwidth (GB/s, from page cache/SSD). */
     f64 artifact_read_gbps = 8.0;
-    /** Per-node cost to patch parameters + add node to graph (us). */
+    /**
+     * Per-node cost to patch parameters + add node to graph (us),
+     * charged once per restored node by the patch pass: a real CUDA
+     * restore still sets every node's params and adds it to its graph.
+     */
     f64 restore_per_node_us = 24.0;
     /** Per-allocation cost when replaying the allocation sequence (us). */
     f64 restore_replay_alloc_us = 1.6;
-    /**
-     * Per-relocation cost of the v6 in-place patch pass (us): one table
-     * lookup + one 8-byte store on the mapped image. Orders of magnitude
-     * below restore_per_node_us — the point of patching over rebuilding.
-     */
-    f64 restore_reloc_us = 0.04;
     /** Per-kernel cost to match a name during module enumeration (us). */
     f64 kernel_name_match_us = 0.8;
     /** Offline analysis cost per (node, trace-window) unit (us). */

@@ -1,6 +1,6 @@
 /**
  * @file
- * The process-wide artifact cache: single-flight loading, shared
+ * The process-wide image cache: single-flight loading, shared
  * immutable entries, LRU eviction and failed-load retry semantics.
  */
 
@@ -18,25 +18,25 @@
 namespace medusa {
 namespace {
 
-using core::Artifact;
-using core::ArtifactCache;
+using core::ImageCache;
+using core::MaterializedImage;
 
-Artifact
-namedArtifact(const std::string &name)
+MaterializedImage
+namedImage(const std::string &name)
 {
-    Artifact a;
-    a.model_name = name;
-    a.model_seed = 7;
-    return a;
+    MaterializedImage image;
+    image.model_name = name;
+    image.model_seed = 7;
+    return image;
 }
 
 TEST(ArtifactCache, MissLoadsThenHitsShareThePointer)
 {
-    ArtifactCache cache;
+    ImageCache cache;
     int loads = 0;
-    auto loader = [&loads]() -> StatusOr<Artifact> {
+    auto loader = [&loads]() -> StatusOr<MaterializedImage> {
         ++loads;
-        return namedArtifact("m");
+        return namedImage("m");
     };
     bool hit = true;
     auto first = cache.getOrLoad("k", loader, &hit);
@@ -58,18 +58,18 @@ TEST(ArtifactCache, MissLoadsThenHitsShareThePointer)
 
 TEST(ArtifactCache, SingleFlightRunsTheLoaderOnce)
 {
-    ArtifactCache cache;
+    ImageCache cache;
     std::atomic<int> loads{0};
-    auto loader = [&loads]() -> StatusOr<Artifact> {
+    auto loader = [&loads]() -> StatusOr<MaterializedImage> {
         ++loads;
         // Hold the load open so every other thread has to wait on it.
         std::this_thread::sleep_for(std::chrono::milliseconds(30));
-        return namedArtifact("m");
+        return namedImage("m");
     };
 
     constexpr int kThreads = 8;
     std::vector<std::thread> threads;
-    std::vector<std::shared_ptr<const Artifact>> got(kThreads);
+    std::vector<std::shared_ptr<const MaterializedImage>> got(kThreads);
     for (int i = 0; i < kThreads; ++i) {
         threads.emplace_back([&, i]() {
             auto result = cache.getOrLoad("k", loader);
@@ -92,19 +92,19 @@ TEST(ArtifactCache, SingleFlightRunsTheLoaderOnce)
 
 TEST(ArtifactCache, EvictsLeastRecentlyUsed)
 {
-    ArtifactCache cache(/*capacity=*/2);
+    ImageCache cache(/*capacity=*/2);
     int b_loads = 0;
     auto loadNamed = [](const std::string &name) {
-        return [name]() -> StatusOr<Artifact> {
-            return namedArtifact(name);
+        return [name]() -> StatusOr<MaterializedImage> {
+            return namedImage(name);
         };
     };
     ASSERT_TRUE(cache.getOrLoad("a", loadNamed("a")).isOk());
     ASSERT_TRUE(cache
                     .getOrLoad("b",
-                               [&b_loads]() -> StatusOr<Artifact> {
+                               [&b_loads]() -> StatusOr<MaterializedImage> {
                                    ++b_loads;
-                                   return namedArtifact("b");
+                                   return namedImage("b");
                                })
                     .isOk());
     // Touch a so b becomes the LRU entry, then overflow with c.
@@ -118,9 +118,9 @@ TEST(ArtifactCache, EvictsLeastRecentlyUsed)
     bool hit = true;
     ASSERT_TRUE(cache
                     .getOrLoad("b",
-                               [&b_loads]() -> StatusOr<Artifact> {
+                               [&b_loads]() -> StatusOr<MaterializedImage> {
                                    ++b_loads;
-                                   return namedArtifact("b");
+                                   return namedImage("b");
                                },
                                &hit)
                     .isOk());
@@ -130,13 +130,13 @@ TEST(ArtifactCache, EvictsLeastRecentlyUsed)
 
 TEST(ArtifactCache, FailedLoadPropagatesAndRetries)
 {
-    ArtifactCache cache;
+    ImageCache cache;
     int attempts = 0;
-    auto flaky = [&attempts]() -> StatusOr<Artifact> {
+    auto flaky = [&attempts]() -> StatusOr<MaterializedImage> {
         if (++attempts == 1) {
             return internalError("transient artifact read failure");
         }
-        return namedArtifact("m");
+        return namedImage("m");
     };
     auto first = cache.getOrLoad("k", flaky);
     ASSERT_FALSE(first.isOk());
@@ -156,9 +156,9 @@ TEST(ArtifactCache, NegativeEntryExpiresAfterBackoff)
     // recorded Status; once the deadline passes it must report ok()
     // again — serving the stale Status to later single-flight waiters
     // would claim a failure state that no longer gates anything.
-    ArtifactCache cache(/*capacity=*/8, /*initial_backoff_ms=*/20.0,
+    ImageCache cache(/*capacity=*/8, /*initial_backoff_ms=*/20.0,
                         /*max_backoff_ms=*/20.0);
-    auto failing = []() -> StatusOr<Artifact> {
+    auto failing = []() -> StatusOr<MaterializedImage> {
         return internalError("persistent artifact read failure");
     };
     ASSERT_FALSE(cache.getOrLoad("k", failing).isOk());
@@ -175,10 +175,9 @@ TEST(ArtifactCache, NegativeEntryExpiresAfterBackoff)
 
 TEST(ArtifactCache, ImageCacheSharesTheTemplate)
 {
-    // The generalized MaterializationCache must serve v6 images with
-    // the same single-flight / stats behavior (and the same
-    // artifact_cache.* metric names, asserted via stats()).
-    core::ImageCache cache;
+    // Real images opened over materialized bytes share one resident
+    // entry, under the artifact_cache.* metric names.
+    ImageCache cache;
     core::OfflineOptions opts;
     opts.model = llm::findModel("Qwen1.5-0.5B").value();
     opts.model.num_layers = 2;
@@ -209,15 +208,15 @@ TEST(ArtifactCache, ImageCacheSharesTheTemplate)
 
 TEST(ArtifactCache, FailedLoadUnblocksWaitersWhoRetry)
 {
-    ArtifactCache cache;
+    ImageCache cache;
     std::atomic<int> attempts{0};
-    auto flaky = [&attempts]() -> StatusOr<Artifact> {
+    auto flaky = [&attempts]() -> StatusOr<MaterializedImage> {
         const int n = ++attempts;
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
         if (n == 1) {
             return internalError("first load fails");
         }
-        return namedArtifact("m");
+        return namedImage("m");
     };
     constexpr int kThreads = 4;
     std::atomic<int> ok{0};
@@ -244,11 +243,11 @@ TEST(ArtifactCache, FailedLoadUnblocksWaitersWhoRetry)
 
 TEST(ArtifactCache, ClearDropsResidentEntries)
 {
-    ArtifactCache cache;
+    ImageCache cache;
     ASSERT_TRUE(cache
                     .getOrLoad("k",
-                               []() -> StatusOr<Artifact> {
-                                   return namedArtifact("m");
+                               []() -> StatusOr<MaterializedImage> {
+                                   return namedImage("m");
                                })
                     .isOk());
     EXPECT_EQ(cache.size(), 1u);

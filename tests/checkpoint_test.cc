@@ -10,6 +10,7 @@
 #include "medusa/checkpoint.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
+#include "test_image.h"
 
 namespace medusa::core {
 namespace {
@@ -80,7 +81,9 @@ TEST(CheckpointTest, RestoreFasterThanColdStartSlowerThanMedusa)
     ASSERT_TRUE(offline.isOk());
     MedusaEngine::Options mopts;
     mopts.model = m;
-    auto medusa = MedusaEngine::coldStart(mopts, offline->artifact);
+    const core::MaterializedImage medusa_image =
+        test::openImage(offline->image_bytes);
+    auto medusa = MedusaEngine::coldStartFromImage(mopts, medusa_image);
     ASSERT_TRUE(medusa.isOk());
 
     // The restore cost scales with the device footprint (which, for a

@@ -78,7 +78,7 @@ runSim(ClusterOptions opts, const ServingProfile &profile,
     TraceRecorder rec;
     MetricsRegistry reg;
     std::optional<FaultInjector> injector;
-    std::optional<core::ArtifactCache> cache;
+    std::optional<core::ImageCache> cache;
     if (plan != nullptr) {
         injector.emplace(*plan);
         opts.pipeline.fault = &*injector;
@@ -87,8 +87,8 @@ runSim(ClusterOptions opts, const ServingProfile &profile,
         cache.emplace();
         opts.artifact_cache = &*cache;
         opts.artifact_key = "toy";
-        opts.artifact_loader = []() -> StatusOr<core::Artifact> {
-            return core::Artifact{};
+        opts.artifact_loader = []() -> StatusOr<core::MaterializedImage> {
+            return core::MaterializedImage{};
         };
         opts.artifact_miss_sec = 0.7;
     }

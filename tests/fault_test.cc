@@ -2,7 +2,7 @@
  * @file
  * Tests of the deterministic fault-injection subsystem (common/fault.h)
  * and of the transactional restore behavior it drives: plan parsing,
- * per-point determinism, MedusaEngine fallback policies, ArtifactCache
+ * per-point determinism, MedusaEngine fallback policies, ImageCache
  * failure backoff and the cluster simulator's degraded launches.
  */
 
@@ -33,19 +33,20 @@ tinyModel()
     return m;
 }
 
-/** One shared tiny artifact for the engine-level tests. */
-const core::Artifact &
-tinyArtifact()
+/** One shared tiny image for the engine-level tests. */
+const core::MaterializedImage &
+tinyImage()
 {
-    static const core::Artifact artifact = []() {
+    static const core::MaterializedImage image = []() {
         OfflineOptions opts;
         opts.model = tinyModel();
         opts.pipeline.validate = false;
         auto result = materialize(opts);
-        EXPECT_TRUE(result.isOk()) << result.status().toString();
-        return std::move(result->artifact);
+        MEDUSA_CHECK(result.isOk(), result.status().toString());
+        return core::MaterializedImage::open(std::move(result->image_bytes))
+            .value();
     }();
-    return artifact;
+    return image;
 }
 
 // ---- plan parsing --------------------------------------------------------
@@ -230,7 +231,7 @@ TEST(FaultRestoreTest, DefaultPolicyPropagatesInjectedFailure)
     MedusaEngine::Options eopts;
     eopts.model = tinyModel();
     eopts.restore.pipeline.fault = &injector;
-    auto engine = MedusaEngine::coldStart(eopts, tinyArtifact());
+    auto engine = MedusaEngine::coldStartFromImage(eopts, tinyImage());
     ASSERT_FALSE(engine.isOk());
     EXPECT_EQ(engine.status().code(), StatusCode::kFaultInjected);
 }
@@ -249,7 +250,7 @@ TEST(FaultRestoreTest, RetrySucceedsAndAccountsWaste)
     eopts.restore.pipeline.fault = &injector;
     eopts.restore.fallback.mode = FallbackMode::kRetryThenVanilla;
     eopts.restore.fallback.max_attempts = 2;
-    auto engine = MedusaEngine::coldStart(eopts, tinyArtifact());
+    auto engine = MedusaEngine::coldStartFromImage(eopts, tinyImage());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
     const RestoreReport &report = (*engine)->coldStartReport().restore;
@@ -268,7 +269,7 @@ TEST(FaultRestoreTest, RetrySucceedsAndAccountsWaste)
     // The waste and the backoff are charged to the visible latency.
     MedusaEngine::Options clean = eopts;
     clean.restore.pipeline.fault = nullptr;
-    auto reference = MedusaEngine::coldStart(clean, tinyArtifact());
+    auto reference = MedusaEngine::coldStartFromImage(clean, tinyImage());
     ASSERT_TRUE(reference.isOk());
     EXPECT_GT((*engine)->coldStartReport().times.loading,
               (*reference)->coldStartReport().times.loading);
@@ -286,7 +287,7 @@ TEST(FaultRestoreTest, VanillaFallbackYieldsWorkingEngine)
     eopts.model = tinyModel();
     eopts.restore.pipeline.fault = &injector;
     eopts.restore.fallback.mode = FallbackMode::kVanillaColdStart;
-    auto engine = MedusaEngine::coldStart(eopts, tinyArtifact());
+    auto engine = MedusaEngine::coldStartFromImage(eopts, tinyImage());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
     const RestoreReport &report = (*engine)->coldStartReport().restore;
@@ -316,7 +317,7 @@ TEST(FaultRestoreTest, RetriesExhaustedDegradeToVanilla)
     eopts.restore.pipeline.fault = &injector;
     eopts.restore.fallback.mode = FallbackMode::kRetryThenVanilla;
     eopts.restore.fallback.max_attempts = 3;
-    auto engine = MedusaEngine::coldStart(eopts, tinyArtifact());
+    auto engine = MedusaEngine::coldStartFromImage(eopts, tinyImage());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
     const RestoreReport &report = (*engine)->coldStartReport().restore;
@@ -339,11 +340,11 @@ TEST(FaultRestoreTest, DisabledInjectionIsBitIdentical)
     eopts.model = tinyModel();
     eopts.aslr_seed = 777;
     eopts.restore.pipeline.validate = true;
-    auto plain = MedusaEngine::coldStart(eopts, tinyArtifact());
+    auto plain = MedusaEngine::coldStartFromImage(eopts, tinyImage());
     ASSERT_TRUE(plain.isOk());
 
     eopts.restore.pipeline.fault = &idle;
-    auto hooked = MedusaEngine::coldStart(eopts, tinyArtifact());
+    auto hooked = MedusaEngine::coldStartFromImage(eopts, tinyImage());
     ASSERT_TRUE(hooked.isOk());
 
     EXPECT_EQ((*plain)->coldStartReport().times.loading, (*hooked)->coldStartReport().times.loading);
@@ -359,15 +360,15 @@ TEST(FaultRestoreTest, DisabledInjectionIsBitIdentical)
               (*hooked)->runtime().process().stateFingerprint());
 }
 
-// ---- ArtifactCache failure records --------------------------------------
+// ---- ImageCache failure records -----------------------------------------
 
 TEST(FaultCacheTest, RecordsFailureStatusAndBacksOff)
 {
-    core::ArtifactCache cache(/*capacity=*/2,
-                              /*initial_backoff_ms=*/1.0,
-                              /*max_backoff_ms=*/4.0);
+    core::ImageCache cache(/*capacity=*/2,
+                           /*initial_backoff_ms=*/1.0,
+                           /*max_backoff_ms=*/4.0);
     int runs = 0;
-    auto failing = [&]() -> StatusOr<core::Artifact> {
+    auto failing = [&]() -> StatusOr<core::MaterializedImage> {
         ++runs;
         return internalError("node died");
     };
@@ -386,8 +387,8 @@ TEST(FaultCacheTest, RecordsFailureStatusAndBacksOff)
     EXPECT_GE(cache.metricsSnapshot().counterValue("artifact_cache.backoff_waits"), 1u);
 
     // Success clears the failure record.
-    auto ok = cache.getOrLoad("k", [&]() -> StatusOr<core::Artifact> {
-        return core::Artifact{};
+    auto ok = cache.getOrLoad("k", [&]() -> StatusOr<core::MaterializedImage> {
+        return core::MaterializedImage{};
     });
     ASSERT_TRUE(ok.isOk());
     EXPECT_TRUE(cache.keyFailure("k").isOk());
@@ -399,12 +400,12 @@ TEST(FaultCacheTest, InjectorFailsLoaderWithoutRunningIt)
     ASSERT_TRUE(plan.isOk());
     FaultInjector injector(*plan);
 
-    core::ArtifactCache cache(2, 0.0, 0.0); // no backoff delay
+    core::ImageCache cache(2, 0.0, 0.0); // no backoff delay
     cache.setFaultInjector(&injector);
     int runs = 0;
-    auto loader = [&]() -> StatusOr<core::Artifact> {
+    auto loader = [&]() -> StatusOr<core::MaterializedImage> {
         ++runs;
-        return core::Artifact{};
+        return core::MaterializedImage{};
     };
     auto first = cache.getOrLoad("k", loader);
     ASSERT_FALSE(first.isOk());

@@ -2,9 +2,8 @@
  * @file
  * The v6 materialized image (DESIGN.md §13): round-trip from an
  * artifact, zero-copy open, relocation-patch restore determinism and
- * fidelity against the v5 graph-rebuild path, v5→v6 migration
- * byte-identity, and rejection of truncated, bit-flipped and
- * misaligned buffers.
+ * its per-node cost, v5→v6 migration byte-identity, and rejection of
+ * truncated, bit-flipped and misaligned buffers.
  */
 
 #include <gtest/gtest.h>
@@ -176,7 +175,7 @@ TEST(ImageTest, OpenFileReadFallbackMatchesMapped)
               (*b)->runtime().process().stateFingerprint());
 }
 
-// ---- relocation-patch restore: determinism + fidelity -------------------
+// ---- relocation-patch restore: determinism + cost ----------------------
 
 TEST(ImageTest, PatchRestoreIsDeterministic)
 {
@@ -200,55 +199,37 @@ TEST(ImageTest, PatchRestoreIsDeterministic)
               (*second)->coldStartReport().restore.graphs_patched);
 }
 
-TEST(ImageTest, PatchRestoreFingerprintAndLogitsMatchRebuildPath)
+TEST(ImageTest, PatchPassChargesRestorePerNodeCostPerNode)
 {
+    // The patch pass charges the paper-calibrated "patch params + add
+    // node" cost once per restored node: raising the per-node cost
+    // stretches the capture/restore stage by exactly that much per node.
     const Fixture &f = shared();
     auto image =
         MaterializedImage::openView(std::span<const u8>(f.image_bytes));
     ASSERT_TRUE(image.isOk());
 
-    constexpr u64 kSeed = 99;
+    CostModel base;
+    CostModel dearer = base;
+    dearer.restore_per_node_us += 10.0;
     MedusaEngine::Options opts;
     opts.model = tinyModel();
-    opts.aslr_seed = kSeed;
-    auto rebuild = MedusaEngine::coldStart(opts, f.artifact);
-    auto patch = patchColdStart(*image, kSeed);
-    ASSERT_TRUE(rebuild.isOk()) << rebuild.status().toString();
-    ASSERT_TRUE(patch.isOk()) << patch.status().toString();
+    opts.cost = &base;
+    auto a = MedusaEngine::coldStartFromImage(opts, *image);
+    opts.cost = &dearer;
+    auto b = MedusaEngine::coldStartFromImage(opts, *image);
+    ASSERT_TRUE(a.isOk()) << a.status().toString();
+    ASSERT_TRUE(b.isOk()) << b.status().toString();
 
-    llm::ModelRuntime &a = (*rebuild)->runtime();
-    llm::ModelRuntime &b = (*patch)->runtime();
-    // Identical logical state: memory, modules, allocator and launch
-    // counters. The full fingerprint is excluded on purpose — it hashes
-    // stream completion times, and the patch path legitimately lands at
-    // an earlier simulated clock (that is the whole point).
-    EXPECT_EQ(a.process().logicalStateFingerprint(),
-              b.process().logicalStateFingerprint());
-    EXPECT_EQ(a.process().memory().stateFingerprint(),
-              b.process().memory().stateFingerprint());
-    EXPECT_EQ(a.process().modules().stateFingerprint(),
-              b.process().modules().stateFingerprint());
-    EXPECT_EQ(a.allocator().stateFingerprint(),
-              b.allocator().stateFingerprint());
-    EXPECT_LT(b.clock().nowSec(), a.clock().nowSec());
-
-    // The patch report counts per-unique-kernel resolution and
-    // relocations instead of per-node rebuild work.
-    const RestoreReport &pr = (*patch)->coldStartReport().restore;
-    EXPECT_EQ(pr.graphs_patched, f.artifact.graphs.size());
-    EXPECT_EQ(pr.nodes_restored, f.artifact.totalNodes());
-    EXPECT_GT(pr.relocations_applied, 0u);
-    EXPECT_GT(pr.kernels_resolved, 0u);
-
-    for (u32 bs : {1u, 4u}) {
-        ASSERT_TRUE(a.stageValidationState(bs).isOk());
-        ASSERT_TRUE(b.stageValidationState(bs).isOk());
-        auto la = a.graphDecodeLogits(bs);
-        auto lb = b.graphDecodeLogits(bs);
-        ASSERT_TRUE(la.isOk());
-        ASSERT_TRUE(lb.isOk());
-        EXPECT_EQ(*la, *lb) << "bs=" << bs; // bit-identical
-    }
+    const RestoreReport &report = (*a)->coldStartReport().restore;
+    EXPECT_EQ(report.graphs_patched, f.artifact.graphs.size());
+    EXPECT_EQ(report.nodes_restored, f.artifact.totalNodes());
+    EXPECT_GT(report.relocations_applied, 0u);
+    EXPECT_GT(report.kernels_resolved, 0u);
+    EXPECT_LT(report.kernels_resolved, report.nodes_restored);
+    EXPECT_NEAR((*b)->coldStartReport().times.capture -
+                    (*a)->coldStartReport().times.capture,
+                10e-6 * static_cast<f64>(f.artifact.totalNodes()), 1e-9);
 }
 
 // ---- v5 -> v6 migration -------------------------------------------------

@@ -26,6 +26,7 @@
 #include "medusa/tp.h"
 #include "simcuda/caching_allocator.h"
 #include "simcuda/kernels/builtin.h"
+#include "test_image.h"
 
 namespace medusa::core {
 namespace {
@@ -903,14 +904,16 @@ TEST(LintTest, PreRestoreLintGateRejectsCorruptArtifact)
     eopts.model = opts.model;
     eopts.restore.pipeline.lint = true;
 
-    // Clean artifact: the gate lets the restore proceed.
-    auto ok = MedusaEngine::coldStart(eopts, result->artifact);
+    // Clean image: the gate lets the restore proceed.
+    const MaterializedImage clean = test::openImage(result->image_bytes);
+    auto ok = MedusaEngine::coldStartFromImage(eopts, clean);
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
 
     // Corrupt the op sequence: the gate refuses before replaying.
     Artifact corrupt = result->artifact;
     corrupt.ops.push_back(freeOp(corrupt.ops.size() + 1000));
-    auto rejected = MedusaEngine::coldStart(eopts, corrupt);
+    const MaterializedImage corrupt_image = test::imageOf(corrupt);
+    auto rejected = MedusaEngine::coldStartFromImage(eopts, corrupt_image);
     ASSERT_FALSE(rejected.isOk());
     EXPECT_EQ(rejected.status().code(), StatusCode::kValidationFailure);
     EXPECT_NE(rejected.status().message().find("MDL102"),
@@ -1024,13 +1027,16 @@ TEST(LintTest, TpPreRestoreLintGateRejectsDivergentRank)
     eopts.world = 2;
     eopts.restore.pipeline.lint = true;
 
-    auto ok = TpMedusaEngine::coldStart(eopts, offline->rank_artifacts);
+    auto images = openRankImages(offline->rank_images);
+    ASSERT_TRUE(images.isOk()) << images.status().toString();
+    auto ok = TpMedusaEngine::coldStartFromImages(eopts, *images);
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
 
     // Drop one batch size from rank 1: MDL602 must veto the restore.
-    auto ranks = offline->rank_artifacts;
-    ranks[1].graphs.pop_back();
-    auto rejected = TpMedusaEngine::coldStart(eopts, ranks);
+    Artifact divergent = offline->rank_artifacts[1];
+    divergent.graphs.pop_back();
+    (*images)[1] = test::imageOf(divergent);
+    auto rejected = TpMedusaEngine::coldStartFromImages(eopts, *images);
     ASSERT_FALSE(rejected.isOk());
     EXPECT_EQ(rejected.status().code(), StatusCode::kValidationFailure);
     EXPECT_NE(rejected.status().message().find("MDL602"),

@@ -12,6 +12,7 @@
 #include "llm/engine.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
+#include "test_image.h"
 
 namespace medusa {
 namespace {
@@ -72,8 +73,8 @@ TEST(IndirectPointerTest, ExtensionRestoresAcrossProcesses)
     eopts.aslr_seed = 90210;
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {1, 8, 64};
-    auto engine = core::MedusaEngine::coldStart(eopts,
-                                                offline->artifact);
+    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    auto engine = core::MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     EXPECT_TRUE((*engine)->coldStartReport().restore.validated);
     EXPECT_EQ((*engine)->coldStartReport().restore.indirect_pointers_fixed, 3u * 35u);
@@ -102,8 +103,8 @@ TEST(IndirectPointerTest, BasePaperBehaviourFailsValidation)
     eopts.aslr_seed = 555;
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {1};
-    auto engine = core::MedusaEngine::coldStart(eopts,
-                                                offline->artifact);
+    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    auto engine = core::MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_FALSE(engine.isOk());
     EXPECT_EQ(engine.status().code(), StatusCode::kValidationFailure);
 }

@@ -10,6 +10,7 @@
 #include "llm/engine.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
+#include "test_image.h"
 
 namespace medusa {
 namespace {
@@ -69,7 +70,8 @@ TEST(MedusaIntegration, OnlineRestoreValidatesAgainstEager)
     eopts.aslr_seed = 424242; // a very different process layout
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {1, 8, 64};
-    auto engine = MedusaEngine::coldStart(eopts, offline->artifact);
+    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    auto engine = MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
     const RestoreReport &report = (*engine)->coldStartReport().restore;
@@ -102,7 +104,8 @@ TEST(MedusaIntegration, RestoredEngineGenerates)
     MedusaEngine::Options mopts;
     mopts.model = model;
     mopts.aslr_seed = 99;
-    auto restored = MedusaEngine::coldStart(mopts, offline->artifact);
+    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    auto restored = MedusaEngine::coldStartFromImage(mopts, image);
     ASSERT_TRUE(restored.isOk()) << restored.status().toString();
 
     const std::vector<i32> prompt = {5, 17, 42, 7};
@@ -130,7 +133,8 @@ TEST(MedusaIntegration, SkippingContentRestorationFailsValidation)
     eopts.restore.restore_contents = false;
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {1};
-    auto engine = MedusaEngine::coldStart(eopts, offline->artifact);
+    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    auto engine = MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_FALSE(engine.isOk());
     EXPECT_EQ(engine.status().code(), StatusCode::kValidationFailure);
 }
@@ -155,7 +159,8 @@ TEST(MedusaIntegration, ArtifactSurvivesDiskRoundTrip)
     eopts.model = opts.model;
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {8};
-    auto engine = MedusaEngine::coldStart(eopts, *artifact);
+    const core::MaterializedImage image = test::imageOf(*artifact);
+    auto engine = MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     EXPECT_TRUE((*engine)->coldStartReport().restore.validated);
 }
@@ -170,7 +175,8 @@ TEST(MedusaIntegration, WrongModelArtifactRejected)
 
     MedusaEngine::Options eopts;
     eopts.model = findModel("Llama2-7B").value(); // different model
-    auto engine = MedusaEngine::coldStart(eopts, offline->artifact);
+    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    auto engine = MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_FALSE(engine.isOk());
     EXPECT_EQ(engine.status().code(), StatusCode::kValidationFailure);
 }
@@ -185,7 +191,8 @@ TEST(MedusaIntegration, RestoredGraphsServeManyBatchSizes)
     MedusaEngine::Options eopts;
     eopts.model = opts.model;
     eopts.aslr_seed = 31337;
-    auto engine = MedusaEngine::coldStart(eopts, offline->artifact);
+    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    auto engine = MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_TRUE(engine.isOk());
     // Replay every restored batch size against eager decode.
     for (u32 bs : {1u, 2u, 4u, 16u, 64u, 128u, 256u}) {
@@ -222,7 +229,8 @@ TEST(MedusaIntegration, MedusaLoadingFasterThanBaselines)
 
     MedusaEngine::Options mopts;
     mopts.model = model;
-    auto medusa = MedusaEngine::coldStart(mopts, offline->artifact);
+    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    auto medusa = MedusaEngine::coldStartFromImage(mopts, image);
     ASSERT_TRUE(medusa.isOk());
 
     const f64 t_vllm = (*vllm)->coldStartReport().times.loading;

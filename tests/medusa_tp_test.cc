@@ -1,9 +1,9 @@
 /**
  * @file
  * End-to-end tests of Medusa for tensor-parallel serving (§8 future
- * work): per-rank materialization, per-rank restoration in fresh
- * processes, lockstep validation against a reference cluster, and
- * equivalence with the single-GPU engine.
+ * work): per-rank materialization, per-rank restoration from each
+ * rank's image in fresh processes, lockstep validation against a
+ * reference cluster, and equivalence with the single-GPU engine.
  */
 
 #include <gtest/gtest.h>
@@ -42,6 +42,7 @@ TEST(MedusaTpTest, OfflineProducesOneArtifactPerRank)
     const llm::ModelConfig m = tpModel();
     auto offline = materialized(m);
     ASSERT_EQ(offline.rank_artifacts.size(), 2u);
+    ASSERT_EQ(offline.rank_images.size(), 2u);
     for (const Artifact &a : offline.rank_artifacts) {
         EXPECT_EQ(a.graphs.size(), 3u);
         EXPECT_GT(a.stats.pointer_params, 0u);
@@ -74,8 +75,8 @@ TEST(MedusaTpTest, RestoreValidatesAgainstReferenceCluster)
     opts.aslr_seed = 20250707;
     opts.restore.pipeline.validate = true;
     opts.restore.pipeline.validate_batch_sizes = {1, 64};
-    auto engine = TpMedusaEngine::coldStart(opts,
-                                            offline.rank_artifacts);
+    const auto images = openRankImages(offline.rank_images).value();
+    auto engine = TpMedusaEngine::coldStartFromImages(opts, images);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     for (u32 r = 0; r < 2; ++r) {
         EXPECT_TRUE((*engine)->rankRestoreReports()[r].validated);
@@ -93,8 +94,8 @@ TEST(MedusaTpTest, RestoredClusterMatchesSingleGpuNumerics)
     TpMedusaEngine::Options opts;
     opts.model = m;
     opts.world = 2;
-    auto engine = TpMedusaEngine::coldStart(opts,
-                                            offline.rank_artifacts);
+    const auto images = openRankImages(offline.rank_images).value();
+    auto engine = TpMedusaEngine::coldStartFromImages(opts, images);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     ASSERT_TRUE((*engine)->cluster().stageValidationState(4).isOk());
     auto tp_logits = (*engine)->cluster().lockstepDecodeLogits(4);
@@ -127,9 +128,9 @@ TEST(MedusaTpTest, WrongWorldSizeRejected)
     auto offline = materialized(m, {1});
     TpMedusaEngine::Options opts;
     opts.model = m;
-    opts.world = 4; // but only 2 artifacts
-    auto engine = TpMedusaEngine::coldStart(opts,
-                                            offline.rank_artifacts);
+    opts.world = 4; // but only 2 images
+    const auto images = openRankImages(offline.rank_images).value();
+    auto engine = TpMedusaEngine::coldStartFromImages(opts, images);
     EXPECT_FALSE(engine.isOk());
 }
 
@@ -143,8 +144,8 @@ TEST(MedusaTpTest, ContentSkipBreaksTpRestoreToo)
     opts.restore.restore_contents = false;
     opts.restore.pipeline.validate = true;
     opts.restore.pipeline.validate_batch_sizes = {1};
-    auto engine = TpMedusaEngine::coldStart(opts,
-                                            offline.rank_artifacts);
+    const auto images = openRankImages(offline.rank_images).value();
+    auto engine = TpMedusaEngine::coldStartFromImages(opts, images);
     ASSERT_FALSE(engine.isOk());
     EXPECT_EQ(engine.status().code(), StatusCode::kValidationFailure);
 }

@@ -1,17 +1,17 @@
 /**
  * @file
  * MetricsRegistry tests: counter/gauge/histogram semantics, handle
- * stability under the ThreadPool, snapshot/export, and cross-registry
- * merging (DESIGN.md §12).
+ * stability under concurrent writers, snapshot/export, and
+ * cross-registry merging (DESIGN.md §12).
  */
 
 #include <gtest/gtest.h>
 
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/types.h"
 
 namespace medusa {
@@ -61,15 +61,20 @@ TEST(MetricsTest, HandlesAreStableAndThreadSafe)
     MetricsRegistry registry;
     Counter &hot = registry.counter("cache.hits");
     constexpr std::size_t kPerWorker = 10000;
-    ThreadPool pool(4);
-    pool.parallelFor(8, [&](std::size_t) {
-        // Half the workers use the cached handle, half re-lookup: both
-        // must land on the same counter.
-        for (std::size_t i = 0; i < kPerWorker; ++i) {
-            hot.add(1);
-            registry.counter("cache.hits").add(1);
-        }
-    });
+    std::vector<std::thread> workers;
+    for (int w = 0; w < 8; ++w) {
+        workers.emplace_back([&]() {
+            // Each add goes once through the cached handle and once
+            // through a re-lookup: both must land on the same counter.
+            for (std::size_t i = 0; i < kPerWorker; ++i) {
+                hot.add(1);
+                registry.counter("cache.hits").add(1);
+            }
+        });
+    }
+    for (std::thread &w : workers) {
+        w.join();
+    }
     EXPECT_EQ(registry.snapshot().counterValue("cache.hits"),
               8u * kPerWorker * 2u);
 }

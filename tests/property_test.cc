@@ -22,7 +22,9 @@
 
 #include "common/rng.h"
 #include "llm/engine.h"
+#include "llm/tokenizer.h"
 #include "medusa/analyze.h"
+#include "medusa/image.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
 #include "simcuda/caching_allocator.h"
@@ -368,7 +370,21 @@ TEST(ArtifactRobustness, CorruptArtifactNeverCrashes)
         eopts.model = m;
         eopts.restore.pipeline.validate = true;
         eopts.restore.pipeline.validate_batch_sizes = {1};
-        auto engine = core::MedusaEngine::coldStart(eopts, *artifact);
+        // The online phase restores from the flattened image; a
+        // corruption the flattening rejects is a restore failure too.
+        auto image_bytes = core::buildImageBytes(
+            *artifact, llm::trainModelTokenizer(m.seed).merges());
+        if (!image_bytes.isOk()) {
+            ++restore_failed;
+            continue;
+        }
+        auto image =
+            core::MaterializedImage::open(std::move(image_bytes).value());
+        if (!image.isOk()) {
+            ++restore_failed;
+            continue;
+        }
+        auto engine = core::MedusaEngine::coldStartFromImage(eopts, *image);
         if (engine.isOk()) {
             ++restored; // corruption hit a don't-care byte
         } else {

@@ -1,25 +1,21 @@
 /**
  * @file
- * The parallel restore pipeline's hard requirement: simulated results
- * are bit-identical for every thread count. Covers the phased graph
- * rebuild (restoreGraphs), the sectioned zero-copy artifact format
- * (parallel decode, content skipping, CRC rejection, legacy
- * compatibility) and concurrent whole-engine cold starts (the TSan
- * target of scripts/check.sh).
+ * The sectioned zero-copy artifact format (content skipping, per-graph
+ * and per-section CRC rejection, truncation, rejection of the retired
+ * flat format) and concurrent whole-engine cold starts that share one
+ * image: simulated results are bit-identical across the engines.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <span>
 #include <thread>
 
-#include "common/fault.h"
-#include "common/thread_pool.h"
 #include "llm/engine.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
+#include "test_image.h"
 
 namespace medusa {
 namespace {
@@ -42,26 +38,22 @@ tinyModel()
 }
 
 /** One shared offline run for the whole suite. */
-const Artifact &
-sharedArtifact()
+const core::OfflineResult &
+sharedOffline()
 {
-    static const Artifact artifact = []() {
+    static const core::OfflineResult result = []() {
         OfflineOptions opts;
         opts.model = tinyModel();
         opts.pipeline.validate = false;
-        return std::move(materialize(opts).value().artifact);
+        return materialize(opts).value();
     }();
-    return artifact;
+    return result;
 }
 
-StatusOr<std::unique_ptr<MedusaEngine>>
-coldStartWithThreads(u32 restore_threads, bool validate = false)
+const Artifact &
+sharedArtifact()
 {
-    MedusaEngine::Options opts;
-    opts.model = tinyModel();
-    opts.restore.restore_threads = restore_threads;
-    opts.restore.pipeline.validate = validate;
-    return MedusaEngine::coldStart(opts, sharedArtifact());
+    return sharedOffline().artifact;
 }
 
 void
@@ -90,50 +82,17 @@ expectSameReport(const RestoreReport &a, const RestoreReport &b)
     EXPECT_EQ(a.validated, b.validated);
 }
 
-TEST(RestoreParallel, ColdStartDeterministicAcrossThreadCounts)
+TEST(RestoreParallel, LegacyFlatFormatRejected)
 {
-    // validate=true makes each engine also prove restored-graph logits
-    // match eager forwarding, so this covers results, not just timing.
-    auto serial = coldStartWithThreads(1, /*validate=*/true);
-    ASSERT_TRUE(serial.isOk()) << serial.status().toString();
-    for (u32 threads : {2u, 4u, 0u}) {
-        auto parallel = coldStartWithThreads(threads, /*validate=*/true);
-        ASSERT_TRUE(parallel.isOk()) << parallel.status().toString();
-        expectSameTimes((*serial)->coldStartReport().times, (*parallel)->coldStartReport().times);
-        expectSameReport((*serial)->coldStartReport().restore, (*parallel)->coldStartReport().restore);
-        EXPECT_TRUE((*parallel)->coldStartReport().restore.validated);
-    }
-}
-
-TEST(RestoreParallel, ParallelDecodeMatchesSerial)
-{
-    const std::vector<u8> bytes = sharedArtifact().serialize();
-    ArtifactReadOptions serial_opts;
-    auto serial = Artifact::deserializeView(std::span<const u8>(bytes),
-                                            serial_opts);
-    ASSERT_TRUE(serial.isOk()) << serial.status().toString();
-    ArtifactReadOptions parallel_opts;
-    parallel_opts.threads = 4;
-    auto parallel = Artifact::deserializeView(
-        std::span<const u8>(bytes), parallel_opts);
-    ASSERT_TRUE(parallel.isOk()) << parallel.status().toString();
-    // Re-serialization is deterministic, so byte equality is deep
-    // equality of everything the format persists.
-    EXPECT_EQ(serial->serialize(), parallel->serialize());
-    EXPECT_EQ(serial->serialized_size_hint, bytes.size());
-    EXPECT_EQ(parallel->serialized_size_hint, bytes.size());
-}
-
-TEST(RestoreParallel, LegacyFlatFormatStillReadable)
-{
-    const Artifact &original = sharedArtifact();
-    std::vector<u8> flat = original.serializeFlat();
-    u32 version = 0;
-    std::memcpy(&version, flat.data() + 4, sizeof(version));
-    EXPECT_EQ(version, Artifact::kLegacyVersion);
-    auto back = Artifact::deserialize(std::move(flat));
-    ASSERT_TRUE(back.isOk()) << back.status().toString();
-    EXPECT_EQ(back->serialize(), original.serialize());
+    // The retired flat format (version 4) is untrusted input like any
+    // other unknown version: a Status, never a crash.
+    std::vector<u8> bytes = sharedArtifact().serialize();
+    const u32 legacy = 4;
+    std::memcpy(bytes.data() + 4, &legacy, sizeof(legacy));
+    auto back = Artifact::deserialize(std::move(bytes));
+    ASSERT_FALSE(back.isOk());
+    EXPECT_NE(back.status().message().find("version"), std::string::npos)
+        << back.status().toString();
 }
 
 TEST(RestoreParallel, SkipContentsDropsPermanentAndFixesTogether)
@@ -154,11 +113,13 @@ TEST(RestoreParallel, SkipContentsDropsPermanentAndFixesTogether)
     EXPECT_EQ(skipped->graphs.size(), original.graphs.size());
     EXPECT_EQ(skipped->totalNodes(), original.totalNodes());
 
-    // A contents-off restore runs fine from the skimmed artifact.
+    // A contents-off restore runs fine from the skimmed artifact's
+    // image.
     MedusaEngine::Options copts;
     copts.model = tinyModel();
     copts.restore.restore_contents = false;
-    auto engine = MedusaEngine::coldStart(copts, *skipped);
+    const core::MaterializedImage image = test::imageOf(*skipped);
+    auto engine = MedusaEngine::coldStartFromImage(copts, image);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     EXPECT_EQ((*engine)->coldStartReport().restore.restored_content_bytes, 0u);
 }
@@ -192,16 +153,10 @@ TEST(RestoreParallel, CorruptedGraphPayloadFailsItsCrc)
     // A byte in the back half of the section is inside some graph's
     // payload (past the sub-index), so only a per-graph CRC covers it.
     bytes[offset + size - size / 4] ^= 0xff;
-    for (u32 threads : {1u, 4u}) {
-        ArtifactReadOptions opts;
-        opts.threads = threads;
-        auto result = Artifact::deserializeView(
-            std::span<const u8>(bytes), opts);
-        ASSERT_FALSE(result.isOk());
-        EXPECT_NE(result.status().toString().find("CRC"),
-                  std::string::npos)
-            << result.status().toString();
-    }
+    auto result = Artifact::deserializeView(std::span<const u8>(bytes));
+    ASSERT_FALSE(result.isOk());
+    EXPECT_NE(result.status().toString().find("CRC"), std::string::npos)
+        << result.status().toString();
 }
 
 TEST(RestoreParallel, CorruptedSectionIndexFailsItsCrc)
@@ -230,24 +185,13 @@ TEST(RestoreParallel, TruncationAnywhereFails)
     }
 }
 
-TEST(RestoreParallel, ThreadPoolParallelForCoversEveryIndexOnce)
-{
-    ThreadPool pool(3);
-    EXPECT_EQ(pool.size(), 3u);
-    for (std::size_t n : {0u, 1u, 4u, 97u}) {
-        std::vector<std::atomic<u32>> hits(n);
-        pool.parallelFor(n, [&](std::size_t i) { ++hits[i]; });
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_EQ(hits[i].load(), 1u) << "index " << i;
-        }
-    }
-}
-
 TEST(RestoreParallel, ConcurrentColdStartsShareOneArtifact)
 {
-    // Several engines restoring from one const Artifact concurrently,
-    // each with its own internal pool — the data-race surface TSan
-    // checks via scripts/check.sh.
+    // Several engines restoring from one const image concurrently.
+    const core::MaterializedImage image =
+        test::openImage(sharedOffline().image_bytes);
+    MedusaEngine::Options opts;
+    opts.model = tinyModel();
     constexpr int kEngines = 4;
     std::vector<std::thread> threads;
     std::vector<StatusOr<std::unique_ptr<MedusaEngine>>> results;
@@ -255,8 +199,8 @@ TEST(RestoreParallel, ConcurrentColdStartsShareOneArtifact)
         results.emplace_back(internalError("not run"));
     }
     for (int i = 0; i < kEngines; ++i) {
-        threads.emplace_back([i, &results]() {
-            results[i] = coldStartWithThreads(2);
+        threads.emplace_back([i, &results, &opts, &image]() {
+            results[i] = MedusaEngine::coldStartFromImage(opts, image);
         });
     }
     for (std::thread &t : threads) {
@@ -270,61 +214,6 @@ TEST(RestoreParallel, ConcurrentColdStartsShareOneArtifact)
         expectSameReport((*results[0])->coldStartReport().restore,
                          (*results[i])->coldStartReport().restore);
     }
-}
-
-// ---- phase-2 failure propagation (the cancellation contract) ------------
-
-TEST(RestoreParallel, GraphBuildFaultPropagatesUnderParallelPool)
-{
-    // A graph build failing mid-phase-2 must cancel the outstanding
-    // pool tasks (they no-op after the cancel flag flips), join the
-    // pool, and surface the injected error — not deadlock, not crash,
-    // not report partial success. Run under MEDUSA_TSAN to check the
-    // cancel flag's acquire/release pairing.
-    auto plan = FaultPlan::fromSpec("graph_build@3");
-    ASSERT_TRUE(plan.isOk());
-    FaultInjector injector(*plan);
-
-    MedusaEngine::Options opts;
-    opts.model = tinyModel();
-    opts.restore.restore_threads = 4;
-    opts.restore.pipeline.fault = &injector;
-    opts.restore.fallback.mode = core::FallbackMode::kFail;
-    auto engine = MedusaEngine::coldStart(opts, sharedArtifact());
-    ASSERT_FALSE(engine.isOk());
-    EXPECT_EQ(engine.status().code(), StatusCode::kFaultInjected);
-}
-
-TEST(RestoreParallel, GraphBuildFaultRetrySucceedsDeterministically)
-{
-    // The fault fires exactly once (hit 3); the retry's rebuild runs
-    // clean on the rolled-back process and must land bit-identical to
-    // an engine that never saw the fault.
-    auto plan = FaultPlan::fromSpec("graph_build@3x1");
-    ASSERT_TRUE(plan.isOk());
-    FaultInjector injector(*plan);
-
-    MedusaEngine::Options opts;
-    opts.model = tinyModel();
-    opts.restore.restore_threads = 4;
-    opts.restore.pipeline.fault = &injector;
-    opts.restore.fallback.mode = core::FallbackMode::kRetryThenVanilla;
-    auto retried = MedusaEngine::coldStart(opts, sharedArtifact());
-    ASSERT_TRUE(retried.isOk()) << retried.status().toString();
-    EXPECT_FALSE((*retried)->coldStartReport().restore.fallback_vanilla);
-    EXPECT_EQ((*retried)->coldStartReport().restore.restore_failures, 1u);
-
-    auto clean = coldStartWithThreads(4);
-    ASSERT_TRUE(clean.isOk());
-    // Logical fingerprint: the retried engine's clock is legitimately
-    // ahead by the wasted attempt and the backoff pause.
-    EXPECT_EQ(
-        (*retried)->runtime().process().logicalStateFingerprint(),
-        (*clean)->runtime().process().logicalStateFingerprint());
-    EXPECT_EQ((*retried)->coldStartReport().restore.graphs_restored,
-              (*clean)->coldStartReport().restore.graphs_restored);
-    EXPECT_EQ((*retried)->coldStartReport().restore.nodes_restored,
-              (*clean)->coldStartReport().restore.nodes_restored);
 }
 
 } // namespace

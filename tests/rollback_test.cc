@@ -36,18 +36,19 @@ tinyModel()
     return m;
 }
 
-const core::Artifact &
-tinyArtifact()
+const core::MaterializedImage &
+tinyImage()
 {
-    static const core::Artifact artifact = []() {
+    static const core::MaterializedImage image = []() {
         OfflineOptions opts;
         opts.model = tinyModel();
         opts.pipeline.validate = false;
         auto result = materialize(opts);
-        EXPECT_TRUE(result.isOk()) << result.status().toString();
-        return std::move(result->artifact);
+        MEDUSA_CHECK(result.isOk(), result.status().toString());
+        return core::MaterializedImage::open(std::move(result->image_bytes))
+            .value();
     }();
-    return artifact;
+    return image;
 }
 
 // ---- GpuProcess-level invariants ----------------------------------------
@@ -147,7 +148,7 @@ TEST(RollbackTest, FallbackLogitsIdenticalToNeverRestoredEngine)
     eopts.aslr_seed = kSeed;
     eopts.restore.pipeline.fault = &injector;
     eopts.restore.fallback.mode = FallbackMode::kVanillaColdStart;
-    auto degraded = MedusaEngine::coldStart(eopts, tinyArtifact());
+    auto degraded = MedusaEngine::coldStartFromImage(eopts, tinyImage());
     ASSERT_TRUE(degraded.isOk()) << degraded.status().toString();
     ASSERT_TRUE((*degraded)->coldStartReport().restore.fallback_vanilla);
 
@@ -363,6 +364,14 @@ tpOffline()
     return result;
 }
 
+const std::vector<core::MaterializedImage> &
+tpImages()
+{
+    static const std::vector<core::MaterializedImage> images =
+        core::openRankImages(tpOffline().rank_images).value();
+    return images;
+}
+
 TEST(RollbackTest, TpRetryRollsBackEveryRankCoherently)
 {
     auto plan = FaultPlan::fromSpec("tp_rank@2x1");
@@ -380,8 +389,7 @@ TEST(RollbackTest, TpRetryRollsBackEveryRankCoherently)
     opts.restore.pipeline.fault = &injector;
     opts.restore.fallback.mode = FallbackMode::kRetryThenVanilla;
     opts.restore.fallback.max_attempts = 2;
-    auto engine = core::TpMedusaEngine::coldStart(
-        opts, tpOffline().rank_artifacts);
+    auto engine = core::TpMedusaEngine::coldStartFromImages(opts, tpImages());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
     // The rank-1 fault rolled BOTH ranks back; the retry restored the
@@ -425,8 +433,7 @@ TEST(RollbackTest, TpFallbackDegradesAllRanksTogether)
     opts.restore.pipeline.validate_batch_sizes = {1};
     opts.restore.pipeline.fault = &injector;
     opts.restore.fallback.mode = FallbackMode::kVanillaColdStart;
-    auto engine = core::TpMedusaEngine::coldStart(
-        opts, tpOffline().rank_artifacts);
+    auto engine = core::TpMedusaEngine::coldStartFromImages(opts, tpImages());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
     for (u32 r = 0; r < 2; ++r) {
@@ -463,7 +470,7 @@ TEST(RollbackTest, ColdStartReportCarriesSpansAndMergesUserSinks)
     eopts.model = tinyModel();
     eopts.restore.pipeline.trace = &sink;
     eopts.restore.pipeline.metrics = &registry;
-    auto engine = MedusaEngine::coldStart(eopts, tinyArtifact());
+    auto engine = MedusaEngine::coldStartFromImage(eopts, tinyImage());
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
     const ColdStartReport &cs = (*engine)->coldStartReport();

@@ -1,8 +1,9 @@
 /**
  * @file
  * medusa-trace recorder tests: span timing against the injected clock,
- * the zero-cost-when-disabled contract, deterministic export under the
- * ThreadPool, and the Chrome trace_event golden format (DESIGN.md §12).
+ * the zero-cost-when-disabled contract, deterministic export under
+ * concurrent appends, and the Chrome trace_event golden format
+ * (DESIGN.md §12).
  */
 
 #include <gtest/gtest.h>
@@ -11,10 +12,10 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/clock.h"
-#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "common/types.h"
 
@@ -179,9 +180,9 @@ TEST(TraceTest, DisabledRecorderZeroAllocation)
     EXPECT_EQ(g_allocs.load(), before);
 }
 
-TEST(TraceTest, DeterministicExportUnderThreadPool)
+TEST(TraceTest, DeterministicExportUnderConcurrentAppends)
 {
-    // Pre-timed events appended from pool workers in a racy order must
+    // Pre-timed events appended from several threads in a racy order must
     // export byte-identically to a serial append: the exporter sorts
     // into canonical (start, track, dur, name) order.
     auto make_event = [](std::size_t i) {
@@ -203,10 +204,17 @@ TEST(TraceTest, DeterministicExportUnderThreadPool)
 
     for (u32 threads : {2u, 5u}) {
         TraceRecorder racy;
-        ThreadPool pool(threads);
-        pool.parallelFor(kEvents, [&](std::size_t i) {
-            racy.append(make_event(i));
-        });
+        std::vector<std::thread> workers;
+        for (u32 t = 0; t < threads; ++t) {
+            workers.emplace_back([&racy, &make_event, t, threads]() {
+                for (std::size_t i = t; i < kEvents; i += threads) {
+                    racy.append(make_event(i));
+                }
+            });
+        }
+        for (std::thread &w : workers) {
+            w.join();
+        }
         EXPECT_EQ(racy.toChromeJson(), golden)
             << "trace export depends on thread count " << threads;
     }

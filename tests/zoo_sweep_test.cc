@@ -13,6 +13,7 @@
 #include "llm/engine.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
+#include "test_image.h"
 
 namespace medusa {
 namespace {
@@ -50,8 +51,8 @@ TEST_P(ZooSweepTest, OfflineOnlineRoundTripValidates)
     eopts.aslr_seed = 0xabcd;
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {4, 128};
-    auto engine = core::MedusaEngine::coldStart(eopts,
-                                                offline->artifact);
+    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    auto engine = core::MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     EXPECT_TRUE((*engine)->coldStartReport().restore.validated);
     EXPECT_GT((*engine)->coldStartReport().restore.kernels_via_enumeration, 0u);
