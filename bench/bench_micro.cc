@@ -91,13 +91,15 @@ BM_EagerDecode(benchmark::State &state)
 BENCHMARK(BM_EagerDecode)->Arg(1)->Arg(64);
 
 /**
- * The shared GEMM routine alone at the forward pass's functional
- * shapes (out x k): qkv 96x32, gate_up 128x32, down 32x64 and
- * lm_head 256x32, for n = 1..256 rows. Reports MAC/s, so the kernel's
- * speed is tracked apart from the set-ups it dominates.
+ * One compiled matmulF32 variant alone (SSE2, AVX2 or AVX-512 tiles),
+ * at the set-up's functional GEMM shapes: n = 1..256 rows, out x k
+ * covering qkv 96x32, gate_up 128x32, down 32x64 and lm_head 256x32.
+ * Reports GMAC/s, so each variant's speed is tracked apart from the
+ * set-ups it dominates. Registered from main() for every variant the
+ * host supports.
  */
 void
-BM_Matmul(benchmark::State &state)
+BM_Matmul(benchmark::State &state, simcuda::detail::MatmulFn matmul)
 {
     const u64 n = static_cast<u64>(state.range(0));
     const u64 out = static_cast<u64>(state.range(1));
@@ -111,19 +113,29 @@ BM_Matmul(benchmark::State &state)
         x = rng.nextSymmetricFloat();
     }
     for (auto _ : state) {
-        simcuda::matmulF32(a.data(), w.data(), c.data(), n, out, k);
+        matmul(a.data(), w.data(), c.data(), n, out, k);
         benchmark::DoNotOptimize(c.data());
         benchmark::ClobberMemory();
     }
-    state.counters["MAC/s"] = benchmark::Counter(
-        static_cast<double>(n * out * k),
+    state.counters["GMAC/s"] = benchmark::Counter(
+        static_cast<double>(n * out * k) * 1e-9,
         benchmark::Counter::kIsIterationInvariantRate);
 }
-BENCHMARK(BM_Matmul)
-    ->ArgNames({"n", "out", "k"})
-    ->ArgsProduct({{1, 4, 64, 256}, {96, 128}, {32}})
-    ->ArgsProduct({{1, 4, 64, 256}, {32}, {64}})
-    ->ArgsProduct({{1, 4, 64, 256}, {256}, {32}});
+
+void
+registerMatmulVariants()
+{
+    for (const auto &variant : simcuda::detail::matmulVariants()) {
+        if (!variant.host_supported) {
+            continue;
+        }
+        const std::string name = std::string("BM_Matmul/") + variant.name;
+        benchmark::RegisterBenchmark(name.c_str(), BM_Matmul, variant.fn)
+            ->ArgNames({"n", "out", "k"})
+            ->ArgsProduct({{1, 8, 64, 256}, {32, 96, 128, 256}, {32, 64}})
+            ->MinTime(0.1);
+    }
+}
 
 /** A device buffer holding @p values; aborts the bench on failure. */
 DeviceAddr
@@ -231,6 +243,53 @@ BM_KvWrite(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_KvWrite)->ArgName("n")->Arg(1)->Arg(64)->Arg(256);
+
+/**
+ * Causal prefill attention over @p n tokens in 64-token sequences, in
+ * the same fused rows: the set-up's prefill measurement shape at
+ * n = 256.
+ */
+void
+BM_AttentionPrefill(benchmark::State &state)
+{
+    const i32 n = static_cast<i32>(state.range(0));
+    constexpr i32 kSeqLen = 64;
+    SimClock clock;
+    CostModel cost;
+    simcuda::GpuProcess process(simcuda::GpuProcessOptions{}, &clock,
+                                &cost);
+    Rng rng(6);
+    const std::vector<f32> rows = fusedRows(rng, n);
+    std::vector<i32> starts;
+    for (i32 t = 0; t < n; t += kSeqLen) {
+        starts.push_back(t);
+    }
+    starts.push_back(n);
+    const i32 bs = static_cast<i32>(starts.size()) - 1;
+    const DeviceAddr fused =
+        deviceCopy(process, rows.data(), rows.size() * sizeof(f32));
+    const DeviceAddr start_buf =
+        deviceCopy(process, starts.data(), starts.size() * sizeof(i32));
+    const u64 out_bytes =
+        static_cast<u64>(n) * kHeads * kHeadDim * sizeof(f32);
+    auto out = process.memory().malloc(out_bytes, out_bytes);
+    bench::checkOk(out.status(), "attention out");
+    const u64 row_bytes = kHeads * kHeadDim * sizeof(f32);
+    const auto &k = simcuda::BuiltinKernels::get();
+    for (auto _ : state) {
+        simcuda::ParamsBuilder pb;
+        pb.ptr(fused).ptr(fused + row_bytes).ptr(fused + 2 * row_bytes)
+            .ptr(start_buf).ptr(*out).i32(bs).i32(kHeads).i32(kHeads)
+            .i32(kHeadDim).i32(kFusedRow).f32(0.35f);
+        bench::checkOk(process.defaultStream().launch(k.attention_prefill,
+                                                      pb.take(),
+                                                      TimingInfo{}),
+                       "attention_prefill");
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_AttentionPrefill)->ArgName("n")->Arg(64)->Arg(256);
 
 /** BPE training exactly as each runtime's tokenizer load runs it. */
 void
@@ -365,6 +424,7 @@ main(int argc, char **argv)
             arg = json_flag;
         }
     }
+    medusa::registerMatmulVariants();
     int n = static_cast<int>(args.size());
     benchmark::Initialize(&n, args.data());
     if (benchmark::ReportUnrecognizedArguments(n, args.data())) {

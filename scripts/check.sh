@@ -2,7 +2,8 @@
 # The repository hygiene gate: formatting, static analysis, sanitizers,
 # static artifact verification, a fault-injected test pass (a fixed
 # MEDUSA_FAULT_PLAN seed keeps the restore-stack fault hooks live under
-# ASan and TSan) and the golden fixtures in a Release build. Steps
+# ASan and TSan), the golden fixtures in a Release build and a scan of
+# the Release kernels for fused multiply-adds. Steps
 # whose tools are not installed are skipped with a notice, so the
 # script is useful on minimal images.
 #
@@ -264,6 +265,24 @@ else
             fail "Release $TEST failed"
         fi
     done
+fi
+
+note "FMA guard: no fused multiply-add in the Release functional kernels"
+# -ffp-contract=off (src/simcuda/CMakeLists.txt) keeps every product
+# and sum separately rounded (DESIGN.md, "Functional kernel arithmetic
+# contract"). Without it the AVX-512 GEMM variant contracts them into
+# vfmadd and no longer matches the naive loop bit for bit.
+KERNELS_OBJ="$REL_BUILD/src/simcuda/CMakeFiles/medusa_simcuda.dir/kernels/builtin.cc.o"
+if ! command -v objdump >/dev/null 2>&1; then
+    skip "objdump not installed"
+elif [ ! -f "$KERNELS_OBJ" ]; then
+    fail "Release kernel object missing: $KERNELS_OBJ"
+else
+    FMA=$(objdump -d "$KERNELS_OBJ" |
+          grep -cE '[[:space:]]vfn?m(add|sub)')
+    if [ "$FMA" -ne 0 ]; then
+        fail "$FMA fused multiply-add instruction(s) in builtin.cc.o"
+    fi
 fi
 
 note "summary"

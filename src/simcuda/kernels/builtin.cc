@@ -1,9 +1,12 @@
 #include "simcuda/kernels/builtin.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -21,6 +24,41 @@ using PK = ParamKind;
 
 #define SPAN_I32(var, addr, count)                                           \
     MEDUSA_ASSIGN_OR_RETURN(i32 *var, mem.i32Span((addr), (count)))
+
+/** Independent sum chains one interleaved pass advances together. */
+constexpr i32 kChains = 8;
+
+/**
+ * sums[i] = +0.0f; for d in 0..len-1: sums[i] = sums[i] + term(i, d),
+ * for every i < kChains. Each chain keeps the serial order and
+ * rounding of the one-at-a-time loop; interleaving only overlaps the
+ * latency of chains that never mix (DESIGN.md, "Functional kernel
+ * arithmetic contract").
+ */
+template <typename Term>
+std::array<f32, kChains>
+chainSums(i32 len, const Term &term)
+{
+    std::array<f32, kChains> sums{};
+    for (i32 d = 0; d < len; ++d) {
+#pragma GCC unroll 8
+        for (i32 i = 0; i < kChains; ++i) {
+            sums[i] = sums[i] + term(i, d);
+        }
+    }
+    return sums;
+}
+
+/**
+ * Chain i of the block starting at @p first takes index first + i, or
+ * @p first again once that reaches @p end, so a ragged last block
+ * reads only valid rows; its extra sums are discarded.
+ */
+inline i32
+chainIndex(i32 first, i32 i, i32 end)
+{
+    return first + i < end ? first + i : first;
+}
 
 // ---------------------------------------------------------------- torch
 
@@ -61,14 +99,21 @@ rmsNorm(DeviceMemoryManager &mem, const KernelArgs &args)
     SPAN_F32(in, args.ptrAt(0), static_cast<u64>(n) * h);
     SPAN_F32(weight, args.ptrAt(1), static_cast<u64>(h));
     SPAN_F32(out, args.ptrAt(2), static_cast<u64>(n) * h);
-    for (i32 t = 0; t < n; ++t) {
-        f32 ss = 0;
-        for (i32 d = 0; d < h; ++d) {
-            ss += in[t * h + d] * in[t * h + d];
+    for (i32 t0 = 0; t0 < n; t0 += kChains) {
+        const f32 *rows[kChains];
+        for (i32 i = 0; i < kChains; ++i) {
+            rows[i] = in + static_cast<u64>(chainIndex(t0, i, n)) * h;
         }
-        const f32 inv = 1.0f / std::sqrt(ss / static_cast<f32>(h) + eps);
-        for (i32 d = 0; d < h; ++d) {
-            out[t * h + d] = in[t * h + d] * inv * weight[d];
+        const auto ss = chainSums(
+            h, [&](i32 i, i32 d) { return rows[i][d] * rows[i][d]; });
+        for (i32 i = 0; i < std::min(kChains, n - t0); ++i) {
+            const f32 *x = rows[i];
+            f32 *y = out + static_cast<u64>(t0 + i) * h;
+            const f32 inv =
+                1.0f / std::sqrt(ss[i] / static_cast<f32>(h) + eps);
+            for (i32 d = 0; d < h; ++d) {
+                y[d] = x[d] * inv * weight[d];
+            }
         }
     }
     return Status::ok();
@@ -88,22 +133,27 @@ layerNorm(DeviceMemoryManager &mem, const KernelArgs &args)
     SPAN_F32(weight, args.ptrAt(1), static_cast<u64>(h));
     SPAN_F32(bias, args.ptrAt(2), static_cast<u64>(h));
     SPAN_F32(out, args.ptrAt(3), static_cast<u64>(n) * h);
-    for (i32 t = 0; t < n; ++t) {
-        f32 mean = 0;
-        for (i32 d = 0; d < h; ++d) {
-            mean += in[t * h + d];
+    for (i32 t0 = 0; t0 < n; t0 += kChains) {
+        const f32 *rows[kChains];
+        for (i32 i = 0; i < kChains; ++i) {
+            rows[i] = in + static_cast<u64>(chainIndex(t0, i, n)) * h;
         }
-        mean /= static_cast<f32>(h);
-        f32 var = 0;
-        for (i32 d = 0; d < h; ++d) {
-            const f32 c = in[t * h + d] - mean;
-            var += c * c;
+        auto mean = chainSums(h, [&](i32 i, i32 d) { return rows[i][d]; });
+        for (f32 &m : mean) {
+            m /= static_cast<f32>(h);
         }
-        var /= static_cast<f32>(h);
-        const f32 inv = 1.0f / std::sqrt(var + eps);
-        for (i32 d = 0; d < h; ++d) {
-            out[t * h + d] = (in[t * h + d] - mean) * inv * weight[d] +
-                             bias[d];
+        const auto sq = chainSums(h, [&](i32 i, i32 d) {
+            const f32 c = rows[i][d] - mean[i];
+            return c * c;
+        });
+        for (i32 i = 0; i < std::min(kChains, n - t0); ++i) {
+            const f32 *x = rows[i];
+            f32 *y = out + static_cast<u64>(t0 + i) * h;
+            const f32 var = sq[i] / static_cast<f32>(h);
+            const f32 inv = 1.0f / std::sqrt(var + eps);
+            for (i32 d = 0; d < h; ++d) {
+                y[d] = (x[d] - mean[i]) * inv * weight[d] + bias[d];
+            }
         }
     }
     return Status::ok();
@@ -345,6 +395,54 @@ kvWrite(DeviceMemoryManager &mem, const KernelArgs &args)
 }
 
 /**
+ * One query head's attention over @p ctx >= 1 keys:
+ *
+ *     s_j = (q . key(j)) * scale,  w_j = exp(s_j - max s) / sum exp,
+ *     ov[d] = sum_j w_j * value(j)[d]
+ *
+ * key(j) and value(j) return the head's K and V rows (@p hd floats).
+ * Every dot and every ov[d] is a serial chain (over d and over j
+ * respectively), eight of them advanced together; the max, the exps
+ * and their sum stay one serial pass over j. @p scores holds ctx
+ * floats of scratch.
+ */
+template <typename KeyRow, typename ValueRow>
+void
+attendHead(const f32 *qv, i32 hd, i32 ctx, f32 scale, const KeyRow &key,
+           const ValueRow &value, f32 *scores, f32 *ov)
+{
+    f32 max_s = -std::numeric_limits<f32>::infinity();
+    for (i32 j0 = 0; j0 < ctx; j0 += kChains) {
+        const f32 *keys[kChains];
+        for (i32 i = 0; i < kChains; ++i) {
+            keys[i] = key(chainIndex(j0, i, ctx));
+        }
+        const auto dots =
+            chainSums(hd, [&](i32 i, i32 d) { return qv[d] * keys[i][d]; });
+        for (i32 i = 0; i < std::min(kChains, ctx - j0); ++i) {
+            scores[j0 + i] = dots[i] * scale;
+            max_s = std::max(max_s, scores[j0 + i]);
+        }
+    }
+    f32 denom = 0;
+    for (i32 j = 0; j < ctx; ++j) {
+        scores[j] = std::exp(scores[j] - max_s);
+        denom += scores[j];
+    }
+    for (i32 j = 0; j < ctx; ++j) {
+        scores[j] = scores[j] / denom;
+    }
+    for (i32 d0 = 0; d0 < hd; d0 += kChains) {
+        const auto sums = chainSums(ctx, [&](i32 i, i32 j) {
+            return scores[j] * value(j)[chainIndex(d0, i, hd)];
+        });
+        for (i32 i = 0; i < std::min(kChains, hd - d0); ++i) {
+            ov[d0 + i] = sums[i];
+        }
+    }
+}
+
+/**
  * Varlen causal attention over fresh q/k/v rows living in a fused QKV
  * buffer with a shared row stride (in floats).
  * params: q*, k*, v*, seq_starts*, out*, bs, q_heads, kv_heads,
@@ -392,41 +490,21 @@ attentionPrefill(DeviceMemoryManager &mem, const KernelArgs &args)
     for (i32 b = 0; b < bs; ++b) {
         const i32 s0 = starts[b];
         const i32 s1 = starts[b + 1];
+        scores.resize(static_cast<std::size_t>(s1 - s0));
         for (i32 t = s0; t < s1; ++t) {
             for (i32 head = 0; head < qh; ++head) {
                 const u64 kv_off = static_cast<u64>(head * kvh / qh) * hd;
-                const f32 *qv = q + static_cast<u64>(t) * row_stride +
-                                static_cast<u64>(head) * hd;
-                const i32 ctx = t - s0 + 1;
-                scores.assign(ctx, 0.0f);
-                f32 max_s = -std::numeric_limits<f32>::infinity();
-                for (i32 j = 0; j < ctx; ++j) {
-                    const f32 *kv =
-                        k + static_cast<u64>(s0 + j) * row_stride + kv_off;
-                    f32 dot = 0;
-                    for (i32 d = 0; d < hd; ++d) {
-                        dot += qv[d] * kv[d];
-                    }
-                    scores[j] = dot * scale;
-                    max_s = std::max(max_s, scores[j]);
-                }
-                f32 denom = 0;
-                for (i32 j = 0; j < ctx; ++j) {
-                    scores[j] = std::exp(scores[j] - max_s);
-                    denom += scores[j];
-                }
-                f32 *ov = out + (static_cast<u64>(t) * qh + head) * hd;
-                for (i32 d = 0; d < hd; ++d) {
-                    ov[d] = 0;
-                }
-                for (i32 j = 0; j < ctx; ++j) {
-                    const f32 w = scores[j] / denom;
-                    const f32 *vv =
-                        v + static_cast<u64>(s0 + j) * row_stride + kv_off;
-                    for (i32 d = 0; d < hd; ++d) {
-                        ov[d] += w * vv[d];
-                    }
-                }
+                const auto row = [&](const f32 *base, i32 j) {
+                    return base + static_cast<u64>(s0 + j) * row_stride +
+                           kv_off;
+                };
+                attendHead(
+                    q + static_cast<u64>(t) * row_stride +
+                        static_cast<u64>(head) * hd,
+                    hd, t - s0 + 1, scale,
+                    [&](i32 j) { return row(k, j); },
+                    [&](i32 j) { return row(v, j); }, scores.data(),
+                    out + (static_cast<u64>(t) * qh + head) * hd);
             }
         }
     }
@@ -515,38 +593,17 @@ pagedAttentionDecode(DeviceMemoryManager &mem, const KernelArgs &args)
                  args.ptrAt(0) +
                      static_cast<u64>(b) * q_stride * sizeof(f32),
                  static_cast<u64>(qh) * hd);
+        scores.resize(static_cast<std::size_t>(len));
         for (i32 head = 0; head < qh; ++head) {
             const u64 kv_off = static_cast<u64>(head * kvh / qh) * hd;
-            const f32 *qv = q_row + static_cast<u64>(head) * hd;
-            scores.assign(static_cast<std::size_t>(len), 0.0f);
-            f32 max_s = -std::numeric_limits<f32>::infinity();
-            for (i32 t = 0; t < len; ++t) {
-                const f32 *kc =
-                    k_cache.data() + slot_of[t] * slot_width + kv_off;
-                f32 dot = 0;
-                for (i32 d = 0; d < hd; ++d) {
-                    dot += qv[d] * kc[d];
-                }
-                scores[t] = dot * scale;
-                max_s = std::max(max_s, scores[t]);
-            }
-            f32 denom = 0;
-            for (i32 t = 0; t < len; ++t) {
-                scores[t] = std::exp(scores[t] - max_s);
-                denom += scores[t];
-            }
-            f32 *ov = out + (static_cast<u64>(b) * qh + head) * hd;
-            for (i32 d = 0; d < hd; ++d) {
-                ov[d] = 0;
-            }
-            for (i32 t = 0; t < len; ++t) {
-                const f32 *vc =
-                    v_cache.data() + slot_of[t] * slot_width + kv_off;
-                const f32 w = scores[t] / denom;
-                for (i32 d = 0; d < hd; ++d) {
-                    ov[d] += w * vc[d];
-                }
-            }
+            const auto row = [&](const f32 *cache, i32 t) {
+                return cache + slot_of[t] * slot_width + kv_off;
+            };
+            attendHead(q_row + static_cast<u64>(head) * hd, hd, len, scale,
+                       [&](i32 t) { return row(k_cache.data(), t); },
+                       [&](i32 t) { return row(v_cache.data(), t); },
+                       scores.data(),
+                       out + (static_cast<u64>(b) * qh + head) * hd);
         }
     }
     return Status::ok();
@@ -565,41 +622,75 @@ pagedAttentionReduce(DeviceMemoryManager &mem, const KernelArgs &args)
 
 // --------------------------------------------------------------- cublas
 
-/** Four f32 lanes (SSE2 on x86-64) via GCC vector extensions. */
+/*
+ * f32 lanes via GCC vector extensions, one type per x86-64 vector
+ * width: SSE2 (the baseline ISA), AVX2 and AVX-512F. A wide type is
+ * only operated on inside a function compiled for its ISA, and no
+ * vector is ever passed or returned by value, so no call between
+ * differently-targeted functions depends on a vector calling
+ * convention.
+ */
 using F32x4 = f32 __attribute__((vector_size(16)));
+using F32x8 = f32 __attribute__((vector_size(32)));
+using F32x16 = f32 __attribute__((vector_size(64)));
 
-/** Output rows and columns of one register tile. */
+template <typename V>
+constexpr u64 kLanes = sizeof(V) / sizeof(f32);
+
+/** Output rows of one register tile; its columns are two vectors. */
 constexpr u64 kTileRows = 4;
-constexpr u64 kTileCols = 8;
+
+/** The packed W panel is aligned to the widest vector. */
+constexpr std::align_val_t kPanelAlign{sizeof(F32x16)};
 
 /** acc = acc + x * w, lane-wise: one rounded product, one rounded sum. */
-inline void
-macInto(F32x4 &lo, F32x4 &hi, f32 x, F32x4 w_lo, F32x4 w_hi)
+template <typename V>
+[[gnu::always_inline]] inline void
+macInto(V &lo, V &hi, f32 x, const V &w_lo, const V &w_hi)
 {
-    const F32x4 xv = {x, x, x, x};
-    lo = lo + xv * w_lo;
-    hi = hi + xv * w_hi;
+    lo = lo + x * w_lo;
+    hi = hi + x * w_hi;
+}
+
+/** Stores the first @p cols lanes of [lo | hi] to @p row. */
+template <typename V>
+[[gnu::always_inline]] inline void
+storeCols(const V &lo, const V &hi, u64 cols, f32 *row)
+{
+    constexpr u64 kL = kLanes<V>;
+    if (cols == 2 * kL) {
+        std::memcpy(row, &lo, sizeof(V));
+        std::memcpy(row + kL, &hi, sizeof(V));
+        return;
+    }
+    f32 lanes[2 * kL];
+    std::memcpy(lanes, &lo, sizeof(V));
+    std::memcpy(lanes + kL, &hi, sizeof(V));
+    std::memcpy(row, lanes, cols * sizeof(f32));
 }
 
 /**
  * Outputs C[r, j] for r < R (1 or kTileRows) rows of A starting at
- * @p a and the @p cols <= kTileCols columns packed in @p panel
+ * @p a and the @p cols <= 2 * kLanes<V> columns packed in @p panel
  * (d-major: two vectors per d, zero-padded past @p cols). Every output
  * owns one accumulator lane and takes its products in order
  * d = 0..k-1. The accumulators are named locals, not an array, so
  * they stay in registers.
  */
-template <u64 R>
-void
-matmulTile(const f32 *a, u64 k, const F32x4 *panel, u64 cols, f32 *c,
+template <typename V, u64 R>
+[[gnu::always_inline]] inline void
+matmulTile(const f32 *a, u64 k, const f32 *panel, u64 cols, f32 *c,
            u64 c_stride)
 {
     static_assert(R == 1 || R == kTileRows);
-    F32x4 c00 = {}, c01 = {}, c10 = {}, c11 = {};
-    F32x4 c20 = {}, c21 = {}, c30 = {}, c31 = {};
+    constexpr u64 kL = kLanes<V>;
+    V c00 = {}, c01 = {}, c10 = {}, c11 = {};
+    V c20 = {}, c21 = {}, c30 = {}, c31 = {};
     for (u64 d = 0; d < k; ++d) {
-        const F32x4 w_lo = panel[2 * d];
-        const F32x4 w_hi = panel[2 * d + 1];
+        V w_lo;
+        V w_hi;
+        std::memcpy(&w_lo, panel + 2 * kL * d, sizeof(V));
+        std::memcpy(&w_hi, panel + 2 * kL * d + kL, sizeof(V));
         macInto(c00, c01, a[d], w_lo, w_hi);
         if constexpr (R == kTileRows) {
             macInto(c10, c11, a[k + d], w_lo, w_hi);
@@ -607,18 +698,78 @@ matmulTile(const f32 *a, u64 k, const F32x4 *panel, u64 cols, f32 *c,
             macInto(c30, c31, a[3 * k + d], w_lo, w_hi);
         }
     }
-    const F32x4 acc[kTileRows][2] = {
-        {c00, c01}, {c10, c11}, {c20, c21}, {c30, c31}};
-    for (u64 r = 0; r < R; ++r) {
-        f32 *row = c + r * c_stride;
-        if (cols == kTileCols) {
-            std::memcpy(row, acc[r], sizeof(acc[r]));
-            continue;
-        }
+    storeCols(c00, c01, cols, c);
+    if constexpr (R == kTileRows) {
+        storeCols(c10, c11, cols, c + c_stride);
+        storeCols(c20, c21, cols, c + 2 * c_stride);
+        storeCols(c30, c31, cols, c + 3 * c_stride);
+    }
+}
+
+struct PanelFree
+{
+    void operator()(f32 *p) const { ::operator delete(p, kPanelAlign); }
+};
+
+/**
+ * matmulF32 over vector type V: W is packed 2 * kLanes<V> rows at a
+ * time into one aligned panel, which kTileRows x (2 * kLanes<V>)
+ * register tiles then sweep down A.
+ */
+template <typename V>
+[[gnu::always_inline]] inline void
+matmulLanes(const f32 *a, const f32 *w, f32 *c, u64 n, u64 out, u64 k)
+{
+    constexpr u64 kCols = 2 * kLanes<V>;
+    // With no rows of A or W nothing bounds k, so size no panel by it.
+    if (n == 0 || out == 0) {
+        return;
+    }
+    const std::unique_ptr<f32, PanelFree> panel(static_cast<f32 *>(
+        ::operator new(kCols * k * sizeof(f32), kPanelAlign)));
+    f32 *p = panel.get();
+    for (u64 o0 = 0; o0 < out; o0 += kCols) {
+        const u64 cols = std::min(kCols, out - o0);
+        // Panel column j holds W row o0 + j; columns past the last
+        // row hold zeros.
         for (u64 j = 0; j < cols; ++j) {
-            row[j] = acc[r][j / 4][j % 4];
+            const f32 *wr = w + (o0 + j) * k;
+            for (u64 d = 0; d < k; ++d) {
+                p[d * kCols + j] = wr[d];
+            }
+        }
+        for (u64 j = cols; j < kCols; ++j) {
+            for (u64 d = 0; d < k; ++d) {
+                p[d * kCols + j] = 0.0f;
+            }
+        }
+        u64 t = 0;
+        for (; t + kTileRows <= n; t += kTileRows) {
+            matmulTile<V, kTileRows>(a + t * k, k, p, cols,
+                                     c + t * out + o0, out);
+        }
+        for (; t < n; ++t) {
+            matmulTile<V, 1>(a + t * k, k, p, cols, c + t * out + o0, out);
         }
     }
+}
+
+void
+matmulSse2(const f32 *a, const f32 *w, f32 *c, u64 n, u64 out, u64 k)
+{
+    matmulLanes<F32x4>(a, w, c, n, out, k);
+}
+
+[[gnu::target("avx2")]] void
+matmulAvx2(const f32 *a, const f32 *w, f32 *c, u64 n, u64 out, u64 k)
+{
+    matmulLanes<F32x8>(a, w, c, n, out, k);
+}
+
+[[gnu::target("avx512f")]] void
+matmulAvx512(const f32 *a, const f32 *w, f32 *c, u64 n, u64 out, u64 k)
+{
+    matmulLanes<F32x16>(a, w, c, n, out, k);
 }
 
 /**
@@ -701,33 +852,34 @@ gemmBatched(DeviceMemoryManager &mem, const KernelArgs &args)
 
 } // namespace
 
+namespace detail {
+
+std::span<const MatmulVariant>
+matmulVariants()
+{
+    static const MatmulVariant kVariants[] = {
+        {"sse2", matmulSse2, true},
+        {"avx2", matmulAvx2, __builtin_cpu_supports("avx2") != 0},
+        {"avx512f", matmulAvx512, __builtin_cpu_supports("avx512f") != 0},
+    };
+    return kVariants;
+}
+
+} // namespace detail
+
 void
 matmulF32(const f32 *a, const f32 *w, f32 *c, u64 n, u64 out, u64 k)
 {
-    std::vector<F32x4> panel(2 * k);
-    // Columns past the last W row read this zero row instead.
-    const std::vector<f32> zeros(k, 0.0f);
-    for (u64 o0 = 0; o0 < out; o0 += kTileCols) {
-        const u64 cols = std::min(kTileCols, out - o0);
-        const f32 *wr[kTileCols];
-        for (u64 j = 0; j < kTileCols; ++j) {
-            wr[j] = j < cols ? w + (o0 + j) * k : zeros.data();
+    static const detail::MatmulFn widest = [] {
+        detail::MatmulFn fn = nullptr;
+        for (const detail::MatmulVariant &v : detail::matmulVariants()) {
+            if (v.host_supported) {
+                fn = v.fn;
+            }
         }
-        for (u64 d = 0; d < k; ++d) {
-            panel[2 * d] = F32x4{wr[0][d], wr[1][d], wr[2][d], wr[3][d]};
-            panel[2 * d + 1] =
-                F32x4{wr[4][d], wr[5][d], wr[6][d], wr[7][d]};
-        }
-        u64 t = 0;
-        for (; t + kTileRows <= n; t += kTileRows) {
-            matmulTile<kTileRows>(a + t * k, k, panel.data(), cols,
-                                  c + t * out + o0, out);
-        }
-        for (; t < n; ++t) {
-            matmulTile<1>(a + t * k, k, panel.data(), cols,
-                          c + t * out + o0, out);
-        }
-    }
+        return fn;
+    }();
+    widest(a, w, c, n, out, k);
 }
 
 void

@@ -24,6 +24,8 @@
 #ifndef MEDUSA_SIMCUDA_KERNELS_BUILTIN_H
 #define MEDUSA_SIMCUDA_KERNELS_BUILTIN_H
 
+#include <span>
+
 #include "simcuda/kernel.h"
 
 namespace medusa::simcuda {
@@ -48,8 +50,35 @@ inline constexpr const char *kNcclModule = "libsimnccl.so";
  * reassociation, no fused multiply-add. Register tiling only
  * interleaves the chains of independent outputs, so the result is
  * bit-identical to the naive triple loop. C must not overlap A or W.
+ *
+ * Runs the widest variant of detail::matmulVariants() the host CPU
+ * supports, chosen once by CPUID; every variant gives the same bits.
  */
 void matmulF32(const f32 *a, const f32 *w, f32 *c, u64 n, u64 out, u64 k);
+
+namespace detail {
+
+using MatmulFn = void (*)(const f32 *a, const f32 *w, f32 *c, u64 n,
+                          u64 out, u64 k);
+
+/** One compiled implementation of matmulF32. */
+struct MatmulVariant
+{
+    /** The ISA its tiles use: "sse2", "avx2" or "avx512f". */
+    const char *name;
+    MatmulFn fn;
+    /** CPUID reports the ISA, so this host can run @p fn. */
+    bool host_supported;
+};
+
+/**
+ * Every compiled matmulF32 variant, narrowest (4 lanes) first. For
+ * tests and bench_micro, which check and time each one; production
+ * code calls matmulF32.
+ */
+std::span<const MatmulVariant> matmulVariants();
+
+} // namespace detail
 
 /**
  * Dense ids of every built-in kernel, resolved once against the global

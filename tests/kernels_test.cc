@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -257,35 +258,64 @@ sameBits(const std::vector<f32> &x, const std::vector<f32> &y)
 }
 
 constexpr u64 kGemmRows[] = {1, 2, 3, 4, 5, 7, 9, 256};
-constexpr u64 kGemmOuts[] = {1, 7, 8, 9, 33, 96, 256};
+/**
+ * Ragged around every tile width: 8 columns (4 lanes), 16 (8 lanes)
+ * and 32 (16 lanes), and past two 32-column tiles.
+ */
+constexpr u64 kGemmOuts[] = {1,  7,  8,  9,  15, 16, 17,
+                             31, 32, 33, 65, 96, 256};
 constexpr u64 kGemmDepths[] = {1, 3, 32, 64};
 
+/**
+ * Every compiled matmulF32 variant the host can run, not only the one
+ * it dispatches to, against the naive loop. Variants the CPU lacks are
+ * recorded as a test property and turn the test into a skip (after
+ * the supported ones passed), so a host that cannot check them says
+ * so.
+ */
 TEST(MatmulTest, BitIdenticalToNaiveLoopOnRaggedShapes)
 {
-    Rng rng(12);
-    u64 nonfinite = 0;
-    u64 subnormal = 0;
-    for (u64 n : kGemmRows) {
-        for (u64 out : kGemmOuts) {
-            for (u64 k : kGemmDepths) {
-                const auto a = gemmOperand(rng, n * k);
-                const auto w = gemmOperand(rng, out * k);
-                const auto want = naiveMatmul(a, w, n, out, k);
-                std::vector<f32> got(n * out, 42.0f);
-                matmulF32(a.data(), w.data(), got.data(), n, out, k);
-                ASSERT_TRUE(sameBits(want, got))
-                    << "n=" << n << " out=" << out << " k=" << k;
-                for (f32 x : got) {
-                    nonfinite += std::isfinite(x) ? 0 : 1;
-                    subnormal += std::fpclassify(x) == FP_SUBNORMAL;
+    std::string checked;
+    std::string skipped;
+    for (const auto &variant : detail::matmulVariants()) {
+        std::string &list = variant.host_supported ? checked : skipped;
+        list += std::string(list.empty() ? "" : ",") + variant.name;
+        if (!variant.host_supported) {
+            continue;
+        }
+        Rng rng(12);
+        u64 nonfinite = 0;
+        u64 subnormal = 0;
+        for (u64 n : kGemmRows) {
+            for (u64 out : kGemmOuts) {
+                for (u64 k : kGemmDepths) {
+                    const auto a = gemmOperand(rng, n * k);
+                    const auto w = gemmOperand(rng, out * k);
+                    const auto want = naiveMatmul(a, w, n, out, k);
+                    std::vector<f32> got(n * out, 42.0f);
+                    variant.fn(a.data(), w.data(), got.data(), n, out, k);
+                    ASSERT_TRUE(sameBits(want, got))
+                        << variant.name << " n=" << n << " out=" << out
+                        << " k=" << k;
+                    for (f32 x : got) {
+                        nonfinite += std::isfinite(x) ? 0 : 1;
+                        subnormal += std::fpclassify(x) == FP_SUBNORMAL;
+                    }
                 }
             }
         }
+        // The special inputs really reached the outputs, and denormal
+        // results were produced (no flush-to-zero anywhere).
+        EXPECT_GT(nonfinite, 0u) << variant.name;
+        EXPECT_GT(subnormal, 0u) << variant.name;
     }
-    // The special inputs really reached the outputs, and denormal
-    // results were produced (no flush-to-zero anywhere).
-    EXPECT_GT(nonfinite, 0u);
-    EXPECT_GT(subnormal, 0u);
+    RecordProperty("checked_variants", checked);
+    RecordProperty("skipped_variants", skipped);
+    EXPECT_FALSE(checked.empty());
+    if (!skipped.empty()) {
+        GTEST_SKIP() << "checked " << checked << "; this CPU cannot run "
+                     << skipped;
+    }
 }
 
 TEST_F(KernelsTest, AllGemmKernelsBitIdenticalToNaiveLoop)
@@ -363,6 +393,12 @@ TEST_F(KernelsTest, GemmRejectsNegativeDims)
         pb.ptr(a).ptr(w).ptr(c).i32(dims[0]).i32(dims[1]).i32(dims[2]);
         EXPECT_FALSE(launch(k_.gemm_64x64, pb.take()).isOk());
     }
+    // Empty operands bound no depth: a huge k with no rows is a no-op,
+    // not a panel allocation sized by k.
+    ParamsBuilder empty;
+    empty.ptr(a).ptr(w).ptr(c).i32(0).i32(0)
+        .i32(std::numeric_limits<i32>::max());
+    EXPECT_TRUE(launch(k_.gemm_64x64, empty.take()).isOk());
 }
 
 TEST_F(KernelsTest, BiasAddAndResidualAdd)
@@ -625,6 +661,320 @@ TEST_F(KernelsTest, KvWriteBitIdenticalToPerElementLoop)
                     for (DeviceAddr buf : {fused, kc, vc, slot_buf}) {
                         ASSERT_TRUE(process_.memory().free(buf).isOk());
                     }
+                }
+            }
+        }
+    }
+}
+
+// ---- scalar oracles for the interleaved kernels ------------------------
+
+/**
+ * One (query, head) attention as specified: every dot, the softmax
+ * and every weighted sum is one serial loop, one output at a time.
+ * key(j) and value(j) are the head's K and V rows.
+ */
+template <typename KeyRow, typename ValueRow>
+void
+naiveAttendHead(const f32 *q, i32 hd, i32 ctx, f32 scale, KeyRow key,
+                ValueRow value, f32 *out)
+{
+    std::vector<f32> scores(static_cast<std::size_t>(ctx));
+    f32 max_s = -std::numeric_limits<f32>::infinity();
+    for (i32 j = 0; j < ctx; ++j) {
+        f32 dot = 0;
+        for (i32 d = 0; d < hd; ++d) {
+            dot += q[d] * key(j)[d];
+        }
+        scores[j] = dot * scale;
+        max_s = std::max(max_s, scores[j]);
+    }
+    f32 denom = 0;
+    for (i32 j = 0; j < ctx; ++j) {
+        scores[j] = std::exp(scores[j] - max_s);
+        denom += scores[j];
+    }
+    for (i32 d = 0; d < hd; ++d) {
+        f32 acc = 0;
+        for (i32 j = 0; j < ctx; ++j) {
+            const f32 w = scores[j] / denom;
+            acc += w * value(j)[d];
+        }
+        out[d] = acc;
+    }
+}
+
+/**
+ * Attention operands: moderate values whose softmax weights are spread
+ * out, or gemmOperand's mix of -0.0, denormals, ±Inf and NaN.
+ */
+std::vector<f32>
+attentionOperand(Rng &rng, std::size_t count, bool special)
+{
+    return special ? gemmOperand(rng, count) : randomFloats(rng, count);
+}
+
+/**
+ * Head dims giving one partial, one full, and a full plus a partial
+ * block of eight d-chains.
+ */
+constexpr i32 kAttnHeadDims[] = {5, 8, 12};
+
+/**
+ * Sequence lengths 17, 0, 8 and 9 give every context length 1..17,
+ * so the last block of eight key chains holds ctx % 8 = 0, 1 and 7
+ * keys.
+ */
+const std::vector<i32> kPrefillStarts = {0, 17, 17, 25, 34};
+
+TEST_F(KernelsTest, AttentionPrefillBitIdenticalToSerialLoop)
+{
+    Rng rng(90);
+    const i32 total = kPrefillStarts.back();
+    const i32 bs = static_cast<i32>(kPrefillStarts.size()) - 1;
+    const f32 scale = 0.3f;
+    for (bool special : {false, true}) {
+        for (const auto &[qh, kvh] : kHeadLayouts) {
+            for (i32 hd : kAttnHeadDims) {
+                for (i32 pad : kRowPads) {
+                    const i32 stride = (qh + 2 * kvh) * hd + pad;
+                    const u64 k_off = static_cast<u64>(qh) * hd;
+                    const u64 v_off = k_off + static_cast<u64>(kvh) * hd;
+                    const auto rows = attentionOperand(
+                        rng, static_cast<std::size_t>(total) * stride,
+                        special);
+                    std::vector<f32> want(static_cast<std::size_t>(total) *
+                                          qh * hd);
+                    for (i32 b = 0; b < bs; ++b) {
+                        const i32 s0 = kPrefillStarts[b];
+                        for (i32 t = s0; t < kPrefillStarts[b + 1]; ++t) {
+                            for (i32 head = 0; head < qh; ++head) {
+                                const u64 kv =
+                                    static_cast<u64>(head * kvh / qh) * hd;
+                                const auto row = [&](u64 off, i32 j) {
+                                    return rows.data() +
+                                           static_cast<u64>(s0 + j) *
+                                               stride +
+                                           off + kv;
+                                };
+                                naiveAttendHead(
+                                    rows.data() +
+                                        static_cast<u64>(t) * stride +
+                                        static_cast<u64>(head) * hd,
+                                    hd, t - s0 + 1, scale,
+                                    [&](i32 j) { return row(k_off, j); },
+                                    [&](i32 j) { return row(v_off, j); },
+                                    want.data() +
+                                        (static_cast<u64>(t) * qh + head) *
+                                            hd);
+                            }
+                        }
+                    }
+                    const DeviceAddr fused = floats(rows);
+                    const DeviceAddr starts = ints(kPrefillStarts);
+                    const DeviceAddr out = floats(
+                        std::vector<f32>(want.size(), 42.0f));
+                    ParamsBuilder pb;
+                    pb.ptr(fused).ptr(fused + k_off * 4)
+                        .ptr(fused + v_off * 4).ptr(starts).ptr(out)
+                        .i32(bs).i32(qh).i32(kvh).i32(hd).i32(stride)
+                        .f32(scale);
+                    ASSERT_TRUE(
+                        launch(k_.attention_prefill, pb.take()).isOk());
+                    ASSERT_TRUE(sameBits(want, readF(out, want.size())))
+                        << "special=" << special << " qh=" << qh
+                        << " kvh=" << kvh << " hd=" << hd
+                        << " stride=" << stride;
+                    for (DeviceAddr buf : {fused, starts, out}) {
+                        ASSERT_TRUE(process_.memory().free(buf).isOk());
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST_F(KernelsTest, PagedAttentionDecodeBitIdenticalToSerialLoop)
+{
+    Rng rng(91);
+    // ctx % 8 = 1, -, 7, 0, 1, 1; the empty sequence is a padding row.
+    const std::vector<i32> lens = {1, 0, 7, 8, 9, 17};
+    const i32 bs = static_cast<i32>(lens.size());
+    const i32 block_size = 4;
+    const i32 max_blocks = 5;
+    const f32 scale = 0.3f;
+    // Every sequence gets max_blocks blocks of a shuffled cache, so its
+    // slots are neither contiguous nor in order.
+    const i32 cache_blocks = bs * max_blocks;
+    std::vector<i32> tables(static_cast<std::size_t>(cache_blocks));
+    for (i32 i = 0; i < cache_blocks; ++i) {
+        tables[i] = i;
+    }
+    for (i32 i = cache_blocks - 1; i > 0; --i) {
+        std::swap(tables[i], tables[rng.nextBounded(i + 1)]);
+    }
+    const u64 cache_slots = static_cast<u64>(cache_blocks) * block_size;
+    for (bool special : {false, true}) {
+        for (const auto &[qh, kvh] : kHeadLayouts) {
+            for (i32 hd : kAttnHeadDims) {
+                for (i32 pad : kRowPads) {
+                    const i32 q_stride = qh * hd + pad;
+                    const u64 width = static_cast<u64>(kvh) * hd;
+                    const auto q = attentionOperand(
+                        rng, static_cast<std::size_t>(bs) * q_stride,
+                        special);
+                    const auto kc =
+                        attentionOperand(rng, cache_slots * width, special);
+                    const auto vc =
+                        attentionOperand(rng, cache_slots * width, special);
+                    std::vector<f32> want(static_cast<std::size_t>(bs) * qh *
+                                          hd);
+                    for (i32 b = 0; b < bs; ++b) {
+                        for (i32 head = 0; head < qh; ++head) {
+                            const u64 kv =
+                                static_cast<u64>(head * kvh / qh) * hd;
+                            const auto row = [&](const std::vector<f32> &c,
+                                                 i32 t) {
+                                const u64 slot =
+                                    static_cast<u64>(
+                                        tables[b * max_blocks +
+                                               t / block_size]) *
+                                        block_size +
+                                    t % block_size;
+                                return c.data() + slot * width + kv;
+                            };
+                            naiveAttendHead(
+                                q.data() + static_cast<u64>(b) * q_stride +
+                                    static_cast<u64>(head) * hd,
+                                hd, lens[b], scale,
+                                [&](i32 t) { return row(kc, t); },
+                                [&](i32 t) { return row(vc, t); },
+                                want.data() +
+                                    (static_cast<u64>(b) * qh + head) * hd);
+                        }
+                    }
+                    const DeviceAddr q_buf = floats(q);
+                    const DeviceAddr k_buf = floats(kc);
+                    const DeviceAddr v_buf = floats(vc);
+                    const DeviceAddr table_buf = ints(tables);
+                    const DeviceAddr len_buf = ints(lens);
+                    const DeviceAddr out = floats(
+                        std::vector<f32>(want.size(), 42.0f));
+                    ParamsBuilder pb;
+                    pb.ptr(q_buf).ptr(k_buf).ptr(v_buf).ptr(table_buf)
+                        .ptr(len_buf).ptr(out).i32(bs).i32(qh).i32(kvh)
+                        .i32(hd).i32(block_size).i32(max_blocks)
+                        .i32(q_stride)
+                        .i64(static_cast<i64>(0x7fabull << 32))
+                        .f32(scale);
+                    ASSERT_TRUE(launch(k_.paged_attention_decode, pb.take())
+                                    .isOk());
+                    ASSERT_TRUE(sameBits(want, readF(out, want.size())))
+                        << "special=" << special << " qh=" << qh
+                        << " kvh=" << kvh << " hd=" << hd
+                        << " q_stride=" << q_stride;
+                    for (DeviceAddr buf :
+                         {q_buf, k_buf, v_buf, table_buf, len_buf, out}) {
+                        ASSERT_TRUE(process_.memory().free(buf).isOk());
+                    }
+                }
+            }
+        }
+    }
+}
+
+/** Row counts around the eight-row chain blocks, and row widths. */
+constexpr i32 kNormRows[] = {1, 7, 8, 9, 17};
+constexpr i32 kNormWidths[] = {1, 5, 32};
+
+TEST_F(KernelsTest, RmsNormBitIdenticalToSerialLoop)
+{
+    Rng rng(92);
+    const f32 eps = 1e-5f;
+    for (bool special : {false, true}) {
+        for (i32 n : kNormRows) {
+            for (i32 h : kNormWidths) {
+                const auto in = attentionOperand(
+                    rng, static_cast<std::size_t>(n) * h, special);
+                const auto weight = attentionOperand(
+                    rng, static_cast<std::size_t>(h), special);
+                std::vector<f32> want(in.size());
+                for (i32 t = 0; t < n; ++t) {
+                    const f32 *x = in.data() + static_cast<u64>(t) * h;
+                    f32 ss = 0;
+                    for (i32 d = 0; d < h; ++d) {
+                        ss += x[d] * x[d];
+                    }
+                    const f32 inv =
+                        1.0f / std::sqrt(ss / static_cast<f32>(h) + eps);
+                    for (i32 d = 0; d < h; ++d) {
+                        want[static_cast<u64>(t) * h + d] =
+                            x[d] * inv * weight[d];
+                    }
+                }
+                const DeviceAddr in_buf = floats(in);
+                const DeviceAddr w_buf = floats(weight);
+                const DeviceAddr out =
+                    floats(std::vector<f32>(want.size(), 42.0f));
+                ParamsBuilder pb;
+                pb.ptr(in_buf).ptr(w_buf).ptr(out).i32(n).i32(h).f32(eps);
+                ASSERT_TRUE(launch(k_.rmsnorm, pb.take()).isOk());
+                ASSERT_TRUE(sameBits(want, readF(out, want.size())))
+                    << "special=" << special << " n=" << n << " h=" << h;
+                for (DeviceAddr buf : {in_buf, w_buf, out}) {
+                    ASSERT_TRUE(process_.memory().free(buf).isOk());
+                }
+            }
+        }
+    }
+}
+
+TEST_F(KernelsTest, LayerNormBitIdenticalToSerialLoop)
+{
+    Rng rng(93);
+    const f32 eps = 1e-5f;
+    for (bool special : {false, true}) {
+        for (i32 n : kNormRows) {
+            for (i32 h : kNormWidths) {
+                const auto in = attentionOperand(
+                    rng, static_cast<std::size_t>(n) * h, special);
+                const auto weight = attentionOperand(
+                    rng, static_cast<std::size_t>(h), special);
+                const auto bias = attentionOperand(
+                    rng, static_cast<std::size_t>(h), special);
+                std::vector<f32> want(in.size());
+                for (i32 t = 0; t < n; ++t) {
+                    const f32 *x = in.data() + static_cast<u64>(t) * h;
+                    f32 mean = 0;
+                    for (i32 d = 0; d < h; ++d) {
+                        mean += x[d];
+                    }
+                    mean /= static_cast<f32>(h);
+                    f32 var = 0;
+                    for (i32 d = 0; d < h; ++d) {
+                        const f32 c = x[d] - mean;
+                        var += c * c;
+                    }
+                    var /= static_cast<f32>(h);
+                    const f32 inv = 1.0f / std::sqrt(var + eps);
+                    for (i32 d = 0; d < h; ++d) {
+                        want[static_cast<u64>(t) * h + d] =
+                            (x[d] - mean) * inv * weight[d] + bias[d];
+                    }
+                }
+                const DeviceAddr in_buf = floats(in);
+                const DeviceAddr w_buf = floats(weight);
+                const DeviceAddr b_buf = floats(bias);
+                const DeviceAddr out =
+                    floats(std::vector<f32>(want.size(), 42.0f));
+                ParamsBuilder pb;
+                pb.ptr(in_buf).ptr(w_buf).ptr(b_buf).ptr(out).i32(n).i32(h)
+                    .f32(eps);
+                ASSERT_TRUE(launch(k_.layernorm, pb.take()).isOk());
+                ASSERT_TRUE(sameBits(want, readF(out, want.size())))
+                    << "special=" << special << " n=" << n << " h=" << h;
+                for (DeviceAddr buf : {in_buf, w_buf, b_buf, out}) {
+                    ASSERT_TRUE(process_.memory().free(buf).isOk());
                 }
             }
         }
