@@ -89,12 +89,12 @@ main()
                                     "materialize");
         const auto &s = result.artifact.stats;
         std::printf("  %-10s materialized %10llu bytes in %6llu buffers "
-                    "(artifact %0.2f MiB)\n",
+                    "(image %0.2f MiB)\n",
                     copy_free ? "copy-free" : "full-dump",
                     static_cast<unsigned long long>(
                         s.materialized_content_bytes),
                     static_cast<unsigned long long>(s.permanent_buffers),
-                    static_cast<f64>(result.artifact.serialize().size()) /
+                    static_cast<f64>(result.image_bytes.size()) /
                         static_cast<f64>(units::MiB));
     }
 

@@ -27,7 +27,6 @@
 #include "serverless/cluster.h"
 
 using namespace medusa;
-using bench::materializeCached;
 using bench::unwrap;
 
 namespace {
@@ -133,8 +132,8 @@ main(int argc, char **argv)
 
     const llm::ModelConfig model =
         unwrap(llm::findModel(model_name), "model lookup");
-    const bench::Materialized m =
-        unwrap(materializeCached(model), "materialization");
+    const core::OfflineResult m = unwrap(
+        core::materialize(bench::offlineOptions(model)), "materialization");
     const core::MaterializedImage image = bench::openImage(m.image_bytes);
 
     // ---- engine matrix: fault point × fallback policy -------------------

@@ -30,8 +30,8 @@ main()
 
     for (const char *name : {"Llama2-7B", "Qwen1.5-4B"}) {
         auto model = bench::unwrap(llm::findModel(name), "findModel");
-        const auto m = bench::unwrap(bench::materializeCached(model),
-                                     "materialize");
+        const auto m = bench::unwrap(
+            core::materialize(bench::offlineOptions(model)), "materialize");
 
         // Build the per-strategy serving profiles once.
         std::vector<serverless::ServingProfile> profiles;

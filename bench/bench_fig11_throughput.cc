@@ -29,8 +29,8 @@ main()
 
     for (const char *name : {"Llama2-7B", "Qwen1.5-4B"}) {
         auto model = bench::unwrap(llm::findModel(name), "findModel");
-        const auto m = bench::unwrap(bench::materializeCached(model),
-                                     "materialize");
+        const auto m = bench::unwrap(
+            core::materialize(bench::offlineOptions(model)), "materialize");
 
         std::vector<serverless::ServingProfile> profiles;
         for (llm::Strategy s : strategies) {

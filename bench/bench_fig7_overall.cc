@@ -31,9 +31,9 @@ main()
     int count = 0;
 
     for (const llm::ModelConfig &model : llm::modelZoo()) {
-        const auto m = bench::unwrap(bench::materializeCached(model),
-                                     model.name.c_str());
-        const core::MaterializedImage image = bench::openImage(m.image_bytes);
+        const std::vector<u8> image_bytes = bench::unwrap(
+            bench::materializeCached(model), model.name.c_str());
+        const core::MaterializedImage image = bench::openImage(image_bytes);
 
         llm::BaselineEngine::Options bopts;
         bopts.model = model;

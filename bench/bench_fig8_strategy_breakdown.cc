@@ -51,8 +51,7 @@ main(int argc, char **argv)
     auto model =
         bench::unwrap(llm::findModel("Qwen1.5-4B"), "findModel");
     const std::vector<u8> image_bytes =
-        bench::unwrap(bench::materializeCached(model), "materialize")
-            .image_bytes;
+        bench::unwrap(bench::materializeCached(model), "materialize");
     const core::MaterializedImage image = bench::openImage(image_bytes);
 
     llm::BaselineEngine::Options bopts;

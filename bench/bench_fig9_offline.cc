@@ -19,7 +19,7 @@ main()
     std::printf("=== Figure 9: offline phase overhead (10 models) "
                 "===\n\n");
     std::printf("%-14s %12s %12s %10s %12s\n", "model", "capturing(s)",
-                "analysis(s)", "total(s)", "artifact");
+                "analysis(s)", "total(s)", "image");
     bench::printRule();
 
     f64 sum_capture = 0, sum_analysis = 0;
@@ -36,8 +36,7 @@ main()
         std::printf("%-14s %12.1f %12.1f %10.1f %12s\n",
                     model.name.c_str(), result.capture_stage_sec,
                     result.analysis_stage_sec, result.totalOffline(),
-                    formatBytes(result.artifact.serialize().size())
-                        .c_str());
+                    formatBytes(result.image_bytes.size()).c_str());
     }
     bench::printRule();
     std::printf("average: capturing %.1f s (paper ~9.7), analysis %.1f "

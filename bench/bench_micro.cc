@@ -321,47 +321,23 @@ BM_TokenizerEncode(benchmark::State &state)
 BENCHMARK(BM_TokenizerEncode);
 
 void
-BM_ArtifactSerializeRoundTrip(benchmark::State &state)
+BM_ImageOpenView(benchmark::State &state)
 {
+    // The restore path's decode: open the v6 image straight out of a
+    // borrowed buffer, whole-image CRC included.
     core::OfflineOptions opts;
     opts.model = tinyModel();
     opts.pipeline.validate = false;
     auto offline = core::materialize(opts);
-    const auto bytes = offline->artifact.serialize();
+    const std::span<const u8> bytes(offline->image_bytes);
     for (auto _ : state) {
-        auto copy = core::Artifact::deserialize(bytes);
-        benchmark::DoNotOptimize(copy);
+        auto image = core::MaterializedImage::openView(bytes);
+        benchmark::DoNotOptimize(image);
     }
     state.SetBytesProcessed(
         static_cast<i64>(state.iterations() * bytes.size()));
 }
-BENCHMARK(BM_ArtifactSerializeRoundTrip);
-
-void
-BM_ArtifactDeserializeView(benchmark::State &state)
-{
-    // The zero-copy path: parse straight out of a borrowed buffer,
-    // optionally skipping the permanent-contents sections the restore
-    // won't touch.
-    core::OfflineOptions opts;
-    opts.model = tinyModel();
-    opts.pipeline.validate = false;
-    auto offline = core::materialize(opts);
-    const auto bytes = offline->artifact.serialize();
-    core::ArtifactReadOptions ropts;
-    ropts.load_permanent_contents = state.range(0) != 0;
-    for (auto _ : state) {
-        auto copy = core::Artifact::deserializeView(
-            std::span<const u8>(bytes), ropts);
-        benchmark::DoNotOptimize(copy);
-    }
-    state.SetBytesProcessed(
-        static_cast<i64>(state.iterations() * bytes.size()));
-}
-BENCHMARK(BM_ArtifactDeserializeView)
-    ->Arg(1)
-    ->Arg(0)
-    ->ArgName("contents");
+BENCHMARK(BM_ImageOpenView);
 
 void
 BM_OfflineMaterialize(benchmark::State &state)

@@ -25,8 +25,8 @@ main()
 {
     auto model = bench::unwrap(llm::findModel("Qwen1.5-4B"),
                                "findModel");
-    const auto m = bench::unwrap(bench::materializeCached(model),
-                                 "materialize");
+    const auto m = bench::unwrap(
+        core::materialize(bench::offlineOptions(model)), "materialize");
 
     // ---- shared trace ------------------------------------------------
     workload::TraceOptions topts;

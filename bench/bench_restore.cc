@@ -176,7 +176,7 @@ run(int argc, char **argv)
     const llm::ModelConfig model =
         unwrap(llm::findModel(model_name), "model lookup");
     const std::vector<u8> image_bytes =
-        unwrap(materializeCached(model), "materialization").image_bytes;
+        unwrap(materializeCached(model), "materialization");
     const std::span<const u8> image_view(image_bytes);
     const core::MaterializedImage layout = openImage(image_bytes);
 

@@ -62,7 +62,7 @@ main()
     // ---- §5 / §4.3 statistics from a real offline run ------------------
     auto model = bench::unwrap(llm::findModel("Llama2-13B"), "findModel");
     const core::Artifact artifact =
-        bench::unwrap(bench::materializeCached(model),
+        bench::unwrap(core::materialize(bench::offlineOptions(model)),
                       "materialize Llama2-13B")
             .artifact;
     const core::AnalysisStats &s = artifact.stats;

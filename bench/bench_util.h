@@ -136,52 +136,41 @@ class Reporter
     MetricsRegistry registry_;
 };
 
-/** A model's offline products as cached on disk under ./artifacts. */
-struct Materialized
+/** The offline-phase options every bench materializes a model with. */
+inline core::OfflineOptions
+offlineOptions(const llm::ModelConfig &model)
 {
-    /** The in-memory artifact (analysis stats, serving profiles). */
-    core::Artifact artifact;
-    /** Its serialized v6 image: what every Medusa cold start restores. */
-    std::vector<u8> image_bytes;
-};
-
-/**
- * Materialize a model, caching the artifact and its image on disk
- * under ./artifacts so experiment binaries can share offline phases. A
- * stale or corrupt cache re-materializes both files, so the artifact
- * and the image always come from the same offline run.
- */
-inline StatusOr<Materialized>
-materializeCached(const llm::ModelConfig &model)
-{
-    const std::string stem = "artifacts/" + model.name;
-    auto artifact_bytes = readFile(stem + ".medusa");
-    auto image_bytes = readFile(stem + ".image");
-    if (artifact_bytes.isOk() && image_bytes.isOk()) {
-        auto artifact = core::Artifact::deserialize(std::move(*artifact_bytes));
-        auto image = core::MaterializedImage::openView(
-            std::span<const u8>(*image_bytes));
-        if (artifact.isOk() && image.isOk() &&
-            artifact->model_name == model.name &&
-            artifact->model_seed == model.seed &&
-            image->model_name == model.name &&
-            image->model_seed == model.seed) {
-            return Materialized{std::move(*artifact),
-                                std::move(*image_bytes)};
-        }
-        // Stale or corrupt cache: fall through and rebuild.
-    }
     core::OfflineOptions opts;
     opts.model = model;
     opts.pipeline.validate = true;
     opts.pipeline.validate_batch_sizes = {1, 64};
+    return opts;
+}
+
+/**
+ * Materialize a model and return its v6 image bytes, caching the image
+ * on disk as ./artifacts/<model>.mdsi so experiment binaries can share
+ * offline phases. A stale or corrupt cache entry is re-materialized.
+ * Benches that need the in-memory artifact (analysis stats, serving
+ * profiles) call core::materialize(offlineOptions(model)) instead.
+ */
+inline StatusOr<std::vector<u8>>
+materializeCached(const llm::ModelConfig &model)
+{
+    const std::string path = "artifacts/" + model.name + ".mdsi";
+    if (auto bytes = readFile(path); bytes.isOk()) {
+        auto image =
+            core::MaterializedImage::openView(std::span<const u8>(*bytes));
+        if (image.isOk() && image->model_name == model.name &&
+            image->model_seed == model.seed) {
+            return std::move(*bytes);
+        }
+        // Stale or corrupt cache: fall through and rebuild.
+    }
     MEDUSA_ASSIGN_OR_RETURN(core::OfflineResult result,
-                            core::materialize(opts));
-    MEDUSA_RETURN_IF_ERROR(
-        writeFile(stem + ".medusa", result.artifact.serialize()));
-    MEDUSA_RETURN_IF_ERROR(writeFile(stem + ".image", result.image_bytes));
-    return Materialized{std::move(result.artifact),
-                        std::move(result.image_bytes)};
+                            core::materialize(offlineOptions(model)));
+    MEDUSA_RETURN_IF_ERROR(writeFile(path, result.image_bytes));
+    return std::move(result.image_bytes);
 }
 
 /** Abort the bench with a message if a status is an error. */

@@ -1,13 +1,14 @@
 /**
  * @file
  * The offline phase as a standalone tool: materialize the CUDA graphs
- * and KV-cache initialization state for a model and write the artifact
+ * and KV-cache initialization state for a model and write the v6 image
  * to disk — the per-<GPU type, model> step a provider runs once before
- * deploying a serverless endpoint.
+ * deploying a serverless endpoint. The image is what every online cold
+ * start restores from and what medusa_lint verifies.
  *
  * Usage:
  *   ./build/examples/offline_materialize [model-name] [output-path]
- * Defaults: Qwen1.5-1.8B, artifacts/<model>.medusa
+ * Defaults: Qwen1.5-1.8B, artifacts/<model>.mdsi
  */
 
 #include <cstdio>
@@ -33,7 +34,7 @@ main(int argc, char **argv)
         return 1;
     }
     const std::string path =
-        argc > 2 ? argv[2] : "artifacts/" + name + ".medusa";
+        argc > 2 ? argv[2] : "artifacts/" + name + ".mdsi";
 
     std::printf("materializing %s ...\n", name.c_str());
     core::OfflineOptions opts;
@@ -46,28 +47,14 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const core::Artifact &a = result->artifact;
-    const auto bytes = a.serialize();
-    if (Status st = writeFile(path, bytes); !st.isOk()) {
+    if (Status st = writeFile(path, result->image_bytes); !st.isOk()) {
         std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
                      st.toString().c_str());
         return 1;
     }
 
-    // The v6 relocation image rides along: it is what the online patch
-    // path opens (and what `medusa_lint --image` verifies).
-    const std::string image_path = path + ".mdsi";
-    if (Status st = writeFile(image_path, result->image_bytes);
-        !st.isOk()) {
-        std::fprintf(stderr, "cannot write %s: %s\n", image_path.c_str(),
-                     st.toString().c_str());
-        return 1;
-    }
-
-    std::printf("\nwrote %s (%.2f MiB)\n", path.c_str(),
-                static_cast<f64>(bytes.size()) /
-                    static_cast<f64>(units::MiB));
-    std::printf("wrote %s (%.2f MiB v6 image)\n", image_path.c_str(),
+    const core::Artifact &a = result->artifact;
+    std::printf("\nwrote %s (%.2f MiB v6 image)\n", path.c_str(),
                 static_cast<f64>(result->image_bytes.size()) /
                     static_cast<f64>(units::MiB));
     std::printf("offline phase:    %.1f virtual s (capturing %.1f, "

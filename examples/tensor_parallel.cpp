@@ -61,12 +61,12 @@ main(int argc, char **argv)
                 }
             }
         }
-        std::printf("rank %u artifact: %llu nodes across %zu graphs "
+        std::printf("rank %u image: %llu nodes across %zu graphs "
                     "(%llu all-reduce nodes), %zu KiB\n",
                     r, static_cast<unsigned long long>(a.totalNodes()),
                     a.graphs.size(),
                     static_cast<unsigned long long>(collectives),
-                    a.serialize().size() / 1024);
+                    offline->rank_images[r].size() / 1024);
     }
 
     core::TpMedusaEngine::Options mopts;

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # The repository hygiene gate: formatting, static analysis, sanitizers,
-# static artifact verification, a fault-injected test pass (a fixed
+# static image verification, a fault-injected test pass (a fixed
 # MEDUSA_FAULT_PLAN seed keeps the restore-stack fault hooks live under
 # ASan and TSan), the golden fixtures in a Release build and a scan of
 # the Release kernels for fused multiply-adds. Steps
@@ -58,24 +58,29 @@ else
     skip "clang-tidy not installed"
 fi
 
-note "medusa_lint over a freshly materialized artifact"
+note "medusa_lint over a freshly materialized image"
 if [ -x "$BUILD/examples/offline_materialize" ] &&
-   [ -x "$BUILD/tools/medusa_lint" ]; then
-    ARTIFACT="$BUILD/check-artifact.medusa"
+   [ -x "$BUILD/tools/medusa_lint" ] &&
+   [ -x "$BUILD/tools/trace_check" ]; then
+    IMAGE="$BUILD/check-image.mdsi"
     if ! "$BUILD/examples/offline_materialize" Qwen1.5-0.5B \
-            "$ARTIFACT" >/dev/null; then
+            "$IMAGE" >/dev/null; then
         fail "offline_materialize failed"
-    elif ! "$BUILD/tools/medusa_lint" --max-severity info "$ARTIFACT"; then
-        # --max-severity info: a pipeline artifact must be clean even
-        # of warnings, not just free of errors.
-        fail "medusa_lint reported diagnostics on a pipeline artifact"
-    elif ! "$BUILD/tools/medusa_lint" --json "$ARTIFACT" \
+    elif ! "$BUILD/tools/medusa_lint" --max-severity info "$IMAGE"; then
+        # --max-severity info: a pipeline image must be clean even of
+        # warnings, not just free of errors.
+        fail "medusa_lint reported diagnostics on a pipeline image"
+    elif ! "$BUILD/tools/medusa_lint" --json "$IMAGE" \
             > "$BUILD/check-lint.json" ||
          ! "$BUILD/tools/trace_check" --lint "$BUILD/check-lint.json"; then
         fail "medusa_lint --json failed schema validation"
+    elif ! "$BUILD/tools/medusa_lint" --sarif "$IMAGE" \
+            > "$BUILD/check-lint.sarif" ||
+         ! "$BUILD/tools/trace_check" --sarif "$BUILD/check-lint.sarif"; then
+        fail "medusa_lint --sarif failed schema validation"
     fi
 else
-    fail "offline_materialize / medusa_lint binaries missing"
+    fail "offline_materialize / medusa_lint / trace_check binaries missing"
 fi
 
 note "trace smoke: one traced cold start, schema-checked exports"
@@ -183,8 +188,7 @@ else
 fi
 
 note "lint-images: verify every materialized v6 image in the build tree"
-if [ -x "$BUILD/tools/medusa_lint" ] && [ -x "$BUILD/tools/trace_check" ]
-then
+if [ -x "$BUILD/tools/medusa_lint" ]; then
     IMAGES=$(find "$BUILD" -name '*.mdsi' 2>/dev/null)
     if [ -z "$IMAGES" ]; then
         fail "smoke runs produced no .mdsi image to verify"
@@ -192,22 +196,15 @@ then
         for IMG in $IMAGES; do
             # --max-severity info: a shipped image must be clean even of
             # warnings, with every MDL8xx determinism rule silent.
-            if ! "$BUILD/tools/medusa_lint" --image --max-severity info \
+            if ! "$BUILD/tools/medusa_lint" --max-severity info \
                     "$IMG" >/dev/null; then
-                fail "medusa_lint --image rejected $IMG"
-                "$BUILD/tools/medusa_lint" --image "$IMG" || true
+                fail "medusa_lint rejected $IMG"
+                "$BUILD/tools/medusa_lint" "$IMG" || true
             fi
         done
-        FIRST=$(printf '%s\n' "$IMAGES" | head -n 1)
-        if ! "$BUILD/tools/medusa_lint" --image --sarif "$FIRST" \
-                > "$BUILD/check-lint.sarif" ||
-           ! "$BUILD/tools/trace_check" --sarif "$BUILD/check-lint.sarif"
-        then
-            fail "medusa_lint --sarif failed schema validation"
-        fi
     fi
 else
-    fail "medusa_lint / trace_check binaries missing"
+    fail "medusa_lint binary missing"
 fi
 
 note "fault-injected tier-1 suite under ASan (fixed fault seed)"

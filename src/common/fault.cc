@@ -17,8 +17,6 @@ struct PointName
 };
 
 constexpr PointName kPointNames[] = {
-    {FaultPoint::kArtifactDeserialize, "deserialize"},
-    {FaultPoint::kArtifactCrc, "crc"},
     {FaultPoint::kCacheLoader, "cache_loader"},
     {FaultPoint::kReplayPrefix, "replay_prefix"},
     {FaultPoint::kReplayAlloc, "replay_alloc"},
@@ -338,10 +336,35 @@ FaultPlan::fromEnv()
 
 // ------------------------------------------------------------ FaultInjector
 
+namespace {
+
+/**
+ * Seed draws once taken by fault points that no longer exist (the v5
+ * artifact's deserialize and CRC checks, formerly points 0 and 1).
+ * Point i has always been seeded with the (i+1)-th SplitMix64 draw of
+ * the plan seed; skipping the retired draws keeps every surviving
+ * point on the stream it had, so a (plan, seed) pair keeps producing
+ * the same failures (e.g. committed cluster golden rows that arm
+ * cluster_restore with a probability).
+ */
+constexpr std::size_t kRetiredSeedDraws = 2;
+
+} // namespace
+
 FaultInjector::FaultInjector(const FaultPlan &plan) : plan_(plan)
 {
+    seedStreams();
+}
+
+void
+FaultInjector::seedStreams()
+{
+    streams_.clear();
     streams_.reserve(kFaultPointCount);
     SplitMix64 sm(plan_.seed);
+    for (std::size_t i = 0; i < kRetiredSeedDraws; ++i) {
+        sm.next();
+    }
     for (std::size_t i = 0; i < kFaultPointCount; ++i) {
         streams_.emplace_back(sm.next());
     }
@@ -413,11 +436,7 @@ FaultInjector::reset()
     std::lock_guard<std::mutex> lock(mu_);
     hits_.fill(0);
     fires_.fill(0);
-    streams_.clear();
-    SplitMix64 sm(plan_.seed);
-    for (std::size_t i = 0; i < kFaultPointCount; ++i) {
-        streams_.emplace_back(sm.next());
-    }
+    seedStreams();
 }
 
 FaultInjector *

@@ -16,7 +16,7 @@
  * Plans come from code, from a compact spec string, from a JSON object,
  * or from the environment:
  *
- *   MEDUSA_FAULT_PLAN='dlsym@3;crc=0.05'       spec form
+ *   MEDUSA_FAULT_PLAN='dlsym@3;image_open=0.05' spec form
  *   MEDUSA_FAULT_PLAN='{"seed":7,"rules":[...]}'  JSON form
  *   MEDUSA_FAULT_SEED=7                        seed override
  *
@@ -46,12 +46,8 @@ namespace medusa {
 
 /** Restore-stack operations that can be made to fail. */
 enum class FaultPoint : u8 {
-    /** Artifact byte-stream parse (deserializeView structure decode). */
-    kArtifactDeserialize = 0,
-    /** Artifact section / graph CRC verification. */
-    kArtifactCrc,
     /** ArtifactCache loader outcome (a fetch that dies on the node). */
-    kCacheLoader,
+    kCacheLoader = 0,
     /** Organic allocation-prefix verification after structure init. */
     kReplayPrefix,
     /** One replayed (de)allocation of the recorded sequence. */
@@ -78,7 +74,7 @@ enum class FaultPoint : u8 {
 inline constexpr std::size_t kFaultPointCount =
     static_cast<std::size_t>(FaultPoint::kImagePatch) + 1;
 
-/** Stable short name ("dlsym", "crc", ...) used by specs and reports. */
+/** Stable short name ("dlsym", "image_open", ...) for specs and reports. */
 const char *faultPointName(FaultPoint point);
 
 /** Reverse of faultPointName; kInvalidArgument on unknown names. */
@@ -175,6 +171,9 @@ class FaultInjector
     void reset();
 
   private:
+    /** (Re)build one seeded stream per point from plan_.seed. */
+    void seedStreams();
+
     FaultPlan plan_;
     mutable std::mutex mu_;
     /** One independent stream per point (Rng is not default-constructible). */

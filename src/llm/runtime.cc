@@ -335,39 +335,6 @@ ModelRuntime::instantiateGraph(u32 bs, const CudaGraph &graph)
 }
 
 Status
-ModelRuntime::instantiateGraphs(
-    const std::vector<std::pair<u32, const CudaGraph *>> &ordered,
-    FaultInjector *fault)
-{
-    std::vector<u32> registered;
-    registered.reserve(ordered.size());
-    Status st = Status::ok();
-    for (const auto &[bs, graph] : ordered) {
-        if (fault != nullptr) {
-            st = fault->check(FaultPoint::kGraphInstantiate,
-                              "graph bs=" + std::to_string(bs));
-            if (!st.isOk()) {
-                break;
-            }
-        }
-        st = instantiateGraph(bs, *graph);
-        if (!st.isOk()) {
-            break;
-        }
-        registered.push_back(bs);
-    }
-    if (!st.isOk()) {
-        // Unregister this batch's slots so a mid-batch failure cannot
-        // leak partially-built graphs into the serving table (they
-        // would be replayed against rolled-back device state).
-        for (u32 bs : registered) {
-            graphs_.erase(bs);
-        }
-    }
-    return st;
-}
-
-Status
 ModelRuntime::instantiatePatchedGraphs(
     const std::vector<std::pair<u32, simcuda::GpuProcess::PatchedGraphDesc>>
         &ordered,
@@ -393,8 +360,9 @@ ModelRuntime::instantiatePatchedGraphs(
         registered.push_back(bs);
     }
     if (!st.isOk()) {
-        // Same contract as instantiateGraphs: a failed batch leaves the
-        // graph table exactly as it found it.
+        // Unregister this batch's slots so a mid-batch failure cannot
+        // leak partially-built graphs into the serving table (they
+        // would be replayed against rolled-back device state).
         for (u32 bs : registered) {
             graphs_.erase(bs);
         }

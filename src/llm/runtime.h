@@ -151,28 +151,16 @@ class ModelRuntime
     Status instantiateGraph(u32 bs, const simcuda::CudaGraph &graph);
 
     /**
-     * Instantiate a batch of rebuilt graphs, strictly in the order
-     * given. Instantiation mutates process state (clock, graph
-     * registry), so parallel restore drivers funnel through this hook
-     * after building the CudaGraphs concurrently — it pins the ordering
-     * contract that keeps simulated time thread-count independent.
+     * Instantiate decode graphs directly from relocation-patched image
+     * arrays, strictly in the order given. Instantiation mutates process
+     * state (clock, graph registry), so the order is part of the
+     * contract that keeps simulated time deterministic.
      *
      * First failure wins, and the slots this batch already registered
      * are unregistered before returning: a failed batch leaves the
      * graph table exactly as it found it, so a rolled-back restore
      * cannot leak partially-built graphs. @p fault, when set, injects
      * FaultPoint::kGraphInstantiate before each instantiation.
-     */
-    Status instantiateGraphs(
-        const std::vector<std::pair<u32, const simcuda::CudaGraph *>>
-            &ordered,
-        FaultInjector *fault = nullptr);
-
-    /**
-     * Patch-path counterpart of instantiateGraphs: instantiate decode
-     * graphs directly from relocation-patched image arrays, strictly in
-     * the order given, with the same first-failure-wins + unregister
-     * rollback contract and the same kGraphInstantiate fault point.
      */
     Status instantiatePatchedGraphs(
         const std::vector<

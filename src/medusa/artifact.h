@@ -1,7 +1,9 @@
 /**
  * @file
- * The materialized artifact: everything Medusa's offline phase saves and
- * the online phase restores.
+ * The materialized artifact: the offline phase's in-memory IR of
+ * everything the online phase restores. It is never written to disk as
+ * such; buildImageBytes (image.h) flattens it into the v6 image, the
+ * one serialized format, which is what gets linted and restored.
  *
  * Per the paper (§3), one artifact is produced per <GPU type, model>
  * pair and contains:
@@ -23,18 +25,14 @@
 #define MEDUSA_MEDUSA_ARTIFACT_H
 
 #include <map>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "common/serialize.h"
 #include "common/types.h"
 #include "simtime/cost_model.h"
 
 namespace medusa {
-class FaultInjector;
 class MetricsRegistry;
-class TraceRecorder;
 }
 
 namespace medusa::core {
@@ -149,40 +147,9 @@ struct AnalysisStats
     void publishTo(MetricsRegistry &registry) const;
 };
 
-/**
- * How to read a serialized artifact (deserializeView options).
- */
-struct ArtifactReadOptions
-{
-    /**
-     * Load the permanent-buffer contents and pointer-fix sections.
-     * Cold starts with RestoreOptions::restore_contents off never touch
-     * them, so skipping saves both the decode and the checksum pass
-     * over the (potentially large) content payload. Sets
-     * Artifact::contents_skipped when it takes effect.
-     */
-    bool load_permanent_contents = true;
-    /** Verify each loaded section's CRC32 before decoding it. */
-    bool verify_crc = true;
-    /**
-     * Deterministic fault injection for the deserialize and CRC paths
-     * (FaultPoint::kArtifactDeserialize / kArtifactCrc). Null disables.
-     */
-    FaultInjector *fault = nullptr;
-    /**
-     * Span sink for the deserialize (artifact.deserialize span). Null
-     * disables, at zero cost.
-     */
-    TraceRecorder *trace = nullptr;
-};
-
 /** The complete materialized state. */
 struct Artifact
 {
-    static constexpr u32 kMagic = 0x4d445341; // "MDSA"
-    /** Sectioned format (header + per-section offset/size/CRC table). */
-    static constexpr u32 kVersion = 5;
-
     std::string model_name;
     u64 model_seed = 0;
 
@@ -207,30 +174,6 @@ struct Artifact
     std::map<std::string, u64> tags;
 
     AnalysisStats stats;
-
-    // ---- runtime-only fields (never serialized) -----------------------
-
-    /**
-     * True when the permanent-contents / pointer-fix sections were
-     * skipped at read time (ArtifactReadOptions); such an artifact must
-     * only be restored with restore_contents off.
-     */
-    bool contents_skipped = false;
-
-    /** Serialize to the sectioned format (kVersion). */
-    std::vector<u8> serialize() const;
-
-    /** Parse from an owned buffer; validates magic and version. */
-    static StatusOr<Artifact> deserialize(std::vector<u8> bytes);
-
-    /**
-     * Zero-copy parse: decodes out of @p bytes without copying the
-     * buffer. Any version other than kVersion is rejected with a
-     * Status.
-     */
-    static StatusOr<Artifact>
-    deserializeView(std::span<const u8> bytes,
-                    const ArtifactReadOptions &options = {});
 
     /** Total graph nodes across batch sizes. */
     u64 totalNodes() const;

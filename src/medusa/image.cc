@@ -9,7 +9,6 @@
 #include <cstring>
 
 #include "common/crc32.h"
-#include "medusa/lint/lint.h"
 
 namespace medusa::core {
 
@@ -109,8 +108,7 @@ struct GraphMeta
 
 StatusOr<std::vector<u8>>
 buildImageBytes(const Artifact &artifact,
-                const std::vector<std::pair<i32, i32>> &tokenizer_merges,
-                const ImageBuildOptions &options)
+                const std::vector<std::pair<i32, i32>> &tokenizer_merges)
 {
     // ---- flatten the blueprints into SoA columns + patch template ----
     std::vector<MaterializedImage::KernelEntry> kernel_table;
@@ -287,18 +285,6 @@ buildImageBytes(const Artifact &artifact,
     out.insert(out.end(), header.bytes().begin(), header.bytes().end());
     out.insert(out.end(), payload.begin(), payload.end());
 
-    // Post-emission gate: prove the bytes we are about to ship verify
-    // clean before anyone can cache or restore them.
-    if (options.lint) {
-        lint::LintOptions lopts;
-        lopts.trace = options.trace;
-        const lint::LintReport report =
-            lint::lintImageBytes(std::span<const u8>(out), lopts);
-        if (!report.replaySafe()) {
-            return validationFailure("emitted image failed lint: " +
-                                     report.firstError());
-        }
-    }
     return out;
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
  * The v6 materialized image: a memory-mappable, relocation-patchable
- * flattening of the v5 artifact (DESIGN.md §13), and the one format
- * the online phase restores from.
+ * flattening of the in-memory artifact (DESIGN.md §13), and the one
+ * serialized format — what medusa-lint verifies and what the online
+ * phase restores from.
  *
- * The v5 artifact stores graph *blueprints* — per-node kernel names and
+ * The artifact stores graph *blueprints* — per-node kernel names and
  * per-param indirect (alloc_index, offset) pairs. Turning those back
  * into executable graphs online would mean rebuilding a CudaGraph
  * object per blueprint and re-resolving every node's kernel. The v6
@@ -53,8 +54,6 @@
 #include "simcuda/graph.h"
 
 namespace medusa::core {
-
-class Recorder; // record.h; only needed by the emission lint gate
 
 /** Options for opening a serialized image. */
 struct ImageReadOptions
@@ -222,33 +221,18 @@ class MaterializedImage
     std::shared_ptr<const void> mapping_;
 };
 
-/** Options for the offline image emission. */
-struct ImageBuildOptions
-{
-    /**
-     * Post-emission verification gate: decode the freshly emitted bytes
-     * and run the MDL7xx/MDL8xx image rules over them; emission fails
-     * on any error-severity finding. This is the producer-side twin of
-     * the pre-restore gate — a defect is cheapest to reject before the
-     * image is ever shipped.
-     */
-    bool lint = false;
-    /** Raw offline trace, forwarded to the lint gate when set. */
-    const Recorder *trace = nullptr;
-};
-
 /**
- * Flatten a v5 artifact into the serialized v6 image — the offline
- * emission step, doubling as the v5→v6 migration path. Precomputes
- * each graph's topological order, builds the first-occurrence kernel
- * name table, prefills constant params into the patch template and
- * emits the relocation table. @p tokenizer_merges is the learned merge
- * list of the model's tokenizer (llm::BpeTokenizer::merges()).
+ * Flatten an artifact into the serialized v6 image — the offline
+ * emission step. Precomputes each graph's topological order, builds the
+ * first-occurrence kernel name table, prefills constant params into the
+ * patch template and emits the relocation table. @p tokenizer_merges is
+ * the learned merge list of the model's tokenizer
+ * (llm::BpeTokenizer::merges()). Verification is a separate step
+ * (lint::lintImage over the opened bytes).
  */
 StatusOr<std::vector<u8>>
 buildImageBytes(const Artifact &artifact,
-                const std::vector<std::pair<i32, i32>> &tokenizer_merges,
-                const ImageBuildOptions &options = {});
+                const std::vector<std::pair<i32, i32>> &tokenizer_merges);
 
 } // namespace medusa::core
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * Internal analyses shared by the medusa-lint rule families: allocation
- * lifetime reconstruction (used by the artifact rules MDL1xx-MDL5xx and
- * the image rules MDL7xx), the happens-before relation of a captured
- * graph, and the per-node buffer access sets the determinism rules
- * (MDL8xx) compare. Not part of the public lint API.
+ * lifetime reconstruction (used by the MDL4xx and MDL7xx rules), the
+ * happens-before relation of a captured graph, and the
+ * per-node buffer access sets the determinism rules (MDL8xx) compare.
+ * Not part of the public lint API.
  */
 
 #ifndef MEDUSA_MEDUSA_LINT_ANALYSIS_H
@@ -145,17 +145,13 @@ void checkCaptureWindowAllocs(const Recorder &trace, LintReport &report);
 
 /**
  * MDL101-MDL105: allocation-sequence well-formedness of @p ops and its
- * organic boundary. @p owner names the container in locations and
- * hints ("artifact" or "image").
+ * organic boundary.
  */
 void checkAllocSequence(std::span<const AllocOp> ops, u64 organic_op_count,
                         u64 organic_alloc_count, u64 device_memory_bytes,
-                        const std::string &owner, LintReport &report);
+                        LintReport &report);
 
-/**
- * What the cross-rank rules compare of one rank's materialization,
- * extracted from either an artifact or an image.
- */
+/** What the cross-rank rules compare of one rank's image. */
 struct RankShape
 {
     struct Graph

@@ -21,19 +21,24 @@
  *      what keeps module-load order — and therefore ASLR draws and
  *      restore fingerprints — deterministic (MDL706).
  *
- * The MDL1xx allocation-sequence rules run over the image's op
- * sequence, and the MDL8xx determinism rules over its graphs as well,
- * deriving per-node access sets from the data relocations plus the
- * kernel registry's declared parameter access sets.
+ * The image is the one thing medusa-lint checks, so every other family
+ * runs over it too: MDL1xx over its op sequence, MDL3xx over its kernel
+ * table, edges and execution order, MDL4xx over its permanent buffers
+ * and pointer fixes, MDL5xx over its free-memory figure, and MDL8xx
+ * over its graphs, deriving per-node access sets from the data
+ * relocations plus the kernel registry's declared parameter access
+ * sets.
  */
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "medusa/analyze.h"
 #include "medusa/image.h"
 #include "medusa/lint/analysis.h"
 #include "medusa/lint/lint.h"
@@ -69,8 +74,10 @@ class ImageLinter
         lives_ = detail::reconstructLifetimes(ops);
         detail::checkAllocSequence(ops, img_.organic_op_count,
                                    img_.organic_alloc_count,
-                                   opt_.device_memory_bytes, "image",
-                                   report_);
+                                   opt_.device_memory_bytes, report_);
+        checkTopology();
+        checkPermanentContents();
+        checkFreeMemory();
         mapSlots();
         checkKernelRelocs();
         resolveNodeKernels();
@@ -133,6 +140,254 @@ class ImageLinter
             loc += ".param[" + std::to_string(s.param) + "]";
         }
         return loc;
+    }
+
+    // ---- MDL303/MDL304: graph topology and batch-size set -------------
+
+    void
+    checkTopology()
+    {
+        std::set<u32> seen_batch_sizes;
+        topology_ok_.assign(img_.graphs.size(), true);
+        for (u32 gi = 0; gi < img_.graphs.size(); ++gi) {
+            const MaterializedImage::GraphView &gv = img_.graphs[gi];
+            if (!seen_batch_sizes.insert(gv.batch_size).second) {
+                emit("MDL304", Severity::kError, graphLoc(gi),
+                     "duplicate graph for this batch size",
+                     "the restore would instantiate one and shadow "
+                     "the other; re-emit the image");
+            }
+            const u32 n = gv.node_count;
+            for (const simcuda::GraphEdge &e : gv.edges) {
+                if (e.src >= n || e.dst >= n) {
+                    topology_ok_[gi] = false;
+                    emit("MDL303", Severity::kError,
+                         graphLoc(gi) + ".edge[" + std::to_string(e.src) +
+                             "->" + std::to_string(e.dst) + "]",
+                         "edge endpoint is beyond the " +
+                             std::to_string(n) + "-node graph",
+                         "cudaGraphInstantiate would reject the graph at "
+                         "restore; re-emit the image");
+                }
+            }
+            // The precomputed order must be what instantiation re-checks:
+            // a permutation of the nodes that respects every edge.
+            constexpr u32 kUnseen = 0xffffffffu;
+            std::vector<u32> position(n, kUnseen);
+            bool permutation = gv.order.size() == n;
+            for (u32 step = 0; permutation && step < n; ++step) {
+                const u32 id = gv.order[step];
+                permutation = id < n && position[id] == kUnseen;
+                if (permutation) {
+                    position[id] = step;
+                }
+            }
+            bool respects_edges = permutation;
+            for (const simcuda::GraphEdge &e : gv.edges) {
+                respects_edges = respects_edges &&
+                                 (e.src >= n || e.dst >= n ||
+                                  position[e.src] < position[e.dst]);
+            }
+            if (!respects_edges) {
+                topology_ok_[gi] = false;
+                emit("MDL303", Severity::kError, graphLoc(gi) + ".order",
+                     permutation ? "execution order runs a node before "
+                                   "one of its dependencies"
+                                 : "execution order is not a permutation "
+                                   "of the " + std::to_string(n) +
+                                       " nodes",
+                     "cudaGraphInstantiate would reject the graph at "
+                     "restore; re-emit the image");
+            }
+        }
+    }
+
+    // ---- MDL4xx: permanent-buffer content safety ----------------------
+
+    void
+    checkPermanentContents()
+    {
+        std::map<u64, const MaterializedImage::PermanentView *> by_index;
+        for (u64 bi = 0; bi < img_.permanent.size(); ++bi) {
+            const MaterializedImage::PermanentView &pb = img_.permanent[bi];
+            const std::string loc =
+                "permanent[" + std::to_string(bi) + "]";
+            if (pb.alloc_index >= lives_.size()) {
+                emit("MDL403", Severity::kError, loc,
+                     "materialized contents for allocation index " +
+                         std::to_string(pb.alloc_index) +
+                         " which is beyond the sequence",
+                     "the restore could not place these bytes; "
+                     "re-emit the image");
+                continue;
+            }
+            const detail::AllocLife &life = lives_[pb.alloc_index];
+            if (life.op_free >= 0) {
+                emit("MDL403", Severity::kError, loc,
+                     "allocation " + std::to_string(pb.alloc_index) +
+                         " is freed at ops[" +
+                         std::to_string(life.op_free) +
+                         "] yet its contents are materialized as "
+                         "permanent",
+                     "restoring into a recycled address corrupts "
+                     "whichever buffer owns it after replay");
+            } else if (pb.contents.size() > life.backing) {
+                emit("MDL403", Severity::kError, loc,
+                     std::to_string(pb.contents.size()) +
+                         " content bytes exceed the allocation's " +
+                         std::to_string(life.backing) +
+                         " backing bytes",
+                     "the restore write would be rejected as out of "
+                     "bounds");
+            }
+            if (!by_index.emplace(pb.alloc_index, &pb).second) {
+                emit("MDL403", Severity::kError, loc,
+                     "second materialization of allocation index " +
+                         std::to_string(pb.alloc_index),
+                     "duplicate permanent entries overwrite each "
+                     "other; re-emit the image");
+            }
+        }
+
+        std::set<std::pair<u64, u64>> covered;
+        for (u64 fi = 0; fi < img_.pointer_fixes.size(); ++fi) {
+            const PointerWordFix &f = img_.pointer_fixes[fi];
+            const std::string loc =
+                "pointer_fixes[" + std::to_string(fi) + "]";
+            auto host = by_index.find(f.buffer_alloc_index);
+            if (host == by_index.end()) {
+                emit("MDL402", Severity::kError, loc,
+                     "fix targets allocation " +
+                         std::to_string(f.buffer_alloc_index) +
+                         " which has no materialized contents",
+                     "a pointer word can only be rewritten inside a "
+                     "permanent buffer");
+                continue;
+            }
+            if (f.byte_offset + 8 > host->second->contents.size()) {
+                emit("MDL402", Severity::kError, loc,
+                     "fix word at offset " +
+                         std::to_string(f.byte_offset) + " overruns the " +
+                         std::to_string(host->second->contents.size()) +
+                         "-byte contents",
+                     "the rewrite would write outside the restored "
+                     "buffer");
+                continue;
+            }
+            covered.insert({f.buffer_alloc_index, f.byte_offset});
+            if (f.target_alloc_index >= lives_.size()) {
+                emit("MDL402", Severity::kError, loc,
+                     "fix points at allocation index " +
+                         std::to_string(f.target_alloc_index) +
+                         " beyond the sequence",
+                     "the rewrite would have no replayed address to "
+                     "install");
+                continue;
+            }
+            const detail::AllocLife &target = lives_[f.target_alloc_index];
+            if (target.op_free >= 0) {
+                emit("MDL402", Severity::kError, loc,
+                     "fix points at allocation " +
+                         std::to_string(f.target_alloc_index) +
+                         " which is freed at ops[" +
+                         std::to_string(target.op_free) + "]",
+                     "the rewritten word would dangle after replay");
+            } else if (f.target_offset >= target.logical) {
+                emit("MDL402", Severity::kError, loc,
+                     "fix target offset " +
+                         std::to_string(f.target_offset) +
+                         " is outside the " +
+                         std::to_string(target.logical) +
+                         "-byte target allocation",
+                     "the rewritten word would point past its buffer");
+            }
+        }
+
+        // Pointer-shaped words with no covering fix dereference the
+        // OFFLINE process's addresses after restoration — the base
+        // paper's §8 limitation. Warning (not error): the word may be
+        // coincidental data that nothing dereferences.
+        for (const MaterializedImage::PermanentView &pb : img_.permanent) {
+            for (u64 off = 0; off + 8 <= pb.contents.size(); off += 8) {
+                u64 word = 0;
+                std::memcpy(&word, pb.contents.data() + off, 8);
+                if (!looksLikeDevicePointer(word) ||
+                    covered.count({pb.alloc_index, off}) != 0) {
+                    continue;
+                }
+                emit("MDL401", Severity::kWarning,
+                     "permanent[alloc=" + std::to_string(pb.alloc_index) +
+                         "]+" + std::to_string(off),
+                     "pointer-shaped word " + hexValue(word) +
+                         " is not covered by any PointerWordFix and "
+                         "would be restored verbatim (a stale "
+                         "offline-process address)",
+                     "re-run the analysis with "
+                     "handle_indirect_pointers=true");
+            }
+        }
+    }
+
+    // ---- MDL5xx: free-memory-number consistency -----------------------
+
+    void
+    checkFreeMemory()
+    {
+        const u64 capacity = opt_.device_memory_bytes;
+        if (img_.free_gpu_memory > capacity) {
+            emit("MDL502", Severity::kError, "image",
+                 "materialized free-memory figure " +
+                     std::to_string(img_.free_gpu_memory) +
+                     " exceeds the device capacity " +
+                     std::to_string(capacity),
+                 "the KV-cache initialization would over-reserve; "
+                 "check the device model");
+            return;
+        }
+        // Replay the sequence's footprint in the allocator's size
+        // classes. The profiling figure the image materializes is
+        // capacity minus the live footprint at the profiling point, so
+        // SOME prefix of the sequence must reproduce it exactly.
+        const u64 granule = opt_.alloc_round_bytes > 0
+                                ? opt_.alloc_round_bytes
+                                : simcuda::CachingAllocator::kRoundBytes;
+        std::vector<u64> rounded;
+        u64 live = 0;
+        u64 max_live = 0;
+        bool reproducible = img_.free_gpu_memory == capacity; // empty
+        for (const AllocOp &op : img_.ops) {
+            if (op.kind == AllocOp::kAlloc) {
+                rounded.push_back((op.logical_size + granule - 1) /
+                                  granule * granule);
+                live += rounded.back();
+            } else if (op.freed_alloc_index < rounded.size()) {
+                live -= rounded[op.freed_alloc_index];
+            }
+            max_live = std::max(max_live, live);
+            reproducible =
+                reproducible || capacity - live == img_.free_gpu_memory;
+        }
+        if (max_live > capacity) {
+            emit("MDL502", Severity::kError, "image",
+                 "the allocation sequence peaks at " +
+                     std::to_string(max_live) +
+                     " live bytes, beyond the device capacity " +
+                     std::to_string(capacity),
+                 "the replay would hit out-of-memory; the image "
+                 "belongs to a larger device");
+            return;
+        }
+        if (!reproducible) {
+            emit("MDL501", Severity::kError, "image",
+                 "free-memory figure " +
+                     std::to_string(img_.free_gpu_memory) +
+                     " is not reproducible at any position of the "
+                     "allocation sequence (capacity minus live "
+                     "footprint never equals it)",
+                 "the figure was patched or recorded against a "
+                 "different sequence; re-profile (§6) and "
+                 "re-materialize");
+        }
     }
 
     /**
@@ -307,18 +562,37 @@ class ImageLinter
 
     // ---- MDL701/702/709 + data-slot domain checks ---------------------
 
+    /**
+     * The exact trace position of node @p node's captured launch in
+     * graph @p gi when the raw recorder trace is available, else -1.
+     */
+    i64
+    exactLaunchPos(u32 gi, u32 node) const
+    {
+        if (opt_.trace == nullptr) {
+            return -1;
+        }
+        const MaterializedImage::GraphView &gv = img_.graphs[gi];
+        auto it = opt_.trace->graphLaunches().find(gv.batch_size);
+        if (it == opt_.trace->graphLaunches().end() ||
+            it->second.size() != gv.node_count) {
+            return -1;
+        }
+        return static_cast<i64>(it->second[node].op_pos);
+    }
+
     void
     checkDataRelocs()
     {
         const simcuda::KernelRegistry &registry =
             simcuda::KernelRegistry::instance();
-        // Per-graph launch lower bound, mirroring the artifact rule
-        // MDL202: every buffer a graph references existed before the
-        // capture position of the launch that referenced it, so the
-        // latest referenced-allocation birth bounds every launch from
-        // below. A target freed AFTER that point was live at capture
-        // and replays to the same deterministic address; only a free
-        // BEFORE it proves the relocation resolves recycled memory.
+        // Without the raw trace, a graph's launch position is bounded
+        // from below: every buffer a graph references existed before
+        // the capture position of the launch that referenced it, so the
+        // latest referenced-allocation birth bounds every launch. A
+        // target freed AFTER that point was live at capture and replays
+        // to the same deterministic address; only a free BEFORE it
+        // proves the relocation resolves recycled memory.
         std::vector<u64> launch_lb(img_.graphs.size(), 0);
         for (const MaterializedImage::DataReloc &dr : img_.data_relocs) {
             if (dr.slot >= slots_.size() ||
@@ -390,18 +664,25 @@ class ImageLinter
                 continue;
             }
             const detail::AllocLife &life = lives_[dr.alloc_index];
+            // Liveness at the launch's trace position: exact when the
+            // recorder trace is available, else the per-graph bound.
+            const i64 exact = s.kind == SlotInfo::kParam
+                                  ? exactLaunchPos(s.graph, s.node)
+                                  : -1;
+            const u64 launch_pos = exact >= 0 ? static_cast<u64>(exact)
+                                              : launch_lb[s.graph];
             const bool stale =
                 life.op_free >= 0 && s.kind == SlotInfo::kParam &&
-                static_cast<u64>(life.op_free) < launch_lb[s.graph];
+                static_cast<u64>(life.op_free) < launch_pos;
             if (stale) {
                 emit("MDL702", Severity::kError, loc,
                      "relocation resolves against allocation " +
                          std::to_string(dr.alloc_index) +
                          " which the replay frees at ops[" +
                          std::to_string(life.op_free) +
-                         "], before the graph's capture position "
-                         "(at least ops[" +
-                         std::to_string(launch_lb[s.graph]) +
+                         "], before the launch's capture position (" +
+                         (exact >= 0 ? "exactly" : "at least") +
+                         " ops[" + std::to_string(launch_pos) +
                          "]); at patch time its address belongs to "
                          "whichever buffer recycled it (Figure 6 "
                          "data corruption)",
@@ -659,6 +940,11 @@ class ImageLinter
             alloc_by_slot.emplace(dr.slot, dr.alloc_index);
         }
         for (u32 gi = 0; gi < img_.graphs.size(); ++gi) {
+            // A graph whose topology is corrupt (MDL303) has no
+            // trustworthy happens-before relation to judge races by.
+            if (!topology_ok_[gi]) {
+                continue;
+            }
             const MaterializedImage::GraphView &gv = img_.graphs[gi];
             detail::RaceGraph rg;
             rg.batch_size = gv.batch_size;
@@ -705,6 +991,8 @@ class ImageLinter
     const MaterializedImage &img_;
     const LintOptions &opt_;
     std::vector<detail::AllocLife> lives_;
+    /** Per graph: edges in range and the order respects them (MDL303). */
+    std::vector<bool> topology_ok_;
     std::vector<SlotInfo> slots_;
     /** Relocations covering each slot (the coverage-proof counter). */
     std::vector<u32> cover_;

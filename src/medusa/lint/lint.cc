@@ -127,20 +127,16 @@ ruleSummary(const std::string &rule)
         {"MDL103", "replayed free of an organic allocation"},
         {"MDL104", "impossible allocation size"},
         {"MDL105", "replay boundary out of range"},
-        {"MDL201", "indirect index beyond the allocation sequence"},
-        {"MDL202", "stale pointer: referenced allocation freed before "
-                   "the launch"},
-        {"MDL203", "interior pointer offset outside its allocation"},
-        {"MDL301", "kernel name missing from the module registry"},
+{"MDL301", "kernel name missing from the module registry"},
         {"MDL302", "kernel recorded in the wrong module"},
-        {"MDL303", "graph edge endpoint out of range"},
-        {"MDL304", "duplicate blueprint for one batch size"},
+        {"MDL303", "graph edge out of range or execution order inconsistent"},
+        {"MDL304", "duplicate graph for one batch size"},
         {"MDL401", "pointer-shaped permanent word without a fix"},
         {"MDL402", "invalid PointerWordFix record"},
         {"MDL403", "invalid permanent-buffer record"},
         {"MDL501", "free-memory figure not reproducible"},
         {"MDL502", "free-memory figure exceeds device capacity"},
-        {"MDL601", "cross-rank artifact identity divergence"},
+        {"MDL601", "cross-rank image identity divergence"},
         {"MDL602", "cross-rank batch-size set divergence"},
         {"MDL603", "cross-rank graph topology divergence"},
         {"MDL604", "cross-rank collective ordering divergence"},
@@ -171,9 +167,9 @@ ruleSummary(const std::string &rule)
 std::string
 LintReport::toSarif() const
 {
-    // Minimal SARIF 2.1.0: one run, logical locations (an artifact /
-    // image has no file/line coordinates), rule metadata for every
-    // rule that fired.
+    // Minimal SARIF 2.1.0: one run, logical locations (an image has
+    // no file/line coordinates), rule metadata for every rule that
+    // fired.
     auto level = [](Severity s) {
         switch (s) {
           case Severity::kInfo: return "note";

@@ -1,26 +1,25 @@
 /**
  * @file
- * medusa-lint: static analysis of materialized artifacts.
+ * medusa-lint: static analysis of the materialized v6 image.
  *
- * A materialized Artifact is a long-lived cross-process contract: the
- * online phase instantiates graphs from it *without* re-deriving any of
- * the recorded state, so a corrupt (or wrongly analyzed) artifact
- * silently corrupts a replay — the paper's Figure 6 failure mode. The
- * linter proves replay-safety properties of an artifact WITHOUT
- * executing the online phase, and reports violations as rule-tagged
- * diagnostics.
+ * The image is a long-lived cross-process contract: the online phase
+ * instantiates graphs from it *without* re-deriving any of the recorded
+ * state, so a corrupt (or wrongly analyzed) image silently corrupts a
+ * replay — the paper's Figure 6 failure mode. The linter proves
+ * replay-safety properties of an image WITHOUT executing the online
+ * phase, and reports violations as rule-tagged diagnostics. It checks
+ * the same bytes the restore path opens, the way a linker checks the
+ * object file it links; the in-memory Artifact is never linted.
  *
  * Rule families (see DESIGN.md §9 for the paper mapping):
  *  - MDL1xx  allocation-sequence well-formedness (double-free, free of
  *            an unknown index, replay-boundary violations, impossible
  *            sizes),
- *  - MDL2xx  indirect-index coverage: every pointer-classified kernel
- *            parameter must resolve to an allocation that is live at
- *            the launch's (inferred or exact) trace position — the
- *            static detector for Figure 6's naive-matching hazard,
  *  - MDL3xx  kernel-name-table completeness against the module
  *            registry's symbol set (incl. hidden symbols reachable
- *            only via triggering-kernels) and graph topology sanity,
+ *            only via triggering-kernels) and graph topology sanity
+ *            (edge endpoints and the precomputed execution order,
+ *            duplicate batch sizes),
  *  - MDL4xx  permanent-buffer content safety: pointer-shaped words not
  *            covered by a PointerWordFix, and fix-table validity,
  *  - MDL5xx  free-memory-number consistency: the materialized KV-init
@@ -28,14 +27,16 @@
  *            within the device memory model,
  *  - MDL6xx  cross-rank tensor-parallel consistency (topology, batch
  *            sets, collective-kernel ordering),
- *  - MDL7xx  v6 relocation-image verification (DESIGN.md §14):
- *            relocation bounds/liveness against the replayed allocation
- *            table and kernel name table, duplicate patch targets,
- *            first-occurrence kernel-table ordering, and the coverage
- *            proof — every run-specific address slot of the patch
- *            template must be covered by exactly one relocation
- *            (Figure 6's failure mode at the image layer: an uncovered
- *            slot replays a capture-time address verbatim),
+ *  - MDL7xx  relocation verification (DESIGN.md §14): relocation
+ *            bounds/liveness against the replayed allocation table and
+ *            kernel name table — the static detector for Figure 6's
+ *            naive-matching hazard, at each launch's exact trace
+ *            position when the recorder trace is supplied — duplicate
+ *            patch targets, first-occurrence kernel-table ordering, and
+ *            the coverage proof: every run-specific address slot of
+ *            the patch template must be covered by exactly one
+ *            relocation (an uncovered slot replays a capture-time
+ *            address verbatim),
  *  - MDL8xx  determinism / race analysis over captured graphs: the
  *            capture's stream/event edges form the happens-before
  *            relation; unordered node pairs touching one buffer with a
@@ -45,10 +46,14 @@
  *            data-dependent (MDL803, the MoE conditional-kernel
  *            hazard).
  *
+ * The retired MDL2xx indirect-index family is covered by MDL7xx: an
+ * index beyond the sequence or an offset outside its allocation is
+ * MDL701, a stale pointer is MDL702.
+ *
  * Severity: kError rules make instantiation unsafe (replay would fault
  * or corrupt); kWarning rules flag suspicious-but-possibly-benign
- * state; kInfo is advisory. An artifact produced by the default
- * offline pipeline lints clean (zero diagnostics).
+ * state; kInfo is advisory. An image produced by the default offline
+ * pipeline lints clean (zero diagnostics).
  */
 
 #ifndef MEDUSA_MEDUSA_LINT_LINT_H
@@ -65,7 +70,7 @@
 namespace medusa::core {
 
 class Recorder;          // record.h; only needed for trace-exact liveness
-class MaterializedImage; // image.h; subject of the MDL7xx rules
+class MaterializedImage; // image.h; what every rule checks
 
 namespace lint {
 
@@ -87,11 +92,11 @@ struct Diagnostic
     /** Rule tag, e.g. "MDL202". */
     std::string rule;
     Severity severity = Severity::kError;
-    /** Artifact coordinates, e.g. "graph[bs=4].node[3].param[1]". */
+    /** Image coordinates, e.g. "graph[bs=4].node[3].param[1]". */
     std::string location;
     /** What is wrong. */
     std::string message;
-    /** How to repair the artifact (or the pipeline that produced it). */
+    /** How to repair the image (or the pipeline that produced it). */
     std::string fix_hint;
 };
 
@@ -99,9 +104,9 @@ struct Diagnostic
 struct LintOptions
 {
     /**
-     * Device capacity of the memory model the artifact was recorded
-     * against (rule MDL5xx). Artifacts do not record it; defaults to
-     * the simulator's device size.
+     * Device capacity of the memory model the image was recorded
+     * against (rule MDL5xx). Images do not record it; defaults to the
+     * simulator's device size.
      */
     u64 device_memory_bytes =
         simcuda::DeviceMemoryManager::kDefaultDeviceBytes;
@@ -112,7 +117,7 @@ struct LintOptions
     u64 alloc_round_bytes = simcuda::CachingAllocator::kRoundBytes;
     /**
      * Check kernel names against the in-process KernelRegistry
-     * (MDL3xx). Disable when linting an artifact for a foreign kernel
+     * (MDL3xx). Disable when linting an image for a foreign kernel
      * zoo.
      */
     bool check_kernel_registry = true;
@@ -127,10 +132,10 @@ struct LintOptions
      */
     u32 device_index = 0;
     /**
-     * Optional raw offline recorder trace. When present, MDL202 uses
+     * Optional raw offline recorder trace. When present, MDL702 uses
      * each captured launch's exact trace position instead of the
-     * per-graph inferred lower bound, and MDL4xx can verify pointer
-     * words against the real allocation map.
+     * per-graph inferred lower bound, and MDL803 checks the capture
+     * windows for interleaved allocation ops.
      */
     const Recorder *trace = nullptr;
 };
@@ -163,23 +168,12 @@ struct LintReport
     void merge(LintReport other);
 };
 
-/** Run every single-artifact rule family (MDL1xx-MDL5xx). */
-LintReport lintArtifact(const Artifact &artifact,
-                        const LintOptions &options = {});
-
 /**
- * Run the cross-rank tensor-parallel rules (MDL6xx) over per-rank
- * artifacts, PLUS the single-artifact rules on each rank (locations
- * prefixed with "rank[i].").
- */
-LintReport lintTpArtifacts(const std::vector<Artifact> &rank_artifacts,
-                           const LintOptions &options = {});
-
-/**
- * Run the image rule families (MDL1xx allocation sequence, MDL7xx
- * structural + coverage proof, MDL8xx determinism) over a decoded v6
- * image. When options.trace is set, MDL803 additionally checks the raw
- * capture trace for allocation-order nondeterminism.
+ * Run every single-image rule family (MDL1xx-MDL5xx, MDL7xx, MDL8xx)
+ * over a decoded v6 image. When options.trace is set, MDL702 judges
+ * liveness at each launch's exact trace position and MDL803
+ * additionally checks the raw capture trace for allocation-order
+ * nondeterminism.
  */
 LintReport lintImage(const MaterializedImage &image,
                      const LintOptions &options = {});

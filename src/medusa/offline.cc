@@ -105,10 +105,10 @@ materialize(const OfflineOptions &opts)
     result.analysis_stage_sec = clock.nowSec() - result.capture_stage_sec;
     result.artifact = std::move(analysis.artifact);
 
-    // ---- lint -> emit -> validate, with the repair loop ----------------
-    // Each round proves the (possibly repaired) artifact replay-safe,
-    // flattens it into the v6 image and dry-runs the online phase on
-    // exactly those bytes. A failed dry-run demotes the next risky
+    // ---- emit -> lint -> validate, with the repair loop ----------------
+    // Each round flattens the (possibly repaired) artifact into the v6
+    // image, proves those bytes replay-safe and dry-runs the online
+    // phase on exactly them. A failed dry-run demotes the next risky
     // pointer classification to a constant and goes round again.
     MedusaEngine::Options vopts;
     vopts.model = opts.model;
@@ -119,47 +119,42 @@ materialize(const OfflineOptions &opts)
         opts.pipeline.validate_batch_sizes;
     std::size_t next_repair = 0;
     for (u32 attempt = 0;; ++attempt) {
-        // Static lint gate: executes nothing, proves replay-safety
-        // properties of the artifact directly, using the raw trace for
-        // exact per-launch liveness.
-        if (opts.pipeline.lint) {
-            lint::LintOptions lopts;
-            lopts.trace = &recorder;
-            const lint::LintReport report =
-                lint::lintArtifact(result.artifact, lopts);
-            if (!report.replaySafe()) {
-                return validationFailure("artifact failed lint: " +
-                                         report.firstError());
-            }
-        }
-
         // v6 image emission, embedding the merges the capture stage's
         // tokenizer learned — the online phase rebuilds the tokenizer
         // from them instead of re-training.
         {
             Span s(&rec, "offline.emit_image", "offline");
-            // With pipeline.lint on, emission re-verifies its own
-            // output: the freshly emitted bytes are decoded and run
-            // through the MDL7xx/MDL8xx image rules (with the raw trace
-            // for MDL803) before the image can be cached or shipped.
-            ImageBuildOptions image_options;
-            image_options.lint = opts.pipeline.lint;
-            image_options.trace = &recorder;
             MEDUSA_ASSIGN_OR_RETURN(
                 result.image_bytes,
-                buildImageBytes(result.artifact, rt.tokenizer().merges(),
-                                image_options));
+                buildImageBytes(result.artifact, rt.tokenizer().merges()));
             s.arg("bytes", std::to_string(result.image_bytes.size()));
+        }
+        if (!opts.pipeline.lint && !opts.pipeline.validate) {
+            break;
+        }
+        MEDUSA_ASSIGN_OR_RETURN(
+            const MaterializedImage image,
+            MaterializedImage::openView(
+                std::span<const u8>(result.image_bytes)));
+
+        // Static lint gate: executes nothing, proves replay-safety
+        // properties of the emitted image, using the raw trace for
+        // exact per-launch liveness (MDL702) and capture-window
+        // allocation order (MDL803).
+        if (opts.pipeline.lint) {
+            lint::LintOptions lopts;
+            lopts.trace = &recorder;
+            const lint::LintReport report = lint::lintImage(image, lopts);
+            if (!report.replaySafe()) {
+                return validationFailure("image failed lint: " +
+                                         report.firstError());
+            }
         }
         if (!opts.pipeline.validate) {
             break;
         }
 
         // Validation dry-run on the emitted image, in a fresh process.
-        MEDUSA_ASSIGN_OR_RETURN(
-            const MaterializedImage image,
-            MaterializedImage::openView(
-                std::span<const u8>(result.image_bytes)));
         auto engine = MedusaEngine::coldStartFromImage(vopts, image);
         if (engine.isOk()) {
             result.validation_sec = (*engine)->runtime().clock().nowSec();

@@ -1,7 +1,7 @@
 /**
  * @file
  * The offline phase driver (paper §3 left half): capturing stage +
- * analysis stage, then lint, v6 image emission and a validation
+ * analysis stage, then v6 image emission, lint and a validation
  * dry-run of the online phase on the emitted image in a fresh
  * simulated process (the paper's §4 output comparison), with an
  * iterative repair loop that demotes false-positive pointer
@@ -32,10 +32,10 @@ struct OfflineOptions
      * Cross-cutting pipeline knobs (shared shape with RestoreOptions
      * and ClusterOptions). `pipeline.validate` runs the online dry-run
      * validation (and repair) on the emitted image — on by default here;
-     * `pipeline.lint` runs medusa-lint over the final artifact with
-     * the raw recorder trace, so indirect-index liveness is checked at
-     * each launch's exact trace position, and fails materialization on
-     * any error-severity diagnostic.
+     * `pipeline.lint` runs medusa-lint over each emitted image with the
+     * raw recorder trace, so relocation liveness is checked at each
+     * launch's exact trace position, and fails materialization on any
+     * error-severity diagnostic.
      */
     PipelineOptions pipeline = {.validate = true};
     /** Bound on validation/repair iterations. */

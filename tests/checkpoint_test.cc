@@ -99,8 +99,7 @@ TEST(CheckpointTest, RestoreFasterThanColdStartSlowerThanMedusa)
                     0.12,
                 0.05);
     // And Medusa's persisted state is orders of magnitude smaller.
-    EXPECT_GT(image->totalBytes(),
-              offline->artifact.serialize().size() * 100);
+    EXPECT_GT(image->totalBytes(), offline->image_bytes.size() * 100);
 }
 
 TEST(CheckpointTest, HalfLoadedEngineRejected)

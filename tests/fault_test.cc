@@ -66,14 +66,14 @@ TEST(FaultPlanTest, PointNamesRoundTrip)
 
 TEST(FaultPlanTest, ParsesSpecForms)
 {
-    auto plan = FaultPlan::fromSpec("dlsym@2x1;crc=0.25,seed=9");
+    auto plan = FaultPlan::fromSpec("dlsym@2x1;image_open=0.25,seed=9");
     ASSERT_TRUE(plan.isOk()) << plan.status().toString();
     EXPECT_EQ(plan->seed, 9u);
     const FaultRule &dlsym = plan->rule(FaultPoint::kKernelDlsym);
     EXPECT_EQ(dlsym.fire_on_hit, 2u);
     EXPECT_EQ(dlsym.max_fires, 1u);
-    const FaultRule &crc = plan->rule(FaultPoint::kArtifactCrc);
-    EXPECT_DOUBLE_EQ(crc.probability, 0.25);
+    const FaultRule &open = plan->rule(FaultPoint::kImageOpen);
+    EXPECT_DOUBLE_EQ(open.probability, 0.25);
     EXPECT_TRUE(plan->enabled());
 
     // A bare point name always fires.
@@ -83,26 +83,27 @@ TEST(FaultPlanTest, ParsesSpecForms)
         bare->rule(FaultPoint::kGraphInstantiate).probability, 1.0);
 
     EXPECT_FALSE(FaultPlan::fromSpec("bogus_point@1").isOk());
-    EXPECT_FALSE(FaultPlan::fromSpec("crc=notanumber").isOk());
+    EXPECT_FALSE(FaultPlan::fromSpec("image_open=notanumber").isOk());
 }
 
 TEST(FaultPlanTest, DuplicatePointIsAnError)
 {
     // A second rule for the same point used to silently overwrite the
     // first; it must be rejected and name the offender.
-    auto dup = FaultPlan::fromSpec("dlsym@2;crc=0.1;dlsym=0.5");
+    auto dup = FaultPlan::fromSpec("dlsym@2;image_open=0.1;dlsym=0.5");
     ASSERT_FALSE(dup.isOk());
     EXPECT_NE(dup.status().message().find("duplicate"),
               std::string::npos);
     EXPECT_NE(dup.status().message().find("dlsym"), std::string::npos);
 
     auto json_dup = FaultPlan::fromJson(
-        "{\"seed\":1,\"rules\":[{\"point\":\"crc\",\"probability\":0.1},"
-        "{\"point\":\"crc\",\"fire_on_hit\":2}]}");
+        "{\"seed\":1,\"rules\":[{\"point\":\"image_open\","
+        "\"probability\":0.1},"
+        "{\"point\":\"image_open\",\"fire_on_hit\":2}]}");
     ASSERT_FALSE(json_dup.isOk());
     EXPECT_NE(json_dup.status().message().find("duplicate"),
               std::string::npos);
-    EXPECT_NE(json_dup.status().message().find("crc"),
+    EXPECT_NE(json_dup.status().message().find("image_open"),
               std::string::npos);
 }
 
@@ -116,6 +117,18 @@ TEST(FaultPlanTest, UnknownPointErrorListsValidNames)
     for (std::size_t i = 0; i < kFaultPointCount; ++i) {
         const char *name = faultPointName(static_cast<FaultPoint>(i));
         EXPECT_NE(msg.find(name), std::string::npos) << name;
+    }
+}
+
+TEST(FaultPlanTest, RetiredPointNamesAreUnknown)
+{
+    // The v5 artifact's deserialize and CRC points went with its
+    // serializer; their spec names fail like any unknown point.
+    for (const char *spec : {"crc=0.1", "deserialize=0.1"}) {
+        auto plan = FaultPlan::fromSpec(spec);
+        ASSERT_FALSE(plan.isOk()) << spec;
+        EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)
+            << plan.status().toString();
     }
 }
 
@@ -165,45 +178,84 @@ TEST(FaultInjectorTest, FiresOnExactHitOrdinal)
 
 TEST(FaultInjectorTest, SameSeedSameSchedule)
 {
-    auto plan = FaultPlan::fromSpec("crc=0.3;seed=1234");
+    auto plan = FaultPlan::fromSpec("image_open=0.3;seed=1234");
     ASSERT_TRUE(plan.isOk());
     FaultInjector a(*plan);
     FaultInjector b(*plan);
     for (int i = 0; i < 200; ++i) {
-        EXPECT_EQ(a.check(FaultPoint::kArtifactCrc).isOk(),
-                  b.check(FaultPoint::kArtifactCrc).isOk())
+        EXPECT_EQ(a.check(FaultPoint::kImageOpen).isOk(),
+                  b.check(FaultPoint::kImageOpen).isOk())
             << "hit " << i;
     }
-    EXPECT_EQ(a.fires(FaultPoint::kArtifactCrc),
-              b.fires(FaultPoint::kArtifactCrc));
-    EXPECT_GT(a.fires(FaultPoint::kArtifactCrc), 0u);
-    EXPECT_LT(a.fires(FaultPoint::kArtifactCrc), 200u);
+    EXPECT_EQ(a.fires(FaultPoint::kImageOpen),
+              b.fires(FaultPoint::kImageOpen));
+    EXPECT_GT(a.fires(FaultPoint::kImageOpen), 0u);
+    EXPECT_LT(a.fires(FaultPoint::kImageOpen), 200u);
 
     // reset() rewinds to the identical schedule.
-    const u64 before = a.fires(FaultPoint::kArtifactCrc);
+    const u64 before = a.fires(FaultPoint::kImageOpen);
     a.reset();
     for (int i = 0; i < 200; ++i) {
-        a.check(FaultPoint::kArtifactCrc);
+        a.check(FaultPoint::kImageOpen);
     }
-    EXPECT_EQ(a.fires(FaultPoint::kArtifactCrc), before);
+    EXPECT_EQ(a.fires(FaultPoint::kImageOpen), before);
 }
 
 TEST(FaultInjectorTest, StreamsAreIndependentAcrossPoints)
 {
-    auto plan = FaultPlan::fromSpec("crc=0.3;dlsym=0.3;seed=42");
+    auto plan = FaultPlan::fromSpec("image_open=0.3;dlsym=0.3;seed=42");
     ASSERT_TRUE(plan.isOk());
-    // Interleaving hits at another point must not change crc's schedule.
+    // Interleaving hits at another point must not change image_open's
+    // schedule.
     FaultInjector pure(*plan);
     FaultInjector mixed(*plan);
     std::vector<bool> pure_fires, mixed_fires;
     for (int i = 0; i < 100; ++i) {
         pure_fires.push_back(
-            !pure.check(FaultPoint::kArtifactCrc).isOk());
+            !pure.check(FaultPoint::kImageOpen).isOk());
         mixed.check(FaultPoint::kKernelDlsym);
         mixed_fires.push_back(
-            !mixed.check(FaultPoint::kArtifactCrc).isOk());
+            !mixed.check(FaultPoint::kImageOpen).isOk());
     }
     EXPECT_EQ(pure_fires, mixed_fires);
+}
+
+TEST(FaultInjectorTest, SurvivingPointsKeepTheirStreams)
+{
+    // Each point's stream is seeded by its position in the SplitMix64
+    // sequence of the plan seed. Retiring the first two points must not
+    // shift the others, or every committed plan (e.g. the cluster
+    // golden rows arming cluster_restore) would change its schedule.
+    // These are the first draws each point made before the retirement.
+    const struct
+    {
+        FaultPoint point;
+        f64 first_draw;
+    } kPinned[] = {
+        {FaultPoint::kCacheLoader, 0x1.3edb6280db48p-7},
+        {FaultPoint::kReplayPrefix, 0x1.2d4e1074046dap-2},
+        {FaultPoint::kReplayAlloc, 0x1.11ca6e687f85p-1},
+        {FaultPoint::kKernelDlsym, 0x1.71e363bda0147p-1},
+        {FaultPoint::kKernelEnumeration, 0x1.1913bd17a2dbcp-2},
+        {FaultPoint::kGraphInstantiate, 0x1.69607aa8736dbp-1},
+        {FaultPoint::kTpRankRestore, 0x1.dfbc1ed9de2cap-1},
+        {FaultPoint::kTpLockstep, 0x1.2198b5506854p-7},
+        {FaultPoint::kClusterRestore, 0x1.c00459fc3c93p-5},
+        {FaultPoint::kImageOpen, 0x1.7e775b33f73ecp-1},
+        {FaultPoint::kImagePatch, 0x1.6f910ba06974p-5},
+    };
+    static_assert(std::size(kPinned) == kFaultPointCount);
+    FaultPlan plan;
+    plan.seed = 0x5eed;
+    FaultInjector injector(plan);
+    for (const auto &p : kPinned) {
+        EXPECT_EQ(injector.drawFraction(p.point), p.first_draw)
+            << faultPointName(p.point);
+    }
+    // reset() reseeds through the same helper.
+    injector.reset();
+    EXPECT_EQ(injector.drawFraction(FaultPoint::kClusterRestore),
+              0x1.c00459fc3c93p-5);
 }
 
 TEST(FaultInjectorTest, DrawFractionDeterministic)

@@ -2,13 +2,14 @@
  * @file
  * The v6 materialized image (DESIGN.md §13): round-trip from an
  * artifact, zero-copy open, relocation-patch restore determinism and
- * its per-node cost, v5→v6 migration byte-identity, and rejection of
- * truncated, bit-flipped and misaligned buffers.
+ * its per-node cost, concurrent cold starts sharing one image, and
+ * rejection of truncated, bit-flipped and misaligned buffers.
  */
 
 #include <gtest/gtest.h>
 
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "common/fault.h"
@@ -232,25 +233,59 @@ TEST(ImageTest, PatchPassChargesRestorePerNodeCostPerNode)
                 10e-6 * static_cast<f64>(f.artifact.totalNodes()), 1e-9);
 }
 
-// ---- v5 -> v6 migration -------------------------------------------------
+// ---- concurrent restores from one image --------------------------------
 
-TEST(ImageTest, MigrationFromSerializedV5IsByteIdentical)
+TEST(ImageTest, ConcurrentColdStartsShareOneImage)
 {
+    // Several engines restoring from one const image concurrently: the
+    // simulated results are bit-identical across the engines.
     const Fixture &f = shared();
     auto image =
         MaterializedImage::openView(std::span<const u8>(f.image_bytes));
     ASSERT_TRUE(image.isOk());
-
-    // v5 round trip, then flatten the deserialized artifact: the image
-    // must come out byte-identical to the one the offline phase
-    // emitted from the in-memory artifact.
-    const std::vector<u8> v5 = f.artifact.serialize();
-    auto artifact = Artifact::deserialize(v5);
-    ASSERT_TRUE(artifact.isOk()) << artifact.status().toString();
-    auto migrated =
-        core::buildImageBytes(*artifact, image->tokenizer_merges);
-    ASSERT_TRUE(migrated.isOk()) << migrated.status().toString();
-    EXPECT_EQ(*migrated, f.image_bytes);
+    MedusaEngine::Options opts;
+    opts.model = tinyModel();
+    constexpr int kEngines = 4;
+    std::vector<std::thread> threads;
+    std::vector<StatusOr<std::unique_ptr<MedusaEngine>>> results;
+    for (int i = 0; i < kEngines; ++i) {
+        results.emplace_back(internalError("not run"));
+    }
+    for (int i = 0; i < kEngines; ++i) {
+        threads.emplace_back([i, &results, &opts, &image]() {
+            results[i] = MedusaEngine::coldStartFromImage(opts, *image);
+        });
+    }
+    for (std::thread &t : threads) {
+        t.join();
+    }
+    ASSERT_TRUE(results[0].isOk()) << results[0].status().toString();
+    const ColdStartReport &ref = (*results[0])->coldStartReport();
+    for (int i = 1; i < kEngines; ++i) {
+        ASSERT_TRUE(results[i].isOk())
+            << results[i].status().toString();
+        const ColdStartReport &cs = (*results[i])->coldStartReport();
+        EXPECT_EQ(cs.times.struct_init, ref.times.struct_init);
+        EXPECT_EQ(cs.times.weights, ref.times.weights);
+        EXPECT_EQ(cs.times.tokenizer, ref.times.tokenizer);
+        EXPECT_EQ(cs.times.kv_init, ref.times.kv_init);
+        EXPECT_EQ(cs.times.capture, ref.times.capture);
+        EXPECT_EQ(cs.times.runtime_init, ref.times.runtime_init);
+        EXPECT_EQ(cs.times.loading, ref.times.loading);
+        EXPECT_EQ(cs.restore.nodes_restored, ref.restore.nodes_restored);
+        EXPECT_EQ(cs.restore.graphs_restored, ref.restore.graphs_restored);
+        EXPECT_EQ(cs.restore.kernels_via_dlsym,
+                  ref.restore.kernels_via_dlsym);
+        EXPECT_EQ(cs.restore.kernels_via_enumeration,
+                  ref.restore.kernels_via_enumeration);
+        EXPECT_EQ(cs.restore.replayed_allocs, ref.restore.replayed_allocs);
+        EXPECT_EQ(cs.restore.replayed_frees, ref.restore.replayed_frees);
+        EXPECT_EQ(cs.restore.restored_content_bytes,
+                  ref.restore.restored_content_bytes);
+        EXPECT_EQ(cs.restore.indirect_pointers_fixed,
+                  ref.restore.indirect_pointers_fixed);
+        EXPECT_EQ(cs.restore.validated, ref.restore.validated);
+    }
 }
 
 // ---- corruption rejection -----------------------------------------------

@@ -1,10 +1,12 @@
 /**
  * @file
- * medusa-lint corpus tests: a hand-built clean artifact lints to zero
- * diagnostics, every rule family has a corrupted-artifact specimen that
- * fires with the right rule ID (and a non-firing twin), the Figure-6
- * naive-matching artifact is flagged statically, and the offline /
- * pre-restore lint gates accept clean and reject corrupt artifacts.
+ * medusa-lint corpus tests. Every specimen is a hand-built or analyzed
+ * artifact emitted as a v6 image and linted the way it ships: a clean
+ * specimen lints to zero diagnostics, every rule family has a corrupted
+ * specimen that fires with the right rule ID (and a non-firing twin),
+ * the Figure-6 naive-matching capture is flagged statically, and the
+ * offline / pre-restore lint gates accept clean and reject corrupt
+ * images.
  */
 
 #include <gtest/gtest.h>
@@ -143,10 +145,44 @@ cleanArtifact()
     return a;
 }
 
+/** Flatten @p a into v6 image bytes; aborts on an emit failure. */
+std::vector<u8>
+imageBytesOf(const Artifact &a)
+{
+    auto bytes = buildImageBytes(a, {});
+    MEDUSA_CHECK(bytes.isOk(), "image build: " << bytes.status().toString());
+    return std::move(bytes).value();
+}
+
+/** Lint @p a the way it ships: emitted as an image, then linted. */
+LintReport
+lintOf(const Artifact &a, const LintOptions &options = corpusOptions())
+{
+    const std::vector<u8> bytes = imageBytesOf(a);
+    return lint::lintImageBytes(std::span<const u8>(bytes), options);
+}
+
+/** Recompute the payload CRC after a byte edit (header offset 16). */
+void
+resealImage(std::vector<u8> &bytes)
+{
+    const u32 crc = crc32(bytes.data() + MaterializedImage::kHeaderBytes,
+                          bytes.size() - MaterializedImage::kHeaderBytes);
+    std::memcpy(bytes.data() + 16, &crc, sizeof(crc));
+}
+
+/** Byte offset of a zero-copy image span inside its backing bytes. */
+template <typename T>
+std::size_t
+offsetIn(const std::vector<u8> &bytes, std::span<const T> view)
+{
+    return static_cast<std::size_t>(
+        reinterpret_cast<const u8 *>(view.data()) - bytes.data());
+}
+
 TEST(LintTest, CleanArtifactLintsToZeroDiagnostics)
 {
-    const LintReport r = lint::lintArtifact(cleanArtifact(),
-                                            corpusOptions());
+    const LintReport r = lintOf(cleanArtifact());
     EXPECT_TRUE(r.clean()) << r.toText();
     EXPECT_TRUE(r.replaySafe());
     EXPECT_EQ(r.firstError(), "");
@@ -158,20 +194,18 @@ TEST(LintTest, DoubleFreeFiresMdl101)
 {
     Artifact a = cleanArtifact();
     a.ops.push_back(freeOp(1)); // index 1 is already freed
-    const LintReport r = lint::lintArtifact(a, corpusOptions());
+    const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL101")) << r.toText();
     EXPECT_FALSE(r.replaySafe());
     // A single free of a live index does not fire.
-    EXPECT_FALSE(
-        hasRule(lint::lintArtifact(cleanArtifact(), corpusOptions()),
-                "MDL101"));
+    EXPECT_FALSE(hasRule(lintOf(cleanArtifact()), "MDL101"));
 }
 
 TEST(LintTest, FreeOfUnknownIndexFiresMdl102)
 {
     Artifact a = cleanArtifact();
     a.ops.push_back(freeOp(9)); // only 3 allocations exist
-    const LintReport r = lint::lintArtifact(a, corpusOptions());
+    const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL102")) << r.toText();
     EXPECT_FALSE(r.replaySafe());
 }
@@ -184,16 +218,14 @@ TEST(LintTest, CrossBoundaryFreeOfOrganicAllocWarnsMdl103)
     // violation itself is reported.
     a.permanent.clear();
     a.graphs[0].nodes[0].params[0] = indirect(2);
-    const LintReport r = lint::lintArtifact(a, corpusOptions());
+    const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL103")) << r.toText();
     // Warning severity: suspicious, but replay does not fault.
     EXPECT_TRUE(r.replaySafe());
     EXPECT_FALSE(r.clean());
     // A replayed free of a replayed allocation does not warn (the
     // clean artifact frees index 1, allocated after the boundary).
-    EXPECT_FALSE(
-        hasRule(lint::lintArtifact(cleanArtifact(), corpusOptions()),
-                "MDL103"));
+    EXPECT_FALSE(hasRule(lintOf(cleanArtifact()), "MDL103"));
 }
 
 TEST(LintTest, BadAllocSizesFireMdl104)
@@ -201,81 +233,102 @@ TEST(LintTest, BadAllocSizesFireMdl104)
     Artifact zero = cleanArtifact();
     zero.ops[1].logical_size = 0;
     zero.ops[1].backing_size = 0;
-    EXPECT_TRUE(hasRule(lint::lintArtifact(zero, corpusOptions()),
-                        "MDL104"));
+    EXPECT_TRUE(hasRule(lintOf(zero), "MDL104"));
 
     Artifact oversized = cleanArtifact();
     oversized.ops[1].logical_size = kCap + 1;
-    EXPECT_TRUE(hasRule(lint::lintArtifact(oversized, corpusOptions()),
-                        "MDL104"));
+    EXPECT_TRUE(hasRule(lintOf(oversized), "MDL104"));
 
     Artifact inverted = cleanArtifact();
     inverted.ops[3].backing_size = inverted.ops[3].logical_size + 1;
-    EXPECT_TRUE(hasRule(lint::lintArtifact(inverted, corpusOptions()),
-                        "MDL104"));
+    EXPECT_TRUE(hasRule(lintOf(inverted), "MDL104"));
 
     // backing == logical is legal (full-content buffers).
-    EXPECT_FALSE(hasRule(lint::lintArtifact(cleanArtifact(),
-                                            corpusOptions()),
-                         "MDL104"));
+    EXPECT_FALSE(hasRule(lintOf(cleanArtifact()), "MDL104"));
 }
 
 TEST(LintTest, MalformedReplayBoundaryFiresMdl105)
 {
     Artifact beyond = cleanArtifact();
     beyond.organic_op_count = beyond.ops.size() + 5;
-    EXPECT_TRUE(hasRule(lint::lintArtifact(beyond, corpusOptions()),
-                        "MDL105"));
+    EXPECT_TRUE(hasRule(lintOf(beyond), "MDL105"));
 
     Artifact miscount = cleanArtifact();
     miscount.organic_alloc_count = 2; // prefix has exactly 1 alloc
-    EXPECT_TRUE(hasRule(lint::lintArtifact(miscount, corpusOptions()),
-                        "MDL105"));
+    EXPECT_TRUE(hasRule(lintOf(miscount), "MDL105"));
 }
 
-// ---- MDL2xx ------------------------------------------------------------
+// ---- retired MDL2xx specimens, caught by MDL701/MDL702 -----------------
 
 TEST(LintTest, IndirectIndexBeyondSequenceFiresMdl201)
 {
+    // Formerly MDL201; the relocation's allocation index is beyond the
+    // replay table, which MDL701 reports.
     Artifact a = cleanArtifact();
     a.graphs[0].nodes[0].params[0] = indirect(99);
-    const LintReport r = lint::lintArtifact(a, corpusOptions());
-    EXPECT_TRUE(hasRule(r, "MDL201")) << r.toText();
+    const LintReport r = lintOf(a);
+    EXPECT_TRUE(hasRule(r, "MDL701")) << r.toText();
     EXPECT_FALSE(r.replaySafe());
 }
 
 TEST(LintTest, StalePointerAtInferredLaunchPositionFiresMdl202)
 {
-    // The graph references allocation 1, which is freed BEFORE
-    // allocation 2 — another buffer the same graph references — is
-    // created. The launch therefore provably happened after the free.
+    // Formerly MDL202, now MDL702. The graph references allocation 1,
+    // which is freed BEFORE allocation 2 — another buffer the same
+    // graph references — is created. The launch therefore provably
+    // happened after the free.
     Artifact a = cleanArtifact();
     a.graphs[0].nodes[0].params[0] = indirect(1);
-    const LintReport r = lint::lintArtifact(a, corpusOptions());
-    EXPECT_TRUE(hasRule(r, "MDL202")) << r.toText();
+    const LintReport r = lintOf(a);
+    EXPECT_TRUE(hasRule(r, "MDL702")) << r.toText();
     EXPECT_FALSE(r.replaySafe());
 
     // Non-firing twin: the same stale reference WITHOUT the later
     // co-referenced allocation is not provably stale (the launch could
     // have preceded the free), so the static rule stays silent.
     Artifact benign = cleanArtifact();
-    benign.graphs[0].nodes[0].params = {indirect(1), constant32(4),
+    benign.graphs[0].nodes[0].params = {indirect(1), indirect(0),
                                         constant32(4)};
-    EXPECT_FALSE(hasRule(lint::lintArtifact(benign, corpusOptions()),
-                         "MDL202"));
+    EXPECT_FALSE(hasRule(lintOf(benign), "MDL702"));
+}
+
+TEST(LintTest, TraceExactLaunchPositionFiresMdl702)
+{
+    // The benign twin above: the per-graph lower bound cannot place
+    // the launch after allocation 1's free...
+    Artifact a = cleanArtifact();
+    a.graphs[0].nodes[0].params = {indirect(1), indirect(0),
+                                   constant32(4)};
+    EXPECT_FALSE(hasRule(lintOf(a), "MDL702"));
+
+    // ...but the recorder trace says the launch happened at ops[4],
+    // after the free at ops[2]: the exact position proves it stale.
+    Recorder trace;
+    trace.onAlloc(0, 0x7f2000000000ull, 1024, 1024);
+    trace.onAlloc(1, 0x7f2000100000ull, 512, 512);
+    trace.onFree(0x7f2000100000ull);
+    trace.onAlloc(2, 0x7f2000200000ull, 2048, 64);
+    trace.beginGraph(1);
+    trace.onKernelLaunch(0x1000, {}, true);
+    trace.endGraph();
+    LintOptions traced = corpusOptions();
+    traced.trace = &trace;
+    const LintReport r = lintOf(a, traced);
+    EXPECT_TRUE(hasRule(r, "MDL702")) << r.toText();
+    EXPECT_NE(r.toText().find("exactly ops[4]"), std::string::npos)
+        << r.toText();
 }
 
 TEST(LintTest, IndirectOffsetOutsideAllocationFiresMdl203)
 {
+    // Formerly MDL203; an addend outside the allocation is MDL701.
     Artifact a = cleanArtifact();
     a.graphs[0].nodes[0].params[0] = indirect(0, 4096); // 1024B buffer
-    EXPECT_TRUE(hasRule(lint::lintArtifact(a, corpusOptions()),
-                        "MDL203"));
-    // An interior offset inside the buffer is fine.
+    EXPECT_TRUE(hasRule(lintOf(a), "MDL701"));
+    // An aligned interior offset inside the buffer is fine.
     Artifact interior = cleanArtifact();
-    interior.graphs[0].nodes[0].params[0] = indirect(0, 1023);
-    EXPECT_FALSE(hasRule(lint::lintArtifact(interior, corpusOptions()),
-                         "MDL203"));
+    interior.graphs[0].nodes[0].params[0] = indirect(0, 1020);
+    EXPECT_TRUE(lintOf(interior).clean());
 }
 
 // ---- MDL3xx ------------------------------------------------------------
@@ -284,36 +337,59 @@ TEST(LintTest, UnknownKernelNameFiresMdl301)
 {
     Artifact a = cleanArtifact();
     a.graphs[0].nodes[0].kernel_name = "_ZN4fake6kernelEv";
-    EXPECT_TRUE(hasRule(lint::lintArtifact(a, corpusOptions()),
-                        "MDL301"));
+    EXPECT_TRUE(hasRule(lintOf(a), "MDL301"));
     // Registry checking can be disabled for foreign kernel zoos.
     LintOptions no_reg = corpusOptions();
     no_reg.check_kernel_registry = false;
-    EXPECT_FALSE(hasRule(lint::lintArtifact(a, no_reg), "MDL301"));
+    EXPECT_FALSE(hasRule(lintOf(a, no_reg), "MDL301"));
 }
 
 TEST(LintTest, KernelModuleMismatchFiresMdl302)
 {
     Artifact a = cleanArtifact();
     a.graphs[0].nodes[0].module_name = "libwrong.so";
-    EXPECT_TRUE(hasRule(lint::lintArtifact(a, corpusOptions()),
-                        "MDL302"));
+    EXPECT_TRUE(hasRule(lintOf(a), "MDL302"));
 }
 
 TEST(LintTest, EdgeBeyondNodeCountFiresMdl303)
 {
+    // Emission refuses a corrupt edge, so the specimen byte-edits the
+    // edge column of a clean two-node image and reseals its CRC.
     Artifact a = cleanArtifact();
-    a.graphs[0].edges.emplace_back(0, 5); // only 1 node
-    EXPECT_TRUE(hasRule(lint::lintArtifact(a, corpusOptions()),
-                        "MDL303"));
+    a.graphs[0].nodes.push_back(a.graphs[0].nodes[0]);
+    a.graphs[0].edges = {{0, 1}};
+    const std::vector<u8> clean = imageBytesOf(a);
+    auto view = MaterializedImage::openView(std::span<const u8>(clean));
+    ASSERT_TRUE(view.isOk()) << view.status().toString();
+    const std::size_t edges_off = offsetIn(clean, view->graphs[0].edges);
+    const std::size_t order_off = offsetIn(clean, view->graphs[0].order);
+    EXPECT_TRUE(
+        lint::lintImageBytes(std::span<const u8>(clean), corpusOptions())
+            .clean());
+
+    std::vector<u8> bad_edge = clean;
+    const simcuda::GraphEdge beyond{0, 5}; // only 2 nodes
+    std::memcpy(bad_edge.data() + edges_off, &beyond, sizeof(beyond));
+    resealImage(bad_edge);
+    const LintReport r = lint::lintImageBytes(
+        std::span<const u8>(bad_edge), corpusOptions());
+    EXPECT_TRUE(hasRule(r, "MDL303")) << r.toText();
+
+    // An order that runs node 1 before node 0 violates the edge.
+    std::vector<u8> bad_order = clean;
+    const u32 reversed[] = {1, 0};
+    std::memcpy(bad_order.data() + order_off, reversed, sizeof(reversed));
+    resealImage(bad_order);
+    const LintReport o = lint::lintImageBytes(
+        std::span<const u8>(bad_order), corpusOptions());
+    EXPECT_TRUE(hasRule(o, "MDL303")) << o.toText();
 }
 
 TEST(LintTest, DuplicateBatchSizeFiresMdl304)
 {
     Artifact a = cleanArtifact();
     a.graphs.push_back(a.graphs[0]);
-    EXPECT_TRUE(hasRule(lint::lintArtifact(a, corpusOptions()),
-                        "MDL304"));
+    EXPECT_TRUE(hasRule(lintOf(a), "MDL304"));
 }
 
 // ---- MDL4xx ------------------------------------------------------------
@@ -324,7 +400,7 @@ TEST(LintTest, UncoveredPointerShapedWordWarnsMdl401)
     const u64 ptr = 0x7f2000001000ull; // in the device address range
     a.permanent[0].contents.resize(16);
     std::memcpy(a.permanent[0].contents.data(), &ptr, 8);
-    const LintReport r = lint::lintArtifact(a, corpusOptions());
+    const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL401")) << r.toText();
     EXPECT_TRUE(r.replaySafe()); // warning, not error
 
@@ -335,7 +411,7 @@ TEST(LintTest, UncoveredPointerShapedWordWarnsMdl401)
     fix.target_alloc_index = 2;
     fix.target_offset = 0;
     a.pointer_fixes.push_back(fix);
-    const LintReport covered = lint::lintArtifact(a, corpusOptions());
+    const LintReport covered = lintOf(a);
     EXPECT_FALSE(hasRule(covered, "MDL401")) << covered.toText();
     EXPECT_TRUE(covered.clean());
 }
@@ -349,24 +425,21 @@ TEST(LintTest, InvalidPointerFixFiresMdl402)
     fix.byte_offset = 0;
     fix.target_alloc_index = 0;
     nohost.pointer_fixes.push_back(fix);
-    EXPECT_TRUE(hasRule(lint::lintArtifact(nohost, corpusOptions()),
-                        "MDL402"));
+    EXPECT_TRUE(hasRule(lintOf(nohost), "MDL402"));
 
     // Fix word overrunning the materialized contents.
     Artifact overrun = cleanArtifact();
     fix.buffer_alloc_index = 0;
     fix.byte_offset = 12; // 16-byte contents; word needs [12, 20)
     overrun.pointer_fixes.push_back(fix);
-    EXPECT_TRUE(hasRule(lint::lintArtifact(overrun, corpusOptions()),
-                        "MDL402"));
+    EXPECT_TRUE(hasRule(lintOf(overrun), "MDL402"));
 
     // Fix pointing at a freed allocation: the word would dangle.
     Artifact dangling = cleanArtifact();
     fix.byte_offset = 0;
     fix.target_alloc_index = 1; // freed temporary
     dangling.pointer_fixes.push_back(fix);
-    EXPECT_TRUE(hasRule(lint::lintArtifact(dangling, corpusOptions()),
-                        "MDL402"));
+    EXPECT_TRUE(hasRule(lintOf(dangling), "MDL402"));
 
     // A valid fix is accepted (see the MDL401 covered case above).
 }
@@ -376,18 +449,15 @@ TEST(LintTest, PermanentContentsForDeadBufferFireMdl403)
     Artifact freed = cleanArtifact();
     freed.permanent[0].alloc_index = 1; // the freed temporary
     freed.permanent[0].contents.assign(16, 0);
-    EXPECT_TRUE(hasRule(lint::lintArtifact(freed, corpusOptions()),
-                        "MDL403"));
+    EXPECT_TRUE(hasRule(lintOf(freed), "MDL403"));
 
     Artifact oversize = cleanArtifact();
     oversize.permanent[0].contents.assign(2048, 0); // 1024B backing
-    EXPECT_TRUE(hasRule(lint::lintArtifact(oversize, corpusOptions()),
-                        "MDL403"));
+    EXPECT_TRUE(hasRule(lintOf(oversize), "MDL403"));
 
     Artifact dup = cleanArtifact();
     dup.permanent.push_back(dup.permanent[0]);
-    EXPECT_TRUE(hasRule(lint::lintArtifact(dup, corpusOptions()),
-                        "MDL403"));
+    EXPECT_TRUE(hasRule(lintOf(dup), "MDL403"));
 }
 
 // ---- MDL5xx ------------------------------------------------------------
@@ -396,29 +466,27 @@ TEST(LintTest, UnreproducibleFreeMemoryFiguresFireMdl501)
 {
     Artifact a = cleanArtifact();
     a.free_gpu_memory = kCap - 100; // no prefix yields this footprint
-    const LintReport r = lint::lintArtifact(a, corpusOptions());
+    const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL501")) << r.toText();
 
     // The mid-sequence footprint (both early buffers live) is also a
     // valid profiling point and must be accepted.
     Artifact mid = cleanArtifact();
     mid.free_gpu_memory = kCap - (1024 + 512);
-    EXPECT_FALSE(hasRule(lint::lintArtifact(mid, corpusOptions()),
-                         "MDL501"));
+    EXPECT_FALSE(hasRule(lintOf(mid), "MDL501"));
 }
 
 TEST(LintTest, CapacityViolationsFireMdl502)
 {
     Artifact over = cleanArtifact();
     over.free_gpu_memory = kCap + 1;
-    EXPECT_TRUE(hasRule(lint::lintArtifact(over, corpusOptions()),
-                        "MDL502"));
+    EXPECT_TRUE(hasRule(lintOf(over), "MDL502"));
 
     LintOptions tiny = corpusOptions();
     tiny.device_memory_bytes = 2048; // sequence peaks above this
     Artifact a = cleanArtifact();
     a.free_gpu_memory = 2048 - 1536;
-    EXPECT_TRUE(hasRule(lint::lintArtifact(a, tiny), "MDL502"));
+    EXPECT_TRUE(hasRule(lintOf(a, tiny), "MDL502"));
 }
 
 // ---- MDL6xx ------------------------------------------------------------
@@ -454,10 +522,26 @@ tpOptions()
     return o;
 }
 
+/** Emit each rank as an image and run the per-rank + MDL6xx rules. */
+LintReport
+lintTpOf(const std::vector<Artifact> &ranks)
+{
+    std::vector<std::vector<u8>> bytes;
+    std::vector<MaterializedImage> images;
+    for (const Artifact &a : ranks) {
+        bytes.push_back(imageBytesOf(a));
+    }
+    for (const std::vector<u8> &b : bytes) {
+        auto image = MaterializedImage::openView(std::span<const u8>(b));
+        MEDUSA_CHECK(image.isOk(), image.status().toString());
+        images.push_back(std::move(image).value());
+    }
+    return lint::lintTpImages(images, tpOptions());
+}
+
 TEST(LintTest, ConsistentRanksLintClean)
 {
-    const LintReport r = lint::lintTpArtifacts(tpArtifacts(),
-                                               tpOptions());
+    const LintReport r = lintTpOf(tpArtifacts());
     EXPECT_TRUE(r.clean()) << r.toText();
 }
 
@@ -465,8 +549,7 @@ TEST(LintTest, RankIdentityMismatchFiresMdl601)
 {
     auto ranks = tpArtifacts();
     ranks[1].model_seed = 99;
-    EXPECT_TRUE(hasRule(lint::lintTpArtifacts(ranks, tpOptions()),
-                        "MDL601"));
+    EXPECT_TRUE(hasRule(lintTpOf(ranks), "MDL601"));
 }
 
 TEST(LintTest, BatchSetMismatchFiresMdl602)
@@ -475,16 +558,15 @@ TEST(LintTest, BatchSetMismatchFiresMdl602)
     GraphBlueprint extra = ranks[1].graphs[0];
     extra.batch_size = 8;
     ranks[1].graphs.push_back(std::move(extra));
-    EXPECT_TRUE(hasRule(lint::lintTpArtifacts(ranks, tpOptions()),
-                        "MDL602"));
+    EXPECT_TRUE(hasRule(lintTpOf(ranks), "MDL602"));
 }
 
 TEST(LintTest, TopologyMismatchFiresMdl603)
 {
     auto ranks = tpArtifacts();
     ranks[1].graphs[0].nodes.pop_back();
-    EXPECT_TRUE(hasRule(lint::lintTpArtifacts(ranks, tpOptions()),
-                        "MDL603"));
+    ranks[1].graphs[0].edges.pop_back();
+    EXPECT_TRUE(hasRule(lintTpOf(ranks), "MDL603"));
 }
 
 TEST(LintTest, CollectiveOrderMismatchFiresMdl604)
@@ -494,7 +576,7 @@ TEST(LintTest, CollectiveOrderMismatchFiresMdl604)
     // different order on rank 1 — lockstep replay would deadlock.
     std::swap(ranks[1].graphs[0].nodes[1],
               ranks[1].graphs[0].nodes[2]);
-    const LintReport r = lint::lintTpArtifacts(ranks, tpOptions());
+    const LintReport r = lintTpOf(ranks);
     EXPECT_TRUE(hasRule(r, "MDL604")) << r.toText();
     EXPECT_FALSE(hasRule(r, "MDL603"));
 }
@@ -505,7 +587,7 @@ TEST(LintTest, ReportRendersTextAndJson)
 {
     Artifact a = cleanArtifact();
     a.ops.push_back(freeOp(1));
-    const LintReport r = lint::lintArtifact(a, corpusOptions());
+    const LintReport r = lintOf(a);
     ASSERT_FALSE(r.diagnostics.empty());
     const std::string text = r.toText();
     EXPECT_NE(text.find("MDL101"), std::string::npos);
@@ -583,7 +665,7 @@ TEST(LintTest, NaiveMatchingArtifactIsFlaggedAsStale)
     // Figure 6's setup: X is allocated and freed, Y reuses its address,
     // and the captured graph copies out of Y. Naive matching binds the
     // pointer to X's stale event; the linter proves the launch happened
-    // after X's free and flags MDL202 — statically, with no replay.
+    // after X's free and flags MDL702 — statically, with no replay.
     Offline off;
     auto x = off.alloc.allocate(2048, 64);
     ASSERT_TRUE(off.alloc.free(*x).isOk());
@@ -597,22 +679,20 @@ TEST(LintTest, NaiveMatchingArtifactIsFlaggedAsStale)
     ASSERT_TRUE(naive.isOk());
     LintOptions opts;
     opts.device_memory_bytes = units::GiB;
-    const LintReport flagged = lint::lintArtifact(naive->artifact, opts);
-    EXPECT_TRUE(hasRule(flagged, "MDL202")) << flagged.toText();
+    const LintReport flagged = lintOf(naive->artifact, opts);
+    EXPECT_TRUE(hasRule(flagged, "MDL702")) << flagged.toText();
     EXPECT_FALSE(flagged.replaySafe());
 
     // With the raw trace, the exact launch position gives the same
     // verdict (and would catch cases the inferred bound cannot).
     LintOptions traced_opts = opts;
     traced_opts.trace = &off.recorder;
-    EXPECT_TRUE(hasRule(lint::lintArtifact(naive->artifact, traced_opts),
-                        "MDL202"));
+    EXPECT_TRUE(hasRule(lintOf(naive->artifact, traced_opts), "MDL702"));
 
     // The trace-based artifact for the same capture lints clean.
     auto traced = off.analyzeGraph(*graph, true);
     ASSERT_TRUE(traced.isOk());
-    const LintReport ok = lint::lintArtifact(traced->artifact,
-                                             traced_opts);
+    const LintReport ok = lintOf(traced->artifact, traced_opts);
     EXPECT_TRUE(ok.replaySafe()) << ok.toText();
 }
 
@@ -653,7 +733,7 @@ TEST(LintTest, RacedTwoStreamCaptureFiresMdl801)
     ASSERT_TRUE(analysis.isOk()) << analysis.status().toString();
     LintOptions opts;
     opts.device_memory_bytes = units::GiB;
-    const LintReport r = lint::lintArtifact(analysis->artifact, opts);
+    const LintReport r = lintOf(analysis->artifact, opts);
     EXPECT_TRUE(hasRule(r, "MDL801")) << r.toText();
     EXPECT_FALSE(r.replaySafe());
 }
@@ -693,7 +773,7 @@ TEST(LintTest, ForkJoinOrderedCaptureLintsClean)
     ASSERT_TRUE(analysis.isOk()) << analysis.status().toString();
     LintOptions opts;
     opts.device_memory_bytes = units::GiB;
-    const LintReport r = lint::lintArtifact(analysis->artifact, opts);
+    const LintReport r = lintOf(analysis->artifact, opts);
     EXPECT_FALSE(hasRule(r, "MDL801")) << r.toText();
     EXPECT_FALSE(hasRule(r, "MDL802"));
     EXPECT_FALSE(hasRule(r, "MDL804"));
@@ -713,7 +793,7 @@ TEST(LintTest, UnorderedReadWriteFiresMdl802)
 
     Artifact racy = cleanArtifact();
     racy.graphs[0].nodes.push_back(back);
-    const LintReport r = lint::lintArtifact(racy, corpusOptions());
+    const LintReport r = lintOf(racy);
     EXPECT_TRUE(hasRule(r, "MDL802")) << r.toText();
     EXPECT_FALSE(hasRule(r, "MDL801"));
     EXPECT_FALSE(r.replaySafe());
@@ -721,7 +801,7 @@ TEST(LintTest, UnorderedReadWriteFiresMdl802)
     Artifact ordered = cleanArtifact();
     ordered.graphs[0].nodes.push_back(back);
     ordered.graphs[0].edges = {{0, 1}};
-    const LintReport ok = lint::lintArtifact(ordered, corpusOptions());
+    const LintReport ok = lintOf(ordered);
     EXPECT_FALSE(hasRule(ok, "MDL802")) << ok.toText();
 }
 
@@ -736,15 +816,14 @@ TEST(LintTest, UnorderedOpaqueKernelFiresMdl804)
     mystery.module_name = "libsimmoe.so";
     mystery.params = {indirect(2)};
     a.graphs[0].nodes.push_back(mystery);
-    const LintReport r = lint::lintArtifact(a, corpusOptions());
+    const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL804")) << r.toText();
 
     // An ordering edge silences the advisory even though the kernel
     // stays opaque.
     Artifact ordered = a;
     ordered.graphs[0].edges = {{0, 1}};
-    EXPECT_FALSE(hasRule(lint::lintArtifact(ordered, corpusOptions()),
-                         "MDL804"));
+    EXPECT_FALSE(hasRule(lintOf(ordered), "MDL804"));
 }
 
 TEST(LintTest, UnorderedIndirectAccessKernelFiresMdl804)
@@ -769,7 +848,7 @@ TEST(LintTest, UnorderedIndirectAccessKernelFiresMdl804)
     }
     Artifact a = cleanArtifact();
     a.graphs[0].nodes.push_back(std::move(batched));
-    const LintReport r = lint::lintArtifact(a, corpusOptions());
+    const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL804")) << r.toText();
 }
 
@@ -787,7 +866,7 @@ TEST(LintTest, CaptureWindowAllocationFiresMdl803)
 
     LintOptions opts = corpusOptions();
     opts.trace = &trace;
-    const LintReport r = lint::lintArtifact(cleanArtifact(), opts);
+    const LintReport r = lintOf(cleanArtifact(), opts);
     EXPECT_TRUE(hasRule(r, "MDL803")) << r.toText();
 
     // The same allocation before the capture window is fine.
@@ -799,7 +878,7 @@ TEST(LintTest, CaptureWindowAllocationFiresMdl803)
     quiet.endGraph();
     LintOptions qopts = corpusOptions();
     qopts.trace = &quiet;
-    EXPECT_FALSE(hasRule(lint::lintArtifact(cleanArtifact(), qopts),
+    EXPECT_FALSE(hasRule(lintOf(cleanArtifact(), qopts),
                          "MDL803"));
 }
 
@@ -817,6 +896,19 @@ errorRules(const LintReport &r)
     return rules;
 }
 
+/**
+ * The committed corpus (tools/make_lint_fixtures) records a free-memory
+ * figure of 24 bytes after ten 4 KiB allocations: the device it was
+ * materialized for holds exactly those plus 24 bytes (MDL5xx).
+ */
+LintOptions
+fixtureOptions()
+{
+    LintOptions o;
+    o.device_memory_bytes = 10 * 4096 + MaterializedImage::kHeaderBytes;
+    return o;
+}
+
 TEST(LintTest, CorruptImageCorpusFiresExactRules)
 {
     // Each committed fixture (tools/make_lint_fixtures) is defective in
@@ -828,6 +920,7 @@ TEST(LintTest, CorruptImageCorpusFiresExactRules)
         const char *rule; // nullptr: must be error-free
     } kCases[] = {
         {"clean.mdsi", nullptr},
+        {"bad_edge.mdsi", "MDL303"},
         {"truncated_relocs.mdsi", "MDL700"},
         {"oob_reloc.mdsi", "MDL701"},
         {"freed_target.mdsi", "MDL702"},
@@ -840,8 +933,8 @@ TEST(LintTest, CorruptImageCorpusFiresExactRules)
             std::string(MEDUSA_TEST_DATA_DIR) + "/" + c.file;
         auto bytes = readFile(path);
         ASSERT_TRUE(bytes.isOk()) << path;
-        const LintReport r =
-            lint::lintImageBytes(std::span<const u8>(*bytes));
+        const LintReport r = lint::lintImageBytes(
+            std::span<const u8>(*bytes), fixtureOptions());
         if (c.rule == nullptr) {
             EXPECT_TRUE(r.clean()) << c.file << "\n" << r.toText();
         } else {
@@ -858,8 +951,8 @@ TEST(LintTest, SarifReportValidatesAgainstCatalog)
         std::string(MEDUSA_TEST_DATA_DIR) + "/oob_reloc.mdsi";
     auto bytes = readFile(path);
     ASSERT_TRUE(bytes.isOk());
-    const LintReport r =
-        lint::lintImageBytes(std::span<const u8>(*bytes));
+    const LintReport r = lint::lintImageBytes(
+        std::span<const u8>(*bytes), fixtureOptions());
     const std::string sarif = r.toSarif();
     EXPECT_NE(sarif.find("sarif-2.1.0.json"), std::string::npos);
     EXPECT_NE(sarif.find("\"version\":\"2.1.0\""), std::string::npos);
@@ -886,9 +979,10 @@ TEST(LintTest, OfflineLintGateAcceptsDefaultPipeline)
     opts.pipeline.lint = true;
     auto result = materialize(opts);
     ASSERT_TRUE(result.isOk()) << result.status().toString();
-    // And the full-strength check: the shipped artifact has zero
+    // And the full-strength check: the shipped image has zero
     // diagnostics, warnings included.
-    const LintReport r = lint::lintArtifact(result->artifact);
+    const LintReport r =
+        lint::lintImageBytes(std::span<const u8>(result->image_bytes));
     EXPECT_TRUE(r.clean()) << r.toText();
 }
 
@@ -926,24 +1020,20 @@ TEST(LintTest, ImageEmissionGateRejectsStalePointer)
     // Free the copy node's input before a later birth the graph also
     // references: the relocation provably resolves recycled memory.
     Artifact a = cleanArtifact();
-    a.ops.push_back(freeOp(0));
+    a.ops.push_back(freeOp(2));
     a.ops.push_back(allocOp(512, 512)); // index 3, born after the free
-    a.graphs[0].nodes[0].params[1] = indirect(3);
+    a.graphs[0].nodes[0].params = {indirect(2), indirect(3),
+                                   constant32(4)};
 
-    ImageBuildOptions bopts;
-    bopts.lint = true;
-    auto rejected = buildImageBytes(a, {}, bopts);
-    ASSERT_FALSE(rejected.isOk());
-    EXPECT_NE(rejected.status().message().find("MDL702"),
-              std::string::npos)
-        << rejected.status().toString();
-
-    // Without the gate the bytes emit; the standalone image linter
-    // reaches the same verdict on them.
-    auto bytes = buildImageBytes(a, {});
-    ASSERT_TRUE(bytes.isOk()) << bytes.status().toString();
-    EXPECT_TRUE(hasRule(lint::lintImageBytes(std::span<const u8>(*bytes)),
-                        "MDL702"));
+    // Emission does not judge: the defective bytes emit. The gate that
+    // follows emission in materialize() (lintImage over the opened
+    // image) refuses them with the rule in its first error.
+    const std::vector<u8> bytes = imageBytesOf(a);
+    auto image = MaterializedImage::openView(std::span<const u8>(bytes));
+    ASSERT_TRUE(image.isOk()) << image.status().toString();
+    const LintReport r = lint::lintImage(*image, corpusOptions());
+    EXPECT_FALSE(r.replaySafe());
+    EXPECT_EQ(r.firstError().rfind("MDL702", 0), 0u) << r.toText();
 }
 
 TEST(LintTest, PreRestoreImageGateRejectsBeforeFirstPatch)
@@ -962,18 +1052,12 @@ TEST(LintTest, PreRestoreImageGateRejectsBeforeFirstPatch)
             MaterializedImage::openView(std::span<const u8>(bytes));
         ASSERT_TRUE(view.isOk());
         ASSERT_FALSE(view->data_relocs.empty());
-        const std::size_t off = static_cast<std::size_t>(
-            reinterpret_cast<const u8 *>(view->data_relocs.data()) -
-            bytes.data());
+        const std::size_t off = offsetIn(bytes, view->data_relocs);
         MaterializedImage::DataReloc r0;
         std::memcpy(&r0, bytes.data() + off, sizeof(r0));
         r0.alloc_index = 1u << 20;
         std::memcpy(bytes.data() + off, &r0, sizeof(r0));
-        const u64 payload =
-            bytes.size() - MaterializedImage::kHeaderBytes;
-        const u32 crc = crc32(
-            bytes.data() + MaterializedImage::kHeaderBytes, payload);
-        std::memcpy(bytes.data() + 16, &crc, sizeof(crc));
+        resealImage(bytes);
     }
     ImageReadOptions ropts;
     ropts.validate_relocations = false; // let the gate do the judging

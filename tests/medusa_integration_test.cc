@@ -147,20 +147,16 @@ TEST(MedusaIntegration, ArtifactSurvivesDiskRoundTrip)
     auto offline = materialize(opts);
     ASSERT_TRUE(offline.isOk());
 
-    const std::string path =
-        ::testing::TempDir() + "/medusa_roundtrip.artifact";
-    ASSERT_TRUE(writeFile(path, offline->artifact.serialize()).isOk());
-    auto bytes = readFile(path);
-    ASSERT_TRUE(bytes.isOk());
-    auto artifact = core::Artifact::deserialize(std::move(*bytes));
-    ASSERT_TRUE(artifact.isOk());
+    const std::string path = ::testing::TempDir() + "/medusa_roundtrip.mdsi";
+    ASSERT_TRUE(writeFile(path, offline->image_bytes).isOk());
+    auto image = core::MaterializedImage::openFile(path);
+    ASSERT_TRUE(image.isOk()) << image.status().toString();
 
     MedusaEngine::Options eopts;
     eopts.model = opts.model;
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {8};
-    const core::MaterializedImage image = test::imageOf(*artifact);
-    auto engine = MedusaEngine::coldStartFromImage(eopts, image);
+    auto engine = MedusaEngine::coldStartFromImage(eopts, *image);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     EXPECT_TRUE((*engine)->coldStartReport().restore.validated);
 }

@@ -11,8 +11,9 @@
  *    allocation") checked against adversarial control flow.
  *
  * 2. CorruptArtifactNeverCrashes: random byte corruption of a
- *    serialized artifact must yield a Status error (or a benign
- *    artifact), never a crash, when deserialized and restored.
+ *    materialized v6 image, with its CRC resealed so the decoder and
+ *    the restore see the damage, must yield a Status error (or a
+ *    benign image), never a crash, when opened and restored.
  */
 
 #include <gtest/gtest.h>
@@ -20,9 +21,9 @@
 #include <cstring>
 #include <map>
 
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "llm/engine.h"
-#include "llm/tokenizer.h"
 #include "medusa/analyze.h"
 #include "medusa/image.h"
 #include "medusa/offline.h"
@@ -349,7 +350,8 @@ TEST(ArtifactRobustness, CorruptArtifactNeverCrashes)
     oopts.pipeline.validate = false;
     auto offline = core::materialize(oopts);
     ASSERT_TRUE(offline.isOk());
-    const auto bytes = offline->artifact.serialize();
+    const std::vector<u8> &bytes = offline->image_bytes;
+    const std::size_t header = core::MaterializedImage::kHeaderBytes;
 
     Rng rng(0xfade);
     int parsed = 0, rejected = 0, restore_failed = 0, restored = 0;
@@ -357,11 +359,17 @@ TEST(ArtifactRobustness, CorruptArtifactNeverCrashes)
         auto corrupt = bytes;
         const int flips = 1 + static_cast<int>(rng.nextBounded(8));
         for (int i = 0; i < flips; ++i) {
-            corrupt[rng.nextBounded(corrupt.size())] ^=
+            corrupt[header + rng.nextBounded(corrupt.size() - header)] ^=
                 static_cast<u8>(1 + rng.nextBounded(255));
         }
-        auto artifact = Artifact::deserialize(corrupt);
-        if (!artifact.isOk()) {
+        // Reseal the payload CRC: a plain flip is always caught by it
+        // (ImageTest.BitFlipAnywhereFailsCrc), so this drives the
+        // damage past the checksum into the decoder and the restore.
+        const u32 crc =
+            crc32(corrupt.data() + header, corrupt.size() - header);
+        std::memcpy(corrupt.data() + 16, &crc, sizeof(crc));
+        auto image = core::MaterializedImage::open(std::move(corrupt));
+        if (!image.isOk()) {
             ++rejected;
             continue;
         }
@@ -370,20 +378,6 @@ TEST(ArtifactRobustness, CorruptArtifactNeverCrashes)
         eopts.model = m;
         eopts.restore.pipeline.validate = true;
         eopts.restore.pipeline.validate_batch_sizes = {1};
-        // The online phase restores from the flattened image; a
-        // corruption the flattening rejects is a restore failure too.
-        auto image_bytes = core::buildImageBytes(
-            *artifact, llm::trainModelTokenizer(m.seed).merges());
-        if (!image_bytes.isOk()) {
-            ++restore_failed;
-            continue;
-        }
-        auto image =
-            core::MaterializedImage::open(std::move(image_bytes).value());
-        if (!image.isOk()) {
-            ++restore_failed;
-            continue;
-        }
         auto engine = core::MedusaEngine::coldStartFromImage(eopts, *image);
         if (engine.isOk()) {
             ++restored; // corruption hit a don't-care byte

@@ -325,14 +325,42 @@ TEST(RollbackTest, FailedInstantiationBatchLeaksNoSlots)
     auto graph = rt.captureDecode(1);
     ASSERT_TRUE(graph.isOk());
 
+    // Flatten the captured graph into the patched arrays the image
+    // restore instantiates from (its live addresses need no patching).
+    std::vector<KernelAddr> node_fn;
+    std::vector<u32> param_begin = {0};
+    std::vector<u64> param_bits;
+    std::vector<u8> param_len;
+    std::vector<TimingInfo> timing;
+    for (const simcuda::GraphNode &node : graph->nodes()) {
+        node_fn.push_back(node.fn);
+        for (const std::vector<u8> &bytes : node.params) {
+            const simcuda::ParamBlob blob = simcuda::makeParamBlob(bytes);
+            param_bits.push_back(blob.bits);
+            param_len.push_back(blob.len);
+        }
+        param_begin.push_back(static_cast<u32>(param_bits.size()));
+        timing.push_back(node.timing);
+    }
+    auto order = graph->topoOrder();
+    ASSERT_TRUE(order.isOk());
+    simcuda::GpuProcess::PatchedGraphDesc desc;
+    desc.node_fn = node_fn;
+    desc.param_begin = param_begin;
+    desc.param_bits = param_bits;
+    desc.param_len = param_len;
+    desc.timing = timing;
+    desc.order = *order;
+    desc.edges = graph->edges();
+
     // The fault fires on the SECOND instantiation: the first slot is
     // registered, then the batch fails and must unregister it.
     auto plan = FaultPlan::fromSpec("instantiate@2");
     ASSERT_TRUE(plan.isOk());
     FaultInjector injector(*plan);
-    const std::vector<std::pair<u32, const simcuda::CudaGraph *>>
-        ordered = {{1, &*graph}, {2, &*graph}};
-    const Status st = rt.instantiateGraphs(ordered, &injector);
+    const std::vector<std::pair<u32, simcuda::GpuProcess::PatchedGraphDesc>>
+        ordered = {{1, desc}, {2, desc}};
+    const Status st = rt.instantiatePatchedGraphs(ordered, &injector);
     ASSERT_FALSE(st.isOk());
     EXPECT_EQ(st.code(), StatusCode::kFaultInjected);
     EXPECT_FALSE(rt.hasGraph(1));
@@ -340,7 +368,7 @@ TEST(RollbackTest, FailedInstantiationBatchLeaksNoSlots)
     EXPECT_EQ(rt.graphCount(), 0u);
 
     // The same batch succeeds afterwards: nothing was left behind.
-    ASSERT_TRUE(rt.instantiateGraphs(ordered, nullptr).isOk());
+    ASSERT_TRUE(rt.instantiatePatchedGraphs(ordered, nullptr).isOk());
     EXPECT_TRUE(rt.hasGraph(1));
     EXPECT_TRUE(rt.hasGraph(2));
 }

@@ -1,17 +1,20 @@
 /**
  * @file
- * Error-path tests for the binary serialization layer and artifact
- * deserialization: truncated buffers, bad magic/version, and oversized
- * length fields must come back as Status errors, never crashes — a
- * corrupted on-disk artifact is a recoverable cold-start failure.
+ * Error-path tests for the binary serialization layer and the v6 image
+ * an artifact serializes to: truncated buffers, bad magic/version, and
+ * oversized length fields must come back as Status errors, never
+ * crashes — a corrupted on-disk image is a recoverable cold-start
+ * failure.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 
+#include "common/crc32.h"
 #include "common/serialize.h"
 #include "medusa/artifact.h"
+#include "medusa/image.h"
 
 namespace medusa {
 namespace {
@@ -129,10 +132,24 @@ sampleArtifact()
     return a;
 }
 
+/** The artifact's serialized form: its v6 image bytes. */
+std::vector<u8>
+sampleImage()
+{
+    return core::buildImageBytes(sampleArtifact(), {}).value();
+}
+
+/** Open a copy of @p bytes the way a cold start opens a file. */
+StatusOr<core::MaterializedImage>
+openCopy(std::vector<u8> bytes)
+{
+    return core::MaterializedImage::open(std::move(bytes));
+}
+
 TEST(SerializeRobustness, ArtifactRoundTrips)
 {
     const core::Artifact a = sampleArtifact();
-    auto back = core::Artifact::deserialize(a.serialize());
+    auto back = openCopy(sampleImage());
     ASSERT_TRUE(back.isOk()) << back.status().toString();
     EXPECT_EQ(back->model_name, a.model_name);
     EXPECT_EQ(back->ops.size(), 1u);
@@ -142,44 +159,52 @@ TEST(SerializeRobustness, ArtifactRoundTrips)
 
 TEST(SerializeRobustness, ArtifactBadMagicFails)
 {
-    std::vector<u8> bytes = sampleArtifact().serialize();
+    std::vector<u8> bytes = sampleImage();
     bytes[0] ^= 0xff;
-    auto a = core::Artifact::deserialize(std::move(bytes));
+    auto a = openCopy(std::move(bytes));
     ASSERT_FALSE(a.isOk());
     EXPECT_NE(a.status().message().find("magic"), std::string::npos);
 }
 
 TEST(SerializeRobustness, ArtifactBadVersionFails)
 {
-    std::vector<u8> bytes = sampleArtifact().serialize();
-    const u32 wrong = core::Artifact::kVersion + 1;
+    std::vector<u8> bytes = sampleImage();
+    const u32 wrong = core::MaterializedImage::kVersion + 1;
     std::memcpy(bytes.data() + 4, &wrong, 4);
-    auto a = core::Artifact::deserialize(std::move(bytes));
+    auto a = openCopy(std::move(bytes));
     ASSERT_FALSE(a.isOk());
     EXPECT_NE(a.status().message().find("version"), std::string::npos);
 }
 
 TEST(SerializeRobustness, TruncatedArtifactAtEveryPrefixFails)
 {
-    // Chopping the stream at ANY point must produce a Status error —
-    // never a crash, hang or silently short artifact.
-    const std::vector<u8> bytes = sampleArtifact().serialize();
+    // Chopping the image at ANY point must produce a Status error —
+    // never a crash, hang or silently short image. The header records
+    // the payload size, so every prefix is caught before decoding.
+    const std::vector<u8> bytes = sampleImage();
     for (std::size_t len = 0; len < bytes.size(); ++len) {
         std::vector<u8> prefix(bytes.begin(), bytes.begin() + len);
-        auto a = core::Artifact::deserialize(std::move(prefix));
+        auto a = openCopy(std::move(prefix));
         EXPECT_FALSE(a.isOk()) << "prefix length " << len;
     }
 }
 
 TEST(SerializeRobustness, CorruptedInteriorLengthFieldFails)
 {
-    // Blow up the model-name length field (first field after the
-    // 8-byte header): claims more bytes than the stream holds.
-    std::vector<u8> bytes = sampleArtifact().serialize();
+    // Blow up the model-name length field (the first payload field
+    // after the 24-byte header), claiming more bytes than the image
+    // holds, and reseal the CRC so only the decoder can object.
+    std::vector<u8> bytes = sampleImage();
     const u64 huge = 1ull << 60;
-    std::memcpy(bytes.data() + 8, &huge, 8);
-    auto a = core::Artifact::deserialize(std::move(bytes));
-    EXPECT_FALSE(a.isOk());
+    const std::size_t header = core::MaterializedImage::kHeaderBytes;
+    std::memcpy(bytes.data() + header, &huge, 8);
+    const u32 crc = crc32(bytes.data() + header, bytes.size() - header);
+    std::memcpy(bytes.data() + 16, &crc, sizeof(crc));
+    auto a = openCopy(std::move(bytes));
+    ASSERT_FALSE(a.isOk());
+    EXPECT_EQ(a.status().code(), StatusCode::kInternal)
+        << a.status().toString();
+    EXPECT_EQ(a.status().message().find("CRC32"), std::string::npos);
 }
 
 } // namespace

@@ -9,7 +9,7 @@
  * fixture is derived from it by surgical byte edits (relocation
  * retargeting, template poisoning, truncation) with the payload CRC
  * recomputed, so every fixture is invalid in EXACTLY one way and the
- * table test can assert that precisely one MDL7xx rule fires per file.
+ * table test can assert that precisely one rule fires per file.
  *
  * Usage: make_lint_fixtures <output-dir>
  *
@@ -96,7 +96,10 @@ baseArtifact()
     Artifact a;
     a.model_name = "fixture-model";
     a.model_seed = 7;
-    a.free_gpu_memory = MaterializedImage::kHeaderBytes; // unused here
+    // What a device of 10 x 4 KiB + 24 bytes has left after the ten
+    // allocations below: lint_test lints the corpus against that
+    // capacity, so the figure is reproducible (MDL5xx).
+    a.free_gpu_memory = MaterializedImage::kHeaderBytes;
     for (int i = 0; i < 10; ++i) {
         AllocOp op;
         op.kind = AllocOp::kAlloc;
@@ -261,13 +264,30 @@ generate(const std::string &dir)
             writeFixture(dir, "oob_reloc.mdsi", bytes));
     }
 
+    // bad_edge: point the second edge (1 -> 2) at node 7 of the
+    // three-node graph. openView does not check edges; restore would
+    // fail at cudaGraphInstantiate -> MDL303. The corrupt graph has no
+    // trustworthy happens-before relation, so the race rules skip it
+    // instead of cascading.
+    {
+        std::vector<u8> bytes = clean;
+        const std::size_t edges_off =
+            spanOffset(clean, view.graphs.at(0).edges);
+        simcuda::GraphEdge e1;
+        std::memcpy(&e1, bytes.data() + edges_off + sizeof(e1), sizeof(e1));
+        e1.dst = 7;
+        std::memcpy(bytes.data() + edges_off + sizeof(e1), &e1, sizeof(e1));
+        resealImage(bytes);
+        MEDUSA_RETURN_IF_ERROR(writeFixture(dir, "bad_edge.mdsi", bytes));
+    }
+
     // freed_target: a variant artifact whose first gemm input is freed
     // BEFORE another allocation the same graph references is born, so
     // the graph's launch provably postdates the free and the
     // relocation resolves against a recycled address -> MDL702.
     // Emitted (not surgically edited) because the op sequence length
-    // changes; the emission-side lint gate is off by default, so the
-    // defective image still builds.
+    // changes; emission does not lint, so the defective image still
+    // builds.
     {
         Artifact variant = baseArtifact();
         AllocOp free_op;

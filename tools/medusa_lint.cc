@@ -1,19 +1,17 @@
 /**
  * @file
- * medusa_lint: static artifact verification from the command line.
+ * medusa_lint: static image verification from the command line.
  *
- * Analyzes one or more serialized artifacts WITHOUT executing replay
- * and reports rule-tagged diagnostics (see src/medusa/lint/lint.h and
- * DESIGN.md §9). With several inputs the cross-rank tensor-parallel
- * rules (MDL6xx) also run, treating the files as ranks 0..N-1.
+ * Analyzes one or more v6 images (.mdsi) WITHOUT executing replay and
+ * reports rule-tagged diagnostics (see src/medusa/lint/lint.h and
+ * DESIGN.md §9). One path runs every single-image rule family; several
+ * paths are the ranks 0..N-1 of one tensor-parallel materialization,
+ * so the cross-rank rules (MDL6xx) run as well.
  *
  * Usage:
- *   medusa_lint [options] <artifact.medusa> [rank1.medusa ...]
- *   medusa_lint --image [options] <image.mdsi> [more.mdsi ...]
+ *   medusa_lint [options] <image.mdsi> [rank1.mdsi ...]
  *
  * Options:
- *   --image                inputs are v6 relocation images; run the
- *                          MDL7xx/MDL8xx image rules on each
  *   --json                 emit a JSON report instead of text
  *   --sarif                emit a SARIF 2.1.0 report instead of text
  *   --no-registry          skip kernel-registry rules (MDL301/302)
@@ -28,7 +26,8 @@
  *                          (never fail on diagnostics)
  *
  * Exit status: 0 when no diagnostic exceeds --max-severity, 1
- * otherwise, 2 usage or I/O failure.
+ * otherwise, 2 usage or I/O failure. Bytes that fail to decode are
+ * diagnosed as MDL700, not an I/O failure.
  */
 
 #include <cstdio>
@@ -52,10 +51,10 @@ usage(const char *argv0)
 {
     std::fprintf(
         stderr,
-        "usage: %s [--image] [--json|--sarif] [--no-registry]\n"
+        "usage: %s [--json|--sarif] [--no-registry]\n"
         "       [--device-bytes N] [--device-index I]\n"
         "       [--collective MODULE] [--max-severity info|warning|error]\n"
-        "       <artifact.medusa> [rank1 ...]\n",
+        "       <image.mdsi> [rank1.mdsi ...]\n",
         argv0);
     return 2;
 }
@@ -68,7 +67,6 @@ main(int argc, char **argv)
     LintOptions options;
     bool json = false;
     bool sarif = false;
-    bool image_mode = false;
     // Highest severity still acceptable for exit 0. The default keeps
     // the historical behavior: warnings pass, errors fail.
     core::lint::Severity max_severity = core::lint::Severity::kWarning;
@@ -79,8 +77,6 @@ main(int argc, char **argv)
             json = true;
         } else if (arg == "--sarif") {
             sarif = true;
-        } else if (arg == "--image") {
-            image_mode = true;
         } else if (arg == "--no-registry") {
             options.check_kernel_registry = false;
         } else if (arg == "--device-bytes") {
@@ -127,40 +123,7 @@ main(int argc, char **argv)
         return usage(argv[0]);
     }
 
-    if (image_mode) {
-        LintReport report;
-        for (const std::string &path : paths) {
-            auto bytes = readFile(path);
-            if (!bytes.isOk()) {
-                std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                             bytes.status().toString().c_str());
-                return 2;
-            }
-            LintReport one = core::lint::lintImageBytes(
-                std::span<const u8>(*bytes), options);
-            if (paths.size() > 1) {
-                for (auto &diag : one.diagnostics) {
-                    diag.location = path + ": " + diag.location;
-                }
-            }
-            report.merge(std::move(one));
-        }
-        if (json) {
-            std::printf("%s\n", report.toJson().c_str());
-        } else if (sarif) {
-            std::printf("%s\n", report.toSarif().c_str());
-        } else {
-            std::printf("%s", report.toText().c_str());
-        }
-        for (const auto &diag : report.diagnostics) {
-            if (diag.severity > max_severity) {
-                return 1;
-            }
-        }
-        return 0;
-    }
-
-    std::vector<core::Artifact> artifacts;
+    std::vector<std::vector<u8>> files;
     for (const std::string &path : paths) {
         auto bytes = readFile(path);
         if (!bytes.isOk()) {
@@ -168,35 +131,46 @@ main(int argc, char **argv)
                          bytes.status().toString().c_str());
             return 2;
         }
-        // Zero-copy parse straight out of the file buffer; the vector
-        // only needs to outlive the call (decoded data is owned by the
-        // Artifact).
-        auto artifact =
-            core::Artifact::deserializeView(std::span<const u8>(*bytes));
-        if (!artifact.isOk()) {
-            std::fprintf(stderr, "%s: %s\n", path.c_str(),
-                         artifact.status().toString().c_str());
-            return 2;
-        }
-        artifacts.push_back(std::move(*artifact));
+        files.push_back(std::move(*bytes));
     }
 
-    const LintReport report =
-        artifacts.size() == 1
-            ? core::lint::lintArtifact(artifacts[0], options)
-            : core::lint::lintTpArtifacts(artifacts, options);
+    LintReport report;
+    if (files.size() == 1) {
+        report = core::lint::lintImageBytes(std::span<const u8>(files[0]),
+                                            options);
+    } else {
+        // Several paths are ranks: decode each (relocation bounds are
+        // left to MDL701/MDL703) and run the per-rank plus cross-rank
+        // rules. A rank that does not decode is reported as MDL700 and
+        // the cross-rank rules, which need every rank, are skipped.
+        core::ImageReadOptions read_options;
+        read_options.validate_relocations = false;
+        std::vector<core::MaterializedImage> ranks;
+        for (std::size_t r = 0; r < files.size(); ++r) {
+            auto image = core::MaterializedImage::openView(
+                std::span<const u8>(files[r]), read_options);
+            if (!image.isOk()) {
+                report.diagnostics.push_back(
+                    {"MDL700", core::lint::Severity::kError,
+                     "rank[" + std::to_string(r) + "]",
+                     paths[r] + " fails to decode: " +
+                         image.status().toString(),
+                     "the file is truncated, corrupt, or from an "
+                     "incompatible version; re-emit it"});
+                continue;
+            }
+            ranks.push_back(std::move(*image));
+        }
+        if (report.diagnostics.empty()) {
+            report = core::lint::lintTpImages(ranks, options);
+        }
+    }
+
     if (json) {
         std::printf("%s\n", report.toJson().c_str());
     } else if (sarif) {
         std::printf("%s\n", report.toSarif().c_str());
     } else {
-        if (artifacts.size() == 1) {
-            std::printf("%s: model %s, %zu graphs, %zu ops\n",
-                        paths[0].c_str(),
-                        artifacts[0].model_name.c_str(),
-                        artifacts[0].graphs.size(),
-                        artifacts[0].ops.size());
-        }
         std::printf("%s", report.toText().c_str());
     }
     for (const auto &diag : report.diagnostics) {
