@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <memory>
 
+#include "common/json.h"
 #include "common/plan_spec.h"
 
 namespace medusa {
@@ -46,6 +47,16 @@ validPointNames()
         out += pn.name;
     }
     return out;
+}
+
+/**
+ * True for a probability in [0, 1]; written so that NaN, which fails
+ * every comparison, is rejected rather than silently never firing.
+ */
+bool
+validProbability(f64 p)
+{
+    return p >= 0 && p <= 1;
 }
 
 } // namespace
@@ -147,8 +158,7 @@ FaultPlan::fromSpec(const std::string &spec)
             char *after = nullptr;
             if (kind == '=') {
                 rule.probability = std::strtod(begin, &after);
-                if (after == begin || rule.probability < 0 ||
-                    rule.probability > 1) {
+                if (after == begin || !validProbability(rule.probability)) {
                     return invalidArgument(
                         "fault spec: bad probability in \"" + entry +
                         "\"");
@@ -213,43 +223,51 @@ FaultPlan::toSpec() const
 
 namespace {
 
+/** @p v as an integer in [0, 2^53], or an error naming @p key. */
+StatusOr<u64>
+jsonPlanInteger(const Json &v, const std::string &key)
+{
+    const std::optional<u64> n = v.asUint();
+    if (!n.has_value()) {
+        return invalidArgument("fault json: \"" + key +
+                               "\" must be an integer in [0, 2^53]");
+    }
+    return *n;
+}
+
 Status
-parseRuleObject(JsonScanner &s, FaultPlan &plan,
+parseRuleObject(const Json &obj, FaultPlan &plan,
                 std::array<bool, kFaultPointCount> &seen)
 {
-    if (!s.consume('{')) {
+    if (!obj.isObject()) {
         return invalidArgument("fault json: expected rule object");
     }
     std::optional<FaultPoint> point;
     FaultRule rule;
-    bool first = true;
-    while (!s.consume('}')) {
-        if (!first && !s.consume(',')) {
-            return invalidArgument("fault json: expected , or }");
-        }
-        first = false;
-        MEDUSA_ASSIGN_OR_RETURN(std::string key, s.string());
-        if (!s.consume(':')) {
-            return invalidArgument("fault json: expected :");
-        }
+    for (const auto &[key, v] : obj.members()) {
         if (key == "point") {
-            MEDUSA_ASSIGN_OR_RETURN(std::string name, s.string());
-            MEDUSA_ASSIGN_OR_RETURN(FaultPoint p,
-                                    faultPointFromName(name));
-            point = p;
+            if (!v.isString()) {
+                return invalidArgument(
+                    "fault json: \"point\" must be a string");
+            }
+            MEDUSA_ASSIGN_OR_RETURN(point,
+                                    faultPointFromName(v.asString()));
         } else if (key == "probability") {
-            MEDUSA_ASSIGN_OR_RETURN(f64 v, s.number());
-            if (v < 0 || v > 1) {
+            if (!v.isNumber() || !validProbability(v.asNumber())) {
                 return invalidArgument(
                     "fault json: probability out of [0, 1]");
             }
-            rule.probability = v;
+            rule.probability = v.asNumber();
         } else if (key == "fire_on_hit") {
-            MEDUSA_ASSIGN_OR_RETURN(f64 v, s.number());
-            rule.fire_on_hit = static_cast<u64>(v);
+            MEDUSA_ASSIGN_OR_RETURN(rule.fire_on_hit,
+                                    jsonPlanInteger(v, key));
+            if (rule.fire_on_hit == 0) {
+                return invalidArgument(
+                    "fault json: fire_on_hit must be >= 1");
+            }
         } else if (key == "max_fires") {
-            MEDUSA_ASSIGN_OR_RETURN(f64 v, s.number());
-            rule.max_fires = static_cast<u64>(v);
+            MEDUSA_ASSIGN_OR_RETURN(rule.max_fires,
+                                    jsonPlanInteger(v, key));
         } else {
             return invalidArgument("fault json: unknown rule key \"" +
                                    key + "\"");
@@ -273,38 +291,22 @@ parseRuleObject(JsonScanner &s, FaultPlan &plan,
 StatusOr<FaultPlan>
 FaultPlan::fromJson(const std::string &json)
 {
-    FaultPlan plan;
-    std::array<bool, kFaultPointCount> seen{};
-    JsonScanner s(json);
-    if (!s.consume('{')) {
+    MEDUSA_ASSIGN_OR_RETURN(const Json root, Json::parse(json));
+    if (!root.isObject()) {
         return invalidArgument("fault json: expected top-level object");
     }
-    bool first = true;
-    while (!s.consume('}')) {
-        if (!first && !s.consume(',')) {
-            return invalidArgument("fault json: expected , or }");
-        }
-        first = false;
-        MEDUSA_ASSIGN_OR_RETURN(std::string key, s.string());
-        if (!s.consume(':')) {
-            return invalidArgument("fault json: expected :");
-        }
+    FaultPlan plan;
+    std::array<bool, kFaultPointCount> seen{};
+    for (const auto &[key, v] : root.members()) {
         if (key == "seed") {
-            MEDUSA_ASSIGN_OR_RETURN(f64 v, s.number());
-            plan.seed = static_cast<u64>(v);
+            MEDUSA_ASSIGN_OR_RETURN(plan.seed, jsonPlanInteger(v, key));
         } else if (key == "rules") {
-            if (!s.consume('[')) {
+            if (!v.isArray()) {
                 return invalidArgument(
                     "fault json: \"rules\" must be an array");
             }
-            if (s.peek() != ']') {
-                do {
-                    MEDUSA_RETURN_IF_ERROR(
-                        parseRuleObject(s, plan, seen));
-                } while (s.consume(','));
-            }
-            if (!s.consume(']')) {
-                return invalidArgument("fault json: expected ]");
+            for (const Json &rule : v.items()) {
+                MEDUSA_RETURN_IF_ERROR(parseRuleObject(rule, plan, seen));
             }
         } else {
             return invalidArgument("fault json: unknown key \"" + key +

@@ -27,6 +27,12 @@
  * same point twice is an error (the second rule would silently
  * overwrite the first), as is an unknown point name — the error lists
  * every valid name.
+ *
+ * The JSON form parses through common/json.h: `seed` and a `rules`
+ * array of objects with `point`, `probability`, `fire_on_hit` and
+ * `max_fires`. Integer fields must be integers in [0, 2^53], and
+ * `fire_on_hit` at least 1 as in the spec form. In both forms a
+ * probability must lie in [0, 1] (NaN is rejected).
  */
 
 #ifndef MEDUSA_COMMON_FAULT_H

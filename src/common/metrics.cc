@@ -5,37 +5,12 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace medusa {
 
 namespace {
-
-/** Escape for JSON keys (metric names are plain ASCII in practice). */
-void
-appendJsonString(std::string &out, std::string_view s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
 
 /** Shortest-round-trip double formatting; NaN/inf become null. */
 void

@@ -4,10 +4,12 @@
  * (DESIGN.md §12): counters, gauges and fixed-bucket histograms keyed
  * by dotted lowercase names ("artifact_cache.hits",
  * "restore.wasted_sec"). The registry unifies the scattered
- * per-subsystem stats structs (`ArtifactCache::Stats`,
- * `serverless::TraceMetrics`, `AnalysisStats`, `RestoreReport`
- * counters), which survive as thin views built from a registry
- * snapshot.
+ * per-subsystem stats: `ImageCache` (medusa/artifact_cache.h)
+ * publishes its `artifact_cache.*` counters straight into it, and the
+ * remaining structs (`serverless::TraceMetrics`, `AnalysisStats`,
+ * `RestoreReport` counters) survive as thin views built from a
+ * registry snapshot. The JSON export streams through
+ * `appendJsonString` (common/json.h); it builds no Json tree.
  *
  * Naming convention: `subsystem.noun`, lowercase with underscores
  * inside a segment; unit-bearing metrics carry a `_sec` / `_bytes` /

@@ -1,7 +1,6 @@
 #include "common/plan_spec.h"
 
 #include <cctype>
-#include <cstdlib>
 
 namespace medusa {
 
@@ -35,70 +34,6 @@ splitSpecEntries(const std::string &spec)
         }
     }
     return entries;
-}
-
-void
-JsonScanner::skipSpace()
-{
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-        ++pos_;
-    }
-}
-
-bool
-JsonScanner::consume(char c)
-{
-    skipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-        ++pos_;
-        return true;
-    }
-    return false;
-}
-
-char
-JsonScanner::peek()
-{
-    skipSpace();
-    return pos_ < text_.size() ? text_[pos_] : '\0';
-}
-
-StatusOr<std::string>
-JsonScanner::string()
-{
-    if (!consume('"')) {
-        return invalidArgument("plan json: expected string");
-    }
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-        if (text_[pos_] == '\\') {
-            ++pos_;
-            if (pos_ >= text_.size()) {
-                break;
-            }
-        }
-        out += text_[pos_++];
-    }
-    if (pos_ >= text_.size()) {
-        return invalidArgument("plan json: unterminated string");
-    }
-    ++pos_; // closing quote
-    return out;
-}
-
-StatusOr<f64>
-JsonScanner::number()
-{
-    skipSpace();
-    const char *begin = text_.c_str() + pos_;
-    char *after = nullptr;
-    const f64 v = std::strtod(begin, &after);
-    if (after == begin) {
-        return invalidArgument("plan json: expected number");
-    }
-    pos_ = static_cast<std::size_t>(after - text_.c_str());
-    return v;
 }
 
 } // namespace medusa

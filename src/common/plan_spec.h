@@ -1,11 +1,11 @@
 /**
  * @file
- * Shared parsing machinery for deterministic "plan" configs — the
- * restore-stack FaultPlan (common/fault.h) and the cluster ChaosPlan
- * (serverless/chaos.h). Both accept a compact `key=value;key@N` spec
- * form and a flat JSON-object form from an environment variable, and
- * both want identical tokenization and error behavior, so the
- * primitives live here instead of being copied per plan type.
+ * Spec-form tokenization shared by the deterministic "plan" configs —
+ * the restore-stack FaultPlan (common/fault.h) and the cluster
+ * ChaosPlan (serverless/chaos.h). Both accept a compact
+ * `key=value;key@N` spec form from an environment variable and want
+ * identical entry splitting. Their JSON forms parse through
+ * common/json.h.
  */
 
 #ifndef MEDUSA_COMMON_PLAN_SPEC_H
@@ -14,9 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
-#include "common/types.h"
-
 namespace medusa {
 
 /**
@@ -24,35 +21,6 @@ namespace medusa {
  * empty entries are dropped ("a;;b" yields {"a", "b"}).
  */
 std::vector<std::string> splitSpecEntries(const std::string &spec);
-
-/**
- * A minimal JSON-subset scanner for plan shapes: one object with
- * scalar members and optionally arrays of flat objects holding string
- * and number members. Not a general JSON parser.
- */
-class JsonScanner
-{
-  public:
-    explicit JsonScanner(const std::string &text) : text_(text) {}
-
-    void skipSpace();
-
-    /** Consume @p c (after whitespace); false if the next char differs. */
-    bool consume(char c);
-
-    /** Next non-space character without consuming it ('\0' at end). */
-    char peek();
-
-    /** Parse a double-quoted string (backslash escapes passed through). */
-    StatusOr<std::string> string();
-
-    /** Parse a number via strtod. */
-    StatusOr<f64> number();
-
-  private:
-    const std::string &text_;
-    std::size_t pos_ = 0;
-};
 
 } // namespace medusa
 

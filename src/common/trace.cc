@@ -2,48 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
+#include <cstdio>
 
+#include "common/json.h"
 #include "common/logging.h"
 
 namespace medusa {
 
 namespace {
-
-/** Minimal JSON string escaper (mirrors lint's appendJsonString). */
-void
-appendJsonString(std::string &out, std::string_view s)
-{
-    out += '"';
-    for (char c : s) {
-        switch (c) {
-        case '"':
-            out += "\\\"";
-            break;
-        case '\\':
-            out += "\\\\";
-            break;
-        case '\n':
-            out += "\\n";
-            break;
-        case '\t':
-            out += "\\t";
-            break;
-        case '\r':
-            out += "\\r";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
 
 /**
  * Emit a nanosecond count as a microsecond decimal with three fraction

@@ -1,8 +1,9 @@
 #include "medusa/lint/lint.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <sstream>
+
+#include "common/json.h"
 
 namespace medusa::core::lint {
 
@@ -58,59 +59,32 @@ LintReport::toText() const
     return out.str();
 }
 
-namespace {
-
-void
-appendJsonString(std::ostringstream &out, const std::string &s)
-{
-    out << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': out << "\\\""; break;
-          case '\\': out << "\\\\"; break;
-          case '\n': out << "\\n"; break;
-          case '\t': out << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out << buf;
-            } else {
-                out << c;
-            }
-        }
-    }
-    out << '"';
-}
-
-} // namespace
-
 std::string
 LintReport::toJson() const
 {
-    std::ostringstream out;
-    out << "{\"schema_version\":" << kLintJsonSchemaVersion
-        << ",\"diagnostics\":[";
+    std::string out = "{\"schema_version\":" +
+                      std::to_string(kLintJsonSchemaVersion) +
+                      ",\"diagnostics\":[";
     for (std::size_t i = 0; i < diagnostics.size(); ++i) {
         const Diagnostic &d = diagnostics[i];
         if (i > 0) {
-            out << ",";
+            out += ",";
         }
-        out << "{\"rule\":";
+        out += "{\"rule\":";
         appendJsonString(out, d.rule);
-        out << ",\"severity\":";
+        out += ",\"severity\":";
         appendJsonString(out, severityName(d.severity));
-        out << ",\"location\":";
+        out += ",\"location\":";
         appendJsonString(out, d.location);
-        out << ",\"message\":";
+        out += ",\"message\":";
         appendJsonString(out, d.message);
-        out << ",\"fix_hint\":";
+        out += ",\"fix_hint\":";
         appendJsonString(out, d.fix_hint);
-        out << "}";
+        out += "}";
     }
-    out << "],\"errors\":" << errorCount()
-        << ",\"warnings\":" << warningCount() << "}";
-    return out.str();
+    out += "],\"errors\":" + std::to_string(errorCount()) +
+           ",\"warnings\":" + std::to_string(warningCount()) + "}";
+    return out;
 }
 
 const char *
@@ -185,44 +159,44 @@ LintReport::toSarif() const
             rule_ids.push_back(d.rule);
         }
     }
-    std::ostringstream out;
-    out << "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json"
-           "\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":"
-           "{\"name\":\"medusa-lint\",\"informationUri\":"
-           "\"DESIGN.md\",\"rules\":[";
+    std::string out =
+        "{\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json"
+        "\",\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":"
+        "{\"name\":\"medusa-lint\",\"informationUri\":"
+        "\"DESIGN.md\",\"rules\":[";
     for (std::size_t i = 0; i < rule_ids.size(); ++i) {
         if (i > 0) {
-            out << ",";
+            out += ",";
         }
-        out << "{\"id\":";
+        out += "{\"id\":";
         appendJsonString(out, rule_ids[i]);
-        out << ",\"shortDescription\":{\"text\":";
+        out += ",\"shortDescription\":{\"text\":";
         appendJsonString(out, ruleSummary(rule_ids[i]));
-        out << "}}";
+        out += "}}";
     }
-    out << "]}},\"results\":[";
+    out += "]}},\"results\":[";
     for (std::size_t i = 0; i < diagnostics.size(); ++i) {
         const Diagnostic &d = diagnostics[i];
         if (i > 0) {
-            out << ",";
+            out += ",";
         }
-        out << "{\"ruleId\":";
+        out += "{\"ruleId\":";
         appendJsonString(out, d.rule);
-        out << ",\"level\":";
+        out += ",\"level\":";
         appendJsonString(out, level(d.severity));
         std::string text = d.message;
         if (!d.fix_hint.empty()) {
             text += " [fix: " + d.fix_hint + "]";
         }
-        out << ",\"message\":{\"text\":";
+        out += ",\"message\":{\"text\":";
         appendJsonString(out, text);
-        out << "},\"locations\":[{\"logicalLocations\":[{"
+        out += "},\"locations\":[{\"logicalLocations\":[{"
                "\"fullyQualifiedName\":";
         appendJsonString(out, d.location);
-        out << "}]}]}";
+        out += "}]}]}";
     }
-    out << "]}]}";
-    return out.str();
+    out += "]}]}";
+    return out;
 }
 
 std::string

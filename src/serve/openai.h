@@ -17,7 +17,7 @@
 #include <string>
 #include <string_view>
 
-#include "serve/json.h"
+#include "common/json.h"
 
 namespace medusa::serve {
 

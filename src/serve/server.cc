@@ -8,6 +8,8 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/json.h"
+
 namespace medusa::serve {
 
 namespace {

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdlib>
 
+#include "common/json.h"
 #include "common/plan_spec.h"
 #include "common/rng.h"
 
@@ -49,9 +51,13 @@ Status
 validatePlan(const ChaosPlan &plan)
 {
     for (const ChaosKey &k : kChaosKeys) {
-        if (plan.*(k.field) < 0) {
+        // The negated form also rejects NaN, which fails every
+        // comparison; an infinite duration or slowdown is as invalid.
+        const f64 v = plan.*(k.field);
+        if (!(v >= 0 && std::isfinite(v))) {
             return invalidArgument(std::string("chaos plan: ") +
-                                   k.spec_key + " must be >= 0");
+                                   k.spec_key +
+                                   " must be finite and >= 0");
         }
     }
     if (plan.gray_slowdown < 1.0) {
@@ -128,31 +134,27 @@ ChaosPlan::fromSpec(const std::string &spec)
 StatusOr<ChaosPlan>
 ChaosPlan::fromJson(const std::string &json)
 {
+    MEDUSA_ASSIGN_OR_RETURN(const Json root, Json::parse(json));
+    if (!root.isObject()) {
+        return invalidArgument("chaos json: expected top-level object");
+    }
     ChaosPlan plan;
     std::array<bool, kChaosKeyCount> seen{};
     bool seed_seen = false;
-    JsonScanner s(json);
-    if (!s.consume('{')) {
-        return invalidArgument("chaos json: expected top-level object");
-    }
-    bool first = true;
-    while (!s.consume('}')) {
-        if (!first && !s.consume(',')) {
-            return invalidArgument("chaos json: expected , or }");
-        }
-        first = false;
-        MEDUSA_ASSIGN_OR_RETURN(std::string key, s.string());
-        if (!s.consume(':')) {
-            return invalidArgument("chaos json: expected :");
-        }
-        MEDUSA_ASSIGN_OR_RETURN(f64 v, s.number());
+    for (const auto &[key, v] : root.members()) {
         if (key == "seed") {
             if (seed_seen) {
                 return invalidArgument(
                     "chaos json: duplicate key \"seed\"");
             }
             seed_seen = true;
-            plan.seed = static_cast<u64>(v);
+            const std::optional<u64> seed = v.asUint();
+            if (!seed.has_value()) {
+                return invalidArgument(
+                    "chaos json: \"seed\" must be an integer in "
+                    "[0, 2^53]");
+            }
+            plan.seed = *seed;
             continue;
         }
         bool matched = false;
@@ -164,8 +166,12 @@ ChaosPlan::fromJson(const std::string &json)
                 return invalidArgument(
                     "chaos json: duplicate key \"" + key + "\"");
             }
+            if (!v.isNumber()) {
+                return invalidArgument("chaos json: \"" + key +
+                                       "\" must be a number");
+            }
             seen[i] = true;
-            plan.*(kChaosKeys[i].field) = v;
+            plan.*(kChaosKeys[i].field) = v.asNumber();
             matched = true;
             break;
         }

@@ -29,8 +29,8 @@
  *    health checks miss.
  *
  * Plans come from code, a compact spec, JSON, or the environment
- * (mirroring MEDUSA_FAULT_PLAN; shared machinery in
- * common/plan_spec.h):
+ * (mirroring MEDUSA_FAULT_PLAN; the spec splits through
+ * common/plan_spec.h, the JSON form parses through common/json.h):
  *
  *   MEDUSA_CHAOS_PLAN='node_mtbf=120;node_mttr=20;inst_mtbf=30'
  *   MEDUSA_CHAOS_PLAN='{"seed":7,"node_mtbf_sec":120,...}'
@@ -40,7 +40,9 @@
  * `seed`, `node_mtbf`, `node_mttr`, `inst_mtbf`, `store_mtbf`,
  * `store_mttr`, `gray_mtbf`, `gray_mttr`, `gray_slowdown`, `horizon`.
  * A key may appear only once; unknown keys are errors listing the
- * valid set.
+ * valid set. JSON keys keep the `_sec` suffix; the JSON `seed` must be
+ * an integer in [0, 2^53]. In either form every duration and
+ * `gray_slowdown` must be finite (NaN and infinity are rejected).
  */
 
 #ifndef MEDUSA_SERVERLESS_CHAOS_H

@@ -153,6 +153,17 @@ TEST(ChaosPlanTest, RejectsBadValues)
     EXPECT_FALSE(ChaosPlan::fromSpec("node_mtbf").isOk());
     EXPECT_FALSE(ChaosPlan::fromSpec("=3").isOk());
     EXPECT_FALSE(ChaosPlan::fromSpec("seed=zzz").isOk());
+    // NaN fails every comparison, so the range checks must reject it
+    // explicitly; an infinite duration or slowdown is as invalid.
+    for (const char *spec : {"node_mtbf=nan", "gray_slowdown=nan"}) {
+        auto rejected = ChaosPlan::fromSpec(spec);
+        ASSERT_FALSE(rejected.isOk()) << spec;
+        EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+            << spec;
+    }
+    auto inf = ChaosPlan::fromJson("{\"gray_slowdown\":1e999}");
+    ASSERT_FALSE(inf.isOk());
+    EXPECT_EQ(inf.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ChaosPlanTest, ParsesJsonForm)

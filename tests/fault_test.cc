@@ -84,6 +84,11 @@ TEST(FaultPlanTest, ParsesSpecForms)
 
     EXPECT_FALSE(FaultPlan::fromSpec("bogus_point@1").isOk());
     EXPECT_FALSE(FaultPlan::fromSpec("image_open=notanumber").isOk());
+    // NaN fails every comparison, so the range check must reject it
+    // explicitly; a NaN probability would never fire.
+    auto nan = FaultPlan::fromSpec("image_open=nan");
+    ASSERT_FALSE(nan.isOk());
+    EXPECT_EQ(nan.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(FaultPlanTest, DuplicatePointIsAnError)
@@ -156,6 +161,19 @@ TEST(FaultPlanTest, ParsesJsonForm)
     EXPECT_EQ(rule.max_fires, 2u);
 
     EXPECT_FALSE(FaultPlan::fromJson("{not json").isOk());
+
+    // The JSON form checks values the way the spec form does, and
+    // integer fields are integers in [0, 2^53] rather than casts.
+    for (const char *bad :
+         {"{\"seed\":1} trailing garbage",
+          "{\"rules\":[{\"point\":\"image_open\",\"fire_on_hit\":0}]}",
+          "{\"rules\":[{\"point\":\"image_open\",\"max_fires\":-1}]}",
+          "{\"seed\":1e300}"}) {
+        auto rejected = FaultPlan::fromJson(bad);
+        ASSERT_FALSE(rejected.isOk()) << bad;
+        EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+            << bad;
+    }
 }
 
 // ---- injector semantics --------------------------------------------------

@@ -18,6 +18,7 @@
 
 #include "common/crc32.h"
 #include "common/fault.h"
+#include "common/json.h"
 #include "common/serialize.h"
 #include "medusa/analyze.h"
 #include "medusa/image.h"
@@ -260,7 +261,7 @@ TEST(LintTest, MalformedReplayBoundaryFiresMdl105)
 
 // ---- retired MDL2xx specimens, caught by MDL701/MDL702 -----------------
 
-TEST(LintTest, IndirectIndexBeyondSequenceFiresMdl201)
+TEST(LintTest, IndirectIndexBeyondSequenceFiresMdl701)
 {
     // Formerly MDL201; the relocation's allocation index is beyond the
     // replay table, which MDL701 reports.
@@ -271,7 +272,7 @@ TEST(LintTest, IndirectIndexBeyondSequenceFiresMdl201)
     EXPECT_FALSE(r.replaySafe());
 }
 
-TEST(LintTest, StalePointerAtInferredLaunchPositionFiresMdl202)
+TEST(LintTest, StalePointerAtInferredLaunchPositionFiresMdl702)
 {
     // Formerly MDL202, now MDL702. The graph references allocation 1,
     // which is freed BEFORE allocation 2 — another buffer the same
@@ -319,7 +320,7 @@ TEST(LintTest, TraceExactLaunchPositionFiresMdl702)
         << r.toText();
 }
 
-TEST(LintTest, IndirectOffsetOutsideAllocationFiresMdl203)
+TEST(LintTest, IndirectOffsetOutsideAllocationFiresMdl701)
 {
     // Formerly MDL203; an addend outside the allocation is MDL701.
     Artifact a = cleanArtifact();
@@ -593,6 +594,7 @@ TEST(LintTest, ReportRendersTextAndJson)
     EXPECT_NE(text.find("MDL101"), std::string::npos);
     EXPECT_NE(text.find("error"), std::string::npos);
     const std::string json = r.toJson();
+    ASSERT_TRUE(Json::parse(json).isOk()) << json;
     EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
     EXPECT_NE(json.find("\"rule\":\"MDL101\""), std::string::npos);
     EXPECT_NE(json.find("\"errors\":1"), std::string::npos);
@@ -954,6 +956,7 @@ TEST(LintTest, SarifReportValidatesAgainstCatalog)
     const LintReport r = lint::lintImageBytes(
         std::span<const u8>(*bytes), fixtureOptions());
     const std::string sarif = r.toSarif();
+    ASSERT_TRUE(Json::parse(sarif).isOk()) << sarif;
     EXPECT_NE(sarif.find("sarif-2.1.0.json"), std::string::npos);
     EXPECT_NE(sarif.find("\"version\":\"2.1.0\""), std::string::npos);
     EXPECT_NE(sarif.find("\"name\":\"medusa-lint\""), std::string::npos);

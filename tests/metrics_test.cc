@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/json.h"
 #include "common/metrics.h"
 #include "common/types.h"
 
@@ -93,6 +94,7 @@ TEST(MetricsTest, SnapshotSortedAndJsonCarriesSchemaVersion)
     EXPECT_EQ(snap.entries()[2].name, "c.third_sec");
 
     const std::string json = snap.toJson();
+    ASSERT_TRUE(Json::parse(json).isOk()) << json;
     EXPECT_NE(json.find("\"schema_version\":1"), std::string::npos);
     EXPECT_NE(json.find("\"a.first\":2"), std::string::npos);
     EXPECT_NE(json.find("\"c.third_sec\":0.5"), std::string::npos);

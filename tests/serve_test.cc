@@ -19,7 +19,7 @@
 #include <unistd.h>
 
 #include "serve/http.h"
-#include "serve/json.h"
+#include "common/json.h"
 #include "serve/openai.h"
 #include "serve/server.h"
 
@@ -70,6 +70,24 @@ TEST(ServeJsonTest, DumpRoundTrips)
     auto again = Json::parse(v->dump());
     ASSERT_TRUE(again.isOk());
     EXPECT_EQ(again->dump(), doc);
+}
+
+TEST(ServeJsonTest, EscapedStringRoundTripsEveryControlByte)
+{
+    // appendJsonString is the one escaper behind every writer (Chrome
+    // trace, metrics, lint JSON and SARIF, responses); what it emits
+    // must parse back to the same bytes.
+    std::string raw;
+    for (int c = 0x01; c <= 0x1f; ++c) {
+        raw.push_back(static_cast<char>(c));
+    }
+    raw += "\"\\";
+    std::string quoted;
+    appendJsonString(quoted, raw);
+    auto back = Json::parse(quoted);
+    ASSERT_TRUE(back.isOk()) << quoted;
+    ASSERT_TRUE(back->isString());
+    EXPECT_EQ(back->asString(), raw);
 }
 
 // ---- HTTP parser --------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "common/json.h"
 #include "common/trace.h"
 #include "common/types.h"
 
@@ -245,6 +246,7 @@ TEST(TraceTest, ChromeExportGolden)
         "\"args\":{\"key\":\"llama-7b\"}}"
         "]}";
     EXPECT_EQ(rec.toChromeJson(), expected);
+    ASSERT_TRUE(Json::parse(rec.toChromeJson()).isOk());
 }
 
 TEST(TraceTest, EventsFromSlicesAtMark)

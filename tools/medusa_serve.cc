@@ -35,6 +35,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/json.h"
 #include "medusa/offline.h"
 #include "serve/server.h"
 #include "serverless/profile.h"
@@ -278,21 +279,21 @@ runSmoke(const std::string &metrics_out)
         out << snap.toJson() << "\n";
     }
 
-    serve::Json verdict = serve::Json::object();
-    verdict.set("ok", serve::Json::boolean(r.ok));
+    Json verdict = Json::object();
+    verdict.set("ok", Json::boolean(r.ok));
     if (!r.ok) {
-        verdict.set("failure", serve::Json::string(r.failure));
+        verdict.set("failure", Json::string(r.failure));
     }
     verdict.set("stream_frames",
-                serve::Json::number(static_cast<f64>(r.stream_frames)));
+                Json::number(static_cast<f64>(r.stream_frames)));
     verdict.set("completed",
-                serve::Json::number(static_cast<f64>(tm.completed)));
+                Json::number(static_cast<f64>(tm.completed)));
     verdict.set(
         "tokens_streamed",
-        serve::Json::number(static_cast<f64>(
+        Json::number(static_cast<f64>(
             snap.counterValue("server.tokens_streamed"))));
     verdict.set("requests",
-                serve::Json::number(static_cast<f64>(
+                Json::number(static_cast<f64>(
                     snap.counterValue("server.requests"))));
     std::printf("%s\n", verdict.dump().c_str());
     return r.ok ? 0 : 1;
