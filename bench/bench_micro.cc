@@ -83,6 +83,9 @@ BM_EagerDecode(benchmark::State &state)
     (void)rt.initKvCache(*free_bytes);
     const u32 bs = static_cast<u32>(state.range(0));
     (void)rt.warmupDecode(bs);
+    // Distinct tokens per row, so no GEMM, norm or activation row
+    // repeats: the bypass side of duplicate-row reuse.
+    bench::checkOk(rt.stageValidationState(bs), "stage validation state");
     for (auto _ : state) {
         auto logits = rt.eagerDecodeLogits(bs);
         benchmark::DoNotOptimize(logits);
@@ -91,10 +94,34 @@ BM_EagerDecode(benchmark::State &state)
 BENCHMARK(BM_EagerDecode)->Arg(1)->Arg(64);
 
 /**
- * One compiled matmulF32 variant alone (SSE2, AVX2 or AVX-512 tiles),
- * at the set-up's functional GEMM shapes: n = 1..256 rows, out x k
- * covering qkv 96x32, gate_up 128x32, down 32x64 and lm_head 256x32.
- * Reports GMAC/s, so each variant's speed is tracked apart from the
+ * One decode warm-up: bs copies of one padding row (token 0, position
+ * 0, seq_len 0), so every GEMM, norm and activation row after the
+ * first repeats the one before it and duplicate-row reuse applies.
+ */
+void
+BM_WarmupDecode(benchmark::State &state)
+{
+    llm::ModelRuntime::Options opts;
+    opts.model = tinyModel();
+    llm::ModelRuntime rt(opts);
+    (void)rt.initStructure();
+    (void)rt.loadWeights();
+    auto free_bytes = rt.profileFreeMemory();
+    (void)rt.initKvCache(*free_bytes);
+    const u32 bs = static_cast<u32>(state.range(0));
+    for (auto _ : state) {
+        bench::checkOk(rt.warmupDecode(bs), "warm-up");
+    }
+}
+BENCHMARK(BM_WarmupDecode)->Arg(1)->Arg(64)->Arg(256);
+
+/**
+ * One compiled matmulF32 variant (SSE2, AVX2 or AVX-512 tiles) behind
+ * duplicate-row reuse, at the set-up's functional GEMM shapes: n =
+ * 1..256 rows, out x k covering qkv 96x32, gate_up 128x32, down 32x64
+ * and lm_head 256x32. The rows of A are distinct, except with same=1,
+ * where all of them are equal, as in a warm-up. Reports GMAC/s of the
+ * full product, so each variant's speed is tracked apart from the
  * set-ups it dominates. Registered from main() for every variant the
  * host supports.
  */
@@ -104,16 +131,18 @@ BM_Matmul(benchmark::State &state, simcuda::detail::MatmulFn matmul)
     const u64 n = static_cast<u64>(state.range(0));
     const u64 out = static_cast<u64>(state.range(1));
     const u64 k = static_cast<u64>(state.range(2));
+    const bool same = state.range(3) != 0;
     Rng rng(5);
     std::vector<f32> a(n * k), w(out * k), c(n * out);
-    for (f32 &x : a) {
-        x = rng.nextSymmetricFloat();
+    for (u64 i = 0; i < a.size(); ++i) {
+        a[i] = same && i >= k ? a[i - k] : rng.nextSymmetricFloat();
     }
     for (f32 &x : w) {
         x = rng.nextSymmetricFloat();
     }
     for (auto _ : state) {
-        matmul(a.data(), w.data(), c.data(), n, out, k);
+        simcuda::detail::matmulDistinctRows(matmul, a.data(), w.data(),
+                                            c.data(), n, out, k);
         benchmark::DoNotOptimize(c.data());
         benchmark::ClobberMemory();
     }
@@ -131,8 +160,10 @@ registerMatmulVariants()
         }
         const std::string name = std::string("BM_Matmul/") + variant.name;
         benchmark::RegisterBenchmark(name.c_str(), BM_Matmul, variant.fn)
-            ->ArgNames({"n", "out", "k"})
-            ->ArgsProduct({{1, 8, 64, 256}, {32, 96, 128, 256}, {32, 64}})
+            ->ArgNames({"n", "out", "k", "same"})
+            ->ArgsProduct(
+                {{1, 8, 64, 256}, {32, 96, 128, 256}, {32, 64}, {0}})
+            ->Args({256, 256, 32, 1})
             ->MinTime(0.1);
     }
 }

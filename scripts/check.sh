@@ -248,7 +248,10 @@ note "golden fixtures and kernel oracles in a Release build"
 # flags. Bit-identity is what lets the benchmark's virtual TTFT stay
 # unchanged, so it is also checked under the flags perfbench measures.
 REL_BUILD="$BUILD-release"
-REL_TESTS="golden_numeric_test cluster_equiv_test kernels_test tokenizer_test"
+# golden_tp_test: the tensor-parallel ranks run the same kernels under
+# the lockstep replayer.
+REL_TESTS="golden_numeric_test golden_tp_test cluster_equiv_test"
+REL_TESTS="$REL_TESTS kernels_test tokenizer_test"
 if ! cmake -B "$REL_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
         >/dev/null; then
     fail "Release cmake configure failed"

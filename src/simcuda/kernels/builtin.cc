@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
@@ -60,6 +61,57 @@ chainIndex(i32 first, i32 i, i32 end)
     return first + i < end ? first + i : first;
 }
 
+/** The @p a_count floats at @p a and @p b_count at @p b share no byte. */
+bool
+disjoint(const f32 *a, u64 a_count, const f32 *b, u64 b_count)
+{
+    const auto x = reinterpret_cast<std::uintptr_t>(a);
+    const auto y = reinterpret_cast<std::uintptr_t>(b);
+    return x + a_count * sizeof(f32) <= y || y + b_count * sizeof(f32) <= x;
+}
+
+/**
+ * The rows a row-wise kernel computes, ascending (DESIGN.md, "Duplicate
+ * rows"). Row t of the @p n contiguous @p width-float input rows at
+ * @p in is left out when @p reuse holds and its bytes equal row t - 1's;
+ * memcmp keeps -0.0 apart from +0.0 and one NaN payload from another.
+ * Empty rows are all kept.
+ */
+std::vector<u64>
+distinctRows(const f32 *in, u64 n, u64 width, bool reuse)
+{
+    const bool compare = reuse && width > 0;
+    std::vector<u64> rows;
+    rows.reserve(n);
+    for (u64 t = 0; t < n; ++t) {
+        const f32 *row = in + t * width;
+        // The inlined first-float compare tells most distinct rows
+        // apart without a memcmp call.
+        if (!compare || t == 0 ||
+            std::memcmp(row, row - width, sizeof(f32)) != 0 ||
+            std::memcmp(row, row - width, width * sizeof(f32)) != 0) {
+            rows.push_back(t);
+        }
+    }
+    return rows;
+}
+
+/**
+ * Gives every row distinctRows() left out the output of the computed
+ * row its run starts with: out rows are @p width floats, @p n of them.
+ */
+void
+copyDuplicateRows(f32 *out, u64 width, u64 n, const std::vector<u64> &rows)
+{
+    for (std::size_t j = 0; j < rows.size(); ++j) {
+        const u64 end = j + 1 < rows.size() ? rows[j + 1] : n;
+        const f32 *src = out + rows[j] * width;
+        for (u64 t = rows[j] + 1; t < end; ++t) {
+            std::copy_n(src, width, out + t * width);
+        }
+    }
+}
+
 // ---------------------------------------------------------------- torch
 
 /**
@@ -96,19 +148,27 @@ rmsNorm(DeviceMemoryManager &mem, const KernelArgs &args)
     const i32 n = args.i32At(3);
     const i32 h = args.i32At(4);
     const f32 eps = args.f32At(5);
-    SPAN_F32(in, args.ptrAt(0), static_cast<u64>(n) * h);
+    if (n < 0 || h < 0) {
+        return invalidArgument("rmsnorm: bad dims");
+    }
+    const u64 size = static_cast<u64>(n) * h;
+    SPAN_F32(in, args.ptrAt(0), size);
     SPAN_F32(weight, args.ptrAt(1), static_cast<u64>(h));
-    SPAN_F32(out, args.ptrAt(2), static_cast<u64>(n) * h);
-    for (i32 t0 = 0; t0 < n; t0 += kChains) {
-        const f32 *rows[kChains];
+    SPAN_F32(out, args.ptrAt(2), size);
+    const bool reuse =
+        disjoint(out, size, in, size) && disjoint(out, size, weight, h);
+    const auto rows = distinctRows(in, n, h, reuse);
+    const i32 m = static_cast<i32>(rows.size());
+    for (i32 j0 = 0; j0 < m; j0 += kChains) {
+        const f32 *xs[kChains];
         for (i32 i = 0; i < kChains; ++i) {
-            rows[i] = in + static_cast<u64>(chainIndex(t0, i, n)) * h;
+            xs[i] = in + rows[chainIndex(j0, i, m)] * h;
         }
         const auto ss = chainSums(
-            h, [&](i32 i, i32 d) { return rows[i][d] * rows[i][d]; });
-        for (i32 i = 0; i < std::min(kChains, n - t0); ++i) {
-            const f32 *x = rows[i];
-            f32 *y = out + static_cast<u64>(t0 + i) * h;
+            h, [&](i32 i, i32 d) { return xs[i][d] * xs[i][d]; });
+        for (i32 i = 0; i < std::min(kChains, m - j0); ++i) {
+            const f32 *x = xs[i];
+            f32 *y = out + rows[j0 + i] * h;
             const f32 inv =
                 1.0f / std::sqrt(ss[i] / static_cast<f32>(h) + eps);
             for (i32 d = 0; d < h; ++d) {
@@ -116,6 +176,7 @@ rmsNorm(DeviceMemoryManager &mem, const KernelArgs &args)
             }
         }
     }
+    copyDuplicateRows(out, h, n, rows);
     return Status::ok();
 }
 
@@ -129,26 +190,35 @@ layerNorm(DeviceMemoryManager &mem, const KernelArgs &args)
     const i32 n = args.i32At(4);
     const i32 h = args.i32At(5);
     const f32 eps = args.f32At(6);
-    SPAN_F32(in, args.ptrAt(0), static_cast<u64>(n) * h);
+    if (n < 0 || h < 0) {
+        return invalidArgument("layernorm: bad dims");
+    }
+    const u64 size = static_cast<u64>(n) * h;
+    SPAN_F32(in, args.ptrAt(0), size);
     SPAN_F32(weight, args.ptrAt(1), static_cast<u64>(h));
     SPAN_F32(bias, args.ptrAt(2), static_cast<u64>(h));
-    SPAN_F32(out, args.ptrAt(3), static_cast<u64>(n) * h);
-    for (i32 t0 = 0; t0 < n; t0 += kChains) {
-        const f32 *rows[kChains];
+    SPAN_F32(out, args.ptrAt(3), size);
+    const bool reuse = disjoint(out, size, in, size) &&
+                       disjoint(out, size, weight, h) &&
+                       disjoint(out, size, bias, h);
+    const auto rows = distinctRows(in, n, h, reuse);
+    const i32 m = static_cast<i32>(rows.size());
+    for (i32 j0 = 0; j0 < m; j0 += kChains) {
+        const f32 *xs[kChains];
         for (i32 i = 0; i < kChains; ++i) {
-            rows[i] = in + static_cast<u64>(chainIndex(t0, i, n)) * h;
+            xs[i] = in + rows[chainIndex(j0, i, m)] * h;
         }
-        auto mean = chainSums(h, [&](i32 i, i32 d) { return rows[i][d]; });
-        for (f32 &m : mean) {
-            m /= static_cast<f32>(h);
+        auto mean = chainSums(h, [&](i32 i, i32 d) { return xs[i][d]; });
+        for (f32 &mu : mean) {
+            mu /= static_cast<f32>(h);
         }
         const auto sq = chainSums(h, [&](i32 i, i32 d) {
-            const f32 c = rows[i][d] - mean[i];
+            const f32 c = xs[i][d] - mean[i];
             return c * c;
         });
-        for (i32 i = 0; i < std::min(kChains, n - t0); ++i) {
-            const f32 *x = rows[i];
-            f32 *y = out + static_cast<u64>(t0 + i) * h;
+        for (i32 i = 0; i < std::min(kChains, m - j0); ++i) {
+            const f32 *x = xs[i];
+            f32 *y = out + rows[j0 + i] * h;
             const f32 var = sq[i] / static_cast<f32>(h);
             const f32 inv = 1.0f / std::sqrt(var + eps);
             for (i32 d = 0; d < h; ++d) {
@@ -156,6 +226,7 @@ layerNorm(DeviceMemoryManager &mem, const KernelArgs &args)
             }
         }
     }
+    copyDuplicateRows(out, h, n, rows);
     return Status::ok();
 }
 
@@ -165,6 +236,9 @@ biasAdd(DeviceMemoryManager &mem, const KernelArgs &args)
 {
     const i32 n = args.i32At(2);
     const i32 dim = args.i32At(3);
+    if (n < 0 || dim < 0) {
+        return invalidArgument("bias_add: bad dims");
+    }
     SPAN_F32(inout, args.ptrAt(0), static_cast<u64>(n) * dim);
     SPAN_F32(bias, args.ptrAt(1), static_cast<u64>(dim));
     for (i32 t = 0; t < n; ++t) {
@@ -184,16 +258,26 @@ siluMul(DeviceMemoryManager &mem, const KernelArgs &args)
 {
     const i32 n = args.i32At(2);
     const i32 inter = args.i32At(3);
-    SPAN_F32(gu, args.ptrAt(0), static_cast<u64>(n) * inter * 2);
-    SPAN_F32(out, args.ptrAt(1), static_cast<u64>(n) * inter);
-    for (i32 t = 0; t < n; ++t) {
+    if (n < 0 || inter < 0) {
+        return invalidArgument("silu_mul: bad dims");
+    }
+    const u64 in_row = 2ull * inter;
+    const u64 out_size = static_cast<u64>(n) * inter;
+    SPAN_F32(gu, args.ptrAt(0), n * in_row);
+    SPAN_F32(out, args.ptrAt(1), out_size);
+    const bool reuse = disjoint(out, out_size, gu, n * in_row);
+    const auto rows = distinctRows(gu, n, in_row, reuse);
+    for (u64 t : rows) {
+        const f32 *gate = gu + t * in_row;
+        const f32 *up = gate + inter;
+        f32 *y = out + t * inter;
         for (i32 d = 0; d < inter; ++d) {
-            const f32 g = gu[t * inter * 2 + d];
-            const f32 u = gu[t * inter * 2 + inter + d];
+            const f32 g = gate[d];
             const f32 silu = g / (1.0f + std::exp(-g));
-            out[t * inter + d] = silu * u;
+            y[d] = silu * up[d];
         }
     }
+    copyDuplicateRows(out, inter, n, rows);
     return Status::ok();
 }
 
@@ -202,6 +286,9 @@ Status
 gelu(DeviceMemoryManager &mem, const KernelArgs &args)
 {
     const i32 count = args.i32At(2);
+    if (count < 0) {
+        return invalidArgument("gelu: bad dims");
+    }
     SPAN_F32(in, args.ptrAt(0), static_cast<u64>(count));
     SPAN_F32(out, args.ptrAt(1), static_cast<u64>(count));
     for (i32 i = 0; i < count; ++i) {
@@ -217,6 +304,9 @@ Status
 residualAdd(DeviceMemoryManager &mem, const KernelArgs &args)
 {
     const i32 count = args.i32At(2);
+    if (count < 0) {
+        return invalidArgument("residual_add: bad dims");
+    }
     SPAN_F32(inout, args.ptrAt(0), static_cast<u64>(count));
     SPAN_F32(res, args.ptrAt(1), static_cast<u64>(count));
     for (i32 i = 0; i < count; ++i) {
@@ -231,6 +321,9 @@ sampleArgmax(DeviceMemoryManager &mem, const KernelArgs &args)
 {
     const i32 bs = args.i32At(2);
     const i32 vocab = args.i32At(3);
+    if (bs < 0 || vocab < 0) {
+        return invalidArgument("sample_argmax: bad dims");
+    }
     SPAN_F32(logits, args.ptrAt(0), static_cast<u64>(bs) * vocab);
     SPAN_I32(out, args.ptrAt(1), static_cast<u64>(bs));
     for (i32 b = 0; b < bs; ++b) {
@@ -253,6 +346,9 @@ Status
 copyF32(DeviceMemoryManager &mem, const KernelArgs &args)
 {
     const i32 count = args.i32At(2);
+    if (count < 0) {
+        return invalidArgument("copy_f32: bad dims");
+    }
     SPAN_F32(src, args.ptrAt(0), static_cast<u64>(count));
     SPAN_F32(dst, args.ptrAt(1), static_cast<u64>(count));
     for (i32 i = 0; i < count; ++i) {
@@ -274,7 +370,8 @@ copyF32(DeviceMemoryManager &mem, const KernelArgs &args)
  * their n rows. freq(d) is computed once per launch and cos/sin once
  * per (token, d), then shared by every q and k head: the same
  * expressions on the same float arguments as evaluating them per
- * element, so the results are bit-identical.
+ * element, so the results are bit-identical. A token whose position
+ * equals the previous token's copies that token's cos/sin row.
  */
 Status
 rope(DeviceMemoryManager &mem, const KernelArgs &args)
@@ -309,6 +406,10 @@ rope(DeviceMemoryManager &mem, const KernelArgs &args)
     std::vector<f32> cos_sin(static_cast<std::size_t>(n) * half * 2);
     for (i32 t = 0; t < n; ++t) {
         f32 *cs = cos_sin.data() + static_cast<std::size_t>(t) * half * 2;
+        if (t > 0 && pos[t] == pos[t - 1]) {
+            std::copy_n(cs - half * 2, half * 2, cs);
+            continue;
+        }
         for (i32 d = 0; d < half; ++d) {
             const f32 angle = static_cast<f32>(pos[t]) * freq[d];
             cs[2 * d] = std::cos(angle);
@@ -865,6 +966,37 @@ matmulVariants()
     return kVariants;
 }
 
+void
+matmulDistinctRows(MatmulFn fn, const f32 *a, const f32 *w, f32 *c, u64 n,
+                   u64 out, u64 k)
+{
+    const bool reuse = disjoint(c, n * out, a, n * k) &&
+                       disjoint(c, n * out, w, out * k);
+    const auto rows = distinctRows(a, n, k, reuse);
+    if (rows.size() == n) {
+        fn(a, w, c, n, out, k);
+        return;
+    }
+    // Pack the distinct A rows and compute their C rows into the first
+    // m rows of C. Then spread each over its run, last run first: run j
+    // starts at row rows[j] >= j, so it only overwrites C rows whose
+    // runs are already spread.
+    const u64 m = rows.size();
+    std::vector<f32> packed(m * k);
+    for (u64 j = 0; j < m; ++j) {
+        std::copy_n(a + rows[j] * k, k, packed.data() + j * k);
+    }
+    fn(packed.data(), w, c, m, out, k);
+    for (u64 j = m; j-- > 0;) {
+        const u64 end = j + 1 < m ? rows[j + 1] : n;
+        for (u64 t = rows[j]; t < end; ++t) {
+            if (t != j) {
+                std::copy_n(c + j * out, out, c + t * out);
+            }
+        }
+    }
+}
+
 } // namespace detail
 
 void
@@ -879,7 +1011,7 @@ matmulF32(const f32 *a, const f32 *w, f32 *c, u64 n, u64 out, u64 k)
         }
         return fn;
     }();
-    widest(a, w, c, n, out, k);
+    detail::matmulDistinctRows(widest, a, w, c, n, out, k);
 }
 
 void

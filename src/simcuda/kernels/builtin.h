@@ -51,8 +51,9 @@ inline constexpr const char *kNcclModule = "libsimnccl.so";
  * interleaves the chains of independent outputs, so the result is
  * bit-identical to the naive triple loop. C must not overlap A or W.
  *
- * Runs the widest variant of detail::matmulVariants() the host CPU
- * supports, chosen once by CPUID; every variant gives the same bits.
+ * Runs detail::matmulDistinctRows over the widest variant of
+ * detail::matmulVariants() the host CPU supports, chosen once by
+ * CPUID; every variant gives the same bits.
  */
 void matmulF32(const f32 *a, const f32 *w, f32 *c, u64 n, u64 out, u64 k);
 
@@ -77,6 +78,16 @@ struct MatmulVariant
  * code calls matmulF32.
  */
 std::span<const MatmulVariant> matmulVariants();
+
+/**
+ * C = A x W^T through @p fn, computing each distinct row of A once: an
+ * A row whose bytes equal the previous row's gets a copy of that row's
+ * C row (DESIGN.md, "Duplicate rows"). Each C row depends only on its
+ * A row and W, so the result equals fn(a, w, c, n, out, k) bit for
+ * bit. When C overlaps A or W every row goes through @p fn.
+ */
+void matmulDistinctRows(MatmulFn fn, const f32 *a, const f32 *w, f32 *c,
+                        u64 n, u64 out, u64 k);
 
 } // namespace detail
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -883,6 +884,54 @@ TEST_F(KernelsTest, PagedAttentionDecodeBitIdenticalToSerialLoop)
     }
 }
 
+/** rmsnorm as specified: one serial sum per row, one row at a time. */
+std::vector<f32>
+serialRmsNorm(const std::vector<f32> &in, const std::vector<f32> &weight,
+              i32 n, i32 h, f32 eps)
+{
+    std::vector<f32> want(in.size());
+    for (i32 t = 0; t < n; ++t) {
+        const f32 *x = in.data() + static_cast<u64>(t) * h;
+        f32 ss = 0;
+        for (i32 d = 0; d < h; ++d) {
+            ss += x[d] * x[d];
+        }
+        const f32 inv = 1.0f / std::sqrt(ss / static_cast<f32>(h) + eps);
+        for (i32 d = 0; d < h; ++d) {
+            want[static_cast<u64>(t) * h + d] = x[d] * inv * weight[d];
+        }
+    }
+    return want;
+}
+
+/** layernorm as specified: serial mean and variance, row by row. */
+std::vector<f32>
+serialLayerNorm(const std::vector<f32> &in, const std::vector<f32> &weight,
+                const std::vector<f32> &bias, i32 n, i32 h, f32 eps)
+{
+    std::vector<f32> want(in.size());
+    for (i32 t = 0; t < n; ++t) {
+        const f32 *x = in.data() + static_cast<u64>(t) * h;
+        f32 mean = 0;
+        for (i32 d = 0; d < h; ++d) {
+            mean += x[d];
+        }
+        mean /= static_cast<f32>(h);
+        f32 var = 0;
+        for (i32 d = 0; d < h; ++d) {
+            const f32 c = x[d] - mean;
+            var += c * c;
+        }
+        var /= static_cast<f32>(h);
+        const f32 inv = 1.0f / std::sqrt(var + eps);
+        for (i32 d = 0; d < h; ++d) {
+            want[static_cast<u64>(t) * h + d] =
+                (x[d] - mean) * inv * weight[d] + bias[d];
+        }
+    }
+    return want;
+}
+
 /** Row counts around the eight-row chain blocks, and row widths. */
 constexpr i32 kNormRows[] = {1, 7, 8, 9, 17};
 constexpr i32 kNormWidths[] = {1, 5, 32};
@@ -898,20 +947,7 @@ TEST_F(KernelsTest, RmsNormBitIdenticalToSerialLoop)
                     rng, static_cast<std::size_t>(n) * h, special);
                 const auto weight = attentionOperand(
                     rng, static_cast<std::size_t>(h), special);
-                std::vector<f32> want(in.size());
-                for (i32 t = 0; t < n; ++t) {
-                    const f32 *x = in.data() + static_cast<u64>(t) * h;
-                    f32 ss = 0;
-                    for (i32 d = 0; d < h; ++d) {
-                        ss += x[d] * x[d];
-                    }
-                    const f32 inv =
-                        1.0f / std::sqrt(ss / static_cast<f32>(h) + eps);
-                    for (i32 d = 0; d < h; ++d) {
-                        want[static_cast<u64>(t) * h + d] =
-                            x[d] * inv * weight[d];
-                    }
-                }
+                const auto want = serialRmsNorm(in, weight, n, h, eps);
                 const DeviceAddr in_buf = floats(in);
                 const DeviceAddr w_buf = floats(weight);
                 const DeviceAddr out =
@@ -942,26 +978,8 @@ TEST_F(KernelsTest, LayerNormBitIdenticalToSerialLoop)
                     rng, static_cast<std::size_t>(h), special);
                 const auto bias = attentionOperand(
                     rng, static_cast<std::size_t>(h), special);
-                std::vector<f32> want(in.size());
-                for (i32 t = 0; t < n; ++t) {
-                    const f32 *x = in.data() + static_cast<u64>(t) * h;
-                    f32 mean = 0;
-                    for (i32 d = 0; d < h; ++d) {
-                        mean += x[d];
-                    }
-                    mean /= static_cast<f32>(h);
-                    f32 var = 0;
-                    for (i32 d = 0; d < h; ++d) {
-                        const f32 c = x[d] - mean;
-                        var += c * c;
-                    }
-                    var /= static_cast<f32>(h);
-                    const f32 inv = 1.0f / std::sqrt(var + eps);
-                    for (i32 d = 0; d < h; ++d) {
-                        want[static_cast<u64>(t) * h + d] =
-                            (x[d] - mean) * inv * weight[d] + bias[d];
-                    }
-                }
+                const auto want =
+                    serialLayerNorm(in, weight, bias, n, h, eps);
                 const DeviceAddr in_buf = floats(in);
                 const DeviceAddr w_buf = floats(weight);
                 const DeviceAddr b_buf = floats(bias);
@@ -977,6 +995,368 @@ TEST_F(KernelsTest, LayerNormBitIdenticalToSerialLoop)
                     ASSERT_TRUE(process_.memory().free(buf).isOk());
                 }
             }
+        }
+    }
+}
+
+// ---- duplicate-row reuse -----------------------------------------------
+
+/** Rows whose ids are equal are bytewise equal; see patternRows. */
+struct RowPattern
+{
+    const char *name;
+    std::vector<i32> ids;
+};
+
+/**
+ * Consecutive runs of distinct ids always differ in parity, which
+ * RowDiff::kZeroSign relies on. "runs-of-37" crosses the 4-row GEMM
+ * tiles and the 8-row norm chain blocks.
+ */
+std::vector<RowPattern>
+rowPatterns()
+{
+    std::vector<i32> long_runs(256);
+    for (std::size_t t = 0; t < long_runs.size(); ++t) {
+        long_runs[t] = static_cast<i32>(t / 37);
+    }
+    return {
+        {"all-equal", std::vector<i32>(9, 0)},
+        {"runs", {0, 0, 0, 1, 1, 2, 3, 3, 3, 3, 4}},
+        {"alternating", {0, 1, 0, 1, 0, 1, 0}},
+        {"last-repeated", {0, 1, 2, 3, 4, 5, 6, 7, 8, 8}},
+        {"single", {0}},
+        {"runs-of-37", long_runs},
+    };
+}
+
+/** How the rows of two different ids differ. */
+enum class RowDiff
+{
+    /** Independent random rows. */
+    kValues,
+    /** One row, with element 0 +0.0 for even ids and -0.0 for odd. */
+    kZeroSign,
+    /** One row, with element 0 a quiet NaN whose payload is id + 1. */
+    kNanPayload,
+};
+constexpr RowDiff kRowDiffs[] = {RowDiff::kValues, RowDiff::kZeroSign,
+                                 RowDiff::kNanPayload};
+
+const char *
+rowDiffName(RowDiff diff)
+{
+    switch (diff) {
+    case RowDiff::kValues:
+        return "values";
+    case RowDiff::kZeroSign:
+        return "zero-sign";
+    case RowDiff::kNanPayload:
+        return "nan-payload";
+    }
+    return "?";
+}
+
+/** ids.size() rows of @p width floats; row t is the row of ids[t]. */
+std::vector<f32>
+patternRows(Rng &rng, const std::vector<i32> &ids, u64 width, RowDiff diff)
+{
+    const i32 count = *std::max_element(ids.begin(), ids.end()) + 1;
+    std::vector<std::vector<f32>> by_id;
+    for (i32 id = 0; id < count; ++id) {
+        by_id.push_back(diff == RowDiff::kValues || id == 0
+                            ? randomFloats(rng, width)
+                            : by_id[0]);
+        if (diff == RowDiff::kZeroSign) {
+            by_id.back()[0] = id % 2 == 0 ? 0.0f : -0.0f;
+        } else if (diff == RowDiff::kNanPayload) {
+            by_id.back()[0] =
+                std::bit_cast<f32>(0x7fc00000u | static_cast<u32>(id + 1));
+        }
+    }
+    std::vector<f32> rows;
+    for (i32 id : ids) {
+        rows.insert(rows.end(), by_id[id].begin(), by_id[id].end());
+    }
+    return rows;
+}
+
+/** Rows a duplicate-row kernel computes: one per run of equal ids. */
+u64
+runCount(const std::vector<i32> &ids)
+{
+    u64 runs = 0;
+    for (std::size_t t = 0; t < ids.size(); ++t) {
+        runs += t == 0 || ids[t] != ids[t - 1];
+    }
+    return runs;
+}
+
+/** The row counts matmulDistinctRows hands to recordingMatmul. */
+std::vector<u64> g_tile_rows;
+/** The variant recordingMatmul forwards to; null records only. */
+detail::MatmulFn g_tile_fn = nullptr;
+
+void
+recordingMatmul(const f32 *a, const f32 *w, f32 *c, u64 n, u64 out, u64 k)
+{
+    g_tile_rows.push_back(n);
+    if (g_tile_fn != nullptr) {
+        g_tile_fn(a, w, c, n, out, k);
+    }
+}
+
+/**
+ * matmulDistinctRows over every variant the host can run: the result
+ * equals the naive loop bit for bit, and the tiles see one row per run
+ * of equal A rows, so rows that differ only in the sign of a zero or
+ * in a NaN payload are computed apart. Unsupported variants turn the
+ * test into a recorded skip, as in BitIdenticalToNaiveLoopOnRaggedShapes.
+ */
+TEST(MatmulTest, DistinctRowsBitIdenticalOnRepeatedRows)
+{
+    std::string checked;
+    std::string skipped;
+    for (const auto &variant : detail::matmulVariants()) {
+        std::string &list = variant.host_supported ? checked : skipped;
+        list += std::string(list.empty() ? "" : ",") + variant.name;
+        if (!variant.host_supported) {
+            continue;
+        }
+        g_tile_fn = variant.fn;
+        Rng rng(13);
+        for (const RowPattern &pattern : rowPatterns()) {
+            for (RowDiff diff : kRowDiffs) {
+                for (u64 out : {7, 33}) {
+                    for (u64 k : {3, 64}) {
+                        const u64 n = pattern.ids.size();
+                        const auto a = patternRows(rng, pattern.ids, k, diff);
+                        const auto w = randomFloats(rng, out * k);
+                        const auto want = naiveMatmul(a, w, n, out, k);
+                        std::vector<f32> got(n * out, 42.0f);
+                        g_tile_rows.clear();
+                        detail::matmulDistinctRows(recordingMatmul, a.data(),
+                                                   w.data(), got.data(), n,
+                                                   out, k);
+                        ASSERT_TRUE(sameBits(want, got))
+                            << variant.name << " " << pattern.name << " "
+                            << rowDiffName(diff) << " out=" << out
+                            << " k=" << k;
+                        EXPECT_EQ(g_tile_rows,
+                                  std::vector<u64>{runCount(pattern.ids)})
+                            << variant.name << " " << pattern.name << " "
+                            << rowDiffName(diff);
+                    }
+                }
+            }
+        }
+    }
+    g_tile_fn = nullptr;
+    RecordProperty("checked_variants", checked);
+    RecordProperty("skipped_variants", skipped);
+    EXPECT_FALSE(checked.empty());
+    if (!skipped.empty()) {
+        GTEST_SKIP() << "checked " << checked << "; this CPU cannot run "
+                     << skipped;
+    }
+}
+
+/** A C that overlaps A or W sends every row through the tiles. */
+TEST(MatmulTest, DistinctRowsOverlappingOperandsTakePlainPath)
+{
+    std::vector<f32> buf(64, 1.0f);
+    g_tile_fn = nullptr;
+    g_tile_rows.clear();
+    // Eight equal A rows of k = 4; C is A itself.
+    detail::matmulDistinctRows(recordingMatmul, buf.data(), buf.data() + 32,
+                               buf.data(), 8, 4, 4);
+    // C (8 x 4) ends inside W.
+    detail::matmulDistinctRows(recordingMatmul, buf.data(), buf.data() + 32,
+                               buf.data() + 16, 8, 4, 4);
+    EXPECT_EQ(g_tile_rows, (std::vector<u64>{8, 8}));
+}
+
+/**
+ * silu_mul as specified, on one buffer holding both operands: gate/up
+ * row t at gu_off + 2 * inter * t, output row t at out_off + inter * t,
+ * one element at a time, so overlapping layouts see earlier writes.
+ */
+void
+serialSiluMul(std::vector<f32> &buf, u64 gu_off, u64 out_off, i32 n,
+              i32 inter)
+{
+    for (i32 t = 0; t < n; ++t) {
+        for (i32 d = 0; d < inter; ++d) {
+            const f32 g = buf[gu_off + 2ull * inter * t + d];
+            const f32 u = buf[gu_off + 2ull * inter * t + inter + d];
+            const f32 silu = g / (1.0f + std::exp(-g));
+            buf[out_off + static_cast<u64>(inter) * t + d] = silu * u;
+        }
+    }
+}
+
+TEST_F(KernelsTest, RowKernelsReuseRepeatedRowsBitIdentically)
+{
+    Rng rng(94);
+    const f32 eps = 1e-5f;
+    const i32 h = 12;
+    const i32 inter = 10;
+    for (const RowPattern &pattern : rowPatterns()) {
+        for (RowDiff diff : kRowDiffs) {
+            const i32 n = static_cast<i32>(pattern.ids.size());
+            const auto in = patternRows(rng, pattern.ids, h, diff);
+            const auto weight = randomFloats(rng, h);
+            const auto bias = randomFloats(rng, h);
+            const DeviceAddr in_buf = floats(in);
+            const DeviceAddr w_buf = floats(weight);
+            const DeviceAddr b_buf = floats(bias);
+            const DeviceAddr out = floats(std::vector<f32>(in.size(), 42.0f));
+
+            ParamsBuilder rms;
+            rms.ptr(in_buf).ptr(w_buf).ptr(out).i32(n).i32(h).f32(eps);
+            ASSERT_TRUE(launch(k_.rmsnorm, rms.take()).isOk());
+            EXPECT_TRUE(sameBits(serialRmsNorm(in, weight, n, h, eps),
+                                 readF(out, in.size())))
+                << "rmsnorm " << pattern.name << " " << rowDiffName(diff);
+
+            ParamsBuilder ln;
+            ln.ptr(in_buf).ptr(w_buf).ptr(b_buf).ptr(out).i32(n).i32(h)
+                .f32(eps);
+            ASSERT_TRUE(launch(k_.layernorm, ln.take()).isOk());
+            EXPECT_TRUE(
+                sameBits(serialLayerNorm(in, weight, bias, n, h, eps),
+                         readF(out, in.size())))
+                << "layernorm " << pattern.name << " " << rowDiffName(diff);
+
+            // [gate | up] rows followed by the output rows.
+            auto want = patternRows(rng, pattern.ids, 2 * inter, diff);
+            const u64 gu_size = want.size();
+            want.resize(gu_size + static_cast<u64>(n) * inter, 42.0f);
+            const DeviceAddr fused = floats(want);
+            ParamsBuilder silu;
+            silu.ptr(fused).ptr(fused + gu_size * 4).i32(n).i32(inter);
+            ASSERT_TRUE(launch(k_.silu_mul, silu.take()).isOk());
+            serialSiluMul(want, 0, gu_size, n, inter);
+            EXPECT_TRUE(sameBits(want, readF(fused, want.size())))
+                << "silu_mul " << pattern.name << " " << rowDiffName(diff);
+
+            for (DeviceAddr buf : {in_buf, w_buf, b_buf, out, fused}) {
+                ASSERT_TRUE(process_.memory().free(buf).isOk());
+            }
+        }
+    }
+}
+
+/**
+ * rope shares one cos/sin row among consecutive tokens at the same
+ * position; every token's q and k rows (all distinct here) are still
+ * rotated by themselves.
+ */
+TEST_F(KernelsTest, RopeReusesRepeatedPositionsBitIdentically)
+{
+    Rng rng(96);
+    const i32 qh = 4;
+    const i32 kvh = 2;
+    const i32 hd = 8;
+    const i32 stride = (qh + 2 * kvh) * hd;
+    const u64 k_off = static_cast<u64>(qh) * hd;
+    for (const RowPattern &pattern : rowPatterns()) {
+        const i32 n = static_cast<i32>(pattern.ids.size());
+        auto want = randomFloats(rng, static_cast<std::size_t>(n) * stride);
+        const DeviceAddr fused = floats(want);
+        const DeviceAddr pos = ints(pattern.ids);
+        ParamsBuilder pb;
+        pb.ptr(fused).ptr(fused + k_off * 4).ptr(pos).i32(n).i32(qh)
+            .i32(kvh).i32(hd).i32(stride).i32(stride).f32(10000.0f);
+        ASSERT_TRUE(launch(k_.rope, pb.take()).isOk());
+        naiveRope(want, 0, k_off, pattern.ids, qh, kvh, hd, stride,
+                  10000.0f);
+        EXPECT_TRUE(sameBits(want, readF(fused, want.size())))
+            << pattern.name;
+        ASSERT_TRUE(process_.memory().free(fused).isOk());
+        ASSERT_TRUE(process_.memory().free(pos).isOk());
+    }
+}
+
+/**
+ * An output overlapping its input takes the plain path. With the output
+ * one input row past gu, row t's output overwrites row t + 1's gate
+ * before that row is read, so the rows' outputs differ although their
+ * inputs were equal; copying row 0's output would not match.
+ */
+TEST_F(KernelsTest, SiluMulOverlappingOutputTakesPlainPath)
+{
+    const i32 n = 4;
+    const i32 inter = 6;
+    const u64 in_row = 2 * inter;
+    Rng rng(95);
+    auto want = patternRows(rng, std::vector<i32>(n, 0), in_row,
+                            RowDiff::kValues);
+    const DeviceAddr buf = floats(want);
+    ParamsBuilder pb;
+    pb.ptr(buf).ptr(buf + in_row * 4).i32(n).i32(inter);
+    ASSERT_TRUE(launch(k_.silu_mul, pb.take()).isOk());
+    serialSiluMul(want, 0, in_row, n, inter);
+    EXPECT_TRUE(sameBits(want, readF(buf, want.size())));
+    EXPECT_FALSE(std::equal(want.begin() + in_row,
+                            want.begin() + in_row + inter,
+                            want.begin() + in_row + inter));
+}
+
+/**
+ * The row-wise and elementwise kernels check their dims before sizing
+ * any operand, so a negative dim is a "bad dims" error, never a
+ * wrapped span size: silu_mul's n = inter = -2 used to size its spans
+ * to 8 and 4 floats and return ok.
+ */
+TEST_F(KernelsTest, RowKernelsRejectNegativeDims)
+{
+    const DeviceAddr buf = floats(std::vector<f32>(64, 1.0f));
+    struct Case
+    {
+        const char *name;
+        KernelId id;
+        int pointers;
+        std::vector<i32> dims;
+        bool eps;
+    };
+    const Case cases[] = {
+        {"rmsnorm", k_.rmsnorm, 3, {2, 4}, true},
+        {"layernorm", k_.layernorm, 4, {2, 4}, true},
+        {"bias_add", k_.bias_add, 2, {2, 4}, false},
+        {"silu_mul", k_.silu_mul, 2, {2, 4}, false},
+        {"gelu", k_.gelu, 2, {8}, false},
+        {"residual_add", k_.residual_add, 2, {8}, false},
+        {"copy_f32", k_.copy_f32, 2, {8}, false},
+        {"sample_argmax", k_.sample_argmax, 2, {2, 4}, false},
+    };
+    for (const Case &c : cases) {
+        auto run = [&](const std::vector<i32> &dims) {
+            ParamsBuilder pb;
+            for (int p = 0; p < c.pointers; ++p) {
+                pb.ptr(buf);
+            }
+            for (i32 d : dims) {
+                pb.i32(d);
+            }
+            if (c.eps) {
+                pb.f32(1e-5f);
+            }
+            return launch(c.id, pb.take());
+        };
+        EXPECT_TRUE(run(c.dims).isOk()) << c.name;
+        std::vector<std::vector<i32>> bad;
+        for (std::size_t i = 0; i < c.dims.size(); ++i) {
+            bad.push_back(c.dims);
+            bad.back()[i] = -1;
+        }
+        bad.push_back(std::vector<i32>(c.dims.size(), -2));
+        for (const auto &dims : bad) {
+            const Status st = run(dims);
+            EXPECT_FALSE(st.isOk()) << c.name;
+            EXPECT_NE(st.message().find(std::string(c.name) + ": bad dims"),
+                      std::string::npos)
+                << st.message();
         }
     }
 }
