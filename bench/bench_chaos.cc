@@ -175,36 +175,36 @@ f64
 attainment(const serverless::TraceMetrics &m)
 {
     return m.completed > 0
-               ? static_cast<f64>(m.deadline_met) /
+               ? static_cast<f64>(m.metrics.counterValue(
+                     "cluster.slo.deadline_met")) /
                      static_cast<f64>(m.completed)
                : 0.0;
+}
+
+/** Requests shed at admission or at their deadline. */
+u64
+shed(const MetricsSnapshot &s)
+{
+    return s.counterValue("cluster.slo.shed_admission") +
+           s.counterValue("cluster.slo.shed_deadline");
 }
 
 bool
 conserved(const serverless::TraceMetrics &m, u64 trace_size)
 {
-    return m.completed + m.shed_admission + m.shed_deadline +
-               m.failed_requests ==
+    return m.completed + shed(m.metrics) +
+               m.metrics.counterValue("cluster.slo.failed_requests") ==
            trace_size;
 }
 
+/** Every counter and gauge, the event count and the TTFT samples. */
 bool
 sameCounters(const serverless::TraceMetrics &a,
              const serverless::TraceMetrics &b)
 {
-    return a.completed == b.completed &&
-           a.shed_admission == b.shed_admission &&
-           a.shed_deadline == b.shed_deadline &&
-           a.failed_requests == b.failed_requests &&
-           a.requeued_requests == b.requeued_requests &&
-           a.instance_crashes == b.instance_crashes &&
-           a.node_crashes == b.node_crashes &&
-           a.deadline_met == b.deadline_met &&
-           a.cold_starts == b.cold_starts &&
+    return a.metrics.toJson() == b.metrics.toJson() &&
            a.sim_events == b.sim_events &&
-           a.ttft_sec.samples() == b.ttft_sec.samples() &&
-           a.gpu_seconds == b.gpu_seconds &&
-           a.makespan_sec == b.makespan_sec;
+           a.ttft_sec.samples() == b.ttft_sec.samples();
 }
 
 } // namespace
@@ -318,6 +318,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < cells.size(); ++i) {
             const Cell &c = cells[i];
             const serverless::TraceMetrics &m = c.m;
+            const MetricsSnapshot &s = m.metrics;
             std::printf(
                 "    {\"policy\": \"%s\", \"intensity\": \"%s\", "
                 "\"completed\": %llu, "
@@ -333,15 +334,23 @@ main(int argc, char **argv)
                 "\"ttft_p50_sec\": %.4f, \"ttft_p99_sec\": %.4f, "
                 "\"gpu_seconds\": %.1f, \"wall_sec\": %.4f}%s\n",
                 c.policy, c.intensity, ull(m.completed),
-                ull(m.shed_admission), ull(m.shed_deadline),
-                ull(m.failed_requests), ull(m.requeued_requests),
-                ull(m.slo_retries), ull(m.instance_crashes),
-                ull(m.node_crashes), ull(m.node_recoveries),
-                ull(m.lost_residency), ull(m.store_outages),
-                ull(m.gray_windows), ull(m.degraded_launches),
-                ull(m.deadline_met), ull(m.deadline_missed),
-                attainment(m), m.goodput_qps, m.ttft_sec.p50(),
-                m.ttft_sec.p99(), m.gpu_seconds, c.wall_sec,
+                ull(s.counterValue("cluster.slo.shed_admission")),
+                ull(s.counterValue("cluster.slo.shed_deadline")),
+                ull(s.counterValue("cluster.slo.failed_requests")),
+                ull(s.counterValue("cluster.chaos.requeued_requests")),
+                ull(s.counterValue("cluster.slo.retries")),
+                ull(s.counterValue("cluster.chaos.instance_crashes")),
+                ull(s.counterValue("cluster.chaos.node_crashes")),
+                ull(s.counterValue("cluster.chaos.node_recoveries")),
+                ull(s.counterValue("cluster.chaos.lost_residency")),
+                ull(s.counterValue("cluster.chaos.store_outages")),
+                ull(s.counterValue("cluster.chaos.gray_windows")),
+                ull(s.counterValue("cluster.slo.degraded_launches")),
+                ull(s.counterValue("cluster.slo.deadline_met")),
+                ull(s.counterValue("cluster.slo.deadline_missed")),
+                attainment(m), s.gaugeValue("cluster.slo.goodput_qps"),
+                m.ttft_sec.p50(), m.ttft_sec.p99(), m.gpu_seconds,
+                c.wall_sec,
                 i + 1 < cells.size() ? "," : "");
         }
         std::printf("  ]\n}\n");
@@ -357,14 +366,17 @@ main(int argc, char **argv)
                     "p99 ttft");
         for (const Cell &c : cells) {
             const serverless::TraceMetrics &m = c.m;
+            const MetricsSnapshot &s = m.metrics;
             std::printf(
                 "%-10s %-9s %9llu %7llu %7llu %7llu %8llu %7.1f%% "
                 "%7.0f %9.3f\n",
-                c.policy, c.intensity, ull(m.completed),
-                ull(m.shed_admission + m.shed_deadline),
-                ull(m.failed_requests), ull(m.requeued_requests),
-                ull(m.instance_crashes + m.node_crashes),
-                100.0 * attainment(m), m.goodput_qps,
+                c.policy, c.intensity, ull(m.completed), ull(shed(s)),
+                ull(s.counterValue("cluster.slo.failed_requests")),
+                ull(s.counterValue("cluster.chaos.requeued_requests")),
+                ull(s.counterValue("cluster.chaos.instance_crashes") +
+                    s.counterValue("cluster.chaos.node_crashes")),
+                100.0 * attainment(m),
+                s.gaugeValue("cluster.slo.goodput_qps"),
                 m.ttft_sec.p99());
         }
     }

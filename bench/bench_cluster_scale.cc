@@ -231,6 +231,7 @@ main(int argc, char **argv)
         for (std::size_t i = 0; i < rows.size(); ++i) {
             const PolicyRow &r = rows[i];
             const serverless::TraceMetrics &m = r.run.metrics;
+            const MetricsSnapshot &s = m.metrics;
             std::printf(
                 "    {\"policy\": \"%s\", \"completed\": %llu, "
                 "\"events\": %llu, \"wall_sec\": %.4f, "
@@ -248,12 +249,15 @@ main(int argc, char **argv)
                 "\"affinity_evictions\": %llu}%s\n",
                 r.name, ull(m.completed), ull(m.sim_events),
                 r.run.wall_sec, r.run.events_per_sec,
-                ull(m.peak_live_instances), ull(m.cold_starts),
+                ull(m.peak_live_instances),
+                ull(s.counterValue("cluster.cold_starts")),
                 m.launch_sec.p50(), m.launch_sec.p99(),
                 m.ttft_sec.p50(), m.ttft_sec.p99(), m.gpu_seconds,
-                ull(m.cold_pool_hits), m.keep_alive_gpu_seconds,
-                ull(m.node_warm_launches), ull(m.node_artifact_fetches),
-                ull(m.affinity_evictions),
+                ull(s.counterValue("cluster.cold_pool_hits")),
+                s.gaugeValue("cluster.keep_alive_gpu_seconds"),
+                ull(s.counterValue("cluster.node_warm_launches")),
+                ull(s.counterValue("cluster.node_artifact_fetches")),
+                ull(s.counterValue("cluster.affinity_evictions")),
                 i + 1 < rows.size() ? "," : "");
         }
         std::printf("  ]\n}\n");
@@ -275,20 +279,21 @@ main(int argc, char **argv)
             std::printf("%-10s %9llu %8.3f %7llu %10llu %10.3f "
                         "%10.3f %12.0f %9.3f\n",
                         r.name, ull(m.sim_events), r.run.wall_sec,
-                        ull(m.peak_live_instances), ull(m.cold_starts),
+                        ull(m.peak_live_instances),
+                        ull(m.metrics.counterValue("cluster.cold_starts")),
                         m.launch_sec.p50(), m.launch_sec.p99(),
                         m.gpu_seconds, m.ttft_sec.p99());
         }
         std::printf("\npolicy counters:\n");
         for (const PolicyRow &r : rows) {
-            const serverless::TraceMetrics &m = r.run.metrics;
+            const MetricsSnapshot &s = r.run.metrics.metrics;
             std::printf("  %-10s pool_hits=%llu keep_alive_gpu_sec=%.0f "
                         "node_warm=%llu node_fetch=%llu evict=%llu\n",
-                        r.name, ull(m.cold_pool_hits),
-                        m.keep_alive_gpu_seconds,
-                        ull(m.node_warm_launches),
-                        ull(m.node_artifact_fetches),
-                        ull(m.affinity_evictions));
+                        r.name, ull(s.counterValue("cluster.cold_pool_hits")),
+                        s.gaugeValue("cluster.keep_alive_gpu_seconds"),
+                        ull(s.counterValue("cluster.node_warm_launches")),
+                        ull(s.counterValue("cluster.node_artifact_fetches")),
+                        ull(s.counterValue("cluster.affinity_evictions")));
         }
     }
     return 0;

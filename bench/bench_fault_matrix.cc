@@ -236,11 +236,13 @@ main(int argc, char **argv)
         row.p50_ttft = metrics.ttft_sec.p50();
         row.p99_ttft = metrics.ttft_sec.p99();
         row.completed = metrics.completed;
-        row.cold_starts = metrics.cold_starts;
-        row.restore_failures = metrics.restore_failures;
-        row.fallback_cold_starts = metrics.fallback_cold_starts;
-        row.retries = metrics.retries;
-        row.wasted_restore_sec = metrics.wasted_restore_sec;
+        const MetricsSnapshot &c = metrics.metrics;
+        row.cold_starts = c.counterValue("cluster.cold_starts");
+        row.restore_failures = c.counterValue("cluster.restore_failures");
+        row.fallback_cold_starts =
+            c.counterValue("cluster.fallback_cold_starts");
+        row.retries = c.counterValue("cluster.retries");
+        row.wasted_restore_sec = c.gaugeValue("cluster.wasted_restore_sec");
         rows.push_back(row);
 
         // Every request must complete no matter the corruption rate.

@@ -82,7 +82,8 @@ main()
                         ttft.add(v);
                     }
                     qps_sum += metrics.achieved_qps;
-                    colds += metrics.cold_starts;
+                    colds +=
+                        metrics.metrics.counterValue("cluster.cold_starts");
                 }
                 if (profile.strategy == llm::Strategy::kVllm) {
                     vllm_p99 = ttft.p99();

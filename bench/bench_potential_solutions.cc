@@ -76,7 +76,7 @@ main()
                     metrics.ttft_sec.p50(), metrics.ttft_sec.p99(),
                     metrics.gpu_seconds,
                     static_cast<unsigned long long>(
-                        metrics.cold_starts));
+                        metrics.metrics.counterValue("cluster.cold_starts")));
     }
     {
         serverless::ClusterOptions copts;
@@ -86,7 +86,7 @@ main()
                     "Medusa (no spares)", metrics.ttft_sec.p50(),
                     metrics.ttft_sec.p99(), metrics.gpu_seconds,
                     static_cast<unsigned long long>(
-                        metrics.cold_starts));
+                        metrics.metrics.counterValue("cluster.cold_starts")));
     }
     std::printf("-> spares buy tail latency with always-on GPU cost "
                 "(and must be provisioned per model type);\n   Medusa "

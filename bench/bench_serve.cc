@@ -326,13 +326,13 @@ main(int argc, char **argv)
     const f64 ttft_p99 = tm.completed > 0 ? tm.ttft_sec.p99() : 0.0;
     const f64 e2e_p50 = tm.completed > 0 ? tm.e2e_sec.p50() : 0.0;
     const f64 e2e_p99 = tm.completed > 0 ? tm.e2e_sec.p99() : 0.0;
+    const u64 cold_starts = tm.metrics.counterValue("cluster.cold_starts");
 
     if (opt.json) {
         std::string out = "{\"schema_version\":1,\"study\":\"serve\",";
         out += "\"requests\":" + std::to_string(trace.size()) + ",";
         out += "\"completed\":" + std::to_string(tm.completed) + ",";
-        out += "\"cold_starts\":" + std::to_string(tm.cold_starts) +
-               ",";
+        out += "\"cold_starts\":" + std::to_string(cold_starts) + ",";
         out += "\"tokens_streamed\":" +
                std::to_string(
                    snap.counterValue("server.tokens_streamed")) +
@@ -362,7 +362,7 @@ main(int argc, char **argv)
         std::printf("  ttft p50/p99 = %.3f / %.3f s (virtual), "
                     "e2e p50/p99 = %.3f / %.3f s, cold starts = %llu\n",
                     ttft_p50, ttft_p99, e2e_p50, e2e_p99,
-                    static_cast<unsigned long long>(tm.cold_starts));
+                    static_cast<unsigned long long>(cold_starts));
     }
     return ok ? 0 : 1;
 }

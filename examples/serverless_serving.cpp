@@ -77,7 +77,7 @@ main(int argc, char **argv)
                     metrics.ttft_sec.p50(), metrics.ttft_sec.p99(),
                     metrics.ttft_sec.mean(),
                     static_cast<unsigned long long>(
-                        metrics.cold_starts));
+                        metrics.metrics.counterValue("cluster.cold_starts")));
     }
     std::printf("\nTTFT = time to first token, including queueing and "
                 "any cold start the request waited on.\n");

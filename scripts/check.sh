@@ -230,15 +230,17 @@ if ! cmake -B "$TSAN_BUILD" -S "$ROOT" -DMEDUSA_TSAN=ON >/dev/null; then
     fail "TSan cmake configure failed"
 elif ! cmake --build "$TSAN_BUILD" -j "$(nproc)" \
         --target artifact_cache_test fault_test rollback_test \
-                 chaos_test \
+                 chaos_test serve_test \
         >/dev/null; then
     fail "TSan build failed"
 elif ! MEDUSA_FAULT_PLAN='replay_prefix@1000000000;seed=20250805' \
         ctest --test-dir "$TSAN_BUILD" --output-on-failure \
         -j "$(nproc)" \
-        -R 'ArtifactCache|Fault|Rollback|Chaos'; then
+        -R 'ArtifactCache|Fault|Rollback|Chaos|Serve'; then
     # The Chaos suite's concurrent-runs test drives the crash-requeue
-    # path from two threads sharing a const plan/profile/trace.
+    # path from two threads sharing a const plan/profile/trace. The
+    # Serve suite runs the HTTP front end: engine, accept and
+    # connection threads over one Scheduler.
     fail "TSan test run failed"
 fi
 

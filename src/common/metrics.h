@@ -3,12 +3,13 @@
  * Named-metric registry for the unified observability layer
  * (DESIGN.md §12): counters, gauges and fixed-bucket histograms keyed
  * by dotted lowercase names ("artifact_cache.hits",
- * "restore.wasted_sec"). The registry unifies the scattered
- * per-subsystem stats: `ImageCache` (medusa/artifact_cache.h)
- * publishes its `artifact_cache.*` counters straight into it, and the
- * remaining structs (`serverless::TraceMetrics`, `AnalysisStats`,
- * `RestoreReport` counters) survive as thin views built from a
- * registry snapshot. The JSON export streams through
+ * "restore.wasted_sec"). `ImageCache` (medusa/artifact_cache.h) and
+ * the cluster simulator count straight into a registry, and the
+ * simulator hands its `cluster.*` names out only as the snapshot in
+ * `serverless::TraceMetrics::metrics`; `AnalysisStats` and
+ * `RestoreReport` publish their fields into one (`publishTo`,
+ * `publishRestoreMetrics`). No struct is a view read back out of a
+ * snapshot. The JSON export streams through
  * `appendJsonString` (common/json.h); it builds no Json tree.
  *
  * Naming convention: `subsystem.noun`, lowercase with underscores

@@ -157,7 +157,12 @@ HttpParser::reset()
     }
 }
 
-HttpListener::~HttpListener() { close(); }
+HttpListener::~HttpListener()
+{
+    if (fd_ >= 0) {
+        ::close(fd_);
+    }
+}
 
 Status
 HttpListener::bind(const std::string &host, u16 port)
@@ -198,7 +203,7 @@ HttpListener::bind(const std::string &host, u16 port)
 int
 HttpListener::acceptFd(int timeout_ms)
 {
-    if (fd_ < 0) {
+    if (fd_ < 0 || closed_.load()) {
         return -2;
     }
     pollfd p{};
@@ -210,7 +215,7 @@ HttpListener::acceptFd(int timeout_ms)
     }
     const int c = ::accept(fd_, nullptr, nullptr);
     if (c < 0) {
-        return fd_ < 0 ? -2 : -1;
+        return closed_.load() ? -2 : -1;
     }
     const int one = 1;
     ::setsockopt(c, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -220,10 +225,8 @@ HttpListener::acceptFd(int timeout_ms)
 void
 HttpListener::close()
 {
-    if (fd_ >= 0) {
+    if (fd_ >= 0 && !closed_.exchange(true)) {
         ::shutdown(fd_, SHUT_RDWR);
-        ::close(fd_);
-        fd_ = -1;
     }
 }
 

@@ -17,6 +17,7 @@
 #ifndef MEDUSA_SERVE_HTTP_H
 #define MEDUSA_SERVE_HTTP_H
 
+#include <atomic>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -104,11 +105,14 @@ class HttpListener
      */
     int acceptFd(int timeout_ms);
 
-    /** Close the listening socket (unblocks pending accepts). */
+    /** Stop listening: connects are refused, acceptFd() returns -2.
+     *  Safe during acceptFd(), as only the destructor frees the fd. */
     void close();
 
   private:
+    /** Set by bind(); only the destructor closes it. */
     int fd_ = -1;
+    std::atomic<bool> closed_{false};
     u16 port_ = 0;
 };
 

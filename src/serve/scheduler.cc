@@ -1326,8 +1326,9 @@ Scheduler::finish()
     m.makespan_sec = std::max(last_finish - first_arrival, 1e-9);
     m.achieved_qps = static_cast<f64>(m.completed) / m.makespan_sec;
     if (slo_on_) {
-        m.goodput_qps = static_cast<f64>(deadline_met) / m.makespan_sec;
-        metrics_.gauge("cluster.slo.goodput_qps").set(m.goodput_qps);
+        const f64 goodput_qps =
+            static_cast<f64>(deadline_met) / m.makespan_sec;
+        metrics_.gauge("cluster.slo.goodput_qps").set(goodput_qps);
     }
     for (std::size_t i = 0; i < inst_state_.size(); ++i) {
         const f64 death = inst_died_at_[i] >= 0 ? inst_died_at_[i] : end;
@@ -1357,62 +1358,15 @@ Scheduler::finish()
     metrics_.gauge("cluster.achieved_qps").set(m.achieved_qps);
     metrics_.gauge("cluster.gpu_seconds").set(m.gpu_seconds);
     m.metrics = metrics_.snapshot();
-    m.cold_starts = m.metrics.counterValue("cluster.cold_starts");
-    m.artifact_loads = m.metrics.counterValue("cluster.artifact_loads");
-    m.artifact_cache_hits =
-        m.metrics.counterValue("cluster.artifact_cache_hits");
-    m.restore_failures =
-        m.metrics.counterValue("cluster.restore_failures");
-    m.fallback_cold_starts =
-        m.metrics.counterValue("cluster.fallback_cold_starts");
-    m.retries = m.metrics.counterValue("cluster.retries");
-    m.wasted_restore_sec =
-        m.metrics.gaugeValue("cluster.wasted_restore_sec");
-    m.cold_pool_hits = m.metrics.counterValue("cluster.cold_pool_hits");
-    m.keep_alive_gpu_seconds =
-        m.metrics.gaugeValue("cluster.keep_alive_gpu_seconds");
-    m.affinity_evictions =
-        m.metrics.counterValue("cluster.affinity_evictions");
-    m.node_warm_launches =
-        m.metrics.counterValue("cluster.node_warm_launches");
-    m.node_artifact_fetches =
-        m.metrics.counterValue("cluster.node_artifact_fetches");
-    m.node_crashes =
-        m.metrics.counterValue("cluster.chaos.node_crashes");
-    m.node_recoveries =
-        m.metrics.counterValue("cluster.chaos.node_recoveries");
-    m.instance_crashes =
-        m.metrics.counterValue("cluster.chaos.instance_crashes");
-    m.requeued_requests =
-        m.metrics.counterValue("cluster.chaos.requeued_requests");
-    m.store_outages =
-        m.metrics.counterValue("cluster.chaos.store_outages");
-    m.store_outage_delay_sec =
-        m.metrics.gaugeValue("cluster.chaos.store_outage_delay_sec");
-    m.gray_windows =
-        m.metrics.counterValue("cluster.chaos.gray_windows");
-    m.gray_fetches =
-        m.metrics.counterValue("cluster.chaos.gray_fetches");
-    m.lost_residency =
-        m.metrics.counterValue("cluster.chaos.lost_residency");
-    m.shed_admission =
-        m.metrics.counterValue("cluster.slo.shed_admission");
-    m.shed_deadline =
-        m.metrics.counterValue("cluster.slo.shed_deadline");
-    m.failed_requests =
-        m.metrics.counterValue("cluster.slo.failed_requests");
-    m.slo_retries = m.metrics.counterValue("cluster.slo.retries");
-    m.degraded_launches =
-        m.metrics.counterValue("cluster.slo.degraded_launches");
-    m.deadline_met = m.metrics.counterValue("cluster.slo.deadline_met");
-    m.deadline_missed =
-        m.metrics.counterValue("cluster.slo.deadline_missed");
     if (chaos_on_ || slo_on_) {
         // The terminal-state lattice (DESIGN.md §16): every request
         // ends completed, shed, or failed — nothing is dropped on
         // the floor by a crash, an outage, or a shed race.
-        MEDUSA_CHECK(m.completed + m.shed_admission + m.shed_deadline +
-                             m.failed_requests ==
+        const MetricsSnapshot &c = m.metrics;
+        MEDUSA_CHECK(m.completed +
+                             c.counterValue("cluster.slo.shed_admission") +
+                             c.counterValue("cluster.slo.shed_deadline") +
+                             c.counterValue("cluster.slo.failed_requests") ==
                          req_arrival_.size(),
                      "request conservation violated");
     }

@@ -269,7 +269,7 @@ class Scheduler
     TraceRecorder rec_;
     /** &rec_ when the caller asked for tracing, else null. */
     TraceRecorder *trace_ = nullptr;
-    /** Canonical `cluster.*` counters; TraceMetrics is a view of it. */
+    /** The `cluster.*` counters; finish() snapshots them into TraceMetrics. */
     MetricsRegistry metrics_;
     bool nodes_on_ = false;
     bool chaos_on_ = false;

@@ -41,6 +41,7 @@ Server::Server(ServeOptions options) : options_(std::move(options))
     metrics_.counter("server.failed");
     metrics_.counter("server.tokens_streamed");
     metrics_.gauge("server.active_peak");
+    metrics_.gauge("server.connection_threads_peak");
     metrics_.gauge("server.drain_sec");
 
     hooks_.on_token = [this](u32 req, u32 count, f64 t) {
@@ -129,7 +130,23 @@ Server::acceptLoop()
             continue;
         }
         std::lock_guard<std::mutex> lk(conns_mu_);
-        conns_.emplace_back([this, fd] { handleConnection(fd); });
+        // Join the threads whose connections have closed, so a long
+        // run holds only the threads still serving.
+        for (auto it = conns_.begin(); it != conns_.end();) {
+            if (it->done) {
+                it->thread.join();
+                it = conns_.erase(it);
+            } else {
+                ++it;
+            }
+        }
+        Connection &conn = conns_.emplace_back();
+        conn.thread = std::thread([this, &conn, fd] {
+            handleConnection(fd);
+            conn.done = true;
+        });
+        Gauge &peak = metrics_.gauge("server.connection_threads_peak");
+        peak.set(std::max(peak.value(), static_cast<f64>(conns_.size())));
     }
 }
 
@@ -530,10 +547,8 @@ Server::stop()
 
     {
         std::lock_guard<std::mutex> lk(conns_mu_);
-        for (std::thread &t : conns_) {
-            if (t.joinable()) {
-                t.join();
-            }
+        for (Connection &conn : conns_) {
+            conn.thread.join();
         }
         conns_.clear();
     }

@@ -13,7 +13,8 @@
  *    against the wall clock (virtual = wall × time_scale) otherwise;
  *  - **connection threads** (one per accepted socket) parse HTTP,
  *    validate the OpenAI call, submit() at the current virtual time
- *    and then block on their request's token stream;
+ *    and then block on their request's token stream; the accept
+ *    thread joins the finished ones before it starts the next;
  *  - scheduler **hooks** fire on whichever thread is stepping the
  *    engine and publish tokens / terminal outcomes into per-request
  *    streams (dedup by high-water token count — a crash-requeued
@@ -29,9 +30,11 @@
 #ifndef MEDUSA_SERVE_SERVER_H
 #define MEDUSA_SERVE_SERVER_H
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -131,6 +134,13 @@ class Server
         f64 done_vt = 0;
     };
 
+    /** One connection thread; done is its last write before exit. */
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+
     void engineLoop();
     void acceptLoop();
     void handleConnection(int fd);
@@ -173,7 +183,8 @@ class Server
     std::thread engine_thread_;
     std::thread accept_thread_;
     std::mutex conns_mu_;
-    std::vector<std::thread> conns_;
+    /** Unjoined connection threads; a list keeps each one in place. */
+    std::list<Connection> conns_;
 
     std::chrono::steady_clock::time_point wall0_;
     bool started_ = false;

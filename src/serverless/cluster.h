@@ -218,111 +218,88 @@ struct ClusterOptions
 };
 
 /**
- * Simulation output. The scalar counters are a back-compat view: they
- * are materialized from the `cluster.*` names in @ref metrics, which is
- * the canonical record (and what ClusterOptions::pipeline.metrics
- * receives).
+ * Simulation output: the latency trackers and run totals finish()
+ * computes from the scheduler's per-request and per-instance tables,
+ * plus @ref metrics, the only record of what was counted while events
+ * ran (and what ClusterOptions::pipeline.metrics receives). Read
+ * `m.metrics.counterValue("cluster.…")`, or gaugeValue() for (g).
+ *
+ * Always present: `cluster.completed` and (g) `.makespan_sec`,
+ * `.achieved_qps`, `.gpu_seconds`, the totals below. Present once
+ * counted (absent means never):
+ *  - `cluster.cold_starts`: launches that paid a cold start;
+ *  - `.artifact_loads`, `.artifact_cache_hits`: fetches through
+ *    ClusterOptions::artifact_cache, and those it served;
+ *  - `.restore_failures`: restore attempts failed and rolled back;
+ *  - `.retries`: failed attempts retried with backoff;
+ *  - `.fallback_cold_starts`: launches degraded to vanilla;
+ *  - (g) `.wasted_restore_sec`: latency burned in failed attempts.
+ * Present with node-level modeling (node, affinity) or any policy but
+ * kBaseline (pool, keep-alive):
+ *  - `cluster.cold_pool_hits`: work absorbed by instances a baseline
+ *    would have killed;
+ *  - (g) `.keep_alive_gpu_seconds`: idle seconds past the baseline
+ *    timeout;
+ *  - `.affinity_evictions`: node artifact-store LRU evictions;
+ *  - `.node_warm_launches`, `.node_artifact_fetches`: launches that
+ *    found the model's artifact on the node, or fetched it.
+ * All present (zeros included) under an armed ChaosPlan or an active
+ * SloPolicy:
+ *  - `cluster.chaos.node_crashes`, `.node_recoveries`: node crashes,
+ *    and those whose window closed in the run;
+ *  - `.instance_crashes`: instances killed (node or instance crash);
+ *  - `.requeued_requests`: in-flight requests a crash threw back;
+ *  - `.store_outages`, (g) `.store_outage_delay_sec`: store outage
+ *    windows, and launch latency spent waiting them out;
+ *  - `.gray_windows`, `.gray_fetches`: gray-failure windows, and the
+ *    fetches they slowed;
+ *  - `.lost_residency`: node-resident artifacts lost to crashes;
+ *  - `cluster.slo.shed_admission`, `.shed_deadline`: shed at arrival,
+ *    or queued past the deadline;
+ *  - `.failed_requests`: requests out of crash retries;
+ *  - `.retries`: crash-requeue retries granted;
+ *  - `.degraded_launches`: launches sent to vanilla to dodge an outage;
+ *  - `.deadline_met`, `.deadline_missed`: completions by TTFT against
+ *    their deadline;
+ *  - (g) `.goodput_qps`: deadline-met completions per second over the
+ *    busy makespan.
+ *
+ * Request conservation, checked by finish() under chaos or SLO:
+ * completed + shed_admission + shed_deadline + failed_requests ==
+ * trace size.
  */
 struct TraceMetrics
 {
     PercentileTracker ttft_sec;
     PercentileTracker e2e_sec;
-    u64 completed = 0;
-    u64 cold_starts = 0;
-    /** Completed requests per second over the busy makespan. */
-    f64 achieved_qps = 0;
-    f64 makespan_sec = 0;
-    /**
-     * GPU occupancy cost: instance-lifetime seconds summed over all
-     * instances (cold-start time included) — the pay-as-you-go bill.
-     */
-    f64 gpu_seconds = 0;
-    /** Artifact fetches attempted by cold starts (0 without a cache). */
-    u64 artifact_loads = 0;
-    /** Fetches served from the resident artifact cache. */
-    u64 artifact_cache_hits = 0;
-    /** Restore attempts that failed and rolled back (fault injection). */
-    u64 restore_failures = 0;
-    /** Launches that degraded to the vanilla cold start. */
-    u64 fallback_cold_starts = 0;
-    /** Failed restore attempts that were retried with backoff. */
-    u64 retries = 0;
-    /** Latency burned in failed restore attempts (pre-rollback). */
-    f64 wasted_restore_sec = 0;
-
     /**
      * Per-launch cold-start latency (fetch + restore + fallback) —
      * the distribution the scheduling study reports P50/P99 of.
      */
     PercentileTracker launch_sec;
+    u64 completed = 0;
+    f64 makespan_sec = 0;
+    /** Completed requests per second over the busy makespan. */
+    f64 achieved_qps = 0;
+    /**
+     * GPU occupancy cost: instance-lifetime seconds summed over all
+     * instances (cold-start time included) — the pay-as-you-go bill.
+     */
+    f64 gpu_seconds = 0;
     /** Instances ever created (autoscaled launches + hot spares). */
     u64 instances_launched = 0;
     /** High-water mark of concurrently live instances. */
     u64 peak_live_instances = 0;
     /**
-     * Events the engine dispatched (arrivals included). NOT mirrored
-     * into the metrics registry: it counts the event core's work, not
-     * anything the simulated cluster does, so a change to the core
-     * (e.g. cancelling a pending idle timer instead of letting a stale
-     * one fire) may move it while every simulated output stays the
-     * same. Benches divide by wall time for events/sec.
+     * Events the engine dispatched (arrivals included). NOT in
+     * @ref metrics: it counts the event core's work, not anything the
+     * simulated cluster does, so a change to the core (e.g.
+     * cancelling a pending idle timer instead of letting a stale one
+     * fire) may move it while every simulated output stays the same.
+     * Benches divide by wall time for events/sec.
      */
     u64 sim_events = 0;
-
-    // Policy counters (0 under kBaseline):
-    /** Assignments absorbed by instances a baseline would have killed. */
-    u64 cold_pool_hits = 0;
-    /** Instance-seconds spent idle beyond the baseline timeout. */
-    f64 keep_alive_gpu_seconds = 0;
-    /** Node artifact-store LRU evictions (affinity pressure). */
-    u64 affinity_evictions = 0;
-    /** Launches on a node with the model's artifact already resident. */
-    u64 node_warm_launches = 0;
-    /** Launches that had to fetch the artifact onto the node. */
-    u64 node_artifact_fetches = 0;
-
-    // Chaos counters (0 without an armed ChaosPlan); canonical names
-    // are `cluster.chaos.*` in @ref metrics:
-    /** Whole-node crash events that fired. */
-    u64 node_crashes = 0;
-    /** Node recoveries (crashes whose window closed inside the run). */
-    u64 node_recoveries = 0;
-    /** Instances killed (node-level and instance-level crashes). */
-    u64 instance_crashes = 0;
-    /** In-flight requests thrown back into the queue by a crash. */
-    u64 requeued_requests = 0;
-    /** Artifact-store outage windows that fired. */
-    u64 store_outages = 0;
-    /** Launch latency spent waiting out store outages. */
-    f64 store_outage_delay_sec = 0;
-    /** Gray-failure windows that fired. */
-    u64 gray_windows = 0;
-    /** Artifact fetches slowed by a gray window. */
-    u64 gray_fetches = 0;
-    /** Node-resident artifacts lost to node crashes. */
-    u64 lost_residency = 0;
-
-    // SLO counters (0 without an SloPolicy); canonical names are
-    // `cluster.slo.*`. Request conservation: completed + shed_admission
-    // + shed_deadline + failed_requests == trace size.
-    /** Requests shed at arrival by admission control. */
-    u64 shed_admission = 0;
-    /** Queued requests shed when their deadline passed. */
-    u64 shed_deadline = 0;
-    /** Requests that exhausted their crash-retry budget. */
-    u64 failed_requests = 0;
-    /** Crash-requeue retries granted (distinct from restore retries). */
-    u64 slo_retries = 0;
-    /** Launches degraded to vanilla to dodge a store outage. */
-    u64 degraded_launches = 0;
-    /** Completed requests whose TTFT met their deadline. */
-    u64 deadline_met = 0;
-    /** Completed requests whose TTFT missed their deadline. */
-    u64 deadline_missed = 0;
-    /** Deadline-met completions per second over the busy makespan. */
-    f64 goodput_qps = 0;
-
-    /** The run's counters under their canonical `cluster.*` names. */
+    /** The run's counters under their `cluster.*` names (above). */
     MetricsSnapshot metrics;
 };
 

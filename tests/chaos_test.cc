@@ -22,35 +22,16 @@
 
 #include "serverless/chaos.h"
 #include "serverless/cluster.h"
+#include "test_cluster.h"
 #include "workload/trace.h"
 
 namespace medusa::serverless {
 namespace {
 
-/** The toy profile of serverless_test.cc (easy arithmetic). */
-ServingProfile
-toyProfile(f64 cold_start = 2.0)
-{
-    ServingProfile p;
-    p.model_name = "toy";
-    p.strategy = llm::Strategy::kVllm;
-    p.loading_sec = cold_start;
-    p.cold_start_sec = cold_start;
-    p.batch_sizes = {1, 10};
-    p.decode_step_sec = {0.01, 0.10};
-    p.prefill_tokens = {100, 1000};
-    p.prefill_sec = {0.1, 1.0};
-    return p;
-}
-
-/** Sets options.profile and calls the public simulateCluster entry. */
-TraceMetrics
-runCluster(ClusterOptions opts, const ServingProfile &profile,
-           const std::vector<workload::Request> &trace)
-{
-    opts.profile = &profile;
-    return simulateCluster(opts, trace);
-}
+using test::clusterCounter;
+using test::clusterGauge;
+using test::runCluster;
+using test::toyProfile;
 
 /** n requests, gap seconds apart, cycling over num_models model ids. */
 std::vector<workload::Request>
@@ -74,8 +55,9 @@ makeTrace(u32 n, f64 gap, u16 num_models = 1, f64 deadline = 0)
 void
 expectConserved(const TraceMetrics &m, std::size_t trace_size)
 {
-    EXPECT_EQ(m.completed + m.shed_admission + m.shed_deadline +
-                  m.failed_requests,
+    EXPECT_EQ(m.completed + clusterCounter(m, "cluster.slo.shed_admission") +
+                  clusterCounter(m, "cluster.slo.shed_deadline") +
+                  clusterCounter(m, "cluster.slo.failed_requests"),
               trace_size);
 }
 
@@ -315,8 +297,8 @@ TEST(ChaosSimTest, InstanceCrashesRequeueAndRequestsStillFinish)
     const auto trace = makeTrace(400, 0.25);
     const TraceMetrics m =
         runCluster(opts, toyProfile(1.0), trace);
-    EXPECT_GT(m.instance_crashes, 0u);
-    EXPECT_GT(m.requeued_requests, 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.chaos.instance_crashes"), 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.chaos.requeued_requests"), 0u);
     EXPECT_GT(m.completed, 0u);
     expectConserved(m, trace.size());
 }
@@ -338,9 +320,9 @@ TEST(ChaosSimTest, NodeCrashDropsResidencyAndRecovers)
     const auto trace = makeTrace(500, 0.2, /*num_models=*/2);
     const TraceMetrics m =
         runCluster(opts, toyProfile(1.0), trace);
-    EXPECT_GT(m.node_crashes, 0u);
-    EXPECT_GT(m.node_recoveries, 0u);
-    EXPECT_GT(m.lost_residency, 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.chaos.node_crashes"), 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.chaos.node_recoveries"), 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.chaos.lost_residency"), 0u);
     expectConserved(m, trace.size());
 }
 
@@ -364,8 +346,9 @@ TEST(ChaosSimTest, StoreOutageChargesWaitOnFetches)
     const auto trace = makeTrace(300, 0.5, /*num_models=*/2);
     const TraceMetrics m =
         runCluster(opts, toyProfile(1.0), trace);
-    EXPECT_GT(m.store_outages, 0u);
-    EXPECT_GT(m.store_outage_delay_sec, 0.0);
+    EXPECT_GT(clusterCounter(m, "cluster.chaos.store_outages"), 0u);
+    EXPECT_GT(clusterGauge(m, "cluster.chaos.store_outage_delay_sec"),
+              0.0);
     expectConserved(m, trace.size());
 }
 
@@ -388,8 +371,8 @@ TEST(ChaosSimTest, GrayWindowsSlowFetches)
     const auto trace = makeTrace(300, 0.5, /*num_models=*/2);
     const TraceMetrics m =
         runCluster(opts, toyProfile(1.0), trace);
-    EXPECT_GT(m.gray_windows, 0u);
-    EXPECT_GT(m.gray_fetches, 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.chaos.gray_windows"), 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.chaos.gray_fetches"), 0u);
     expectConserved(m, trace.size());
 }
 
@@ -413,7 +396,7 @@ TEST(ChaosSimTest, DegradeToVanillaDuringOutage)
     const auto trace = makeTrace(300, 0.5, /*num_models=*/2);
     const TraceMetrics m =
         runCluster(opts, toyProfile(1.0), trace);
-    EXPECT_GT(m.degraded_launches, 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.slo.degraded_launches"), 0u);
     expectConserved(m, trace.size());
 }
 
@@ -432,8 +415,8 @@ TEST(ChaosSimTest, RetryBudgetExhaustionFailsRequests)
     const auto trace = makeTrace(300, 0.5);
     const TraceMetrics m =
         runCluster(opts, toyProfile(1.0), trace);
-    EXPECT_GT(m.failed_requests, 0u);
-    EXPECT_EQ(m.slo_retries, 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.slo.failed_requests"), 0u);
+    EXPECT_EQ(clusterCounter(m, "cluster.slo.retries"), 0u);
     expectConserved(m, trace.size());
 }
 
@@ -450,8 +433,10 @@ TEST(ChaosSimTest, BoundedRetriesAreCounted)
     const auto trace = makeTrace(300, 0.5);
     const TraceMetrics m =
         runCluster(opts, toyProfile(1.0), trace);
-    EXPECT_GT(m.slo_retries, 0u);
-    EXPECT_GE(m.requeued_requests, m.slo_retries + m.failed_requests);
+    EXPECT_GT(clusterCounter(m, "cluster.slo.retries"), 0u);
+    EXPECT_GE(clusterCounter(m, "cluster.chaos.requeued_requests"),
+              clusterCounter(m, "cluster.slo.retries") +
+                  clusterCounter(m, "cluster.slo.failed_requests"));
     expectConserved(m, trace.size());
 }
 
@@ -465,7 +450,7 @@ TEST(ChaosSimTest, AdmissionControlShedsDoomedWork)
     const auto trace = makeTrace(100, 0.05);
     const TraceMetrics m =
         runCluster(opts, toyProfile(2.0), trace);
-    EXPECT_GT(m.shed_admission, 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.slo.shed_admission"), 0u);
     expectConserved(m, trace.size());
 }
 
@@ -480,7 +465,7 @@ TEST(ChaosSimTest, DeadlineSheddingDrainsTheQueue)
     const auto trace = makeTrace(200, 0.01);
     const TraceMetrics m =
         runCluster(opts, toyProfile(1.0), trace);
-    EXPECT_GT(m.shed_deadline, 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.slo.shed_deadline"), 0u);
     expectConserved(m, trace.size());
 }
 
@@ -493,9 +478,11 @@ TEST(ChaosSimTest, DeadlineAccountingAndGoodput)
     const TraceMetrics m =
         runCluster(opts, toyProfile(1.0), trace);
     EXPECT_EQ(m.completed, trace.size());
-    EXPECT_EQ(m.deadline_met + m.deadline_missed, m.completed);
-    EXPECT_GT(m.deadline_met, 0u);
-    EXPECT_GT(m.goodput_qps, 0.0);
+    EXPECT_EQ(clusterCounter(m, "cluster.slo.deadline_met") +
+                  clusterCounter(m, "cluster.slo.deadline_missed"),
+              m.completed);
+    EXPECT_GT(clusterCounter(m, "cluster.slo.deadline_met"), 0u);
+    EXPECT_GT(clusterGauge(m, "cluster.slo.goodput_qps"), 0.0);
     expectConserved(m, trace.size());
 }
 
@@ -511,7 +498,7 @@ TEST(ChaosSimTest, TraceDeadlinesOverridePolicyDefault)
     const auto trace = makeTrace(200, 0.01, 1, /*deadline=*/0.5);
     const TraceMetrics m =
         runCluster(opts, toyProfile(1.0), trace);
-    EXPECT_GT(m.shed_deadline, 0u);
+    EXPECT_GT(clusterCounter(m, "cluster.slo.shed_deadline"), 0u);
     expectConserved(m, trace.size());
 }
 
@@ -554,12 +541,7 @@ TEST(ChaosSimTest, ConcurrentRunsAreBitIdentical)
     tb.join();
 
     EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.instance_crashes, b.instance_crashes);
-    EXPECT_EQ(a.node_crashes, b.node_crashes);
-    EXPECT_EQ(a.requeued_requests, b.requeued_requests);
-    EXPECT_EQ(a.shed_admission, b.shed_admission);
-    EXPECT_EQ(a.shed_deadline, b.shed_deadline);
-    EXPECT_EQ(a.failed_requests, b.failed_requests);
+    EXPECT_EQ(a.metrics.toJson(), b.metrics.toJson());
     EXPECT_EQ(a.ttft_sec.samples(), b.ttft_sec.samples());
     EXPECT_EQ(a.gpu_seconds, b.gpu_seconds);
     EXPECT_EQ(a.makespan_sec, b.makespan_sec);

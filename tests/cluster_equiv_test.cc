@@ -35,27 +35,16 @@
 #include "medusa/artifact_cache.h"
 #include "serve/scheduler.h"
 #include "serverless/cluster.h"
+#include "test_cluster.h"
 #include "workload/synthetic.h"
 #include "workload/trace.h"
 
 namespace medusa::serverless {
 namespace {
 
-/** The toy profile of serverless_test.cc (easy arithmetic). */
-ServingProfile
-toyProfile(f64 cold_start = 2.0)
-{
-    ServingProfile p;
-    p.model_name = "toy";
-    p.strategy = llm::Strategy::kVllm;
-    p.loading_sec = cold_start;
-    p.cold_start_sec = cold_start;
-    p.batch_sizes = {1, 10};
-    p.decode_step_sec = {0.01, 0.10};
-    p.prefill_tokens = {100, 1000};
-    p.prefill_sec = {0.1, 1.0};
-    return p;
-}
+using test::clusterCounter;
+using test::clusterGauge;
+using test::toyProfile;
 
 /** One simulator run with its own sinks. */
 struct RunResult
@@ -115,16 +104,9 @@ expectBitIdentical(const RunResult &x, const RunResult &y)
     EXPECT_EQ(a.e2e_sec.samples(), b.e2e_sec.samples());
     EXPECT_EQ(a.launch_sec.samples(), b.launch_sec.samples());
     EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.cold_starts, b.cold_starts);
     EXPECT_EQ(a.achieved_qps, b.achieved_qps);
     EXPECT_EQ(a.makespan_sec, b.makespan_sec);
     EXPECT_EQ(a.gpu_seconds, b.gpu_seconds);
-    EXPECT_EQ(a.artifact_loads, b.artifact_loads);
-    EXPECT_EQ(a.artifact_cache_hits, b.artifact_cache_hits);
-    EXPECT_EQ(a.restore_failures, b.restore_failures);
-    EXPECT_EQ(a.fallback_cold_starts, b.fallback_cold_starts);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.wasted_restore_sec, b.wasted_restore_sec);
     EXPECT_EQ(a.instances_launched, b.instances_launched);
     EXPECT_EQ(a.peak_live_instances, b.peak_live_instances);
     EXPECT_EQ(x.metrics_json, y.metrics_json);
@@ -358,7 +340,7 @@ TEST(ClusterEquivTest, ArtifactCacheBitIdentical)
         expectCellGolden("artifact_cache", opts, toyProfile(1.0),
                          fig10Trace(5.0, 20250407ull), nullptr,
                          /*with_cache=*/true);
-    EXPECT_GT(run.metrics.artifact_cache_hits, 0u);
+    EXPECT_GT(clusterCounter(run.metrics, "cluster.artifact_cache_hits"), 0u);
 }
 
 TEST(ClusterEquivTest, SyntheticTraceBitIdentical)
@@ -384,8 +366,9 @@ TEST(ClusterEquivTest, KeepAlivePolicyBitIdentical)
                                            toyProfile(1.0),
                                            multiModelTrace());
     // The cell exercises the policy, not just the baseline autoscaler.
-    EXPECT_GT(run.metrics.cold_pool_hits, 0u);
-    EXPECT_GT(run.metrics.keep_alive_gpu_seconds, 0.0);
+    EXPECT_GT(clusterCounter(run.metrics, "cluster.cold_pool_hits"), 0u);
+    EXPECT_GT(clusterGauge(run.metrics, "cluster.keep_alive_gpu_seconds"),
+              0.0);
 }
 
 TEST(ClusterEquivTest, AffinityPolicyBitIdentical)
@@ -395,9 +378,10 @@ TEST(ClusterEquivTest, AffinityPolicyBitIdentical)
     const RunResult run = expectCellGolden("affinity", opts,
                                            toyProfile(1.0),
                                            multiModelTrace());
-    EXPECT_GT(run.metrics.node_warm_launches, 0u);
-    EXPECT_GT(run.metrics.node_artifact_fetches, 0u);
-    EXPECT_GT(run.metrics.affinity_evictions, 0u);
+    EXPECT_GT(clusterCounter(run.metrics, "cluster.node_warm_launches"), 0u);
+    EXPECT_GT(clusterCounter(run.metrics, "cluster.node_artifact_fetches"),
+              0u);
+    EXPECT_GT(clusterCounter(run.metrics, "cluster.affinity_evictions"), 0u);
 }
 
 /**
@@ -565,9 +549,13 @@ TEST(ClusterChaosTest, ArmedPlanIsDeterministic)
     EXPECT_EQ(a.metrics.gpu_seconds, b.metrics.gpu_seconds);
     // The plan actually fired (otherwise this suite proves nothing) and
     // every request reached exactly one terminal state.
-    EXPECT_GT(a.metrics.instance_crashes + a.metrics.node_crashes, 0u);
-    EXPECT_EQ(a.metrics.completed + a.metrics.shed_admission +
-                  a.metrics.shed_deadline + a.metrics.failed_requests,
+    const TraceMetrics &m = a.metrics;
+    EXPECT_GT(clusterCounter(m, "cluster.chaos.instance_crashes") +
+                  clusterCounter(m, "cluster.chaos.node_crashes"),
+              0u);
+    EXPECT_EQ(m.completed + clusterCounter(m, "cluster.slo.shed_admission") +
+                  clusterCounter(m, "cluster.slo.shed_deadline") +
+                  clusterCounter(m, "cluster.slo.failed_requests"),
               trace.size());
 }
 
@@ -599,8 +587,8 @@ TEST(ClusterEquivTest, BaselinePolicyMatchesLegacyMetricNames)
     const RunResult run =
         expectCellGolden("baseline_rps3", ClusterOptions{},
                          toyProfile(1.0), fig10Trace(3.0, 20250408ull));
-    EXPECT_EQ(run.metrics.cold_pool_hits, 0u);
-    EXPECT_EQ(run.metrics.affinity_evictions, 0u);
+    EXPECT_FALSE(run.metrics.metrics.has("cluster.cold_pool_hits"));
+    EXPECT_FALSE(run.metrics.metrics.has("cluster.affinity_evictions"));
     EXPECT_EQ(run.metrics_json.find("cluster.cold_pool_hits"),
               std::string::npos);
     EXPECT_EQ(run.metrics_json.find("cluster.node_"), std::string::npos);

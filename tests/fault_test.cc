@@ -14,6 +14,7 @@
 #include "medusa/offline.h"
 #include "medusa/restore.h"
 #include "serverless/cluster.h"
+#include "test_cluster.h"
 
 namespace medusa {
 namespace {
@@ -489,32 +490,10 @@ TEST(FaultCacheTest, InjectorFailsLoaderWithoutRunningIt)
 // ---- cluster simulation under launch faults ------------------------------
 
 using serverless::ClusterOptions;
-using serverless::ServingProfile;
-using serverless::simulateCluster;
-
-ServingProfile
-toyProfile()
-{
-    ServingProfile p;
-    p.model_name = "toy";
-    p.strategy = llm::Strategy::kVllm;
-    p.loading_sec = 2.0;
-    p.cold_start_sec = 2.0;
-    p.batch_sizes = {1, 10};
-    p.decode_step_sec = {0.01, 0.10};
-    p.prefill_tokens = {100, 1000};
-    p.prefill_sec = {0.1, 1.0};
-    return p;
-}
-
-/** Sets options.profile and calls the public simulateCluster entry. */
-serverless::TraceMetrics
-runCluster(ClusterOptions opts, const ServingProfile &profile,
-           const std::vector<workload::Request> &trace)
-{
-    opts.profile = &profile;
-    return simulateCluster(opts, trace);
-}
+using test::clusterCounter;
+using test::clusterGauge;
+using test::runCluster;
+using test::toyProfile;
 
 std::vector<workload::Request>
 simpleTrace(int n, f64 gap)
@@ -547,10 +526,11 @@ TEST(FaultClusterTest, AllRequestsCompleteUnderRetryThenVanilla)
     const auto metrics =
         runCluster(opts, toyProfile(), simpleTrace(20, 10.0));
     EXPECT_EQ(metrics.completed, 20u);
-    EXPECT_GT(metrics.restore_failures, 0u);
-    EXPECT_GT(metrics.wasted_restore_sec, 0.0);
-    EXPECT_EQ(metrics.retries + metrics.fallback_cold_starts,
-              metrics.restore_failures);
+    EXPECT_GT(clusterCounter(metrics, "cluster.restore_failures"), 0u);
+    EXPECT_GT(clusterGauge(metrics, "cluster.wasted_restore_sec"), 0.0);
+    EXPECT_EQ(clusterCounter(metrics, "cluster.retries") +
+                  clusterCounter(metrics, "cluster.fallback_cold_starts"),
+              clusterCounter(metrics, "cluster.restore_failures"));
 }
 
 TEST(FaultClusterTest, FaultFreeRunMatchesNoInjector)
@@ -569,11 +549,12 @@ TEST(FaultClusterTest, FaultFreeRunMatchesNoInjector)
         runCluster(hooked, toyProfile(), simpleTrace(10, 1.0));
 
     EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.cold_starts, b.cold_starts);
+    EXPECT_EQ(clusterCounter(a, "cluster.cold_starts"),
+              clusterCounter(b, "cluster.cold_starts"));
     EXPECT_DOUBLE_EQ(a.ttft_sec.p50(), b.ttft_sec.p50());
     EXPECT_DOUBLE_EQ(a.makespan_sec, b.makespan_sec);
-    EXPECT_EQ(b.restore_failures, 0u);
-    EXPECT_EQ(b.fallback_cold_starts, 0u);
+    EXPECT_FALSE(b.metrics.has("cluster.restore_failures"));
+    EXPECT_FALSE(b.metrics.has("cluster.fallback_cold_starts"));
 }
 
 TEST(FaultClusterTest, FailPolicyStillDrainsTheTrace)
@@ -591,9 +572,9 @@ TEST(FaultClusterTest, FailPolicyStillDrainsTheTrace)
     const auto metrics =
         runCluster(opts, toyProfile(), simpleTrace(10, 1.0));
     EXPECT_EQ(metrics.completed, 10u);
-    EXPECT_GT(metrics.restore_failures, 0u);
-    EXPECT_EQ(metrics.fallback_cold_starts, 0u);
-    EXPECT_EQ(metrics.retries, 0u);
+    EXPECT_GT(clusterCounter(metrics, "cluster.restore_failures"), 0u);
+    EXPECT_FALSE(metrics.metrics.has("cluster.fallback_cold_starts"));
+    EXPECT_FALSE(metrics.metrics.has("cluster.retries"));
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 #include "common/json.h"
 #include "serve/openai.h"
 #include "serve/server.h"
+#include "test_cluster.h"
 
 namespace medusa::serve {
 namespace {
@@ -240,24 +241,11 @@ TEST(ServeOpenAiTest, TokenTextIsDeterministic)
 
 // ---- Scheduler serve-mode drain contract --------------------------------
 
-serverless::ServingProfile
-toyProfile()
-{
-    serverless::ServingProfile p;
-    p.model_name = "toy";
-    p.strategy = llm::Strategy::kVllm;
-    p.loading_sec = 1.0;
-    p.cold_start_sec = 1.0;
-    p.batch_sizes = {1, 10};
-    p.decode_step_sec = {0.01, 0.10};
-    p.prefill_tokens = {100, 1000};
-    p.prefill_sec = {0.1, 1.0};
-    return p;
-}
+using test::toyProfile;
 
 TEST(ServeSchedulerTest, SubmitPumpDrainConservesRequests)
 {
-    const serverless::ServingProfile profile = toyProfile();
+    const serverless::ServingProfile profile = toyProfile(1.0);
     serverless::ClusterOptions opts;
     opts.profile = &profile;
 
@@ -322,7 +310,7 @@ postJson(const std::string &path, const std::string &body)
 
 TEST(ServeServerTest, LoopbackEndToEnd)
 {
-    const serverless::ServingProfile profile = toyProfile();
+    const serverless::ServingProfile profile = toyProfile(1.0);
     ServeOptions sopts;
     sopts.cluster.profile = &profile;
     sopts.cluster.num_gpus = 2;
@@ -393,9 +381,44 @@ TEST(ServeServerTest, LoopbackEndToEnd)
     EXPECT_EQ(snap.counterValue("server.failed"), 0u);
 }
 
+/**
+ * Every streamed response closes its connection, so the server must
+ * join the finished connection threads as it goes: 40 sequential
+ * requests leave only a handful held at once, not one per request.
+ */
+TEST(ServeServerTest, ReapsFinishedConnectionThreads)
+{
+    const serverless::ServingProfile profile = toyProfile(1.0);
+    ServeOptions sopts;
+    sopts.cluster.profile = &profile;
+    sopts.time_scale = 0;
+    sopts.model_names = {"toy"};
+
+    Server server(std::move(sopts));
+    ASSERT_TRUE(server.start().isOk());
+    constexpr u64 kRequests = 40;
+    for (u64 i = 0; i < kRequests; ++i) {
+        const std::string streamed = roundTrip(
+            server.port(),
+            postJson("/v1/completions",
+                     R"({"model":"toy","prompt":"hi","max_tokens":2,)"
+                     R"("stream":true})"));
+        ASSERT_NE(streamed.find("data: [DONE]"), std::string::npos)
+            << streamed;
+    }
+    const serverless::TraceMetrics tm = server.stop();
+    EXPECT_EQ(tm.completed, kRequests);
+    const MetricsSnapshot snap = server.metricsSnapshot();
+    EXPECT_EQ(snap.counterValue("server.streams"), kRequests);
+    ASSERT_TRUE(snap.has("server.connection_threads_peak"));
+    const f64 peak = snap.gaugeValue("server.connection_threads_peak");
+    EXPECT_GE(peak, 1.0);
+    EXPECT_LE(peak, 4.0);
+}
+
 TEST(ServeServerTest, RejectsSubmissionsWhileDraining)
 {
-    const serverless::ServingProfile profile = toyProfile();
+    const serverless::ServingProfile profile = toyProfile(1.0);
     ServeOptions sopts;
     sopts.cluster.profile = &profile;
     sopts.time_scale = 0;

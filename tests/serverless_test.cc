@@ -8,34 +8,14 @@
 #include <gtest/gtest.h>
 
 #include "serverless/cluster.h"
+#include "test_cluster.h"
 
 namespace medusa::serverless {
 namespace {
 
-/** A hand-made profile with easy arithmetic. */
-ServingProfile
-toyProfile(f64 cold_start = 2.0)
-{
-    ServingProfile p;
-    p.model_name = "toy";
-    p.strategy = llm::Strategy::kVllm;
-    p.loading_sec = cold_start;
-    p.cold_start_sec = cold_start;
-    p.batch_sizes = {1, 10};
-    p.decode_step_sec = {0.01, 0.10};
-    p.prefill_tokens = {100, 1000};
-    p.prefill_sec = {0.1, 1.0};
-    return p;
-}
-
-/** Sets options.profile and calls the public simulateCluster entry. */
-TraceMetrics
-runCluster(ClusterOptions opts, const ServingProfile &profile,
-           const std::vector<workload::Request> &trace)
-{
-    opts.profile = &profile;
-    return simulateCluster(opts, trace);
-}
+using test::clusterCounter;
+using test::runCluster;
+using test::toyProfile;
 
 TEST(ProfileTest, InterpolatesAndExtrapolates)
 {
@@ -68,7 +48,7 @@ TEST(ClusterTest, SingleRequestPaysColdStartPlusPrefill)
     const ServingProfile p = toyProfile(2.0);
     const auto metrics = runCluster(opts, p, simpleTrace(1, 1.0));
     EXPECT_EQ(metrics.completed, 1u);
-    EXPECT_EQ(metrics.cold_starts, 1u);
+    EXPECT_EQ(clusterCounter(metrics, "cluster.cold_starts"), 1u);
     // TTFT = cold start (2.0) + prefill(100 tokens) = 2.1.
     EXPECT_NEAR(metrics.ttft_sec.p50(), 2.1, 1e-6);
     // E2E adds (output-1) decode steps at bs=1.
@@ -84,7 +64,7 @@ TEST(ClusterTest, WarmInstanceServesLaterRequestsQuickly)
     auto trace = simpleTrace(2, 10.0);
     const auto metrics = runCluster(opts, p, trace);
     EXPECT_EQ(metrics.completed, 2u);
-    EXPECT_EQ(metrics.cold_starts, 1u);
+    EXPECT_EQ(clusterCounter(metrics, "cluster.cold_starts"), 1u);
     EXPECT_NEAR(metrics.ttft_sec.samples()[1], 0.1, 1e-6);
 }
 
@@ -95,7 +75,7 @@ TEST(ClusterTest, IdleInstanceReclaimedThenColdStartsAgain)
     const ServingProfile p = toyProfile(1.0);
     // Gap of 20 s >> idle timeout: the second request cold-starts anew.
     const auto metrics = runCluster(opts, p, simpleTrace(2, 20.0));
-    EXPECT_EQ(metrics.cold_starts, 2u);
+    EXPECT_EQ(clusterCounter(metrics, "cluster.cold_starts"), 2u);
     EXPECT_NEAR(metrics.ttft_sec.samples()[1], 1.1, 1e-6);
 }
 
@@ -108,7 +88,7 @@ TEST(ClusterTest, ScalesOutWhenInstanceFull)
     // 12 simultaneous requests need 3 instances.
     const auto metrics = runCluster(opts, p, simpleTrace(12, 0.0));
     EXPECT_EQ(metrics.completed, 12u);
-    EXPECT_EQ(metrics.cold_starts, 3u);
+    EXPECT_EQ(clusterCounter(metrics, "cluster.cold_starts"), 3u);
 }
 
 TEST(ClusterTest, GpuCountCapsScaleOut)
@@ -119,7 +99,8 @@ TEST(ClusterTest, GpuCountCapsScaleOut)
     const ServingProfile p = toyProfile(1.0);
     const auto metrics = runCluster(opts, p, simpleTrace(50, 0.0));
     EXPECT_EQ(metrics.completed, 50u);
-    EXPECT_EQ(metrics.cold_starts, 2u); // no more GPUs than 2
+    // No more cold starts than GPUs.
+    EXPECT_EQ(clusterCounter(metrics, "cluster.cold_starts"), 2u);
 }
 
 TEST(ClusterTest, FasterColdStartLowersTailTtft)
@@ -164,7 +145,7 @@ TEST(ClusterTest, HotSparesEliminateColdStarts)
     opts.hot_spares = 1;
     const ServingProfile p = toyProfile(2.0);
     const auto metrics = runCluster(opts, p, simpleTrace(3, 30.0));
-    EXPECT_EQ(metrics.cold_starts, 0u);
+    EXPECT_FALSE(metrics.metrics.has("cluster.cold_starts"));
     // Every request is served warm: TTFT = prefill only.
     EXPECT_NEAR(metrics.ttft_sec.p99(), 0.1, 1e-6);
 }
@@ -182,8 +163,8 @@ TEST(ClusterTest, HotSparesBilledForWholeRun)
     // Spares occupy GPUs for the whole makespan; on-demand instances
     // die between the widely-spaced requests.
     EXPECT_GT(fat.gpu_seconds, lean.gpu_seconds * 5);
-    EXPECT_EQ(fat.cold_starts, 0u);
-    EXPECT_EQ(lean.cold_starts, 2u);
+    EXPECT_FALSE(fat.metrics.has("cluster.cold_starts"));
+    EXPECT_EQ(clusterCounter(lean, "cluster.cold_starts"), 2u);
 }
 
 TEST(ClusterTest, DeferredCapturePenaltyPaidOncePerBucket)
@@ -211,7 +192,7 @@ TEST(ClusterTest, EmptyTrace)
     ClusterOptions opts;
     const auto metrics = runCluster(opts, toyProfile(), {});
     EXPECT_EQ(metrics.completed, 0u);
-    EXPECT_EQ(metrics.cold_starts, 0u);
+    EXPECT_FALSE(metrics.metrics.has("cluster.cold_starts"));
 }
 
 } // namespace

@@ -407,15 +407,18 @@ main(int argc, char **argv)
 
     std::fprintf(stderr, "draining ...\n");
     const serverless::TraceMetrics tm = server.stop();
-    const u64 shed = tm.shed_admission + tm.shed_deadline;
+    const u64 shed = tm.metrics.counterValue("cluster.slo.shed_admission") +
+                     tm.metrics.counterValue("cluster.slo.shed_deadline");
+    const u64 failed =
+        tm.metrics.counterValue("cluster.slo.failed_requests");
     std::fprintf(stderr,
                  "served %llu requests (%llu completed, %llu shed, "
                  "%llu failed), TTFT p50 %.3fs p99 %.3fs\n",
-                 static_cast<unsigned long long>(
-                     tm.completed + shed + tm.failed_requests),
+                 static_cast<unsigned long long>(tm.completed + shed +
+                                                 failed),
                  static_cast<unsigned long long>(tm.completed),
                  static_cast<unsigned long long>(shed),
-                 static_cast<unsigned long long>(tm.failed_requests),
+                 static_cast<unsigned long long>(failed),
                  tm.completed > 0 ? tm.ttft_sec.p50() : 0.0,
                  tm.completed > 0 ? tm.ttft_sec.p99() : 0.0);
     if (!metrics_out.empty()) {

@@ -189,6 +189,7 @@ checkMetrics(const Json &root)
         "server.failed",
         "server.tokens_streamed",
         "server.active_peak",
+        "server.connection_threads_peak",
         "server.drain_sec",
     };
     for (const auto &[name, value] : metrics->members()) {
