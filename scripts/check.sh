@@ -212,12 +212,13 @@ note "fault-injected tier-1 suite under ASan (fixed fault seed)"
 # hook live through the whole suite: the sanitized tier-1 run must
 # pass bit-identically with the injector threaded through the restore
 # stack. The fault/rollback tests additionally fire their own seeded
-# plans.
+# plans. MedusaTp runs the tensor-parallel restore through the shared
+# attempt loop with the environment's injector live on every rank.
 FAULT_PLAN='replay_prefix@1000000000;seed=20250805'
 if [ -d "$BUILD" ]; then
     if ! MEDUSA_FAULT_PLAN="$FAULT_PLAN" \
             ctest --test-dir "$BUILD" --output-on-failure \
-            -j "$(nproc)" -R 'Fault|Rollback|MedusaIntegration'; then
+            -j "$(nproc)" -R 'Fault|Rollback|MedusaIntegration|MedusaTp'; then
         fail "fault-injected ASan test run failed"
     fi
 else

@@ -316,8 +316,7 @@ MaterializedImage::openView(std::span<const u8> bytes,
         return internalError("image truncated");
     }
     const std::span<const u8> payload = bytes.subspan(kHeaderBytes);
-    if (options.verify_crc &&
-        crc32(payload.data(), payload.size()) != crc) {
+    if (crc32(payload.data(), payload.size()) != crc) {
         return internalError("image failed its CRC32 check");
     }
 

@@ -58,8 +58,6 @@ namespace medusa::core {
 /** Options for opening a serialized image. */
 struct ImageReadOptions
 {
-    /** Verify the whole-image CRC32 (covers everything after header). */
-    bool verify_crc = true;
     /**
      * Reject out-of-bounds relocation records at open time (the patch
      * pass indexes them unchecked). medusa-lint opens with this off so
@@ -184,7 +182,7 @@ class MaterializedImage
      * Open an image over caller-owned bytes (zero-copy; the caller
      * keeps @p bytes alive and 8-byte aligned for the image's
      * lifetime). Injects FaultPoint::kImageOpen when options.fault is
-     * set; verifies the whole-image CRC unless disabled.
+     * set; always verifies the whole-image CRC.
      */
     static StatusOr<MaterializedImage>
     openView(std::span<const u8> bytes, const ImageReadOptions &options = {});

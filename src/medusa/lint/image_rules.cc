@@ -1058,7 +1058,6 @@ LintReport
 lintImageBytes(std::span<const u8> bytes, const LintOptions &options)
 {
     ImageReadOptions read_options;
-    read_options.verify_crc = true;
     // Let corrupt relocation tables decode so MDL701/MDL703 can point
     // at the exact record instead of a generic open failure.
     read_options.validate_relocations = false;

@@ -91,9 +91,10 @@ replayAllocSequence(std::span<const AllocOp> ops, u64 organic_op_count,
 
 Status
 rebindEngineBuffers(const std::map<std::string, u64> &tags,
-                    u64 free_gpu_memory, const llm::ModelConfig &m,
-                    const ReplayTable &table, ModelRuntime &rt)
+                    u64 free_gpu_memory, const ReplayTable &table,
+                    ModelRuntime &rt)
 {
+    const llm::ModelConfig &m = rt.model();
     auto tagged = [&](const std::string &tag) -> StatusOr<DeviceAddr> {
         auto it = tags.find(tag);
         if (it == tags.end()) {

@@ -1,17 +1,22 @@
 /**
  * @file
- * Reusable building blocks of the online phase, shared by the
- * single-GPU MedusaEngine (restore.h) and the tensor-parallel driver
- * (tp.h): the allocation-replay interceptor, the sequence replayer,
- * engine-buffer rebinding, content/pointer-fix restoration, kernel
- * name-table construction, kernel resolution and the v6 image patch
- * pass.
+ * The online phase's internal pieces: the allocation-replay
+ * interceptor, the building blocks of the step list (sequence
+ * replayer, engine-buffer rebinding, content/pointer-fix restoration,
+ * kernel name-table construction, kernel resolution and the v6 image
+ * patch pass), the one step list that runs them on one runtime
+ * (runRestoreSteps) and the one transactional attempt loop
+ * (runRestoreAttempts). The single-GPU MedusaEngine (restore.h) is the
+ * one-runtime case of that loop; the tensor-parallel driver (tp.h)
+ * runs it over every rank.
  */
 
 #ifndef MEDUSA_MEDUSA_REPLAY_H
 #define MEDUSA_MEDUSA_REPLAY_H
 
+#include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -70,12 +75,11 @@ Status replayAllocSequence(std::span<const AllocOp> ops,
 
 /**
  * Re-bind the engine's tagged I/O and KV-cache buffers post-replay and
- * rederive the KV accounting from the materialized free-memory value.
+ * rederive the KV accounting (for rt.model(), so a tensor-parallel
+ * rank sizes its own shard) from the materialized free-memory value.
  */
 Status rebindEngineBuffers(const std::map<std::string, u64> &tags,
-                           u64 free_gpu_memory,
-                           const llm::ModelConfig &model,
-                           const ReplayTable &table,
+                           u64 free_gpu_memory, const ReplayTable &table,
                            llm::ModelRuntime &rt);
 
 /**
@@ -123,6 +127,66 @@ Status patchGraphs(const MaterializedImage &image, const ReplayTable &table,
                        &name_table,
                    llm::ModelRuntime &rt, const RestoreOptions &options,
                    RestoreReport &report);
+
+/**
+ * Steps 1-8 of the online phase (restore.h's file comment) on one
+ * runtime from one image: structure init (checked against the image's
+ * organic prefix and allocation count), the tokenizer, the KV-init
+ * restore (the image-read charge, the sequence replay and the
+ * engine-buffer rebind), weights, contents, the kernel name table and
+ * the patch pass. Fills the raw stage durations of @p t (not
+ * t.loading: each engine composes its own) and @p report. Spans go to
+ * options.pipeline.trace, fault points to options.pipeline.fault. On
+ * error the attempt loop rolls the runtime back; nothing here needs to
+ * clean up.
+ */
+Status runRestoreSteps(const MaterializedImage &image,
+                       llm::ModelRuntime &rt, ReplayTable &table,
+                       const RestoreOptions &options, StageTimes &t,
+                       RestoreReport &report);
+
+/** One runtime the attempt loop restores (all non-null). */
+struct RestoreTarget
+{
+    llm::ModelRuntime *rt;
+    /** The image whose op sequence the runtime's interceptor replays. */
+    const MaterializedImage *image;
+    /** Receives the loop's attempt, rollback and backoff spans. */
+    TraceRecorder *trace;
+};
+
+/**
+ * One restore attempt over every target, given each target's fresh
+ * replay table and zeroed report (index = target). On error it leaves
+ * the cleanup to the loop.
+ */
+using RestoreAttemptFn =
+    std::function<Status(std::span<const std::unique_ptr<ReplayTable>>,
+                         std::span<RestoreReport>)>;
+
+/**
+ * The transactional attempt loop shared by both engines. Every attempt
+ * gives each target a fresh ReplayTable (set as its allocator
+ * observer) and opens its journal, then runs @p attempt inside a
+ * "restore.attempt" span. A failed attempt rolls EVERY target back to
+ * pristine, wastes the latest clock's elapsed time, and follows
+ * @p policy: kFail returns the failure, otherwise the next attempt (if
+ * any) waits out the backoff on every clock.
+ *
+ * Returns kRestored or kRestoredAfterRetry with @p tables holding the
+ * successful attempt's interceptors and @p reports its per-target
+ * reports, or kFellBack when every attempt failed: the runtimes are
+ * pristine and the caller runs its vanilla cold start. Either way
+ * every report carries the one set of attempt accounting (attempts,
+ * failures, retries, wasted and backoff seconds, last failure,
+ * fallback flag).
+ */
+StatusOr<ColdStartOutcome>
+runRestoreAttempts(std::span<const RestoreTarget> targets,
+                   const FallbackPolicy &policy,
+                   const RestoreAttemptFn &attempt,
+                   std::vector<std::unique_ptr<ReplayTable>> &tables,
+                   std::vector<RestoreReport> &reports);
 
 } // namespace medusa::core
 

@@ -44,23 +44,64 @@ validateOutputs(const MedusaEngine::Options &opts, ModelRuntime &rt,
 }
 
 /**
- * One restore attempt: steps 1-8 of the online phase plus optional
- * output validation. Steps 7-8 resolve the first-occurrence kernel
- * table, apply the relocation table to a copy of the patch template,
- * and instantiate executable graphs straight from the patched arrays.
- * Fills @p t (including the overlap-composed t.loading) and @p report.
- * On error the caller rolls the runtime back; nothing here needs to
- * clean up.
+ * The classic profile+capture cold start (§2.1), run on a pristine
+ * process after the restore path was rolled back. Serial vLLM
+ * composition; no Medusa machinery touches the runtime.
  */
 Status
-runRestoreAttempt(const MedusaEngine::Options &opts,
-                       const MaterializedImage &image, ModelRuntime &rt,
-                       ReplayTable &table, StageTimes &t,
-                       RestoreReport &report)
+runVanillaColdStart(ModelRuntime &rt, StageTimes &t, TraceRecorder *rec)
+{
+    SimClock &clock = rt.clock();
+    SimTimeNs mark = clock.now();
+    auto lap = [&clock, &mark]() {
+        const SimTimeNs now = clock.now();
+        const f64 d = units::nsToSec(now - mark);
+        mark = now;
+        return d;
+    };
+
+    Span vanilla_span(rec, "fallback.vanilla_cold_start", "fallback");
+    {
+        Span s(rec, "cold_start.struct_init", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.initStructure());
+    }
+    t.struct_init = lap();
+    {
+        Span s(rec, "cold_start.weights", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.loadWeights());
+    }
+    t.weights = lap();
+    {
+        Span s(rec, "cold_start.tokenizer", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.loadTokenizer());
+    }
+    t.tokenizer = lap();
+    {
+        Span s(rec, "cold_start.kv_init", "stage");
+        MEDUSA_ASSIGN_OR_RETURN(u64 free_bytes, rt.profileFreeMemory());
+        MEDUSA_RETURN_IF_ERROR(rt.initKvCache(free_bytes));
+    }
+    t.kv_init = lap();
+    {
+        Span s(rec, "cold_start.capture", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.captureDecodeGraphs());
+    }
+    t.capture = lap();
+    t.loading = llm::composeLoading(llm::Strategy::kVllm, t,
+                                    rt.process().cost());
+    return Status::ok();
+}
+
+} // namespace
+
+Status
+runRestoreSteps(const MaterializedImage &image, ModelRuntime &rt,
+                ReplayTable &table, const RestoreOptions &options,
+                StageTimes &t, RestoreReport &report)
 {
     const CostModel &cost = rt.process().cost();
-    FaultInjector *fault = opts.restore.pipeline.fault;
-    TraceRecorder *rec = opts.restore.pipeline.trace;
+    FaultInjector *fault = options.pipeline.fault;
+    TraceRecorder *rec = options.pipeline.trace;
 
     SimClock &clock = rt.clock();
     // Laps are taken on the integer clock, so each stage time equals
@@ -117,7 +158,7 @@ runRestoreAttempt(const MedusaEngine::Options &opts,
     {
         Span s(rec, "restore.rebind", "restore");
         MEDUSA_RETURN_IF_ERROR(rebindEngineBuffers(
-            image.tags, image.free_gpu_memory, opts.model, table, rt));
+            image.tags, image.free_gpu_memory, table, rt));
     }
     kv_span.end();
     t.kv_init = lap();
@@ -132,7 +173,7 @@ runRestoreAttempt(const MedusaEngine::Options &opts,
     Span cap_span(rec, "cold_start.capture", "stage");
     // 6. Permanent-buffer contents (§4.3 copy-free restoration) and
     //    indirect pointer words (§8 extension).
-    if (opts.restore.restore_contents) {
+    if (options.restore_contents) {
         Span s(rec, "restore.contents", "restore");
         MEDUSA_RETURN_IF_ERROR(restoreContents(image, rt, table, report));
     }
@@ -140,84 +181,121 @@ runRestoreAttempt(const MedusaEngine::Options &opts,
     // 7. Triggering-kernels + the §5 name table, then ONE resolution
     //    per unique kernel in first-occurrence order.
     std::unordered_map<std::string, KernelAddr> name_table;
-    if (opts.restore.use_triggering_kernels) {
+    if (options.use_triggering_kernels) {
         Span s(rec, "restore.kernel_table", "restore");
         MEDUSA_ASSIGN_OR_RETURN(name_table,
                                 buildKernelNameTable(rt, fault));
     }
     // 8. The patch pass + direct instantiation from the patched image.
     MEDUSA_RETURN_IF_ERROR(
-        patchGraphs(image, table, name_table, rt, opts.restore, report));
+        patchGraphs(image, table, name_table, rt, options, report));
     cap_span.end();
     t.capture = lap();
 
-    // Visible loading latency (Figure 8(c)'s timeline): the tokenizer,
-    // the KV restore and the overlappable front of the capture/restore
-    // stage run concurrently with the weights loading; the rest of the
-    // restoration is serial. Structure init precedes everything.
-    const f64 overlappable = cost.restore_overlap_fraction * t.capture;
-    t.loading = t.struct_init +
-                std::max(t.weights,
-                         t.tokenizer + t.kv_init + overlappable) +
-                (t.capture - overlappable);
-
-    // Optional output validation (used by the offline dry-run).
-    if (opts.restore.pipeline.validate) {
-        MEDUSA_RETURN_IF_ERROR(validateOutputs(opts, rt, report));
-    }
     return Status::ok();
 }
 
-/**
- * The classic profile+capture cold start (§2.1), run on a pristine
- * process after the restore path was rolled back. Serial vLLM
- * composition; no Medusa machinery touches the runtime.
- */
-Status
-runVanillaColdStart(ModelRuntime &rt, StageTimes &t, TraceRecorder *rec)
+StatusOr<ColdStartOutcome>
+runRestoreAttempts(std::span<const RestoreTarget> targets,
+                   const FallbackPolicy &policy,
+                   const RestoreAttemptFn &attempt,
+                   std::vector<std::unique_ptr<ReplayTable>> &tables,
+                   std::vector<RestoreReport> &reports)
 {
-    SimClock &clock = rt.clock();
-    SimTimeNs mark = clock.now();
-    auto lap = [&clock, &mark]() {
-        const SimTimeNs now = clock.now();
-        const f64 d = units::nsToSec(now - mark);
-        mark = now;
-        return d;
+    const u32 max_attempts =
+        policy.mode == FallbackMode::kRetryThenVanilla
+            ? std::max<u32>(1, policy.max_attempts)
+            : 1;
+    f64 backoff = policy.backoff_sec;
+    // The attempt accounting, shared by every target: one failure
+    // rolls back (and eventually falls back) all of them together.
+    RestoreReport shared;
+    // The slowest target gates the attempt, so wasted time is measured
+    // on the latest clock.
+    auto latestSec = [targets]() {
+        f64 latest = 0;
+        for (const RestoreTarget &target : targets) {
+            latest = std::max(latest, target.rt->clock().nowSec());
+        }
+        return latest;
     };
 
-    Span vanilla_span(rec, "fallback.vanilla_cold_start", "fallback");
-    {
-        Span s(rec, "cold_start.struct_init", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.initStructure());
-    }
-    t.struct_init = lap();
-    {
-        Span s(rec, "cold_start.weights", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.loadWeights());
-    }
-    t.weights = lap();
-    {
-        Span s(rec, "cold_start.tokenizer", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.loadTokenizer());
-    }
-    t.tokenizer = lap();
-    {
-        Span s(rec, "cold_start.kv_init", "stage");
-        MEDUSA_ASSIGN_OR_RETURN(u64 free_bytes, rt.profileFreeMemory());
-        MEDUSA_RETURN_IF_ERROR(rt.initKvCache(free_bytes));
-    }
-    t.kv_init = lap();
-    {
-        Span s(rec, "cold_start.capture", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.captureDecodeGraphs());
-    }
-    t.capture = lap();
-    t.loading = llm::composeLoading(llm::Strategy::kVllm, t,
-                                    rt.process().cost());
-    return Status::ok();
-}
+    for (u32 n = 1; n <= max_attempts; ++n) {
+        ++shared.restore_attempts;
+        // Fresh interceptors per attempt: the replay tables' sequence
+        // numbering restarts with each reconstructed allocator.
+        tables.clear();
+        reports.assign(targets.size(), RestoreReport{});
+        for (const RestoreTarget &target : targets) {
+            tables.push_back(std::make_unique<ReplayTable>(
+                std::span<const AllocOp>(target.image->ops),
+                target.image->organic_alloc_count));
+            target.rt->allocator().setObserver(tables.back().get());
+            target.rt->process().beginJournal();
+        }
 
-} // namespace
+        const f64 start = latestSec();
+        std::vector<Span> attempt_spans;
+        attempt_spans.reserve(targets.size());
+        for (const RestoreTarget &target : targets) {
+            attempt_spans.emplace_back(target.trace, "restore.attempt",
+                                       "restore");
+            attempt_spans.back().arg("attempt", std::to_string(n));
+        }
+        const Status st = attempt(tables, reports);
+        attempt_spans.clear();
+        if (st.isOk()) {
+            for (const RestoreTarget &target : targets) {
+                target.rt->process().endJournal();
+            }
+            // Fold the accumulated failure accounting into this
+            // attempt's reports.
+            for (RestoreReport &report : reports) {
+                report.restore_attempts = shared.restore_attempts;
+                report.restore_failures = shared.restore_failures;
+                report.retries = shared.retries;
+                report.wasted_restore_sec = shared.wasted_restore_sec;
+                report.backoff_sec = shared.backoff_sec;
+                report.last_failure = shared.last_failure;
+            }
+            return n == 1 ? ColdStartOutcome::kRestored
+                          : ColdStartOutcome::kRestoredAfterRetry;
+        }
+
+        // Transactional failure path: the attempt burned real time but
+        // must leave no device state behind. Roll every process back
+        // to pristine, even those whose own steps succeeded (the
+        // clocks keep running).
+        ++shared.restore_failures;
+        shared.wasted_restore_sec += latestSec() - start;
+        shared.last_failure = st.toString();
+        for (const RestoreTarget &target : targets) {
+            target.trace->instant("restore.attempt_failed", "restore");
+            {
+                Span s(target.trace, "restore.rollback", "restore");
+                target.rt->rollbackToPristine();
+            }
+            target.rt->process().endJournal();
+        }
+        tables.clear();
+
+        if (policy.mode == FallbackMode::kFail) {
+            return st;
+        }
+        if (n < max_attempts) {
+            ++shared.retries;
+            for (const RestoreTarget &target : targets) {
+                Span s(target.trace, "restore.backoff", "restore");
+                target.rt->clock().advance(units::secToNs(backoff));
+            }
+            shared.backoff_sec += backoff;
+            backoff *= policy.backoff_multiplier;
+        }
+    }
+    shared.fallback_vanilla = true;
+    reports.assign(targets.size(), shared);
+    return ColdStartOutcome::kFellBack;
+}
 
 StatusOr<std::unique_ptr<MedusaEngine>>
 MedusaEngine::coldStartFromImage(const Options &caller_opts,
@@ -256,8 +334,6 @@ MedusaEngine::coldStartFromImage(const Options &caller_opts,
         }
     }
 
-    // The transactional attempt loop: journalled attempts,
-    // rollback-on-failure, retry backoff and the vanilla fallback tail.
     ModelRuntime::Options ropts;
     ropts.model = opts.model;
     ropts.aslr_seed = opts.aslr_seed;
@@ -269,115 +345,72 @@ MedusaEngine::coldStartFromImage(const Options &caller_opts,
     std::unique_ptr<MedusaEngine> engine(new MedusaEngine());
     ColdStartReport &cs = engine->report_;
     cs.strategy = llm::strategyName(llm::Strategy::kMedusa);
-    RestoreReport &report = cs.restore;
-    const f64 runtime_init = opts.warm_container
-                                 ? cost.runtime_init_warm_ms / 1e3
-                                 : cost.runtime_init_cold_ms / 1e3;
+    StageTimes t;
+    t.runtime_init = opts.warm_container
+                         ? cost.runtime_init_warm_ms / 1e3
+                         : cost.runtime_init_cold_ms / 1e3;
 
-    const FallbackPolicy &fb = opts.restore.fallback;
-    const u32 max_attempts =
-        fb.mode == FallbackMode::kRetryThenVanilla
-            ? std::max<u32>(1, fb.max_attempts)
-            : 1;
-    f64 backoff = fb.backoff_sec;
-    SimClock &clock = rt.clock();
-
-    TraceRecorder rec(&clock);
+    TraceRecorder rec(&rt.clock());
     MetricsRegistry *user_metrics = opts.restore.pipeline.metrics;
     opts.restore.pipeline.trace = &rec;
 
-    // On every exit path: snapshot spans/metrics into the report and
-    // propagate them to the caller's sinks.
-    auto finishReport = [&]() {
-        MetricsRegistry registry;
-        publishRestoreMetrics(report, registry);
-        cs.metrics = registry.snapshot();
-        cs.spans = rec.events();
-        if (user_trace != nullptr) {
-            user_trace->appendAll(cs.spans);
+    // The shared attempt loop over this one runtime; an attempt is the
+    // step list plus the optional eager-logits validation (used by the
+    // offline dry-run).
+    auto attempt = [&](std::span<const std::unique_ptr<ReplayTable>> tables,
+                       std::span<RestoreReport> reports) -> Status {
+        MEDUSA_RETURN_IF_ERROR(runRestoreSteps(image, rt, *tables[0],
+                                               opts.restore, t, reports[0]));
+        if (opts.restore.pipeline.validate) {
+            MEDUSA_RETURN_IF_ERROR(validateOutputs(opts, rt, reports[0]));
         }
-        if (user_metrics != nullptr) {
-            user_metrics->mergeFrom(cs.metrics);
-        }
+        return Status::ok();
     };
+    const RestoreTarget target{&rt, &image, &rec};
+    std::vector<std::unique_ptr<ReplayTable>> tables;
+    std::vector<RestoreReport> reports;
+    MEDUSA_ASSIGN_OR_RETURN(
+        cs.outcome,
+        runRestoreAttempts(std::span<const RestoreTarget>(&target, 1),
+                           opts.restore.fallback, attempt, tables,
+                           reports));
+    cs.restore = std::move(reports[0]);
 
-    for (u32 attempt = 1; attempt <= max_attempts; ++attempt) {
-        ++report.restore_attempts;
-        // Fresh interceptor per attempt: the replay table's sequence
-        // numbering restarts with the reconstructed allocator.
-        auto table = std::make_unique<ReplayTable>(
-            std::span<const AllocOp>(image.ops), image.organic_alloc_count);
-        rt.allocator().setObserver(table.get());
-        rt.process().beginJournal();
-
-        StageTimes t;
-        t.runtime_init = runtime_init;
-        RestoreReport working;
-        const f64 start = clock.nowSec();
-        Span attempt_span(&rec, "restore.attempt", "restore");
-        attempt_span.arg("attempt", std::to_string(attempt));
-        const Status st =
-            runRestoreAttempt(opts, image, rt, *table, t, working);
-        attempt_span.end();
-        if (st.isOk()) {
-            rt.process().endJournal();
-            // Fold the accumulated failure accounting into this
-            // attempt's report.
-            working.restore_attempts = report.restore_attempts;
-            working.restore_failures = report.restore_failures;
-            working.retries = report.retries;
-            working.wasted_restore_sec = report.wasted_restore_sec;
-            working.backoff_sec = report.backoff_sec;
-            working.last_failure = report.last_failure;
-            report = std::move(working);
-            t.loading += report.wasted_restore_sec + report.backoff_sec;
-            cs.times = t;
-            cs.outcome = attempt == 1
-                             ? ColdStartOutcome::kRestored
-                             : ColdStartOutcome::kRestoredAfterRetry;
-            finishReport();
-            engine->interceptor_ = std::move(table);
-            engine->runtime_ = std::move(runtime);
-            return engine;
-        }
-
-        // Transactional failure path: the attempt burned real time but
-        // must leave no device state behind. Roll the whole simulated
-        // process back to pristine (the clock keeps running).
-        ++report.restore_failures;
-        report.wasted_restore_sec += clock.nowSec() - start;
-        report.last_failure = st.toString();
-        rec.instant("restore.attempt_failed", "restore");
-        {
-            Span s(&rec, "restore.rollback", "restore");
-            rt.rollbackToPristine();
-        }
-        rt.process().endJournal();
-
-        if (fb.mode == FallbackMode::kFail) {
-            return st;
-        }
-        if (attempt < max_attempts) {
-            ++report.retries;
-            Span s(&rec, "restore.backoff", "restore");
-            clock.advance(units::secToNs(backoff));
-            report.backoff_sec += backoff;
-            backoff *= fb.backoff_multiplier;
-        }
+    if (cs.outcome == ColdStartOutcome::kFellBack) {
+        // Degraded mode: the classic cold start on the clean process.
+        MEDUSA_RETURN_IF_ERROR(runVanillaColdStart(rt, t, &rec));
+        cs.strategy = llm::strategyName(llm::Strategy::kVllm);
+    } else {
+        // Visible loading latency (Figure 8(c)'s timeline): the
+        // tokenizer, the KV restore and the overlappable front of the
+        // capture/restore stage run concurrently with the weights
+        // loading; the rest of the restoration is serial. Structure
+        // init precedes everything.
+        const f64 overlappable = cost.restore_overlap_fraction * t.capture;
+        t.loading = t.struct_init +
+                    std::max(t.weights,
+                             t.tokenizer + t.kv_init + overlappable) +
+                    (t.capture - overlappable);
+        engine->interceptor_ = std::move(tables[0]);
     }
-
-    // Degraded mode: the classic cold start on the clean process. The
-    // wasted restore time and backoff pauses precede it serially, so
-    // they land in the visible loading latency.
-    report.fallback_vanilla = true;
-    StageTimes t;
-    t.runtime_init = runtime_init;
-    MEDUSA_RETURN_IF_ERROR(runVanillaColdStart(rt, t, &rec));
-    t.loading += report.wasted_restore_sec + report.backoff_sec;
+    // The wasted restore time and backoff pauses precede the
+    // successful attempt (or the fallback) serially, so they land in
+    // the visible loading latency.
+    t.loading += cs.restore.wasted_restore_sec + cs.restore.backoff_sec;
     cs.times = t;
-    cs.outcome = ColdStartOutcome::kFellBack;
-    cs.strategy = llm::strategyName(llm::Strategy::kVllm);
-    finishReport();
+
+    // Snapshot spans/metrics into the report and propagate them to the
+    // caller's sinks.
+    MetricsRegistry registry;
+    publishRestoreMetrics(cs.restore, registry);
+    cs.metrics = registry.snapshot();
+    cs.spans = rec.events();
+    if (user_trace != nullptr) {
+        user_trace->appendAll(cs.spans);
+    }
+    if (user_metrics != nullptr) {
+        user_metrics->mergeFrom(cs.metrics);
+    }
     engine->runtime_ = std::move(runtime);
     return engine;
 }

@@ -174,7 +174,6 @@ TpMedusaEngine::coldStartFromImages(
     MEDUSA_ASSIGN_OR_RETURN(engine->cluster_,
                             TpCluster::create(copts));
     TpCluster &cluster = *engine->cluster_;
-    engine->reports_.resize(opts.world);
 
     // Per-rank recorders bound to each rank's clock; merged into the
     // consolidated report on track = rank at the end.
@@ -185,22 +184,6 @@ TpMedusaEngine::coldStartFromImages(
     }
 
     FaultInjector *fault = opts.restore.pipeline.fault;
-    const FallbackPolicy &fb = opts.restore.fallback;
-    const u32 max_attempts =
-        fb.mode == FallbackMode::kRetryThenVanilla
-            ? std::max<u32>(1, fb.max_attempts)
-            : 1;
-    f64 backoff = fb.backoff_sec;
-
-    // Attempt-level accounting. Shared by every rank: the ranks degrade
-    // coherently — one failure rolls back and falls back ALL of them.
-    u64 attempts = 0;
-    u64 failures = 0;
-    u64 retries = 0;
-    f64 wasted_sec = 0;
-    f64 backoff_total = 0;
-    std::string last_failure;
-
     auto maxClockSec = [&cluster, &opts]() {
         f64 m = 0;
         for (u32 r = 0; r < opts.world; ++r) {
@@ -214,62 +197,24 @@ TpMedusaEngine::coldStartFromImages(
     // part of the visible loading phase).
     f64 restored_loading = 0;
 
-    // One restore attempt across all ranks (stage-interleaved), ending
-    // with the optional lockstep validation — a validation mismatch is
-    // an attempt failure like any other.
-    auto runAttempt = [&]() -> Status {
+    // One restore attempt: the single-GPU step list on each rank in
+    // turn, then the optional lockstep validation — a validation
+    // mismatch is an attempt failure like any other.
+    auto attempt = [&](std::span<const std::unique_ptr<ReplayTable>> tables,
+                       std::span<RestoreReport> reports) -> Status {
         for (u32 r = 0; r < opts.world; ++r) {
-            MEDUSA_RETURN_IF_ERROR(cluster.rank(r).initStructure());
-            MEDUSA_RETURN_IF_ERROR(engine->tables_[r]->organicStatus());
-        }
-        for (u32 r = 0; r < opts.world; ++r) {
-            TraceRecorder *rec = recs[r].get();
-            const MaterializedImage &image = rank_images[r];
-            ModelRuntime &rank = cluster.rank(r);
-            ReplayTable &table = *engine->tables_[r];
-            RestoreReport &report = engine->reports_[r];
-            Span rank_span(rec, "tp.rank_restore", "restore");
+            Span rank_span(recs[r].get(), "tp.rank_restore", "restore");
             rank_span.arg("rank", std::to_string(r));
             MEDUSA_FAULT_POINT(fault, FaultPoint::kTpRankRestore,
                                "rank " + std::to_string(r));
-            {
-                Span s(rec, "cold_start.tokenizer", "stage");
-                MEDUSA_ASSIGN_OR_RETURN(
-                    auto tok,
-                    llm::BpeTokenizer::fromMerges(image.tokenizer_merges));
-                MEDUSA_RETURN_IF_ERROR(rank.adoptTokenizer(std::move(tok)));
-            }
-            {
-                Span s(rec, "restore.replay_alloc_seq", "restore");
-                MEDUSA_RETURN_IF_ERROR(replayAllocSequence(
-                    std::span<const AllocOp>(image.ops),
-                    image.organic_op_count, rank, table, report, fault));
-            }
-            llm::ModelConfig rank_model = opts.model;
-            rank_model.tp_world = opts.world;
-            rank_model.tp_rank = r;
-            MEDUSA_RETURN_IF_ERROR(rebindEngineBuffers(
-                image.tags, image.free_gpu_memory, rank_model, table,
-                rank));
-            {
-                Span s(rec, "cold_start.weights", "stage");
-                MEDUSA_RETURN_IF_ERROR(rank.loadWeights());
-            }
-            if (opts.restore.restore_contents) {
-                Span s(rec, "restore.contents", "restore");
-                MEDUSA_RETURN_IF_ERROR(
-                    restoreContents(image, rank, table, report));
-            }
-            std::unordered_map<std::string, KernelAddr> name_table;
-            if (opts.restore.use_triggering_kernels) {
-                Span s(rec, "restore.kernel_table", "restore");
-                MEDUSA_ASSIGN_OR_RETURN(name_table,
-                                        buildKernelNameTable(rank, fault));
-            }
             RestoreOptions rank_restore = opts.restore;
-            rank_restore.pipeline.trace = rec;
-            MEDUSA_RETURN_IF_ERROR(patchGraphs(image, table, name_table,
-                                               rank, rank_restore, report));
+            rank_restore.pipeline.trace = recs[r].get();
+            // Per-rank stage times are not reported: TP loading is the
+            // slowest rank's clock.
+            StageTimes rank_times;
+            MEDUSA_RETURN_IF_ERROR(runRestoreSteps(
+                rank_images[r], cluster.rank(r), *tables[r], rank_restore,
+                rank_times, reports[r]));
         }
         restored_loading = maxClockSec();
 
@@ -307,7 +252,7 @@ TpMedusaEngine::coldStartFromImages(
                         "restored TP graphs bs=" + std::to_string(bs) +
                         " mismatch the reference cluster");
                 }
-                for (auto &report : engine->reports_) {
+                for (RestoreReport &report : reports) {
                     report.validated = true;
                 }
             }
@@ -315,67 +260,21 @@ TpMedusaEngine::coldStartFromImages(
         return Status::ok();
     };
 
-    bool restored = false;
-    for (u32 attempt = 1; attempt <= max_attempts; ++attempt) {
-        ++attempts;
-        // Fresh interceptors per attempt: sequence numbering restarts
-        // with each rank's reconstructed allocator.
-        engine->tables_.clear();
-        for (u32 r = 0; r < opts.world; ++r) {
-            engine->tables_.push_back(std::make_unique<ReplayTable>(
-                std::span<const AllocOp>(rank_images[r].ops),
-                rank_images[r].organic_alloc_count));
-            cluster.rank(r).allocator().setObserver(
-                engine->tables_[r].get());
-            cluster.rank(r).process().beginJournal();
-        }
-        std::fill(engine->reports_.begin(), engine->reports_.end(),
-                  RestoreReport{});
-
-        const f64 start = maxClockSec();
-        const Status st = runAttempt();
-        if (st.isOk()) {
-            for (u32 r = 0; r < opts.world; ++r) {
-                cluster.rank(r).process().endJournal();
-            }
-            restored = true;
-            break;
-        }
-
-        // Coherent degrade: every rank rolls back to pristine, even
-        // the ones whose own restore succeeded.
-        ++failures;
-        wasted_sec += maxClockSec() - start;
-        last_failure = st.toString();
-        for (u32 r = 0; r < opts.world; ++r) {
-            recs[r]->instant("restore.attempt_failed", "restore");
-            Span s(recs[r].get(), "restore.rollback", "restore");
-            cluster.rank(r).rollbackToPristine();
-            s.end();
-            cluster.rank(r).process().endJournal();
-        }
-        std::fill(engine->reports_.begin(), engine->reports_.end(),
-                  RestoreReport{});
-        if (fb.mode == FallbackMode::kFail) {
-            return st;
-        }
-        if (attempt < max_attempts) {
-            ++retries;
-            for (u32 r = 0; r < opts.world; ++r) {
-                Span s(recs[r].get(), "restore.backoff", "restore");
-                cluster.rank(r).clock().advance(units::secToNs(backoff));
-            }
-            backoff_total += backoff;
-            backoff *= fb.backoff_multiplier;
-        }
+    // The shared attempt loop over every rank: the ranks degrade
+    // coherently — one failure rolls back and falls back ALL of them.
+    std::vector<RestoreTarget> targets;
+    for (u32 r = 0; r < opts.world; ++r) {
+        targets.push_back({&cluster.rank(r), &rank_images[r], recs[r].get()});
     }
+    MEDUSA_ASSIGN_OR_RETURN(
+        const ColdStartOutcome outcome,
+        runRestoreAttempts(targets, opts.restore.fallback, attempt,
+                           engine->tables_, engine->reports_));
 
-    bool fallback_vanilla = false;
-    if (!restored) {
+    const bool fallback_vanilla = outcome == ColdStartOutcome::kFellBack;
+    if (fallback_vanilla) {
         // Degraded mode: the classic profile+capture TP cold start on
         // the clean processes (all ranks together).
-        fallback_vanilla = true;
-        engine->tables_.clear();
         std::vector<Span> fb_spans;
         fb_spans.reserve(opts.world);
         for (u32 r = 0; r < opts.world; ++r) {
@@ -392,35 +291,21 @@ TpMedusaEngine::coldStartFromImages(
         }
     }
 
-    // The slowest rank gates readiness; its clock already includes the
-    // wasted attempts and the backoff pauses. Validation time (when it
-    // ran) is excluded, as before.
-    const f64 loading = restored ? restored_loading : maxClockSec();
-    for (auto &report : engine->reports_) {
-        report.restore_attempts = attempts;
-        report.restore_failures = failures;
-        report.retries = retries;
-        report.fallback_vanilla = fallback_vanilla;
-        report.wasted_restore_sec = wasted_sec;
-        report.backoff_sec = backoff_total;
-        report.last_failure = last_failure;
-    }
-
     // ---- consolidated whole-cluster report ---------------------------
     ColdStartReport &cs = engine->report_;
+    cs.outcome = outcome;
     cs.strategy = llm::strategyName(fallback_vanilla
                                         ? llm::Strategy::kVllm
                                         : llm::Strategy::kMedusa);
-    if (fallback_vanilla) {
-        cs.outcome = ColdStartOutcome::kFellBack;
-    } else {
-        cs.outcome = retries > 0 ? ColdStartOutcome::kRestoredAfterRetry
-                                 : ColdStartOutcome::kRestored;
-    }
-    cs.times.loading = loading;
-    // Counters summed over ranks; shared attempt accounting kept
-    // per-cluster (not multiplied by world size).
-    for (const RestoreReport &r : engine->reports_) {
+    // The slowest rank gates readiness; its clock already includes the
+    // wasted attempts and the backoff pauses. Validation time (when it
+    // ran) is excluded.
+    cs.times.loading = fallback_vanilla ? maxClockSec() : restored_loading;
+    // Counters summed over ranks; the shared attempt accounting (the
+    // same on every rank) is kept once, not multiplied by world size.
+    cs.restore = engine->reports_.front();
+    for (u32 i = 1; i < opts.world; ++i) {
+        const RestoreReport &r = engine->reports_[i];
         cs.restore.nodes_restored += r.nodes_restored;
         cs.restore.graphs_restored += r.graphs_restored;
         cs.restore.kernels_via_dlsym += r.kernels_via_dlsym;
@@ -434,13 +319,6 @@ TpMedusaEngine::coldStartFromImages(
         cs.restore.graphs_patched += r.graphs_patched;
         cs.restore.validated = cs.restore.validated || r.validated;
     }
-    cs.restore.restore_attempts = attempts;
-    cs.restore.restore_failures = failures;
-    cs.restore.retries = retries;
-    cs.restore.fallback_vanilla = fallback_vanilla;
-    cs.restore.wasted_restore_sec = wasted_sec;
-    cs.restore.backoff_sec = backoff_total;
-    cs.restore.last_failure = last_failure;
 
     TraceRecorder merged;
     for (u32 r = 0; r < opts.world; ++r) {

@@ -8,10 +8,10 @@
  * cold start (per-rank allocation sequences, per-rank graphs with
  * all-reduce collective nodes), the analysis produces one artifact
  * per rank and each artifact is flattened into that rank's v6 image.
- * Online, every rank replays its own allocation sequence, restores
- * kernel addresses and patches its own graphs from its own image in
- * its own process; the restored graphs are validated by lockstep
- * replay against a reference capture.
+ * Online, every rank runs the single-GPU step list (replay.h) from
+ * its own image in its own process, inside the one attempt loop both
+ * engines share; the restored graphs are validated by lockstep replay
+ * against a reference capture.
  */
 
 #ifndef MEDUSA_MEDUSA_TP_H

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "medusa/tp.h"
@@ -120,6 +121,35 @@ TEST(MedusaTpTest, RestoredClusterMatchesSingleGpuNumerics)
                                (*tp_logits)[i] - (*ref)[i])));
     }
     EXPECT_LT(max_err, 1e-3);
+}
+
+TEST(MedusaTpTest, RanksEmitTheSingleGpuStageSpans)
+{
+    const llm::ModelConfig m = tpModel("Qwen1.5-0.5B", 2);
+    auto offline = materialized(m, {1});
+    TpMedusaEngine::Options opts;
+    opts.model = m;
+    opts.world = 2;
+    const auto images = openRankImages(offline.rank_images).value();
+    auto engine = TpMedusaEngine::coldStartFromImages(opts, images);
+    ASSERT_TRUE(engine.isOk()) << engine.status().toString();
+
+    // Every rank runs the single-GPU step list and attempt loop, so
+    // each rank's track carries the single-GPU spans.
+    const ColdStartReport &cs = (*engine)->coldStartReport();
+    for (u32 r = 0; r < 2; ++r) {
+        for (const char *name :
+             {"cold_start.struct_init", "cold_start.kv_init",
+              "cold_start.capture", "restore.image_open",
+              "restore.rebind", "restore.attempt"}) {
+            const bool found = std::any_of(
+                cs.spans.begin(), cs.spans.end(),
+                [&](const TraceEvent &e) {
+                    return e.name == name && e.track == r;
+                });
+            EXPECT_TRUE(found) << name << " on rank " << r;
+        }
+    }
 }
 
 TEST(MedusaTpTest, WrongWorldSizeRejected)

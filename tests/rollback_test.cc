@@ -487,6 +487,69 @@ TEST(RollbackTest, TpFallbackDegradesAllRanksTogether)
     EXPECT_EQ(cs.metrics.counterValue("restore.fallback_vanilla"), 1u);
 }
 
+// ---- one attempt loop: same fault plan, same accounting -----------------
+
+TEST(RollbackTest, FaultPlanGivesSameAccountingOnBothEngines)
+{
+    struct Row
+    {
+        const char *plan;
+        ColdStartOutcome outcome;
+        u64 attempts;
+        u64 failures;
+        u64 retries;
+    };
+    const Row rows[] = {
+        {"replay_alloc@1x1", ColdStartOutcome::kRestoredAfterRetry, 2, 1,
+         1},
+        {"dlsym@1x1", ColdStartOutcome::kRestoredAfterRetry, 2, 1, 1},
+        // Fires on every replayed allocation: both attempts fail.
+        {"replay_alloc", ColdStartOutcome::kFellBack, 2, 2, 1},
+    };
+    core::FallbackPolicy policy;
+    policy.mode = FallbackMode::kRetryThenVanilla;
+    policy.max_attempts = 2;
+
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.plan);
+        auto plan = FaultPlan::fromSpec(row.plan);
+        ASSERT_TRUE(plan.isOk());
+
+        FaultInjector single_injector(*plan);
+        MedusaEngine::Options sopts;
+        sopts.model = tinyModel();
+        sopts.restore.pipeline.fault = &single_injector;
+        sopts.restore.fallback = policy;
+        auto single = MedusaEngine::coldStartFromImage(sopts, tinyImage());
+        ASSERT_TRUE(single.isOk()) << single.status().toString();
+
+        FaultInjector tp_injector(*plan);
+        llm::ModelConfig m = findModel("Llama2-7B").value();
+        m.num_layers = 3;
+        core::TpMedusaEngine::Options topts;
+        topts.model = m;
+        topts.world = 2;
+        topts.restore.pipeline.fault = &tp_injector;
+        topts.restore.fallback = policy;
+        auto tp = core::TpMedusaEngine::coldStartFromImages(topts, tpImages());
+        ASSERT_TRUE(tp.isOk()) << tp.status().toString();
+
+        const ColdStartReport &a = (*single)->coldStartReport();
+        const ColdStartReport &b = (*tp)->coldStartReport();
+        EXPECT_EQ(a.outcome, row.outcome);
+        EXPECT_EQ(b.outcome, row.outcome);
+        EXPECT_EQ(a.restore.restore_attempts, row.attempts);
+        EXPECT_EQ(a.restore.restore_failures, row.failures);
+        EXPECT_EQ(a.restore.retries, row.retries);
+        EXPECT_EQ(b.restore.restore_attempts, a.restore.restore_attempts);
+        EXPECT_EQ(b.restore.restore_failures, a.restore.restore_failures);
+        EXPECT_EQ(b.restore.retries, a.restore.retries);
+        EXPECT_EQ(b.restore.backoff_sec, a.restore.backoff_sec);
+        EXPECT_EQ(b.restore.fallback_vanilla, a.restore.fallback_vanilla);
+        EXPECT_EQ(a.restore.backoff_sec, policy.backoff_sec);
+    }
+}
+
 // ---- consolidated-report plumbing (clean restore) -----------------------
 
 TEST(RollbackTest, ColdStartReportCarriesSpansAndMergesUserSinks)
