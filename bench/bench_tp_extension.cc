@@ -28,11 +28,9 @@ main()
     llm::TpCluster::Options copts;
     copts.model = model;
     copts.world = world;
-    auto baseline = bench::unwrap(llm::TpCluster::create(copts),
-                                  "baseline cluster");
-    bench::checkOk(baseline->loadAll(), "baseline load");
-    bench::checkOk(baseline->captureAll(llm::captureBatchSizes()),
-                   "baseline capture");
+    auto baseline = bench::unwrap(
+        llm::TpCluster::createCaptured(copts, llm::captureBatchSizes()),
+        "baseline cluster");
     f64 baseline_loading = 0;
     for (u32 r = 0; r < world; ++r) {
         baseline_loading = std::max(

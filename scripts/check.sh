@@ -252,9 +252,12 @@ note "golden fixtures and kernel oracles in a Release build"
 # unchanged, so it is also checked under the flags perfbench measures.
 REL_BUILD="$BUILD-release"
 # golden_tp_test: the tensor-parallel ranks run the same kernels under
-# the lockstep replayer.
+# the lockstep replayer. engine_test, rollback_test and
+# tensor_parallel_test drive every caller of the shared vanilla stage
+# list (runLoadingStages).
 REL_TESTS="golden_numeric_test golden_tp_test cluster_equiv_test"
 REL_TESTS="$REL_TESTS kernels_test tokenizer_test"
+REL_TESTS="$REL_TESTS engine_test rollback_test tensor_parallel_test"
 if ! cmake -B "$REL_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
         >/dev/null; then
     fail "Release cmake configure failed"

@@ -75,4 +75,20 @@ publishRestoreMetrics(const RestoreReport &report, MetricsRegistry &registry)
     registry.gauge("restore.backoff_sec").add(report.backoff_sec);
 }
 
+void
+handOffColdStart(ColdStartReport &report, std::vector<TraceEvent> spans,
+                 MetricsRegistry &registry, TraceRecorder *trace,
+                 MetricsRegistry *metrics)
+{
+    report.spans = std::move(spans);
+    if (trace != nullptr) {
+        trace->appendAll(report.spans);
+    }
+    publishRestoreMetrics(report.restore, registry);
+    report.metrics = registry.snapshot();
+    if (metrics != nullptr) {
+        metrics->mergeFrom(report.metrics);
+    }
+}
+
 } // namespace medusa

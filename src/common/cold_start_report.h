@@ -4,7 +4,7 @@
  * cold-start driver — the baseline strategies (llm::BaselineEngine),
  * the single-GPU Medusa restore (core::MedusaEngine) and the
  * tensor-parallel driver (core::TpMedusaEngine) — fills one
- * ColdStartReport: status, outcome, per-stage times, restore counters,
+ * ColdStartReport: outcome, per-stage times, restore counters,
  * the run's spans and a metrics snapshot. Benches and the cluster
  * simulator consume this one schema instead of five per-subsystem
  * structs.
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/status.h"
 #include "common/trace.h"
 #include "common/types.h"
 
@@ -108,8 +107,6 @@ const char *outcomeName(ColdStartOutcome outcome);
 /** See file comment. */
 struct ColdStartReport
 {
-    /** Overall result (OK even when the engine fell back). */
-    Status status = Status::ok();
     ColdStartOutcome outcome = ColdStartOutcome::kColdStart;
     /** strategyName() of the path that produced the live engine. */
     std::string strategy;
@@ -136,6 +133,19 @@ struct ColdStartReport
  */
 void publishRestoreMetrics(const RestoreReport &report,
                            MetricsRegistry &registry);
+
+/**
+ * The one hand-off every cold-start engine makes on every exit, success
+ * or failure, once its local recorder exists: @p spans become
+ * report.spans and are appended to @p trace; report.restore is
+ * published (next to whatever @p registry already holds) into
+ * report.metrics, which is merged into @p metrics. Either sink may be
+ * null.
+ */
+void handOffColdStart(ColdStartReport &report,
+                      std::vector<TraceEvent> spans,
+                      MetricsRegistry &registry, TraceRecorder *trace,
+                      MetricsRegistry *metrics);
 
 } // namespace medusa
 

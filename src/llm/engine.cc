@@ -44,6 +44,49 @@ composeLoading(Strategy strategy, const StageTimes &t,
     return t.serialSum();
 }
 
+Status
+runLoadingStages(ModelRuntime &rt, bool capture, StageTimes &t,
+                 TraceRecorder *rec)
+{
+    SimClock &clock = rt.clock();
+    SimTimeNs mark = clock.now();
+    auto lap = [&clock, &mark]() {
+        const SimTimeNs now = clock.now();
+        const f64 d = units::nsToSec(now - mark);
+        mark = now;
+        return d;
+    };
+
+    {
+        Span s(rec, "cold_start.struct_init", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.initStructure());
+    }
+    t.struct_init = lap();
+    {
+        Span s(rec, "cold_start.weights", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.loadWeights());
+    }
+    t.weights = lap();
+    {
+        Span s(rec, "cold_start.tokenizer", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.loadTokenizer());
+    }
+    t.tokenizer = lap();
+    {
+        Span s(rec, "cold_start.kv_init", "stage");
+        MEDUSA_ASSIGN_OR_RETURN(u64 free_bytes, rt.profileFreeMemory());
+        MEDUSA_RETURN_IF_ERROR(rt.initKvCache(free_bytes));
+    }
+    t.kv_init = lap();
+    if (capture) {
+        Span s(rec, "cold_start.capture", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.captureDecodeGraphs());
+        s.end();
+        t.capture = lap();
+    }
+    return Status::ok();
+}
+
 StatusOr<std::unique_ptr<BaselineEngine>>
 BaselineEngine::coldStart(const Options &opts)
 {
@@ -65,55 +108,14 @@ BaselineEngine::coldStart(const Options &opts)
                          ? cost.runtime_init_warm_ms / 1e3
                          : cost.runtime_init_cold_ms / 1e3;
 
-    SimClock &clock = rt.clock();
-    TraceRecorder rec(&clock);
-    f64 mark = clock.nowSec();
-    auto lap = [&clock, &mark]() {
-        const f64 now = clock.nowSec();
-        const f64 d = now - mark;
-        mark = now;
-        return d;
-    };
-
-    {
-        Span s(&rec, "cold_start.struct_init", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.initStructure());
-    }
-    t.struct_init = lap();
-
-    {
-        Span s(&rec, "cold_start.weights", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.loadWeights());
-    }
-    t.weights = lap();
-
-    {
-        Span s(&rec, "cold_start.tokenizer", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.loadTokenizer());
-    }
-    t.tokenizer = lap();
-
-    {
-        Span s(&rec, "cold_start.kv_init", "stage");
-        MEDUSA_ASSIGN_OR_RETURN(u64 free_bytes, rt.profileFreeMemory());
-        MEDUSA_RETURN_IF_ERROR(rt.initKvCache(free_bytes));
-    }
-    t.kv_init = lap();
-
-    if (opts.strategy != Strategy::kNoCudaGraph &&
-        opts.strategy != Strategy::kDeferredCapture) {
-        Span s(&rec, "cold_start.capture", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.captureDecodeGraphs());
-        s.end();
-        t.capture = lap();
-    }
-
+    TraceRecorder rec(&rt.clock());
+    const bool capture = opts.strategy != Strategy::kNoCudaGraph &&
+                         opts.strategy != Strategy::kDeferredCapture;
+    const Status st = runLoadingStages(rt, capture, t, &rec);
     t.loading = composeLoading(opts.strategy, t, cost);
-    report.outcome = ColdStartOutcome::kColdStart;
-    report.spans = rec.events();
-    if (opts.trace != nullptr) {
-        opts.trace->appendAll(report.spans);
-    }
+    MetricsRegistry registry;
+    handOffColdStart(report, rec.events(), registry, opts.trace, nullptr);
+    MEDUSA_RETURN_IF_ERROR(st);
     return engine;
 }
 

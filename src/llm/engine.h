@@ -104,6 +104,20 @@ class BaselineEngine
 f64 composeLoading(Strategy strategy, const StageTimes &t,
                    const CostModel &cost);
 
+/**
+ * The vanilla loading phase (§2.1) on @p rt: ❶ structure init, ❷
+ * weights, ❸ tokenizer, ❹ profile + KV init and, when @p capture is
+ * set, ❺ captureDecodeGraphs. Every vanilla cold start runs it: the
+ * baseline strategies, both Medusa engines' fallbacks (the TP one per
+ * rank) and TpCluster::loadAll. Each stage run gets one
+ * `cold_start.<stage>` span on @p rec (may be null) and one lap of the
+ * integer clock into @p t, so each stage time equals its span's
+ * duration exactly. The stages not run and t.loading are left alone:
+ * callers compose loading themselves (composeLoading).
+ */
+Status runLoadingStages(ModelRuntime &rt, bool capture, StageTimes &t,
+                        TraceRecorder *rec);
+
 } // namespace medusa::llm
 
 #endif // MEDUSA_LLM_ENGINE_H

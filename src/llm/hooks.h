@@ -2,11 +2,11 @@
  * @file
  * Integration hooks the inference runtime exposes to Medusa.
  *
- * Medusa's recorder (offline phase) observes loading-phase stage
- * boundaries and the identities ("tags") of long-lived buffers — the
- * token-id/position/block-table inputs and the KV cache tensors — so it
- * can classify allocations and let the online phase re-bind those
- * buffers after the allocation-sequence replay.
+ * Medusa's recorder (offline phase) observes the identities ("tags")
+ * of long-lived buffers — the token-id/position/block-table inputs and
+ * the KV cache tensors — so it can classify allocations and let the
+ * online phase re-bind those buffers after the allocation-sequence
+ * replay.
  */
 
 #ifndef MEDUSA_LLM_HOOKS_H
@@ -18,29 +18,11 @@
 
 namespace medusa::llm {
 
-/** Loading-phase stages, in vLLM's execution order (§2.1 of the paper). */
-enum class Stage {
-    kStructInit = 0,
-    kWeights,
-    kTokenizer,
-    kKvInit,
-    kCapture,
-    kServing,
-};
-
-const char *stageName(Stage stage);
-
 /** Observer of engine-level events; implemented by Medusa's recorder. */
 class EngineObserver
 {
   public:
     virtual ~EngineObserver() = default;
-
-    /** A loading-phase stage begins. */
-    virtual void onStageBegin(Stage stage) { (void)stage; }
-
-    /** A loading-phase stage ends. */
-    virtual void onStageEnd(Stage stage) { (void)stage; }
 
     /** A long-lived buffer was allocated and given a stable tag. */
     virtual void

@@ -12,20 +12,6 @@ using simcuda::GraphExec;
 using simcuda::ParamsBuilder;
 using simcuda::Stream;
 
-const char *
-stageName(Stage stage)
-{
-    switch (stage) {
-      case Stage::kStructInit: return "struct_init";
-      case Stage::kWeights: return "weights";
-      case Stage::kTokenizer: return "tokenizer";
-      case Stage::kKvInit: return "kv_init";
-      case Stage::kCapture: return "capture";
-      case Stage::kServing: return "serving";
-    }
-    return "?";
-}
-
 ModelRuntime::ModelRuntime(const Options &opts)
     : model_(opts.model),
       aslr_seed_(opts.aslr_seed),

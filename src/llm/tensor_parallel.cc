@@ -1,5 +1,7 @@
 #include "llm/tensor_parallel.h"
 
+#include "llm/engine.h"
+
 namespace medusa::llm {
 
 StatusOr<std::unique_ptr<TpCluster>>
@@ -39,24 +41,23 @@ TpCluster::create(const Options &o)
     return cluster;
 }
 
+StatusOr<std::unique_ptr<TpCluster>>
+TpCluster::createCaptured(const Options &o,
+                          const std::vector<u32> &batch_sizes)
+{
+    MEDUSA_ASSIGN_OR_RETURN(auto cluster, create(o));
+    MEDUSA_RETURN_IF_ERROR(cluster->loadAll());
+    MEDUSA_RETURN_IF_ERROR(cluster->captureAll(batch_sizes));
+    return cluster;
+}
+
 Status
 TpCluster::loadAll()
 {
-    // Stage by stage across ranks, mirroring the per-rank control flow
-    // a torchrun-style launcher produces.
     for (auto &rank : ranks_) {
-        MEDUSA_RETURN_IF_ERROR(rank->initStructure());
-    }
-    for (auto &rank : ranks_) {
-        MEDUSA_RETURN_IF_ERROR(rank->loadWeights());
-    }
-    for (auto &rank : ranks_) {
-        MEDUSA_RETURN_IF_ERROR(rank->loadTokenizer());
-    }
-    for (auto &rank : ranks_) {
-        MEDUSA_ASSIGN_OR_RETURN(u64 free_bytes,
-                                rank->profileFreeMemory());
-        MEDUSA_RETURN_IF_ERROR(rank->initKvCache(free_bytes));
+        StageTimes t;
+        MEDUSA_RETURN_IF_ERROR(
+            runLoadingStages(*rank, /*capture=*/false, t, nullptr));
     }
     return Status::ok();
 }

@@ -47,10 +47,21 @@ class TpCluster
     /** Create the ranks (no loading yet). */
     static StatusOr<std::unique_ptr<TpCluster>> create(const Options &o);
 
+    /**
+     * Create the ranks, load them (loadAll) and capture @p batch_sizes
+     * (captureAll): a vanilla cluster to compare a restored one with.
+     */
+    static StatusOr<std::unique_ptr<TpCluster>>
+    createCaptured(const Options &o, const std::vector<u32> &batch_sizes);
+
     u32 world() const { return static_cast<u32>(ranks_.size()); }
     ModelRuntime &rank(u32 r) { return *ranks_.at(r); }
 
-    /** Run loading stages ❶-❹ on every rank, stage by stage. */
+    /**
+     * Run loading stages ❶-❹ (runLoadingStages) on every rank, in rank
+     * order; ranks are independent processes, so the order moves no
+     * rank's state or clock.
+     */
     Status loadAll();
 
     /**

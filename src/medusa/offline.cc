@@ -11,6 +11,56 @@ namespace medusa::core {
 using llm::ModelRuntime;
 using simcuda::CudaGraph;
 
+StatusOr<CapturedStage>
+runCaptureStage(ModelRuntime &rt, Recorder &recorder,
+                std::span<const u32> batch_sizes, TraceRecorder *rec)
+{
+    CapturedStage out;
+    {
+        Span s(rec, "cold_start.struct_init", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.initStructure());
+    }
+    recorder.markOrganicBoundary();
+    {
+        Span s(rec, "cold_start.weights", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.loadWeights());
+    }
+    {
+        Span s(rec, "cold_start.tokenizer", "stage");
+        MEDUSA_RETURN_IF_ERROR(rt.loadTokenizer());
+    }
+    {
+        Span s(rec, "cold_start.kv_init", "stage");
+        MEDUSA_ASSIGN_OR_RETURN(out.free_bytes, rt.profileFreeMemory());
+        MEDUSA_RETURN_IF_ERROR(rt.initKvCache(out.free_bytes));
+    }
+
+    u64 total_nodes = 0;
+    {
+        Span s(rec, "cold_start.capture", "stage");
+        recorder.markCaptureStageBegin();
+        for (u32 bs : batch_sizes) {
+            MEDUSA_RETURN_IF_ERROR(rt.warmupDecode(bs));
+            recorder.beginGraph(bs);
+            auto graph = rt.captureDecode(bs);
+            recorder.endGraph();
+            if (!graph.isOk()) {
+                return graph.status();
+            }
+            total_nodes += graph->nodeCount();
+            out.graphs.emplace_back(bs, std::move(graph).value());
+        }
+    }
+    // Saving the captured graph state is part of the capturing stage.
+    {
+        Span s(rec, "offline.save", "offline");
+        rt.clock().advance(
+            units::usToNs(rt.process().cost().offline_save_per_node_us *
+                          static_cast<f64>(total_nodes)));
+    }
+    return out;
+}
+
 StatusOr<OfflineResult>
 materialize(const OfflineOptions &opts)
 {
@@ -26,81 +76,25 @@ materialize(const OfflineOptions &opts)
     ropts.alloc_observer = &recorder;
     ropts.launch_observer = &recorder;
     ModelRuntime rt(ropts);
-    const CostModel &cost = rt.process().cost();
     SimClock &clock = rt.clock();
-    StageTimes &t = result.capture_cold_start;
-
     TraceRecorder rec(&clock);
-    f64 mark = clock.nowSec();
-    auto lap = [&clock, &mark]() {
-        const f64 now = clock.nowSec();
-        const f64 d = now - mark;
-        mark = now;
-        return d;
-    };
 
-    Span capture_span(&rec, "offline.capture_stage", "offline");
-    {
-        Span s(&rec, "cold_start.struct_init", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.initStructure());
-    }
-    recorder.markOrganicBoundary();
-    t.struct_init = lap();
-
-    {
-        Span s(&rec, "cold_start.weights", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.loadWeights());
-    }
-    t.weights = lap();
-
-    {
-        Span s(&rec, "cold_start.tokenizer", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.loadTokenizer());
-    }
-    t.tokenizer = lap();
-
-    Span kv_span(&rec, "cold_start.kv_init", "stage");
-    MEDUSA_ASSIGN_OR_RETURN(u64 free_bytes, rt.profileFreeMemory());
-    MEDUSA_RETURN_IF_ERROR(rt.initKvCache(free_bytes));
-    kv_span.end();
-    t.kv_init = lap();
-
-    Span cap_span(&rec, "cold_start.capture", "stage");
-    recorder.markCaptureStageBegin();
-    std::vector<std::pair<u32, CudaGraph>> graphs;
     auto sizes = llm::captureBatchSizes();
     std::sort(sizes.begin(), sizes.end(), std::greater<>());
-    u64 total_nodes = 0;
-    for (u32 bs : sizes) {
-        MEDUSA_RETURN_IF_ERROR(rt.warmupDecode(bs));
-        recorder.beginGraph(bs);
-        auto graph = rt.captureDecode(bs);
-        recorder.endGraph();
-        if (!graph.isOk()) {
-            return graph.status();
-        }
-        total_nodes += graph->nodeCount();
-        graphs.emplace_back(bs, std::move(graph).value());
-    }
-    cap_span.end();
-    t.capture = lap();
-    t.loading = t.serialSum();
-    // Saving the captured graph state is part of the capturing stage.
-    {
-        Span s(&rec, "offline.save", "offline");
-        clock.advance(units::usToNs(cost.offline_save_per_node_us *
-                                    static_cast<f64>(total_nodes)));
-    }
-    mark = clock.nowSec();
+    Span capture_span(&rec, "offline.capture_stage", "offline");
+    MEDUSA_ASSIGN_OR_RETURN(CapturedStage captured,
+                            runCaptureStage(rt, recorder, sizes, &rec));
     capture_span.end();
     result.capture_stage_sec = clock.nowSec();
+    const auto &graphs = captured.graphs;
 
     // ---- analysis stage -----------------------------------------------
     Span analysis_span(&rec, "offline.analysis_stage", "offline");
     MEDUSA_ASSIGN_OR_RETURN(
         AnalysisResult analysis,
         analyze(recorder, rt.process(), opts.model.name,
-                opts.model.seed, graphs, free_bytes, opts.analyze));
+                opts.model.seed, graphs, captured.free_bytes,
+                opts.analyze));
     analysis_span.end();
     result.analysis_stage_sec = clock.nowSec() - result.capture_stage_sec;
     result.artifact = std::move(analysis.artifact);

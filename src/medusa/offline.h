@@ -14,6 +14,10 @@
 #ifndef MEDUSA_MEDUSA_OFFLINE_H
 #define MEDUSA_MEDUSA_OFFLINE_H
 
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "common/pipeline_options.h"
 #include "llm/engine.h"
 #include "medusa/analyze.h"
@@ -60,8 +64,6 @@ struct OfflineResult
     f64 analysis_stage_sec = 0;
     /** Validation dry-run virtual seconds (not part of Figure 9). */
     f64 validation_sec = 0;
-    /** The recorded cold start's per-stage times (vLLM-shaped). */
-    StageTimes capture_cold_start;
     /** Offline-phase spans (offline.* taxonomy), simulated time. */
     std::vector<TraceEvent> spans;
 
@@ -73,6 +75,29 @@ struct OfflineResult
 
 /** Execute the offline phase for one model. */
 StatusOr<OfflineResult> materialize(const OfflineOptions &opts);
+
+/** What the capturing stage hands the analysis stage. */
+struct CapturedStage
+{
+    /** (batch size, captured graph), in capture order. */
+    std::vector<std::pair<u32, simcuda::CudaGraph>> graphs;
+    /** The profiling forwarding's free-memory figure (stage ❹). */
+    u64 free_bytes = 0;
+};
+
+/**
+ * The offline capturing stage (§3) on one runtime whose observers are
+ * @p recorder: the vanilla stages ❶–❹ with the organic boundary marked
+ * after ❶, then the capture-stage mark and, per entry of @p batch_sizes
+ * in order, a warm-up and a recorded capture (no instantiation), then
+ * the `offline.save` charge for the captured nodes. Stages get the
+ * `cold_start.*` spans on @p rec (may be null). materialize runs it
+ * once; materializeTp runs it on every rank.
+ */
+StatusOr<CapturedStage> runCaptureStage(llm::ModelRuntime &rt,
+                                        Recorder &recorder,
+                                        std::span<const u32> batch_sizes,
+                                        TraceRecorder *rec);
 
 } // namespace medusa::core
 

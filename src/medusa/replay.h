@@ -176,10 +176,10 @@ using RestoreAttemptFn =
  * Returns kRestored or kRestoredAfterRetry with @p tables holding the
  * successful attempt's interceptors and @p reports its per-target
  * reports, or kFellBack when every attempt failed: the runtimes are
- * pristine and the caller runs its vanilla cold start. Either way
- * every report carries the one set of attempt accounting (attempts,
- * failures, retries, wasted and backoff seconds, last failure,
- * fallback flag).
+ * pristine and the caller runs its vanilla cold start. Every way out,
+ * the kFail error included, leaves each report carrying the one set of
+ * attempt accounting (attempts, failures, retries, wasted and backoff
+ * seconds, last failure, fallback flag).
  */
 StatusOr<ColdStartOutcome>
 runRestoreAttempts(std::span<const RestoreTarget> targets,

@@ -43,55 +43,6 @@ validateOutputs(const MedusaEngine::Options &opts, ModelRuntime &rt,
     return Status::ok();
 }
 
-/**
- * The classic profile+capture cold start (§2.1), run on a pristine
- * process after the restore path was rolled back. Serial vLLM
- * composition; no Medusa machinery touches the runtime.
- */
-Status
-runVanillaColdStart(ModelRuntime &rt, StageTimes &t, TraceRecorder *rec)
-{
-    SimClock &clock = rt.clock();
-    SimTimeNs mark = clock.now();
-    auto lap = [&clock, &mark]() {
-        const SimTimeNs now = clock.now();
-        const f64 d = units::nsToSec(now - mark);
-        mark = now;
-        return d;
-    };
-
-    Span vanilla_span(rec, "fallback.vanilla_cold_start", "fallback");
-    {
-        Span s(rec, "cold_start.struct_init", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.initStructure());
-    }
-    t.struct_init = lap();
-    {
-        Span s(rec, "cold_start.weights", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.loadWeights());
-    }
-    t.weights = lap();
-    {
-        Span s(rec, "cold_start.tokenizer", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.loadTokenizer());
-    }
-    t.tokenizer = lap();
-    {
-        Span s(rec, "cold_start.kv_init", "stage");
-        MEDUSA_ASSIGN_OR_RETURN(u64 free_bytes, rt.profileFreeMemory());
-        MEDUSA_RETURN_IF_ERROR(rt.initKvCache(free_bytes));
-    }
-    t.kv_init = lap();
-    {
-        Span s(rec, "cold_start.capture", "stage");
-        MEDUSA_RETURN_IF_ERROR(rt.captureDecodeGraphs());
-    }
-    t.capture = lap();
-    t.loading = llm::composeLoading(llm::Strategy::kVllm, t,
-                                    rt.process().cost());
-    return Status::ok();
-}
-
 } // namespace
 
 Status
@@ -280,6 +231,7 @@ runRestoreAttempts(std::span<const RestoreTarget> targets,
         tables.clear();
 
         if (policy.mode == FallbackMode::kFail) {
+            reports.assign(targets.size(), shared);
             return st;
         }
         if (n < max_attempts) {
@@ -369,18 +321,22 @@ MedusaEngine::coldStartFromImage(const Options &caller_opts,
     const RestoreTarget target{&rt, &image, &rec};
     std::vector<std::unique_ptr<ReplayTable>> tables;
     std::vector<RestoreReport> reports;
-    MEDUSA_ASSIGN_OR_RETURN(
-        cs.outcome,
+    StatusOr<ColdStartOutcome> outcome =
         runRestoreAttempts(std::span<const RestoreTarget>(&target, 1),
                            opts.restore.fallback, attempt, tables,
-                           reports));
+                           reports);
+    Status st = outcome.status();
     cs.restore = std::move(reports[0]);
-
+    if (st.isOk()) {
+        cs.outcome = *outcome;
+    }
     if (cs.outcome == ColdStartOutcome::kFellBack) {
-        // Degraded mode: the classic cold start on the clean process.
-        MEDUSA_RETURN_IF_ERROR(runVanillaColdStart(rt, t, &rec));
+        // Degraded mode: the vanilla cold start on the clean process.
+        Span s(&rec, "fallback.vanilla_cold_start", "fallback");
+        st = llm::runLoadingStages(rt, /*capture=*/true, t, &rec);
+        t.loading = llm::composeLoading(llm::Strategy::kVllm, t, cost);
         cs.strategy = llm::strategyName(llm::Strategy::kVllm);
-    } else {
+    } else if (st.isOk()) {
         // Visible loading latency (Figure 8(c)'s timeline): the
         // tokenizer, the KV restore and the overlappable front of the
         // capture/restore stage run concurrently with the weights
@@ -399,18 +355,9 @@ MedusaEngine::coldStartFromImage(const Options &caller_opts,
     t.loading += cs.restore.wasted_restore_sec + cs.restore.backoff_sec;
     cs.times = t;
 
-    // Snapshot spans/metrics into the report and propagate them to the
-    // caller's sinks.
     MetricsRegistry registry;
-    publishRestoreMetrics(cs.restore, registry);
-    cs.metrics = registry.snapshot();
-    cs.spans = rec.events();
-    if (user_trace != nullptr) {
-        user_trace->appendAll(cs.spans);
-    }
-    if (user_metrics != nullptr) {
-        user_metrics->mergeFrom(cs.metrics);
-    }
+    handOffColdStart(cs, rec.events(), registry, user_trace, user_metrics);
+    MEDUSA_RETURN_IF_ERROR(st);
     engine->runtime_ = std::move(runtime);
     return engine;
 }

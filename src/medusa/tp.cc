@@ -3,15 +3,13 @@
 #include <algorithm>
 
 #include "llm/engine.h"
-#include "medusa/analyze.h"
 #include "medusa/lint/lint.h"
-#include "medusa/record.h"
+#include "medusa/offline.h"
 
 namespace medusa::core {
 
 using llm::ModelRuntime;
 using llm::TpCluster;
-using simcuda::CudaGraph;
 
 StatusOr<TpOfflineResult>
 materializeTp(const TpOfflineOptions &opts)
@@ -39,76 +37,32 @@ materializeTp(const TpOfflineOptions &opts)
     }
     MEDUSA_ASSIGN_OR_RETURN(auto cluster, TpCluster::create(copts));
 
-    // ---- capturing stage, rank-interleaved per stage -----------------
-    std::vector<u64> free_bytes(opts.world, 0);
+    // ---- per rank: capturing stage, analysis stage, v6 image ----------
+    // Ranks are independent processes, so running each rank's offline
+    // phase in turn leaves every rank as a stage-interleaved run would.
     for (u32 r = 0; r < opts.world; ++r) {
-        MEDUSA_RETURN_IF_ERROR(cluster->rank(r).initStructure());
-        recorders[r]->markOrganicBoundary();
-    }
-    for (u32 r = 0; r < opts.world; ++r) {
-        MEDUSA_RETURN_IF_ERROR(cluster->rank(r).loadWeights());
-        MEDUSA_RETURN_IF_ERROR(cluster->rank(r).loadTokenizer());
-    }
-    for (u32 r = 0; r < opts.world; ++r) {
-        MEDUSA_ASSIGN_OR_RETURN(free_bytes[r],
-                                cluster->rank(r).profileFreeMemory());
-        MEDUSA_RETURN_IF_ERROR(
-            cluster->rank(r).initKvCache(free_bytes[r]));
-        recorders[r]->markCaptureStageBegin();
-    }
+        ModelRuntime &rank = cluster->rank(r);
+        MEDUSA_ASSIGN_OR_RETURN(
+            CapturedStage captured,
+            runCaptureStage(rank, *recorders[r], batch_sizes, nullptr));
+        // Each stage's wall time is the slowest rank's.
+        const f64 captured_at = rank.clock().nowSec();
+        result.capture_stage_sec =
+            std::max(result.capture_stage_sec, captured_at);
 
-    std::vector<std::vector<std::pair<u32, CudaGraph>>> graphs(
-        opts.world);
-    u64 total_nodes = 0;
-    for (u32 bs : batch_sizes) {
-        for (u32 r = 0; r < opts.world; ++r) {
-            ModelRuntime &rank = cluster->rank(r);
-            MEDUSA_RETURN_IF_ERROR(rank.warmupDecode(bs));
-            recorders[r]->beginGraph(bs);
-            auto graph = rank.captureDecode(bs);
-            recorders[r]->endGraph();
-            if (!graph.isOk()) {
-                return graph.status();
-            }
-            total_nodes += graph->nodeCount();
-            graphs[r].emplace_back(bs, std::move(graph).value());
-        }
-    }
-    for (u32 r = 0; r < opts.world; ++r) {
-        const CostModel &cost = cluster->rank(r).process().cost();
-        cluster->rank(r).clock().advance(units::usToNs(
-            cost.offline_save_per_node_us *
-            static_cast<f64>(total_nodes) / opts.world));
-    }
-    // The capturing stage's wall time is the slowest rank's clock.
-    for (u32 r = 0; r < opts.world; ++r) {
-        result.capture_stage_sec = std::max(
-            result.capture_stage_sec,
-            cluster->rank(r).clock().nowSec());
-    }
-
-    // ---- analysis stage, per rank -----------------------------------
-    for (u32 r = 0; r < opts.world; ++r) {
-        const f64 before = cluster->rank(r).clock().nowSec();
-        AnalyzeOptions aopts;
         MEDUSA_ASSIGN_OR_RETURN(
             AnalysisResult analysis,
-            analyze(*recorders[r], cluster->rank(r).process(),
-                    opts.model.name, opts.model.seed, graphs[r],
-                    free_bytes[r], aopts));
+            analyze(*recorders[r], rank.process(), opts.model.name,
+                    opts.model.seed, captured.graphs, captured.free_bytes,
+                    AnalyzeOptions{}));
         result.analysis_stage_sec = std::max(
-            result.analysis_stage_sec,
-            cluster->rank(r).clock().nowSec() - before);
-        result.rank_artifacts.push_back(std::move(analysis.artifact));
-    }
+            result.analysis_stage_sec, rank.clock().nowSec() - captured_at);
 
-    // ---- per-rank v6 image emission ----------------------------------
-    for (u32 r = 0; r < opts.world; ++r) {
         MEDUSA_ASSIGN_OR_RETURN(
             auto image_bytes,
-            buildImageBytes(result.rank_artifacts[r],
-                            cluster->rank(r).tokenizer().merges()));
+            buildImageBytes(analysis.artifact, rank.tokenizer().merges()));
         result.rank_images.push_back(std::move(image_bytes));
+        result.rank_artifacts.push_back(std::move(analysis.artifact));
     }
     return result;
 }
@@ -184,17 +138,25 @@ TpMedusaEngine::coldStartFromImages(
     }
 
     FaultInjector *fault = opts.restore.pipeline.fault;
-    auto maxClockSec = [&cluster, &opts]() {
-        f64 m = 0;
-        for (u32 r = 0; r < opts.world; ++r) {
-            m = std::max(m, cluster.rank(r).clock().nowSec());
+    // The rank whose clock sets the loading latency: the slowest, ties
+    // to the lower rank.
+    auto slowestRank = [&cluster, &opts]() {
+        u32 slowest = 0;
+        for (u32 r = 1; r < opts.world; ++r) {
+            if (cluster.rank(r).clock().now() >
+                cluster.rank(slowest).clock().now()) {
+                slowest = r;
+            }
         }
-        return m;
+        return slowest;
     };
 
-    // Loading latency of the successful attempt, measured before the
-    // validation pass (validation advances the rank clocks but is not
-    // part of the visible loading phase).
+    // Per-rank stage laps of the last restore attempt or the fallback.
+    std::vector<StageTimes> rank_times(opts.world);
+    // The slowest rank at the end of the successful attempt's restore,
+    // taken before the validation pass (validation advances the rank
+    // clocks but is not part of the visible loading phase).
+    u32 restored_slowest = 0;
     f64 restored_loading = 0;
 
     // One restore attempt: the single-GPU step list on each rank in
@@ -209,33 +171,32 @@ TpMedusaEngine::coldStartFromImages(
                                "rank " + std::to_string(r));
             RestoreOptions rank_restore = opts.restore;
             rank_restore.pipeline.trace = recs[r].get();
-            // Per-rank stage times are not reported: TP loading is the
-            // slowest rank's clock.
-            StageTimes rank_times;
             MEDUSA_RETURN_IF_ERROR(runRestoreSteps(
                 rank_images[r], cluster.rank(r), *tables[r], rank_restore,
-                rank_times, reports[r]));
+                rank_times[r], reports[r]));
         }
-        restored_loading = maxClockSec();
+        restored_slowest = slowestRank();
+        restored_loading = cluster.rank(restored_slowest).clock().nowSec();
 
         // Optional validation: restored lockstep replay must match a
         // reference (vanilla-captured) cluster bit for bit.
         if (opts.restore.pipeline.validate) {
+            std::vector<u32> sizes;
+            for (u32 bs : opts.restore.pipeline.validate_batch_sizes) {
+                if (cluster.rank(0).hasGraph(bs)) {
+                    sizes.push_back(bs);
+                }
+            }
             TpCluster::Options vopts;
             vopts.model = opts.model;
             vopts.world = opts.world;
             vopts.aslr_seed = opts.aslr_seed + 9999;
             vopts.cost = opts.cost;
             MEDUSA_ASSIGN_OR_RETURN(auto reference,
-                                    TpCluster::create(vopts));
-            MEDUSA_RETURN_IF_ERROR(reference->loadAll());
-            for (u32 bs : opts.restore.pipeline.validate_batch_sizes) {
-                if (!cluster.rank(0).hasGraph(bs)) {
-                    continue;
-                }
+                                    TpCluster::createCaptured(vopts, sizes));
+            for (u32 bs : sizes) {
                 MEDUSA_FAULT_POINT(fault, FaultPoint::kTpLockstep,
                                    "lockstep bs=" + std::to_string(bs));
-                MEDUSA_RETURN_IF_ERROR(reference->captureAll({bs}));
                 MEDUSA_RETURN_IF_ERROR(
                     reference->stageValidationState(bs));
                 MEDUSA_ASSIGN_OR_RETURN(
@@ -266,41 +227,38 @@ TpMedusaEngine::coldStartFromImages(
     for (u32 r = 0; r < opts.world; ++r) {
         targets.push_back({&cluster.rank(r), &rank_images[r], recs[r].get()});
     }
-    MEDUSA_ASSIGN_OR_RETURN(
-        const ColdStartOutcome outcome,
+    ColdStartReport &cs = engine->report_;
+    StatusOr<ColdStartOutcome> outcome =
         runRestoreAttempts(targets, opts.restore.fallback, attempt,
-                           engine->tables_, engine->reports_));
-
-    const bool fallback_vanilla = outcome == ColdStartOutcome::kFellBack;
+                           engine->tables_, engine->reports_);
+    Status st = outcome.status();
+    if (st.isOk()) {
+        cs.outcome = *outcome;
+    }
+    const bool fallback_vanilla = cs.outcome == ColdStartOutcome::kFellBack;
     if (fallback_vanilla) {
-        // Degraded mode: the classic profile+capture TP cold start on
-        // the clean processes (all ranks together).
-        std::vector<Span> fb_spans;
-        fb_spans.reserve(opts.world);
-        for (u32 r = 0; r < opts.world; ++r) {
-            fb_spans.emplace_back(recs[r].get(),
-                                  "fallback.vanilla_cold_start",
-                                  "fallback");
-        }
-        MEDUSA_RETURN_IF_ERROR(cluster.loadAll());
-        std::vector<u32> sizes = llm::captureBatchSizes();
-        std::sort(sizes.begin(), sizes.end(), std::greater<>());
-        MEDUSA_RETURN_IF_ERROR(cluster.captureAll(sizes));
-        for (Span &s : fb_spans) {
-            s.end();
+        // Degraded mode: the vanilla cold start on each clean rank
+        // process, in rank order.
+        for (u32 r = 0; r < opts.world && st.isOk(); ++r) {
+            Span fb(recs[r].get(), "fallback.vanilla_cold_start",
+                    "fallback");
+            st = llm::runLoadingStages(cluster.rank(r), /*capture=*/true,
+                                       rank_times[r], recs[r].get());
         }
     }
 
     // ---- consolidated whole-cluster report ---------------------------
-    ColdStartReport &cs = engine->report_;
-    cs.outcome = outcome;
     cs.strategy = llm::strategyName(fallback_vanilla
                                         ? llm::Strategy::kVllm
                                         : llm::Strategy::kMedusa);
     // The slowest rank gates readiness; its clock already includes the
     // wasted attempts and the backoff pauses. Validation time (when it
-    // ran) is excluded.
-    cs.times.loading = fallback_vanilla ? maxClockSec() : restored_loading;
+    // ran) is excluded. The stage times are that rank's.
+    const u32 slowest = fallback_vanilla ? slowestRank() : restored_slowest;
+    cs.times = rank_times[slowest];
+    cs.times.loading = fallback_vanilla
+                           ? cluster.rank(slowest).clock().nowSec()
+                           : restored_loading;
     // Counters summed over ranks; the shared attempt accounting (the
     // same on every rank) is kept once, not multiplied by world size.
     cs.restore = engine->reports_.front();
@@ -324,18 +282,11 @@ TpMedusaEngine::coldStartFromImages(
     for (u32 r = 0; r < opts.world; ++r) {
         merged.appendAll(recs[r]->events(), /*track_offset=*/r);
     }
-    cs.spans = merged.events();
-    if (user_trace != nullptr) {
-        user_trace->appendAll(cs.spans);
-    }
-
     MetricsRegistry registry;
-    publishRestoreMetrics(cs.restore, registry);
     registry.counter("tp.ranks").add(opts.world);
-    cs.metrics = registry.snapshot();
-    if (caller_opts.restore.pipeline.metrics != nullptr) {
-        caller_opts.restore.pipeline.metrics->mergeFrom(cs.metrics);
-    }
+    handOffColdStart(cs, merged.events(), registry, user_trace,
+                     opts.restore.pipeline.metrics);
+    MEDUSA_RETURN_IF_ERROR(st);
     return engine;
 }
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/fault.h"
 #include "medusa/tp.h"
 
 namespace medusa::core {
@@ -148,6 +149,67 @@ TEST(MedusaTpTest, RanksEmitTheSingleGpuStageSpans)
                     return e.name == name && e.track == r;
                 });
             EXPECT_TRUE(found) << name << " on rank " << r;
+        }
+    }
+}
+
+TEST(MedusaTpTest, ReportCarriesStageTimes)
+{
+    const llm::ModelConfig m = tpModel("Qwen1.5-0.5B", 2);
+    auto offline = materialized(m, {1});
+    const auto images = openRankImages(offline.rank_images).value();
+    TpMedusaEngine::Options opts;
+    opts.model = m;
+    opts.world = 2;
+
+    // A clean restore: the stage laps of the rank that sets loading,
+    // which cover that rank's whole clock.
+    {
+        auto engine = TpMedusaEngine::coldStartFromImages(opts, images);
+        ASSERT_TRUE(engine.isOk()) << engine.status().toString();
+        const StageTimes &t = (*engine)->coldStartReport().times;
+        EXPECT_GT(t.struct_init, 0.0);
+        EXPECT_GT(t.weights, 0.0);
+        EXPECT_GT(t.tokenizer, 0.0);
+        EXPECT_GT(t.kv_init, 0.0);
+        EXPECT_GT(t.capture, 0.0);
+        EXPECT_NEAR(t.serialSum(), t.loading, 1e-9);
+    }
+
+    // A lockstep-validation fault degrades every rank to the vanilla
+    // stage list, and each rank's track shows it.
+    auto plan = FaultPlan::fromSpec("tp_lockstep");
+    ASSERT_TRUE(plan.isOk());
+    FaultInjector injector(*plan);
+    opts.restore.pipeline.fault = &injector;
+    opts.restore.pipeline.validate = true;
+    opts.restore.pipeline.validate_batch_sizes = {1};
+    opts.restore.fallback.mode = FallbackMode::kVanillaColdStart;
+    auto engine = TpMedusaEngine::coldStartFromImages(opts, images);
+    ASSERT_TRUE(engine.isOk()) << engine.status().toString();
+    const ColdStartReport &cs = (*engine)->coldStartReport();
+    ASSERT_EQ(cs.outcome, ColdStartOutcome::kFellBack);
+    EXPECT_GT(cs.times.capture, 0.0);
+    for (u32 r = 0; r < 2; ++r) {
+        const auto fallback = std::find_if(
+            cs.spans.begin(), cs.spans.end(), [&](const TraceEvent &e) {
+                return e.name == "fallback.vanilla_cold_start" &&
+                       e.track == r;
+            });
+        ASSERT_NE(fallback, cs.spans.end()) << "rank " << r;
+        for (const char *stage :
+             {"cold_start.struct_init", "cold_start.weights",
+              "cold_start.tokenizer", "cold_start.kv_init",
+              "cold_start.capture"}) {
+            const bool inside = std::any_of(
+                cs.spans.begin(), cs.spans.end(),
+                [&](const TraceEvent &e) {
+                    return e.name == stage && e.track == r &&
+                           e.start_ns >= fallback->start_ns &&
+                           e.start_ns + e.dur_ns <=
+                               fallback->start_ns + fallback->dur_ns;
+                });
+            EXPECT_TRUE(inside) << stage << " on rank " << r;
         }
     }
 }

@@ -11,6 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "common/fault.h"
 #include "llm/engine.h"
 #include "medusa/offline.h"
@@ -375,14 +378,20 @@ TEST(RollbackTest, FailedInstantiationBatchLeaksNoSlots)
 
 // ---- tensor-parallel coherence ------------------------------------------
 
+ModelConfig
+tpModel()
+{
+    ModelConfig m = findModel("Llama2-7B").value();
+    m.num_layers = 3;
+    return m;
+}
+
 const core::TpOfflineResult &
 tpOffline()
 {
     static const core::TpOfflineResult result = []() {
-        llm::ModelConfig m = findModel("Llama2-7B").value();
-        m.num_layers = 3;
         core::TpOfflineOptions opts;
-        opts.model = m;
+        opts.model = tpModel();
         opts.world = 2;
         opts.batch_sizes = {1, 8};
         auto r = core::materializeTp(opts);
@@ -406,8 +415,7 @@ TEST(RollbackTest, TpRetryRollsBackEveryRankCoherently)
     ASSERT_TRUE(plan.isOk());
     FaultInjector injector(*plan);
 
-    llm::ModelConfig m = findModel("Llama2-7B").value();
-    m.num_layers = 3;
+    const ModelConfig m = tpModel();
     core::TpMedusaEngine::Options opts;
     opts.model = m;
     opts.world = 2;
@@ -451,8 +459,7 @@ TEST(RollbackTest, TpFallbackDegradesAllRanksTogether)
     ASSERT_TRUE(plan.isOk());
     FaultInjector injector(*plan);
 
-    llm::ModelConfig m = findModel("Llama2-7B").value();
-    m.num_layers = 3;
+    const ModelConfig m = tpModel();
     core::TpMedusaEngine::Options opts;
     opts.model = m;
     opts.world = 2;
@@ -524,8 +531,7 @@ TEST(RollbackTest, FaultPlanGivesSameAccountingOnBothEngines)
         ASSERT_TRUE(single.isOk()) << single.status().toString();
 
         FaultInjector tp_injector(*plan);
-        llm::ModelConfig m = findModel("Llama2-7B").value();
-        m.num_layers = 3;
+        const ModelConfig m = tpModel();
         core::TpMedusaEngine::Options topts;
         topts.model = m;
         topts.world = 2;
@@ -550,6 +556,61 @@ TEST(RollbackTest, FaultPlanGivesSameAccountingOnBothEngines)
     }
 }
 
+// ---- a failed cold start still reaches the caller's sinks ---------------
+
+TEST(RollbackTest, FailedColdStartStillReachesCallerSinks)
+{
+    using ColdStart = std::function<Status(const core::RestoreOptions &)>;
+    const std::pair<const char *, ColdStart> engines[] = {
+        {"single-GPU",
+         [](const core::RestoreOptions &restore) {
+             MedusaEngine::Options opts;
+             opts.model = tinyModel();
+             opts.restore = restore;
+             return MedusaEngine::coldStartFromImage(opts, tinyImage())
+                 .status();
+         }},
+        {"tensor-parallel",
+         [](const core::RestoreOptions &restore) {
+             core::TpMedusaEngine::Options opts;
+             opts.model = tpModel();
+             opts.world = 2;
+             opts.restore = restore;
+             return core::TpMedusaEngine::coldStartFromImages(opts,
+                                                              tpImages())
+                 .status();
+         }},
+    };
+    for (const auto &[name, cold_start] : engines) {
+        SCOPED_TRACE(name);
+        auto plan = FaultPlan::fromSpec("replay_alloc@1x1");
+        ASSERT_TRUE(plan.isOk());
+        FaultInjector injector(*plan);
+        TraceRecorder sink;
+        MetricsRegistry registry;
+        core::RestoreOptions restore;
+        restore.pipeline.fault = &injector;
+        restore.pipeline.trace = &sink;
+        restore.pipeline.metrics = &registry;
+        restore.fallback.mode = FallbackMode::kFail;
+        EXPECT_FALSE(cold_start(restore).isOk());
+
+        // The failed attempt is explainable from the caller's trace...
+        const std::vector<TraceEvent> events = sink.events();
+        for (const char *event : {"restore.attempt", "restore.attempt_failed",
+                                  "restore.rollback"}) {
+            EXPECT_TRUE(std::any_of(
+                events.begin(), events.end(),
+                [&](const TraceEvent &e) { return e.name == event; }))
+                << event;
+        }
+        // ...and counted in the caller's registry.
+        const MetricsSnapshot metrics = registry.snapshot();
+        EXPECT_EQ(metrics.counterValue("restore.attempts"), 1u);
+        EXPECT_EQ(metrics.counterValue("restore.failures"), 1u);
+    }
+}
+
 // ---- consolidated-report plumbing (clean restore) -----------------------
 
 TEST(RollbackTest, ColdStartReportCarriesSpansAndMergesUserSinks)
@@ -566,7 +627,6 @@ TEST(RollbackTest, ColdStartReportCarriesSpansAndMergesUserSinks)
 
     const ColdStartReport &cs = (*engine)->coldStartReport();
     EXPECT_EQ(cs.outcome, ColdStartOutcome::kRestored);
-    EXPECT_TRUE(cs.status.isOk());
     EXPECT_EQ(cs.strategy, llm::strategyName(llm::Strategy::kMedusa));
 
     // The stage spans reproduce the hand-kept StageTimes (this is what
