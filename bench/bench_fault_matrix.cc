@@ -188,14 +188,6 @@ main(int argc, char **argv)
     const std::vector<workload::Request> trace =
         workload::generateShareGptTrace(topts);
 
-    // Shared per-node image store: the sweep's first launch loads,
-    // every later one hits. Zero latency impact (miss cost 0) — it
-    // exists so a traced run shows the cache.load/cache.hit events.
-    core::ImageCache image_cache(4);
-    const auto load_image = [&m]() {
-        return core::MaterializedImage::open(m.image_bytes);
-    };
-
     std::vector<TraceRow> rows;
     u32 sweep_track = 0;
     for (f64 corruption : {0.0, 0.01, 0.05}) {
@@ -210,9 +202,6 @@ main(int argc, char **argv)
         copts.pipeline.trace =
             reporter.trace() != nullptr ? &run_trace : nullptr;
         copts.pipeline.metrics = reporter.metrics();
-        copts.artifact_cache = &image_cache;
-        copts.artifact_key = model.name;
-        copts.artifact_loader = load_image;
         copts.fallback.mode = core::FallbackMode::kRetryThenVanilla;
         copts.fallback.max_attempts = 2;
         // A launch that degrades pays the classic cold start.
@@ -277,9 +266,6 @@ main(int argc, char **argv)
         copts.pipeline.fault = &injector;
         copts.pipeline.trace = &run_trace;
         copts.pipeline.metrics = reporter.metrics();
-        copts.artifact_cache = &image_cache;
-        copts.artifact_key = model.name;
-        copts.artifact_loader = load_image;
         copts.fallback.mode = core::FallbackMode::kRetryThenVanilla;
         copts.fallback.max_attempts = 2;
         copts.vanilla_cold_start_sec = vllm_profile.cold_start_sec;

@@ -2,8 +2,7 @@
  * @file
  * Host wall-clock benchmark of the online restore: v6 image open, the
  * Medusa cold start (open + relocation patch, DESIGN.md §13) against a
- * vanilla profile+capture cold start of the same model, and the image
- * cache (miss vs hit).
+ * vanilla profile+capture cold start of the same model.
  *
  * Everything timed here is *host* time — the simulator's own speed;
  * the virtual loading latency of both arms is reported alongside. One
@@ -15,7 +14,7 @@
  * Trials of the timed arms are interleaved with an alternating start
  * order and preceded by an untimed warmup of every arm, so neither arm
  * systematically benefits from allocator / page-cache state the other
- * warmed up. Cache miss trials reset the cache first.
+ * warmed up.
  *
  * --json emits one machine-readable object (scripts/bench.sh captures
  * it as BENCH_restore.json).
@@ -30,7 +29,6 @@
 #include "bench/bench_util.h"
 #include "llm/engine.h"
 #include "llm/model_config.h"
-#include "medusa/artifact_cache.h"
 #include "medusa/restore.h"
 
 namespace medusa::bench {
@@ -201,25 +199,6 @@ run(int argc, char **argv)
     }
     const bool fidelity = fidelityProbe(model, image_view, reporter);
 
-    // ---- image cache: miss vs hit -----------------------------------------
-    core::ImageCache cache;
-    auto loader = [&]() {
-        return core::MaterializedImage::openView(image_view);
-    };
-    f64 cache_miss_ms = 1e300;
-    for (int i = 0; i < reps; ++i) {
-        cache.clear();
-        const auto start = SteadyClock::now();
-        auto loaded = cache.getOrLoad("bench", loader);
-        cache_miss_ms =
-            std::min(cache_miss_ms, msBetween(start, SteadyClock::now()));
-        checkOk(loaded.status(), "image cache miss load");
-    }
-    const f64 cache_hit_ms = bestMs(reps, [&]() {
-        auto again = cache.getOrLoad("bench", loader);
-        checkOk(again.status(), "image cache hit load");
-    });
-
     const f64 speedup = vanilla.wall_ms / std::max(patch.wall_ms, 1e-9);
     if (json) {
         std::printf(
@@ -237,9 +216,7 @@ run(int argc, char **argv)
             "  \"graphs_patched\": %llu,\n"
             "  \"patch_simulated_loading_sec\": %.6f,\n"
             "  \"vanilla_simulated_loading_sec\": %.6f,\n"
-            "  \"fidelity_identical\": %s,\n"
-            "  \"image_cache_miss_ms\": %.3f,\n"
-            "  \"image_cache_hit_ms\": %.3f\n"
+            "  \"fidelity_identical\": %s\n"
             "}\n",
             model.name.c_str(), image_bytes.size(), layout.graphs.size(),
             static_cast<unsigned long long>(layout.total_nodes),
@@ -249,7 +226,7 @@ run(int argc, char **argv)
             static_cast<unsigned long long>(patch.report.kernels_resolved),
             static_cast<unsigned long long>(patch.report.graphs_patched),
             patch.times.loading, vanilla.times.loading,
-            fidelity ? "true" : "false", cache_miss_ms, cache_hit_ms);
+            fidelity ? "true" : "false");
     } else {
         std::printf("online restore — %s (%zu graphs, %llu nodes, %zu "
                     "image bytes)\n",
@@ -271,9 +248,6 @@ run(int argc, char **argv)
                     fidelity ? "yes" : "NO — FIDELITY BUG");
         std::printf("simulated loading vanilla  %8.3f ms\n",
                     vanilla.times.loading * 1e3);
-        printRule();
-        std::printf("image cache miss           %8.3f ms\n", cache_miss_ms);
-        std::printf("image cache hit            %8.3f ms\n", cache_hit_ms);
     }
     reporter.finish();
     return fidelity ? 0 : 1;

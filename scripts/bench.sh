@@ -3,8 +3,7 @@
 # BENCH_*.json files at the repo root.
 #
 #   BENCH_restore.json  — the online restore: image open, image cold
-#                         start vs a vanilla cold start, image cache;
-#                         exits non-zero if the restored graphs do not
+#                         start vs a vanilla cold start; exits non-zero if the restored graphs do not
 #                         replay to the vanilla capture's logits.
 #   BENCH_micro.json    — google-benchmark microbenchmarks of the
 #                         substrate hot paths.

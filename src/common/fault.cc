@@ -18,7 +18,6 @@ struct PointName
 };
 
 constexpr PointName kPointNames[] = {
-    {FaultPoint::kCacheLoader, "cache_loader"},
     {FaultPoint::kReplayPrefix, "replay_prefix"},
     {FaultPoint::kReplayAlloc, "replay_alloc"},
     {FaultPoint::kKernelDlsym, "dlsym"},
@@ -111,6 +110,7 @@ FaultPlan::fromSpec(const std::string &spec)
     // overwrite the first, which is how fault schedules go stale
     // unnoticed in long env-var specs.
     std::array<bool, kFaultPointCount> seen{};
+    bool seed_seen = false;
     for (const std::string &entry : splitSpecEntries(spec)) {
         // The point name is the longest registered name (or "seed")
         // prefixing the entry; modifiers follow. A plain scan for the
@@ -137,8 +137,17 @@ FaultPlan::fromSpec(const std::string &spec)
             if (mod == std::string::npos || entry[mod] != '=') {
                 return invalidArgument("fault spec: seed needs =VALUE");
             }
-            plan.seed = std::strtoull(entry.c_str() + mod + 1, nullptr,
-                                      0);
+            if (seed_seen) {
+                return invalidArgument("fault spec: duplicate seed");
+            }
+            seed_seen = true;
+            const std::optional<u64> seed =
+                parseSpecUint(entry.substr(mod + 1));
+            if (!seed.has_value()) {
+                return invalidArgument("fault spec: bad seed in \"" +
+                                       entry + "\"");
+            }
+            plan.seed = *seed;
             continue;
         }
         MEDUSA_ASSIGN_OR_RETURN(FaultPoint point,
@@ -164,18 +173,22 @@ FaultPlan::fromSpec(const std::string &spec)
                         "\"");
                 }
             } else if (kind == '@') {
-                rule.fire_on_hit = std::strtoull(begin, &after, 0);
-                if (after == begin || rule.fire_on_hit == 0) {
+                const std::optional<u64> hit =
+                    parseSpecUintPrefix(begin, &after);
+                if (!hit.has_value() || *hit == 0) {
                     return invalidArgument(
                         "fault spec: bad hit ordinal in \"" + entry +
                         "\"");
                 }
+                rule.fire_on_hit = *hit;
             } else { // 'x'
-                rule.max_fires = std::strtoull(begin, &after, 0);
-                if (after == begin) {
+                const std::optional<u64> cap =
+                    parseSpecUintPrefix(begin, &after);
+                if (!cap.has_value()) {
                     return invalidArgument(
                         "fault spec: bad fire cap in \"" + entry + "\"");
                 }
+                rule.max_fires = *cap;
             }
             any = true;
             i = static_cast<std::size_t>(after - entry.c_str());
@@ -331,7 +344,12 @@ FaultPlan::fromEnv()
     FaultPlan plan = std::move(parsed).value();
     if (const char *seed = std::getenv("MEDUSA_FAULT_SEED");
         seed != nullptr && seed[0] != '\0') {
-        plan.seed = std::strtoull(seed, nullptr, 0);
+        const std::optional<u64> value = parseSpecUint(seed);
+        if (!value.has_value()) {
+            return invalidArgument("MEDUSA_FAULT_SEED: bad seed \"" +
+                                   std::string(seed) + "\"");
+        }
+        plan.seed = *value;
     }
     return std::optional<FaultPlan>(plan);
 }
@@ -341,15 +359,16 @@ FaultPlan::fromEnv()
 namespace {
 
 /**
- * Seed draws once taken by fault points that no longer exist (the v5
- * artifact's deserialize and CRC checks, formerly points 0 and 1).
- * Point i has always been seeded with the (i+1)-th SplitMix64 draw of
- * the plan seed; skipping the retired draws keeps every surviving
- * point on the stream it had, so a (plan, seed) pair keeps producing
- * the same failures (e.g. committed cluster golden rows that arm
+ * Seed draws once taken by fault points that no longer exist: the v5
+ * artifact's deserialize and CRC checks (formerly points 0 and 1) and
+ * the process-wide image cache's loader (formerly point 2). Point i
+ * has always been seeded with the (i+1)-th SplitMix64 draw of the
+ * plan seed; skipping the retired draws keeps every surviving point on
+ * the stream it had, so a (plan, seed) pair keeps producing the same
+ * failures (e.g. committed cluster golden rows that arm
  * cluster_restore with a probability).
  */
-constexpr std::size_t kRetiredSeedDraws = 2;
+constexpr std::size_t kRetiredSeedDraws = 3;
 
 } // namespace
 

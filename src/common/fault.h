@@ -23,8 +23,10 @@
  * Spec entries are separated by ';' or ',': `point=P` fires with
  * probability P per hit; `point@N` fires deterministically on the N-th
  * hit (1-based); `pointxM` caps total fires at M and combines with
- * either form (`dlsym@2x1`). `seed=S` sets the plan seed. Naming the
- * same point twice is an error (the second rule would silently
+ * either form (`dlsym@2x1`). `seed=S` sets the plan seed. N, M, S and
+ * MEDUSA_FAULT_SEED are unsigned 64-bit integers (no sign, S and the
+ * variable with no trailing characters). Naming the same point, or
+ * the seed, twice is an error (the second entry would silently
  * overwrite the first), as is an unknown point name — the error lists
  * every valid name.
  *
@@ -52,10 +54,8 @@ namespace medusa {
 
 /** Restore-stack operations that can be made to fail. */
 enum class FaultPoint : u8 {
-    /** ArtifactCache loader outcome (a fetch that dies on the node). */
-    kCacheLoader = 0,
     /** Organic allocation-prefix verification after structure init. */
-    kReplayPrefix,
+    kReplayPrefix = 0,
     /** One replayed (de)allocation of the recorded sequence. */
     kReplayAlloc,
     /** Kernel resolution through dlsym + cudaGetFuncBySymbol. */
@@ -136,8 +136,9 @@ struct FaultPlan
 
     /**
      * Build a plan from MEDUSA_FAULT_PLAN (spec or JSON, picked by a
-     * leading '{') with MEDUSA_FAULT_SEED overriding the seed.
-     * Returns nullopt when the variable is unset or empty.
+     * leading '{') with MEDUSA_FAULT_SEED overriding the seed; a
+     * malformed plan or seed is an error. Returns nullopt when the
+     * plan variable is unset or empty.
      */
     static StatusOr<std::optional<FaultPlan>> fromEnv();
 

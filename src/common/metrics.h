@@ -2,10 +2,9 @@
  * @file
  * Named-metric registry for the unified observability layer
  * (DESIGN.md §12): counters, gauges and fixed-bucket histograms keyed
- * by dotted lowercase names ("artifact_cache.hits",
- * "restore.wasted_sec"). `ImageCache` (medusa/artifact_cache.h) and
- * the cluster simulator count straight into a registry, and the
- * simulator hands its `cluster.*` names out only as the snapshot in
+ * by dotted lowercase names ("cluster.cold_starts",
+ * "restore.wasted_sec"). The cluster simulator counts straight into a
+ * registry and hands its `cluster.*` names out only as the snapshot in
  * `serverless::TraceMetrics::metrics`; `AnalysisStats` and
  * `RestoreReport` publish their fields into one (`publishTo`,
  * `publishRestoreMetrics`). No struct is a view read back out of a
@@ -73,8 +72,8 @@ class Gauge
 };
 
 /**
- * Fixed-range linear histogram; out-of-range samples clamp to the
- * first/last bucket (same contract as stats.h's Histogram).
+ * Fixed-range linear histogram over [lo, hi) in equal-width buckets;
+ * out-of-range samples clamp to the first/last bucket.
  */
 class HistogramMetric
 {

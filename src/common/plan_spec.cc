@@ -1,6 +1,8 @@
 #include "common/plan_spec.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 
 namespace medusa {
 
@@ -34,6 +36,32 @@ splitSpecEntries(const std::string &spec)
         }
     }
     return entries;
+}
+
+std::optional<u64>
+parseSpecUintPrefix(const char *begin, char **end)
+{
+    if (std::isdigit(static_cast<unsigned char>(*begin)) == 0) {
+        return std::nullopt;
+    }
+    errno = 0;
+    const unsigned long long value = std::strtoull(begin, end, 0);
+    if (errno == ERANGE) {
+        return std::nullopt;
+    }
+    return static_cast<u64>(value);
+}
+
+std::optional<u64>
+parseSpecUint(const std::string &text)
+{
+    char *end = nullptr;
+    const std::optional<u64> value =
+        parseSpecUintPrefix(text.c_str(), &end);
+    if (!value.has_value() || end != text.c_str() + text.size()) {
+        return std::nullopt;
+    }
+    return value;
 }
 
 } // namespace medusa

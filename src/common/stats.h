@@ -1,14 +1,14 @@
 /**
  * @file
- * Statistics accumulators used by the evaluation harness: running
- * mean/min/max, exact percentile tracking, and fixed-bucket histograms.
+ * Statistics used by the evaluation harness: exact percentile
+ * tracking and byte/second formatting. Named histograms live in
+ * common/metrics.h (HistogramMetric).
  */
 
 #ifndef MEDUSA_COMMON_STATS_H
 #define MEDUSA_COMMON_STATS_H
 
 #include <algorithm>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -16,51 +16,6 @@
 #include "common/types.h"
 
 namespace medusa {
-
-/**
- * Running scalar summary: count, sum, mean, min, max.
- */
-class Summary
-{
-  public:
-    void
-    add(f64 v)
-    {
-        if (count_ == 0 || v < min_) {
-            min_ = v;
-        }
-        if (count_ == 0 || v > max_) {
-            max_ = v;
-        }
-        sum_ += v;
-        ++count_;
-    }
-
-    u64 count() const { return count_; }
-    f64 sum() const { return sum_; }
-    f64 mean() const { return count_ ? sum_ / static_cast<f64>(count_) : 0; }
-    /**
-     * Smallest sample, or NaN when empty — 0 would masquerade as a
-     * real observation (a 0-second minimum latency reads as "free").
-     */
-    f64
-    min() const
-    {
-        return count_ ? min_ : std::numeric_limits<f64>::quiet_NaN();
-    }
-    /** Largest sample, or NaN when empty (see min()). */
-    f64
-    max() const
-    {
-        return count_ ? max_ : std::numeric_limits<f64>::quiet_NaN();
-    }
-
-  private:
-    u64 count_ = 0;
-    f64 sum_ = 0;
-    f64 min_ = 0;
-    f64 max_ = 0;
-};
 
 /**
  * Exact percentile tracker. Stores all samples; adequate for the trace
@@ -117,42 +72,6 @@ class PercentileTracker
 
   private:
     std::vector<f64> samples_;
-};
-
-/**
- * Fixed-width bucket histogram over [lo, hi); values outside are clamped
- * into the edge buckets.
- */
-class Histogram
-{
-  public:
-    Histogram(f64 lo, f64 hi, std::size_t buckets)
-        : lo_(lo), hi_(hi), counts_(buckets, 0)
-    {
-        MEDUSA_CHECK(hi > lo && buckets > 0, "bad histogram bounds");
-    }
-
-    void
-    add(f64 v)
-    {
-        f64 frac = (v - lo_) / (hi_ - lo_);
-        auto idx = static_cast<long long>(
-            frac * static_cast<f64>(counts_.size()));
-        idx = std::clamp<long long>(
-            idx, 0, static_cast<long long>(counts_.size()) - 1);
-        ++counts_[static_cast<std::size_t>(idx)];
-        ++total_;
-    }
-
-    u64 bucketCount(std::size_t i) const { return counts_.at(i); }
-    std::size_t buckets() const { return counts_.size(); }
-    u64 total() const { return total_; }
-
-  private:
-    f64 lo_;
-    f64 hi_;
-    std::vector<u64> counts_;
-    u64 total_ = 0;
 };
 
 /** Format a byte count with binary units, e.g. "7.4GiB". */

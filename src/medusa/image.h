@@ -195,7 +195,7 @@ class MaterializedImage
      * Open an image file. With options.use_mmap (the default) the file
      * is mapped read-only and the image views the mapping in place — the
      * kernel pages graph columns in on first touch, which is what makes
-     * a multi-model image cache cheap to hold open. Falls back to the
+     * many models' images cheap to hold open. Falls back to the
      * read-based path (open) when mapping is unavailable.
      */
     static StatusOr<MaterializedImage>

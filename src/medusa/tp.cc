@@ -158,6 +158,11 @@ TpMedusaEngine::coldStartFromImages(
     // clocks but is not part of the visible loading phase).
     u32 restored_slowest = 0;
     f64 restored_loading = 0;
+    // The vanilla-captured reference cluster for lockstep validation.
+    // It does not depend on the attempt, so the first attempt that
+    // reaches validation builds it and later attempts reuse it.
+    std::unique_ptr<TpCluster> reference;
+    u64 reference_builds = 0;
 
     // One restore attempt: the single-GPU step list on each rank in
     // turn, then the optional lockstep validation — a validation
@@ -187,13 +192,16 @@ TpMedusaEngine::coldStartFromImages(
                     sizes.push_back(bs);
                 }
             }
-            TpCluster::Options vopts;
-            vopts.model = opts.model;
-            vopts.world = opts.world;
-            vopts.aslr_seed = opts.aslr_seed + 9999;
-            vopts.cost = opts.cost;
-            MEDUSA_ASSIGN_OR_RETURN(auto reference,
-                                    TpCluster::createCaptured(vopts, sizes));
+            if (reference == nullptr) {
+                TpCluster::Options vopts;
+                vopts.model = opts.model;
+                vopts.world = opts.world;
+                vopts.aslr_seed = opts.aslr_seed + 9999;
+                vopts.cost = opts.cost;
+                MEDUSA_ASSIGN_OR_RETURN(
+                    reference, TpCluster::createCaptured(vopts, sizes));
+                ++reference_builds;
+            }
             for (u32 bs : sizes) {
                 MEDUSA_FAULT_POINT(fault, FaultPoint::kTpLockstep,
                                    "lockstep bs=" + std::to_string(bs));
@@ -284,6 +292,7 @@ TpMedusaEngine::coldStartFromImages(
     }
     MetricsRegistry registry;
     registry.counter("tp.ranks").add(opts.world);
+    registry.counter("tp.reference_builds").add(reference_builds);
     handOffColdStart(cs, merged.events(), registry, user_trace,
                      opts.restore.pipeline.metrics);
     MEDUSA_RETURN_IF_ERROR(st);

@@ -124,11 +124,6 @@ Scheduler::Scheduler(const ClusterOptions &options,
                 options_.policy == SchedulerPolicy::kAffinity ||
                 (chaos_on_ && options_.chaos->node_mtbf_sec > 0);
 
-    hooked_cache_ =
-        trace_ != nullptr && options_.artifact_cache != nullptr;
-    if (hooked_cache_) {
-        options_.artifact_cache->setTraceRecorder(trace_);
-    }
     if (trace_ != nullptr) {
         rec_.setTrackName(0, "cluster");
         rec_.setTrackName(1, "requests");
@@ -604,23 +599,10 @@ Scheduler::launchInstance(u16 m)
     metrics_.counter("cluster.cold_starts").add(1);
     const u32 inst = newInstance(m, node);
     const f64 t0 = engine_.now();
-    // Image fetch via the process-wide cache (the first cold start
-    // loads, later ones share for free).
+    // Node-local residency: the only artifact-fetch model.
     f64 fetch_sec = 0;
-    if (options_.artifact_cache != nullptr && options_.artifact_loader) {
-        bool hit = false;
-        auto image = options_.artifact_cache->getOrLoad(
-            options_.artifact_key, options_.artifact_loader, &hit);
-        metrics_.counter("cluster.artifact_loads").add(1);
-        if (image.isOk() && hit) {
-            metrics_.counter("cluster.artifact_cache_hits").add(1);
-        } else {
-            fetch_sec = options_.artifact_miss_sec;
-        }
-    }
-    // Node-local residency (the affinity study's fetch model).
     if (nodes_on_ && node != kNil) {
-        fetch_sec += nodeFetch(node, m);
+        fetch_sec = nodeFetch(node, m);
     }
     // Chaos fetch model: a fetch inside a store outage hangs until
     // the store recovers (unless the SLO policy degrades to the
@@ -1283,9 +1265,6 @@ Scheduler::finish()
 {
     MEDUSA_CHECK(!finished_, "finish called twice");
     finished_ = true;
-    if (hooked_cache_) {
-        options_.artifact_cache->setTraceRecorder(nullptr);
-    }
     const f64 end = engine_.now();
     TraceMetrics m;
     f64 first_arrival = req_arrival_.empty() ? 0 : req_arrival_.front();

@@ -72,7 +72,7 @@ struct RequestHooks
  * non-decreasing virtual time, drive the event loop (step /
  * pumpUntil / drain), then finish() exactly once for the run's
  * TraceMetrics. options.profile must be non-null and every referenced
- * pointer (profile, chaos, artifact_cache) must outlive the instance.
+ * pointer (profile, chaos) must outlive the instance.
  */
 class Scheduler
 {
@@ -274,7 +274,6 @@ class Scheduler
     bool nodes_on_ = false;
     bool chaos_on_ = false;
     bool slo_on_ = false;
-    bool hooked_cache_ = false;
     bool finished_ = false;
 
     // Request table (struct-of-arrays, submission order).

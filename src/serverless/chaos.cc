@@ -96,11 +96,12 @@ ChaosPlan::fromSpec(const std::string &spec)
                     "chaos spec: duplicate key \"seed\"");
             }
             seed_seen = true;
-            plan.seed = std::strtoull(begin, &after, 0);
-            if (after == begin || *after != '\0') {
+            const std::optional<u64> seed = parseSpecUint(begin);
+            if (!seed.has_value()) {
                 return invalidArgument("chaos spec: bad seed in \"" +
                                        entry + "\"");
             }
+            plan.seed = *seed;
             continue;
         }
         bool matched = false;
@@ -199,7 +200,12 @@ ChaosPlan::fromEnv()
     ChaosPlan plan = std::move(parsed).value();
     if (const char *seed = std::getenv("MEDUSA_CHAOS_SEED");
         seed != nullptr && seed[0] != '\0') {
-        plan.seed = std::strtoull(seed, nullptr, 0);
+        const std::optional<u64> value = parseSpecUint(seed);
+        if (!value.has_value()) {
+            return invalidArgument("MEDUSA_CHAOS_SEED: bad seed \"" +
+                                   std::string(seed) + "\"");
+        }
+        plan.seed = *value;
     }
     return std::optional<ChaosPlan>(plan);
 }

@@ -40,8 +40,10 @@
  * `seed`, `node_mtbf`, `node_mttr`, `inst_mtbf`, `store_mtbf`,
  * `store_mttr`, `gray_mtbf`, `gray_mttr`, `gray_slowdown`, `horizon`.
  * A key may appear only once; unknown keys are errors listing the
- * valid set. JSON keys keep the `_sec` suffix; the JSON `seed` must be
- * an integer in [0, 2^53]. In either form every duration and
+ * valid set. The spec `seed` and MEDUSA_CHAOS_SEED must be a whole
+ * unsigned 64-bit integer (no sign, no trailing characters). JSON keys
+ * keep the `_sec` suffix; the JSON `seed` must be an integer in
+ * [0, 2^53]. In either form every duration and
  * `gray_slowdown` must be finite (NaN and infinity are rejected).
  */
 
@@ -105,8 +107,9 @@ struct ChaosPlan
 
     /**
      * Build a plan from MEDUSA_CHAOS_PLAN (spec or JSON, picked by a
-     * leading '{') with MEDUSA_CHAOS_SEED overriding the seed.
-     * Returns nullopt when the variable is unset or empty.
+     * leading '{') with MEDUSA_CHAOS_SEED overriding the seed; a
+     * malformed plan or seed is an error. Returns nullopt when the
+     * plan variable is unset or empty.
      */
     static StatusOr<std::optional<ChaosPlan>> fromEnv();
 

@@ -15,13 +15,12 @@
 #ifndef MEDUSA_SERVERLESS_CLUSTER_H
 #define MEDUSA_SERVERLESS_CLUSTER_H
 
-#include <string>
 #include <vector>
 
 #include "common/fault.h"
+#include "common/metrics.h"
 #include "common/pipeline_options.h"
 #include "common/stats.h"
-#include "medusa/artifact_cache.h"
 #include "medusa/restore_options.h"
 #include "serverless/chaos.h"
 #include "serverless/profile.h"
@@ -127,20 +126,6 @@ struct ClusterOptions
      */
     u32 hot_spares = 0;
     /**
-     * Process-wide image store consulted at every cold start. When
-     * set (with artifact_key + artifact_loader), the first cold start
-     * on the node loads the image — charging artifact_miss_sec on top
-     * of the profile's cold start — and later ones share the resident
-     * copy for free. Null leaves cold starts untouched.
-     */
-    core::ImageCache *artifact_cache = nullptr;
-    /** Cache key for this cluster's <GPU type, model> image. */
-    std::string artifact_key;
-    /** Loads the image on a cache miss. */
-    core::ImageCache::Loader artifact_loader;
-    /** Extra cold-start latency charged on an artifact-cache miss. */
-    f64 artifact_miss_sec = 0.0;
-    /**
      * Shared pipeline knobs (DESIGN.md §12). The simulator consumes:
      *  - pipeline.fault: deterministic fault injection for instance
      *    launches (FaultPoint::kClusterRestore). When a launch's
@@ -153,7 +138,7 @@ struct ClusterOptions
      *    instead of hooking individual operations.
      *  - pipeline.trace: receives the whole run's span stream —
      *    instance.launch / restore.attempt / fallback.vanilla_cold_start
-     *    completes, cache.hit and restore.attempt_failed instants, one
+     *    completes, restore.attempt_failed instants, one
      *    `request` complete per finished request, and — with chaos/SLO
      *    armed — chaos.* completes for failure windows plus slo.shed /
      *    slo.requeue instants.
@@ -228,8 +213,6 @@ struct ClusterOptions
  * `.achieved_qps`, `.gpu_seconds`, the totals below. Present once
  * counted (absent means never):
  *  - `cluster.cold_starts`: launches that paid a cold start;
- *  - `.artifact_loads`, `.artifact_cache_hits`: fetches through
- *    ClusterOptions::artifact_cache, and those it served;
  *  - `.restore_failures`: restore attempts failed and rolled back;
  *  - `.retries`: failed attempts retried with backoff;
  *  - `.fallback_cold_starts`: launches degraded to vanilla;

@@ -134,7 +134,16 @@ TEST(ChaosPlanTest, RejectsBadValues)
     EXPECT_FALSE(ChaosPlan::fromSpec("inst_mtbf=abc").isOk());
     EXPECT_FALSE(ChaosPlan::fromSpec("node_mtbf").isOk());
     EXPECT_FALSE(ChaosPlan::fromSpec("=3").isOk());
-    EXPECT_FALSE(ChaosPlan::fromSpec("seed=zzz").isOk());
+    // The seed is a whole unsigned 64-bit integer: no sign, no
+    // whitespace, no trailing bytes, no overflow.
+    for (const char *spec :
+         {"seed=zzz", "seed=-1", "seed=+3", "seed= 7", "seed=5junk",
+          "seed=18446744073709551616"}) {
+        auto rejected = ChaosPlan::fromSpec(spec);
+        ASSERT_FALSE(rejected.isOk()) << spec;
+        EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument)
+            << spec;
+    }
     // NaN fails every comparison, so the range checks must reject it
     // explicitly; an infinite duration or slowdown is as invalid.
     for (const char *spec : {"node_mtbf=nan", "gray_slowdown=nan"}) {
@@ -200,6 +209,21 @@ TEST(ChaosPlanTest, FromEnvReadsSpecJsonAndSeedOverride)
     ASSERT_TRUE(json.value().has_value());
     EXPECT_DOUBLE_EQ(json.value()->node_mtbf_sec, 33.0);
     EXPECT_EQ(json.value()->seed, 42u);
+
+    // A seed override that is not a whole unsigned integer is an error
+    // naming the variable, not seed 0 or a wrapped value.
+    for (const char *seed : {"abc", "5junk", "-1", " 7"}) {
+        ::setenv("MEDUSA_CHAOS_SEED", seed, 1);
+        auto bad = ChaosPlan::fromEnv();
+        ASSERT_FALSE(bad.isOk()) << seed;
+        EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_NE(bad.status().message().find("MEDUSA_CHAOS_SEED"),
+                  std::string::npos);
+    }
+    ::setenv("MEDUSA_CHAOS_SEED", "0x10", 1);
+    auto hex = ChaosPlan::fromEnv();
+    ASSERT_TRUE(hex.isOk());
+    EXPECT_EQ(hex.value()->seed, 16u);
 
     ::setenv("MEDUSA_CHAOS_PLAN", "garbage", 1);
     EXPECT_FALSE(ChaosPlan::fromEnv().isOk());

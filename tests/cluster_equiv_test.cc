@@ -3,8 +3,8 @@
  * Golden fixture for the cluster simulator (DESIGN.md §15): the exact
  * outputs simulateCluster() produces on the paper's fig10/§7.5 traces
  * and on every feature the simulator models — hot spares, deferred
- * capture, idle reclaim, fault injection with every fallback mode, the
- * artifact cache, scheduler policies and an armed chaos/SLO plan —
+ * capture, idle reclaim, fault injection with every fallback mode,
+ * scheduler policies and an armed chaos/SLO plan —
  * pinned against tests/data/golden_cluster.txt. This is the committed
  * oracle for changes that must not move a single simulated float.
  * Plus: determinism at the million-request scale of the bench, and
@@ -32,7 +32,6 @@
 
 #include "common/crc32.h"
 #include "common/fault.h"
-#include "medusa/artifact_cache.h"
 #include "serve/scheduler.h"
 #include "serverless/cluster.h"
 #include "test_cluster.h"
@@ -55,31 +54,21 @@ struct RunResult
 };
 
 /**
- * Run @p trace with fresh sinks, a fresh fault stream from @p plan and,
- * with @p with_cache, a fresh artifact cache: both are stateful in hit
- * order, so every run must start from the same state.
+ * Run @p trace with fresh sinks and a fresh fault stream from @p plan:
+ * the stream is stateful in hit order, so every run must start from
+ * the same state.
  */
 RunResult
 runSim(ClusterOptions opts, const ServingProfile &profile,
           const std::vector<workload::Request> &trace,
-          const FaultPlan *plan = nullptr, bool with_cache = false)
+          const FaultPlan *plan = nullptr)
 {
     TraceRecorder rec;
     MetricsRegistry reg;
     std::optional<FaultInjector> injector;
-    std::optional<core::ImageCache> cache;
     if (plan != nullptr) {
         injector.emplace(*plan);
         opts.pipeline.fault = &*injector;
-    }
-    if (with_cache) {
-        cache.emplace();
-        opts.artifact_cache = &*cache;
-        opts.artifact_key = "toy";
-        opts.artifact_loader = []() -> StatusOr<core::MaterializedImage> {
-            return core::MaterializedImage{};
-        };
-        opts.artifact_miss_sec = 0.7;
     }
     opts.pipeline.trace = &rec;
     opts.pipeline.metrics = &reg;
@@ -205,9 +194,9 @@ RunResult
 expectCellGolden(const std::string &cell, const ClusterOptions &opts,
                  const ServingProfile &profile,
                  const std::vector<workload::Request> &trace,
-                 const FaultPlan *plan = nullptr, bool with_cache = false)
+                 const FaultPlan *plan = nullptr)
 {
-    RunResult run = runSim(opts, profile, trace, plan, with_cache);
+    RunResult run = runSim(opts, profile, trace, plan);
     expectGolden(cell, run);
     return run;
 }
@@ -330,17 +319,6 @@ TEST(ClusterEquivTest, FaultFailModeBitIdentical)
     opts.num_gpus = 2;
     expectCellGolden("fail_mode", opts, toyProfile(1.0),
                      fig10Trace(4.0, 20250406ull), &plan);
-}
-
-TEST(ClusterEquivTest, ArtifactCacheBitIdentical)
-{
-    ClusterOptions opts;
-    opts.idle_timeout_sec = 0.5; // several cold starts share the cache
-    const RunResult run =
-        expectCellGolden("artifact_cache", opts, toyProfile(1.0),
-                         fig10Trace(5.0, 20250407ull), nullptr,
-                         /*with_cache=*/true);
-    EXPECT_GT(clusterCounter(run.metrics, "cluster.artifact_cache_hits"), 0u);
 }
 
 TEST(ClusterEquivTest, SyntheticTraceBitIdentical)

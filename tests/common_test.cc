@@ -317,32 +317,6 @@ TEST(SerializeTest, FileRoundTrip)
 
 // ----------------------------------------------------------------- Stats
 
-TEST(StatsTest, SummaryTracksMoments)
-{
-    Summary s;
-    for (f64 v : {3.0, 1.0, 2.0}) {
-        s.add(v);
-    }
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
-}
-
-TEST(StatsTest, SummaryEmptyIsNaN)
-{
-    // 0 would masquerade as a real observation; an empty summary's
-    // extrema must be unmistakably "no data".
-    Summary s;
-    EXPECT_TRUE(std::isnan(s.min()));
-    EXPECT_TRUE(std::isnan(s.max()));
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-    s.add(5.0);
-    EXPECT_DOUBLE_EQ(s.min(), 5.0);
-    EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
 TEST(StatsTest, PercentileNearestRank)
 {
     PercentileTracker t;
@@ -362,18 +336,6 @@ TEST(StatsTest, PercentileSingleSample)
     t.add(7.5);
     EXPECT_DOUBLE_EQ(t.p50(), 7.5);
     EXPECT_DOUBLE_EQ(t.p99(), 7.5);
-}
-
-TEST(StatsTest, HistogramClampsToEdges)
-{
-    Histogram h(0, 10, 5);
-    h.add(-100);
-    h.add(0.5);
-    h.add(9.5);
-    h.add(100);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(4), 2u);
-    EXPECT_EQ(h.total(), 4u);
 }
 
 TEST(StatsTest, FormatHelpers)

@@ -2,15 +2,18 @@
  * @file
  * Tests of the deterministic fault-injection subsystem (common/fault.h)
  * and of the transactional restore behavior it drives: plan parsing,
- * per-point determinism, MedusaEngine fallback policies, ImageCache
- * failure backoff and the cluster simulator's degraded launches.
+ * per-point determinism, MedusaEngine fallback policies and the
+ * cluster simulator's degraded launches.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "common/fault.h"
 #include "llm/model_config.h"
-#include "medusa/artifact_cache.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
 #include "serverless/cluster.h"
@@ -126,11 +129,107 @@ TEST(FaultPlanTest, UnknownPointErrorListsValidNames)
     }
 }
 
+/** Sets an environment variable for one scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : name_(name)
+    {
+        if (const char *old = std::getenv(name); old != nullptr) {
+            old_ = old;
+        }
+        ::setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (old_.has_value()) {
+            ::setenv(name_, old_->c_str(), 1);
+        } else {
+            ::unsetenv(name_);
+        }
+    }
+    ScopedEnv(const ScopedEnv &) = delete;
+    ScopedEnv &operator=(const ScopedEnv &) = delete;
+
+  private:
+    const char *name_;
+    std::optional<std::string> old_;
+};
+
+TEST(FaultPlanTest, RejectsMalformedIntegers)
+{
+    // A bare strtoull reads these as a seed of 0 or 5, a wrapped hit
+    // ordinal, a wrapped fire cap (an inactive rule) or a saturated
+    // overflow; a second seed would silently replace the first.
+    for (const char *spec :
+         {"seed=zzz", "seed=5junk", "seed=", "seed=-1", "seed= 5",
+          "seed=1;seed=2", "seed=18446744073709551616", "dlsym@-1",
+          "dlsym@+2", "dlsym@ 2", "dlsymx-1", "dlsym@1x-1",
+          "dlsym@18446744073709551616"}) {
+        auto plan = FaultPlan::fromSpec(spec);
+        ASSERT_FALSE(plan.isOk()) << spec;
+        EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)
+            << spec;
+    }
+
+    const struct
+    {
+        const char *spec;
+        u64 seed;
+        u64 fire_on_hit;
+        u64 max_fires;
+    } kAccepted[] = {
+        {"seed=0x5eed;dlsym@3", 0x5eed, 3, ~0ull},
+        {"seed=18446744073709551615;dlsym@2x1", ~0ull, 2, 1},
+        {"dlsym@18446744073709551615x0", 0x5eed, ~0ull, 0},
+    };
+    for (const auto &c : kAccepted) {
+        auto plan = FaultPlan::fromSpec(c.spec);
+        ASSERT_TRUE(plan.isOk()) << c.spec << ": "
+                                 << plan.status().toString();
+        EXPECT_EQ(plan->seed, c.seed) << c.spec;
+        const FaultRule &rule = plan->rule(FaultPoint::kKernelDlsym);
+        EXPECT_EQ(rule.fire_on_hit, c.fire_on_hit) << c.spec;
+        EXPECT_EQ(rule.max_fires, c.max_fires) << c.spec;
+    }
+}
+
+TEST(FaultPlanTest, FromEnvRejectsABadSeedOverride)
+{
+    ScopedEnv plan_var("MEDUSA_FAULT_PLAN", "dlsym@2");
+    const struct
+    {
+        const char *seed;
+        bool ok;
+        u64 value;
+    } kCases[] = {
+        {"42", true, 42},    {"0x10", true, 16},   {"abc", false, 0},
+        {"5junk", false, 0}, {"-1", false, 0},     {" 7", false, 0},
+        {"18446744073709551616", false, 0},
+    };
+    for (const auto &c : kCases) {
+        ScopedEnv seed_var("MEDUSA_FAULT_SEED", c.seed);
+        auto plan = FaultPlan::fromEnv();
+        ASSERT_EQ(plan.isOk(), c.ok) << c.seed;
+        if (c.ok) {
+            ASSERT_TRUE(plan->has_value());
+            EXPECT_EQ((**plan).seed, c.value) << c.seed;
+        } else {
+            EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)
+                << c.seed;
+            EXPECT_NE(plan.status().message().find("MEDUSA_FAULT_SEED"),
+                      std::string::npos);
+        }
+    }
+}
+
 TEST(FaultPlanTest, RetiredPointNamesAreUnknown)
 {
     // The v5 artifact's deserialize and CRC points went with its
-    // serializer; their spec names fail like any unknown point.
-    for (const char *spec : {"crc=0.1", "deserialize=0.1"}) {
+    // serializer, and cache_loader with the process-wide image cache;
+    // their spec names fail like any unknown point.
+    for (const char *spec :
+         {"crc=0.1", "deserialize=0.1", "cache_loader@1x1"}) {
         auto plan = FaultPlan::fromSpec(spec);
         ASSERT_FALSE(plan.isOk()) << spec;
         EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)
@@ -242,8 +341,8 @@ TEST(FaultInjectorTest, StreamsAreIndependentAcrossPoints)
 TEST(FaultInjectorTest, SurvivingPointsKeepTheirStreams)
 {
     // Each point's stream is seeded by its position in the SplitMix64
-    // sequence of the plan seed. Retiring the first two points must not
-    // shift the others, or every committed plan (e.g. the cluster
+    // sequence of the plan seed. Retiring the first three points must
+    // not shift the others, or every committed plan (e.g. the cluster
     // golden rows arming cluster_restore) would change its schedule.
     // These are the first draws each point made before the retirement.
     const struct
@@ -251,7 +350,6 @@ TEST(FaultInjectorTest, SurvivingPointsKeepTheirStreams)
         FaultPoint point;
         f64 first_draw;
     } kPinned[] = {
-        {FaultPoint::kCacheLoader, 0x1.3edb6280db48p-7},
         {FaultPoint::kReplayPrefix, 0x1.2d4e1074046dap-2},
         {FaultPoint::kReplayAlloc, 0x1.11ca6e687f85p-1},
         {FaultPoint::kKernelDlsym, 0x1.71e363bda0147p-1},
@@ -429,62 +527,6 @@ TEST(FaultRestoreTest, DisabledInjectionIsBitIdentical)
     EXPECT_EQ((*hooked)->coldStartReport().restore.restore_failures, 0u);
     EXPECT_EQ((*plain)->runtime().process().stateFingerprint(),
               (*hooked)->runtime().process().stateFingerprint());
-}
-
-// ---- ImageCache failure records -----------------------------------------
-
-TEST(FaultCacheTest, RecordsFailureStatusAndBacksOff)
-{
-    core::ImageCache cache(/*capacity=*/2,
-                           /*initial_backoff_ms=*/1.0,
-                           /*max_backoff_ms=*/4.0);
-    int runs = 0;
-    auto failing = [&]() -> StatusOr<core::MaterializedImage> {
-        ++runs;
-        return internalError("node died");
-    };
-    auto first = cache.getOrLoad("k", failing);
-    ASSERT_FALSE(first.isOk());
-    EXPECT_EQ(runs, 1);
-    EXPECT_EQ(cache.keyFailure("k").code(), StatusCode::kInternal);
-    EXPECT_EQ(cache.metricsSnapshot().counterValue("artifact_cache.failed_loads"), 1u);
-    EXPECT_EQ(cache.lastFailure().code(), StatusCode::kInternal);
-
-    // An immediate retry waits out the backoff (counted), then runs
-    // the loader again.
-    auto second = cache.getOrLoad("k", failing);
-    ASSERT_FALSE(second.isOk());
-    EXPECT_EQ(runs, 2);
-    EXPECT_GE(cache.metricsSnapshot().counterValue("artifact_cache.backoff_waits"), 1u);
-
-    // Success clears the failure record.
-    auto ok = cache.getOrLoad("k", [&]() -> StatusOr<core::MaterializedImage> {
-        return core::MaterializedImage{};
-    });
-    ASSERT_TRUE(ok.isOk());
-    EXPECT_TRUE(cache.keyFailure("k").isOk());
-}
-
-TEST(FaultCacheTest, InjectorFailsLoaderWithoutRunningIt)
-{
-    auto plan = FaultPlan::fromSpec("cache_loader@1x1");
-    ASSERT_TRUE(plan.isOk());
-    FaultInjector injector(*plan);
-
-    core::ImageCache cache(2, 0.0, 0.0); // no backoff delay
-    cache.setFaultInjector(&injector);
-    int runs = 0;
-    auto loader = [&]() -> StatusOr<core::MaterializedImage> {
-        ++runs;
-        return core::MaterializedImage{};
-    };
-    auto first = cache.getOrLoad("k", loader);
-    ASSERT_FALSE(first.isOk());
-    EXPECT_EQ(first.status().code(), StatusCode::kFaultInjected);
-    EXPECT_EQ(runs, 0); // the fault preempted the fetch
-    auto second = cache.getOrLoad("k", loader);
-    ASSERT_TRUE(second.isOk()) << second.status().toString();
-    EXPECT_EQ(runs, 1);
 }
 
 // ---- cluster simulation under launch faults ------------------------------

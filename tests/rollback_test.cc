@@ -494,6 +494,37 @@ TEST(RollbackTest, TpFallbackDegradesAllRanksTogether)
     EXPECT_EQ(cs.metrics.counterValue("restore.fallback_vanilla"), 1u);
 }
 
+TEST(RollbackTest, TpLockstepRetryBuildsTheReferenceOnce)
+{
+    // The first attempt's lockstep check fails and the retry
+    // validates. The reference cluster does not depend on the attempt,
+    // so it is built once per cold start, while the lockstep fault
+    // point still registers one hit per attempt.
+    auto plan = FaultPlan::fromSpec("tp_lockstep@1x1");
+    ASSERT_TRUE(plan.isOk());
+    FaultInjector injector(*plan);
+
+    core::TpMedusaEngine::Options opts;
+    opts.model = tpModel();
+    opts.world = 2;
+    opts.aslr_seed = 707;
+    opts.restore.pipeline.validate = true;
+    opts.restore.pipeline.validate_batch_sizes = {1};
+    opts.restore.pipeline.fault = &injector;
+    opts.restore.fallback.mode = FallbackMode::kRetryThenVanilla;
+    opts.restore.fallback.max_attempts = 2;
+    auto engine = core::TpMedusaEngine::coldStartFromImages(opts, tpImages());
+    ASSERT_TRUE(engine.isOk()) << engine.status().toString();
+
+    const ColdStartReport &cs = (*engine)->coldStartReport();
+    EXPECT_EQ(cs.outcome, ColdStartOutcome::kRestoredAfterRetry);
+    EXPECT_TRUE(cs.restore.validated);
+    EXPECT_EQ(cs.restore.restore_attempts, 2u);
+    EXPECT_EQ(injector.hits(FaultPoint::kTpLockstep), 2u);
+    EXPECT_EQ(injector.fires(FaultPoint::kTpLockstep), 1u);
+    EXPECT_EQ(cs.metrics.counterValue("tp.reference_builds"), 1u);
+}
+
 // ---- one attempt loop: same fault plan, same accounting -----------------
 
 TEST(RollbackTest, FaultPlanGivesSameAccountingOnBothEngines)
