@@ -17,6 +17,7 @@
 #include "llm/runtime.h"
 #include "llm/tokenizer.h"
 #include "medusa/artifact.h"
+#include "medusa/image.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
 #include "simcuda/caching_allocator.h"
@@ -369,6 +370,25 @@ BM_ImageOpenView(benchmark::State &state)
         static_cast<i64>(state.iterations() * bytes.size()));
 }
 BENCHMARK(BM_ImageOpenView);
+
+void
+BM_BuildImageBytes(benchmark::State &state)
+{
+    // Flatten + serialize + CRC of one v6 image: set-up pays it once in
+    // materialize() and once more to build the Medusa serving profile.
+    // Full-depth Qwen1.5-4B, the perfbench model (~3.7 MB image).
+    core::OfflineOptions opts;
+    opts.model = llm::findModel("Qwen1.5-4B").value();
+    opts.pipeline.validate = false;
+    auto offline = core::materialize(opts);
+    for (auto _ : state) {
+        auto bytes = core::buildImageBytes(offline->artifact, {});
+        benchmark::DoNotOptimize(bytes);
+    }
+    state.SetBytesProcessed(static_cast<i64>(
+        state.iterations() * offline->image_bytes.size()));
+}
+BENCHMARK(BM_BuildImageBytes)->Unit(benchmark::kMillisecond);
 
 void
 BM_OfflineMaterialize(benchmark::State &state)

@@ -160,7 +160,9 @@ FaultPlan::fromSpec(const std::string &spec)
         seen[static_cast<std::size_t>(point)] = true;
         FaultRule &rule = plan.rule(point);
         std::size_t i = mod;
-        bool any = false;
+        // Whether a '=' or '@' said when to fire; a fire cap alone
+        // ("dlsymx3") does not.
+        bool timed = false;
         while (i != std::string::npos && i < entry.size()) {
             const char kind = entry[i];
             const char *begin = entry.c_str() + i + 1;
@@ -190,7 +192,7 @@ FaultPlan::fromSpec(const std::string &spec)
                 }
                 rule.max_fires = *cap;
             }
-            any = true;
+            timed = timed || kind != 'x';
             i = static_cast<std::size_t>(after - entry.c_str());
             if (i >= entry.size()) {
                 break;
@@ -200,8 +202,9 @@ FaultPlan::fromSpec(const std::string &spec)
                                        entry + "\"");
             }
         }
-        if (!any) {
-            // A bare point name means "always fire".
+        if (!timed) {
+            // A bare point name means "always fire"; with only a cap,
+            // "always fire, at most M times".
             rule.probability = 1.0;
         }
     }
@@ -257,6 +260,7 @@ parseRuleObject(const Json &obj, FaultPlan &plan,
     }
     std::optional<FaultPoint> point;
     FaultRule rule;
+    bool timed = false; // as in the spec form
     for (const auto &[key, v] : obj.members()) {
         if (key == "point") {
             if (!v.isString()) {
@@ -271,6 +275,7 @@ parseRuleObject(const Json &obj, FaultPlan &plan,
                     "fault json: probability out of [0, 1]");
             }
             rule.probability = v.asNumber();
+            timed = true;
         } else if (key == "fire_on_hit") {
             MEDUSA_ASSIGN_OR_RETURN(rule.fire_on_hit,
                                     jsonPlanInteger(v, key));
@@ -278,6 +283,7 @@ parseRuleObject(const Json &obj, FaultPlan &plan,
                 return invalidArgument(
                     "fault json: fire_on_hit must be >= 1");
             }
+            timed = true;
         } else if (key == "max_fires") {
             MEDUSA_ASSIGN_OR_RETURN(rule.max_fires,
                                     jsonPlanInteger(v, key));
@@ -288,6 +294,9 @@ parseRuleObject(const Json &obj, FaultPlan &plan,
     }
     if (!point.has_value()) {
         return invalidArgument("fault json: rule missing \"point\"");
+    }
+    if (!timed) {
+        rule.probability = 1.0;
     }
     if (seen[static_cast<std::size_t>(*point)]) {
         return invalidArgument(
@@ -465,7 +474,9 @@ envFaultInjector()
 {
     static FaultInjector *injector = []() -> FaultInjector * {
         auto plan = FaultPlan::fromEnv();
-        if (!plan.isOk() || !plan->has_value() || !(**plan).enabled()) {
+        // A malformed plan must not quietly run fault-free.
+        MEDUSA_CHECK(plan.isOk(), plan.status().toString());
+        if (!plan->has_value() || !(**plan).enabled()) {
             return nullptr;
         }
         static FaultInjector instance(**plan);

@@ -23,9 +23,11 @@
  * Spec entries are separated by ';' or ',': `point=P` fires with
  * probability P per hit; `point@N` fires deterministically on the N-th
  * hit (1-based); `pointxM` caps total fires at M and combines with
- * either form (`dlsym@2x1`). `seed=S` sets the plan seed. N, M, S and
- * MEDUSA_FAULT_SEED are unsigned 64-bit integers (no sign, S and the
- * variable with no trailing characters). Naming the same point, or
+ * either form (`dlsym@2x1`). A bare `point` fires on every hit, and
+ * `pointxM` alone on every hit up to M fires. `seed=S` sets the plan
+ * seed. N, M, S and MEDUSA_FAULT_SEED are unsigned 64-bit decimal
+ * integers (no sign; S and the variable may also be 0x hex, and take
+ * no trailing characters). Naming the same point, or
  * the seed, twice is an error (the second entry would silently
  * overwrite the first), as is an unknown point name — the error lists
  * every valid name.
@@ -33,8 +35,10 @@
  * The JSON form parses through common/json.h: `seed` and a `rules`
  * array of objects with `point`, `probability`, `fire_on_hit` and
  * `max_fires`. Integer fields must be integers in [0, 2^53], and
- * `fire_on_hit` at least 1 as in the spec form. In both forms a
- * probability must lie in [0, 1] (NaN is rejected).
+ * `fire_on_hit` at least 1 as in the spec form. A rule with neither
+ * `probability` nor `fire_on_hit` fires on every hit, as in the spec
+ * form. In both forms a probability must lie in [0, 1] (NaN is
+ * rejected).
  */
 
 #ifndef MEDUSA_COMMON_FAULT_H
@@ -191,8 +195,11 @@ class FaultInjector
 
 /**
  * The process-wide injector configured from the environment, or null
- * when MEDUSA_FAULT_PLAN is unset/invalid. Built once on first use, so
- * engines can honor the env vars without explicit wiring.
+ * when MEDUSA_FAULT_PLAN is unset, empty or enables no rule. Built once
+ * on first use, so engines can honor the env vars without explicit
+ * wiring. A malformed MEDUSA_FAULT_PLAN or MEDUSA_FAULT_SEED prints
+ * the parse error and aborts the process, so a typo cannot turn a
+ * fault-injected run into a fault-free one.
  */
 FaultInjector *envFaultInjector();
 

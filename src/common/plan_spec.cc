@@ -38,26 +38,40 @@ splitSpecEntries(const std::string &spec)
     return entries;
 }
 
+namespace {
+
+/** strtoull in @p base at a digit of that base, refusing overflow. */
 std::optional<u64>
-parseSpecUintPrefix(const char *begin, char **end)
+parseDigits(const char *begin, char **end, int base)
 {
-    if (std::isdigit(static_cast<unsigned char>(*begin)) == 0) {
+    const auto c = static_cast<unsigned char>(*begin);
+    if ((base == 16 ? std::isxdigit(c) : std::isdigit(c)) == 0) {
         return std::nullopt;
     }
     errno = 0;
-    const unsigned long long value = std::strtoull(begin, end, 0);
+    const unsigned long long value = std::strtoull(begin, end, base);
     if (errno == ERANGE) {
         return std::nullopt;
     }
     return static_cast<u64>(value);
 }
 
+} // namespace
+
+std::optional<u64>
+parseSpecUintPrefix(const char *begin, char **end)
+{
+    return parseDigits(begin, end, 10);
+}
+
 std::optional<u64>
 parseSpecUint(const std::string &text)
 {
+    const bool hex = text.size() > 2 && text[0] == '0' &&
+                     (text[1] == 'x' || text[1] == 'X');
     char *end = nullptr;
     const std::optional<u64> value =
-        parseSpecUintPrefix(text.c_str(), &end);
+        parseDigits(text.c_str() + (hex ? 2 : 0), &end, hex ? 16 : 10);
     if (!value.has_value() || end != text.c_str() + text.size()) {
         return std::nullopt;
     }

@@ -26,18 +26,22 @@ namespace medusa {
 std::vector<std::string> splitSpecEntries(const std::string &spec);
 
 /**
- * Parse the unsigned integer that starts at @p begin the way
- * strtoull(base 0) reads it (decimal, 0x hex, 0 octal), but only when
- * it starts with a digit and fits in 64 bits: strtoull would skip
- * whitespace, wrap a '-' sign ("-1" as 2^64-1) and saturate an
- * overflow. On success *@p end points just past the number.
+ * Parse the decimal unsigned integer that starts at @p begin, only when
+ * it starts with a digit and fits in 64 bits: a bare strtoull would
+ * skip whitespace, wrap a '-' sign ("-1" as 2^64-1), saturate an
+ * overflow, and in base 0 read "010" as 8 and "0x2" as 2. Decimal only,
+ * so "@010" is hit 10 and "@0x2" stops after the "0". On success
+ * *@p end points just past the number. Hit ordinals and fire caps use
+ * it.
  */
 std::optional<u64> parseSpecUintPrefix(const char *begin, char **end);
 
 /**
- * @p text as a whole unsigned integer (see parseSpecUintPrefix);
- * trailing characters ("5junk") or an empty string yield nullopt.
- * Seeds in the spec forms and the *_SEED environment overrides use it.
+ * @p text as a whole unsigned integer: decimal as parseSpecUintPrefix
+ * reads it, or hex after a "0x"/"0X" prefix ("0x5eed"); there is no
+ * octal form. Trailing characters ("5junk") or an empty string yield
+ * nullopt. Seeds in the spec forms and the *_SEED environment
+ * overrides use it.
  */
 std::optional<u64> parseSpecUint(const std::string &text);
 

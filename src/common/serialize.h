@@ -71,11 +71,28 @@ class BinaryWriter
         }
     }
 
+    /**
+     * Overwrite already-written bytes at @p at: size fields and
+     * checksums known only once the bytes after them are written.
+     */
+    void patchU32(std::size_t at, u32 v) { patchRaw(at, &v, sizeof(v)); }
+    void patchU64(std::size_t at, u64 v) { patchRaw(at, &v, sizeof(v)); }
+
+    /** Pre-size the buffer for @p n total bytes. */
+    void reserve(std::size_t n) { buf_.reserve(n); }
+
     const std::vector<u8> &bytes() const { return buf_; }
     std::vector<u8> takeBytes() { return std::move(buf_); }
     std::size_t size() const { return buf_.size(); }
 
   private:
+    void
+    patchRaw(std::size_t at, const void *data, std::size_t n)
+    {
+        MEDUSA_CHECK(at + n <= buf_.size(), "patch past the written bytes");
+        std::memcpy(buf_.data() + at, data, n);
+    }
+
     void
     writeRaw(const void *data, std::size_t n)
     {

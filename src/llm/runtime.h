@@ -190,13 +190,16 @@ class ModelRuntime
     /**
      * Virtual seconds of one decode step at batch size @p bs: input
      * staging, forward (graph replay or eager), sampling and the D2H
-     * sync — the per-step serving cost the cluster simulator uses.
+     * sync — the per-step serving cost the cluster simulator uses. The
+     * sampled token's copy is charged but not read, so this works on a
+     * process whose contents were discarded.
      */
     StatusOr<f64> measureDecodeStepSec(u32 bs, bool use_graph);
 
     /**
      * Virtual seconds of one eager prefill of @p n_real_tokens (the
-     * functional token count is scaled down accordingly).
+     * functional token count is scaled down accordingly). Like
+     * measureDecodeStepSec, it reads nothing back.
      */
     StatusOr<f64> measurePrefillSec(u32 n_real_tokens);
 
@@ -228,7 +231,10 @@ class ModelRuntime
     /** Read logits rows [0, bs) from the device. */
     StatusOr<std::vector<f32>> readLogits(u32 bs, u32 row_offset = 0);
 
-    /** Launch argmax over one logits row span and read the token back. */
+    /** Launch argmax over one logits row into the sampled-token slot. */
+    Status launchSample(u32 row);
+
+    /** launchSample(), then read the token back. */
     StatusOr<i32> sampleToken(u32 row);
 
     /** Pick the smallest captured batch size >= n. */

@@ -7,6 +7,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/crc32.h"
 
@@ -104,15 +106,43 @@ struct GraphMeta
     u64 param_slot_begin = 0;
 };
 
+/** Hash of a (kernel name, module name) kernel-table key. */
+struct KernelKeyHash
+{
+    std::size_t
+    operator()(const std::pair<std::string_view, std::string_view> &key)
+        const
+    {
+        const std::hash<std::string_view> h;
+        return h(key.first) * 31 + h(key.second);
+    }
+};
+
 } // namespace
 
 StatusOr<std::vector<u8>>
 buildImageBytes(const Artifact &artifact,
                 const std::vector<std::pair<i32, i32>> &tokenizer_merges)
 {
+    // ---- size the columns from the artifact's counts -----------------
+    // (Counting indirect params would touch every ParamSpec; data_relocs
+    // grows instead.)
+    std::size_t total_params = 0, total_edges = 0;
+    u64 total_nodes = 0;
+    for (const GraphBlueprint &g : artifact.graphs) {
+        total_nodes += g.nodes.size();
+        total_edges += g.edges.size();
+        for (const NodeBlueprint &node : g.nodes) {
+            total_params += node.params.size();
+        }
+    }
+
     // ---- flatten the blueprints into SoA columns + patch template ----
     std::vector<MaterializedImage::KernelEntry> kernel_table;
-    std::map<std::pair<std::string, std::string>, u64> kernel_index;
+    // Keyed by views into the artifact's node strings: no per-node copy.
+    std::unordered_map<std::pair<std::string_view, std::string_view>, u64,
+                       KernelKeyHash>
+        kernel_index;
     std::vector<GraphMeta> graph_meta;
     std::vector<u32> param_begin;
     std::vector<u32> order;
@@ -122,12 +152,18 @@ buildImageBytes(const Artifact &artifact,
     std::vector<u64> slots;
     std::vector<MaterializedImage::DataReloc> data_relocs;
     std::vector<MaterializedImage::KernelReloc> kernel_relocs;
-    u64 total_nodes = 0;
+    graph_meta.reserve(artifact.graphs.size());
+    param_begin.reserve(total_nodes + artifact.graphs.size());
+    order.reserve(total_nodes);
+    edges.reserve(total_edges);
+    timings.reserve(total_nodes);
+    param_len.reserve(total_params);
+    slots.reserve(total_nodes + total_params);
+    kernel_relocs.reserve(total_nodes);
 
     for (std::size_t gi = 0; gi < artifact.graphs.size(); ++gi) {
         const GraphBlueprint &g = artifact.graphs[gi];
         const std::size_t n = g.nodes.size();
-        total_nodes += n;
         GraphMeta meta;
         meta.batch_size = g.batch_size;
         meta.node_count = static_cast<u32>(n);
@@ -139,10 +175,8 @@ buildImageBytes(const Artifact &artifact,
         meta.fn_slot_begin = slots.size();
         for (std::size_t ni = 0; ni < n; ++ni) {
             const NodeBlueprint &node = g.nodes[ni];
-            const std::pair<std::string, std::string> key{
-                node.kernel_name, node.module_name};
-            auto [it, inserted] =
-                kernel_index.try_emplace(key, kernel_table.size());
+            auto [it, inserted] = kernel_index.try_emplace(
+                {node.kernel_name, node.module_name}, kernel_table.size());
             if (inserted) {
                 kernel_table.push_back({node.kernel_name,
                                         node.module_name});
@@ -209,8 +243,21 @@ buildImageBytes(const Artifact &artifact,
         contents_total += p.contents.size();
     }
 
-    // ---- serialize: decoded metadata first, POD columns after --------
+    // ---- serialize: header, decoded metadata, then POD columns -------
+    // The header goes first with a zero size and CRC, patched in place
+    // once the payload is written. kHeaderBytes is a multiple of 8, so
+    // alignTo8 pads the payload as if it started at offset 0.
+    static_assert(MaterializedImage::kHeaderBytes % 8 == 0);
     BinaryWriter w;
+    w.writeU32(MaterializedImage::kMagic);
+    w.writeU32(MaterializedImage::kVersion);
+    const std::size_t size_at = w.size();
+    w.writeU64(0); // payload bytes
+    const std::size_t crc_at = w.size();
+    w.writeU32(0); // payload CRC-32
+    w.writeU32(0); // pad: keeps the payload 8-byte aligned
+    MEDUSA_CHECK(w.size() == MaterializedImage::kHeaderBytes,
+                 "image header drifted from kHeaderBytes");
     w.writeString(artifact.model_name);
     w.writeU64(artifact.model_seed);
     w.writeU64(artifact.free_gpu_memory);
@@ -253,6 +300,16 @@ buildImageBytes(const Artifact &artifact,
     w.writeU64(kernel_relocs.size());
     w.writeU64(contents_total);
 
+    // The POD columns and the contents make up nearly all the bytes:
+    // grow the buffer once for them (each of the 10 aligns pads < 8).
+    auto podBytes = [](const auto &v) {
+        return v.size() * sizeof(v.front());
+    };
+    w.reserve(w.size() + podBytes(param_begin) + podBytes(order) +
+              podBytes(edges) + podBytes(timings) + podBytes(param_len) +
+              podBytes(slots) + podBytes(data_relocs) +
+              podBytes(kernel_relocs) + podBytes(artifact.pointer_fixes) +
+              contents_total + 10 * 8);
     writePodArray(w, param_begin);
     writePodArray(w, order);
     writePodArray(w, edges);
@@ -261,31 +318,19 @@ buildImageBytes(const Artifact &artifact,
     writePodArray(w, slots);
     writePodArray(w, data_relocs);
     writePodArray(w, kernel_relocs);
-    {
-        std::vector<PointerWordFix> fixes = artifact.pointer_fixes;
-        writePodArray(w, fixes);
-    }
+    writePodArray(w, artifact.pointer_fixes);
     alignTo8(w);
     for (const PermanentBuffer &p : artifact.permanent) {
         w.writeBytesRaw(p.contents.data(), p.contents.size());
     }
 
-    const std::vector<u8> &payload = w.bytes();
-    BinaryWriter header;
-    header.writeU32(MaterializedImage::kMagic);
-    header.writeU32(MaterializedImage::kVersion);
-    header.writeU64(payload.size());
-    header.writeU32(crc32(payload.data(), payload.size()));
-    header.writeU32(0); // pad: keeps the payload 8-byte aligned
-    MEDUSA_CHECK(header.size() == MaterializedImage::kHeaderBytes,
-                 "image header drifted from kHeaderBytes");
-
-    std::vector<u8> out;
-    out.reserve(MaterializedImage::kHeaderBytes + payload.size());
-    out.insert(out.end(), header.bytes().begin(), header.bytes().end());
-    out.insert(out.end(), payload.begin(), payload.end());
-
-    return out;
+    const std::size_t payload_bytes =
+        w.size() - MaterializedImage::kHeaderBytes;
+    w.patchU64(size_at, payload_bytes);
+    w.patchU32(crc_at, crc32(w.bytes().data() +
+                                 MaterializedImage::kHeaderBytes,
+                             payload_bytes));
+    return w.takeBytes();
 }
 
 StatusOr<MaterializedImage>

@@ -231,8 +231,9 @@ envChaosPlan()
 {
     static const ChaosPlan *plan = []() -> const ChaosPlan * {
         auto parsed = ChaosPlan::fromEnv();
-        if (!parsed.isOk() || !parsed->has_value() ||
-            !(**parsed).enabled()) {
+        // A malformed plan must not quietly run chaos-free.
+        MEDUSA_CHECK(parsed.isOk(), parsed.status().toString());
+        if (!parsed->has_value() || !(**parsed).enabled()) {
             return nullptr;
         }
         static const ChaosPlan instance = **parsed;

@@ -41,7 +41,8 @@
  * `store_mttr`, `gray_mtbf`, `gray_mttr`, `gray_slowdown`, `horizon`.
  * A key may appear only once; unknown keys are errors listing the
  * valid set. The spec `seed` and MEDUSA_CHAOS_SEED must be a whole
- * unsigned 64-bit integer (no sign, no trailing characters). JSON keys
+ * unsigned 64-bit integer, decimal or 0x hex (no sign, no octal, no
+ * trailing characters). JSON keys
  * keep the `_sec` suffix; the JSON `seed` must be an integer in
  * [0, 2^53]. In either form every duration and
  * `gray_slowdown` must be finite (NaN and infinity are rejected).
@@ -119,7 +120,8 @@ struct ChaosPlan
 
 /**
  * The process-wide plan from MEDUSA_CHAOS_PLAN, or null when unset,
- * empty, disabled, or malformed (the envFaultInjector() contract).
+ * empty or disabled. A malformed plan or MEDUSA_CHAOS_SEED prints the
+ * parse error and aborts (the envFaultInjector() contract).
  * simulateCluster consults it when ClusterOptions::chaos is null, so
  * an exported plan chaos-hardens any simulation in the process.
  */

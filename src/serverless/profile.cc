@@ -126,6 +126,11 @@ buildServingProfile(const ProfileOptions &opts)
         rt = &baseline->runtime();
     }
 
+    // Every measurement below is a virtual-clock charge computed on the
+    // host before a kernel body runs, and the engine dies at return, so
+    // its device contents are never read again: skip the arithmetic.
+    rt->process().discardContents();
+
     // ---- measure decode steps ----------------------------------------
     const bool graphs = opts.strategy != llm::Strategy::kNoCudaGraph;
     const bool deferred =

@@ -148,6 +148,8 @@ GpuProcess::resetToPristine()
 u64
 GpuProcess::stateFingerprint() const
 {
+    MEDUSA_CHECK(!contents_discarded_,
+                 "state fingerprint of a process with discarded contents");
     auto mix = [](u64 h, u64 v) {
         return (h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2))) *
                0x100000001b3ull;
@@ -170,6 +172,8 @@ GpuProcess::stateFingerprint() const
 u64
 GpuProcess::logicalStateFingerprint() const
 {
+    MEDUSA_CHECK(!contents_discarded_,
+                 "state fingerprint of a process with discarded contents");
     auto mix = [](u64 h, u64 v) {
         return (h ^ (v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2))) *
                0x100000001b3ull;
@@ -248,6 +252,10 @@ GpuProcess::memcpyD2H(void *dst, DeviceAddr src, u64 functional_bytes,
 {
     if (captureActive()) {
         return captureViolation("synchronous memcpy during capture");
+    }
+    if (contents_discarded_ && functional_bytes != 0) {
+        return failedPrecondition(
+            "device-to-host read of a process with discarded contents");
     }
     // A D2H copy drains the producing stream first.
     MEDUSA_RETURN_IF_ERROR(defaultStream().synchronize());
@@ -599,6 +607,9 @@ GpuProcess::executeImpl(KernelId kernel, const Params &params)
                                    ": param " + std::to_string(i) +
                                    " has wrong size");
         }
+    }
+    if (contents_discarded_) {
+        return Status::ok();
     }
     KernelArgs args(params, def.params);
     Status st = def.fn(memory_, args);

@@ -259,7 +259,12 @@ class GpuProcess
     Status memcpyH2D(DeviceAddr dst, const void *src, u64 functional_bytes,
                      u64 logical_bytes);
 
-    /** Synchronous device-to-host copy (drains the default stream). */
+    /**
+     * Synchronous device-to-host copy (drains the default stream). After
+     * discardContents() a copy of functional bytes fails with
+     * kFailedPrecondition; a charge-only copy (@p functional_bytes 0)
+     * still charges the drain and the PCIe time of @p logical_bytes.
+     */
     Status memcpyD2H(void *dst, DeviceAddr src, u64 functional_bytes,
                      u64 logical_bytes);
 
@@ -360,6 +365,23 @@ class GpuProcess
         launch_observer_ = observer;
     }
 
+    // ---- discarded contents --------------------------------------------
+
+    /**
+     * One-way switch for a process whose device contents nobody will
+     * read again (a latency measurement on an engine about to die).
+     * From here on, eager and graph launches still load modules, charge
+     * the clock, advance stream readiness, count, notify the observer
+     * and check each kernel's param count and widths — everything but
+     * run the kernel body, so every charge stays as it would have been.
+     * The contents are undefined from then on: a functional D2H copy
+     * fails and the state fingerprints check-fail, so no caller can
+     * observe the skipped arithmetic. Neither resetToPristine() nor
+     * anything else switches it back. Reads through memory() bypass
+     * the refusal; code that discards must not make them.
+     */
+    void discardContents() { contents_discarded_ = true; }
+
     u64 eagerLaunchCount() const { return eager_launches_; }
     u64 capturedNodeCount() const { return captured_nodes_; }
     u64 graphLaunchCount() const { return graph_launches_; }
@@ -390,7 +412,8 @@ class GpuProcess
      * Digest of all process-lifetime state (memory, modules, streams,
      * counters, capture). Two processes with equal fingerprints behave
      * identically from here on; a reset process must fingerprint equal
-     * to a fresh one built with the same options.
+     * to a fresh one built with the same options. Check-fails after
+     * discardContents().
      */
     u64 stateFingerprint() const;
 
@@ -401,7 +424,8 @@ class GpuProcess
      * counter state but may have reached it on different simulated
      * clocks — the equality contract for restores that produce the
      * same state at a different simulated time (a retried restore, a
-     * cost-model change; DESIGN.md §13).
+     * cost-model change; DESIGN.md §13). Check-fails after
+     * discardContents().
      */
     u64 logicalStateFingerprint() const;
 
@@ -433,6 +457,9 @@ class GpuProcess
     u64 eager_launches_ = 0;
     u64 captured_nodes_ = 0;
     u64 graph_launches_ = 0;
+
+    /** Set by discardContents(); kernel bodies no longer run. */
+    bool contents_discarded_ = false;
 
     bool journal_active_ = false;
     ProcessJournal journal_;

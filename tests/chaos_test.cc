@@ -232,6 +232,25 @@ TEST(ChaosPlanTest, FromEnvReadsSpecJsonAndSeedOverride)
     ::unsetenv("MEDUSA_CHAOS_SEED");
 }
 
+TEST(ChaosPlanDeathTest, EnvPlanAbortsOnAMalformedPlan)
+{
+    // A re-executed child starts with envChaosPlan() unbuilt.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            ::setenv("MEDUSA_CHAOS_PLAN", "garbage", 1);
+            envChaosPlan();
+        },
+        "chaos spec");
+    EXPECT_DEATH(
+        {
+            ::setenv("MEDUSA_CHAOS_PLAN", "inst_mtbf=8", 1);
+            ::setenv("MEDUSA_CHAOS_SEED", "abc", 1);
+            envChaosPlan();
+        },
+        "MEDUSA_CHAOS_SEED");
+}
+
 // ---- failure schedule ----------------------------------------------------
 
 TEST(ChaosScheduleTest, DeterministicAndSorted)

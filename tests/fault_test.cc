@@ -159,13 +159,14 @@ class ScopedEnv
 TEST(FaultPlanTest, RejectsMalformedIntegers)
 {
     // A bare strtoull reads these as a seed of 0 or 5, a wrapped hit
-    // ordinal, a wrapped fire cap (an inactive rule) or a saturated
-    // overflow; a second seed would silently replace the first.
+    // ordinal, a wrapped fire cap (an inactive rule), a saturated
+    // overflow or (base 0) hit 2; a second seed would silently replace
+    // the first. Decimal "@0x2" is hit 0 followed by a cap.
     for (const char *spec :
          {"seed=zzz", "seed=5junk", "seed=", "seed=-1", "seed= 5",
           "seed=1;seed=2", "seed=18446744073709551616", "dlsym@-1",
           "dlsym@+2", "dlsym@ 2", "dlsymx-1", "dlsym@1x-1",
-          "dlsym@18446744073709551616"}) {
+          "dlsym@18446744073709551616", "dlsym@0x2", "seed=0x"}) {
         auto plan = FaultPlan::fromSpec(spec);
         ASSERT_FALSE(plan.isOk()) << spec;
         EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)
@@ -182,6 +183,8 @@ TEST(FaultPlanTest, RejectsMalformedIntegers)
         {"seed=0x5eed;dlsym@3", 0x5eed, 3, ~0ull},
         {"seed=18446744073709551615;dlsym@2x1", ~0ull, 2, 1},
         {"dlsym@18446744073709551615x0", 0x5eed, ~0ull, 0},
+        // Decimal, never octal: base 0 read these as 8.
+        {"seed=010;dlsym@010x010", 10, 10, 10},
     };
     for (const auto &c : kAccepted) {
         auto plan = FaultPlan::fromSpec(c.spec);
@@ -192,6 +195,61 @@ TEST(FaultPlanTest, RejectsMalformedIntegers)
         EXPECT_EQ(rule.fire_on_hit, c.fire_on_hit) << c.spec;
         EXPECT_EQ(rule.max_fires, c.max_fires) << c.spec;
     }
+}
+
+TEST(FaultPlanTest, CapAloneMeansAlwaysFireUpToTheCap)
+{
+    auto spec = FaultPlan::fromSpec("dlsymx3");
+    ASSERT_TRUE(spec.isOk()) << spec.status().toString();
+    EXPECT_TRUE(spec->enabled());
+    const FaultRule &rule = spec->rule(FaultPoint::kKernelDlsym);
+    EXPECT_EQ(rule.probability, 1.0);
+    EXPECT_EQ(rule.fire_on_hit, 0u);
+    EXPECT_EQ(rule.max_fires, 3u);
+
+    // The JSON form agrees, and both render to the same spec, which
+    // parses back to the same rule.
+    auto json = FaultPlan::fromJson(
+        "{\"rules\":[{\"point\":\"dlsym\",\"max_fires\":3}]}");
+    ASSERT_TRUE(json.isOk()) << json.status().toString();
+    EXPECT_EQ(json->toSpec(), spec->toSpec());
+    auto again = FaultPlan::fromSpec(spec->toSpec());
+    ASSERT_TRUE(again.isOk()) << spec->toSpec();
+    EXPECT_EQ(again->toSpec(), spec->toSpec());
+    const FaultRule &back = again->rule(FaultPoint::kKernelDlsym);
+    EXPECT_EQ(back.probability, 1.0);
+    EXPECT_EQ(back.max_fires, 3u);
+
+    FaultInjector injector(*spec);
+    for (int i = 0; i < 5; ++i) {
+        (void)injector.check(FaultPoint::kKernelDlsym, "");
+    }
+    EXPECT_EQ(injector.fires(FaultPoint::kKernelDlsym), 3u);
+
+    // Naming the point alone still means always fire, in both forms.
+    auto bare = FaultPlan::fromJson(
+        "{\"rules\":[{\"point\":\"dlsym\"}]}");
+    ASSERT_TRUE(bare.isOk()) << bare.status().toString();
+    EXPECT_EQ(bare->toSpec(), FaultPlan::fromSpec("dlsym")->toSpec());
+}
+
+TEST(FaultPlanDeathTest, EnvInjectorAbortsOnAMalformedPlan)
+{
+    // A re-executed child starts with envFaultInjector() unbuilt.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(
+        {
+            ScopedEnv plan("MEDUSA_FAULT_PLAN", "dlsym@zz");
+            envFaultInjector();
+        },
+        "bad hit ordinal");
+    EXPECT_DEATH(
+        {
+            ScopedEnv plan("MEDUSA_FAULT_PLAN", "dlsym@2");
+            ScopedEnv seed("MEDUSA_FAULT_SEED", "abc");
+            envFaultInjector();
+        },
+        "MEDUSA_FAULT_SEED");
 }
 
 TEST(FaultPlanTest, FromEnvRejectsABadSeedOverride)

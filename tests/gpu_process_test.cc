@@ -2,7 +2,8 @@
  * @file
  * Tests of the GpuProcess driver surface not covered elsewhere: memcpy
  * semantics and timing, memset, device-wide synchronization across
- * streams, launch statistics and error propagation.
+ * streams, launch statistics and error propagation, and the
+ * discarded-contents contract (discardContents()).
  */
 
 #include <gtest/gtest.h>
@@ -157,6 +158,113 @@ TEST_F(GpuProcessTest, DeviceIndexSeparatesAddressWindows)
     EXPECT_GE(*b - *a, 64ull * units::GiB);
     // Both stay under the pointer-heuristic bound.
     EXPECT_LT(*b, 0x800000000000ull);
+}
+
+/**
+ * Drives the same eager launches, capture, graph launch and a second
+ * stream on @p p; copies 4 floats from @p src to @p dst each launch.
+ */
+void
+runWorkload(GpuProcess &p, DeviceAddr src, DeviceAddr dst)
+{
+    const auto &k = BuiltinKernels::get();
+    auto copy = [&]() {
+        ParamsBuilder pb;
+        pb.ptr(src).ptr(dst).i32(4);
+        return pb.take();
+    };
+    TimingInfo slow;
+    slow.bytes = 1e9;
+    Stream &other = p.createStream();
+    ASSERT_TRUE(p.defaultStream().launch(k.copy_f32, copy(), {}).isOk());
+    ASSERT_TRUE(other.launch(k.copy_f32, copy(), slow).isOk());
+    ASSERT_TRUE(p.beginCapture(p.defaultStream()).isOk());
+    ASSERT_TRUE(p.defaultStream().launch(k.copy_f32, copy(), slow).isOk());
+    auto graph = p.endCapture(p.defaultStream());
+    ASSERT_TRUE(graph.isOk());
+    auto exec = p.instantiate(*graph);
+    ASSERT_TRUE(exec.isOk());
+    ASSERT_TRUE(p.launchGraph(*exec, p.defaultStream()).isOk());
+}
+
+TEST(GpuProcessDiscardTest, ChargesExactlyLikeATwinThatExecutes)
+{
+    CostModel cost;
+    SimClock clock_run, clock_skip;
+    GpuProcess run(GpuProcessOptions{}, &clock_run, &cost);
+    GpuProcess skip(GpuProcessOptions{}, &clock_skip, &cost);
+    skip.discardContents();
+
+    const std::vector<f32> data = {1, 2, 3, 4};
+    DeviceAddr src[2], dst[2];
+    GpuProcess *procs[2] = {&run, &skip};
+    for (int i = 0; i < 2; ++i) {
+        src[i] = procs[i]->memory().malloc(64, 16).value();
+        dst[i] = procs[i]->memory().malloc(64, 16).value();
+        ASSERT_TRUE(procs[i]->memcpyH2D(src[i], data.data(), 16, 16).isOk());
+        runWorkload(*procs[i], src[i], dst[i]);
+    }
+    EXPECT_EQ(clock_skip.now(), clock_run.now());
+    EXPECT_EQ(skip.eagerLaunchCount(), run.eagerLaunchCount());
+    EXPECT_EQ(skip.capturedNodeCount(), run.capturedNodeCount());
+    EXPECT_EQ(skip.graphLaunchCount(), run.graphLaunchCount());
+
+    // A charge-only D2H drains the default stream, and a device-wide
+    // sync every stream: both reach the same readiness on both twins.
+    ASSERT_TRUE(run.memcpyD2H(nullptr, dst[0], 0, 4).isOk());
+    ASSERT_TRUE(skip.memcpyD2H(nullptr, dst[1], 0, 4).isOk());
+    EXPECT_EQ(clock_skip.now(), clock_run.now());
+    ASSERT_TRUE(run.deviceSynchronize().isOk());
+    ASSERT_TRUE(skip.deviceSynchronize().isOk());
+    EXPECT_EQ(clock_skip.now(), clock_run.now());
+
+    // A functional D2H is refused, and charges nothing.
+    std::vector<f32> out(4, 0);
+    ASSERT_TRUE(run.memcpyD2H(out.data(), dst[0], 16, 16).isOk());
+    EXPECT_EQ(out, data);
+    const SimTimeNs before = clock_skip.now();
+    const Status refused = skip.memcpyD2H(out.data(), dst[1], 16, 16);
+    EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(clock_skip.now(), before);
+
+    // The kernel bodies did not run (read past the refusal, only to
+    // show it).
+    std::vector<f32> raw(4, -1);
+    ASSERT_TRUE(skip.memory().read(dst[1], raw.data(), 16).isOk());
+    EXPECT_EQ(raw, std::vector<f32>(4, 0));
+}
+
+TEST(GpuProcessDiscardTest, ParamChecksStillRun)
+{
+    const auto &k = BuiltinKernels::get();
+    CostModel cost;
+    SimClock clock;
+    GpuProcess p(GpuProcessOptions{}, &clock, &cost);
+    p.discardContents();
+    auto buf = p.memory().malloc(64, 64).value();
+    ParamsBuilder too_few;
+    too_few.ptr(buf).ptr(buf);
+    const Status count =
+        p.defaultStream().launch(k.copy_f32, too_few.take(), {});
+    EXPECT_EQ(count.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(count.message().find("expects 3 params"), std::string::npos);
+    ParamsBuilder wide;
+    wide.ptr(buf).ptr(buf).ptr(buf);
+    const Status width =
+        p.defaultStream().launch(k.copy_f32, wide.take(), {});
+    EXPECT_EQ(width.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(width.message().find("wrong size"), std::string::npos);
+}
+
+TEST(GpuProcessDiscardDeathTest, FingerprintsRefuse)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    CostModel cost;
+    SimClock clock;
+    GpuProcess p(GpuProcessOptions{}, &clock, &cost);
+    p.discardContents();
+    EXPECT_DEATH((void)p.stateFingerprint(), "discarded contents");
+    EXPECT_DEATH((void)p.logicalStateFingerprint(), "discarded contents");
 }
 
 } // namespace
