@@ -11,9 +11,15 @@
  * them. Each row holds, with every f64 printed as C99 "%a" hex float:
  *   model slug loading_sec cold_start_sec decode_step_sec... |
  *   prefill_sec... | capture_penalty_sec...
+ * The same run pins the materialized image itself, one row per model:
+ *   model image bytes crc32 capture_stage_sec analysis_stage_sec
+ *   validation_sec
+ * so an offline capture that computes less (DESIGN.md "Discarded
+ * contents") must still emit every image byte and charge every
+ * offline-stage second it did before.
  * On a mismatch the test prints the row it computed; a row may only be
- * replaced when the change is meant to move the virtual clock, and
- * CHANGES.md must say why.
+ * replaced when the change is meant to move the virtual clock or the
+ * image bytes, and CHANGES.md must say why.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +29,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "medusa/offline.h"
 #include "serverless/profile.h"
 
@@ -69,6 +76,18 @@ formatRow(const std::string &key, const serverless::ServingProfile &p)
     return row;
 }
 
+std::string
+formatImageRow(const std::string &model, const core::OfflineResult &r)
+{
+    char crc[16];
+    std::snprintf(crc, sizeof(crc), "%08x",
+                  crc32(r.image_bytes.data(), r.image_bytes.size()));
+    return model + " image " + std::to_string(r.image_bytes.size()) + " " +
+           crc + " " + hexFloat(r.capture_stage_sec) + " " +
+           hexFloat(r.analysis_stage_sec) + " " +
+           hexFloat(r.validation_sec);
+}
+
 /** The committed row keyed by "model slug", or "" if it has none. */
 std::string
 committedRow(const std::string &key)
@@ -95,6 +114,9 @@ TEST_P(GoldenProfileTest, MatchesCommittedFixture)
     oopts.model = m;
     auto offline = core::materialize(oopts);
     ASSERT_TRUE(offline.isOk()) << offline.status().toString();
+    const std::string image_row = formatImageRow(m.name, *offline);
+    EXPECT_EQ(committedRow(m.name + " image"), image_row)
+        << "computed: " << image_row;
 
     for (const NamedStrategy &s : kStrategies) {
         serverless::ProfileOptions popts;
