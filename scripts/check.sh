@@ -256,11 +256,15 @@ REL_BUILD="$BUILD-release"
 # list (runLoadingStages). fault_test pins every fault point's seeded
 # draw stream, which the cluster_restore golden rows depend on.
 # golden_profile_test pins every f64 of the serving profiles, which are
-# measured on a process with discarded contents.
+# measured on a process with discarded contents, and every zoo model's
+# full-depth image, which the shape-only offline capture emits.
+# gpu_process_test checks the taint that guards those skipped bodies,
+# and medusa_indirect_test the one permanent buffer they write.
 REL_TESTS="golden_numeric_test golden_tp_test cluster_equiv_test"
 REL_TESTS="$REL_TESTS kernels_test tokenizer_test"
 REL_TESTS="$REL_TESTS engine_test rollback_test tensor_parallel_test"
 REL_TESTS="$REL_TESTS fault_test golden_profile_test"
+REL_TESTS="$REL_TESTS gpu_process_test medusa_indirect_test"
 if ! cmake -B "$REL_BUILD" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
         >/dev/null; then
     fail "Release cmake configure failed"

@@ -163,8 +163,17 @@ FaultPlan::fromSpec(const std::string &spec)
         // Whether a '=' or '@' said when to fire; a fire cap alone
         // ("dlsymx3") does not.
         bool timed = false;
+        // Each modifier may appear once: a repeat would silently
+        // overwrite the value before it.
+        std::string used;
         while (i != std::string::npos && i < entry.size()) {
             const char kind = entry[i];
+            if (used.find(kind) != std::string::npos) {
+                return invalidArgument("fault spec: repeated '" +
+                                       std::string(1, kind) +
+                                       "' modifier in \"" + entry + "\"");
+            }
+            used += kind;
             const char *begin = entry.c_str() + i + 1;
             char *after = nullptr;
             if (kind == '=') {

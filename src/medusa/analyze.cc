@@ -75,6 +75,90 @@ matchNaive(const std::vector<const AllocRecord *> &candidates,
     return first;
 }
 
+/**
+ * Whether an indirect-access launch may reach @p target through the
+ * operand words stored in its parameter buffers (as read off the
+ * capture process). A tainted parameter buffer may hold any word.
+ */
+bool
+operandWordsReach(const AllocRecord &target, const simcuda::GraphNode &node,
+                  const simcuda::KernelDef &def,
+                  const simcuda::DeviceMemoryManager &memory)
+{
+    for (std::size_t p = 0; p < node.params.size(); ++p) {
+        if (def.params[p] != simcuda::ParamKind::kPointer) {
+            continue;
+        }
+        u64 ptr = 0;
+        std::memcpy(&ptr, node.params[p].data(), sizeof(ptr));
+        const simcuda::AllocationRecord *buf = memory.findContaining(ptr);
+        if (buf == nullptr) {
+            continue;
+        }
+        if (buf->tainted) {
+            return true;
+        }
+        std::vector<u64> words(buf->backing.size() / sizeof(u64));
+        if (!memory.read(buf->base, words.data(), words.size() * 8).isOk()) {
+            return true;
+        }
+        for (u64 word : words) {
+            if (word >= target.addr &&
+                word - target.addr < target.logical_size) {
+                return true;
+            }
+        }
+    }
+    return false;
+}
+
+/**
+ * Whether replay rewrites @p target before reading it: in every graph,
+ * the first node that touches it names it only through pointer params
+ * at offset 0 with kWrite access. An indirect-access node touches every
+ * buffer its operand words reach, and never as a plain write.
+ */
+StatusOr<bool>
+rewrittenBeforeRead(const AllocRecord &target,
+                    const std::vector<std::pair<u32, CudaGraph>> &graphs,
+                    const std::vector<GraphBlueprint> &blueprints,
+                    simcuda::GpuProcess &process)
+{
+    const auto &registry = simcuda::KernelRegistry::instance();
+    for (std::size_t g = 0; g < graphs.size(); ++g) {
+        const CudaGraph &graph = graphs[g].second;
+        const GraphBlueprint &bp = blueprints[g];
+        for (u32 n = 0; n < bp.nodes.size(); ++n) {
+            const simcuda::GraphNode &node =
+                graph.node(static_cast<simcuda::NodeId>(n));
+            MEDUSA_ASSIGN_OR_RETURN(simcuda::KernelId kernel,
+                                    process.modules().kernelAt(node.fn));
+            const simcuda::KernelDef &def = registry.def(kernel);
+            if (def.indirect_access &&
+                operandWordsReach(target, node, def, process.memory())) {
+                return false;
+            }
+            bool touched = false;
+            const std::vector<ParamSpec> &params = bp.nodes[n].params;
+            for (std::size_t p = 0; p < params.size(); ++p) {
+                if (params[p].kind != ParamSpec::kIndirect ||
+                    params[p].alloc_index != target.alloc_index) {
+                    continue;
+                }
+                if (params[p].offset != 0 || def.access.empty() ||
+                    def.access[p] != simcuda::ParamAccess::kWrite) {
+                    return false;
+                }
+                touched = true;
+            }
+            if (touched) {
+                break;
+            }
+        }
+    }
+    return true;
+}
+
 } // namespace
 
 StatusOr<AnalysisResult>
@@ -204,13 +288,32 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
             ++stats.temp_buffers;
             continue;
         }
-        if (before_capture && options.copy_free_contents) {
+        if (before_capture) {
             // Model parameters / engine I/O: restored by the weights
             // loader or rewritten by the engine before each replay.
             ++stats.model_param_buffers;
             continue;
         }
-        // Permanent buffer: materialize its contents.
+        // Permanent buffer: materialize its contents — unless the
+        // shape-only capture left them undefined and every replay
+        // rewrites them before reading, like a temporary's.
+        const simcuda::AllocationRecord *live =
+            process.memory().findContaining(rec.addr);
+        if (live != nullptr && live->tainted) {
+            MEDUSA_ASSIGN_OR_RETURN(
+                const bool rewritten,
+                rewrittenBeforeRead(rec, graphs, artifact.graphs,
+                                    process));
+            if (!rewritten) {
+                return failedPrecondition(
+                    "permanent buffer (allocation " +
+                    std::to_string(rec.alloc_index) +
+                    ") is read before a graph rewrites it, but the "
+                    "shape-only capture left its contents undefined");
+            }
+            ++stats.rewritten_buffers;
+            continue;
+        }
         PermanentBuffer pb;
         pb.alloc_index = rec.alloc_index;
         pb.contents.resize(rec.backing_size);

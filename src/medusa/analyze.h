@@ -37,11 +37,6 @@ struct AnalyzeOptions
      */
     bool trace_based_matching = true;
     /**
-     * true: materialize only permanent-buffer contents (§4.3).
-     * false: dump the contents of every node-referenced live buffer.
-     */
-    bool copy_free_contents = true;
-    /**
      * §8 extension: scan materialized buffer contents for device
      * pointers (e.g. batched-GEMM operand arrays) and record them as
      * PointerWordFixes so the online phase rewrites them after replay.
@@ -76,7 +71,12 @@ struct AnalysisResult
  *
  * @param recorder the offline recorder (alloc/launch traces, tags).
  * @param process the offline process (for name/module lookups and for
- *        reading permanent-buffer contents off the device).
+ *        reading permanent-buffer contents off the device). A tainted
+ *        permanent buffer (see simcuda::AllocationRecord) whose first
+ *        touch in every graph is a direct, offset-0 kWrite gets no
+ *        contents, since every replay rewrites it before reading it;
+ *        any other tainted permanent buffer fails the analysis with
+ *        kFailedPrecondition.
  * @param model_name / @param model_seed artifact identity.
  * @param graphs the captured graphs, one per batch size.
  * @param free_gpu_memory the profiled KV-init value to materialize.

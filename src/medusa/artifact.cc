@@ -31,6 +31,7 @@ AnalysisStats::publishTo(MetricsRegistry &registry) const
         .add(model_param_buffers);
     registry.counter("analysis.temp_buffers").add(temp_buffers);
     registry.counter("analysis.permanent_buffers").add(permanent_buffers);
+    registry.counter("analysis.rewritten_buffers").add(rewritten_buffers);
     registry.counter("analysis.indirect_pointer_words")
         .add(indirect_pointer_words);
     registry.counter("analysis.materialized_content_bytes")

@@ -132,6 +132,11 @@ struct AnalysisStats
     u64 temp_buffers = 0;
     /** Buffers whose contents are materialized. */
     u64 permanent_buffers = 0;
+    /**
+     * Permanent buffers the shape-only capture left undefined and every
+     * graph rewrites before reading (contents skipped).
+     */
+    u64 rewritten_buffers = 0;
     /** Indirect pointer words found inside materialized buffers (§8). */
     u64 indirect_pointer_words = 0;
     /** Bytes of buffer contents materialized (copy-free keeps this tiny). */

@@ -15,6 +15,10 @@ StatusOr<CapturedStage>
 runCaptureStage(ModelRuntime &rt, Recorder &recorder,
                 std::span<const u32> batch_sizes, TraceRecorder *rec)
 {
+    // The offline phase records structure, never a computed value:
+    // skip every kernel body (profiling forwarding, warm-ups) and let
+    // the taint keep the undefined bytes from the analysis stage.
+    rt.process().discardContents();
     CapturedStage out;
     {
         Span s(rec, "cold_start.struct_init", "stage");

@@ -93,6 +93,12 @@ struct CapturedStage
  * the `offline.save` charge for the captured nodes. Stages get the
  * `cold_start.*` spans on @p rec (may be null). materialize runs it
  * once; materializeTp runs it on every rank.
+ *
+ * The capture is shape-only: it first calls discardContents() on the
+ * runtime's process, so the profiling forwarding and the warm-ups
+ * charge the clock without running kernel bodies, and every buffer a
+ * skipped body would have written is tainted (DESIGN.md "Discarded
+ * contents").
  */
 StatusOr<CapturedStage> runCaptureStage(llm::ModelRuntime &rt,
                                         Recorder &recorder,

@@ -253,17 +253,16 @@ GpuProcess::memcpyD2H(void *dst, DeviceAddr src, u64 functional_bytes,
     if (captureActive()) {
         return captureViolation("synchronous memcpy during capture");
     }
-    if (contents_discarded_ && functional_bytes != 0) {
-        return failedPrecondition(
-            "device-to-host read of a process with discarded contents");
+    // Kernel bodies run at launch, so the bytes are final already; a
+    // copy that cannot read them (unmapped, out of bounds or tainted)
+    // fails before it charges anything.
+    if (functional_bytes != 0) {
+        MEDUSA_RETURN_IF_ERROR(memory_.read(src, dst, functional_bytes));
     }
     // A D2H copy drains the producing stream first.
     MEDUSA_RETURN_IF_ERROR(defaultStream().synchronize());
     clock_->advance(cost_->pcieCopyTime(static_cast<f64>(logical_bytes)));
-    if (functional_bytes == 0) {
-        return Status::ok();
-    }
-    return memory_.read(src, dst, functional_bytes);
+    return Status::ok();
 }
 
 Status
@@ -590,6 +589,50 @@ paramWidthAt(ParamView params, std::size_t i)
 
 } // namespace
 
+Status
+GpuProcess::taintSkippedWrites(const KernelDef &def, const KernelArgs &args)
+{
+    // An indirect body reaches buffers through pointer words stored in
+    // its parameter buffers: taint every allocation such a word points
+    // into. Collect the targets first, so a taint this launch sets
+    // cannot be mistaken for an undefined operand buffer.
+    std::vector<u64> pointees;
+    for (std::size_t i = 0; def.indirect_access && i < args.size(); ++i) {
+        if (def.params[i] != ParamKind::kPointer) {
+            continue;
+        }
+        const AllocationRecord *rec = memory_.findContaining(args.ptrAt(i));
+        if (rec == nullptr) {
+            continue;
+        }
+        if (rec->tainted) {
+            return failedPrecondition(
+                "kernel " + def.mangled_name +
+                ": skipped indirect body would dereference operand words "
+                "a skipped body left undefined");
+        }
+        const std::size_t first = pointees.size();
+        pointees.resize(first + rec->backing.size() / sizeof(u64));
+        MEDUSA_RETURN_IF_ERROR(
+            memory_.read(rec->base, pointees.data() + first,
+                         (pointees.size() - first) * sizeof(u64)));
+    }
+    for (u64 word : pointees) {
+        memory_.taint(word);
+    }
+    for (std::size_t i = 0; i < args.size(); ++i) {
+        if (def.params[i] != ParamKind::kPointer) {
+            continue;
+        }
+        if (def.access.empty() ||
+            (accessWrites(def.access[i]) &&
+             def.access[i] != ParamAccess::kSemaphore)) {
+            memory_.taint(args.ptrAt(i));
+        }
+    }
+    return Status::ok();
+}
+
 template <typename Params>
 Status
 GpuProcess::executeImpl(KernelId kernel, const Params &params)
@@ -608,10 +651,10 @@ GpuProcess::executeImpl(KernelId kernel, const Params &params)
                                    " has wrong size");
         }
     }
-    if (contents_discarded_) {
-        return Status::ok();
-    }
     KernelArgs args(params, def.params);
+    if (contents_discarded_) {
+        return taintSkippedWrites(def, args);
+    }
     Status st = def.fn(memory_, args);
     if (!st.isOk()) {
         return Status(st.code(), "kernel " + def.mangled_name +

@@ -260,10 +260,11 @@ class GpuProcess
                      u64 logical_bytes);
 
     /**
-     * Synchronous device-to-host copy (drains the default stream). After
-     * discardContents() a copy of functional bytes fails with
-     * kFailedPrecondition; a charge-only copy (@p functional_bytes 0)
-     * still charges the drain and the PCIe time of @p logical_bytes.
+     * Synchronous device-to-host copy (drains the default stream). A
+     * copy of functional bytes from a tainted allocation (see
+     * discardContents()) fails with kFailedPrecondition and charges
+     * nothing; a charge-only copy (@p functional_bytes 0) always
+     * charges the drain and the PCIe time of @p logical_bytes.
      */
     Status memcpyD2H(void *dst, DeviceAddr src, u64 functional_bytes,
                      u64 logical_bytes);
@@ -368,17 +369,27 @@ class GpuProcess
     // ---- discarded contents --------------------------------------------
 
     /**
-     * One-way switch for a process whose device contents nobody will
-     * read again (a latency measurement on an engine about to die).
-     * From here on, eager and graph launches still load modules, charge
-     * the clock, advance stream readiness, count, notify the observer
-     * and check each kernel's param count and widths — everything but
-     * run the kernel body, so every charge stays as it would have been.
-     * The contents are undefined from then on: a functional D2H copy
-     * fails and the state fingerprints check-fail, so no caller can
-     * observe the skipped arithmetic. Neither resetToPristine() nor
-     * anything else switches it back. Reads through memory() bypass
-     * the refusal; code that discards must not make them.
+     * One-way switch for a process whose computed device contents
+     * nobody reads: a latency measurement on an engine about to die,
+     * or the offline capture stage, which records structure (the
+     * allocation sequence, kernel names, pointer params) and never a
+     * computed value. From here on, eager and graph launches still load
+     * modules, charge the clock, advance stream readiness, count,
+     * notify the observer and check each kernel's param count and
+     * widths — everything but run the kernel body, so every charge
+     * stays as it would have been.
+     *
+     * A skipped body taints (AllocationRecord::tainted) every
+     * allocation its declared access set writes: every pointer
+     * parameter's if KernelDef::access is empty, none for a kRead or
+     * kSemaphore parameter. An indirect_access body also taints each
+     * allocation an 8-byte word of its parameter buffers points into,
+     * and fails if one of those buffers is itself tainted. Every read
+     * of a tainted allocation fails (DeviceMemoryManager::read), so no
+     * caller can observe the skipped arithmetic; a full-size H2D copy
+     * or memset defines the bytes again. Host copies and memsets still
+     * run. The state fingerprints check-fail. Neither resetToPristine()
+     * nor anything else switches it back.
      */
     void discardContents() { contents_discarded_ = true; }
 
@@ -439,6 +450,9 @@ class GpuProcess
     /** Execute a kernel functionally against device memory. */
     Status execute(KernelId kernel, const RawParams &params);
     Status execute(KernelId kernel, ParamView params);
+
+    /** What a skipped body does instead: taint its write set. */
+    Status taintSkippedWrites(const KernelDef &def, const KernelArgs &args);
 
     /** Shared validation + decode behind both execute overloads. */
     template <typename Params>

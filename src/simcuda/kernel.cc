@@ -8,18 +8,6 @@ namespace medusa::simcuda {
 // mutable registry exactly once.
 void registerBuiltinKernels(KernelRegistry &registry);
 
-const char *
-accessName(ParamAccess a)
-{
-    switch (a) {
-      case ParamAccess::kNone: return "none";
-      case ParamAccess::kRead: return "read";
-      case ParamAccess::kWrite: return "write";
-      case ParamAccess::kReadWrite: return "read-write";
-    }
-    return "unknown";
-}
-
 KernelRegistry &
 mutableRegistry()
 {
@@ -75,31 +63,6 @@ KernelRegistry::kernelsInModule(const std::string &module) const
     for (std::size_t i = 0; i < defs_.size(); ++i) {
         if (defs_[i].module_name == module) {
             out.push_back(static_cast<KernelId>(i));
-        }
-    }
-    return out;
-}
-
-bool
-KernelRegistry::hasModule(const std::string &module) const
-{
-    for (const auto &d : defs_) {
-        if (d.module_name == module) {
-            return true;
-        }
-    }
-    return false;
-}
-
-std::vector<std::string>
-KernelRegistry::symbolsInModule(const std::string &module,
-                                bool include_hidden) const
-{
-    std::vector<std::string> out;
-    for (const auto &d : defs_) {
-        if (d.module_name == module &&
-            (include_hidden || d.in_symbol_table)) {
-            out.push_back(d.mangled_name);
         }
     }
     return out;

@@ -58,27 +58,36 @@ paramKindSize(ParamKind kind)
  * the kernel author (builtin.cc) as ground truth for static analysis:
  * medusa-lint's happens-before race rules (MDL8xx) compare the access
  * sets of concurrently-capturable nodes, the way real kernels declare
- * const-ness through their signatures (PKf vs Pf).
+ * const-ness through their signatures (PKf vs Pf). A process that
+ * skips kernel bodies (GpuProcess::discardContents) trusts them too:
+ * a skipped body taints every buffer its set says it writes.
  */
 enum class ParamAccess : u8 {
     kNone = 0,      ///< not a memory access (scalar constant)
     kRead = 1,      ///< the buffer is only read
     kWrite = 2,     ///< the buffer is only written
-    kReadWrite = 3, ///< read-modify-write (accumulators, semaphores)
+    kReadWrite = 3, ///< read-modify-write (accumulators, in-place ops)
+    /**
+     * A cross-CTA semaphore workspace (split-K GEMM). The body only
+     * checks its value, so a skipped body leaves it defined; but on
+     * hardware CTAs update it, so it stays a write hazard for the race
+     * rules (accessWrites is true).
+     */
+    kSemaphore = 4,
 };
-
-const char *accessName(ParamAccess a);
 
 constexpr bool
 accessReads(ParamAccess a)
 {
-    return a == ParamAccess::kRead || a == ParamAccess::kReadWrite;
+    return a == ParamAccess::kRead || a == ParamAccess::kReadWrite ||
+           a == ParamAccess::kSemaphore;
 }
 
 constexpr bool
 accessWrites(ParamAccess a)
 {
-    return a == ParamAccess::kWrite || a == ParamAccess::kReadWrite;
+    return a == ParamAccess::kWrite || a == ParamAccess::kReadWrite ||
+           a == ParamAccess::kSemaphore;
 }
 
 /**
@@ -282,13 +291,16 @@ struct KernelDef
     /**
      * Per-parameter buffer access sets, parallel to @c params (kNone
      * for non-pointer parameters). Empty means unknown — a foreign
-     * kernel the race analyzer must treat conservatively.
+     * kernel the race analyzer must treat conservatively, and whose
+     * skipped body taints every pointer parameter's buffer.
      */
     std::vector<ParamAccess> access;
     /**
      * True when the kernel dereferences pointer words stored INSIDE a
      * buffer (cublasGemmBatchedEx-style operand arrays): its effective
-     * access set is not derivable from the parameters alone.
+     * access set is not derivable from the parameters alone. A skipped
+     * body therefore also taints every allocation an 8-byte word of
+     * its parameter buffers points into.
      */
     bool indirect_access = false;
     KernelFn fn;
@@ -319,19 +331,6 @@ class KernelRegistry
 
     /** All distinct module names. */
     std::vector<std::string> moduleNames() const;
-
-    /** True if any kernel is registered under this module name. */
-    bool hasModule(const std::string &module) const;
-
-    /**
-     * The full symbol set of a module: every mangled name it defines,
-     * optionally including dlsym-hidden kernels (reachable online only
-     * via triggering-kernels + cuModuleEnumerateFunctions). Used by
-     * medusa-lint's kernel-name-table completeness rules (MDL3xx).
-     */
-    std::vector<std::string>
-    symbolsInModule(const std::string &module,
-                    bool include_hidden = true) const;
 
     KernelRegistry() = default;
 

@@ -1018,12 +1018,14 @@ void
 registerBuiltinKernels(KernelRegistry &reg)
 {
     // PA entries mirror the mangled signature's const-ness: PKf -> kRead,
-    // Pf -> kWrite or kReadWrite (in-place ops), scalar -> kNone.
+    // Pf -> kWrite or kReadWrite (in-place ops), scalar -> kNone; the
+    // split-K GEMM's semaphore workspaces are kSemaphore.
     using PA = ParamAccess;
     constexpr PA kNA = PA::kNone;
     constexpr PA kR = PA::kRead;
     constexpr PA kW = PA::kWrite;
     constexpr PA kRW = PA::kReadWrite;
+    constexpr PA kSem = PA::kSemaphore;
     auto add = [&reg](const char *name, const char *module, bool visible,
                       std::vector<PK> params, std::vector<PA> access,
                       KernelFn fn, bool indirect = false) {
@@ -1112,7 +1114,7 @@ registerBuiltinKernels(KernelRegistry &reg)
         kCublasModule, false,
         {PK::kPointer, PK::kPointer, PK::kPointer, PK::kPointer,
          PK::kPointer, PK::kI32, PK::kI32, PK::kI32},
-        {kRW, kRW, kR, kR, kW, kNA, kNA, kNA}, gemmSplitK);
+        {kSem, kSem, kR, kR, kW, kNA, kNA, kNA}, gemmSplitK);
     add("ampere_fp16_s16816gemm_fp16_256x64_ldg8_f2f_stages_64x1_nn",
         kCublasModule, false,
         {PK::kPointer, PK::kPointer, PK::kPointer, PK::kI32, PK::kI32,

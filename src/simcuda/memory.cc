@@ -121,6 +121,9 @@ DeviceMemoryManager::write(DeviceAddr addr, const void *src, u64 n)
 {
     MEDUSA_ASSIGN_OR_RETURN(auto loc, resolve(addr, n));
     std::memcpy(loc.first->backing.data() + loc.second, src, n);
+    if (n == loc.first->backing.size()) {
+        loc.first->tainted = false;
+    }
     return Status::ok();
 }
 
@@ -129,6 +132,10 @@ DeviceMemoryManager::read(DeviceAddr addr, void *dst, u64 n) const
 {
     auto *self = const_cast<DeviceMemoryManager *>(this);
     MEDUSA_ASSIGN_OR_RETURN(auto loc, self->resolve(addr, n));
+    if (loc.first->tainted) {
+        return failedPrecondition(
+            "read of device bytes a skipped kernel body left undefined");
+    }
     if (!loc.first->backing.materialized()) {
         // Untouched backing reads as zeros without materializing.
         std::memset(dst, 0, n);
@@ -142,11 +149,22 @@ Status
 DeviceMemoryManager::memset(DeviceAddr addr, u8 value, u64 n)
 {
     MEDUSA_ASSIGN_OR_RETURN(auto loc, resolve(addr, n));
+    if (n == loc.first->backing.size()) {
+        loc.first->tainted = false;
+    }
     if (value == 0 && !loc.first->backing.materialized()) {
         return Status::ok(); // already all-zero
     }
     std::memset(loc.first->backing.data() + loc.second, value, n);
     return Status::ok();
+}
+
+void
+DeviceMemoryManager::taint(DeviceAddr addr)
+{
+    if (const AllocationRecord *rec = findContaining(addr)) {
+        const_cast<AllocationRecord *>(rec)->tainted = true;
+    }
 }
 
 namespace {

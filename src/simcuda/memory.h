@@ -147,6 +147,12 @@ struct AllocationRecord
     u64 logical_size = 0;
     /** Functional backing bytes; indexed by (addr - base). */
     ZeroBytes backing;
+    /**
+     * Set when a skipped kernel body (GpuProcess::discardContents) may
+     * have written the backing: its bytes are undefined, so read()
+     * refuses them. A full-size write or memset clears it.
+     */
+    bool tainted = false;
 };
 
 /**
@@ -208,14 +214,32 @@ class DeviceMemoryManager
     u64 freeLogicalBytes() const { return total_logical_ - used_logical_; }
     u64 liveAllocations() const { return allocs_.size(); }
 
-    /** Copy @p n bytes into device memory at @p addr (bounds-checked). */
+    /**
+     * Copy @p n bytes into device memory at @p addr (bounds-checked).
+     * Writing an allocation's whole backing clears its taint.
+     */
     Status write(DeviceAddr addr, const void *src, u64 n);
 
-    /** Copy @p n bytes out of device memory at @p addr (bounds-checked). */
+    /**
+     * Copy @p n bytes out of device memory at @p addr (bounds-checked).
+     * Fails with kFailedPrecondition if the allocation is tainted: this
+     * is the one check that keeps a skipped body's undefined bytes from
+     * every reader (D2H copies, the analysis stage's content dump,
+     * lockstep collectives).
+     */
     Status read(DeviceAddr addr, void *dst, u64 n) const;
 
-    /** Fill @p n bytes at @p addr with @p value. */
+    /**
+     * Fill @p n bytes at @p addr with @p value. Filling an allocation's
+     * whole backing clears its taint.
+     */
     Status memset(DeviceAddr addr, u8 value, u64 n);
+
+    /**
+     * Mark the allocation containing @p addr (by logical extent, as
+     * findContaining) tainted; a no-op for an unmapped address.
+     */
+    void taint(DeviceAddr addr);
 
     /**
      * A mutable float view of [addr, addr + count*4) for kernel

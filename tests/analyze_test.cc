@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
 #include "medusa/analyze.h"
+#include "medusa/offline.h"
 #include "simcuda/caching_allocator.h"
 #include "simcuda/kernels/builtin.h"
 
@@ -86,6 +88,8 @@ struct Offline
     GpuProcess process;
     CachingAllocator alloc;
     Recorder recorder;
+    /** Buffers a test may stash for its capture callback. */
+    DeviceAddr src = 0, perm = 0, dst = 0;
 };
 
 TEST(AnalyzeTest, PointerHeuristic)
@@ -362,6 +366,92 @@ TEST(AnalyzeTest, NaiveMatchingCorruptsReusedBuffer)
     }
     EXPECT_TRUE(naive_corrupted_somewhere)
         << "naive matching never diverged across 30 process layouts";
+}
+
+TEST(AnalyzeTest, TaintedPermanentBufferMustBeRewrittenBeforeItIsRead)
+{
+    // A shape-only capture: `perm` is written by a skipped body, so its
+    // contents are undefined when the analysis would dump them.
+    auto scenario = [](auto &&capture) {
+        auto off = std::make_unique<Offline>();
+        off->process.discardContents();
+        off->src = *off->alloc.allocate(4096, 64);
+        off->perm = *off->alloc.allocate(4096, 64);
+        off->dst = *off->alloc.allocate(4096, 64);
+        const std::vector<f32> ones(16, 1.0f);
+        MEDUSA_CHECK(off->process.memcpyH2D(off->src, ones.data(), 64, 64)
+                         .isOk(),
+                     "stage src");
+        ParamsBuilder warm;
+        warm.ptr(off->src).ptr(off->perm).i32(16);
+        MEDUSA_CHECK(off->process.defaultStream()
+                         .launch(BuiltinKernels::get().copy_f32,
+                                 warm.take(), {})
+                         .isOk(),
+                     "skipped write");
+        auto graph = capture(*off);
+        MEDUSA_CHECK(graph.isOk(), "capture");
+        return off->analyzeGraph(*graph, true);
+    };
+
+    // Rewritten whole (offset 0, kWrite) before any read: no contents,
+    // as for a temporary. `src` is defined and keeps its contents.
+    auto rewritten = scenario(
+        [](Offline &o) { return o.captureCopy(o.src, o.perm, 16); });
+    ASSERT_TRUE(rewritten.isOk()) << rewritten.status().toString();
+    EXPECT_EQ(rewritten->artifact.stats.rewritten_buffers, 1u);
+    ASSERT_EQ(rewritten->artifact.permanent.size(), 1u);
+    EXPECT_EQ(rewritten->artifact.permanent[0].alloc_index, 0u);
+
+    // Read first, or rewritten only from an interior offset: the
+    // analysis refuses instead of dumping undefined bytes.
+    for (auto capture :
+         {+[](Offline &o) { return o.captureCopy(o.perm, o.dst, 16); },
+          +[](Offline &o) {
+              return o.captureCopy(o.src, o.perm + 8, 4);
+          }}) {
+        auto refused = scenario(capture);
+        ASSERT_FALSE(refused.isOk());
+        EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+        EXPECT_NE(refused.status().message().find("allocation 1"),
+                  std::string::npos)
+            << refused.status().toString();
+    }
+}
+
+TEST(AnalyzeTest, ReadFirstTaintedSemaphoresFailMaterialize)
+{
+    // The split-K GEMM only reads its semaphore workspaces, so they are
+    // declared kSemaphore and a skipped body leaves them defined.
+    // Declared kReadWrite instead, a skipped body taints them; every
+    // graph reads them first, so materialize must fail rather than
+    // emit undefined semaphore words.
+    const simcuda::KernelId splitk = BuiltinKernels::get().gemm_splitk;
+    auto &def = const_cast<simcuda::KernelDef &>(
+        simcuda::KernelRegistry::instance().def(splitk));
+    const std::vector<simcuda::ParamAccess> declared = def.access;
+    struct Restore
+    {
+        simcuda::KernelDef &def;
+        std::vector<simcuda::ParamAccess> access;
+        ~Restore() { def.access = access; }
+    } restore{def, declared};
+    def.access[0] = def.access[1] = simcuda::ParamAccess::kReadWrite;
+
+    llm::ModelConfig m = llm::findModel("Qwen1.5-0.5B").value();
+    m.num_layers = 2;
+    OfflineOptions opts;
+    opts.model = m;
+    opts.pipeline.validate = false;
+    auto offline = materialize(opts);
+    ASSERT_FALSE(offline.isOk());
+    EXPECT_EQ(offline.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(offline.status().message().find("permanent buffer"),
+              std::string::npos)
+        << offline.status().toString();
+
+    def.access = declared;
+    EXPECT_TRUE(materialize(opts).isOk());
 }
 
 } // namespace

@@ -161,12 +161,14 @@ TEST(FaultPlanTest, RejectsMalformedIntegers)
     // A bare strtoull reads these as a seed of 0 or 5, a wrapped hit
     // ordinal, a wrapped fire cap (an inactive rule), a saturated
     // overflow or (base 0) hit 2; a second seed would silently replace
-    // the first. Decimal "@0x2" is hit 0 followed by a cap.
+    // the first, and so would a repeated modifier within one entry.
+    // Decimal "@0x2" is hit 0 followed by a cap.
     for (const char *spec :
          {"seed=zzz", "seed=5junk", "seed=", "seed=-1", "seed= 5",
           "seed=1;seed=2", "seed=18446744073709551616", "dlsym@-1",
           "dlsym@+2", "dlsym@ 2", "dlsymx-1", "dlsym@1x-1",
-          "dlsym@18446744073709551616", "dlsym@0x2", "seed=0x"}) {
+          "dlsym@18446744073709551616", "dlsym@0x2", "seed=0x",
+          "dlsym@1@2", "dlsymx1x5", "dlsym=0.5=0.1"}) {
         auto plan = FaultPlan::fromSpec(spec);
         ASSERT_FALSE(plan.isOk()) << spec;
         EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument)

@@ -218,7 +218,8 @@ TEST(GpuProcessDiscardTest, ChargesExactlyLikeATwinThatExecutes)
     ASSERT_TRUE(skip.deviceSynchronize().isOk());
     EXPECT_EQ(clock_skip.now(), clock_run.now());
 
-    // A functional D2H is refused, and charges nothing.
+    // A functional D2H of what a skipped body wrote is refused, and
+    // charges nothing; so is a raw read through memory().
     std::vector<f32> out(4, 0);
     ASSERT_TRUE(run.memcpyD2H(out.data(), dst[0], 16, 16).isOk());
     EXPECT_EQ(out, data);
@@ -226,12 +227,131 @@ TEST(GpuProcessDiscardTest, ChargesExactlyLikeATwinThatExecutes)
     const Status refused = skip.memcpyD2H(out.data(), dst[1], 16, 16);
     EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
     EXPECT_EQ(clock_skip.now(), before);
+    EXPECT_EQ(skip.memory().read(dst[1], out.data(), 16).code(),
+              StatusCode::kFailedPrecondition);
 
-    // The kernel bodies did not run (read past the refusal, only to
-    // show it).
-    std::vector<f32> raw(4, -1);
-    ASSERT_TRUE(skip.memory().read(dst[1], raw.data(), 16).isOk());
-    EXPECT_EQ(raw, std::vector<f32>(4, 0));
+    // The source was only read, so it stays defined: a D2H of it
+    // succeeds and charges what the twin's does.
+    const SimTimeNs run_before = clock_run.now();
+    ASSERT_TRUE(run.memcpyD2H(out.data(), src[0], 16, 16).isOk());
+    ASSERT_TRUE(skip.memcpyD2H(out.data(), src[1], 16, 16).isOk());
+    EXPECT_EQ(out, data);
+    EXPECT_EQ(clock_skip.now() - before, clock_run.now() - run_before);
+}
+
+/** Whether a read of the allocation at @p addr is refused as tainted. */
+bool
+tainted(const GpuProcess &p, DeviceAddr addr)
+{
+    u8 byte = 0;
+    const Status st = p.memory().read(addr, &byte, 1);
+    EXPECT_TRUE(st.isOk() || st.code() == StatusCode::kFailedPrecondition)
+        << st.toString();
+    return st.code() == StatusCode::kFailedPrecondition;
+}
+
+TEST(GpuProcessDiscardTest, SkippedBodiesTaintTheirDeclaredWriteSet)
+{
+    const auto &k = BuiltinKernels::get();
+    CostModel cost;
+    SimClock clock;
+    GpuProcess p(GpuProcessOptions{}, &clock, &cost);
+    p.discardContents();
+    auto alloc = [&](u64 bytes) {
+        return p.memory().malloc(bytes, bytes).value();
+    };
+
+    // copy_f32(src kRead, dst kWrite).
+    const std::vector<f32> data = {1, 2, 3, 4};
+    const DeviceAddr src = alloc(16);
+    const DeviceAddr dst = alloc(16);
+    ASSERT_TRUE(p.memcpyH2D(src, data.data(), 16, 16).isOk());
+    ParamsBuilder copy;
+    copy.ptr(src).ptr(dst).i32(4);
+    ASSERT_TRUE(
+        p.defaultStream().launch(k.copy_f32, copy.take(), {}).isOk());
+    EXPECT_FALSE(tainted(p, src));
+    EXPECT_TRUE(tainted(p, dst));
+
+    // A partial H2D leaves the rest undefined; a full-size one defines
+    // the whole backing again, and so does a full-size memset.
+    ASSERT_TRUE(p.memcpyH2D(dst, data.data(), 8, 8).isOk());
+    EXPECT_TRUE(tainted(p, dst));
+    ASSERT_TRUE(p.memcpyH2D(dst, data.data(), 16, 16).isOk());
+    EXPECT_FALSE(tainted(p, dst));
+    std::vector<f32> out(4, 0);
+    ASSERT_TRUE(p.memcpyD2H(out.data(), dst, 16, 16).isOk());
+    EXPECT_EQ(out, data);
+    ParamsBuilder again;
+    again.ptr(src).ptr(dst).i32(4);
+    ASSERT_TRUE(
+        p.defaultStream().launch(k.copy_f32, again.take(), {}).isOk());
+    EXPECT_TRUE(tainted(p, dst));
+    ASSERT_TRUE(p.cudaMemset(dst, 0, 8).isOk());
+    EXPECT_TRUE(tainted(p, dst));
+    ASSERT_TRUE(p.cudaMemset(dst, 0, 16).isOk());
+    EXPECT_FALSE(tainted(p, dst));
+
+    // split-K GEMM(sem0 kSemaphore, sem1 kSemaphore, A kRead, W kRead,
+    // C kWrite): the semaphores keep their value.
+    const DeviceAddr sem0 = alloc(4);
+    const DeviceAddr sem1 = alloc(4);
+    const DeviceAddr a = alloc(16);
+    const DeviceAddr w = alloc(16);
+    const DeviceAddr c = alloc(16);
+    ParamsBuilder gemm;
+    gemm.ptr(sem0).ptr(sem1).ptr(a).ptr(w).ptr(c).i32(2).i32(2).i32(2);
+    ASSERT_TRUE(
+        p.defaultStream().launch(k.gemm_splitk, gemm.take(), {}).isOk());
+    EXPECT_FALSE(tainted(p, sem0));
+    EXPECT_FALSE(tainted(p, sem1));
+    EXPECT_FALSE(tainted(p, a));
+    EXPECT_FALSE(tainted(p, w));
+    EXPECT_TRUE(tainted(p, c));
+}
+
+TEST(GpuProcessDiscardTest, IndirectBodiesTaintWhatTheirOperandWordsReach)
+{
+    const auto &k = BuiltinKernels::get();
+    CostModel cost;
+    SimClock clock;
+    GpuProcess p(GpuProcessOptions{}, &clock, &cost);
+    p.discardContents();
+    auto alloc = [&](u64 bytes) {
+        return p.memory().malloc(bytes, bytes).value();
+    };
+
+    // gemm_batched(ptr_array kRead) with ptr_array = [A, W, C] reaches
+    // all three: it declares none of them, so each is tainted.
+    const DeviceAddr a = alloc(16);
+    const DeviceAddr w = alloc(16);
+    const DeviceAddr c = alloc(16);
+    const DeviceAddr bystander = alloc(16);
+    const DeviceAddr ptrs = alloc(24);
+    const u64 operands[3] = {a, w + 8, c};
+    ASSERT_TRUE(p.memcpyH2D(ptrs, operands, sizeof(operands), 24).isOk());
+    auto batched = [&]() {
+        ParamsBuilder pb;
+        pb.ptr(ptrs).i32(1).i32(1).i32(2);
+        return p.defaultStream().launch(k.gemm_batched, pb.take(), {});
+    };
+    ASSERT_TRUE(batched().isOk());
+    EXPECT_FALSE(tainted(p, ptrs));
+    EXPECT_TRUE(tainted(p, a));
+    EXPECT_TRUE(tainted(p, w));
+    EXPECT_TRUE(tainted(p, c));
+    EXPECT_FALSE(tainted(p, bystander));
+
+    // Once a skipped body writes the operand array, its words are
+    // undefined, and the next skipped indirect body refuses.
+    ParamsBuilder clobber;
+    clobber.ptr(bystander).ptr(ptrs).i32(4);
+    ASSERT_TRUE(
+        p.defaultStream().launch(k.copy_f32, clobber.take(), {}).isOk());
+    EXPECT_TRUE(tainted(p, ptrs));
+    const Status refused = batched();
+    EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
+    EXPECT_FALSE(tainted(p, bystander));
 }
 
 TEST(GpuProcessDiscardTest, ParamChecksStillRun)

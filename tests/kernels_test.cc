@@ -12,10 +12,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "llm/runtime.h"
 #include "simcuda/gpu_process.h"
 #include "simcuda/kernels/builtin.h"
 
@@ -1604,6 +1606,129 @@ TEST_F(KernelsTest, PagedAttentionRejectsSlotBeyondCache)
     // Slot 3 fits the k cache but not a 2-slot v cache.
     EXPECT_FALSE(decode(small_vc, {1}, 2).isOk());
     EXPECT_TRUE(decode(small_vc, {0}, 2).isOk());
+}
+
+/**
+ * Snapshots, at each eager launch, every buffer the kernel declares
+ * kRead or kSemaphore, and checks at the next launch (by then the body
+ * has run: the observer fires before it) and at the end that the bytes
+ * are unchanged. A skipped body taints only its declared write set, so
+ * a body that wrote a buffer declared read-only would leave stale
+ * bytes readable on a shape-only process.
+ */
+class ReadSetChecker : public LaunchObserver
+{
+  public:
+    GpuProcess *process = nullptr;
+    /** Kernels whose read sets were checked at least once. */
+    std::set<KernelId> checked;
+
+    void
+    onKernelLaunch(KernelAddr fn, const RawParams &params,
+                   bool capturing) override
+    {
+        if (capturing) {
+            return;
+        }
+        verify();
+        const KernelId id = process->modules().kernelAt(fn).value();
+        const KernelDef &def = KernelRegistry::instance().def(id);
+        for (std::size_t i = 0; i < params.size(); ++i) {
+            if (def.access[i] != ParamAccess::kRead &&
+                def.access[i] != ParamAccess::kSemaphore) {
+                continue;
+            }
+            DeviceAddr addr = 0;
+            std::memcpy(&addr, params[i].data(), sizeof(addr));
+            const AllocationRecord *rec =
+                process->memory().findContaining(addr);
+            ASSERT_NE(rec, nullptr) << def.mangled_name << " param " << i;
+            Snapshot snap{id, i, rec->base,
+                          std::vector<u8>(rec->backing.size())};
+            ASSERT_TRUE(process->memory()
+                            .read(rec->base, snap.bytes.data(),
+                                  snap.bytes.size())
+                            .isOk());
+            pending_.push_back(std::move(snap));
+        }
+    }
+
+    /** Compare every pending snapshot with the buffer now. */
+    void
+    verify()
+    {
+        for (const Snapshot &snap : pending_) {
+            std::vector<u8> now(snap.bytes.size());
+            ASSERT_TRUE(
+                process->memory().read(snap.base, now.data(), now.size())
+                    .isOk());
+            EXPECT_TRUE(now == snap.bytes)
+                << KernelRegistry::instance().def(snap.kernel).mangled_name
+                << " wrote its param " << snap.param
+                << ", declared read-only";
+            checked.insert(snap.kernel);
+        }
+        pending_.clear();
+    }
+
+  private:
+    struct Snapshot
+    {
+        KernelId kernel;
+        std::size_t param;
+        DeviceAddr base;
+        std::vector<u8> bytes;
+    };
+    std::vector<Snapshot> pending_;
+};
+
+TEST(KernelAccessTest, DeclaredReadSetsMatchTheBodies)
+{
+    // Every architecture's prefill (the KV-init profiling forwarding)
+    // and decode warm-ups, plus the batched-LM-head variant, on a
+    // process that computes.
+    ReadSetChecker checker;
+    for (const char *name : {"Llama2-7B", "Qwen1.5-0.5B", "Falcon-7B"}) {
+        llm::ModelConfig m = llm::findModel(name).value();
+        m.num_layers = 2;
+        m.batched_lm_head = m.arch == llm::ModelArch::kQwen;
+        llm::ModelRuntime::Options opts;
+        opts.model = m;
+        opts.launch_observer = &checker;
+        llm::ModelRuntime rt(opts);
+        checker.process = &rt.process();
+        ASSERT_TRUE(rt.initStructure().isOk());
+        ASSERT_TRUE(rt.loadWeights().isOk());
+        ASSERT_TRUE(rt.loadTokenizer().isOk());
+        auto free_bytes = rt.profileFreeMemory();
+        ASSERT_TRUE(free_bytes.isOk()) << free_bytes.status().toString();
+        ASSERT_TRUE(rt.initKvCache(*free_bytes).isOk());
+        // Both sides of the attention-split threshold (bs 64).
+        for (u32 bs : {1u, 8u, 64u, 256u}) {
+            ASSERT_TRUE(rt.warmupDecode(bs).isOk()) << name << " bs " << bs;
+        }
+        ASSERT_TRUE(rt.measureDecodeStepSec(1, false).isOk()); // samples
+        checker.verify();
+    }
+
+    // Every kernel that declares a read-only buffer ran and was checked,
+    // except copy_f32, which no model launches.
+    const auto &registry = KernelRegistry::instance();
+    for (KernelId id = 0; id < registry.kernelCount(); ++id) {
+        const KernelDef &def = registry.def(id);
+        if (id == BuiltinKernels::get().copy_f32) {
+            continue;
+        }
+        const bool reads_only =
+            std::any_of(def.access.begin(), def.access.end(),
+                        [](ParamAccess a) {
+                            return a == ParamAccess::kRead ||
+                                   a == ParamAccess::kSemaphore;
+                        });
+        if (reads_only) {
+            EXPECT_EQ(checker.checked.count(id), 1u) << def.mangled_name;
+        }
+    }
 }
 
 TEST_F(KernelsTest, WrongParamCountRejected)

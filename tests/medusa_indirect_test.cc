@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "llm/engine.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
@@ -59,6 +61,36 @@ TEST(IndirectPointerTest, AnalysisFindsPointerWords)
     EXPECT_EQ(offline->artifact.pointer_fixes.size(), 3u * 35u);
 }
 
+TEST(IndirectPointerTest, RewrittenWorkspaceContentsAreOmitted)
+{
+    // The shape-only capture leaves each batch size's final-norm
+    // workspace undefined (a skipped rmsnorm wrote it), but every graph
+    // rewrites it at offset 0 before the batched GEMM reads it: the
+    // image carries no contents for it. The operand array itself was
+    // written by a full-size H2D, so its contents (and fixes) stay.
+    core::OfflineOptions opts;
+    opts.model = indirectModel();
+    opts.pipeline.validate = false;
+    auto offline = core::materialize(opts);
+    ASSERT_TRUE(offline.isOk()) << offline.status().toString();
+    const core::Artifact &artifact = offline->artifact;
+    EXPECT_EQ(artifact.stats.rewritten_buffers, 35u);
+
+    std::set<u64> materialized;
+    for (const core::PermanentBuffer &pb : artifact.permanent) {
+        materialized.insert(pb.alloc_index);
+    }
+    u32 workspaces = 0;
+    for (const core::PointerWordFix &fix : artifact.pointer_fixes) {
+        EXPECT_EQ(materialized.count(fix.buffer_alloc_index), 1u);
+        if (fix.byte_offset == 0) { // operand 0: the final-norm output
+            ++workspaces;
+            EXPECT_EQ(materialized.count(fix.target_alloc_index), 0u);
+        }
+    }
+    EXPECT_EQ(workspaces, 35u);
+}
+
 TEST(IndirectPointerTest, ExtensionRestoresAcrossProcesses)
 {
     core::OfflineOptions opts;
@@ -67,6 +99,8 @@ TEST(IndirectPointerTest, ExtensionRestoresAcrossProcesses)
     opts.pipeline.validate_batch_sizes = {1, 64};
     auto offline = core::materialize(opts);
     ASSERT_TRUE(offline.isOk()) << offline.status().toString();
+    // Validated although the image omits every final-norm workspace.
+    EXPECT_EQ(offline->artifact.stats.rewritten_buffers, 35u);
 
     core::MedusaEngine::Options eopts;
     eopts.model = opts.model;
