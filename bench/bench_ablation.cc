@@ -5,8 +5,8 @@
  *  A. Trace-based vs naive indirect-index matching (§4.1 / Figure 6):
  *     naive matching picks the earliest allocation whose range contains
  *     a pointer, which mis-binds pool-reused addresses; the validation
- *     dry-run must then repair (or fail), while trace-based matching
- *     validates cleanly with zero repairs.
+ *     dry-run must then fail, while trace-based matching validates
+ *     cleanly.
  *  B. Copy-free vs full buffer-content materialization (§4.3): bytes
  *     materialized, against the bytes a full dump of every live
  *     node-referenced buffer would write.
@@ -45,26 +45,18 @@ main()
         auto naive = bench::unwrap(core::materialize(opts),
                                    "naive analysis");
 
-        u64 pointer_params = 0;
+        // Both matchers classify the same params as pointers, so the
+        // two images' data relocations pair up slot for slot.
+        const auto &traced_relocs = traced.artifact.data_relocs;
+        const auto &naive_relocs = naive.artifact.data_relocs;
+        const u64 pointer_params = traced_relocs.size();
         u64 misbound = 0;
-        for (std::size_t g = 0; g < traced.artifact.graphs.size(); ++g) {
-            const auto &tg = traced.artifact.graphs[g];
-            const auto &ng = naive.artifact.graphs[g];
-            for (std::size_t n = 0; n < tg.nodes.size(); ++n) {
-                for (std::size_t p = 0;
-                     p < tg.nodes[n].params.size(); ++p) {
-                    const auto &tp = tg.nodes[n].params[p];
-                    const auto &np = ng.nodes[n].params[p];
-                    if (tp.kind != core::ParamSpec::kIndirect) {
-                        continue;
-                    }
-                    ++pointer_params;
-                    if (np.kind != tp.kind ||
-                        np.alloc_index != tp.alloc_index ||
-                        np.offset != tp.offset) {
-                        ++misbound;
-                    }
-                }
+        for (std::size_t i = 0; i < traced_relocs.size(); ++i) {
+            const auto &tr = traced_relocs[i];
+            if (i >= naive_relocs.size() || naive_relocs[i].slot != tr.slot ||
+                naive_relocs[i].alloc_index != tr.alloc_index ||
+                naive_relocs[i].addend != tr.addend) {
+                ++misbound;
             }
         }
         std::printf("  pointer params: %llu; naive matching binds %llu "
@@ -85,7 +77,7 @@ main()
     oopts.model = model;
     oopts.pipeline.validate = false;
     auto offline = bench::unwrap(core::materialize(oopts), "materialize");
-    const auto &s = offline.artifact.stats;
+    const auto &s = offline.stats;
     // A full dump would add every other live node-referenced buffer's
     // backing to the image (each buffer's contents plus a 16-byte size
     // and index record). The capture is shape-only, so those contents

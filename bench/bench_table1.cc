@@ -61,11 +61,10 @@ main()
 
     // ---- §5 / §4.3 statistics from a real offline run ------------------
     auto model = bench::unwrap(llm::findModel("Llama2-13B"), "findModel");
-    const core::Artifact artifact =
+    const core::OfflineResult offline =
         bench::unwrap(core::materialize(bench::offlineOptions(model)),
-                      "materialize Llama2-13B")
-            .artifact;
-    const core::AnalysisStats &s = artifact.stats;
+                      "materialize Llama2-13B");
+    const core::AnalysisStats &s = offline.stats;
     const f64 visible =
         100.0 * static_cast<f64>(s.dlsym_visible_nodes) /
         static_cast<f64>(s.dlsym_visible_nodes + s.hidden_kernel_nodes);
@@ -73,13 +72,14 @@ main()
                 "(paper: 69.2%% at bs=1)\n",
                 visible);
 
-    // Permanent-buffer statistic: nodes using split-K semaphores.
+    // Permanent-buffer statistic: nodes using split-K semaphores (one
+    // kernel relocation per node).
+    const core::MaterializedImage &image = offline.artifact;
     u64 semaphore_nodes = 0;
-    for (const auto &g : artifact.graphs) {
-        for (const auto &n : g.nodes) {
-            if (n.kernel_name.find("splitk") != std::string::npos) {
-                ++semaphore_nodes;
-            }
+    for (const auto &rel : image.kernel_relocs) {
+        if (image.kernel_table[rel.kernel_index].name.find("splitk") !=
+            std::string::npos) {
+            ++semaphore_nodes;
         }
     }
     std::printf("kernels requiring permanent buffers: %.1f%% "

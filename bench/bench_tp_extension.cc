@@ -47,16 +47,16 @@ main()
     for (const auto &bytes : offline.rank_images) {
         image_bytes += bytes.size();
     }
+    const auto images =
+        bench::unwrap(core::openRankImages(offline.rank_images), "tp open");
     u64 total_nodes = 0;
     u64 collectives = 0;
-    for (const auto &artifact : offline.rank_artifacts) {
-        total_nodes += artifact.totalNodes();
-        for (const auto &g : artifact.graphs) {
-            for (const auto &n : g.nodes) {
-                if (n.kernel_name.find("all_reduce") !=
-                    std::string::npos) {
-                    ++collectives;
-                }
+    for (const core::MaterializedImage &image : images) {
+        total_nodes += image.total_nodes;
+        for (const auto &rel : image.kernel_relocs) {
+            if (image.kernel_table[rel.kernel_index].name.find(
+                    "all_reduce") != std::string::npos) {
+                ++collectives;
             }
         }
     }
@@ -67,8 +67,6 @@ main()
     mopts.world = world;
     mopts.restore.pipeline.validate = true;
     mopts.restore.pipeline.validate_batch_sizes = {1, 64};
-    const auto images =
-        bench::unwrap(core::openRankImages(offline.rank_images), "tp open");
     auto restored = bench::unwrap(
         core::TpMedusaEngine::coldStartFromImages(mopts, images),
         "tp restore");

@@ -111,7 +111,7 @@ main(int argc, char **argv)
     std::printf("  - 35 graph captures     -> %llu materialized nodes, "
                 "restored via indirect index pointers\n",
                 static_cast<unsigned long long>(
-                    offline->artifact.totalNodes()));
+                    offline->artifact.total_nodes));
     std::printf("  - kernel addresses      -> %llu names resolved via "
                 "dlsym, %llu via first-layer triggering-kernels\n",
                 static_cast<unsigned long long>(

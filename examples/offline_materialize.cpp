@@ -53,7 +53,7 @@ main(int argc, char **argv)
         return 1;
     }
 
-    const core::Artifact &a = result->artifact;
+    const core::MaterializedImage &a = result->artifact;
     std::printf("\nwrote %s (%.2f MiB v6 image)\n", path.c_str(),
                 static_cast<f64>(result->image_bytes.size()) /
                     static_cast<f64>(units::MiB));
@@ -63,19 +63,18 @@ main(int argc, char **argv)
                 result->analysis_stage_sec);
     std::printf("graphs:           %zu batch sizes, %llu nodes total\n",
                 a.graphs.size(),
-                static_cast<unsigned long long>(a.totalNodes()));
+                static_cast<unsigned long long>(a.total_nodes));
     std::printf("free GPU memory:  %s (materialized KV-init value)\n",
                 formatBytes(a.free_gpu_memory).c_str());
     std::printf("alloc sequence:   %zu ops (%llu organic)\n",
                 a.ops.size(),
                 static_cast<unsigned long long>(a.organic_op_count));
-    const auto &s = a.stats;
+    const auto &s = result->stats;
     std::printf("params:           %llu pointers, %llu constants, "
-                "%llu decoys demoted, %llu repairs\n",
+                "%llu decoys demoted\n",
                 static_cast<unsigned long long>(s.pointer_params),
                 static_cast<unsigned long long>(s.constant_params),
-                static_cast<unsigned long long>(s.decoy_candidates),
-                static_cast<unsigned long long>(s.validation_repairs));
+                static_cast<unsigned long long>(s.decoy_candidates));
     std::printf("kernels:          %llu dlsym-visible nodes, %llu "
                 "hidden (need triggering-kernels)\n",
                 static_cast<unsigned long long>(s.dlsym_visible_nodes),

@@ -50,20 +50,24 @@ main(int argc, char **argv)
                      offline.status().toString().c_str());
         return 1;
     }
+    auto images = core::openRankImages(offline->rank_images);
+    if (!images.isOk()) {
+        std::fprintf(stderr, "image open failed: %s\n",
+                     images.status().toString().c_str());
+        return 1;
+    }
     for (u32 r = 0; r < 2; ++r) {
-        const auto &a = offline->rank_artifacts[r];
+        const core::MaterializedImage &a = (*images)[r];
         u64 collectives = 0;
-        for (const auto &g : a.graphs) {
-            for (const auto &n : g.nodes) {
-                if (n.kernel_name.find("all_reduce") !=
-                    std::string::npos) {
-                    ++collectives;
-                }
+        for (const auto &rel : a.kernel_relocs) {
+            if (a.kernel_table[rel.kernel_index].name.find("all_reduce") !=
+                std::string::npos) {
+                ++collectives;
             }
         }
         std::printf("rank %u image: %llu nodes across %zu graphs "
                     "(%llu all-reduce nodes), %zu KiB\n",
-                    r, static_cast<unsigned long long>(a.totalNodes()),
+                    r, static_cast<unsigned long long>(a.total_nodes),
                     a.graphs.size(),
                     static_cast<unsigned long long>(collectives),
                     offline->rank_images[r].size() / 1024);
@@ -75,12 +79,6 @@ main(int argc, char **argv)
     mopts.aslr_seed = 0xdead;
     mopts.restore.pipeline.validate = true;
     mopts.restore.pipeline.validate_batch_sizes = {1, 64};
-    auto images = core::openRankImages(offline->rank_images);
-    if (!images.isOk()) {
-        std::fprintf(stderr, "image open failed: %s\n",
-                     images.status().toString().c_str());
-        return 1;
-    }
     auto engine = core::TpMedusaEngine::coldStartFromImages(mopts, *images);
     if (!engine.isOk()) {
         std::fprintf(stderr, "online restore failed: %s\n",

@@ -1,7 +1,10 @@
 #include "medusa/analyze.h"
 
+#include <algorithm>
 #include <cstring>
-#include <set>
+#include <unordered_map>
+
+#include "common/metrics.h"
 
 namespace medusa::core {
 
@@ -21,16 +24,14 @@ namespace {
 /** Backward trace-based match (§4.1); see analyze.h. */
 const AllocRecord *
 matchTraceBased(const std::vector<const AllocRecord *> &candidates,
-                u64 launch_op_pos, bool *ambiguous)
+                u64 launch_op_pos)
 {
     const AllocRecord *live_match = nullptr;
     const AllocRecord *latest_before = nullptr;
-    u32 before_count = 0;
     for (const AllocRecord *rec : candidates) {
         if (rec->op_pos_alloc >= launch_op_pos) {
             continue; // allocated after the launch
         }
-        ++before_count;
         if (latest_before == nullptr ||
             rec->op_pos_alloc > latest_before->op_pos_alloc) {
             latest_before = rec;
@@ -46,32 +47,24 @@ matchTraceBased(const std::vector<const AllocRecord *> &candidates,
     // Kernels always use buffers that are still allocated at launch
     // time, so the live match is authoritative. Falling back to the
     // latest earlier allocation (a freed one) is possible but risky.
-    if (live_match != nullptr) {
-        *ambiguous = before_count > 1 && live_match != latest_before;
-        return live_match;
-    }
-    *ambiguous = latest_before != nullptr;
-    return latest_before;
+    return live_match != nullptr ? live_match : latest_before;
 }
 
 /** Naive match: earliest containing allocation (the Fig. 6 hazard). */
 const AllocRecord *
 matchNaive(const std::vector<const AllocRecord *> &candidates,
-           u64 launch_op_pos, bool *ambiguous)
+           u64 launch_op_pos)
 {
     const AllocRecord *first = nullptr;
-    u32 count = 0;
     for (const AllocRecord *rec : candidates) {
         if (rec->op_pos_alloc >= launch_op_pos) {
             continue;
         }
-        ++count;
         if (first == nullptr ||
             rec->op_pos_alloc < first->op_pos_alloc) {
             first = rec;
         }
     }
-    *ambiguous = count > 1;
     return first;
 }
 
@@ -116,19 +109,28 @@ operandWordsReach(const AllocRecord &target, const simcuda::GraphNode &node,
  * Whether replay rewrites @p target before reading it: in every graph,
  * the first node that touches it names it only through pointer params
  * at offset 0 with kWrite access. An indirect-access node touches every
- * buffer its operand words reach, and never as a plain write.
+ * buffer its operand words reach, and never as a plain write. Walks
+ * each graph's param slots in @p image with its data relocations,
+ * which are in slot order.
  */
 StatusOr<bool>
 rewrittenBeforeRead(const AllocRecord &target,
                     const std::vector<std::pair<u32, CudaGraph>> &graphs,
-                    const std::vector<GraphBlueprint> &blueprints,
-                    simcuda::GpuProcess &process)
+                    const ImageBuilder &image, simcuda::GpuProcess &process)
 {
     const auto &registry = simcuda::KernelRegistry::instance();
+    const auto &relocs = image.data_relocs;
+    std::size_t graph_pb = 0; // the graph's first param_begin entry
     for (std::size_t g = 0; g < graphs.size(); ++g) {
         const CudaGraph &graph = graphs[g].second;
-        const GraphBlueprint &bp = blueprints[g];
-        for (u32 n = 0; n < bp.nodes.size(); ++n) {
+        const ImageBuilder::GraphMeta &meta = image.graphs[g];
+        auto rel = std::lower_bound(
+            relocs.begin(), relocs.end(), meta.param_slot_begin,
+            [](const MaterializedImage::DataReloc &r, u64 slot) {
+                return r.slot < slot;
+            });
+        bool touched = false;
+        for (u32 n = 0; n < meta.node_count && !touched; ++n) {
             const simcuda::GraphNode &node =
                 graph.node(static_cast<simcuda::NodeId>(n));
             MEDUSA_ASSIGN_OR_RETURN(simcuda::KernelId kernel,
@@ -138,28 +140,52 @@ rewrittenBeforeRead(const AllocRecord &target,
                 operandWordsReach(target, node, def, process.memory())) {
                 return false;
             }
-            bool touched = false;
-            const std::vector<ParamSpec> &params = bp.nodes[n].params;
-            for (std::size_t p = 0; p < params.size(); ++p) {
-                if (params[p].kind != ParamSpec::kIndirect ||
-                    params[p].alloc_index != target.alloc_index) {
+            const u64 first_slot =
+                meta.param_slot_begin + image.param_begin[graph_pb + n];
+            const u64 end_slot =
+                meta.param_slot_begin + image.param_begin[graph_pb + n + 1];
+            for (; rel != relocs.end() && rel->slot < end_slot; ++rel) {
+                if (rel->alloc_index != target.alloc_index) {
                     continue;
                 }
-                if (params[p].offset != 0 || def.access.empty() ||
+                const std::size_t p = rel->slot - first_slot;
+                if (rel->addend != 0 || def.access.empty() ||
                     def.access[p] != simcuda::ParamAccess::kWrite) {
                     return false;
                 }
                 touched = true;
             }
-            if (touched) {
-                break;
-            }
         }
+        graph_pb += meta.node_count + 1;
     }
     return true;
 }
 
 } // namespace
+
+void
+AnalysisStats::publishTo(MetricsRegistry &registry) const
+{
+    registry.counter("analysis.total_nodes").add(total_nodes);
+    registry.counter("analysis.total_params").add(total_params);
+    registry.counter("analysis.pointer_params").add(pointer_params);
+    registry.counter("analysis.constant_params").add(constant_params);
+    registry.counter("analysis.decoy_candidates").add(decoy_candidates);
+    registry.counter("analysis.dlsym_visible_nodes")
+        .add(dlsym_visible_nodes);
+    registry.counter("analysis.hidden_kernel_nodes")
+        .add(hidden_kernel_nodes);
+    registry.counter("analysis.model_param_buffers")
+        .add(model_param_buffers);
+    registry.counter("analysis.temp_buffers").add(temp_buffers);
+    registry.counter("analysis.permanent_buffers").add(permanent_buffers);
+    registry.counter("analysis.rewritten_buffers").add(rewritten_buffers);
+    registry.counter("analysis.indirect_pointer_words")
+        .add(indirect_pointer_words);
+    registry.counter("analysis.materialized_content_bytes")
+        .add(materialized_content_bytes);
+    registry.counter("analysis.full_dump_bytes").add(full_dump_bytes);
+}
 
 StatusOr<AnalysisResult>
 analyze(const Recorder &recorder, simcuda::GpuProcess &process,
@@ -168,19 +194,44 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
         u64 free_gpu_memory, const AnalyzeOptions &options)
 {
     AnalysisResult result;
-    Artifact &artifact = result.artifact;
-    AnalysisStats &stats = artifact.stats;
+    ImageBuilder &image = result.image;
+    AnalysisStats &stats = result.stats;
 
-    artifact.model_name = model_name;
-    artifact.model_seed = model_seed;
-    artifact.free_gpu_memory = free_gpu_memory;
-    artifact.ops = recorder.ops();
-    artifact.organic_op_count = recorder.organicOpCount();
-    artifact.organic_alloc_count = recorder.organicAllocCount();
-    artifact.tags = recorder.tags();
+    image.model_name = model_name;
+    image.model_seed = model_seed;
+    image.free_gpu_memory = free_gpu_memory;
+    image.ops = recorder.ops();
+    image.organic_op_count = recorder.organicOpCount();
+    image.organic_alloc_count = recorder.organicAllocCount();
+    image.tags = recorder.tags();
 
+    std::size_t node_total = 0;
+    std::size_t edge_total = 0;
+    std::size_t param_total = 0;
+    for (const auto &[batch_size, graph] : graphs) {
+        node_total += graph.nodeCount();
+        edge_total += graph.edges().size();
+        for (u32 n = 0; n < graph.nodeCount(); ++n) {
+            param_total +=
+                graph.node(static_cast<simcuda::NodeId>(n)).params.size();
+        }
+    }
+    image.reserve(graphs.size(), node_total, edge_total, param_total);
+
+    // The kernel name table (§5), keyed by kernel address in
+    // first-occurrence order. Only a first occurrence asks the process
+    // for the name, module and dlsym visibility; every later node of the
+    // same kernel is charged what those lookups cost.
+    struct KernelRow
+    {
+        u64 index = 0;
+        bool visible = false;
+        SimTimeNs lookup_ns = 0;
+    };
+    std::unordered_map<KernelAddr, KernelRow> kernels;
     /** Allocation indexes referenced by at least one node pointer. */
-    std::set<u64> referenced;
+    std::vector<bool> referenced(recorder.allocs().size());
+    std::vector<const AllocRecord *> candidates;
 
     for (const auto &[batch_size, graph] : graphs) {
         auto launches_it = recorder.graphLaunches().find(batch_size);
@@ -193,88 +244,71 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
             return internalError(
                 "captured launch count does not match graph nodes");
         }
-
-        GraphBlueprint bp;
-        bp.batch_size = batch_size;
-        bp.nodes.reserve(graph.nodeCount());
-        for (const auto &edge : graph.edges()) {
-            bp.edges.emplace_back(edge.src, edge.dst);
-        }
+        MEDUSA_RETURN_IF_ERROR(image.beginGraph(
+            batch_size, static_cast<u32>(graph.nodeCount()), graph.edges()));
 
         for (u32 node_idx = 0; node_idx < graph.nodeCount(); ++node_idx) {
             const simcuda::GraphNode &node =
                 graph.node(static_cast<simcuda::NodeId>(node_idx));
             const CapturedLaunch &launch = launches[node_idx];
 
-            NodeBlueprint nb;
-            nb.timing = node.timing;
-            // Kernel name + library (the kernel name table of §5).
-            MEDUSA_ASSIGN_OR_RETURN(nb.kernel_name,
-                                    process.cuFuncGetName(node.fn));
-            MEDUSA_ASSIGN_OR_RETURN(nb.module_name,
-                                    process.cuFuncGetModule(node.fn));
-            if (process.dlsym(nb.module_name, nb.kernel_name).isOk()) {
+            auto [row, inserted] = kernels.try_emplace(node.fn);
+            if (inserted) {
+                const SimTimeNs before = process.clock().now();
+                MEDUSA_ASSIGN_OR_RETURN(std::string name,
+                                        process.cuFuncGetName(node.fn));
+                MEDUSA_ASSIGN_OR_RETURN(std::string module,
+                                        process.cuFuncGetModule(node.fn));
+                row->second.visible = process.dlsym(module, name).isOk();
+                row->second.lookup_ns = process.clock().now() - before;
+                row->second.index =
+                    image.addKernel(std::move(name), std::move(module));
+            } else {
+                process.clock().advance(row->second.lookup_ns);
+            }
+            if (row->second.visible) {
                 ++stats.dlsym_visible_nodes;
             } else {
                 ++stats.hidden_kernel_nodes;
             }
+            image.addNode(row->second.index, node.timing);
 
-            nb.params.reserve(node.params.size());
-            for (u32 pi = 0; pi < node.params.size(); ++pi) {
-                const std::vector<u8> &bytes = node.params[pi];
-                ++stats.total_params;
-                ParamSpec spec;
-                bool is_pointer = false;
+            for (const std::vector<u8> &bytes : node.params) {
+                const AllocRecord *match = nullptr;
+                u64 value = 0;
                 if (bytes.size() == 8) {
-                    u64 value = 0;
                     std::memcpy(&value, bytes.data(), 8);
                     if (looksLikeDevicePointer(value)) {
-                        const auto candidates =
-                            recorder.recordsContaining(value);
-                        bool ambiguous = false;
-                        const AllocRecord *match =
-                            options.trace_based_matching
-                                ? matchTraceBased(candidates,
-                                                  launch.op_pos,
-                                                  &ambiguous)
-                                : matchNaive(candidates, launch.op_pos,
-                                             &ambiguous);
-                        if (match != nullptr) {
-                            spec.kind = ParamSpec::kIndirect;
-                            spec.alloc_index = match->alloc_index;
-                            spec.offset = value - match->addr;
-                            is_pointer = true;
-                            referenced.insert(match->alloc_index);
-                            if (ambiguous) {
-                                result.risky_params.push_back(
-                                    {batch_size, node_idx, pi});
-                            }
-                        } else {
+                        recorder.recordsContaining(value, candidates);
+                        match = options.trace_based_matching
+                                    ? matchTraceBased(candidates,
+                                                      launch.op_pos)
+                                    : matchNaive(candidates, launch.op_pos);
+                        if (match == nullptr) {
                             // A high-prefix constant that matched no
                             // allocation: the decoy/false-positive case.
                             ++stats.decoy_candidates;
                         }
                     }
                 }
-                if (!is_pointer) {
-                    spec.kind = ParamSpec::kConstant;
-                    spec.constant_bytes = bytes;
-                    ++stats.constant_params;
-                } else {
+                if (match != nullptr) {
+                    image.addPointer(match->alloc_index, value - match->addr);
+                    referenced[match->alloc_index] = true;
                     ++stats.pointer_params;
+                } else {
+                    image.addConstant(bytes);
+                    ++stats.constant_params;
                 }
-                nb.params.push_back(std::move(spec));
             }
-            bp.nodes.push_back(std::move(nb));
+            stats.total_params += node.params.size();
             ++stats.total_nodes;
         }
-        artifact.graphs.push_back(std::move(bp));
     }
 
     // ---- §4.3 buffer-content classification ----------------------------
     const u64 capture_op = recorder.captureStageOpPos();
     for (const AllocRecord &rec : recorder.allocs()) {
-        if (referenced.count(rec.alloc_index) == 0) {
+        if (!referenced[rec.alloc_index]) {
             continue;
         }
         const bool freed = rec.op_pos_free >= 0;
@@ -302,8 +336,7 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
         if (live != nullptr && live->tainted) {
             MEDUSA_ASSIGN_OR_RETURN(
                 const bool rewritten,
-                rewrittenBeforeRead(rec, graphs, artifact.graphs,
-                                    process));
+                rewrittenBeforeRead(rec, graphs, image, process));
             if (!rewritten) {
                 return failedPrecondition(
                     "permanent buffer (allocation " +
@@ -314,12 +347,11 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
             ++stats.rewritten_buffers;
             continue;
         }
-        PermanentBuffer pb;
-        pb.alloc_index = rec.alloc_index;
-        pb.contents.resize(rec.backing_size);
+        const std::span<u8> contents =
+            image.addPermanent(rec.alloc_index, rec.backing_size);
         if (rec.backing_size > 0) {
             MEDUSA_RETURN_IF_ERROR(process.memory().read(
-                rec.addr, pb.contents.data(), rec.backing_size));
+                rec.addr, contents.data(), rec.backing_size));
         }
         if (options.handle_indirect_pointers) {
             // §8 extension: 8-byte-aligned words inside the contents
@@ -327,14 +359,13 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
             // (e.g. a batched-GEMM operand array). Record a rewrite
             // for each so the online phase points them at the
             // replayed buffers instead of stale offline addresses.
-            for (u64 off = 0; off + 8 <= pb.contents.size(); off += 8) {
+            for (u64 off = 0; off + 8 <= contents.size(); off += 8) {
                 u64 word = 0;
-                std::memcpy(&word, pb.contents.data() + off, 8);
+                std::memcpy(&word, contents.data() + off, 8);
                 if (!looksLikeDevicePointer(word)) {
                     continue;
                 }
-                const auto candidates =
-                    recorder.recordsContaining(word);
+                recorder.recordsContaining(word, candidates);
                 // Liveness at end-of-capture: the pointed-to buffer
                 // must still exist when the contents were dumped.
                 const AllocRecord *live = nullptr;
@@ -353,13 +384,12 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
                 fix.byte_offset = off;
                 fix.target_alloc_index = live->alloc_index;
                 fix.target_offset = word - live->addr;
-                artifact.pointer_fixes.push_back(fix);
+                image.pointer_fixes.push_back(fix);
                 ++stats.indirect_pointer_words;
             }
         }
-        stats.materialized_content_bytes += pb.contents.size();
+        stats.materialized_content_bytes += contents.size();
         ++stats.permanent_buffers;
-        artifact.permanent.push_back(std::move(pb));
     }
 
     // Charge the analysis-stage cost (host-side trace synthesis).

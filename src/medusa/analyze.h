@@ -1,7 +1,10 @@
 /**
  * @file
  * The offline analysis stage (paper §3/§4): synthesizes the recorder's
- * output into a materialized Artifact.
+ * output into the v6 image's sections, appending node by node into an
+ * ImageBuilder (image.h) — the kernel name table keyed by kernel
+ * address in first-occurrence order, params as prefilled constants or
+ * data relocations, permanent contents copied straight off the device.
  *
  * Pointer-vs-constant classification: 8-byte parameters whose value
  * falls in the device address range are pointer *candidates* (the
@@ -21,9 +24,14 @@
 #include <string>
 #include <vector>
 
+#include "medusa/image.h"
 #include "medusa/record.h"
 #include "simcuda/gpu_process.h"
 #include "simcuda/graph.h"
+
+namespace medusa {
+class MetricsRegistry;
+}
 
 namespace medusa::core {
 
@@ -46,24 +54,50 @@ struct AnalyzeOptions
     bool handle_indirect_pointers = true;
 };
 
-/** Identifies one parameter of one node of one graph. */
-struct ParamRef
+/** Statistics the analysis stage reports (used by benches and tests). */
+struct AnalysisStats
 {
-    u32 batch_size = 0;
-    u32 node = 0;
-    u32 param = 0;
+    u64 total_nodes = 0;
+    u64 total_params = 0;
+    u64 pointer_params = 0;
+    u64 constant_params = 0;
+    /** Pointer candidates rejected because no allocation matched. */
+    u64 decoy_candidates = 0;
+    /** Nodes whose kernels are visible to dlsym(). */
+    u64 dlsym_visible_nodes = 0;
+    /** Nodes requiring module enumeration (hidden kernels). */
+    u64 hidden_kernel_nodes = 0;
+    /** Buffers classified as model parameters (contents skipped). */
+    u64 model_param_buffers = 0;
+    /** Buffers classified as temporary (contents skipped). */
+    u64 temp_buffers = 0;
+    /** Buffers whose contents are materialized. */
+    u64 permanent_buffers = 0;
+    /**
+     * Permanent buffers the shape-only capture left undefined and every
+     * graph rewrites before reading (contents skipped).
+     */
+    u64 rewritten_buffers = 0;
+    /** Indirect pointer words found inside materialized buffers (§8). */
+    u64 indirect_pointer_words = 0;
+    /** Bytes of buffer contents materialized (copy-free keeps this tiny). */
+    u64 materialized_content_bytes = 0;
+    /** Bytes that a full (non-copy-free) dump would have materialized. */
+    u64 full_dump_bytes = 0;
+
+    /**
+     * Publish every counter under the canonical `analysis.*` metric
+     * names (DESIGN.md §12). The struct itself stays the in-memory
+     * view; registries are how benches and pipelines consume it.
+     */
+    void publishTo(MetricsRegistry &registry) const;
 };
 
-/** The analysis output: the artifact plus repair metadata. */
+/** The analysis output: the image's sections, ready to finish(). */
 struct AnalysisResult
 {
-    Artifact artifact;
-    /**
-     * Pointer-classified params whose match was ambiguous (multiple
-     * same-address allocations in the trace window) — the candidates
-     * the validation/repair loop flips first on mismatch.
-     */
-    std::vector<ParamRef> risky_params;
+    ImageBuilder image;
+    AnalysisStats stats;
 };
 
 /**
@@ -77,7 +111,7 @@ struct AnalysisResult
  *        contents, since every replay rewrites it before reading it;
  *        any other tainted permanent buffer fails the analysis with
  *        kFailedPrecondition.
- * @param model_name / @param model_seed artifact identity.
+ * @param model_name / @param model_seed image identity.
  * @param graphs the captured graphs, one per batch size.
  * @param free_gpu_memory the profiled KV-init value to materialize.
  */

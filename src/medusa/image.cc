@@ -7,8 +7,6 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string_view>
-#include <unordered_map>
 
 #include "common/crc32.h"
 
@@ -95,155 +93,124 @@ readAllocOp(BinaryReader &r)
     return op;
 }
 
-/** Per-graph wire metadata; the big columns live in the POD arrays. */
-struct GraphMeta
-{
-    u32 batch_size = 0;
-    u32 node_count = 0;
-    u32 edge_count = 0;
-    u32 param_count = 0;
-    u64 fn_slot_begin = 0;
-    u64 param_slot_begin = 0;
-};
-
-/** Hash of a (kernel name, module name) kernel-table key. */
-struct KernelKeyHash
-{
-    std::size_t
-    operator()(const std::pair<std::string_view, std::string_view> &key)
-        const
-    {
-        const std::hash<std::string_view> h;
-        return h(key.first) * 31 + h(key.second);
-    }
-};
-
 } // namespace
 
-StatusOr<std::vector<u8>>
-buildImageBytes(const Artifact &artifact,
-                const std::vector<std::pair<i32, i32>> &tokenizer_merges)
+void
+ImageBuilder::reserve(std::size_t graph_count, std::size_t node_count,
+                      std::size_t edge_count, std::size_t param_count)
 {
-    // ---- size the columns from the artifact's counts -----------------
-    // (Counting indirect params would touch every ParamSpec; data_relocs
-    // grows instead.)
-    std::size_t total_params = 0, total_edges = 0;
-    u64 total_nodes = 0;
-    for (const GraphBlueprint &g : artifact.graphs) {
-        total_nodes += g.nodes.size();
-        total_edges += g.edges.size();
-        for (const NodeBlueprint &node : g.nodes) {
-            total_params += node.params.size();
+    graphs.reserve(graph_count);
+    param_begin.reserve(node_count + graph_count);
+    order.reserve(node_count);
+    edges.reserve(edge_count);
+    timings.reserve(node_count);
+    param_len.reserve(param_count);
+    slots.reserve(node_count + param_count);
+    data_relocs.reserve(param_count);
+    kernel_relocs.reserve(node_count);
+}
+
+u64
+ImageBuilder::addKernel(std::string name, std::string module)
+{
+    kernel_table.push_back({std::move(name), std::move(module)});
+    return kernel_table.size() - 1;
+}
+
+Status
+ImageBuilder::beginGraph(u32 batch_size, u32 node_count,
+                         const std::vector<simcuda::GraphEdge> &graph_edges)
+{
+    checkLastGraphComplete();
+    // Validate + precompute the execution order offline, so the online
+    // phase never walks the graph.
+    for (const simcuda::GraphEdge &e : graph_edges) {
+        if (e.dst >= node_count || e.src >= e.dst) {
+            return internalError("corrupt edge in graph bs=" +
+                                 std::to_string(batch_size));
         }
     }
+    MEDUSA_ASSIGN_OR_RETURN(const std::vector<u32> topo,
+                            simcuda::topoOrderOf(node_count, graph_edges));
+    order.insert(order.end(), topo.begin(), topo.end());
+    edges.insert(edges.end(), graph_edges.begin(), graph_edges.end());
 
-    // ---- flatten the blueprints into SoA columns + patch template ----
-    std::vector<MaterializedImage::KernelEntry> kernel_table;
-    // Keyed by views into the artifact's node strings: no per-node copy.
-    std::unordered_map<std::pair<std::string_view, std::string_view>, u64,
-                       KernelKeyHash>
-        kernel_index;
-    std::vector<GraphMeta> graph_meta;
-    std::vector<u32> param_begin;
-    std::vector<u32> order;
-    std::vector<simcuda::GraphEdge> edges;
-    std::vector<TimingInfo> timings;
-    std::vector<u8> param_len;
-    std::vector<u64> slots;
-    std::vector<MaterializedImage::DataReloc> data_relocs;
-    std::vector<MaterializedImage::KernelReloc> kernel_relocs;
-    graph_meta.reserve(artifact.graphs.size());
-    param_begin.reserve(total_nodes + artifact.graphs.size());
-    order.reserve(total_nodes);
-    edges.reserve(total_edges);
-    timings.reserve(total_nodes);
-    param_len.reserve(total_params);
-    slots.reserve(total_nodes + total_params);
-    kernel_relocs.reserve(total_nodes);
+    // Kernel slots first, then param slots — one contiguous range per
+    // graph so the patched template carves directly into a
+    // PatchedGraphDesc.
+    GraphMeta meta;
+    meta.batch_size = batch_size;
+    meta.node_count = node_count;
+    meta.edge_count = static_cast<u32>(graph_edges.size());
+    meta.fn_slot_begin = slots.size();
+    meta.param_slot_begin = meta.fn_slot_begin + node_count;
+    graphs.push_back(meta);
+    slots.resize(slots.size() + node_count);
+    param_begin.push_back(0);
+    graph_nodes_ = 0;
+    return Status::ok();
+}
 
-    for (std::size_t gi = 0; gi < artifact.graphs.size(); ++gi) {
-        const GraphBlueprint &g = artifact.graphs[gi];
-        const std::size_t n = g.nodes.size();
-        GraphMeta meta;
-        meta.batch_size = g.batch_size;
-        meta.node_count = static_cast<u32>(n);
-        meta.edge_count = static_cast<u32>(g.edges.size());
+void
+ImageBuilder::addNode(u64 kernel_index, const TimingInfo &timing)
+{
+    GraphMeta &meta = graphs.back();
+    MEDUSA_CHECK(graph_nodes_ < meta.node_count,
+                 "graph bs=" << meta.batch_size << " has only "
+                             << meta.node_count << " nodes");
+    kernel_relocs.push_back({meta.fn_slot_begin + graph_nodes_,
+                             kernel_index});
+    timings.push_back(timing);
+    // The node's param range ends where it begins until params arrive.
+    param_begin.push_back(meta.param_count);
+    ++graph_nodes_;
+}
 
-        // Kernel slots first, then param slots — one contiguous range
-        // per graph so the patched template carves directly into a
-        // PatchedGraphDesc.
-        meta.fn_slot_begin = slots.size();
-        for (std::size_t ni = 0; ni < n; ++ni) {
-            const NodeBlueprint &node = g.nodes[ni];
-            auto [it, inserted] = kernel_index.try_emplace(
-                {node.kernel_name, node.module_name}, kernel_table.size());
-            if (inserted) {
-                kernel_table.push_back({node.kernel_name,
-                                        node.module_name});
-            }
-            kernel_relocs.push_back({slots.size(), it->second});
-            slots.push_back(0);
-        }
+void
+ImageBuilder::addConstant(std::span<const u8> bytes)
+{
+    MEDUSA_CHECK(bytes.size() <= sizeof(u64),
+                 "constant param wider than 8 bytes");
+    u64 bits = 0;
+    std::memcpy(&bits, bytes.data(), bytes.size());
+    slots.push_back(bits);
+    param_len.push_back(static_cast<u8>(bytes.size()));
+    ++graphs.back().param_count;
+    ++param_begin.back();
+}
 
-        meta.param_slot_begin = slots.size();
-        u32 params_in_graph = 0;
-        param_begin.push_back(0);
-        for (const NodeBlueprint &node : g.nodes) {
-            for (const ParamSpec &p : node.params) {
-                if (p.kind == ParamSpec::kConstant) {
-                    if (p.constant_bytes.size() > sizeof(u64)) {
-                        return invalidArgument(
-                            "constant param wider than 8 bytes in graph "
-                            "bs=" +
-                            std::to_string(g.batch_size));
-                    }
-                    u64 bits = 0;
-                    std::memcpy(&bits, p.constant_bytes.data(),
-                                p.constant_bytes.size());
-                    slots.push_back(bits);
-                    param_len.push_back(
-                        static_cast<u8>(p.constant_bytes.size()));
-                } else {
-                    data_relocs.push_back(
-                        {slots.size(), p.alloc_index, p.offset});
-                    slots.push_back(0);
-                    param_len.push_back(sizeof(u64));
-                }
-                ++params_in_graph;
-            }
-            param_begin.push_back(params_in_graph);
-        }
-        meta.param_count = params_in_graph;
+void
+ImageBuilder::addPointer(u64 alloc_index, u64 offset)
+{
+    data_relocs.push_back({slots.size(), alloc_index, offset});
+    slots.push_back(0);
+    param_len.push_back(sizeof(u64));
+    ++graphs.back().param_count;
+    ++param_begin.back();
+}
 
-        // Validate + precompute the execution order offline, so the
-        // online phase never walks the graph.
-        std::vector<simcuda::GraphEdge> graph_edges;
-        graph_edges.reserve(g.edges.size());
-        for (const auto &[src, dst] : g.edges) {
-            if (dst >= n || src >= dst) {
-                return internalError("corrupt edge in artifact");
-            }
-            graph_edges.push_back({src, dst});
-        }
-        auto topo = simcuda::topoOrderOf(n, graph_edges);
-        if (!topo.isOk()) {
-            return topo.status();
-        }
-        order.insert(order.end(), topo.value().begin(),
-                     topo.value().end());
-        edges.insert(edges.end(), graph_edges.begin(), graph_edges.end());
-        for (const NodeBlueprint &node : g.nodes) {
-            timings.push_back(node.timing);
-        }
-        graph_meta.push_back(meta);
-    }
+std::span<u8>
+ImageBuilder::addPermanent(u64 alloc_index, u64 size)
+{
+    permanent.push_back({alloc_index, size});
+    const std::size_t at = contents.size();
+    contents.resize(at + static_cast<std::size_t>(size));
+    return std::span<u8>(contents).subspan(at);
+}
 
-    u64 contents_total = 0;
-    for (const PermanentBuffer &p : artifact.permanent) {
-        contents_total += p.contents.size();
-    }
+void
+ImageBuilder::checkLastGraphComplete() const
+{
+    MEDUSA_CHECK(graphs.empty() || graph_nodes_ == graphs.back().node_count,
+                 "graph bs=" << graphs.back().batch_size
+                             << " ended before its last node");
+}
 
-    // ---- serialize: header, decoded metadata, then POD columns -------
+std::vector<u8>
+ImageBuilder::finish(
+    const std::vector<std::pair<i32, i32>> &tokenizer_merges) const
+{
+    checkLastGraphComplete();
     // The header goes first with a zero size and CRC, patched in place
     // once the payload is written. kHeaderBytes is a multiple of 8, so
     // alignTo8 pads the payload as if it started at offset 0.
@@ -258,15 +225,15 @@ buildImageBytes(const Artifact &artifact,
     w.writeU32(0); // pad: keeps the payload 8-byte aligned
     MEDUSA_CHECK(w.size() == MaterializedImage::kHeaderBytes,
                  "image header drifted from kHeaderBytes");
-    w.writeString(artifact.model_name);
-    w.writeU64(artifact.model_seed);
-    w.writeU64(artifact.free_gpu_memory);
-    w.writeU64(artifact.organic_op_count);
-    w.writeU64(artifact.organic_alloc_count);
-    w.writeU64(total_nodes);
-    w.writeVector(artifact.ops, writeAllocOp);
-    w.writeU64(artifact.tags.size());
-    for (const auto &[tag, index] : artifact.tags) {
+    w.writeString(model_name);
+    w.writeU64(model_seed);
+    w.writeU64(free_gpu_memory);
+    w.writeU64(organic_op_count);
+    w.writeU64(organic_alloc_count);
+    w.writeU64(totalNodes());
+    w.writeVector(ops, writeAllocOp);
+    w.writeU64(tags.size());
+    for (const auto &[tag, index] : tags) {
         w.writeString(tag);
         w.writeU64(index);
     }
@@ -280,14 +247,14 @@ buildImageBytes(const Artifact &artifact,
         w.writeU32(static_cast<u32>(left));
         w.writeU32(static_cast<u32>(right));
     }
-    w.writeU64(artifact.permanent.size());
-    for (const PermanentBuffer &p : artifact.permanent) {
+    w.writeU64(permanent.size());
+    for (const PermanentEntry &p : permanent) {
         w.writeU64(p.alloc_index);
-        w.writeU64(p.contents.size());
+        w.writeU64(p.size);
     }
-    w.writeU64(artifact.pointer_fixes.size());
-    w.writeU64(graph_meta.size());
-    for (const GraphMeta &m : graph_meta) {
+    w.writeU64(pointer_fixes.size());
+    w.writeU64(graphs.size());
+    for (const GraphMeta &m : graphs) {
         w.writeU32(m.batch_size);
         w.writeU32(m.node_count);
         w.writeU32(m.edge_count);
@@ -298,7 +265,7 @@ buildImageBytes(const Artifact &artifact,
     w.writeU64(slots.size());
     w.writeU64(data_relocs.size());
     w.writeU64(kernel_relocs.size());
-    w.writeU64(contents_total);
+    w.writeU64(contents.size());
 
     // The POD columns and the contents make up nearly all the bytes:
     // grow the buffer once for them (each of the 10 aligns pads < 8).
@@ -308,8 +275,8 @@ buildImageBytes(const Artifact &artifact,
     w.reserve(w.size() + podBytes(param_begin) + podBytes(order) +
               podBytes(edges) + podBytes(timings) + podBytes(param_len) +
               podBytes(slots) + podBytes(data_relocs) +
-              podBytes(kernel_relocs) + podBytes(artifact.pointer_fixes) +
-              contents_total + 10 * 8);
+              podBytes(kernel_relocs) + podBytes(pointer_fixes) +
+              contents.size() + 10 * 8);
     writePodArray(w, param_begin);
     writePodArray(w, order);
     writePodArray(w, edges);
@@ -318,11 +285,8 @@ buildImageBytes(const Artifact &artifact,
     writePodArray(w, slots);
     writePodArray(w, data_relocs);
     writePodArray(w, kernel_relocs);
-    writePodArray(w, artifact.pointer_fixes);
-    alignTo8(w);
-    for (const PermanentBuffer &p : artifact.permanent) {
-        w.writeBytesRaw(p.contents.data(), p.contents.size());
-    }
+    writePodArray(w, pointer_fixes);
+    writePodArray(w, contents);
 
     const std::size_t payload_bytes =
         w.size() - MaterializedImage::kHeaderBytes;
@@ -431,7 +395,7 @@ MaterializedImage::openView(std::span<const u8> bytes,
         }
     }
     MEDUSA_ASSIGN_OR_RETURN(u64 fix_count, r.readU64());
-    std::vector<GraphMeta> graph_meta;
+    std::vector<ImageBuilder::GraphMeta> graph_meta;
     u64 sum_pb = 0;
     u64 sum_nodes = 0;
     u64 sum_edges = 0;
@@ -442,7 +406,7 @@ MaterializedImage::openView(std::span<const u8> bytes,
             return internalError("image graph count exceeds data");
         }
         graph_meta.resize(static_cast<std::size_t>(graph_count));
-        for (GraphMeta &m : graph_meta) {
+        for (ImageBuilder::GraphMeta &m : graph_meta) {
             MEDUSA_ASSIGN_OR_RETURN(m.batch_size, r.readU32());
             MEDUSA_ASSIGN_OR_RETURN(m.node_count, r.readU32());
             MEDUSA_ASSIGN_OR_RETURN(m.edge_count, r.readU32());
@@ -506,7 +470,7 @@ MaterializedImage::openView(std::span<const u8> bytes,
     u64 param_off = 0;
     u64 slot_cursor = 0;
     img.graphs.reserve(graph_meta.size());
-    for (const GraphMeta &m : graph_meta) {
+    for (const ImageBuilder::GraphMeta &m : graph_meta) {
         if (m.fn_slot_begin != slot_cursor ||
             m.param_slot_begin != slot_cursor + m.node_count) {
             return internalError("image slot layout is inconsistent");

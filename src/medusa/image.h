@@ -1,31 +1,39 @@
 /**
  * @file
- * The v6 materialized image: a memory-mappable, relocation-patchable
- * flattening of the in-memory artifact (DESIGN.md §13), and the one
- * serialized format — what medusa-lint verifies and what the online
- * phase restores from.
+ * The v6 materialized image (DESIGN.md §13): the offline phase's one
+ * IR and the one serialized format — what medusa-lint verifies and
+ * what the online phase restores from.
  *
- * The artifact stores graph *blueprints* — per-node kernel names and
- * per-param indirect (alloc_index, offset) pairs. Turning those back
- * into executable graphs online would mean rebuilding a CudaGraph
- * object per blueprint and re-resolving every node's kernel. The v6
- * image moves that work offline, the way a dynamic linker moves symbol
- * binding into a precomputed relocation table:
+ * Per the paper (§3), one image is produced per <GPU type, model> pair
+ * and holds the profiled free GPU memory (§6), the buffer
+ * (de)allocation sequence to replay (§4.2), the captured graphs with
+ * their indirect index pointer table (§4.1) and kernel name table
+ * (§5), the contents of permanent buffers (§4.3), nested pointer words
+ * to rewrite (§8), and the engine's buffer tags.
+ *
+ * Restoring a graph from per-node kernel names and (allocation index,
+ * offset) pairs would mean rebuilding a CudaGraph object and
+ * re-resolving every node's kernel online. The v6 layout moves that
+ * work offline, the way a dynamic linker moves symbol binding into a
+ * precomputed relocation table:
  *
  *  - graph topology, execution order, timings and param widths are
- *    stored as structure-of-arrays POD sections that the reader *views*
- *    in place (zero-copy spans over the file bytes);
+ *    structure-of-arrays POD sections that the reader *views* in place
+ *    (zero-copy spans over the file bytes);
  *  - every kernel/param cell that needs a run-specific address is a u64
  *    slot in a "patch template", with constants prefilled offline;
  *  - a relocation table lists (slot, index, addend) records: data
  *    relocations resolve against the replayed allocation table, kernel
  *    relocations against the first-occurrence kernel name table.
  *
- * Restore then copies the template, applies the relocations in one
- * linear pass, and instantiates executable graphs directly from the
- * patched arrays (GpuProcess::instantiatePatched) — no CudaGraph
+ * The analysis stage appends straight into those sections through an
+ * ImageBuilder, whose members are the sections themselves; finish()
+ * writes the header and columns once and seals them with one CRC.
+ * Restore copies the template, applies the relocations in one linear
+ * pass, and instantiates executable graphs directly from the patched
+ * arrays (GpuProcess::instantiatePatched) — no CudaGraph
  * reconstruction, no per-node name lookups. The kernel name table is
- * emitted in first-occurrence order (graph order, then node order) so
+ * in first-occurrence order (graph order, then node order) so
  * resolving it loads modules in the order the capture first launched
  * them, keeping ASLR draws — and therefore restore fingerprints —
  * deterministic.
@@ -50,10 +58,39 @@
 #include "common/status.h"
 #include "common/trace.h"
 #include "common/types.h"
-#include "medusa/artifact.h"
 #include "simcuda/graph.h"
+#include "simtime/cost_model.h"
 
 namespace medusa::core {
+
+/** One operation of the recorded buffer (de)allocation sequence. */
+struct AllocOp
+{
+    enum Kind : u8 { kAlloc = 0, kFree = 1 };
+
+    Kind kind = kAlloc;
+    /** kAlloc: accounted size. */
+    u64 logical_size = 0;
+    /** kAlloc: functional backing size. */
+    u64 backing_size = 0;
+    /** kFree: the allocation index (kAlloc ordinal) being freed. */
+    u64 freed_alloc_index = 0;
+};
+
+/**
+ * One *indirect pointer* word (§8): a device-pointer value stored
+ * INSIDE a materialized buffer (e.g. a batched-GEMM operand array).
+ * The online phase rewrites the 8 bytes at
+ * (buffer_alloc_index, byte_offset) with the replayed address of
+ * (target_alloc_index) + target_offset after contents restoration.
+ */
+struct PointerWordFix
+{
+    u64 buffer_alloc_index = 0;
+    u64 byte_offset = 0;
+    u64 target_alloc_index = 0;
+    u64 target_offset = 0;
+};
 
 /** Options for opening a serialized image. */
 struct ImageReadOptions
@@ -220,17 +257,122 @@ class MaterializedImage
 };
 
 /**
- * Flatten an artifact into the serialized v6 image — the offline
- * emission step. Precomputes each graph's topological order, builds the
- * first-occurrence kernel name table, prefills constant params into the
- * patch template and emits the relocation table. @p tokenizer_merges is
- * the learned merge list of the model's tokenizer
- * (llm::BpeTokenizer::merges()). Verification is a separate step
- * (lint::lintImage over the opened bytes).
+ * A v6 image under construction: the offline IR. Its members are the
+ * image's sections themselves, in the layout MaterializedImage views,
+ * so emission is one serialization pass with no flattening. Graphs are
+ * appended node by node: beginGraph(), then per node addNode()
+ * followed by its params (addConstant / addPointer) in order. Each
+ * graph's template range is [node fn slots][param slots]; relocation
+ * records are appended in slot order. Hand-built specimens may also
+ * edit the members directly — finish() serializes whatever they hold,
+ * and lint judges it.
  */
-StatusOr<std::vector<u8>>
-buildImageBytes(const Artifact &artifact,
-                const std::vector<std::pair<i32, i32>> &tokenizer_merges);
+class ImageBuilder
+{
+  public:
+    /** Per-graph section metadata; the columns hold the rest. */
+    struct GraphMeta
+    {
+        u32 batch_size = 0;
+        u32 node_count = 0;
+        u32 edge_count = 0;
+        u32 param_count = 0;
+        u64 fn_slot_begin = 0;
+        u64 param_slot_begin = 0;
+    };
+
+    /** One permanent buffer; its bytes are the next @c size of contents. */
+    struct PermanentEntry
+    {
+        u64 alloc_index = 0;
+        u64 size = 0;
+    };
+
+    // ---- header facts --------------------------------------------------
+    std::string model_name;
+    u64 model_seed = 0;
+    /** §6: the profiled free GPU memory for KV-cache initialization. */
+    u64 free_gpu_memory = 0;
+    /**
+     * Number of leading ops that the online phase produces organically
+     * (structure initialization); replay starts at this op index.
+     */
+    u64 organic_op_count = 0;
+    /** Number of alloc (not free) events within the organic prefix. */
+    u64 organic_alloc_count = 0;
+    /** The full recorded (de)allocation sequence, process-start order. */
+    std::vector<AllocOp> ops;
+    /** Engine buffer tag -> allocation index. */
+    std::map<std::string, u64> tags;
+    std::vector<MaterializedImage::KernelEntry> kernel_table;
+    std::vector<GraphMeta> graphs;
+    std::vector<PermanentEntry> permanent;
+
+    // ---- columns (MaterializedImage's zero-copy sections) ---------------
+    /** Per graph: node_count + 1 param-prefix entries. */
+    std::vector<u32> param_begin;
+    std::vector<u32> order;
+    std::vector<simcuda::GraphEdge> edges;
+    std::vector<TimingInfo> timings;
+    std::vector<u8> param_len;
+    /** The patch template. */
+    std::vector<u64> slots;
+    std::vector<MaterializedImage::DataReloc> data_relocs;
+    std::vector<MaterializedImage::KernelReloc> kernel_relocs;
+    std::vector<PointerWordFix> pointer_fixes;
+    /** Every permanent buffer's bytes, back to back. */
+    std::vector<u8> contents;
+
+    /** Reserve the columns for the given totals. */
+    void reserve(std::size_t graph_count, std::size_t node_count,
+                 std::size_t edge_count, std::size_t param_count);
+
+    /** Append a kernel-table entry; returns its index. */
+    u64 addKernel(std::string name, std::string module);
+
+    /**
+     * Start a graph of @p node_count nodes: validates @p graph_edges
+     * (forward, in range), precomputes the execution order and reserves
+     * the graph's node fn slots.
+     */
+    Status beginGraph(u32 batch_size, u32 node_count,
+                      const std::vector<simcuda::GraphEdge> &graph_edges);
+
+    /** Append the current graph's next node. */
+    void addNode(u64 kernel_index, const TimingInfo &timing);
+
+    /** Append a constant param (at most 8 bytes, prefilled). */
+    void addConstant(std::span<const u8> bytes);
+
+    /** Append a data-pointer param: a relocation against an allocation. */
+    void addPointer(u64 alloc_index, u64 offset);
+
+    /**
+     * Append a permanent buffer of @p size bytes; returns where its
+     * contents go (valid until the next addPermanent).
+     */
+    std::span<u8> addPermanent(u64 alloc_index, u64 size);
+
+    /** Total graph nodes appended. */
+    u64 totalNodes() const { return timings.size(); }
+
+    /**
+     * Serialize the sections into image bytes: header, metadata, then
+     * the POD columns, with one CRC over the payload. @p
+     * tokenizer_merges is the model tokenizer's learned merge list
+     * (llm::BpeTokenizer::merges()). Verification is a separate step
+     * (lint::lintImage over the opened bytes).
+     */
+    std::vector<u8>
+    finish(const std::vector<std::pair<i32, i32>> &tokenizer_merges) const;
+
+  private:
+    /** Aborts when the last graph got fewer nodes than it declared. */
+    void checkLastGraphComplete() const;
+
+    /** Nodes appended to the current (last) graph. */
+    u32 graph_nodes_ = 0;
+};
 
 } // namespace medusa::core
 

@@ -16,7 +16,7 @@
 #include <utility>
 #include <vector>
 
-#include "medusa/artifact.h"
+#include "medusa/image.h"
 #include "simcuda/graph.h"
 #include "simcuda/kernel.h"
 

@@ -9,7 +9,8 @@
  * replay-safety properties of an image WITHOUT executing the online
  * phase, and reports violations as rule-tagged diagnostics. It checks
  * the same bytes the restore path opens, the way a linker checks the
- * object file it links; the in-memory Artifact is never linted.
+ * object file it links; the analysis stage's ImageBuilder is never
+ * linted before it is finished.
  *
  * Rule families (see DESIGN.md §9 for the paper mapping):
  *  - MDL1xx  allocation-sequence well-formedness (double-free, free of
@@ -63,14 +64,13 @@
 #include <string>
 #include <vector>
 
-#include "medusa/artifact.h"
+#include "medusa/image.h"
 #include "simcuda/caching_allocator.h"
 #include "simcuda/memory.h"
 
 namespace medusa::core {
 
-class Recorder;          // record.h; only needed for trace-exact liveness
-class MaterializedImage; // image.h; what every rule checks
+class Recorder; // record.h; only needed for trace-exact liveness
 
 namespace lint {
 

@@ -9,7 +9,6 @@
 namespace medusa::core {
 
 using llm::ModelRuntime;
-using simcuda::CudaGraph;
 
 StatusOr<CapturedStage>
 runCaptureStage(ModelRuntime &rt, Recorder &recorder,
@@ -90,108 +89,67 @@ materialize(const OfflineOptions &opts)
                             runCaptureStage(rt, recorder, sizes, &rec));
     capture_span.end();
     result.capture_stage_sec = clock.nowSec();
-    const auto &graphs = captured.graphs;
 
     // ---- analysis stage -----------------------------------------------
     Span analysis_span(&rec, "offline.analysis_stage", "offline");
     MEDUSA_ASSIGN_OR_RETURN(
         AnalysisResult analysis,
         analyze(recorder, rt.process(), opts.model.name,
-                opts.model.seed, graphs, captured.free_bytes,
+                opts.model.seed, captured.graphs, captured.free_bytes,
                 opts.analyze));
     analysis_span.end();
     result.analysis_stage_sec = clock.nowSec() - result.capture_stage_sec;
-    result.artifact = std::move(analysis.artifact);
+    result.stats = analysis.stats;
 
-    // ---- emit -> lint -> validate, with the repair loop ----------------
-    // Each round flattens the (possibly repaired) artifact into the v6
-    // image, proves those bytes replay-safe and dry-runs the online
-    // phase on exactly them. A failed dry-run demotes the next risky
-    // pointer classification to a constant and goes round again.
-    MedusaEngine::Options vopts;
-    vopts.model = opts.model;
-    vopts.aslr_seed = opts.aslr_seed + 7777;
-    vopts.cost = opts.cost;
-    vopts.restore.pipeline.validate = true;
-    vopts.restore.pipeline.validate_batch_sizes =
-        opts.pipeline.validate_batch_sizes;
-    std::size_t next_repair = 0;
-    for (u32 attempt = 0;; ++attempt) {
-        // v6 image emission, embedding the merges the capture stage's
-        // tokenizer learned — the online phase rebuilds the tokenizer
-        // from them instead of re-training.
-        {
-            Span s(&rec, "offline.emit_image", "offline");
-            MEDUSA_ASSIGN_OR_RETURN(
-                result.image_bytes,
-                buildImageBytes(result.artifact, rt.tokenizer().merges()));
-            s.arg("bytes", std::to_string(result.image_bytes.size()));
-        }
-        if (!opts.pipeline.lint && !opts.pipeline.validate) {
-            break;
-        }
-        MEDUSA_ASSIGN_OR_RETURN(
-            const MaterializedImage image,
-            MaterializedImage::openView(
-                std::span<const u8>(result.image_bytes)));
+    // ---- emit -> open -> lint -> validate ------------------------------
+    // One emission, embedding the merges the capture stage's tokenizer
+    // learned (the online phase rebuilds the tokenizer from them instead
+    // of re-training), and one open of exactly those bytes: lint,
+    // validation and the caller's serving profile all read that view.
+    {
+        Span s(&rec, "offline.emit_image", "offline");
+        result.image_bytes = analysis.image.finish(rt.tokenizer().merges());
+        s.arg("bytes", std::to_string(result.image_bytes.size()));
+    }
+    MEDUSA_ASSIGN_OR_RETURN(result.artifact,
+                            MaterializedImage::openView(
+                                std::span<const u8>(result.image_bytes)));
 
-        // Static lint gate: executes nothing, proves replay-safety
-        // properties of the emitted image, using the raw trace for
-        // exact per-launch liveness (MDL702) and capture-window
-        // allocation order (MDL803).
-        if (opts.pipeline.lint) {
-            lint::LintOptions lopts;
-            lopts.trace = &recorder;
-            const lint::LintReport report = lint::lintImage(image, lopts);
-            if (!report.replaySafe()) {
-                return validationFailure("image failed lint: " +
-                                         report.firstError());
-            }
+    // Static lint gate: executes nothing, proves replay-safety
+    // properties of the emitted image, using the raw trace for exact
+    // per-launch liveness (MDL702) and capture-window allocation order
+    // (MDL803).
+    if (opts.pipeline.lint) {
+        lint::LintOptions lopts;
+        lopts.trace = &recorder;
+        const lint::LintReport report =
+            lint::lintImage(result.artifact, lopts);
+        if (!report.replaySafe()) {
+            return validationFailure("image failed lint: " +
+                                     report.firstError());
         }
-        if (!opts.pipeline.validate) {
-            break;
-        }
+    }
 
-        // Validation dry-run on the emitted image, in a fresh process.
-        auto engine = MedusaEngine::coldStartFromImage(vopts, image);
-        if (engine.isOk()) {
-            result.validation_sec = (*engine)->runtime().clock().nowSec();
-            // The dry-run executes on a fresh process with its own
-            // clock; charge it as a pre-timed span at the
-            // materializer's clock.
-            rec.complete("offline.validation", "offline", 0, clock.now(),
-                         units::secToNs(result.validation_sec));
-            break;
-        }
-        if (attempt >= opts.max_repair_attempts ||
-            next_repair >= analysis.risky_params.size()) {
+    // Validation dry-run on the emitted image, in a fresh process.
+    if (opts.pipeline.validate) {
+        MedusaEngine::Options vopts;
+        vopts.model = opts.model;
+        vopts.aslr_seed = opts.aslr_seed + 7777;
+        vopts.cost = opts.cost;
+        vopts.restore.pipeline.validate = true;
+        vopts.restore.pipeline.validate_batch_sizes =
+            opts.pipeline.validate_batch_sizes;
+        auto engine = MedusaEngine::coldStartFromImage(vopts, result.artifact);
+        if (!engine.isOk()) {
             return Status(engine.status().code(),
-                          "offline validation failed beyond repair: " +
+                          "offline validation failed: " +
                               engine.status().message());
         }
-        // Demote the next risky pointer classification to a constant,
-        // restoring the original captured bytes.
-        const ParamRef ref = analysis.risky_params[next_repair++];
-        const CudaGraph *graph = nullptr;
-        for (const auto &[bs, g] : graphs) {
-            if (bs == ref.batch_size) {
-                graph = &g;
-                break;
-            }
-        }
-        MEDUSA_CHECK(graph != nullptr, "risky param in unknown graph");
-        GraphBlueprint *bp = nullptr;
-        for (auto &g : result.artifact.graphs) {
-            if (g.batch_size == ref.batch_size) {
-                bp = &g;
-                break;
-            }
-        }
-        MEDUSA_CHECK(bp != nullptr, "blueprint missing for repair");
-        ParamSpec &spec = bp->nodes.at(ref.node).params.at(ref.param);
-        spec.kind = ParamSpec::kConstant;
-        spec.constant_bytes = graph->node(ref.node).params.at(ref.param);
-        ++result.artifact.stats.validation_repairs;
+        result.validation_sec = (*engine)->runtime().clock().nowSec();
+        // The dry-run executes on a fresh process with its own clock;
+        // charge it as a pre-timed span at the materializer's clock.
+        rec.complete("offline.validation", "offline", 0, clock.now(),
+                     units::secToNs(result.validation_sec));
     }
 
     result.spans = rec.events();
@@ -199,7 +157,7 @@ materialize(const OfflineOptions &opts)
         opts.pipeline.trace->appendAll(result.spans);
     }
     if (opts.pipeline.metrics != nullptr) {
-        result.artifact.stats.publishTo(*opts.pipeline.metrics);
+        result.stats.publishTo(*opts.pipeline.metrics);
     }
     return result;
 }

@@ -1,11 +1,10 @@
 /**
  * @file
  * The offline phase driver (paper §3 left half): capturing stage +
- * analysis stage, then v6 image emission, lint and a validation
- * dry-run of the online phase on the emitted image in a fresh
- * simulated process (the paper's §4 output comparison), with an
- * iterative repair loop that demotes false-positive pointer
- * classifications to constants and re-emits.
+ * analysis stage (which appends straight into the v6 image's sections),
+ * then one emission, one open of the emitted bytes, lint, and a
+ * validation dry-run of the online phase on that image in a fresh
+ * simulated process (the paper's §4 output comparison).
  *
  * Run once per <GPU type, model>; the output image is what every
  * online cold start restores from.
@@ -21,7 +20,7 @@
 #include "common/pipeline_options.h"
 #include "llm/engine.h"
 #include "medusa/analyze.h"
-#include "medusa/artifact.h"
+#include "medusa/image.h"
 
 namespace medusa::core {
 
@@ -35,29 +34,38 @@ struct OfflineOptions
     /**
      * Cross-cutting pipeline knobs (shared shape with RestoreOptions
      * and ClusterOptions). `pipeline.validate` runs the online dry-run
-     * validation (and repair) on the emitted image — on by default here;
+     * validation on the emitted image — on by default here;
      * `pipeline.lint` runs medusa-lint over each emitted image with the
      * raw recorder trace, so relocation liveness is checked at each
      * launch's exact trace position, and fails materialization on any
      * error-severity diagnostic.
      */
     PipelineOptions pipeline = {.validate = true};
-    /** Bound on validation/repair iterations. */
-    u32 max_repair_attempts = 16;
 };
 
-/** The offline phase's output. */
+/**
+ * The offline phase's output. Move-only: @c artifact views
+ * @c image_bytes, and a moved vector keeps its heap buffer, so a moved
+ * result's view stays valid — but the bytes must not be reassigned
+ * while the view is in use.
+ */
 struct OfflineResult
 {
-    Artifact artifact;
     /**
      * The serialized v6 materialized image (DESIGN.md §13): the
-     * artifact flattened into a relocation-patchable structure of
-     * arrays, with the tokenizer's learned merges embedded. Open with
-     * MaterializedImage::open and restore with
+     * analysis stage's sections written once, with the tokenizer's
+     * learned merges embedded. Restore with
      * MedusaEngine::coldStartFromImage.
      */
     std::vector<u8> image_bytes;
+    /**
+     * The image materialize opened over @c image_bytes for lint and
+     * validation (zero-copy): serving profiles and benches restore
+     * from it without a second open.
+     */
+    MaterializedImage artifact;
+    /** What the analysis stage counted. */
+    AnalysisStats stats;
     /** Capturing-stage virtual seconds (cold start + graph saving). */
     f64 capture_stage_sec = 0;
     /** Analysis-stage virtual seconds. */

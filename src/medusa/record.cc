@@ -91,25 +91,25 @@ Recorder::endGraph()
     current_graph_ = -1;
 }
 
-std::vector<const AllocRecord *>
-Recorder::recordsContaining(DeviceAddr value) const
+void
+Recorder::recordsContaining(DeviceAddr value,
+                            std::vector<const AllocRecord *> &out) const
 {
+    out.clear();
     // Driver blocks never overlap, so at most one base range can
     // contain the value; pool reuse stacks multiple records on the same
     // base over time.
     auto it = by_base_.upper_bound(value);
     if (it == by_base_.begin()) {
-        return {};
+        return;
     }
     --it;
-    std::vector<const AllocRecord *> out;
     for (u64 index : it->second) {
         const AllocRecord &rec = allocs_[index];
         if (value >= rec.addr && value < rec.addr + rec.logical_size) {
             out.push_back(&rec);
         }
     }
-    return out;
 }
 
 } // namespace medusa::core

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "llm/hooks.h"
-#include "medusa/artifact.h"
+#include "medusa/image.h"
 #include "simcuda/caching_allocator.h"
 
 namespace medusa::core {
@@ -95,12 +95,14 @@ class Recorder final : public simcuda::AllocObserver,
     u64 captureStageOpPos() const { return capture_stage_op_pos_; }
 
     /**
-     * All records whose logical range [addr, addr+size) contains @p
-     * value, ordered by allocation time. Non-empty only when value is a
-     * real (possibly interior) buffer pointer.
+     * Replace @p out with all records whose logical range
+     * [addr, addr+size) contains @p value, ordered by allocation time.
+     * Non-empty only when value is a real (possibly interior) buffer
+     * pointer. Reusing @p out across calls keeps lookups
+     * allocation-free.
      */
-    std::vector<const AllocRecord *> recordsContaining(DeviceAddr value)
-        const;
+    void recordsContaining(DeviceAddr value,
+                           std::vector<const AllocRecord *> &out) const;
 
   private:
     std::vector<AllocOp> ops_;

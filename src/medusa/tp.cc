@@ -58,11 +58,8 @@ materializeTp(const TpOfflineOptions &opts)
         result.analysis_stage_sec = std::max(
             result.analysis_stage_sec, rank.clock().nowSec() - captured_at);
 
-        MEDUSA_ASSIGN_OR_RETURN(
-            auto image_bytes,
-            buildImageBytes(analysis.artifact, rank.tokenizer().merges()));
-        result.rank_images.push_back(std::move(image_bytes));
-        result.rank_artifacts.push_back(std::move(analysis.artifact));
+        result.rank_images.push_back(
+            analysis.image.finish(rank.tokenizer().merges()));
     }
     return result;
 }

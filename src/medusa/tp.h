@@ -6,8 +6,8 @@
  *
  * Offline, each rank runs its own recorder through the capturing-stage
  * cold start (per-rank allocation sequences, per-rank graphs with
- * all-reduce collective nodes), the analysis produces one artifact
- * per rank and each artifact is flattened into that rank's v6 image.
+ * all-reduce collective nodes), and the analysis writes each rank's
+ * own v6 image.
  * Online, every rank runs the single-GPU step list (replay.h) from
  * its own image in its own process, inside the one attempt loop both
  * engines share; the restored graphs are validated by lockstep replay
@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "llm/tensor_parallel.h"
-#include "medusa/artifact.h"
 #include "medusa/image.h"
 #include "medusa/replay.h"
 #include "medusa/restore_options.h"
@@ -39,14 +38,12 @@ struct TpOfflineOptions
     const CostModel *cost = nullptr;
 };
 
-/** One artifact per rank plus offline-phase timings. */
+/** One image per rank plus offline-phase timings. */
 struct TpOfflineResult
 {
-    std::vector<Artifact> rank_artifacts;
     /**
-     * One serialized v6 image per rank (DESIGN.md §13): each rank's
-     * artifact flattened for the relocation-patch restore path, with
-     * that rank's tokenizer merges embedded.
+     * One serialized v6 image per rank (DESIGN.md §13), with that
+     * rank's tokenizer merges embedded; openRankImages views them.
      */
     std::vector<std::vector<u8>> rank_images;
     f64 capture_stage_sec = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "llm/tokenizer.h"
 #include "medusa/image.h"
 #include "medusa/restore.h"
 
@@ -82,8 +81,6 @@ buildServingProfile(const ProfileOptions &opts)
     profile.strategy = opts.strategy;
 
     // ---- one real cold start under the strategy -------------------------
-    // The image outlives the engine restored from it.
-    core::MaterializedImage image;
     std::unique_ptr<llm::BaselineEngine> baseline;
     std::unique_ptr<core::MedusaEngine> medusa;
     llm::ModelRuntime *rt = nullptr;
@@ -92,23 +89,16 @@ buildServingProfile(const ProfileOptions &opts)
             return invalidArgument(
                 "Medusa profile requires a materialized artifact");
         }
-        // Restore through the one online path: flatten the artifact
-        // into its v6 image, with the merges the model's tokenizer
-        // learns, and cold-start from that image.
-        MEDUSA_ASSIGN_OR_RETURN(
-            std::vector<u8> image_bytes,
-            core::buildImageBytes(
-                *opts.artifact,
-                llm::trainModelTokenizer(opts.model.seed).merges()));
-        MEDUSA_ASSIGN_OR_RETURN(
-            image, core::MaterializedImage::open(std::move(image_bytes)));
+        // Restore through the one online path, from the image the
+        // caller holds (it outlives the engine restored from it).
         core::MedusaEngine::Options mopts;
         mopts.model = opts.model;
         mopts.aslr_seed = opts.aslr_seed;
         mopts.cost = opts.cost;
         mopts.warm_container = opts.warm_container;
         MEDUSA_ASSIGN_OR_RETURN(
-            medusa, core::MedusaEngine::coldStartFromImage(mopts, image));
+            medusa,
+            core::MedusaEngine::coldStartFromImage(mopts, *opts.artifact));
         profile.loading_sec = medusa->coldStartReport().times.loading;
         profile.cold_start_sec = medusa->coldStartReport().times.coldStart();
         rt = &medusa->runtime();

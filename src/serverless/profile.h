@@ -5,9 +5,10 @@
  *
  * Rather than hand-writing analytic formulas, the profile is *measured*
  * from the functional engine on the virtual clock: one real cold start
- * under the strategy (Medusa restores from the v6 image of a
- * materialized artifact), then decode-step and prefill latencies
- * sampled at several batch sizes/token counts and interpolated.
+ * under the strategy (Medusa restores the v6 image that materialize
+ * already opened — no re-emission, no second open), then decode-step
+ * and prefill latencies sampled at several batch sizes/token counts
+ * and interpolated.
  */
 
 #ifndef MEDUSA_SERVERLESS_PROFILE_H
@@ -17,7 +18,7 @@
 #include <vector>
 
 #include "llm/engine.h"
-#include "medusa/artifact.h"
+#include "medusa/image.h"
 
 namespace medusa::serverless {
 
@@ -68,10 +69,11 @@ struct ProfileOptions
     llm::Strategy strategy = llm::Strategy::kVllm;
     const CostModel *cost = nullptr;
     /**
-     * Required when strategy == kMedusa: the materialized artifact,
-     * flattened into its v6 image for the restore.
+     * Required when strategy == kMedusa: the materialized image to
+     * cold-start from (core::OfflineResult::artifact). It must outlive
+     * the call.
      */
-    const core::Artifact *artifact = nullptr;
+    const core::MaterializedImage *artifact = nullptr;
     u64 aslr_seed = 21;
     /** Warm container pool (eliminates runtime init), as in §7.5. */
     bool warm_container = true;

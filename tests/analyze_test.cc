@@ -12,6 +12,7 @@
 
 #include <cstring>
 #include <memory>
+#include <span>
 
 #include "medusa/analyze.h"
 #include "medusa/offline.h"
@@ -27,6 +28,45 @@ using simcuda::CudaGraph;
 using simcuda::GpuProcess;
 using simcuda::GpuProcessOptions;
 using simcuda::ParamsBuilder;
+
+/** An analysis result, finished into image bytes and opened over them. */
+struct Analyzed
+{
+    AnalysisStats stats;
+    std::vector<u8> bytes;
+    MaterializedImage image;
+};
+
+StatusOr<Analyzed>
+finishAndOpen(StatusOr<AnalysisResult> result)
+{
+    if (!result.isOk()) {
+        return result.status();
+    }
+    Analyzed out;
+    out.stats = result->stats;
+    out.bytes = result->image.finish({});
+    MEDUSA_ASSIGN_OR_RETURN(
+        out.image, MaterializedImage::openView(std::span<const u8>(out.bytes)));
+    return out;
+}
+
+/**
+ * The data relocation of param @p p of node @p n of graph 0, or null
+ * when that param is a constant.
+ */
+const MaterializedImage::DataReloc *
+relocOf(const MaterializedImage &image, u32 n, u32 p)
+{
+    const MaterializedImage::GraphView &g = image.graphs.at(0);
+    const u64 slot = g.param_slot_begin + g.param_begin[n] + p;
+    for (const MaterializedImage::DataReloc &rel : image.data_relocs) {
+        if (rel.slot == slot) {
+            return &rel;
+        }
+    }
+    return nullptr;
+}
 
 /** A tiny offline "process" with interception wired up. */
 struct Offline
@@ -73,14 +113,14 @@ struct Offline
         return graph;
     }
 
-    StatusOr<AnalysisResult>
+    StatusOr<Analyzed>
     analyzeGraph(const CudaGraph &graph, bool trace_based)
     {
         AnalyzeOptions opts;
         opts.trace_based_matching = trace_based;
         std::vector<std::pair<u32, CudaGraph>> graphs = {{1, graph}};
-        return analyze(recorder, process, "test-model", 1, graphs,
-                       units::GiB, opts);
+        return finishAndOpen(analyze(recorder, process, "test-model", 1,
+                                     graphs, units::GiB, opts));
     }
 
     SimClock clock;
@@ -110,20 +150,23 @@ TEST(AnalyzeTest, ClassifiesConstantsAndPointers)
     auto result = off.analyzeGraph(*graph, true);
     ASSERT_TRUE(result.isOk());
 
-    const auto &node = result->artifact.graphs[0].nodes[0];
-    ASSERT_EQ(node.params.size(), 3u);
-    EXPECT_EQ(node.params[0].kind, ParamSpec::kIndirect);
-    EXPECT_EQ(node.params[0].alloc_index, 0u);
-    EXPECT_EQ(node.params[1].kind, ParamSpec::kIndirect);
-    EXPECT_EQ(node.params[1].alloc_index, 1u);
-    EXPECT_EQ(node.params[2].kind, ParamSpec::kConstant);
-    EXPECT_EQ(result->artifact.stats.pointer_params, 2u);
-    EXPECT_EQ(result->artifact.stats.constant_params, 1u);
-    EXPECT_EQ(node.kernel_name,
-              simcuda::KernelRegistry::instance()
-                  .def(BuiltinKernels::get().copy_f32)
-                  .mangled_name);
-    EXPECT_EQ(node.module_name, simcuda::kTorchModule);
+    const MaterializedImage &image = result->image;
+    ASSERT_EQ(image.graphs.size(), 1u);
+    ASSERT_EQ(image.graphs[0].param_begin[1], 3u);
+    ASSERT_NE(relocOf(image, 0, 0), nullptr);
+    EXPECT_EQ(relocOf(image, 0, 0)->alloc_index, 0u);
+    ASSERT_NE(relocOf(image, 0, 1), nullptr);
+    EXPECT_EQ(relocOf(image, 0, 1)->alloc_index, 1u);
+    EXPECT_EQ(relocOf(image, 0, 2), nullptr);
+    EXPECT_EQ(result->stats.pointer_params, 2u);
+    EXPECT_EQ(result->stats.constant_params, 1u);
+    ASSERT_EQ(image.kernel_relocs.size(), 1u);
+    const auto &kernel =
+        image.kernel_table.at(image.kernel_relocs[0].kernel_index);
+    EXPECT_EQ(kernel.name, simcuda::KernelRegistry::instance()
+                               .def(BuiltinKernels::get().copy_f32)
+                               .mangled_name);
+    EXPECT_EQ(kernel.module, simcuda::kTorchModule);
 }
 
 TEST(AnalyzeTest, InteriorPointerGetsOffset)
@@ -135,10 +178,10 @@ TEST(AnalyzeTest, InteriorPointerGetsOffset)
     ASSERT_TRUE(graph.isOk());
     auto result = off.analyzeGraph(*graph, true);
     ASSERT_TRUE(result.isOk());
-    const auto &p = result->artifact.graphs[0].nodes[0].params[0];
-    EXPECT_EQ(p.kind, ParamSpec::kIndirect);
-    EXPECT_EQ(p.alloc_index, 0u);
-    EXPECT_EQ(p.offset, 128u);
+    const MaterializedImage::DataReloc *p = relocOf(result->image, 0, 0);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(p->alloc_index, 0u);
+    EXPECT_EQ(p->addend, 128u);
 }
 
 TEST(AnalyzeTest, DecoyCandidateDemotedToConstant)
@@ -174,9 +217,8 @@ TEST(AnalyzeTest, DecoyCandidateDemotedToConstant)
 
     auto result = off.analyzeGraph(*graph, true);
     ASSERT_TRUE(result.isOk());
-    const auto &node = result->artifact.graphs[0].nodes[0];
-    EXPECT_EQ(node.params[1].kind, ParamSpec::kConstant);
-    EXPECT_EQ(result->artifact.stats.decoy_candidates, 1u);
+    EXPECT_EQ(relocOf(result->image, 0, 1), nullptr);
+    EXPECT_EQ(result->stats.decoy_candidates, 1u);
 }
 
 TEST(AnalyzeTest, TraceBasedMatchingPicksLiveAllocationUnderReuse)
@@ -196,13 +238,11 @@ TEST(AnalyzeTest, TraceBasedMatchingPicksLiveAllocationUnderReuse)
 
     auto traced = off.analyzeGraph(*graph, true);
     ASSERT_TRUE(traced.isOk());
-    EXPECT_EQ(traced->artifact.graphs[0].nodes[0].params[0].alloc_index,
-              1u);
+    EXPECT_EQ(relocOf(traced->image, 0, 0)->alloc_index, 1u);
 
     auto naive = off.analyzeGraph(*graph, false);
     ASSERT_TRUE(naive.isOk());
-    EXPECT_EQ(naive->artifact.graphs[0].nodes[0].params[0].alloc_index,
-              0u);
+    EXPECT_EQ(relocOf(naive->image, 0, 0)->alloc_index, 0u);
 }
 
 TEST(AnalyzeTest, BufferContentClasses)
@@ -252,15 +292,16 @@ TEST(AnalyzeTest, BufferContentClasses)
 
     AnalyzeOptions opts;
     std::vector<std::pair<u32, CudaGraph>> graphs = {{1, *graph}};
-    auto result = analyze(recorder, process, "m", 1, graphs, 1, opts);
+    auto result =
+        finishAndOpen(analyze(recorder, process, "m", 1, graphs, 1, opts));
     ASSERT_TRUE(result.isOk());
-    const auto &stats = result->artifact.stats;
+    const auto &stats = result->stats;
     EXPECT_EQ(stats.model_param_buffers, 1u);
     EXPECT_EQ(stats.temp_buffers, 1u);
     EXPECT_EQ(stats.permanent_buffers, 1u);
-    ASSERT_EQ(result->artifact.permanent.size(), 1u);
+    ASSERT_EQ(result->image.permanent.size(), 1u);
     // The permanent buffer's contents (the magic) are materialized.
-    const auto &contents = result->artifact.permanent[0].contents;
+    const auto &contents = result->image.permanent[0].contents;
     ASSERT_EQ(contents.size(), 16u);
     u32 stored = 0;
     std::memcpy(&stored, contents.data(), 4);
@@ -294,23 +335,21 @@ TEST(AnalyzeTest, NaiveMatchingCorruptsReusedBuffer)
     auto traced = off.analyzeGraph(*graph, true);
     auto naive = off.analyzeGraph(*graph, false);
     ASSERT_TRUE(traced.isOk() && naive.isOk());
-    ASSERT_EQ(
-        traced->artifact.graphs[0].nodes[0].params[0].alloc_index, 2u);
-    const u64 naive_index =
-        naive->artifact.graphs[0].nodes[0].params[0].alloc_index;
+    ASSERT_EQ(relocOf(traced->image, 0, 0)->alloc_index, 2u);
+    const u64 naive_index = relocOf(naive->image, 0, 0)->alloc_index;
     EXPECT_LT(naive_index, 2u); // bound to a stale T event
 
     // Mini online restore: replay the op sequence in a fresh process,
-    // restore permanent contents, patch the pointer per the spec, run
-    // the kernel, and read the output back.
-    auto restoreAndRun = [&](const Artifact &artifact,
+    // restore permanent contents, patch the pointer per its relocation,
+    // run the kernel, and read the output back.
+    auto restoreAndRun = [&](const MaterializedImage &image,
                              u64 seed) -> std::vector<f32> {
         SimClock clock;
         CostModel cost;
         GpuProcess process(Offline::options(seed), &clock, &off.cost);
         CachingAllocator alloc(&process, seed);
         std::vector<DeviceAddr> addr_of;
-        for (const AllocOp &op : artifact.ops) {
+        for (const AllocOp &op : image.ops) {
             if (op.kind == AllocOp::kAlloc) {
                 addr_of.push_back(*alloc.allocate(op.logical_size,
                                                   op.backing_size));
@@ -320,7 +359,7 @@ TEST(AnalyzeTest, NaiveMatchingCorruptsReusedBuffer)
                     "replay free");
             }
         }
-        for (const PermanentBuffer &pb : artifact.permanent) {
+        for (const MaterializedImage::PermanentView &pb : image.permanent) {
             MEDUSA_CHECK(process.memory()
                              .write(addr_of[pb.alloc_index],
                                     pb.contents.data(),
@@ -328,18 +367,16 @@ TEST(AnalyzeTest, NaiveMatchingCorruptsReusedBuffer)
                              .isOk(),
                          "content restore");
         }
-        const auto &node = artifact.graphs[0].nodes[0];
+        const MaterializedImage::GraphView &g = image.graphs[0];
         simcuda::RawParams params;
-        for (const ParamSpec &spec : node.params) {
-            if (spec.kind == ParamSpec::kConstant) {
-                params.push_back(spec.constant_bytes);
-            } else {
-                const u64 value =
-                    addr_of[spec.alloc_index] + spec.offset;
-                std::vector<u8> bytes(8);
-                std::memcpy(bytes.data(), &value, 8);
-                params.push_back(std::move(bytes));
+        for (u32 p = 0; p < g.param_begin[1]; ++p) {
+            u64 value = image.patch_template[g.param_slot_begin + p];
+            if (const auto *rel = relocOf(image, 0, p)) {
+                value = addr_of[rel->alloc_index] + rel->addend;
             }
+            std::vector<u8> bytes(g.param_len[p]);
+            std::memcpy(bytes.data(), &value, bytes.size());
+            params.push_back(std::move(bytes));
         }
         const auto &k = BuiltinKernels::get();
         MEDUSA_CHECK(process.defaultStream()
@@ -356,10 +393,10 @@ TEST(AnalyzeTest, NaiveMatchingCorruptsReusedBuffer)
 
     bool naive_corrupted_somewhere = false;
     for (u64 seed = 100; seed < 130; ++seed) {
-        const auto traced_out = restoreAndRun(traced->artifact, seed);
+        const auto traced_out = restoreAndRun(traced->image, seed);
         // Trace-based restoration is correct in EVERY process layout.
         ASSERT_EQ(traced_out, data) << "seed " << seed;
-        const auto naive_out = restoreAndRun(naive->artifact, seed);
+        const auto naive_out = restoreAndRun(naive->image, seed);
         if (naive_out != data) {
             naive_corrupted_somewhere = true;
         }
@@ -399,9 +436,9 @@ TEST(AnalyzeTest, TaintedPermanentBufferMustBeRewrittenBeforeItIsRead)
     auto rewritten = scenario(
         [](Offline &o) { return o.captureCopy(o.src, o.perm, 16); });
     ASSERT_TRUE(rewritten.isOk()) << rewritten.status().toString();
-    EXPECT_EQ(rewritten->artifact.stats.rewritten_buffers, 1u);
-    ASSERT_EQ(rewritten->artifact.permanent.size(), 1u);
-    EXPECT_EQ(rewritten->artifact.permanent[0].alloc_index, 0u);
+    EXPECT_EQ(rewritten->stats.rewritten_buffers, 1u);
+    ASSERT_EQ(rewritten->image.permanent.size(), 1u);
+    EXPECT_EQ(rewritten->image.permanent[0].alloc_index, 0u);
 
     // Read first, or rewritten only from an interior offset: the
     // analysis refuses instead of dumping undefined bytes.

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests of the artifact's one serialized form, the v6 image: an
- * artifact flattened by buildImageBytes opens back with every field the
- * online phase reads, and corrupt image bytes are rejected with a
+ * Tests of the offline IR's one serialized form, the v6 image: sections
+ * appended through ImageBuilder and finished open back with every field
+ * the online phase reads, and corrupt image bytes are rejected with a
  * Status.
  */
 
@@ -11,21 +11,39 @@
 #include <cstring>
 #include <span>
 
-#include "medusa/artifact.h"
 #include "medusa/image.h"
 
 namespace medusa::core {
 namespace {
 
-Artifact
-sampleArtifact()
+/**
+ * Append one bs=@p batch_size graph of two chained kernel-0 nodes, each
+ * with a 4-byte constant and a pointer to allocation 1 at offset 128.
+ */
+void
+appendSampleGraph(ImageBuilder &b, u32 batch_size)
 {
-    Artifact a;
-    a.model_name = "Qwen1.5-4B";
-    a.model_seed = 106;
-    a.free_gpu_memory = 25ull * units::GiB;
-    a.organic_op_count = 2;
-    a.organic_alloc_count = 2;
+    ASSERT_TRUE(b.beginGraph(batch_size, 2, {{0, 1}}).isOk());
+    TimingInfo timing;
+    timing.flops = 123.5;
+    timing.bytes = 456.25;
+    const u8 constant[] = {1, 2, 3, 4};
+    for (int n = 0; n < 2; ++n) {
+        b.addNode(0, timing);
+        b.addConstant(constant);
+        b.addPointer(1, 128);
+    }
+}
+
+ImageBuilder
+sampleImage()
+{
+    ImageBuilder b;
+    b.model_name = "Qwen1.5-4B";
+    b.model_seed = 106;
+    b.free_gpu_memory = 25ull * units::GiB;
+    b.organic_op_count = 2;
+    b.organic_alloc_count = 2;
 
     AllocOp alloc1;
     alloc1.kind = AllocOp::kAlloc;
@@ -36,56 +54,22 @@ sampleArtifact()
     AllocOp free1;
     free1.kind = AllocOp::kFree;
     free1.freed_alloc_index = 0;
-    a.ops = {alloc1, alloc2, free1};
+    b.ops = {alloc1, alloc2, free1};
 
-    GraphBlueprint g;
-    g.batch_size = 8;
-    NodeBlueprint n1;
-    n1.kernel_name = "kernel_a";
-    n1.module_name = "libsimtorch.so";
-    n1.timing.flops = 123.5;
-    n1.timing.bytes = 456.25;
-    ParamSpec constant;
-    constant.kind = ParamSpec::kConstant;
-    constant.constant_bytes = {1, 2, 3, 4};
-    ParamSpec indirect;
-    indirect.kind = ParamSpec::kIndirect;
-    indirect.alloc_index = 1;
-    indirect.offset = 128;
-    n1.params = {constant, indirect};
-    g.nodes = {n1, n1};
-    g.edges = {{0, 1}};
-    a.graphs = {g};
+    b.addKernel("kernel_a", "libsimtorch.so");
+    appendSampleGraph(b, 8);
 
-    PermanentBuffer pb;
-    pb.alloc_index = 1;
-    pb.contents = {0x11, 0x2a, 0x3c, 0x5f};
-    a.permanent = {pb};
-    a.tags = {{"token_ids", 0}, {"logits", 1}};
-
-    a.stats.total_nodes = 2;
-    a.stats.total_params = 4;
-    a.stats.pointer_params = 2;
-    a.stats.constant_params = 2;
-    a.stats.decoy_candidates = 1;
-    a.stats.permanent_buffers = 1;
-    a.stats.materialized_content_bytes = 4;
-    return a;
-}
-
-/** Flatten @p a into image bytes; fails the test on an emit error. */
-std::vector<u8>
-imageBytes(const Artifact &a)
-{
-    auto bytes = buildImageBytes(a, {{1, 2}});
-    EXPECT_TRUE(bytes.isOk()) << bytes.status().toString();
-    return bytes.isOk() ? std::move(bytes).value() : std::vector<u8>{};
+    const u8 contents[] = {0x11, 0x2a, 0x3c, 0x5f};
+    const std::span<u8> perm = b.addPermanent(1, sizeof(contents));
+    std::memcpy(perm.data(), contents, sizeof(contents));
+    b.tags = {{"token_ids", 0}, {"logits", 1}};
+    return b;
 }
 
 TEST(ArtifactTest, RoundTripPreservesEverything)
 {
-    const Artifact a = sampleArtifact();
-    const std::vector<u8> bytes = imageBytes(a);
+    const ImageBuilder a = sampleImage();
+    const std::vector<u8> bytes = a.finish({{1, 2}});
     auto out = MaterializedImage::openView(std::span<const u8>(bytes));
     ASSERT_TRUE(out.isOk()) << out.status().toString();
     const MaterializedImage &b = *out;
@@ -151,21 +135,21 @@ TEST(ArtifactTest, RoundTripPreservesEverything)
 
 TEST(ArtifactTest, RejectsBadMagic)
 {
-    std::vector<u8> bytes = imageBytes(sampleArtifact());
+    std::vector<u8> bytes = sampleImage().finish({{1, 2}});
     bytes[0] ^= 0xff;
     EXPECT_FALSE(MaterializedImage::open(bytes).isOk());
 }
 
 TEST(ArtifactTest, RejectsWrongVersion)
 {
-    std::vector<u8> bytes = imageBytes(sampleArtifact());
+    std::vector<u8> bytes = sampleImage().finish({{1, 2}});
     bytes[4] += 1;
     EXPECT_FALSE(MaterializedImage::open(bytes).isOk());
 }
 
 TEST(ArtifactTest, RejectsTruncation)
 {
-    const std::vector<u8> bytes = imageBytes(sampleArtifact());
+    const std::vector<u8> bytes = sampleImage().finish({{1, 2}});
     // Truncations anywhere must produce errors, never crashes.
     for (std::size_t cut :
          {bytes.size() - 1, bytes.size() / 2, bytes.size() / 4,
@@ -179,9 +163,9 @@ TEST(ArtifactTest, RejectsTruncation)
 
 TEST(ArtifactTest, EmptyArtifactRoundTrips)
 {
-    Artifact a;
+    ImageBuilder a;
     a.model_name = "x";
-    auto out = MaterializedImage::open(imageBytes(a));
+    auto out = MaterializedImage::open(a.finish({}));
     ASSERT_TRUE(out.isOk()) << out.status().toString();
     EXPECT_EQ(out->model_name, "x");
     EXPECT_TRUE(out->graphs.empty());
@@ -191,14 +175,23 @@ TEST(ArtifactTest, EmptyArtifactRoundTrips)
 
 TEST(ArtifactTest, SerializedSizeScalesWithNodes)
 {
-    Artifact small = sampleArtifact();
-    Artifact big = sampleArtifact();
-    GraphBlueprint extra = big.graphs[0];
+    const ImageBuilder small = sampleImage();
+    ImageBuilder big = sampleImage();
     for (u32 i = 0; i < 10; ++i) {
-        extra.batch_size = 16 + i;
-        big.graphs.push_back(extra);
+        appendSampleGraph(big, 16 + i);
     }
-    EXPECT_GT(imageBytes(big).size(), imageBytes(small).size() * 2);
+    EXPECT_GT(big.finish({}).size(), small.finish({}).size() * 2);
+}
+
+TEST(ArtifactTest, BeginGraphRejectsCorruptEdges)
+{
+    ImageBuilder b;
+    // Out of range, backwards, and a self-loop.
+    EXPECT_FALSE(b.beginGraph(1, 2, {{0, 2}}).isOk());
+    EXPECT_FALSE(b.beginGraph(1, 2, {{1, 0}}).isOk());
+    EXPECT_FALSE(b.beginGraph(1, 2, {{1, 1}}).isOk());
+    EXPECT_TRUE(b.graphs.empty());
+    EXPECT_TRUE(b.beginGraph(1, 2, {{0, 1}}).isOk());
 }
 
 } // namespace

@@ -1,9 +1,10 @@
 /**
  * @file
- * The v6 materialized image (DESIGN.md §13): round-trip from an
- * artifact, zero-copy open, relocation-patch restore determinism and
- * its per-node cost, concurrent cold starts sharing one image, and
- * rejection of truncated, bit-flipped and misaligned buffers.
+ * The v6 materialized image (DESIGN.md §13): a reopen matches the view
+ * materialize opened, zero-copy open, relocation-patch restore
+ * determinism and its per-node cost, concurrent cold starts sharing one
+ * image, and rejection of truncated, bit-flipped and misaligned
+ * buffers.
  */
 
 #include <gtest/gtest.h>
@@ -22,11 +23,11 @@
 namespace medusa {
 namespace {
 
-using core::Artifact;
 using core::ImageReadOptions;
 using core::MaterializedImage;
 using core::MedusaEngine;
 using core::OfflineOptions;
+using core::OfflineResult;
 using core::materialize;
 using llm::findModel;
 using llm::ModelConfig;
@@ -39,23 +40,15 @@ tinyModel()
     return m;
 }
 
-struct Fixture
-{
-    Artifact artifact;
-    std::vector<u8> image_bytes;
-};
-
 /** One shared offline run for the whole suite. */
-const Fixture &
+const OfflineResult &
 shared()
 {
-    static const Fixture f = []() {
+    static const OfflineResult f = []() {
         OfflineOptions opts;
         opts.model = tinyModel();
         opts.pipeline.validate = false;
-        auto result = materialize(opts).value();
-        return Fixture{std::move(result.artifact),
-                       std::move(result.image_bytes)};
+        return materialize(opts).value();
     }();
     return f;
 }
@@ -73,7 +66,7 @@ patchColdStart(const MaterializedImage &image, u64 aslr_seed = 2)
 
 TEST(ImageTest, RoundTripMatchesArtifact)
 {
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     auto image =
         MaterializedImage::openView(std::span<const u8>(f.image_bytes));
     ASSERT_TRUE(image.isOk()) << image.status().toString();
@@ -83,7 +76,7 @@ TEST(ImageTest, RoundTripMatchesArtifact)
     EXPECT_EQ(image->free_gpu_memory, f.artifact.free_gpu_memory);
     EXPECT_EQ(image->ops.size(), f.artifact.ops.size());
     EXPECT_EQ(image->graphs.size(), f.artifact.graphs.size());
-    EXPECT_EQ(image->total_nodes, f.artifact.totalNodes());
+    EXPECT_EQ(image->total_nodes, f.stats.total_nodes);
     EXPECT_EQ(image->permanent.size(), f.artifact.permanent.size());
     EXPECT_EQ(image->serialized_size, f.image_bytes.size());
     EXPECT_FALSE(image->kernel_table.empty());
@@ -104,23 +97,23 @@ TEST(ImageTest, RoundTripMatchesArtifact)
 
 TEST(ImageTest, OwningOpenEqualsView)
 {
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     std::vector<u8> copy = f.image_bytes;
     auto owned = MaterializedImage::open(std::move(copy));
     ASSERT_TRUE(owned.isOk()) << owned.status().toString();
     EXPECT_EQ(owned->model_name, f.artifact.model_name);
-    EXPECT_EQ(owned->total_nodes, f.artifact.totalNodes());
+    EXPECT_EQ(owned->total_nodes, f.stats.total_nodes);
 
     // Moving the image must keep its spans valid (they point into the
     // adopted buffer, whose heap allocation is move-stable).
     MaterializedImage moved = std::move(*owned);
-    EXPECT_EQ(moved.total_nodes, f.artifact.totalNodes());
+    EXPECT_EQ(moved.total_nodes, f.stats.total_nodes);
     EXPECT_FALSE(moved.patch_template.empty());
 }
 
 TEST(ImageTest, OpenFileMapsReadOnly)
 {
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     const std::string path =
         ::testing::TempDir() + "image_test_mmap.mdsi";
     ASSERT_TRUE(writeFile(path, f.image_bytes).isOk());
@@ -130,7 +123,7 @@ TEST(ImageTest, OpenFileMapsReadOnly)
     EXPECT_TRUE(mapped->isMapped());
     EXPECT_EQ(mapped->model_name, f.artifact.model_name);
     EXPECT_EQ(mapped->serialized_size, f.image_bytes.size());
-    EXPECT_EQ(mapped->total_nodes, f.artifact.totalNodes());
+    EXPECT_EQ(mapped->total_nodes, f.stats.total_nodes);
 
     // The mapping stays valid across a move of the image.
     MaterializedImage moved = std::move(*mapped);
@@ -147,7 +140,7 @@ TEST(ImageTest, OpenFileMapsReadOnly)
 
 TEST(ImageTest, OpenFileReadFallbackMatchesMapped)
 {
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     const std::string path =
         ::testing::TempDir() + "image_test_read.mdsi";
     ASSERT_TRUE(writeFile(path, f.image_bytes).isOk());
@@ -180,7 +173,7 @@ TEST(ImageTest, OpenFileReadFallbackMatchesMapped)
 
 TEST(ImageTest, PatchRestoreIsDeterministic)
 {
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     auto image =
         MaterializedImage::openView(std::span<const u8>(f.image_bytes));
     ASSERT_TRUE(image.isOk());
@@ -205,7 +198,7 @@ TEST(ImageTest, PatchPassChargesRestorePerNodeCostPerNode)
     // The patch pass charges the paper-calibrated "patch params + add
     // node" cost once per restored node: raising the per-node cost
     // stretches the capture/restore stage by exactly that much per node.
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     auto image =
         MaterializedImage::openView(std::span<const u8>(f.image_bytes));
     ASSERT_TRUE(image.isOk());
@@ -224,13 +217,13 @@ TEST(ImageTest, PatchPassChargesRestorePerNodeCostPerNode)
 
     const RestoreReport &report = (*a)->coldStartReport().restore;
     EXPECT_EQ(report.graphs_patched, f.artifact.graphs.size());
-    EXPECT_EQ(report.nodes_restored, f.artifact.totalNodes());
+    EXPECT_EQ(report.nodes_restored, f.stats.total_nodes);
     EXPECT_GT(report.relocations_applied, 0u);
     EXPECT_GT(report.kernels_resolved, 0u);
     EXPECT_LT(report.kernels_resolved, report.nodes_restored);
     EXPECT_NEAR((*b)->coldStartReport().times.capture -
                     (*a)->coldStartReport().times.capture,
-                10e-6 * static_cast<f64>(f.artifact.totalNodes()), 1e-9);
+                10e-6 * static_cast<f64>(f.stats.total_nodes), 1e-9);
 }
 
 // ---- concurrent restores from one image --------------------------------
@@ -239,7 +232,7 @@ TEST(ImageTest, ConcurrentColdStartsShareOneImage)
 {
     // Several engines restoring from one const image concurrently: the
     // simulated results are bit-identical across the engines.
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     auto image =
         MaterializedImage::openView(std::span<const u8>(f.image_bytes));
     ASSERT_TRUE(image.isOk());
@@ -292,7 +285,7 @@ TEST(ImageTest, ConcurrentColdStartsShareOneImage)
 
 TEST(ImageTest, TruncationAnywhereFails)
 {
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     for (std::size_t keep :
          {std::size_t{0}, std::size_t{8}, std::size_t{23},
           std::size_t{200}, f.image_bytes.size() / 2,
@@ -308,7 +301,7 @@ TEST(ImageTest, TruncationAnywhereFails)
 
 TEST(ImageTest, BitFlipAnywhereFailsCrc)
 {
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     const std::size_t header = 24;
     for (std::size_t pos :
          {header, header + 1000, f.image_bytes.size() / 2,
@@ -327,7 +320,7 @@ TEST(ImageTest, BitFlipAnywhereFailsCrc)
 
 TEST(ImageTest, MagicAndVersionMismatchRejected)
 {
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     std::vector<u8> wrong_magic = f.image_bytes;
     wrong_magic[0] ^= 0xff;
     auto a =
@@ -345,7 +338,7 @@ TEST(ImageTest, MagicAndVersionMismatchRejected)
 
 TEST(ImageTest, MisalignedBufferRejected)
 {
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     std::vector<u8> shifted(f.image_bytes.size() + 1);
     std::copy(f.image_bytes.begin(), f.image_bytes.end(),
               shifted.begin() + 1);
@@ -357,7 +350,7 @@ TEST(ImageTest, MisalignedBufferRejected)
 
 TEST(ImageTest, OpenFaultInjectable)
 {
-    const Fixture &f = shared();
+    const OfflineResult &f = shared();
     auto plan = FaultPlan::fromSpec("image_open");
     ASSERT_TRUE(plan.isOk());
     FaultInjector injector(*plan);

@@ -1,7 +1,8 @@
 /**
  * @file
- * medusa-lint corpus tests. Every specimen is a hand-built or analyzed
- * artifact emitted as a v6 image and linted the way it ships: a clean
+ * medusa-lint corpus tests. Every specimen is a hand-built (through
+ * core::ImageBuilder's append API) or analyzed image, finished into v6
+ * image bytes and linted the way it ships: a clean
  * specimen lints to zero diagnostics, every rule family has a corrupted
  * specimen that fires with the right rule ID (and a non-firing twin),
  * the Figure-6 naive-matching capture is flagged statically, and the
@@ -85,81 +86,115 @@ freeOp(u64 index)
     return op;
 }
 
-ParamSpec
+/** One param of a hand-built node: a data pointer or a constant. */
+struct Param
+{
+    bool pointer = false;
+    u64 alloc_index = 0;
+    u64 offset = 0;
+    /** Constant: its little-endian bits and byte width. */
+    u64 bits = 0;
+    u8 width = 0;
+};
+
+Param
 indirect(u64 alloc_index, u64 offset = 0)
 {
-    ParamSpec p;
-    p.kind = ParamSpec::kIndirect;
-    p.alloc_index = alloc_index;
-    p.offset = offset;
-    return p;
+    return {.pointer = true, .alloc_index = alloc_index, .offset = offset};
 }
 
-ParamSpec
+Param
 constant32(i32 v)
 {
-    ParamSpec p;
-    p.kind = ParamSpec::kConstant;
-    p.constant_bytes.resize(4);
-    std::memcpy(p.constant_bytes.data(), &v, 4);
-    return p;
+    return {.bits = static_cast<u32>(v), .width = 4};
+}
+
+/** One hand-built node: its kernel's name and module, and its params. */
+struct Node
+{
+    std::string kernel;
+    std::string module;
+    std::vector<Param> params;
+};
+
+/** A registry copy_f32 node (by default: allocation 0 -> 2, count 4). */
+Node
+copyNode(std::vector<Param> params = {indirect(0), indirect(2),
+                                      constant32(4)})
+{
+    const auto &def =
+        KernelRegistry::instance().def(BuiltinKernels::get().copy_f32);
+    return {def.mangled_name, def.module_name, std::move(params)};
 }
 
 /**
- * A minimal well-formed artifact: one organic allocation that later
- * holds permanent contents, a freed temporary, and a graph buffer; one
- * single-node graph over a real registry kernel; a free-memory figure
- * reproducible at the end of the sequence.
+ * Append one graph of @p nodes through the builder's append API,
+ * adding each kernel to the table on its first use.
  */
-Artifact
-cleanArtifact()
+void
+appendGraph(ImageBuilder &b, u32 batch_size, const std::vector<Node> &nodes,
+            const std::vector<simcuda::GraphEdge> &edges = {})
 {
-    Artifact a;
-    a.model_name = "corpus-model";
-    a.model_seed = 1;
-    a.ops = {
+    const Status begun =
+        b.beginGraph(batch_size, static_cast<u32>(nodes.size()), edges);
+    MEDUSA_CHECK(begun.isOk(), begun.toString());
+    for (const Node &n : nodes) {
+        u64 kernel = 0;
+        while (kernel < b.kernel_table.size() &&
+               (b.kernel_table[kernel].name != n.kernel ||
+                b.kernel_table[kernel].module != n.module)) {
+            ++kernel;
+        }
+        if (kernel == b.kernel_table.size()) {
+            b.addKernel(n.kernel, n.module);
+        }
+        b.addNode(kernel, {});
+        for (const Param &p : n.params) {
+            if (p.pointer) {
+                b.addPointer(p.alloc_index, p.offset);
+            } else {
+                u8 bytes[sizeof(u64)];
+                std::memcpy(bytes, &p.bits, sizeof(bytes));
+                b.addConstant(std::span<const u8>(bytes, p.width));
+            }
+        }
+    }
+}
+
+/**
+ * A minimal well-formed specimen: one organic allocation that later
+ * holds permanent contents, a freed temporary, and a graph buffer; one
+ * bs=1 graph of @p nodes (by default a single node over a real
+ * registry kernel); a free-memory figure reproducible at the end of
+ * the sequence.
+ */
+ImageBuilder
+cleanImage(const std::vector<Node> &nodes = {copyNode()},
+           const std::vector<simcuda::GraphEdge> &edges = {})
+{
+    ImageBuilder b;
+    b.model_name = "corpus-model";
+    b.model_seed = 1;
+    b.ops = {
         allocOp(1024, 1024), // 0: permanent (organic prefix)
         allocOp(512, 512),   // 1: temporary
         freeOp(1),
         allocOp(2048, 64),   // 2: graph buffer
     };
-    a.organic_op_count = 1;
-    a.organic_alloc_count = 1;
+    b.organic_op_count = 1;
+    b.organic_alloc_count = 1;
     // Live at end: 1024 + 2048 (both already 512-multiples).
-    a.free_gpu_memory = kCap - 3072;
-
-    const KernelRegistry &reg = KernelRegistry::instance();
-    const auto &def = reg.def(BuiltinKernels::get().copy_f32);
-    GraphBlueprint g;
-    g.batch_size = 1;
-    NodeBlueprint n;
-    n.kernel_name = def.mangled_name;
-    n.module_name = def.module_name;
-    n.params = {indirect(0), indirect(2), constant32(4)};
-    g.nodes.push_back(std::move(n));
-    a.graphs.push_back(std::move(g));
-
-    PermanentBuffer pb;
-    pb.alloc_index = 0;
-    pb.contents.assign(16, 0);
-    a.permanent.push_back(std::move(pb));
-    return a;
+    b.free_gpu_memory = kCap - 3072;
+    appendGraph(b, 1, nodes, edges);
+    b.addPermanent(0, 16); // zero-filled
+    return b;
 }
 
-/** Flatten @p a into v6 image bytes; aborts on an emit failure. */
-std::vector<u8>
-imageBytesOf(const Artifact &a)
-{
-    auto bytes = buildImageBytes(a, {});
-    MEDUSA_CHECK(bytes.isOk(), "image build: " << bytes.status().toString());
-    return std::move(bytes).value();
-}
-
-/** Lint @p a the way it ships: emitted as an image, then linted. */
+/** Lint @p b the way it ships: finished into image bytes, then linted. */
 LintReport
-lintOf(const Artifact &a, const LintOptions &options = corpusOptions())
+lintOf(const ImageBuilder &b, const LintOptions &options = corpusOptions())
 {
-    const std::vector<u8> bytes = imageBytesOf(a);
+    const std::vector<u8> bytes = b.finish({});
     return lint::lintImageBytes(std::span<const u8>(bytes), options);
 }
 
@@ -181,9 +216,44 @@ offsetIn(const std::vector<u8> &bytes, std::span<const T> view)
         reinterpret_cast<const u8 *>(view.data()) - bytes.data());
 }
 
+/**
+ * Byte offset of ops[@p k] in @p image's bytes: the payload opens with
+ * the model name, five u64 header facts and the op count, then 25
+ * bytes (kind, logical, backing, freed index) per op.
+ */
+std::size_t
+opOffset(const MaterializedImage &image, std::size_t k)
+{
+    return MaterializedImage::kHeaderBytes + 8 + image.model_name.size() +
+           5 * 8 + 8 + 25 * k;
+}
+
+/**
+ * Byte offset of graph @p g's 32-byte metadata record (batch size,
+ * node, edge and param counts, then its two first slots), found in
+ * @p bytes by its contents.
+ */
+std::size_t
+graphMetaOffset(const std::vector<u8> &bytes, const MaterializedImage &image,
+                std::size_t g)
+{
+    const MaterializedImage::GraphView &gv = image.graphs.at(g);
+    const u32 counts[] = {gv.batch_size, gv.node_count,
+                          static_cast<u32>(gv.edges.size()),
+                          static_cast<u32>(gv.param_len.size())};
+    const u64 first_slots[] = {gv.fn_slot_begin, gv.param_slot_begin};
+    u8 record[32];
+    std::memcpy(record, counts, sizeof(counts));
+    std::memcpy(record + 16, first_slots, sizeof(first_slots));
+    const auto it = std::search(bytes.begin(), bytes.end(), record,
+                                record + sizeof(record));
+    MEDUSA_CHECK(it != bytes.end(), "graph metadata record not found");
+    return static_cast<std::size_t>(it - bytes.begin());
+}
+
 TEST(LintTest, CleanArtifactLintsToZeroDiagnostics)
 {
-    const LintReport r = lintOf(cleanArtifact());
+    const LintReport r = lintOf(cleanImage());
     EXPECT_TRUE(r.clean()) << r.toText();
     EXPECT_TRUE(r.replaySafe());
     EXPECT_EQ(r.firstError(), "");
@@ -193,18 +263,18 @@ TEST(LintTest, CleanArtifactLintsToZeroDiagnostics)
 
 TEST(LintTest, DoubleFreeFiresMdl101)
 {
-    Artifact a = cleanArtifact();
+    ImageBuilder a = cleanImage();
     a.ops.push_back(freeOp(1)); // index 1 is already freed
     const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL101")) << r.toText();
     EXPECT_FALSE(r.replaySafe());
     // A single free of a live index does not fire.
-    EXPECT_FALSE(hasRule(lintOf(cleanArtifact()), "MDL101"));
+    EXPECT_FALSE(hasRule(lintOf(cleanImage()), "MDL101"));
 }
 
 TEST(LintTest, FreeOfUnknownIndexFiresMdl102)
 {
-    Artifact a = cleanArtifact();
+    ImageBuilder a = cleanImage();
     a.ops.push_back(freeOp(9)); // only 3 allocations exist
     const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL102")) << r.toText();
@@ -213,48 +283,49 @@ TEST(LintTest, FreeOfUnknownIndexFiresMdl102)
 
 TEST(LintTest, CrossBoundaryFreeOfOrganicAllocWarnsMdl103)
 {
-    Artifact a = cleanArtifact();
-    a.ops.push_back(freeOp(0)); // organic index freed by the replay
     // Detach everything else from allocation 0 so only the boundary
     // violation itself is reported.
+    ImageBuilder a =
+        cleanImage({copyNode({indirect(2), indirect(2), constant32(4)})});
     a.permanent.clear();
-    a.graphs[0].nodes[0].params[0] = indirect(2);
+    a.contents.clear();
+    a.ops.push_back(freeOp(0)); // organic index freed by the replay
     const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL103")) << r.toText();
     // Warning severity: suspicious, but replay does not fault.
     EXPECT_TRUE(r.replaySafe());
     EXPECT_FALSE(r.clean());
     // A replayed free of a replayed allocation does not warn (the
-    // clean artifact frees index 1, allocated after the boundary).
-    EXPECT_FALSE(hasRule(lintOf(cleanArtifact()), "MDL103"));
+    // clean image frees index 1, allocated after the boundary).
+    EXPECT_FALSE(hasRule(lintOf(cleanImage()), "MDL103"));
 }
 
 TEST(LintTest, BadAllocSizesFireMdl104)
 {
-    Artifact zero = cleanArtifact();
+    ImageBuilder zero = cleanImage();
     zero.ops[1].logical_size = 0;
     zero.ops[1].backing_size = 0;
     EXPECT_TRUE(hasRule(lintOf(zero), "MDL104"));
 
-    Artifact oversized = cleanArtifact();
+    ImageBuilder oversized = cleanImage();
     oversized.ops[1].logical_size = kCap + 1;
     EXPECT_TRUE(hasRule(lintOf(oversized), "MDL104"));
 
-    Artifact inverted = cleanArtifact();
+    ImageBuilder inverted = cleanImage();
     inverted.ops[3].backing_size = inverted.ops[3].logical_size + 1;
     EXPECT_TRUE(hasRule(lintOf(inverted), "MDL104"));
 
     // backing == logical is legal (full-content buffers).
-    EXPECT_FALSE(hasRule(lintOf(cleanArtifact()), "MDL104"));
+    EXPECT_FALSE(hasRule(lintOf(cleanImage()), "MDL104"));
 }
 
 TEST(LintTest, MalformedReplayBoundaryFiresMdl105)
 {
-    Artifact beyond = cleanArtifact();
+    ImageBuilder beyond = cleanImage();
     beyond.organic_op_count = beyond.ops.size() + 5;
     EXPECT_TRUE(hasRule(lintOf(beyond), "MDL105"));
 
-    Artifact miscount = cleanArtifact();
+    ImageBuilder miscount = cleanImage();
     miscount.organic_alloc_count = 2; // prefix has exactly 1 alloc
     EXPECT_TRUE(hasRule(lintOf(miscount), "MDL105"));
 }
@@ -265,8 +336,8 @@ TEST(LintTest, IndirectIndexBeyondSequenceFiresMdl701)
 {
     // Formerly MDL201; the relocation's allocation index is beyond the
     // replay table, which MDL701 reports.
-    Artifact a = cleanArtifact();
-    a.graphs[0].nodes[0].params[0] = indirect(99);
+    ImageBuilder a =
+        cleanImage({copyNode({indirect(99), indirect(2), constant32(4)})});
     const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL701")) << r.toText();
     EXPECT_FALSE(r.replaySafe());
@@ -278,18 +349,16 @@ TEST(LintTest, StalePointerAtInferredLaunchPositionFiresMdl702)
     // which is freed BEFORE allocation 2 — another buffer the same
     // graph references — is created. The launch therefore provably
     // happened after the free.
-    Artifact a = cleanArtifact();
-    a.graphs[0].nodes[0].params[0] = indirect(1);
-    const LintReport r = lintOf(a);
+    const LintReport r = lintOf(
+        cleanImage({copyNode({indirect(1), indirect(2), constant32(4)})}));
     EXPECT_TRUE(hasRule(r, "MDL702")) << r.toText();
     EXPECT_FALSE(r.replaySafe());
 
     // Non-firing twin: the same stale reference WITHOUT the later
     // co-referenced allocation is not provably stale (the launch could
     // have preceded the free), so the static rule stays silent.
-    Artifact benign = cleanArtifact();
-    benign.graphs[0].nodes[0].params = {indirect(1), indirect(0),
-                                        constant32(4)};
+    const ImageBuilder benign =
+        cleanImage({copyNode({indirect(1), indirect(0), constant32(4)})});
     EXPECT_FALSE(hasRule(lintOf(benign), "MDL702"));
 }
 
@@ -297,9 +366,8 @@ TEST(LintTest, TraceExactLaunchPositionFiresMdl702)
 {
     // The benign twin above: the per-graph lower bound cannot place
     // the launch after allocation 1's free...
-    Artifact a = cleanArtifact();
-    a.graphs[0].nodes[0].params = {indirect(1), indirect(0),
-                                   constant32(4)};
+    const ImageBuilder a =
+        cleanImage({copyNode({indirect(1), indirect(0), constant32(4)})});
     EXPECT_FALSE(hasRule(lintOf(a), "MDL702"));
 
     // ...but the recorder trace says the launch happened at ops[4],
@@ -323,12 +391,12 @@ TEST(LintTest, TraceExactLaunchPositionFiresMdl702)
 TEST(LintTest, IndirectOffsetOutsideAllocationFiresMdl701)
 {
     // Formerly MDL203; an addend outside the allocation is MDL701.
-    Artifact a = cleanArtifact();
-    a.graphs[0].nodes[0].params[0] = indirect(0, 4096); // 1024B buffer
-    EXPECT_TRUE(hasRule(lintOf(a), "MDL701"));
+    const ImageBuilder a = cleanImage(
+        {copyNode({indirect(0, 4096), indirect(2), constant32(4)})});
+    EXPECT_TRUE(hasRule(lintOf(a), "MDL701")); // 1024B buffer
     // An aligned interior offset inside the buffer is fine.
-    Artifact interior = cleanArtifact();
-    interior.graphs[0].nodes[0].params[0] = indirect(0, 1020);
+    const ImageBuilder interior = cleanImage(
+        {copyNode({indirect(0, 1020), indirect(2), constant32(4)})});
     EXPECT_TRUE(lintOf(interior).clean());
 }
 
@@ -336,8 +404,8 @@ TEST(LintTest, IndirectOffsetOutsideAllocationFiresMdl701)
 
 TEST(LintTest, UnknownKernelNameFiresMdl301)
 {
-    Artifact a = cleanArtifact();
-    a.graphs[0].nodes[0].kernel_name = "_ZN4fake6kernelEv";
+    ImageBuilder a = cleanImage();
+    a.kernel_table[0].name = "_ZN4fake6kernelEv";
     EXPECT_TRUE(hasRule(lintOf(a), "MDL301"));
     // Registry checking can be disabled for foreign kernel zoos.
     LintOptions no_reg = corpusOptions();
@@ -347,8 +415,8 @@ TEST(LintTest, UnknownKernelNameFiresMdl301)
 
 TEST(LintTest, KernelModuleMismatchFiresMdl302)
 {
-    Artifact a = cleanArtifact();
-    a.graphs[0].nodes[0].module_name = "libwrong.so";
+    ImageBuilder a = cleanImage();
+    a.kernel_table[0].module = "libwrong.so";
     EXPECT_TRUE(hasRule(lintOf(a), "MDL302"));
 }
 
@@ -356,10 +424,8 @@ TEST(LintTest, EdgeBeyondNodeCountFiresMdl303)
 {
     // Emission refuses a corrupt edge, so the specimen byte-edits the
     // edge column of a clean two-node image and reseals its CRC.
-    Artifact a = cleanArtifact();
-    a.graphs[0].nodes.push_back(a.graphs[0].nodes[0]);
-    a.graphs[0].edges = {{0, 1}};
-    const std::vector<u8> clean = imageBytesOf(a);
+    const std::vector<u8> clean =
+        cleanImage({copyNode(), copyNode()}, {{0, 1}}).finish({});
     auto view = MaterializedImage::openView(std::span<const u8>(clean));
     ASSERT_TRUE(view.isOk()) << view.status().toString();
     const std::size_t edges_off = offsetIn(clean, view->graphs[0].edges);
@@ -388,8 +454,8 @@ TEST(LintTest, EdgeBeyondNodeCountFiresMdl303)
 
 TEST(LintTest, DuplicateBatchSizeFiresMdl304)
 {
-    Artifact a = cleanArtifact();
-    a.graphs.push_back(a.graphs[0]);
+    ImageBuilder a = cleanImage();
+    appendGraph(a, 1, {copyNode()});
     EXPECT_TRUE(hasRule(lintOf(a), "MDL304"));
 }
 
@@ -397,10 +463,9 @@ TEST(LintTest, DuplicateBatchSizeFiresMdl304)
 
 TEST(LintTest, UncoveredPointerShapedWordWarnsMdl401)
 {
-    Artifact a = cleanArtifact();
+    ImageBuilder a = cleanImage();
     const u64 ptr = 0x7f2000001000ull; // in the device address range
-    a.permanent[0].contents.resize(16);
-    std::memcpy(a.permanent[0].contents.data(), &ptr, 8);
+    std::memcpy(a.contents.data(), &ptr, 8);
     const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL401")) << r.toText();
     EXPECT_TRUE(r.replaySafe()); // warning, not error
@@ -420,7 +485,7 @@ TEST(LintTest, UncoveredPointerShapedWordWarnsMdl401)
 TEST(LintTest, InvalidPointerFixFiresMdl402)
 {
     // Fix inside a buffer with no materialized contents.
-    Artifact nohost = cleanArtifact();
+    ImageBuilder nohost = cleanImage();
     PointerWordFix fix;
     fix.buffer_alloc_index = 2; // not a permanent buffer
     fix.byte_offset = 0;
@@ -429,14 +494,14 @@ TEST(LintTest, InvalidPointerFixFiresMdl402)
     EXPECT_TRUE(hasRule(lintOf(nohost), "MDL402"));
 
     // Fix word overrunning the materialized contents.
-    Artifact overrun = cleanArtifact();
+    ImageBuilder overrun = cleanImage();
     fix.buffer_alloc_index = 0;
     fix.byte_offset = 12; // 16-byte contents; word needs [12, 20)
     overrun.pointer_fixes.push_back(fix);
     EXPECT_TRUE(hasRule(lintOf(overrun), "MDL402"));
 
     // Fix pointing at a freed allocation: the word would dangle.
-    Artifact dangling = cleanArtifact();
+    ImageBuilder dangling = cleanImage();
     fix.byte_offset = 0;
     fix.target_alloc_index = 1; // freed temporary
     dangling.pointer_fixes.push_back(fix);
@@ -447,17 +512,18 @@ TEST(LintTest, InvalidPointerFixFiresMdl402)
 
 TEST(LintTest, PermanentContentsForDeadBufferFireMdl403)
 {
-    Artifact freed = cleanArtifact();
+    ImageBuilder freed = cleanImage();
     freed.permanent[0].alloc_index = 1; // the freed temporary
-    freed.permanent[0].contents.assign(16, 0);
     EXPECT_TRUE(hasRule(lintOf(freed), "MDL403"));
 
-    Artifact oversize = cleanArtifact();
-    oversize.permanent[0].contents.assign(2048, 0); // 1024B backing
+    ImageBuilder oversize = cleanImage();
+    oversize.permanent.clear();
+    oversize.contents.clear();
+    oversize.addPermanent(0, 2048); // 1024B backing
     EXPECT_TRUE(hasRule(lintOf(oversize), "MDL403"));
 
-    Artifact dup = cleanArtifact();
-    dup.permanent.push_back(dup.permanent[0]);
+    ImageBuilder dup = cleanImage();
+    dup.addPermanent(0, 16);
     EXPECT_TRUE(hasRule(lintOf(dup), "MDL403"));
 }
 
@@ -465,52 +531,56 @@ TEST(LintTest, PermanentContentsForDeadBufferFireMdl403)
 
 TEST(LintTest, UnreproducibleFreeMemoryFiguresFireMdl501)
 {
-    Artifact a = cleanArtifact();
+    ImageBuilder a = cleanImage();
     a.free_gpu_memory = kCap - 100; // no prefix yields this footprint
     const LintReport r = lintOf(a);
     EXPECT_TRUE(hasRule(r, "MDL501")) << r.toText();
 
     // The mid-sequence footprint (both early buffers live) is also a
     // valid profiling point and must be accepted.
-    Artifact mid = cleanArtifact();
+    ImageBuilder mid = cleanImage();
     mid.free_gpu_memory = kCap - (1024 + 512);
     EXPECT_FALSE(hasRule(lintOf(mid), "MDL501"));
 }
 
 TEST(LintTest, CapacityViolationsFireMdl502)
 {
-    Artifact over = cleanArtifact();
+    ImageBuilder over = cleanImage();
     over.free_gpu_memory = kCap + 1;
     EXPECT_TRUE(hasRule(lintOf(over), "MDL502"));
 
     LintOptions tiny = corpusOptions();
     tiny.device_memory_bytes = 2048; // sequence peaks above this
-    Artifact a = cleanArtifact();
+    ImageBuilder a = cleanImage();
     a.free_gpu_memory = 2048 - 1536;
     EXPECT_TRUE(hasRule(lintOf(a, tiny), "MDL502"));
 }
 
 // ---- MDL6xx ------------------------------------------------------------
 
-/** Per-rank corpus twins with two collective nodes each. */
-std::vector<Artifact>
-tpArtifacts()
+/** A rank's nodes: the copy, then two collectives. */
+std::vector<Node>
+tpNodes()
 {
-    Artifact rank = cleanArtifact();
-    NodeBlueprint reduce;
-    reduce.kernel_name = "ncclAllReduce_f32";
-    reduce.module_name = "libsimnccl.so";
-    reduce.params = {indirect(0), constant32(4)};
-    NodeBlueprint gather;
-    gather.kernel_name = "ncclAllGather_f32";
-    gather.module_name = "libsimnccl.so";
-    gather.params = {indirect(2), constant32(4)};
-    rank.graphs[0].nodes.push_back(reduce);
-    rank.graphs[0].nodes.push_back(gather);
-    // A capture on one stream serializes compute before the
-    // collectives; the chain also keeps MDL8xx (which cannot classify
-    // the out-of-registry nccl kernels) out of the MDL6xx tests.
-    rank.graphs[0].edges = {{0, 1}, {1, 2}};
+    return {copyNode(),
+            {"ncclAllReduce_f32", "libsimnccl.so",
+             {indirect(0), constant32(4)}},
+            {"ncclAllGather_f32", "libsimnccl.so",
+             {indirect(2), constant32(4)}}};
+}
+
+/**
+ * A capture on one stream serializes compute before the collectives;
+ * the chain also keeps MDL8xx (which cannot classify the out-of-registry
+ * nccl kernels) out of the MDL6xx tests.
+ */
+const std::vector<simcuda::GraphEdge> kTpEdges = {{0, 1}, {1, 2}};
+
+/** Per-rank corpus twins with two collective nodes each. */
+std::vector<ImageBuilder>
+tpRanks()
+{
+    const ImageBuilder rank = cleanImage(tpNodes(), kTpEdges);
     return {rank, rank};
 }
 
@@ -525,12 +595,12 @@ tpOptions()
 
 /** Emit each rank as an image and run the per-rank + MDL6xx rules. */
 LintReport
-lintTpOf(const std::vector<Artifact> &ranks)
+lintTpOf(const std::vector<ImageBuilder> &ranks)
 {
     std::vector<std::vector<u8>> bytes;
     std::vector<MaterializedImage> images;
-    for (const Artifact &a : ranks) {
-        bytes.push_back(imageBytesOf(a));
+    for (const ImageBuilder &b : ranks) {
+        bytes.push_back(b.finish({}));
     }
     for (const std::vector<u8> &b : bytes) {
         auto image = MaterializedImage::openView(std::span<const u8>(b));
@@ -542,41 +612,41 @@ lintTpOf(const std::vector<Artifact> &ranks)
 
 TEST(LintTest, ConsistentRanksLintClean)
 {
-    const LintReport r = lintTpOf(tpArtifacts());
+    const LintReport r = lintTpOf(tpRanks());
     EXPECT_TRUE(r.clean()) << r.toText();
 }
 
 TEST(LintTest, RankIdentityMismatchFiresMdl601)
 {
-    auto ranks = tpArtifacts();
+    auto ranks = tpRanks();
     ranks[1].model_seed = 99;
     EXPECT_TRUE(hasRule(lintTpOf(ranks), "MDL601"));
 }
 
 TEST(LintTest, BatchSetMismatchFiresMdl602)
 {
-    auto ranks = tpArtifacts();
-    GraphBlueprint extra = ranks[1].graphs[0];
-    extra.batch_size = 8;
-    ranks[1].graphs.push_back(std::move(extra));
+    auto ranks = tpRanks();
+    appendGraph(ranks[1], 8, tpNodes(), kTpEdges);
     EXPECT_TRUE(hasRule(lintTpOf(ranks), "MDL602"));
 }
 
 TEST(LintTest, TopologyMismatchFiresMdl603)
 {
-    auto ranks = tpArtifacts();
-    ranks[1].graphs[0].nodes.pop_back();
-    ranks[1].graphs[0].edges.pop_back();
+    auto ranks = tpRanks();
+    std::vector<Node> fewer = tpNodes();
+    fewer.pop_back();
+    ranks[1] = cleanImage(fewer, {kTpEdges[0]});
     EXPECT_TRUE(hasRule(lintTpOf(ranks), "MDL603"));
 }
 
 TEST(LintTest, CollectiveOrderMismatchFiresMdl604)
 {
-    auto ranks = tpArtifacts();
+    auto ranks = tpRanks();
     // Same node count and edges, but the collectives run in a
     // different order on rank 1 — lockstep replay would deadlock.
-    std::swap(ranks[1].graphs[0].nodes[1],
-              ranks[1].graphs[0].nodes[2]);
+    std::vector<Node> swapped = tpNodes();
+    std::swap(swapped[1], swapped[2]);
+    ranks[1] = cleanImage(swapped, kTpEdges);
     const LintReport r = lintTpOf(ranks);
     EXPECT_TRUE(hasRule(r, "MDL604")) << r.toText();
     EXPECT_FALSE(hasRule(r, "MDL603"));
@@ -586,7 +656,7 @@ TEST(LintTest, CollectiveOrderMismatchFiresMdl604)
 
 TEST(LintTest, ReportRendersTextAndJson)
 {
-    Artifact a = cleanArtifact();
+    ImageBuilder a = cleanImage();
     a.ops.push_back(freeOp(1));
     const LintReport r = lintOf(a);
     ASSERT_FALSE(r.diagnostics.empty());
@@ -681,7 +751,7 @@ TEST(LintTest, NaiveMatchingArtifactIsFlaggedAsStale)
     ASSERT_TRUE(naive.isOk());
     LintOptions opts;
     opts.device_memory_bytes = units::GiB;
-    const LintReport flagged = lintOf(naive->artifact, opts);
+    const LintReport flagged = lintOf(naive->image, opts);
     EXPECT_TRUE(hasRule(flagged, "MDL702")) << flagged.toText();
     EXPECT_FALSE(flagged.replaySafe());
 
@@ -689,12 +759,12 @@ TEST(LintTest, NaiveMatchingArtifactIsFlaggedAsStale)
     // verdict (and would catch cases the inferred bound cannot).
     LintOptions traced_opts = opts;
     traced_opts.trace = &off.recorder;
-    EXPECT_TRUE(hasRule(lintOf(naive->artifact, traced_opts), "MDL702"));
+    EXPECT_TRUE(hasRule(lintOf(naive->image, traced_opts), "MDL702"));
 
-    // The trace-based artifact for the same capture lints clean.
+    // The trace-based image for the same capture lints clean.
     auto traced = off.analyzeGraph(*graph, true);
     ASSERT_TRUE(traced.isOk());
-    const LintReport ok = lintOf(traced->artifact, traced_opts);
+    const LintReport ok = lintOf(traced->image, traced_opts);
     EXPECT_TRUE(ok.replaySafe()) << ok.toText();
 }
 
@@ -735,7 +805,7 @@ TEST(LintTest, RacedTwoStreamCaptureFiresMdl801)
     ASSERT_TRUE(analysis.isOk()) << analysis.status().toString();
     LintOptions opts;
     opts.device_memory_bytes = units::GiB;
-    const LintReport r = lintOf(analysis->artifact, opts);
+    const LintReport r = lintOf(analysis->image, opts);
     EXPECT_TRUE(hasRule(r, "MDL801")) << r.toText();
     EXPECT_FALSE(r.replaySafe());
 }
@@ -775,7 +845,7 @@ TEST(LintTest, ForkJoinOrderedCaptureLintsClean)
     ASSERT_TRUE(analysis.isOk()) << analysis.status().toString();
     LintOptions opts;
     opts.device_memory_bytes = units::GiB;
-    const LintReport r = lintOf(analysis->artifact, opts);
+    const LintReport r = lintOf(analysis->image, opts);
     EXPECT_FALSE(hasRule(r, "MDL801")) << r.toText();
     EXPECT_FALSE(hasRule(r, "MDL802"));
     EXPECT_FALSE(hasRule(r, "MDL804"));
@@ -786,24 +856,13 @@ TEST(LintTest, UnorderedReadWriteFiresMdl802)
     // Node 0 copies alloc 0 -> alloc 2; the added node copies alloc 2
     // -> alloc 0 with no edge between them: both directions are
     // read-write conflicts, neither is write-write.
-    const KernelRegistry &reg = KernelRegistry::instance();
-    const auto &def = reg.def(BuiltinKernels::get().copy_f32);
-    NodeBlueprint back;
-    back.kernel_name = def.mangled_name;
-    back.module_name = def.module_name;
-    back.params = {indirect(2), indirect(0), constant32(4)};
-
-    Artifact racy = cleanArtifact();
-    racy.graphs[0].nodes.push_back(back);
-    const LintReport r = lintOf(racy);
+    const Node back = copyNode({indirect(2), indirect(0), constant32(4)});
+    const LintReport r = lintOf(cleanImage({copyNode(), back}));
     EXPECT_TRUE(hasRule(r, "MDL802")) << r.toText();
     EXPECT_FALSE(hasRule(r, "MDL801"));
     EXPECT_FALSE(r.replaySafe());
 
-    Artifact ordered = cleanArtifact();
-    ordered.graphs[0].nodes.push_back(back);
-    ordered.graphs[0].edges = {{0, 1}};
-    const LintReport ok = lintOf(ordered);
+    const LintReport ok = lintOf(cleanImage({copyNode(), back}, {{0, 1}}));
     EXPECT_FALSE(hasRule(ok, "MDL802")) << ok.toText();
 }
 
@@ -812,20 +871,15 @@ TEST(LintTest, UnorderedOpaqueKernelFiresMdl804)
     // A kernel the registry has never heard of, unordered against the
     // copy node: the analyzer cannot prove non-interference and says so
     // once (advisory, not an error).
-    Artifact a = cleanArtifact();
-    NodeBlueprint mystery;
-    mystery.kernel_name = "moe_dispatch_topk";
-    mystery.module_name = "libsimmoe.so";
-    mystery.params = {indirect(2)};
-    a.graphs[0].nodes.push_back(mystery);
-    const LintReport r = lintOf(a);
+    const Node mystery{"moe_dispatch_topk", "libsimmoe.so", {indirect(2)}};
+    const LintReport r = lintOf(cleanImage({copyNode(), mystery}));
     EXPECT_TRUE(hasRule(r, "MDL804")) << r.toText();
 
     // An ordering edge silences the advisory even though the kernel
     // stays opaque.
-    Artifact ordered = a;
-    ordered.graphs[0].edges = {{0, 1}};
-    EXPECT_FALSE(hasRule(lintOf(ordered), "MDL804"));
+    EXPECT_FALSE(
+        hasRule(lintOf(cleanImage({copyNode(), mystery}, {{0, 1}})),
+                "MDL804"));
 }
 
 TEST(LintTest, UnorderedIndirectAccessKernelFiresMdl804)
@@ -835,22 +889,16 @@ TEST(LintTest, UnorderedIndirectAccessKernelFiresMdl804)
     // the analyzer, so an unordered peer earns the advisory.
     const KernelRegistry &reg = KernelRegistry::instance();
     const auto &def = reg.def(BuiltinKernels::get().gemm_batched);
-    NodeBlueprint batched;
-    batched.kernel_name = def.mangled_name;
-    batched.module_name = def.module_name;
+    Node batched{def.mangled_name, def.module_name, {}};
     for (const simcuda::ParamKind kind : def.params) {
         if (kind == simcuda::ParamKind::kPointer) {
             batched.params.push_back(indirect(2));
         } else {
-            ParamSpec p;
-            p.kind = ParamSpec::kConstant;
-            p.constant_bytes.resize(simcuda::paramKindSize(kind));
-            batched.params.push_back(p);
+            batched.params.push_back(
+                {.width = static_cast<u8>(simcuda::paramKindSize(kind))});
         }
     }
-    Artifact a = cleanArtifact();
-    a.graphs[0].nodes.push_back(std::move(batched));
-    const LintReport r = lintOf(a);
+    const LintReport r = lintOf(cleanImage({copyNode(), batched}));
     EXPECT_TRUE(hasRule(r, "MDL804")) << r.toText();
 }
 
@@ -868,7 +916,7 @@ TEST(LintTest, CaptureWindowAllocationFiresMdl803)
 
     LintOptions opts = corpusOptions();
     opts.trace = &trace;
-    const LintReport r = lintOf(cleanArtifact(), opts);
+    const LintReport r = lintOf(cleanImage(), opts);
     EXPECT_TRUE(hasRule(r, "MDL803")) << r.toText();
 
     // The same allocation before the capture window is fine.
@@ -880,7 +928,7 @@ TEST(LintTest, CaptureWindowAllocationFiresMdl803)
     quiet.endGraph();
     LintOptions qopts = corpusOptions();
     qopts.trace = &quiet;
-    EXPECT_FALSE(hasRule(lintOf(cleanArtifact(), qopts),
+    EXPECT_FALSE(hasRule(lintOf(cleanImage(), qopts),
                          "MDL803"));
 }
 
@@ -1006,10 +1054,18 @@ TEST(LintTest, PreRestoreLintGateRejectsCorruptArtifact)
     auto ok = MedusaEngine::coldStartFromImage(eopts, clean);
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
 
-    // Corrupt the op sequence: the gate refuses before replaying.
-    Artifact corrupt = result->artifact;
-    corrupt.ops.push_back(freeOp(corrupt.ops.size() + 1000));
-    const MaterializedImage corrupt_image = test::imageOf(corrupt);
+    // Corrupt the op sequence — retarget the last free at an index no
+    // allocation has — and reseal: the gate refuses before replaying.
+    std::vector<u8> bytes = result->image_bytes;
+    const std::vector<AllocOp> &ops = result->artifact.ops;
+    std::size_t last_free = ops.size();
+    while (ops[--last_free].kind != AllocOp::kFree) {
+    }
+    const u64 unknown = ops.size() + 1000;
+    std::memcpy(bytes.data() + opOffset(result->artifact, last_free) + 17,
+                &unknown, sizeof(unknown));
+    resealImage(bytes);
+    const MaterializedImage corrupt_image = test::openImage(bytes);
     auto rejected = MedusaEngine::coldStartFromImage(eopts, corrupt_image);
     ASSERT_FALSE(rejected.isOk());
     EXPECT_EQ(rejected.status().code(), StatusCode::kValidationFailure);
@@ -1022,16 +1078,15 @@ TEST(LintTest, ImageEmissionGateRejectsStalePointer)
 {
     // Free the copy node's input before a later birth the graph also
     // references: the relocation provably resolves recycled memory.
-    Artifact a = cleanArtifact();
+    ImageBuilder a =
+        cleanImage({copyNode({indirect(2), indirect(3), constant32(4)})});
     a.ops.push_back(freeOp(2));
     a.ops.push_back(allocOp(512, 512)); // index 3, born after the free
-    a.graphs[0].nodes[0].params = {indirect(2), indirect(3),
-                                   constant32(4)};
 
     // Emission does not judge: the defective bytes emit. The gate that
     // follows emission in materialize() (lintImage over the opened
     // image) refuses them with the rule in its first error.
-    const std::vector<u8> bytes = imageBytesOf(a);
+    const std::vector<u8> bytes = a.finish({});
     auto image = MaterializedImage::openView(std::span<const u8>(bytes));
     ASSERT_TRUE(image.isOk()) << image.status().toString();
     const LintReport r = lint::lintImage(*image, corpusOptions());
@@ -1119,10 +1174,15 @@ TEST(LintTest, TpPreRestoreLintGateRejectsDivergentRank)
     auto ok = TpMedusaEngine::coldStartFromImages(eopts, *images);
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
 
-    // Drop one batch size from rank 1: MDL602 must veto the restore.
-    Artifact divergent = offline->rank_artifacts[1];
-    divergent.graphs.pop_back();
-    (*images)[1] = test::imageOf(divergent);
+    // Relabel rank 1's first graph with a batch size rank 0 never
+    // captured, and reseal: MDL602 must veto the restore.
+    std::vector<u8> divergent = offline->rank_images[1];
+    const u32 stray_batch = 2;
+    std::memcpy(divergent.data() +
+                    graphMetaOffset(divergent, (*images)[1], 0),
+                &stray_batch, sizeof(stray_batch));
+    resealImage(divergent);
+    (*images)[1] = test::openImage(divergent);
     auto rejected = TpMedusaEngine::coldStartFromImages(eopts, *images);
     ASSERT_FALSE(rejected.isOk());
     EXPECT_EQ(rejected.status().code(), StatusCode::kValidationFailure);

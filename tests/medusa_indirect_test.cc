@@ -57,7 +57,7 @@ TEST(IndirectPointerTest, AnalysisFindsPointerWords)
     auto offline = core::materialize(opts);
     ASSERT_TRUE(offline.isOk()) << offline.status().toString();
     // Each captured batch size has one operand array with 3 pointers.
-    EXPECT_EQ(offline->artifact.stats.indirect_pointer_words, 3u * 35u);
+    EXPECT_EQ(offline->stats.indirect_pointer_words, 3u * 35u);
     EXPECT_EQ(offline->artifact.pointer_fixes.size(), 3u * 35u);
 }
 
@@ -73,11 +73,11 @@ TEST(IndirectPointerTest, RewrittenWorkspaceContentsAreOmitted)
     opts.pipeline.validate = false;
     auto offline = core::materialize(opts);
     ASSERT_TRUE(offline.isOk()) << offline.status().toString();
-    const core::Artifact &artifact = offline->artifact;
-    EXPECT_EQ(artifact.stats.rewritten_buffers, 35u);
+    const core::MaterializedImage &artifact = offline->artifact;
+    EXPECT_EQ(offline->stats.rewritten_buffers, 35u);
 
     std::set<u64> materialized;
-    for (const core::PermanentBuffer &pb : artifact.permanent) {
+    for (const auto &pb : artifact.permanent) {
         materialized.insert(pb.alloc_index);
     }
     u32 workspaces = 0;
@@ -100,7 +100,7 @@ TEST(IndirectPointerTest, ExtensionRestoresAcrossProcesses)
     auto offline = core::materialize(opts);
     ASSERT_TRUE(offline.isOk()) << offline.status().toString();
     // Validated although the image omits every final-norm workspace.
-    EXPECT_EQ(offline->artifact.stats.rewritten_buffers, 35u);
+    EXPECT_EQ(offline->stats.rewritten_buffers, 35u);
 
     core::MedusaEngine::Options eopts;
     eopts.model = opts.model;
@@ -154,7 +154,7 @@ TEST(IndirectPointerTest, ZooModelsHaveNoIndirectPointers)
     opts.pipeline.validate = false;
     auto offline = core::materialize(opts);
     ASSERT_TRUE(offline.isOk());
-    EXPECT_EQ(offline->artifact.stats.indirect_pointer_words, 0u);
+    EXPECT_EQ(offline->stats.indirect_pointer_words, 0u);
 }
 
 } // namespace

@@ -7,6 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <string>
+
+#include "common/metrics.h"
+#include "common/trace.h"
 #include "llm/engine.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
@@ -39,22 +45,96 @@ TEST(MedusaIntegration, OfflineProducesArtifact)
     auto result = materialize(opts);
     ASSERT_TRUE(result.isOk()) << result.status().toString();
 
-    const core::Artifact &a = result->artifact;
+    const core::MaterializedImage &a = result->artifact;
     EXPECT_EQ(a.model_name, opts.model.name);
     EXPECT_EQ(a.graphs.size(), 35u);
     EXPECT_GT(a.free_gpu_memory, 0u);
-    EXPECT_GT(a.totalNodes(), 0u);
+    EXPECT_GT(a.total_nodes, 0u);
     // Copy-free restoration: only the per-layer GEMM semaphores (2 x 4
     // bytes x layers) are materialized.
-    EXPECT_EQ(a.stats.permanent_buffers, 2u * opts.model.num_layers);
-    EXPECT_EQ(a.stats.materialized_content_bytes,
+    EXPECT_EQ(result->stats.permanent_buffers, 2u * opts.model.num_layers);
+    EXPECT_EQ(result->stats.materialized_content_bytes,
               8u * opts.model.num_layers);
     // The decoy stream-tag constant is a pointer candidate that matches
     // no allocation, once per attention node.
-    EXPECT_GT(a.stats.decoy_candidates, 0u);
-    EXPECT_GT(a.stats.pointer_params, 0u);
-    EXPECT_GT(a.stats.dlsym_visible_nodes, 0u);
-    EXPECT_GT(a.stats.hidden_kernel_nodes, 0u);
+    EXPECT_GT(result->stats.decoy_candidates, 0u);
+    EXPECT_GT(result->stats.pointer_params, 0u);
+    EXPECT_GT(result->stats.dlsym_visible_nodes, 0u);
+    EXPECT_GT(result->stats.hidden_kernel_nodes, 0u);
+}
+
+TEST(MedusaIntegration, OfflineSinksReceiveSpansAndAnalysisCounters)
+{
+    TraceRecorder trace;
+    MetricsRegistry metrics;
+    OfflineOptions opts;
+    opts.model = tinyModel();
+    opts.pipeline.validate = true;
+    opts.pipeline.validate_batch_sizes = {1};
+    opts.pipeline.trace = &trace;
+    opts.pipeline.metrics = &metrics;
+    auto result = materialize(opts);
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+
+    // The caller's trace sink receives every offline-phase span.
+    const std::vector<TraceEvent> events = trace.events();
+    EXPECT_EQ(events.size(), result->spans.size());
+    std::set<std::string> names;
+    for (const TraceEvent &e : events) {
+        names.insert(e.name);
+    }
+    for (const char *name :
+         {"offline.capture_stage", "offline.save", "offline.analysis_stage",
+          "offline.emit_image", "offline.validation"}) {
+        EXPECT_EQ(names.count(name), 1u) << name;
+    }
+
+    // Every analysis.* counter equals the result's stats.
+    const core::AnalysisStats &s = result->stats;
+    const std::map<std::string, u64> expected = {
+        {"analysis.total_nodes", s.total_nodes},
+        {"analysis.total_params", s.total_params},
+        {"analysis.pointer_params", s.pointer_params},
+        {"analysis.constant_params", s.constant_params},
+        {"analysis.decoy_candidates", s.decoy_candidates},
+        {"analysis.dlsym_visible_nodes", s.dlsym_visible_nodes},
+        {"analysis.hidden_kernel_nodes", s.hidden_kernel_nodes},
+        {"analysis.model_param_buffers", s.model_param_buffers},
+        {"analysis.temp_buffers", s.temp_buffers},
+        {"analysis.permanent_buffers", s.permanent_buffers},
+        {"analysis.rewritten_buffers", s.rewritten_buffers},
+        {"analysis.indirect_pointer_words", s.indirect_pointer_words},
+        {"analysis.materialized_content_bytes",
+         s.materialized_content_bytes},
+        {"analysis.full_dump_bytes", s.full_dump_bytes},
+    };
+    std::map<std::string, u64> published;
+    const MetricsSnapshot snapshot = metrics.snapshot();
+    for (const MetricsEntry &e : snapshot.entries()) {
+        if (e.name.starts_with("analysis.")) {
+            EXPECT_EQ(e.kind, MetricsEntry::Kind::kCounter) << e.name;
+            published[e.name] = e.counter;
+        }
+    }
+    EXPECT_EQ(published, expected);
+    EXPECT_GT(s.total_nodes, 0u);
+
+    // The result's image is the zero-copy view materialize opened over
+    // the result's own bytes, and a move of the result keeps it valid.
+    const u8 *begin = result->image_bytes.data();
+    const u8 *end = begin + result->image_bytes.size();
+    const auto inside = [begin, end](const void *p) {
+        const auto *b = static_cast<const u8 *>(p);
+        return b >= begin && b < end;
+    };
+    const core::MaterializedImage &view = result->artifact;
+    EXPECT_EQ(view.serialized_size, result->image_bytes.size());
+    EXPECT_TRUE(inside(view.patch_template.data()));
+    EXPECT_TRUE(inside(view.data_relocs.data()));
+    EXPECT_TRUE(inside(view.graphs.at(0).order.data()));
+    core::OfflineResult moved = std::move(result).value();
+    EXPECT_EQ(moved.image_bytes.data(), begin);
+    EXPECT_TRUE(inside(moved.artifact.patch_template.data()));
 }
 
 TEST(MedusaIntegration, OnlineRestoreValidatesAgainstEager)

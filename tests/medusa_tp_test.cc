@@ -43,27 +43,26 @@ TEST(MedusaTpTest, OfflineProducesOneArtifactPerRank)
 {
     const llm::ModelConfig m = tpModel();
     auto offline = materialized(m);
-    ASSERT_EQ(offline.rank_artifacts.size(), 2u);
     ASSERT_EQ(offline.rank_images.size(), 2u);
-    for (const Artifact &a : offline.rank_artifacts) {
-        EXPECT_EQ(a.graphs.size(), 3u);
-        EXPECT_GT(a.stats.pointer_params, 0u);
-        // The collectives appear as graph nodes on every rank.
+    auto images = openRankImages(offline.rank_images);
+    ASSERT_TRUE(images.isOk()) << images.status().toString();
+    for (const MaterializedImage &image : *images) {
+        EXPECT_EQ(image.graphs.size(), 3u);
+        EXPECT_GT(image.data_relocs.size(), 0u);
+        // The collectives appear as graph nodes on every rank (one
+        // kernel relocation per node).
         u64 collectives = 0;
-        for (const auto &g : a.graphs) {
-            for (const auto &n : g.nodes) {
-                if (n.kernel_name.find("all_reduce") !=
-                    std::string::npos) {
-                    ++collectives;
-                }
+        for (const auto &rel : image.kernel_relocs) {
+            if (image.kernel_table[rel.kernel_index].name.find(
+                    "all_reduce") != std::string::npos) {
+                ++collectives;
             }
         }
         EXPECT_EQ(collectives, 3u * 2 * m.num_layers);
     }
     // The two ranks' allocation sequences are independent tables (the
     // §8 "indirect index pointer table across multiple GPU instances").
-    EXPECT_EQ(offline.rank_artifacts[0].ops.size(),
-              offline.rank_artifacts[1].ops.size());
+    EXPECT_EQ((*images)[0].ops.size(), (*images)[1].ops.size());
 }
 
 TEST(MedusaTpTest, RestoreValidatesAgainstReferenceCluster)

@@ -22,7 +22,7 @@ tinyModel()
 }
 
 ServingProfile
-profileFor(llm::Strategy strategy, const core::Artifact *artifact)
+profileFor(llm::Strategy strategy, const core::MaterializedImage *artifact)
 {
     ProfileOptions opts;
     opts.model = tinyModel();
@@ -45,27 +45,28 @@ class ProfileBuildTest : public ::testing::Test
         oopts.pipeline.validate = false;
         auto offline = core::materialize(oopts);
         MEDUSA_CHECK(offline.isOk(), "offline failed");
-        artifact_ = new core::Artifact(std::move(offline->artifact));
+        offline_ = new core::OfflineResult(std::move(offline).value());
     }
 
     static void
     TearDownTestSuite()
     {
-        delete artifact_;
-        artifact_ = nullptr;
+        delete offline_;
+        offline_ = nullptr;
     }
 
-    static core::Artifact *artifact_;
+    static core::OfflineResult *offline_;
 };
 
-core::Artifact *ProfileBuildTest::artifact_ = nullptr;
+core::OfflineResult *ProfileBuildTest::offline_ = nullptr;
 
 TEST_F(ProfileBuildTest, StrategyLoadingOrder)
 {
     const auto vllm = profileFor(llm::Strategy::kVllm, nullptr);
     const auto nograph = profileFor(llm::Strategy::kNoCudaGraph,
                                     nullptr);
-    const auto medusa = profileFor(llm::Strategy::kMedusa, artifact_);
+    const auto medusa =
+        profileFor(llm::Strategy::kMedusa, &offline_->artifact);
     EXPECT_LT(medusa.loading_sec, vllm.loading_sec);
     EXPECT_LT(nograph.loading_sec, vllm.loading_sec);
 }

@@ -20,6 +20,7 @@
 
 #include <cstring>
 #include <map>
+#include <span>
 
 #include "common/crc32.h"
 #include "common/rng.h"
@@ -36,8 +37,6 @@ namespace {
 
 using core::AllocOp;
 using core::AnalyzeOptions;
-using core::Artifact;
-using core::ParamSpec;
 using core::Recorder;
 using simcuda::BuiltinKernels;
 using simcuda::CachingAllocator;
@@ -258,7 +257,11 @@ TEST_P(RandomTraceProperty, RestoredGraphReproducesOutput)
     auto analysis = core::analyze(recorder, process, "prop", 1, graphs,
                                   units::GiB, aopts);
     ASSERT_TRUE(analysis.isOk()) << analysis.status().toString();
-    const Artifact &artifact = analysis->artifact;
+    const std::vector<u8> image_bytes = analysis->image.finish({});
+    auto opened =
+        core::MaterializedImage::openView(std::span<const u8>(image_bytes));
+    ASSERT_TRUE(opened.isOk()) << opened.status().toString();
+    const core::MaterializedImage &image = *opened;
 
     // ---- online: replay + patch + run in fresh processes -------------
     for (u64 seed = 500; seed < 510; ++seed) {
@@ -267,7 +270,7 @@ TEST_P(RandomTraceProperty, RestoredGraphReproducesOutput)
         CachingAllocator alloc2(&fresh, seed);
         std::vector<DeviceAddr> addr_of;
         core::Recorder observer; // reuse Recorder as address collector
-        for (const AllocOp &op : artifact.ops) {
+        for (const AllocOp &op : image.ops) {
             if (op.kind == AllocOp::kAlloc) {
                 auto a = alloc2.allocate(op.logical_size,
                                          op.backing_size);
@@ -278,39 +281,42 @@ TEST_P(RandomTraceProperty, RestoredGraphReproducesOutput)
                     alloc2.free(addr_of[op.freed_alloc_index]).isOk());
             }
         }
-        for (const auto &pb : artifact.permanent) {
+        for (const auto &pb : image.permanent) {
             ASSERT_TRUE(fresh.memory()
                             .write(addr_of[pb.alloc_index],
                                    pb.contents.data(),
                                    pb.contents.size())
                             .isOk());
         }
-        // Rebuild the graph: resolve the kernels, patch the params.
+        // Rebuild the graph from the image: patch the template's data
+        // relocations, then read each node's kernel and params off it.
         ASSERT_TRUE(
             fresh.modules().loadModule(simcuda::kTorchModule));
+        std::vector<u64> slots(image.patch_template.begin(),
+                               image.patch_template.end());
+        for (const auto &rel : image.data_relocs) {
+            slots[rel.slot] = addr_of[rel.alloc_index] + rel.addend;
+        }
         CudaGraph rebuilt;
-        const auto &bp = artifact.graphs[0];
-        for (u32 ni = 0; ni < bp.nodes.size(); ++ni) {
-            const auto &nb = bp.nodes[ni];
+        const auto &g = image.graphs[0];
+        for (u32 ni = 0; ni < g.node_count; ++ni) {
+            // One graph: the kernel relocations are in node order.
+            const auto &kernel =
+                image.kernel_table[image.kernel_relocs[ni].kernel_index];
             const simcuda::KernelId id =
                 simcuda::KernelRegistry::instance().findByName(
-                    nb.kernel_name);
+                    kernel.name);
             ASSERT_NE(id, simcuda::kInvalidKernel);
             auto addr = fresh.modules().addressOf(id);
             ASSERT_TRUE(addr.isOk());
             simcuda::RawParams params;
-            for (const ParamSpec &spec : nb.params) {
-                if (spec.kind == ParamSpec::kConstant) {
-                    params.push_back(spec.constant_bytes);
-                } else {
-                    const u64 value =
-                        addr_of[spec.alloc_index] + spec.offset;
-                    std::vector<u8> bytes(8);
-                    std::memcpy(bytes.data(), &value, 8);
-                    params.push_back(std::move(bytes));
-                }
+            for (u32 p = g.param_begin[ni]; p < g.param_begin[ni + 1]; ++p) {
+                std::vector<u8> bytes(g.param_len[p]);
+                std::memcpy(bytes.data(), &slots[g.param_slot_begin + p],
+                            bytes.size());
+                params.push_back(std::move(bytes));
             }
-            rebuilt.addKernelNode(*addr, std::move(params), nb.timing,
+            rebuilt.addKernelNode(*addr, std::move(params), g.timings[ni],
                                   ni == 0 ? std::vector<simcuda::NodeId>{}
                                           : std::vector<simcuda::NodeId>{
                                                 ni - 1});
@@ -319,11 +325,11 @@ TEST_P(RandomTraceProperty, RestoredGraphReproducesOutput)
         ASSERT_TRUE(exec2.isOk());
         ASSERT_TRUE(
             fresh.launchGraph(*exec2, fresh.defaultStream()).isOk());
-        // The out buffer's alloc index: find via the artifact tags-less
+        // The out buffer's alloc index: find via the image's tags-less
         // route — it was the LAST allocation of the trace.
         u64 out_index = 0;
-        for (u64 i = 0, seen = 0; i < artifact.ops.size(); ++i) {
-            if (artifact.ops[i].kind == AllocOp::kAlloc) {
+        for (u64 i = 0, seen = 0; i < image.ops.size(); ++i) {
+            if (image.ops[i].kind == AllocOp::kAlloc) {
                 out_index = seen++;
             }
         }

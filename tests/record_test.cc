@@ -58,7 +58,8 @@ TEST_F(RecordTest, ReusedAddressGetsTwoRecords)
     auto b = alloc_.allocate(100, 8);
     ASSERT_EQ(*a, *b); // pool reuse
 
-    const auto matches = recorder_.recordsContaining(*a + 10);
+    std::vector<const AllocRecord *> matches;
+    recorder_.recordsContaining(*a + 10, matches);
     ASSERT_EQ(matches.size(), 2u);
     EXPECT_EQ(matches[0]->alloc_index, 0u);
     EXPECT_EQ(matches[1]->alloc_index, 1u);
@@ -67,10 +68,15 @@ TEST_F(RecordTest, ReusedAddressGetsTwoRecords)
 TEST_F(RecordTest, ContainmentUsesLogicalRange)
 {
     auto a = alloc_.allocate(4096, 8);
-    EXPECT_EQ(recorder_.recordsContaining(*a).size(), 1u);
-    EXPECT_EQ(recorder_.recordsContaining(*a + 4095).size(), 1u);
-    EXPECT_TRUE(recorder_.recordsContaining(*a + 5000).empty());
-    EXPECT_TRUE(recorder_.recordsContaining(*a - 1).empty());
+    std::vector<const AllocRecord *> matches;
+    auto count = [&](DeviceAddr value) {
+        recorder_.recordsContaining(value, matches);
+        return matches.size();
+    };
+    EXPECT_EQ(count(*a), 1u);
+    EXPECT_EQ(count(*a + 4095), 1u);
+    EXPECT_EQ(count(*a + 5000), 0u);
+    EXPECT_EQ(count(*a - 1), 0u);
 }
 
 TEST_F(RecordTest, MarkersSplitTheSequence)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Error-path tests for the binary serialization layer and the v6 image
- * an artifact serializes to: truncated buffers, bad magic/version, and
+ * the offline IR serializes to: truncated buffers, bad magic/version, and
  * oversized length fields must come back as Status errors, never
  * crashes — a corrupted on-disk image is a recoverable cold-start
  * failure.
@@ -13,7 +13,6 @@
 
 #include "common/crc32.h"
 #include "common/serialize.h"
-#include "medusa/artifact.h"
 #include "medusa/image.h"
 
 namespace medusa {
@@ -105,38 +104,32 @@ TEST(SerializeRobustness, RoundTripSurvivesAndEndsExactly)
     EXPECT_TRUE(r.atEnd());
 }
 
-/** A small but structurally complete artifact for corruption tests. */
-core::Artifact
-sampleArtifact()
+/** A small but structurally complete image for corruption tests. */
+core::ImageBuilder
+sampleBuilder()
 {
-    core::Artifact a;
-    a.model_name = "robustness-model";
-    a.model_seed = 3;
-    a.free_gpu_memory = 1024;
+    core::ImageBuilder b;
+    b.model_name = "robustness-model";
+    b.model_seed = 3;
+    b.free_gpu_memory = 1024;
     core::AllocOp alloc;
     alloc.kind = core::AllocOp::kAlloc;
     alloc.logical_size = 512;
     alloc.backing_size = 512;
-    a.ops.push_back(alloc);
-    core::GraphBlueprint g;
-    g.batch_size = 1;
-    core::NodeBlueprint n;
-    n.kernel_name = "k";
-    n.module_name = "m";
-    core::ParamSpec p;
-    p.kind = core::ParamSpec::kIndirect;
-    a.tags["input"] = 0;
-    n.params.push_back(p);
-    g.nodes.push_back(n);
-    a.graphs.push_back(g);
-    return a;
+    b.ops.push_back(alloc);
+    b.tags["input"] = 0;
+    const u64 kernel = b.addKernel("k", "m");
+    EXPECT_TRUE(b.beginGraph(1, 1, {}).isOk());
+    b.addNode(kernel, {});
+    b.addPointer(0, 0);
+    return b;
 }
 
-/** The artifact's serialized form: its v6 image bytes. */
+/** The builder's serialized form: its v6 image bytes. */
 std::vector<u8>
 sampleImage()
 {
-    return core::buildImageBytes(sampleArtifact(), {}).value();
+    return sampleBuilder().finish({});
 }
 
 /** Open a copy of @p bytes the way a cold start opens a file. */
@@ -148,7 +141,7 @@ openCopy(std::vector<u8> bytes)
 
 TEST(SerializeRobustness, ArtifactRoundTrips)
 {
-    const core::Artifact a = sampleArtifact();
+    const core::ImageBuilder a = sampleBuilder();
     auto back = openCopy(sampleImage());
     ASSERT_TRUE(back.isOk()) << back.status().toString();
     EXPECT_EQ(back->model_name, a.model_name);

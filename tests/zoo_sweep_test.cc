@@ -41,9 +41,8 @@ TEST_P(ZooSweepTest, OfflineOnlineRoundTripValidates)
     auto offline = core::materialize(oopts);
     ASSERT_TRUE(offline.isOk()) << offline.status().toString();
     EXPECT_EQ(offline->artifact.graphs.size(), 35u);
-    EXPECT_EQ(offline->artifact.stats.validation_repairs, 0u);
     // Copy-free restoration: only the per-layer semaphores.
-    EXPECT_EQ(offline->artifact.stats.materialized_content_bytes,
+    EXPECT_EQ(offline->stats.materialized_content_bytes,
               8u * m.num_layers);
 
     core::MedusaEngine::Options eopts;

@@ -4,8 +4,9 @@
  * under tests/data/ that lint_test's table-driven fixture test runs
  * against (DESIGN.md §14).
  *
- * A small hand-built artifact — three chained nodes over real registry
- * kernels — is flattened into a clean v6 image, and each corrupt
+ * A small hand-built image — three chained nodes over real registry
+ * kernels, appended through core::ImageBuilder — is the clean v6
+ * image, and each corrupt
  * fixture is derived from it by surgical byte edits (relocation
  * retargeting, template poisoning, truncation) with the payload CRC
  * recomputed, so every fixture is invalid in EXACTLY one way and the
@@ -25,16 +26,12 @@
 
 #include "common/crc32.h"
 #include "common/serialize.h"
-#include "medusa/artifact.h"
 #include "medusa/image.h"
 
 using namespace medusa;
 using core::AllocOp;
-using core::Artifact;
-using core::GraphBlueprint;
+using core::ImageBuilder;
 using core::MaterializedImage;
-using core::NodeBlueprint;
-using core::ParamSpec;
 
 namespace {
 
@@ -52,83 +49,67 @@ constexpr const char *kAttnModule = "libsimattn.so";
  * proves the MDL705 heuristic does not false-fire on tagged scalars. */
 constexpr u64 kStreamTagLike = 0x7fab00000001ull;
 
-ParamSpec
-indirect(u64 alloc_index, u64 offset = 0)
-{
-    ParamSpec p;
-    p.kind = ParamSpec::kIndirect;
-    p.alloc_index = alloc_index;
-    p.offset = offset;
-    return p;
-}
-
 template <typename T>
-ParamSpec
-constant(T value)
+void
+addConstant(ImageBuilder &b, T value)
 {
-    ParamSpec p;
-    p.kind = ParamSpec::kConstant;
-    p.constant_bytes.resize(sizeof(T));
-    std::memcpy(p.constant_bytes.data(), &value, sizeof(T));
-    return p;
+    u8 bytes[sizeof(T)];
+    std::memcpy(bytes, &value, sizeof(T));
+    b.addConstant(bytes);
 }
 
-NodeBlueprint
-gemmNode(const char *name, u64 a, u64 w, u64 c)
+void
+addGemmNode(ImageBuilder &b, u64 kernel, u64 a, u64 w, u64 c)
 {
-    NodeBlueprint n;
-    n.kernel_name = name;
-    n.module_name = kCublasModule;
-    n.params = {indirect(a), indirect(w), indirect(c),
-                constant<i32>(4), constant<i32>(8), constant<i32>(4)};
-    return n;
+    b.addNode(kernel, {});
+    for (u64 index : {a, w, c}) {
+        b.addPointer(index, 0);
+    }
+    addConstant<i32>(b, 4);
+    addConstant<i32>(b, 8);
+    addConstant<i32>(b, 4);
 }
 
 /**
- * The base artifact: one bs=1 chain of gemm128 -> gemm64 ->
+ * The base image: one bs=1 chain of gemm128 -> gemm64 ->
  * paged_attention_v1_dec over ten 4 KiB allocations. The decode node
- * carries the i64 stream-tag constant whose slot the uncovered_slot
- * fixture poisons.
+ * reads allocations 4..8 and @p last_input, and carries the i64
+ * stream-tag constant whose slot the uncovered_slot fixture poisons.
  */
-Artifact
-baseArtifact()
+StatusOr<ImageBuilder>
+baseImage(u64 last_input = 9)
 {
-    Artifact a;
-    a.model_name = "fixture-model";
-    a.model_seed = 7;
+    ImageBuilder b;
+    b.model_name = "fixture-model";
+    b.model_seed = 7;
     // What a device of 10 x 4 KiB + 24 bytes has left after the ten
     // allocations below: lint_test lints the corpus against that
     // capacity, so the figure is reproducible (MDL5xx).
-    a.free_gpu_memory = MaterializedImage::kHeaderBytes;
+    b.free_gpu_memory = MaterializedImage::kHeaderBytes;
     for (int i = 0; i < 10; ++i) {
         AllocOp op;
         op.kind = AllocOp::kAlloc;
         op.logical_size = 4096;
         op.backing_size = 256;
-        a.ops.push_back(op);
+        b.ops.push_back(op);
     }
 
-    GraphBlueprint g;
-    g.batch_size = 1;
-    g.nodes.push_back(gemmNode(kGemm128, 0, 1, 2));
-    g.nodes.push_back(gemmNode(kGemm64, 2, 3, 4));
-
-    NodeBlueprint dec;
-    dec.kernel_name = kPagedDec;
-    dec.module_name = kAttnModule;
-    dec.params = {indirect(4),        indirect(5),
-                  indirect(6),        indirect(7),
-                  indirect(8),        indirect(9),
-                  constant<i32>(1),   constant<i32>(2),
-                  constant<i32>(4),   constant<i32>(1),
-                  constant<i32>(16),  constant<i32>(1),
-                  constant<i32>(0),   constant<i64>(kStreamTagLike),
-                  constant<f32>(1.0f)};
-    g.nodes.push_back(dec);
-
-    g.edges = {{0, 1}, {1, 2}};
-    a.graphs.push_back(std::move(g));
-    return a;
+    const u64 gemm128 = b.addKernel(kGemm128, kCublasModule);
+    const u64 gemm64 = b.addKernel(kGemm64, kCublasModule);
+    const u64 dec = b.addKernel(kPagedDec, kAttnModule);
+    MEDUSA_RETURN_IF_ERROR(b.beginGraph(1, 3, {{0, 1}, {1, 2}}));
+    addGemmNode(b, gemm128, 0, 1, 2);
+    addGemmNode(b, gemm64, 2, 3, 4);
+    b.addNode(dec, {});
+    for (u64 index : {u64{4}, u64{5}, u64{6}, u64{7}, u64{8}, last_input}) {
+        b.addPointer(index, 0);
+    }
+    for (i32 v : {1, 2, 4, 1, 16, 1, 0}) {
+        addConstant<i32>(b, v);
+    }
+    addConstant<i64>(b, static_cast<i64>(kStreamTagLike));
+    addConstant<f32>(b, 1.0f);
+    return b;
 }
 
 /** Byte offset of a zero-copy span inside the serialized image. */
@@ -164,9 +145,8 @@ writeFixture(const std::string &dir, const char *name,
 Status
 generate(const std::string &dir)
 {
-    const Artifact base = baseArtifact();
-    MEDUSA_ASSIGN_OR_RETURN(const std::vector<u8> clean,
-                            buildImageBytes(base, {}));
+    MEDUSA_ASSIGN_OR_RETURN(const ImageBuilder base, baseImage());
+    const std::vector<u8> clean = base.finish({});
     MEDUSA_ASSIGN_OR_RETURN(
         const MaterializedImage view,
         MaterializedImage::openView(std::span<const u8>(clean)));
@@ -178,7 +158,7 @@ generate(const std::string &dir)
         spanOffset(clean, view.patch_template);
     MEDUSA_CHECK(view.data_relocs.size() >= 2 &&
                      view.kernel_relocs.size() >= 2,
-                 "fixture artifact produced too few relocations");
+                 "fixture image produced too few relocations");
 
     MEDUSA_RETURN_IF_ERROR(writeFixture(dir, "clean.mdsi", clean));
 
@@ -281,15 +261,15 @@ generate(const std::string &dir)
         MEDUSA_RETURN_IF_ERROR(writeFixture(dir, "bad_edge.mdsi", bytes));
     }
 
-    // freed_target: a variant artifact whose first gemm input is freed
-    // BEFORE another allocation the same graph references is born, so
-    // the graph's launch provably postdates the free and the
+    // freed_target: a variant image whose decode node reads an
+    // allocation born AFTER the first gemm input is freed, so the
+    // graph's launch provably postdates the free and the gemm's
     // relocation resolves against a recycled address -> MDL702.
     // Emitted (not surgically edited) because the op sequence length
     // changes; emission does not lint, so the defective image still
     // builds.
     {
-        Artifact variant = baseArtifact();
+        MEDUSA_ASSIGN_OR_RETURN(ImageBuilder variant, baseImage(10));
         AllocOp free_op;
         free_op.kind = AllocOp::kFree;
         free_op.freed_alloc_index = 0; // ops[10]: kill the gemm input
@@ -299,11 +279,8 @@ generate(const std::string &dir)
         extra.logical_size = 4096;
         extra.backing_size = 256;
         variant.ops.push_back(extra);
-        variant.graphs.at(0).nodes.at(2).params.at(5) = indirect(10);
-        MEDUSA_ASSIGN_OR_RETURN(const std::vector<u8> bytes,
-                                buildImageBytes(variant, {}));
         MEDUSA_RETURN_IF_ERROR(
-            writeFixture(dir, "freed_target.mdsi", bytes));
+            writeFixture(dir, "freed_target.mdsi", variant.finish({})));
     }
     return Status::ok();
 }
