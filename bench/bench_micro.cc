@@ -229,7 +229,7 @@ BM_Rope(benchmark::State &state)
             .ptr(pos_buf).i32(n).i32(kHeads).i32(kHeads).i32(kHeadDim)
             .i32(kFusedRow).i32(kFusedRow).f32(10000.0f);
         bench::checkOk(
-            process.defaultStream().launch(k.rope, pb.take(), TimingInfo{}),
+            process.defaultStream().launch(k.rope, pb.view(), TimingInfo{}),
             "rope");
         benchmark::ClobberMemory();
     }
@@ -268,7 +268,7 @@ BM_KvWrite(benchmark::State &state)
             .ptr(*v_cache).ptr(slot_buf).i32(n).i32(kHeads).i32(kHeadDim)
             .i32(kFusedRow);
         bench::checkOk(process.defaultStream().launch(k.kv_write,
-                                                      pb.take(),
+                                                      pb.view(),
                                                       TimingInfo{}),
                        "kv_write");
         benchmark::ClobberMemory();
@@ -315,7 +315,7 @@ BM_AttentionPrefill(benchmark::State &state)
             .ptr(start_buf).ptr(*out).i32(bs).i32(kHeads).i32(kHeads)
             .i32(kHeadDim).i32(kFusedRow).f32(0.35f);
         bench::checkOk(process.defaultStream().launch(k.attention_prefill,
-                                                      pb.take(),
+                                                      pb.view(),
                                                       TimingInfo{}),
                        "attention_prefill");
         benchmark::ClobberMemory();

@@ -248,7 +248,7 @@ ForwardPass::decode(Stream &stream, u32 bs, u32 layer_begin, u32 layer_end,
 
     auto launch = [&](simcuda::KernelId id, ParamsBuilder &pb,
                       TimingInfo t) {
-        return stream.launch(id, pb.take(), t);
+        return stream.launch(id, pb.view(), t);
     };
     // The tensor-parallel collective: sum partial projections across
     // ranks (payload: the fp16 activation row block).
@@ -631,7 +631,7 @@ ForwardPass::prefill(Stream &stream, u32 bs, u32 n_func, u32 n_real)
 
     auto launch = [&](simcuda::KernelId id, ParamsBuilder &pb,
                       TimingInfo t) {
-        return stream.launch(id, pb.take(), t);
+        return stream.launch(id, pb.view(), t);
     };
     // TP collective (a rank-local no-op when launched eagerly; prefill
     // is eager only for warm-up/profiling, whose outputs are

@@ -469,7 +469,7 @@ ModelRuntime::launchSample(u32 row)
         .i32(static_cast<i32>(vocab));
     TimingInfo t;
     t.bytes = static_cast<f64>(model_.vocab) * 2.0;
-    return process_->defaultStream().launch(k.sample_argmax, pb.take(), t);
+    return process_->defaultStream().launch(k.sample_argmax, pb.view(), t);
 }
 
 StatusOr<i32>

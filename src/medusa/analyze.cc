@@ -74,17 +74,16 @@ matchNaive(const std::vector<const AllocRecord *> &candidates,
  * capture process). A tainted parameter buffer may hold any word.
  */
 bool
-operandWordsReach(const AllocRecord &target, const simcuda::GraphNode &node,
+operandWordsReach(const AllocRecord &target, simcuda::ParamView params,
                   const simcuda::KernelDef &def,
                   const simcuda::DeviceMemoryManager &memory)
 {
-    for (std::size_t p = 0; p < node.params.size(); ++p) {
+    for (std::size_t p = 0; p < params.size(); ++p) {
         if (def.params[p] != simcuda::ParamKind::kPointer) {
             continue;
         }
-        u64 ptr = 0;
-        std::memcpy(&ptr, node.params[p].data(), sizeof(ptr));
-        const simcuda::AllocationRecord *buf = memory.findContaining(ptr);
+        const simcuda::AllocationRecord *buf =
+            memory.findContaining(params.at(p).bits);
         if (buf == nullptr) {
             continue;
         }
@@ -131,13 +130,13 @@ rewrittenBeforeRead(const AllocRecord &target,
             });
         bool touched = false;
         for (u32 n = 0; n < meta.node_count && !touched; ++n) {
-            const simcuda::GraphNode &node =
-                graph.node(static_cast<simcuda::NodeId>(n));
-            MEDUSA_ASSIGN_OR_RETURN(simcuda::KernelId kernel,
-                                    process.modules().kernelAt(node.fn));
+            MEDUSA_ASSIGN_OR_RETURN(
+                simcuda::KernelId kernel,
+                process.modules().kernelAt(graph.node(n).fn));
             const simcuda::KernelDef &def = registry.def(kernel);
             if (def.indirect_access &&
-                operandWordsReach(target, node, def, process.memory())) {
+                operandWordsReach(target, graph.params(n), def,
+                                  process.memory())) {
                 return false;
             }
             const u64 first_slot =
@@ -211,10 +210,7 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
     for (const auto &[batch_size, graph] : graphs) {
         node_total += graph.nodeCount();
         edge_total += graph.edges().size();
-        for (u32 n = 0; n < graph.nodeCount(); ++n) {
-            param_total +=
-                graph.node(static_cast<simcuda::NodeId>(n)).params.size();
-        }
+        param_total += graph.paramBlobs().size();
     }
     image.reserve(graphs.size(), node_total, edge_total, param_total);
 
@@ -273,22 +269,20 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
             }
             image.addNode(row->second.index, node.timing);
 
-            for (const std::vector<u8> &bytes : node.params) {
+            const simcuda::ParamView params = graph.params(node_idx);
+            for (std::size_t p = 0; p < params.size(); ++p) {
+                const simcuda::ParamBlob &blob = params.at(p);
                 const AllocRecord *match = nullptr;
-                u64 value = 0;
-                if (bytes.size() == 8) {
-                    std::memcpy(&value, bytes.data(), 8);
-                    if (looksLikeDevicePointer(value)) {
-                        recorder.recordsContaining(value, candidates);
-                        match = options.trace_based_matching
-                                    ? matchTraceBased(candidates,
-                                                      launch.op_pos)
-                                    : matchNaive(candidates, launch.op_pos);
-                        if (match == nullptr) {
-                            // A high-prefix constant that matched no
-                            // allocation: the decoy/false-positive case.
-                            ++stats.decoy_candidates;
-                        }
+                const u64 value = blob.bits;
+                if (blob.len == 8 && looksLikeDevicePointer(value)) {
+                    recorder.recordsContaining(value, candidates);
+                    match = options.trace_based_matching
+                                ? matchTraceBased(candidates, launch.op_pos)
+                                : matchNaive(candidates, launch.op_pos);
+                    if (match == nullptr) {
+                        // A high-prefix constant that matched no
+                        // allocation: the decoy/false-positive case.
+                        ++stats.decoy_candidates;
                     }
                 }
                 if (match != nullptr) {
@@ -296,11 +290,12 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
                     referenced[match->alloc_index] = true;
                     ++stats.pointer_params;
                 } else {
-                    image.addConstant(bytes);
+                    image.addConstant(std::span<const u8>(
+                        reinterpret_cast<const u8 *>(&blob.bits), blob.len));
                     ++stats.constant_params;
                 }
             }
-            stats.total_params += node.params.size();
+            stats.total_params += params.size();
             ++stats.total_nodes;
         }
     }

@@ -41,18 +41,13 @@ Recorder::onFree(DeviceAddr addr)
 }
 
 void
-Recorder::onKernelLaunch(KernelAddr fn, const simcuda::RawParams &params,
-                         bool capturing)
+Recorder::onKernelLaunch(KernelAddr, simcuda::ParamView, bool capturing)
 {
     if (!capturing || current_graph_ < 0) {
         return; // only captured launches become graph nodes
     }
-    CapturedLaunch launch;
-    launch.fn = fn;
-    launch.params = params;
-    launch.op_pos = ops_.size();
     graph_launches_[static_cast<u32>(current_graph_)].push_back(
-        std::move(launch));
+        CapturedLaunch{ops_.size()});
 }
 
 void

@@ -3,6 +3,12 @@
  * The offline-phase recorder: intercepts the buffer (de)allocation
  * sequence, every kernel launch, and the engine's buffer tags while a
  * capturing-stage cold start runs (paper §3, capturing stage).
+ *
+ * A captured launch is recorded as its position in the allocation op
+ * sequence only. Its kernel address and parameter values are the
+ * captured graph's node (CudaGraph::node / params), which the analysis
+ * reads; a second copy here would cost an allocation per argument and
+ * nothing would read it.
  */
 
 #ifndef MEDUSA_MEDUSA_RECORD_H
@@ -32,11 +38,13 @@ struct AllocRecord
     i64 op_pos_free = -1;
 };
 
-/** One kernel launch recorded during stream capture. */
+/**
+ * One kernel launch recorded during stream capture: where it fell in
+ * the op sequence. The launch itself is the graph node of the same
+ * index.
+ */
 struct CapturedLaunch
 {
-    KernelAddr fn = 0;
-    simcuda::RawParams params;
     /** Op-sequence position at launch time (for backward matching). */
     u64 op_pos = 0;
 };
@@ -57,7 +65,7 @@ class Recorder final : public simcuda::AllocObserver,
     void onFree(DeviceAddr addr) override;
 
     // ---- LaunchObserver ---------------------------------------------------
-    void onKernelLaunch(KernelAddr fn, const simcuda::RawParams &params,
+    void onKernelLaunch(KernelAddr fn, simcuda::ParamView params,
                         bool capturing) override;
 
     // ---- EngineObserver -----------------------------------------------------

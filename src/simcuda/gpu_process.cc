@@ -7,10 +7,9 @@ namespace medusa::simcuda {
 // ---------------------------------------------------------------- Stream
 
 Status
-Stream::launch(KernelId kernel, RawParams params, const TimingInfo &timing)
+Stream::launch(KernelId kernel, ParamView params, const TimingInfo &timing)
 {
-    return process_->launchOnStream(*this, kernel, std::move(params),
-                                    timing);
+    return process_->launchOnStream(*this, kernel, params, timing);
 }
 
 Status
@@ -385,8 +384,6 @@ GpuProcess::instantiate(const CudaGraph &graph)
     GraphExec exec;
     exec.kernels_.reserve(graph.nodeCount());
     exec.timings_.reserve(graph.nodeCount());
-    exec.param_begin_.reserve(graph.nodeCount() + 1);
-    exec.param_begin_.push_back(0);
     for (const GraphNode &node : graph.nodes()) {
         auto kernel = modules_.kernelAt(node.fn);
         if (!kernel.isOk()) {
@@ -397,11 +394,9 @@ GpuProcess::instantiate(const CudaGraph &graph)
         }
         exec.kernels_.push_back(*kernel);
         exec.timings_.push_back(node.timing);
-        for (const std::vector<u8> &bytes : node.params) {
-            exec.blobs_.push_back(makeParamBlob(bytes));
-        }
-        exec.param_begin_.push_back(static_cast<u32>(exec.blobs_.size()));
     }
+    exec.param_begin_ = graph.paramBegin();
+    exec.blobs_ = graph.paramBlobs();
     MEDUSA_ASSIGN_OR_RETURN(exec.order_, graph.topoOrder());
     clock_->advance(units::usToNs(cost_->graph_instantiate_per_node_us *
                                   static_cast<f64>(graph.nodeCount())));
@@ -507,7 +502,7 @@ GpuProcess::launchGraph(const GraphExec &exec, Stream &stream)
 
 Status
 GpuProcess::launchOnStream(Stream &stream, KernelId kernel,
-                           RawParams params, const TimingInfo &timing)
+                           ParamView params, const TimingInfo &timing)
 {
     const auto &reg = KernelRegistry::instance();
     if (kernel >= reg.kernelCount()) {
@@ -531,8 +526,7 @@ GpuProcess::launchOnStream(Stream &stream, KernelId kernel,
         ++capture_->recorded_nodes;
         ++captured_nodes_;
         if (launch_observer_ != nullptr) {
-            launch_observer_->onKernelLaunch(
-                addr, capture_->graph.node(id).params, true);
+            launch_observer_->onKernelLaunch(addr, params, true);
         }
         return Status::ok();
     }
@@ -562,32 +556,10 @@ GpuProcess::launchOnStream(Stream &stream, KernelId kernel,
 }
 
 Status
-GpuProcess::executeKernel(KernelId kernel, const RawParams &params)
-{
-    return execute(kernel, params);
-}
-
-Status
 GpuProcess::executeKernel(KernelId kernel, ParamView params)
 {
     return execute(kernel, params);
 }
-
-namespace {
-
-inline std::size_t
-paramWidthAt(const RawParams &params, std::size_t i)
-{
-    return params[i].size();
-}
-
-inline std::size_t
-paramWidthAt(ParamView params, std::size_t i)
-{
-    return params.sizeAt(i);
-}
-
-} // namespace
 
 Status
 GpuProcess::taintSkippedWrites(const KernelDef &def, const KernelArgs &args)
@@ -633,9 +605,8 @@ GpuProcess::taintSkippedWrites(const KernelDef &def, const KernelArgs &args)
     return Status::ok();
 }
 
-template <typename Params>
 Status
-GpuProcess::executeImpl(KernelId kernel, const Params &params)
+GpuProcess::execute(KernelId kernel, ParamView params)
 {
     const KernelDef &def = KernelRegistry::instance().def(kernel);
     if (params.size() != def.params.size()) {
@@ -645,7 +616,7 @@ GpuProcess::executeImpl(KernelId kernel, const Params &params)
                                std::to_string(params.size()));
     }
     for (std::size_t i = 0; i < params.size(); ++i) {
-        if (paramWidthAt(params, i) != paramKindSize(def.params[i])) {
+        if (params.sizeAt(i) != paramKindSize(def.params[i])) {
             return invalidArgument("kernel " + def.mangled_name +
                                    ": param " + std::to_string(i) +
                                    " has wrong size");
@@ -661,18 +632,6 @@ GpuProcess::executeImpl(KernelId kernel, const Params &params)
                                      " failed: " + st.message());
     }
     return Status::ok();
-}
-
-Status
-GpuProcess::execute(KernelId kernel, const RawParams &params)
-{
-    return executeImpl(kernel, params);
-}
-
-Status
-GpuProcess::execute(KernelId kernel, ParamView params)
-{
-    return executeImpl(kernel, params);
 }
 
 } // namespace medusa::simcuda

@@ -54,7 +54,7 @@ class LaunchObserver
      * @param capturing true if the launch was recorded into a graph
      *        rather than executed.
      */
-    virtual void onKernelLaunch(KernelAddr fn, const RawParams &params,
+    virtual void onKernelLaunch(KernelAddr fn, ParamView params,
                                 bool capturing) = 0;
 };
 
@@ -94,8 +94,12 @@ struct CaptureSession
 class Stream
 {
   public:
-    /** Launch a kernel by registry id; see GpuProcess::launch docs. */
-    Status launch(KernelId kernel, RawParams params,
+    /**
+     * Launch a kernel by registry id. The parameters are copied (into
+     * the graph when capturing), so @p params need only outlive the
+     * call.
+     */
+    Status launch(KernelId kernel, ParamView params,
                   const TimingInfo &timing);
 
     /** Record an event on this stream. */
@@ -131,10 +135,10 @@ class Stream
  * An instantiated, ready-to-launch graph (cudaGraphExec_t).
  *
  * Stored as a structure of flat arrays — kernel ids, a shared ParamBlob
- * pool with per-node prefix offsets, timings and the execution order —
- * rather than per-node objects with heap-allocated byte vectors. The
- * flat form is what the v6 materialized image can produce directly with
- * a relocation patch pass, with no per-node reconstruction.
+ * pool with per-node prefix offsets (CudaGraph's layout), timings and
+ * the execution order. The flat form is what the v6 materialized image
+ * can produce directly with a relocation patch pass, with no per-node
+ * reconstruction.
  */
 class GraphExec
 {
@@ -354,9 +358,6 @@ class GpuProcess
      * multi-GPU replayer (lockstep.h), which does its own timing and
      * provides collective semantics.
      */
-    Status executeKernel(KernelId kernel, const RawParams &params);
-
-    /** As above, over a graph's flattened parameter view. */
     Status executeKernel(KernelId kernel, ParamView params);
 
     // ---- observers & stats -----------------------------------------------
@@ -445,18 +446,16 @@ class GpuProcess
 
     /** Shared implementation behind Stream::launch. */
     Status launchOnStream(Stream &stream, KernelId kernel,
-                          RawParams params, const TimingInfo &timing);
+                          ParamView params, const TimingInfo &timing);
 
-    /** Execute a kernel functionally against device memory. */
-    Status execute(KernelId kernel, const RawParams &params);
+    /**
+     * Execute a kernel functionally against device memory, after
+     * checking the param count and each width against its signature.
+     */
     Status execute(KernelId kernel, ParamView params);
 
     /** What a skipped body does instead: taint its write set. */
     Status taintSkippedWrites(const KernelDef &def, const KernelArgs &args);
-
-    /** Shared validation + decode behind both execute overloads. */
-    template <typename Params>
-    Status executeImpl(KernelId kernel, const Params &params);
 
     SimClock *clock_;
     const CostModel *cost_;

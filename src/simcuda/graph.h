@@ -5,9 +5,11 @@
  * A CudaGraph is a DAG of kernel nodes. Each node records exactly what a
  * real cudaGraphKernelNodeParams exposes: the kernel's (per-process,
  * randomized) function address, and the raw bytes of every launch
- * parameter. Graphs are built either by stream capture (gpu_process.h)
- * or explicitly via addKernelNode() — the path Medusa's online
- * restoration uses to reconstruct a materialized graph.
+ * parameter. The parameters of all nodes live in one flat ParamBlob
+ * array with nodeCount()+1 prefix offsets — the layout GraphExec and
+ * the materialized image use — so capture appends inline values and
+ * instantiation copies the array whole. Graphs are built either by
+ * stream capture (gpu_process.h) or explicitly via addKernelNode().
  */
 
 #ifndef MEDUSA_SIMCUDA_GRAPH_H
@@ -25,15 +27,14 @@ namespace medusa::simcuda {
 using NodeId = u32;
 
 /**
- * One kernel node: function address + opaque parameter bytes, plus the
- * logical-work metadata the timing model consumes (an intrinsic property
- * of the kernel invocation, not a launch parameter — Medusa never
- * inspects it).
+ * One kernel node: function address plus the logical-work metadata the
+ * timing model consumes (an intrinsic property of the kernel
+ * invocation, not a launch parameter — Medusa never inspects it). Its
+ * parameters are CudaGraph::params(id).
  */
 struct GraphNode
 {
     KernelAddr fn = 0;
-    RawParams params;
     TimingInfo timing;
 };
 
@@ -59,11 +60,15 @@ class CudaGraph
      * @param deps nodes this one depends on (must already exist).
      */
     NodeId
-    addKernelNode(KernelAddr fn, RawParams params, TimingInfo timing,
+    addKernelNode(KernelAddr fn, ParamView params, const TimingInfo &timing,
                   const std::vector<NodeId> &deps)
     {
         const NodeId id = static_cast<NodeId>(nodes_.size());
-        nodes_.push_back(GraphNode{fn, std::move(params), timing});
+        nodes_.push_back(GraphNode{fn, timing});
+        for (std::size_t i = 0; i < params.size(); ++i) {
+            blobs_.push_back(params.at(i));
+        }
+        param_begin_.push_back(static_cast<u32>(blobs_.size()));
         for (NodeId d : deps) {
             MEDUSA_CHECK(d < id, "graph dependency on future node " << d);
             edges_.push_back(GraphEdge{d, id});
@@ -78,14 +83,27 @@ class CudaGraph
     const std::vector<GraphNode> &nodes() const { return nodes_; }
     const std::vector<GraphEdge> &edges() const { return edges_; }
 
-    /** Replace one parameter's bytes (cudaGraphKernelNodeSetParams). */
-    void
-    setNodeParam(NodeId id, std::size_t param_index, std::vector<u8> bytes)
+    /** The parameters of node @p id (cudaGraphKernelNodeGetParams). */
+    ParamView
+    params(NodeId id) const
     {
-        auto &params = nodes_.at(id).params;
-        MEDUSA_CHECK(param_index < params.size(),
+        const u32 begin = param_begin_.at(id);
+        return ParamView(blobs_.data() + begin,
+                         param_begin_.at(id + 1) - begin);
+    }
+
+    /** nodeCount()+1 prefix offsets into paramBlobs(), node-id order. */
+    const std::vector<u32> &paramBegin() const { return param_begin_; }
+    /** Every node's parameters, concatenated in node-id order. */
+    const std::vector<ParamBlob> &paramBlobs() const { return blobs_; }
+
+    /** Replace one parameter's value (cudaGraphKernelNodeSetParams). */
+    void
+    setNodeParam(NodeId id, std::size_t param_index, ParamBlob value)
+    {
+        MEDUSA_CHECK(param_index < params(id).size(),
                      "param index out of range");
-        params[param_index] = std::move(bytes);
+        blobs_[param_begin_[id] + param_index] = value;
     }
 
     /** Replace a node's function address (for address restoration). */
@@ -103,6 +121,8 @@ class CudaGraph
 
   private:
     std::vector<GraphNode> nodes_;
+    std::vector<u32> param_begin_ = {0};
+    std::vector<ParamBlob> blobs_;
     std::vector<GraphEdge> edges_;
 };
 

@@ -31,6 +31,11 @@ KernelRegistry::registerKernel(KernelDef def)
 {
     MEDUSA_CHECK(findByName(def.mangled_name) == kInvalidKernel,
                  "duplicate kernel name " << def.mangled_name);
+    MEDUSA_CHECK(def.params.size() <= kMaxKernelParams,
+                 "kernel " << def.mangled_name << " has "
+                           << def.params.size()
+                           << " params, more than the inline capacity "
+                           << kMaxKernelParams);
     MEDUSA_CHECK(def.access.empty() ||
                      def.access.size() == def.params.size(),
                  "kernel " << def.mangled_name

@@ -8,11 +8,18 @@
  * analysis must classify pointers vs constants from the byte patterns,
  * as in the paper (§4). The typed signature is only used by the
  * functional executor to decode the bytes back into arguments.
+ *
+ * Every argument is at most 8 bytes, so a launch's parameters are
+ * inline ParamBlob values (at most kMaxKernelParams of them in a
+ * LaunchParams) with no heap allocation per argument. The same
+ * representation runs from ParamsBuilder through eager launch, stream
+ * capture, the CudaGraph, GraphExec and the patched image.
  */
 
 #ifndef MEDUSA_SIMCUDA_KERNEL_H
 #define MEDUSA_SIMCUDA_KERNEL_H
 
+#include <array>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -91,16 +98,17 @@ accessWrites(ParamAccess a)
 }
 
 /**
- * Raw launch parameters: one byte blob per argument, mirroring the
- * void** kernelParams array of CUDA.
+ * The most parameters one kernel signature may have: the widest
+ * registered signature (paged_attention_v1_decode). KernelRegistry::
+ * registerKernel refuses a wider one, so every launch's parameters fit
+ * in one inline LaunchParams.
  */
-using RawParams = std::vector<std::vector<u8>>;
+constexpr std::size_t kMaxKernelParams = 15;
 
 /**
- * One flattened launch parameter: every kernel argument is at most 8
- * bytes (paramKindSize), so an instantiated graph stores the value
- * inline instead of as a heap-allocated byte vector. `bits` holds the
- * little-endian value bytes; only the low `len` bytes are meaningful.
+ * One launch parameter, inline. `bits` holds the little-endian value
+ * bytes; only the low `len` bytes (at most 8, paramKindSize) are
+ * meaningful.
  */
 struct ParamBlob
 {
@@ -108,22 +116,11 @@ struct ParamBlob
     u8 len = 0;
 };
 
-/** Flatten one raw byte blob (must be <= 8 bytes). */
-inline ParamBlob
-makeParamBlob(const std::vector<u8> &bytes)
-{
-    MEDUSA_CHECK(bytes.size() <= sizeof(u64),
-                 "launch parameter wider than 8 bytes");
-    ParamBlob blob;
-    blob.len = static_cast<u8>(bytes.size());
-    std::memcpy(&blob.bits, bytes.data(), bytes.size());
-    return blob;
-}
-
 /**
- * Borrowed view of one node's flattened parameters — the contiguous
- * slice of a GraphExec's (or patched image's) ParamBlob array. Cheap to
- * copy; valid only while the backing storage lives.
+ * Borrowed view of one launch's parameters — a LaunchParams, or the
+ * contiguous slice of a CudaGraph's, GraphExec's or patched image's
+ * ParamBlob array. Cheap to copy; valid only while the backing storage
+ * lives.
  */
 class ParamView
 {
@@ -146,24 +143,39 @@ class ParamView
     /** Byte width of the i-th parameter. */
     std::size_t sizeAt(std::size_t i) const { return at(i).len; }
 
-    /** Copy the i-th parameter back out as an owned byte vector. */
-    std::vector<u8>
-    bytesAt(std::size_t i) const
-    {
-        const ParamBlob &blob = at(i);
-        std::vector<u8> bytes(blob.len);
-        std::memcpy(bytes.data(), &blob.bits, blob.len);
-        return bytes;
-    }
-
   private:
     const ParamBlob *blobs_ = nullptr;
     std::size_t count_ = 0;
 };
 
 /**
- * Builds a RawParams blob in call order. The helper is used by the
- * forward-pass builder ("host code"); Medusa never sees the types.
+ * The parameters of one launch, inline: the simulator's void**
+ * kernelParams array. Fixed capacity (kMaxKernelParams), no heap.
+ */
+class LaunchParams
+{
+  public:
+    /** Append one parameter; check-fails past kMaxKernelParams. */
+    void
+    push(ParamBlob blob)
+    {
+        MEDUSA_CHECK(count_ < kMaxKernelParams,
+                     "more than " << kMaxKernelParams << " launch params");
+        MEDUSA_CHECK(blob.len <= sizeof(u64),
+                     "launch parameter wider than 8 bytes");
+        blobs_[count_++] = blob;
+    }
+
+    ParamView view() const { return ParamView(blobs_.data(), count_); }
+
+  private:
+    std::array<ParamBlob, kMaxKernelParams> blobs_;
+    std::size_t count_ = 0;
+};
+
+/**
+ * Builds a launch's LaunchParams in call order. The helper is used by
+ * the forward-pass builder ("host code"); Medusa never sees the types.
  */
 class ParamsBuilder
 {
@@ -196,40 +208,32 @@ class ParamsBuilder
         return *this;
     }
 
-    RawParams take() { return std::move(params_); }
+    /** The parameters built so far; valid while the builder lives. */
+    ParamView view() const { return params_.view(); }
 
   private:
     void
     append(const void *data, u64 n)
     {
-        std::vector<u8> bytes(n);
-        std::memcpy(bytes.data(), data, n);
-        params_.push_back(std::move(bytes));
+        ParamBlob blob;
+        blob.len = static_cast<u8>(n);
+        std::memcpy(&blob.bits, data, n);
+        params_.push(blob);
     }
 
-    RawParams params_;
+    LaunchParams params_;
 };
 
-/**
- * Typed view over launch parameters, decoded according to a kernel's
- * signature. Works over either representation: owned byte vectors
- * (RawParams, the eager-launch path) or flattened inline blobs
- * (ParamView, the instantiated-graph path).
- */
+/** Typed view over launch parameters, decoded per a kernel's signature. */
 class KernelArgs
 {
   public:
-    KernelArgs(const RawParams &raw, const std::vector<ParamKind> &kinds)
-        : raw_(&raw), kinds_(kinds)
-    {
-    }
-
     KernelArgs(ParamView view, const std::vector<ParamKind> &kinds)
         : view_(view), kinds_(kinds)
     {
     }
 
-    std::size_t size() const { return raw_ ? raw_->size() : view_.size(); }
+    std::size_t size() const { return view_.size(); }
 
     DeviceAddr
     ptrAt(std::size_t i) const
@@ -249,21 +253,15 @@ class KernelArgs
         MEDUSA_CHECK(i < size(), "param index " << i << " out of range");
         MEDUSA_CHECK(kinds_.at(i) == kind,
                      "param " << i << " decoded with wrong kind");
-        const std::size_t width = raw_ ? (*raw_)[i].size() : view_.sizeAt(i);
-        MEDUSA_CHECK(width == sizeof(T),
-                     "param " << i << " has " << width << " bytes, expected "
-                              << sizeof(T));
+        const ParamBlob &blob = view_.at(i);
+        MEDUSA_CHECK(blob.len == sizeof(T),
+                     "param " << i << " has " << +blob.len
+                              << " bytes, expected " << sizeof(T));
         T v;
-        if (raw_) {
-            std::memcpy(&v, (*raw_)[i].data(), sizeof(T));
-        } else {
-            const u64 bits = view_.at(i).bits;
-            std::memcpy(&v, &bits, sizeof(T));
-        }
+        std::memcpy(&v, &blob.bits, sizeof(T));
         return v;
     }
 
-    const RawParams *raw_ = nullptr;
     ParamView view_;
     const std::vector<ParamKind> &kinds_;
 };

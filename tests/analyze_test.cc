@@ -97,14 +97,14 @@ struct Offline
         ParamsBuilder warm;
         warm.ptr(src).ptr(dst).i32(0);
         MEDUSA_RETURN_IF_ERROR(process.defaultStream().launch(
-            k.copy_f32, warm.take(), {}));
+            k.copy_f32, warm.view(), {}));
         recorder.beginGraph(1);
         MEDUSA_RETURN_IF_ERROR(
             process.beginCapture(process.defaultStream()));
         ParamsBuilder pb;
         pb.ptr(src).ptr(dst).i32(count);
         Status st = process.defaultStream().launch(k.copy_f32,
-                                                   pb.take(), {});
+                                                   pb.view(), {});
         auto graph = process.endCapture(process.defaultStream());
         recorder.endGraph();
         if (!st.isOk()) {
@@ -196,7 +196,7 @@ TEST(AnalyzeTest, DecoyCandidateDemotedToConstant)
     ParamsBuilder warm;
     warm.ptr(*src).ptr(*dst).i32(0);
     ASSERT_TRUE(off.process.defaultStream()
-                    .launch(k.copy_f32, warm.take(), {})
+                    .launch(k.copy_f32, warm.view(), {})
                     .isOk());
 
     // Hand-build a one-node "graph" whose i32 param is widened to a
@@ -209,7 +209,7 @@ TEST(AnalyzeTest, DecoyCandidateDemotedToConstant)
     ParamsBuilder pb;
     pb.ptr(*src).ptr(0x7fab00000001ull).i32(4); // dst "pointer" is decoy
     Status st = off.process.defaultStream().launch(k.copy_f32,
-                                                   pb.take(), {});
+                                                   pb.view(), {});
     auto graph = off.process.endCapture(off.process.defaultStream());
     off.recorder.endGraph();
     ASSERT_TRUE(st.isOk());
@@ -271,19 +271,19 @@ TEST(AnalyzeTest, BufferContentClasses)
     ParamsBuilder warm;
     warm.ptr(*weight).ptr(*temp).i32(0);
     ASSERT_TRUE(process.defaultStream()
-                    .launch(k.copy_f32, warm.take(), {})
+                    .launch(k.copy_f32, warm.view(), {})
                     .isOk());
     recorder.beginGraph(1);
     ASSERT_TRUE(process.beginCapture(process.defaultStream()).isOk());
     ParamsBuilder n1;
     n1.ptr(*weight).ptr(*temp).i32(4);
     ASSERT_TRUE(process.defaultStream()
-                    .launch(k.copy_f32, n1.take(), {})
+                    .launch(k.copy_f32, n1.view(), {})
                     .isOk());
     ParamsBuilder n2;
     n2.ptr(*temp).ptr(*perm).i32(4);
     ASSERT_TRUE(process.defaultStream()
-                    .launch(k.copy_f32, n2.take(), {})
+                    .launch(k.copy_f32, n2.view(), {})
                     .isOk());
     auto graph = process.endCapture(process.defaultStream());
     recorder.endGraph();
@@ -368,19 +368,17 @@ TEST(AnalyzeTest, NaiveMatchingCorruptsReusedBuffer)
                          "content restore");
         }
         const MaterializedImage::GraphView &g = image.graphs[0];
-        simcuda::RawParams params;
+        simcuda::LaunchParams params;
         for (u32 p = 0; p < g.param_begin[1]; ++p) {
             u64 value = image.patch_template[g.param_slot_begin + p];
             if (const auto *rel = relocOf(image, 0, p)) {
                 value = addr_of[rel->alloc_index] + rel->addend;
             }
-            std::vector<u8> bytes(g.param_len[p]);
-            std::memcpy(bytes.data(), &value, bytes.size());
-            params.push_back(std::move(bytes));
+            params.push({value, g.param_len[p]});
         }
         const auto &k = BuiltinKernels::get();
         MEDUSA_CHECK(process.defaultStream()
-                         .launch(k.copy_f32, std::move(params), {})
+                         .launch(k.copy_f32, params.view(), {})
                          .isOk(),
                      "restored kernel run");
         // Output is event 3.
@@ -423,7 +421,7 @@ TEST(AnalyzeTest, TaintedPermanentBufferMustBeRewrittenBeforeItIsRead)
         warm.ptr(off->src).ptr(off->perm).i32(16);
         MEDUSA_CHECK(off->process.defaultStream()
                          .launch(BuiltinKernels::get().copy_f32,
-                                 warm.take(), {})
+                                 warm.view(), {})
                          .isOk(),
                      "skipped write");
         auto graph = capture(*off);

@@ -79,13 +79,13 @@ TEST_F(GpuProcessTest, DeviceSynchronizeDrainsAllStreams)
     // Warm the module on stream a.
     ParamsBuilder w;
     w.ptr(*buf).ptr(*buf).i32(1);
-    ASSERT_TRUE(a.launch(k.copy_f32, w.take(), {}).isOk());
+    ASSERT_TRUE(a.launch(k.copy_f32, w.view(), {}).isOk());
     // A long kernel on stream b.
     TimingInfo slow;
     slow.bytes = 1e9; // ~0.7 ms
     ParamsBuilder pb;
     pb.ptr(*buf).ptr(*buf).i32(1);
-    ASSERT_TRUE(b.launch(k.copy_f32, pb.take(), slow).isOk());
+    ASSERT_TRUE(b.launch(k.copy_f32, pb.view(), slow).isOk());
     const SimTimeNs t0 = clock_.now();
     ASSERT_TRUE(process_.deviceSynchronize().isOk());
     EXPECT_GT(clock_.now() - t0, units::usToNs(500.0));
@@ -98,7 +98,7 @@ TEST_F(GpuProcessTest, LaunchCountersTrackPaths)
     auto launchOnce = [&]() {
         ParamsBuilder pb;
         pb.ptr(*buf).ptr(*buf).i32(1);
-        return process_.defaultStream().launch(k.copy_f32, pb.take(),
+        return process_.defaultStream().launch(k.copy_f32, pb.view(),
                                                {});
     };
     ASSERT_TRUE(launchOnce().isOk());
@@ -131,7 +131,7 @@ TEST_F(GpuProcessTest, KernelErrorsNameTheKernel)
         .i32(1)
         .i32(4)
         .f32(1e-5f);
-    Status st = process_.defaultStream().launch(k.rmsnorm, pb.take(),
+    Status st = process_.defaultStream().launch(k.rmsnorm, pb.view(),
                                                 {});
     ASSERT_FALSE(st.isOk());
     EXPECT_NE(st.message().find("rmsnorm"), std::string::npos);
@@ -171,15 +171,17 @@ runWorkload(GpuProcess &p, DeviceAddr src, DeviceAddr dst)
     auto copy = [&]() {
         ParamsBuilder pb;
         pb.ptr(src).ptr(dst).i32(4);
-        return pb.take();
+        return pb;
     };
     TimingInfo slow;
     slow.bytes = 1e9;
     Stream &other = p.createStream();
-    ASSERT_TRUE(p.defaultStream().launch(k.copy_f32, copy(), {}).isOk());
-    ASSERT_TRUE(other.launch(k.copy_f32, copy(), slow).isOk());
+    ASSERT_TRUE(
+        p.defaultStream().launch(k.copy_f32, copy().view(), {}).isOk());
+    ASSERT_TRUE(other.launch(k.copy_f32, copy().view(), slow).isOk());
     ASSERT_TRUE(p.beginCapture(p.defaultStream()).isOk());
-    ASSERT_TRUE(p.defaultStream().launch(k.copy_f32, copy(), slow).isOk());
+    ASSERT_TRUE(
+        p.defaultStream().launch(k.copy_f32, copy().view(), slow).isOk());
     auto graph = p.endCapture(p.defaultStream());
     ASSERT_TRUE(graph.isOk());
     auto exec = p.instantiate(*graph);
@@ -269,7 +271,7 @@ TEST(GpuProcessDiscardTest, SkippedBodiesTaintTheirDeclaredWriteSet)
     ParamsBuilder copy;
     copy.ptr(src).ptr(dst).i32(4);
     ASSERT_TRUE(
-        p.defaultStream().launch(k.copy_f32, copy.take(), {}).isOk());
+        p.defaultStream().launch(k.copy_f32, copy.view(), {}).isOk());
     EXPECT_FALSE(tainted(p, src));
     EXPECT_TRUE(tainted(p, dst));
 
@@ -285,7 +287,7 @@ TEST(GpuProcessDiscardTest, SkippedBodiesTaintTheirDeclaredWriteSet)
     ParamsBuilder again;
     again.ptr(src).ptr(dst).i32(4);
     ASSERT_TRUE(
-        p.defaultStream().launch(k.copy_f32, again.take(), {}).isOk());
+        p.defaultStream().launch(k.copy_f32, again.view(), {}).isOk());
     EXPECT_TRUE(tainted(p, dst));
     ASSERT_TRUE(p.cudaMemset(dst, 0, 8).isOk());
     EXPECT_TRUE(tainted(p, dst));
@@ -302,7 +304,7 @@ TEST(GpuProcessDiscardTest, SkippedBodiesTaintTheirDeclaredWriteSet)
     ParamsBuilder gemm;
     gemm.ptr(sem0).ptr(sem1).ptr(a).ptr(w).ptr(c).i32(2).i32(2).i32(2);
     ASSERT_TRUE(
-        p.defaultStream().launch(k.gemm_splitk, gemm.take(), {}).isOk());
+        p.defaultStream().launch(k.gemm_splitk, gemm.view(), {}).isOk());
     EXPECT_FALSE(tainted(p, sem0));
     EXPECT_FALSE(tainted(p, sem1));
     EXPECT_FALSE(tainted(p, a));
@@ -333,7 +335,7 @@ TEST(GpuProcessDiscardTest, IndirectBodiesTaintWhatTheirOperandWordsReach)
     auto batched = [&]() {
         ParamsBuilder pb;
         pb.ptr(ptrs).i32(1).i32(1).i32(2);
-        return p.defaultStream().launch(k.gemm_batched, pb.take(), {});
+        return p.defaultStream().launch(k.gemm_batched, pb.view(), {});
     };
     ASSERT_TRUE(batched().isOk());
     EXPECT_FALSE(tainted(p, ptrs));
@@ -347,7 +349,7 @@ TEST(GpuProcessDiscardTest, IndirectBodiesTaintWhatTheirOperandWordsReach)
     ParamsBuilder clobber;
     clobber.ptr(bystander).ptr(ptrs).i32(4);
     ASSERT_TRUE(
-        p.defaultStream().launch(k.copy_f32, clobber.take(), {}).isOk());
+        p.defaultStream().launch(k.copy_f32, clobber.view(), {}).isOk());
     EXPECT_TRUE(tainted(p, ptrs));
     const Status refused = batched();
     EXPECT_EQ(refused.code(), StatusCode::kFailedPrecondition);
@@ -365,13 +367,13 @@ TEST(GpuProcessDiscardTest, ParamChecksStillRun)
     ParamsBuilder too_few;
     too_few.ptr(buf).ptr(buf);
     const Status count =
-        p.defaultStream().launch(k.copy_f32, too_few.take(), {});
+        p.defaultStream().launch(k.copy_f32, too_few.view(), {});
     EXPECT_EQ(count.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(count.message().find("expects 3 params"), std::string::npos);
     ParamsBuilder wide;
     wide.ptr(buf).ptr(buf).ptr(buf);
     const Status width =
-        p.defaultStream().launch(k.copy_f32, wide.take(), {});
+        p.defaultStream().launch(k.copy_f32, wide.view(), {});
     EXPECT_EQ(width.code(), StatusCode::kInvalidArgument);
     EXPECT_NE(width.message().find("wrong size"), std::string::npos);
 }

@@ -84,10 +84,9 @@ class KernelsTest : public ::testing::Test
     }
 
     Status
-    launch(KernelId id, RawParams params)
+    launch(KernelId id, ParamView params)
     {
-        return process_.defaultStream().launch(id, std::move(params),
-                                               TimingInfo{});
+        return process_.defaultStream().launch(id, params, TimingInfo{});
     }
 
     SimClock clock_;
@@ -104,7 +103,7 @@ TEST_F(KernelsTest, EmbeddingLookupGathersRows)
     const DeviceAddr out = floats({0, 0, 0, 0});
     ParamsBuilder pb;
     pb.ptr(w).ptr(ids).ptr(out).i32(2).i32(2).i32(3);
-    ASSERT_TRUE(launch(k_.embedding_lookup, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.embedding_lookup, pb.view()).isOk());
     EXPECT_EQ(readF(out, 4), (std::vector<f32>{30, 31, 10, 11}));
 }
 
@@ -116,7 +115,7 @@ TEST_F(KernelsTest, RmsNormMatchesReference)
     const DeviceAddr out = floats({0, 0, 0, 0});
     ParamsBuilder pb;
     pb.ptr(in).ptr(w).ptr(out).i32(1).i32(4).f32(1e-5f);
-    ASSERT_TRUE(launch(k_.rmsnorm, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.rmsnorm, pb.view()).isOk());
     f32 ss = 0;
     for (f32 v : x) {
         ss += v * v;
@@ -136,7 +135,7 @@ TEST_F(KernelsTest, LayerNormMatchesReference)
     const DeviceAddr out = floats({0, 0});
     ParamsBuilder pb;
     pb.ptr(in).ptr(w).ptr(b).ptr(out).i32(1).i32(2).f32(0.0f);
-    ASSERT_TRUE(launch(k_.layernorm, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.layernorm, pb.view()).isOk());
     // mean 2, var 1 -> normalized {-1, 1}
     const auto got = readF(out, 2);
     EXPECT_NEAR(got[0], -2 + 0.5f, 1e-5);
@@ -151,7 +150,7 @@ TEST_F(KernelsTest, GemmMatchesManual)
     const DeviceAddr c = floats({0, 0});
     ParamsBuilder pb;
     pb.ptr(a).ptr(w).ptr(c).i32(1).i32(2).i32(3);
-    ASSERT_TRUE(launch(k_.gemm_128x128, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.gemm_128x128, pb.view()).isOk());
     EXPECT_EQ(readF(c, 2), (std::vector<f32>{4, 4}));
 }
 
@@ -163,10 +162,10 @@ TEST_F(KernelsTest, GemmVariantsAgree)
     const DeviceAddr c2 = floats({0, 0, 0, 0});
     ParamsBuilder p1;
     p1.ptr(a).ptr(w).ptr(c1).i32(2).i32(2).i32(2);
-    ASSERT_TRUE(launch(k_.gemm_128x128, p1.take()).isOk());
+    ASSERT_TRUE(launch(k_.gemm_128x128, p1.view()).isOk());
     ParamsBuilder p2;
     p2.ptr(a).ptr(w).ptr(c2).i32(2).i32(2).i32(2);
-    ASSERT_TRUE(launch(k_.gemm_64x64, p2.take()).isOk());
+    ASSERT_TRUE(launch(k_.gemm_64x64, p2.view()).isOk());
     EXPECT_EQ(readF(c1, 4), readF(c2, 4));
 }
 
@@ -185,7 +184,7 @@ TEST_F(KernelsTest, SplitKGemmRequiresMagicSemaphores)
     ParamsBuilder ok;
     ok.ptr(sem_good).ptr(sem_good).ptr(a).ptr(w).ptr(c).i32(1).i32(1)
         .i32(2);
-    EXPECT_TRUE(launch(k_.gemm_splitk, ok.take()).isOk());
+    EXPECT_TRUE(launch(k_.gemm_splitk, ok.view()).isOk());
     EXPECT_EQ(readF(c, 1), (std::vector<f32>{2}));
 
     ParamsBuilder bad;
@@ -194,7 +193,7 @@ TEST_F(KernelsTest, SplitKGemmRequiresMagicSemaphores)
     // A permanent buffer whose contents were not restored fails loudly
     // (this is what makes §4.3 content restoration functionally
     // necessary).
-    EXPECT_FALSE(launch(k_.gemm_splitk, bad.take()).isOk());
+    EXPECT_FALSE(launch(k_.gemm_splitk, bad.view()).isOk());
 }
 
 // ---- bitwise GEMM --------------------------------------------------------
@@ -345,7 +344,7 @@ TEST_F(KernelsTest, AllGemmKernelsBitIdenticalToNaiveLoop)
                     ParamsBuilder pb;
                     pb.ptr(a).ptr(w).ptr(c).i32(dims[0]).i32(dims[1])
                         .i32(dims[2]);
-                    ASSERT_TRUE(launch(id, pb.take()).isOk());
+                    ASSERT_TRUE(launch(id, pb.view()).isOk());
                     ASSERT_TRUE(sameBits(want, readF(c, n * out)))
                         << "kernel " << id << " n=" << n
                         << " out=" << out << " k=" << k;
@@ -356,7 +355,7 @@ TEST_F(KernelsTest, AllGemmKernelsBitIdenticalToNaiveLoop)
                 ParamsBuilder split;
                 split.ptr(sem).ptr(sem).ptr(a).ptr(w).ptr(c).i32(dims[0])
                     .i32(dims[1]).i32(dims[2]);
-                ASSERT_TRUE(launch(k_.gemm_splitk, split.take()).isOk());
+                ASSERT_TRUE(launch(k_.gemm_splitk, split.view()).isOk());
                 ASSERT_TRUE(sameBits(want, readF(c, n * out)))
                     << "splitk n=" << n << " out=" << out << " k=" << k;
                 ASSERT_TRUE(
@@ -372,7 +371,7 @@ TEST_F(KernelsTest, AllGemmKernelsBitIdenticalToNaiveLoop)
                 ParamsBuilder batched;
                 batched.ptr(*ptrs).i32(dims[0]).i32(dims[1]).i32(dims[2]);
                 ASSERT_TRUE(
-                    launch(k_.gemm_batched, batched.take()).isOk());
+                    launch(k_.gemm_batched, batched.view()).isOk());
                 ASSERT_TRUE(sameBits(want, readF(c, n * out)))
                     << "batched n=" << n << " out=" << out << " k=" << k;
 
@@ -394,14 +393,14 @@ TEST_F(KernelsTest, GemmRejectsNegativeDims)
                              std::vector<i32>{2, 2, -1}}) {
         ParamsBuilder pb;
         pb.ptr(a).ptr(w).ptr(c).i32(dims[0]).i32(dims[1]).i32(dims[2]);
-        EXPECT_FALSE(launch(k_.gemm_64x64, pb.take()).isOk());
+        EXPECT_FALSE(launch(k_.gemm_64x64, pb.view()).isOk());
     }
     // Empty operands bound no depth: a huge k with no rows is a no-op,
     // not a panel allocation sized by k.
     ParamsBuilder empty;
     empty.ptr(a).ptr(w).ptr(c).i32(0).i32(0)
         .i32(std::numeric_limits<i32>::max());
-    EXPECT_TRUE(launch(k_.gemm_64x64, empty.take()).isOk());
+    EXPECT_TRUE(launch(k_.gemm_64x64, empty.view()).isOk());
 }
 
 TEST_F(KernelsTest, BiasAddAndResidualAdd)
@@ -410,13 +409,13 @@ TEST_F(KernelsTest, BiasAddAndResidualAdd)
     const DeviceAddr b = floats({10, 20});
     ParamsBuilder pb;
     pb.ptr(x).ptr(b).i32(2).i32(2);
-    ASSERT_TRUE(launch(k_.bias_add, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.bias_add, pb.view()).isOk());
     EXPECT_EQ(readF(x, 4), (std::vector<f32>{11, 22, 13, 24}));
 
     const DeviceAddr r = floats({1, 1, 1, 1});
     ParamsBuilder pr;
     pr.ptr(x).ptr(r).i32(4);
-    ASSERT_TRUE(launch(k_.residual_add, pr.take()).isOk());
+    ASSERT_TRUE(launch(k_.residual_add, pr.view()).isOk());
     EXPECT_EQ(readF(x, 4), (std::vector<f32>{12, 23, 14, 25}));
 }
 
@@ -427,7 +426,7 @@ TEST_F(KernelsTest, SiluMulMatchesReference)
     const DeviceAddr out = floats({0, 0});
     ParamsBuilder pb;
     pb.ptr(gu).ptr(out).i32(1).i32(2);
-    ASSERT_TRUE(launch(k_.silu_mul, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.silu_mul, pb.view()).isOk());
     auto silu = [](f32 v) { return v / (1 + std::exp(-v)); };
     const auto got = readF(out, 2);
     EXPECT_NEAR(got[0], silu(1) * 2, 1e-6);
@@ -440,7 +439,7 @@ TEST_F(KernelsTest, GeluIsMonotoneAndMatchesTanhApprox)
     const DeviceAddr out = floats({0, 0, 0});
     ParamsBuilder pb;
     pb.ptr(in).ptr(out).i32(3);
-    ASSERT_TRUE(launch(k_.gelu, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.gelu, pb.view()).isOk());
     const auto got = readF(out, 3);
     EXPECT_NEAR(got[1], 0.0f, 1e-6);
     EXPECT_LT(got[0], got[1]);
@@ -454,7 +453,7 @@ TEST_F(KernelsTest, SampleArgmaxPicksMaxPerRow)
     const DeviceAddr ids = ints({0, 0});
     ParamsBuilder pb;
     pb.ptr(logits).ptr(ids).i32(2).i32(3);
-    ASSERT_TRUE(launch(k_.sample_argmax, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.sample_argmax, pb.view()).isOk());
     EXPECT_EQ(readI(ids, 2), (std::vector<i32>{1, 0}));
 }
 
@@ -467,7 +466,7 @@ TEST_F(KernelsTest, RopePreservesPairNorms)
     ParamsBuilder pb;
     pb.ptr(q).ptr(k).ptr(pos).i32(1).i32(1).i32(1).i32(4).i32(4).i32(4)
         .f32(10000.0f);
-    ASSERT_TRUE(launch(k_.rope, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.rope, pb.view()).isOk());
     const auto got = readF(q, 4);
     // Rotation preserves the norm of each (d, d+half) pair.
     EXPECT_NEAR(got[0] * got[0] + got[2] * got[2], 1 + 9, 1e-4);
@@ -484,7 +483,7 @@ TEST_F(KernelsTest, RopeAtPositionZeroIsIdentity)
     ParamsBuilder pb;
     pb.ptr(q).ptr(k).ptr(pos).i32(1).i32(1).i32(1).i32(4).i32(4).i32(4)
         .f32(10000.0f);
-    ASSERT_TRUE(launch(k_.rope, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.rope, pb.view()).isOk());
     EXPECT_EQ(readF(q, 4), (std::vector<f32>{1, 2, 3, 4}));
     EXPECT_EQ(readF(k, 4), (std::vector<f32>{5, 6, 7, 8}));
 }
@@ -507,7 +506,7 @@ TEST_F(KernelsTest, KvWriteScattersToSlots)
         .i32(1)
         .i32(2)
         .i32(6);
-    ASSERT_TRUE(launch(k_.kv_write, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.kv_write, pb.view()).isOk());
     const auto kcache = readF(kc, 16);
     EXPECT_FLOAT_EQ(kcache[3 * 2 + 0], 10);
     EXPECT_FLOAT_EQ(kcache[3 * 2 + 1], 11);
@@ -594,7 +593,7 @@ TEST_F(KernelsTest, RopeBitIdenticalToPerElementLoop)
                     pb.ptr(fused).ptr(fused + k_off * 4).ptr(pos_buf)
                         .i32(n).i32(qh).i32(kvh).i32(hd).i32(stride)
                         .i32(stride).f32(10000.0f);
-                    ASSERT_TRUE(launch(k_.rope, pb.take()).isOk());
+                    ASSERT_TRUE(launch(k_.rope, pb.view()).isOk());
                     naiveRope(want, 0, k_off, pos, qh, kvh, hd, stride,
                               10000.0f);
                     ASSERT_TRUE(sameBits(want, readF(fused, want.size())))
@@ -645,7 +644,7 @@ TEST_F(KernelsTest, KvWriteBitIdenticalToPerElementLoop)
                     pb.ptr(fused + k_off * 4).ptr(fused + v_off * 4)
                         .ptr(kc).ptr(vc).ptr(slot_buf).i32(n).i32(kvh)
                         .i32(hd).i32(stride);
-                    ASSERT_TRUE(launch(k_.kv_write, pb.take()).isOk());
+                    ASSERT_TRUE(launch(k_.kv_write, pb.view()).isOk());
                     for (i32 t = 0; t < n; ++t) {
                         for (u64 i = 0; i < width; ++i) {
                             const u64 src =
@@ -783,7 +782,7 @@ TEST_F(KernelsTest, AttentionPrefillBitIdenticalToSerialLoop)
                         .i32(bs).i32(qh).i32(kvh).i32(hd).i32(stride)
                         .f32(scale);
                     ASSERT_TRUE(
-                        launch(k_.attention_prefill, pb.take()).isOk());
+                        launch(k_.attention_prefill, pb.view()).isOk());
                     ASSERT_TRUE(sameBits(want, readF(out, want.size())))
                         << "special=" << special << " qh=" << qh
                         << " kvh=" << kvh << " hd=" << hd
@@ -870,7 +869,7 @@ TEST_F(KernelsTest, PagedAttentionDecodeBitIdenticalToSerialLoop)
                         .i32(q_stride)
                         .i64(static_cast<i64>(0x7fabull << 32))
                         .f32(scale);
-                    ASSERT_TRUE(launch(k_.paged_attention_decode, pb.take())
+                    ASSERT_TRUE(launch(k_.paged_attention_decode, pb.view())
                                     .isOk());
                     ASSERT_TRUE(sameBits(want, readF(out, want.size())))
                         << "special=" << special << " qh=" << qh
@@ -956,7 +955,7 @@ TEST_F(KernelsTest, RmsNormBitIdenticalToSerialLoop)
                     floats(std::vector<f32>(want.size(), 42.0f));
                 ParamsBuilder pb;
                 pb.ptr(in_buf).ptr(w_buf).ptr(out).i32(n).i32(h).f32(eps);
-                ASSERT_TRUE(launch(k_.rmsnorm, pb.take()).isOk());
+                ASSERT_TRUE(launch(k_.rmsnorm, pb.view()).isOk());
                 ASSERT_TRUE(sameBits(want, readF(out, want.size())))
                     << "special=" << special << " n=" << n << " h=" << h;
                 for (DeviceAddr buf : {in_buf, w_buf, out}) {
@@ -990,7 +989,7 @@ TEST_F(KernelsTest, LayerNormBitIdenticalToSerialLoop)
                 ParamsBuilder pb;
                 pb.ptr(in_buf).ptr(w_buf).ptr(b_buf).ptr(out).i32(n).i32(h)
                     .f32(eps);
-                ASSERT_TRUE(launch(k_.layernorm, pb.take()).isOk());
+                ASSERT_TRUE(launch(k_.layernorm, pb.view()).isOk());
                 ASSERT_TRUE(sameBits(want, readF(out, want.size())))
                     << "special=" << special << " n=" << n << " h=" << h;
                 for (DeviceAddr buf : {in_buf, w_buf, b_buf, out}) {
@@ -1216,7 +1215,7 @@ TEST_F(KernelsTest, RowKernelsReuseRepeatedRowsBitIdentically)
 
             ParamsBuilder rms;
             rms.ptr(in_buf).ptr(w_buf).ptr(out).i32(n).i32(h).f32(eps);
-            ASSERT_TRUE(launch(k_.rmsnorm, rms.take()).isOk());
+            ASSERT_TRUE(launch(k_.rmsnorm, rms.view()).isOk());
             EXPECT_TRUE(sameBits(serialRmsNorm(in, weight, n, h, eps),
                                  readF(out, in.size())))
                 << "rmsnorm " << pattern.name << " " << rowDiffName(diff);
@@ -1224,7 +1223,7 @@ TEST_F(KernelsTest, RowKernelsReuseRepeatedRowsBitIdentically)
             ParamsBuilder ln;
             ln.ptr(in_buf).ptr(w_buf).ptr(b_buf).ptr(out).i32(n).i32(h)
                 .f32(eps);
-            ASSERT_TRUE(launch(k_.layernorm, ln.take()).isOk());
+            ASSERT_TRUE(launch(k_.layernorm, ln.view()).isOk());
             EXPECT_TRUE(
                 sameBits(serialLayerNorm(in, weight, bias, n, h, eps),
                          readF(out, in.size())))
@@ -1237,7 +1236,7 @@ TEST_F(KernelsTest, RowKernelsReuseRepeatedRowsBitIdentically)
             const DeviceAddr fused = floats(want);
             ParamsBuilder silu;
             silu.ptr(fused).ptr(fused + gu_size * 4).i32(n).i32(inter);
-            ASSERT_TRUE(launch(k_.silu_mul, silu.take()).isOk());
+            ASSERT_TRUE(launch(k_.silu_mul, silu.view()).isOk());
             serialSiluMul(want, 0, gu_size, n, inter);
             EXPECT_TRUE(sameBits(want, readF(fused, want.size())))
                 << "silu_mul " << pattern.name << " " << rowDiffName(diff);
@@ -1270,7 +1269,7 @@ TEST_F(KernelsTest, RopeReusesRepeatedPositionsBitIdentically)
         ParamsBuilder pb;
         pb.ptr(fused).ptr(fused + k_off * 4).ptr(pos).i32(n).i32(qh)
             .i32(kvh).i32(hd).i32(stride).i32(stride).f32(10000.0f);
-        ASSERT_TRUE(launch(k_.rope, pb.take()).isOk());
+        ASSERT_TRUE(launch(k_.rope, pb.view()).isOk());
         naiveRope(want, 0, k_off, pattern.ids, qh, kvh, hd, stride,
                   10000.0f);
         EXPECT_TRUE(sameBits(want, readF(fused, want.size())))
@@ -1297,7 +1296,7 @@ TEST_F(KernelsTest, SiluMulOverlappingOutputTakesPlainPath)
     const DeviceAddr buf = floats(want);
     ParamsBuilder pb;
     pb.ptr(buf).ptr(buf + in_row * 4).i32(n).i32(inter);
-    ASSERT_TRUE(launch(k_.silu_mul, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.silu_mul, pb.view()).isOk());
     serialSiluMul(want, 0, in_row, n, inter);
     EXPECT_TRUE(sameBits(want, readF(buf, want.size())));
     EXPECT_FALSE(std::equal(want.begin() + in_row,
@@ -1344,7 +1343,7 @@ TEST_F(KernelsTest, RowKernelsRejectNegativeDims)
             if (c.eps) {
                 pb.f32(1e-5f);
             }
-            return launch(c.id, pb.take());
+            return launch(c.id, pb.view());
         };
         EXPECT_TRUE(run(c.dims).isOk()) << c.name;
         std::vector<std::vector<i32>> bad;
@@ -1381,7 +1380,7 @@ TEST_F(KernelsTest, RopeAndKvWriteRejectBadDimsAndSlots)
         ParamsBuilder pb;
         pb.ptr(fused + 2 * 4).ptr(fused + 4 * 4).ptr(kc).ptr(v_cache)
             .ptr(ints(slots)).i32(n).i32(1).i32(2).i32(stride);
-        return launch(k_.kv_write, pb.take());
+        return launch(k_.kv_write, pb.view());
     };
     EXPECT_TRUE(kv(2, 6, {3, 1}, vc).isOk());
     EXPECT_TRUE(kv(0, 6, {}, vc).isOk());
@@ -1404,7 +1403,7 @@ TEST_F(KernelsTest, RopeAndKvWriteRejectBadDimsAndSlots)
         ParamsBuilder pb;
         pb.ptr(fused).ptr(fused + 2 * 4).ptr(pos).i32(n).i32(1).i32(1)
             .i32(2).i32(q_stride).i32(k_stride).f32(10000.0f);
-        return launch(k_.rope, pb.take());
+        return launch(k_.rope, pb.view());
     };
     EXPECT_TRUE(rope(2, 6, 6).isOk());
     EXPECT_TRUE(rope(0, 6, 6).isOk());
@@ -1446,7 +1445,7 @@ TEST_F(KernelsTest, PagedAttentionDecodeMatchesBruteForce)
           1).i32(1).i32(hd).i32(2).i32(4).i32(hd)
         .i64(static_cast<i64>(0x7fabull << 32))
         .f32(scale);
-    ASSERT_TRUE(launch(k_.paged_attention_decode, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.paged_attention_decode, pb.view()).isOk());
 
     // Brute-force reference.
     std::vector<f32> scores(3);
@@ -1488,7 +1487,7 @@ TEST_F(KernelsTest, PagedAttentionZeroLengthEmitsZeros)
           1).i32(1).i32(2).i32(2).i32(1).i32(2)
         .i64(static_cast<i64>(0x7fabull << 32))
         .f32(1.0f);
-    ASSERT_TRUE(launch(k_.paged_attention_decode, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.paged_attention_decode, pb.view()).isOk());
     EXPECT_EQ(readF(out, 2), (std::vector<f32>{0, 0}));
 }
 
@@ -1504,7 +1503,7 @@ TEST_F(KernelsTest, PagedAttentionRejectsCorruptStreamTag)
           1).i32(1).i32(2).i32(2).i32(1).i32(2)
         .i64(0x1234) // wrong prefix: a misrestored "pointer"
         .f32(1.0f);
-    EXPECT_FALSE(launch(k_.paged_attention_decode, pb.take()).isOk());
+    EXPECT_FALSE(launch(k_.paged_attention_decode, pb.view()).isOk());
 }
 
 TEST_F(KernelsTest, AttentionPrefillIsCausal)
@@ -1525,7 +1524,7 @@ TEST_F(KernelsTest, AttentionPrefillIsCausal)
         .i32(1)
         .i32(3)
         .f32(1.0f);
-    ASSERT_TRUE(launch(k_.attention_prefill, pb.take()).isOk());
+    ASSERT_TRUE(launch(k_.attention_prefill, pb.view()).isOk());
     const auto got = readF(out, 2);
     // Token 0 attends only to itself -> exactly v0 = 10.
     EXPECT_FLOAT_EQ(got[0], 10);
@@ -1557,7 +1556,7 @@ TEST_F(KernelsTest, AttentionPrefillRejectsBadSeqStarts)
             .i32(1)
             .i32(3)
             .f32(1.0f);
-        return launch(k_.attention_prefill, pb.take());
+        return launch(k_.attention_prefill, pb.view());
     };
     EXPECT_TRUE(prefill({0, 2}).isOk());
     EXPECT_TRUE(prefill({0, 1, 2}).isOk());
@@ -1571,7 +1570,7 @@ TEST_F(KernelsTest, AttentionPrefillRejectsBadSeqStarts)
     ParamsBuilder pb;
     pb.ptr(fused).ptr(fused + 4).ptr(fused + 8).ptr(ints({0, 2})).ptr(out)
         .i32(1).i32(1).i32(1).i32(1).i32(-3).f32(1.0f);
-    EXPECT_FALSE(launch(k_.attention_prefill, pb.take()).isOk());
+    EXPECT_FALSE(launch(k_.attention_prefill, pb.view()).isOk());
 }
 
 /**
@@ -1594,7 +1593,7 @@ TEST_F(KernelsTest, PagedAttentionRejectsSlotBeyondCache)
             .i32(static_cast<i32>(table.size())).i32(2)
             .i64(static_cast<i64>(0x7fabull << 32))
             .f32(1.0f);
-        return launch(k_.paged_attention_decode, pb.take());
+        return launch(k_.paged_attention_decode, pb.view());
     };
     EXPECT_TRUE(decode(vc, {1, 0}, 4).isOk()); // slots 2, 3, 0, 1
     // Block 2 maps slots 4-5: past both caches.
@@ -1624,8 +1623,7 @@ class ReadSetChecker : public LaunchObserver
     std::set<KernelId> checked;
 
     void
-    onKernelLaunch(KernelAddr fn, const RawParams &params,
-                   bool capturing) override
+    onKernelLaunch(KernelAddr fn, ParamView params, bool capturing) override
     {
         if (capturing) {
             return;
@@ -1638,8 +1636,7 @@ class ReadSetChecker : public LaunchObserver
                 def.access[i] != ParamAccess::kSemaphore) {
                 continue;
             }
-            DeviceAddr addr = 0;
-            std::memcpy(&addr, params[i].data(), sizeof(addr));
+            const DeviceAddr addr = params.at(i).bits;
             const AllocationRecord *rec =
                 process->memory().findContaining(addr);
             ASSERT_NE(rec, nullptr) << def.mangled_name << " param " << i;
@@ -1735,17 +1732,47 @@ TEST_F(KernelsTest, WrongParamCountRejected)
 {
     ParamsBuilder pb;
     pb.i32(1);
-    EXPECT_FALSE(launch(k_.rmsnorm, pb.take()).isOk());
+    EXPECT_FALSE(launch(k_.rmsnorm, pb.view()).isOk());
 }
 
 TEST_F(KernelsTest, WrongParamSizeRejected)
 {
-    RawParams params;
-    params.push_back(std::vector<u8>(3, 0)); // bogus 3-byte param
+    LaunchParams params;
+    params.push({0, 3}); // bogus 3-byte param
     for (int i = 0; i < 5; ++i) {
-        params.push_back(std::vector<u8>(4, 0));
+        params.push({0, 4});
     }
-    EXPECT_FALSE(launch(k_.rmsnorm, std::move(params)).isOk());
+    EXPECT_FALSE(launch(k_.rmsnorm, params.view()).isOk());
+}
+
+TEST(KernelRegistryTest, InlineCapacityIsTheWidestSignature)
+{
+    const KernelRegistry &reg = KernelRegistry::instance();
+    std::size_t widest = 0;
+    for (KernelId id = 0; id < reg.kernelCount(); ++id) {
+        widest = std::max(widest, reg.def(id).params.size());
+    }
+    EXPECT_EQ(widest, kMaxKernelParams);
+    EXPECT_EQ(reg.def(BuiltinKernels::get().paged_attention_decode)
+                  .params.size(),
+              kMaxKernelParams);
+}
+
+TEST(KernelRegistryDeathTest, WiderThanInlineCapacityAborts)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    KernelDef def;
+    def.mangled_name = "_Z4widev";
+    def.module_name = "libwide.so";
+    def.params.assign(kMaxKernelParams + 1, ParamKind::kI32);
+    KernelRegistry registry;
+    EXPECT_DEATH(registry.registerKernel(def), "inline capacity");
+
+    LaunchParams full;
+    for (std::size_t i = 0; i < kMaxKernelParams; ++i) {
+        full.push({0, 4});
+    }
+    EXPECT_DEATH(full.push({0, 4}), "launch params");
 }
 
 } // namespace

@@ -699,14 +699,14 @@ struct Offline
         ParamsBuilder warm;
         warm.ptr(src).ptr(dst).i32(0);
         MEDUSA_RETURN_IF_ERROR(process.defaultStream().launch(
-            k.copy_f32, warm.take(), {}));
+            k.copy_f32, warm.view(), {}));
         recorder.beginGraph(1);
         MEDUSA_RETURN_IF_ERROR(
             process.beginCapture(process.defaultStream()));
         ParamsBuilder pb;
         pb.ptr(src).ptr(dst).i32(count);
         Status st = process.defaultStream().launch(k.copy_f32,
-                                                   pb.take(), {});
+                                                   pb.view(), {});
         auto graph = process.endCapture(process.defaultStream());
         recorder.endGraph();
         if (!st.isOk()) {
@@ -781,7 +781,7 @@ TEST(LintTest, RacedTwoStreamCaptureFiresMdl801)
     ParamsBuilder warm;
     warm.ptr(*src).ptr(*dst).i32(0);
     ASSERT_TRUE(off.process.defaultStream()
-                    .launch(k.copy_f32, warm.take(), {})
+                    .launch(k.copy_f32, warm.view(), {})
                     .isOk());
 
     simcuda::Stream &a = off.process.defaultStream();
@@ -793,10 +793,10 @@ TEST(LintTest, RacedTwoStreamCaptureFiresMdl801)
     ASSERT_TRUE(b.waitEvent(fork).isOk());
     ParamsBuilder pa;
     pa.ptr(*src).ptr(*dst).i32(4);
-    ASSERT_TRUE(a.launch(k.copy_f32, pa.take(), {}).isOk());
+    ASSERT_TRUE(a.launch(k.copy_f32, pa.view(), {}).isOk());
     ParamsBuilder pb;
     pb.ptr(*src).ptr(*dst).i32(4);
-    ASSERT_TRUE(b.launch(k.copy_f32, pb.take(), {}).isOk());
+    ASSERT_TRUE(b.launch(k.copy_f32, pb.view(), {}).isOk());
     auto graph = off.process.endCapture(a);
     off.recorder.endGraph();
     ASSERT_TRUE(graph.isOk());
@@ -821,7 +821,7 @@ TEST(LintTest, ForkJoinOrderedCaptureLintsClean)
     ParamsBuilder warm;
     warm.ptr(*src).ptr(*dst).i32(0);
     ASSERT_TRUE(off.process.defaultStream()
-                    .launch(k.copy_f32, warm.take(), {})
+                    .launch(k.copy_f32, warm.view(), {})
                     .isOk());
 
     simcuda::Stream &a = off.process.defaultStream();
@@ -830,13 +830,13 @@ TEST(LintTest, ForkJoinOrderedCaptureLintsClean)
     ASSERT_TRUE(off.process.beginCapture(a).isOk());
     ParamsBuilder pa;
     pa.ptr(*src).ptr(*dst).i32(4);
-    ASSERT_TRUE(a.launch(k.copy_f32, pa.take(), {}).isOk());
+    ASSERT_TRUE(a.launch(k.copy_f32, pa.view(), {}).isOk());
     simcuda::Event join;
     ASSERT_TRUE(a.recordEvent(join).isOk());
     ASSERT_TRUE(b.waitEvent(join).isOk());
     ParamsBuilder pb;
     pb.ptr(*src).ptr(*dst).i32(4);
-    ASSERT_TRUE(b.launch(k.copy_f32, pb.take(), {}).isOk());
+    ASSERT_TRUE(b.launch(k.copy_f32, pb.view(), {}).isOk());
     auto graph = off.process.endCapture(a);
     off.recorder.endGraph();
     ASSERT_TRUE(graph.isOk());

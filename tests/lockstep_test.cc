@@ -49,23 +49,23 @@ class LockstepTest : public ::testing::Test
         ParamsBuilder w1;
         w1.ptr(src).ptr(out).i32(0);
         MEDUSA_RETURN_IF_ERROR(rank.process.defaultStream().launch(
-            k.copy_f32, w1.take(), {}));
+            k.copy_f32, w1.view(), {}));
         ParamsBuilder w2;
         w2.ptr(out).i32(count).i32(static_cast<i32>(rank_index)).i32(2);
         MEDUSA_RETURN_IF_ERROR(rank.process.defaultStream().launch(
-            k.all_reduce_sum, w2.take(), {}));
+            k.all_reduce_sum, w2.view(), {}));
 
         MEDUSA_RETURN_IF_ERROR(
             rank.process.beginCapture(rank.process.defaultStream()));
         ParamsBuilder pb;
         pb.ptr(src).ptr(out).i32(count);
         Status st = rank.process.defaultStream().launch(k.copy_f32,
-                                                        pb.take(), {});
+                                                        pb.view(), {});
         ParamsBuilder ar;
         ar.ptr(out).i32(count).i32(static_cast<i32>(rank_index)).i32(2);
         if (st.isOk()) {
             st = rank.process.defaultStream().launch(k.all_reduce_sum,
-                                                     ar.take(), {});
+                                                     ar.view(), {});
         }
         auto graph =
             rank.process.endCapture(rank.process.defaultStream());

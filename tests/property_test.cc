@@ -181,7 +181,7 @@ captureGraph(const TraceProgram &program, GpuProcess &process,
         ParamsBuilder warm;
         warm.ptr(live[0]).ptr(out).i32(0);
         MEDUSA_RETURN_IF_ERROR(process.defaultStream().launch(
-            k.copy_f32, warm.take(), {}));
+            k.copy_f32, warm.view(), {}));
     }
     if (recorder != nullptr) {
         recorder->beginGraph(1);
@@ -194,14 +194,14 @@ captureGraph(const TraceProgram &program, GpuProcess &process,
         ParamsBuilder first;
         first.ptr(live[0]).ptr(out).i32(static_cast<i32>(kBufFloats));
         MEDUSA_RETURN_IF_ERROR(process.defaultStream().launch(
-            k.copy_f32, first.take(), {}));
+            k.copy_f32, first.view(), {}));
         for (u32 i = 1; i < program.graph_nodes; ++i) {
             ParamsBuilder pb;
             pb.ptr(out)
                 .ptr(live[i % live.size()])
                 .i32(static_cast<i32>(kBufFloats));
             MEDUSA_RETURN_IF_ERROR(process.defaultStream().launch(
-                k.residual_add, pb.take(), {}));
+                k.residual_add, pb.view(), {}));
         }
         return Status::ok();
     }();
@@ -309,14 +309,11 @@ TEST_P(RandomTraceProperty, RestoredGraphReproducesOutput)
             ASSERT_NE(id, simcuda::kInvalidKernel);
             auto addr = fresh.modules().addressOf(id);
             ASSERT_TRUE(addr.isOk());
-            simcuda::RawParams params;
+            simcuda::LaunchParams params;
             for (u32 p = g.param_begin[ni]; p < g.param_begin[ni + 1]; ++p) {
-                std::vector<u8> bytes(g.param_len[p]);
-                std::memcpy(bytes.data(), &slots[g.param_slot_begin + p],
-                            bytes.size());
-                params.push_back(std::move(bytes));
+                params.push({slots[g.param_slot_begin + p], g.param_len[p]});
             }
-            rebuilt.addKernelNode(*addr, std::move(params), g.timings[ni],
+            rebuilt.addKernelNode(*addr, params.view(), g.timings[ni],
                                   ni == 0 ? std::vector<simcuda::NodeId>{}
                                           : std::vector<simcuda::NodeId>{
                                                 ni - 1});

@@ -115,7 +115,7 @@ TEST_F(RecordTest, CapturedLaunchesGroupedPerGraph)
     ParamsBuilder warm;
     warm.ptr(*buf).ptr(*buf).i32(4);
     ASSERT_TRUE(process_.defaultStream()
-                    .launch(k.copy_f32, warm.take(), {})
+                    .launch(k.copy_f32, warm.view(), {})
                     .isOk());
     EXPECT_TRUE(recorder_.graphLaunches().empty());
 
@@ -124,15 +124,19 @@ TEST_F(RecordTest, CapturedLaunchesGroupedPerGraph)
     ParamsBuilder pb;
     pb.ptr(*buf).ptr(*buf).i32(4);
     ASSERT_TRUE(process_.defaultStream()
-                    .launch(k.copy_f32, pb.take(), {})
+                    .launch(k.copy_f32, pb.view(), {})
                     .isOk());
-    ASSERT_TRUE(process_.endCapture(process_.defaultStream()).isOk());
+    auto graph = process_.endCapture(process_.defaultStream());
+    ASSERT_TRUE(graph.isOk());
     recorder_.endGraph();
 
     ASSERT_EQ(recorder_.graphLaunches().count(8u), 1u);
     const auto &launches = recorder_.graphLaunches().at(8);
     ASSERT_EQ(launches.size(), 1u);
-    EXPECT_EQ(launches[0].params.size(), 3u);
+    // The launch's params are the graph node's; the recorder keeps only
+    // the position.
+    ASSERT_EQ(graph->nodeCount(), launches.size());
+    EXPECT_EQ(graph->params(0).size(), 3u);
     EXPECT_EQ(launches[0].op_pos, recorder_.ops().size());
 }
 

@@ -335,15 +335,15 @@ TEST(RollbackTest, FailedInstantiationBatchLeaksNoSlots)
     std::vector<u64> param_bits;
     std::vector<u8> param_len;
     std::vector<TimingInfo> timing;
-    for (const simcuda::GraphNode &node : graph->nodes()) {
-        node_fn.push_back(node.fn);
-        for (const std::vector<u8> &bytes : node.params) {
-            const simcuda::ParamBlob blob = simcuda::makeParamBlob(bytes);
-            param_bits.push_back(blob.bits);
-            param_len.push_back(blob.len);
+    for (simcuda::NodeId n = 0; n < graph->nodeCount(); ++n) {
+        node_fn.push_back(graph->node(n).fn);
+        const simcuda::ParamView params = graph->params(n);
+        for (std::size_t p = 0; p < params.size(); ++p) {
+            param_bits.push_back(params.at(p).bits);
+            param_len.push_back(params.at(p).len);
         }
         param_begin.push_back(static_cast<u32>(param_bits.size()));
-        timing.push_back(node.timing);
+        timing.push_back(graph->node(n).timing);
     }
     auto order = graph->topoOrder();
     ASSERT_TRUE(order.isOk());

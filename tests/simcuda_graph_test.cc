@@ -27,7 +27,7 @@ class GraphTest : public ::testing::Test
         const auto &k = BuiltinKernels::get();
         ParamsBuilder pb;
         pb.ptr(src).ptr(dst).i32(count);
-        return stream.launch(k.copy_f32, pb.take(), TimingInfo{});
+        return stream.launch(k.copy_f32, pb.view(), TimingInfo{});
     }
 
     /** Allocate a device buffer holding the given floats. */
@@ -95,10 +95,11 @@ TEST_F(GraphTest, SetNodeParamReplacesBytes)
     CudaGraph g;
     ParamsBuilder pb;
     pb.ptr(0x7f20aa000000ull).i32(5);
-    g.addKernelNode(1, pb.take(), {}, {});
-    std::vector<u8> fresh(8, 0xee);
+    g.addKernelNode(1, pb.view(), {}, {});
+    const ParamBlob fresh{0xeeeeeeeeeeeeeeeeull, 8};
     g.setNodeParam(0, 0, fresh);
-    EXPECT_EQ(g.node(0).params[0], fresh);
+    EXPECT_EQ(g.params(0).at(0).bits, fresh.bits);
+    EXPECT_EQ(g.params(0).at(0).len, fresh.len);
 }
 
 TEST_F(GraphTest, StreamCaptureRecordsWithoutExecuting)

@@ -60,7 +60,7 @@ class StreamTimingTest : public ::testing::Test
         simcuda::ParamsBuilder pb;
         pb.ptr(buf_).ptr(buf_).i32(1);
         MEDUSA_CHECK(process_.defaultStream()
-                         .launch(BuiltinKernelId(), pb.take(), {})
+                         .launch(BuiltinKernelId(), pb.view(), {})
                          .isOk(),
                      "warm launch failed");
         MEDUSA_CHECK(process_.defaultStream().synchronize().isOk(),
@@ -81,7 +81,7 @@ class StreamTimingTest : public ::testing::Test
         TimingInfo t;
         t.bytes = exec_bytes;
         return process_.defaultStream().launch(BuiltinKernelId(),
-                                               pb.take(), t);
+                                               pb.view(), t);
     }
 
     SimClock clock_;
