@@ -2,22 +2,6 @@
 
 namespace medusa {
 
-const char *
-outcomeName(ColdStartOutcome outcome)
-{
-    switch (outcome) {
-    case ColdStartOutcome::kColdStart:
-        return "cold_start";
-    case ColdStartOutcome::kRestored:
-        return "restored";
-    case ColdStartOutcome::kRestoredAfterRetry:
-        return "restored_after_retry";
-    case ColdStartOutcome::kFellBack:
-        return "fell_back";
-    }
-    return "?";
-}
-
 f64
 ColdStartReport::spanSec(std::string_view name) const
 {

@@ -102,8 +102,6 @@ enum class ColdStartOutcome : u8
     kFellBack,
 };
 
-const char *outcomeName(ColdStartOutcome outcome);
-
 /** See file comment. */
 struct ColdStartReport
 {

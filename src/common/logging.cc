@@ -1,50 +1,9 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
-namespace medusa {
-
-namespace {
-
-std::atomic<LogLevel> g_log_level{LogLevel::kWarn};
-
-const char *
-levelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::kDebug: return "DEBUG";
-      case LogLevel::kInfo: return "INFO";
-      case LogLevel::kWarn: return "WARN";
-      case LogLevel::kError: return "ERROR";
-      case LogLevel::kOff: return "OFF";
-    }
-    return "?";
-}
-
-} // namespace
-
-LogLevel
-logLevel()
-{
-    return g_log_level.load(std::memory_order_relaxed);
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_log_level.store(level, std::memory_order_relaxed);
-}
-
-namespace detail {
-
-void
-logMessage(LogLevel level, const char *file, int line, const std::string &msg)
-{
-    std::fprintf(stderr, "[%s] %s:%d: %s\n", levelName(level), file, line,
-                 msg.c_str());
-}
+namespace medusa::detail {
 
 void
 panicImpl(const char *file, int line, const std::string &msg)
@@ -53,13 +12,4 @@ panicImpl(const char *file, int line, const std::string &msg)
     std::abort();
 }
 
-void
-fatalImpl(const char *file, int line, const std::string &msg)
-{
-    std::fprintf(stderr, "[FATAL] %s:%d: %s\n", file, line, msg.c_str());
-    std::exit(1);
-}
-
-} // namespace detail
-
-} // namespace medusa
+} // namespace medusa::detail

@@ -1,10 +1,8 @@
 /**
  * @file
- * Minimal logging and fatal-error facilities.
- *
- * Follows the gem5 convention: panic() for internal invariant violations
- * (simulator bugs), fatal() for user/configuration errors. Both print a
- * formatted message; panic() aborts, fatal() exits with code 1.
+ * Always-on invariant checks: MEDUSA_PANIC prints a formatted message
+ * and aborts (a simulator bug); MEDUSA_CHECK panics when its condition
+ * is false. Recoverable errors are Statuses (status.h).
  */
 
 #ifndef MEDUSA_COMMON_LOGGING_H
@@ -15,48 +13,15 @@
 
 namespace medusa {
 
-/** Severity levels for the global logger. */
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/** Global log level; messages below this level are suppressed. */
-LogLevel logLevel();
-
-/** Set the global log level (e.g. from tests to silence output). */
-void setLogLevel(LogLevel level);
-
 namespace detail {
-
-/** Emit one formatted log record to stderr. */
-void logMessage(LogLevel level, const char *file, int line,
-                const std::string &msg);
 
 /** Print message and abort; used for internal invariant violations. */
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);
 
-/** Print message and exit(1); used for user-caused errors. */
-[[noreturn]] void fatalImpl(const char *file, int line,
-                            const std::string &msg);
-
 } // namespace detail
 
 } // namespace medusa
-
-#define MEDUSA_LOG(level, expr)                                              \
-    do {                                                                     \
-        if (static_cast<int>(level) >=                                       \
-            static_cast<int>(::medusa::logLevel())) {                        \
-            std::ostringstream medusa_log_oss;                               \
-            medusa_log_oss << expr;                                          \
-            ::medusa::detail::logMessage(level, __FILE__, __LINE__,          \
-                                         medusa_log_oss.str());              \
-        }                                                                    \
-    } while (0)
-
-#define LOG_DEBUG(expr) MEDUSA_LOG(::medusa::LogLevel::kDebug, expr)
-#define LOG_INFO(expr) MEDUSA_LOG(::medusa::LogLevel::kInfo, expr)
-#define LOG_WARN(expr) MEDUSA_LOG(::medusa::LogLevel::kWarn, expr)
-#define LOG_ERROR(expr) MEDUSA_LOG(::medusa::LogLevel::kError, expr)
 
 /** Internal invariant violated: print and abort (simulator bug). */
 #define MEDUSA_PANIC(expr)                                                   \
@@ -65,15 +30,6 @@ void logMessage(LogLevel level, const char *file, int line,
         medusa_panic_oss << expr;                                            \
         ::medusa::detail::panicImpl(__FILE__, __LINE__,                      \
                                     medusa_panic_oss.str());                 \
-    } while (0)
-
-/** Unrecoverable user/configuration error: print and exit(1). */
-#define MEDUSA_FATAL(expr)                                                   \
-    do {                                                                     \
-        std::ostringstream medusa_fatal_oss;                                 \
-        medusa_fatal_oss << expr;                                            \
-        ::medusa::detail::fatalImpl(__FILE__, __LINE__,                      \
-                                    medusa_fatal_oss.str());                 \
     } while (0)
 
 /** Assert-like check that is always on (also in release builds). */

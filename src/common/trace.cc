@@ -1,7 +1,6 @@
 #include "common/trace.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "common/json.h"
@@ -33,16 +32,6 @@ appendMicros(std::string &out, i64 ns)
 }
 
 } // namespace
-
-TraceRecorder
-TraceRecorder::wallClock()
-{
-    return TraceRecorder(ClockFn([]() {
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   std::chrono::steady_clock::now().time_since_epoch())
-            .count();
-    }));
-}
 
 u64
 TraceRecorder::beginSpan(std::string_view name, std::string_view category,

@@ -93,9 +93,6 @@ class TraceRecorder
     {
     }
 
-    /** A recorder reading the host's monotonic wall clock. */
-    static TraceRecorder wallClock();
-
     TraceRecorder(const TraceRecorder &) = delete;
     TraceRecorder &operator=(const TraceRecorder &) = delete;
 

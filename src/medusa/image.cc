@@ -122,17 +122,17 @@ ImageBuilder::beginGraph(u32 batch_size, u32 node_count,
                          const std::vector<simcuda::GraphEdge> &graph_edges)
 {
     checkLastGraphComplete();
-    // Validate + precompute the execution order offline, so the online
-    // phase never walks the graph.
+    // Node ids are the execution order, so every edge must point
+    // forward; the order column is then the identity.
     for (const simcuda::GraphEdge &e : graph_edges) {
         if (e.dst >= node_count || e.src >= e.dst) {
             return internalError("corrupt edge in graph bs=" +
                                  std::to_string(batch_size));
         }
     }
-    MEDUSA_ASSIGN_OR_RETURN(const std::vector<u32> topo,
-                            simcuda::topoOrderOf(node_count, graph_edges));
-    order.insert(order.end(), topo.begin(), topo.end());
+    for (u32 id = 0; id < node_count; ++id) {
+        order.push_back(id);
+    }
     edges.insert(edges.end(), graph_edges.begin(), graph_edges.end());
 
     // Kernel slots first, then param slots — one contiguous range per
@@ -502,10 +502,12 @@ MaterializedImage::openView(std::span<const u8> bytes,
     }
     img.payload_decoded_bytes = r.position();
 
-    // Relocations are applied with unchecked indexing on the hot path;
-    // reject out-of-bounds records once, here. medusa-lint disables
-    // this to diagnose a corrupt table record-by-record instead.
-    if (options.validate_relocations) {
+    // Relocations are applied with unchecked indexing on the hot path,
+    // and restore runs each graph's nodes in id order; reject
+    // out-of-bounds records, backward edges and a non-identity order
+    // once, here. medusa-lint disables this to diagnose a corrupt
+    // table record-by-record instead.
+    if (options.validate_indices) {
         u64 alloc_count = 0;
         for (const AllocOp &op : img.ops) {
             if (op.kind == AllocOp::kAlloc) {
@@ -522,6 +524,20 @@ MaterializedImage::openView(std::span<const u8> bytes,
                 rel.kernel_index >= img.kernel_table.size()) {
                 return internalError(
                     "image kernel relocation out of bounds");
+            }
+        }
+        for (const GraphView &gv : img.graphs) {
+            for (const simcuda::GraphEdge &e : gv.edges) {
+                if (e.src >= e.dst || e.dst >= gv.node_count) {
+                    return internalError(
+                        "image graph edge is not forward and in range");
+                }
+            }
+            for (u32 id = 0; id < gv.node_count; ++id) {
+                if (gv.order[id] != id) {
+                    return internalError(
+                        "image graph order is not node-id order");
+                }
             }
         }
     }

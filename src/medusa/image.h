@@ -17,9 +17,11 @@
  * work offline, the way a dynamic linker moves symbol binding into a
  * precomputed relocation table:
  *
- *  - graph topology, execution order, timings and param widths are
- *    structure-of-arrays POD sections that the reader *views* in place
- *    (zero-copy spans over the file bytes);
+ *  - graph topology, timings and param widths are structure-of-arrays
+ *    POD sections that the reader *views* in place (zero-copy spans
+ *    over the file bytes); node ids are the execution order, so every
+ *    edge points forward and the order column is the identity, both
+ *    checked at open;
  *  - every kernel/param cell that needs a run-specific address is a u64
  *    slot in a "patch template", with constants prefilled offline;
  *  - a relocation table lists (slot, index, addend) records: data
@@ -96,12 +98,14 @@ struct PointerWordFix
 struct ImageReadOptions
 {
     /**
-     * Reject out-of-bounds relocation records at open time (the patch
-     * pass indexes them unchecked). medusa-lint opens with this off so
-     * a corrupt relocation table decodes far enough to be diagnosed
-     * precisely (MDL701/MDL703) instead of as a generic open failure.
+     * Reject, at open time, what the restore path indexes unchecked:
+     * out-of-bounds relocation records, graph edges that do not point
+     * forward within their graph, and an order column that is not
+     * node-id order. medusa-lint opens with this off so a corrupt
+     * table decodes far enough to be diagnosed precisely
+     * (MDL303/MDL701/MDL703) instead of as a generic open failure.
      */
-    bool validate_relocations = true;
+    bool validate_indices = true;
     /**
      * openFile(): map the file read-only instead of reading it into
      * memory. Falls back to the read path when mapping fails.
@@ -168,9 +172,13 @@ class MaterializedImage
         std::span<const u8> param_len;
         /** Per-node kernel timings. */
         std::span<const TimingInfo> timings;
-        /** Dependency edges. */
+        /** Dependency edges, each src < dst < node_count. */
         std::span<const simcuda::GraphEdge> edges;
-        /** Precomputed topological execution order. */
+        /**
+         * The execution order column: always the identity 0..n-1,
+         * since node ids are the execution order. Kept only so v6
+         * image bytes do not change.
+         */
         std::span<const u32> order;
         /** First template slot of this graph's node fn addresses. */
         u64 fn_slot_begin = 0;
@@ -311,6 +319,7 @@ class ImageBuilder
     // ---- columns (MaterializedImage's zero-copy sections) ---------------
     /** Per graph: node_count + 1 param-prefix entries. */
     std::vector<u32> param_begin;
+    /** Per graph: the identity 0..node_count-1 (see GraphView::order). */
     std::vector<u32> order;
     std::vector<simcuda::GraphEdge> edges;
     std::vector<TimingInfo> timings;
@@ -332,8 +341,8 @@ class ImageBuilder
 
     /**
      * Start a graph of @p node_count nodes: validates @p graph_edges
-     * (forward, in range), precomputes the execution order and reserves
-     * the graph's node fn slots.
+     * (forward, in range), appends the identity order and reserves the
+     * graph's node fn slots.
      */
     Status beginGraph(u32 batch_size, u32 node_count,
                       const std::vector<simcuda::GraphEdge> &graph_edges);

@@ -159,45 +159,32 @@ class ImageLinter
             }
             const u32 n = gv.node_count;
             for (const simcuda::GraphEdge &e : gv.edges) {
-                if (e.src >= n || e.dst >= n) {
+                if (e.src < e.dst && e.dst < n) {
+                    continue;
+                }
+                topology_ok_[gi] = false;
+                emit("MDL303", Severity::kError,
+                     graphLoc(gi) + ".edge[" + std::to_string(e.src) +
+                         "->" + std::to_string(e.dst) + "]",
+                     e.src >= n || e.dst >= n
+                         ? "edge endpoint is beyond the " +
+                               std::to_string(n) + "-node graph"
+                         : "edge does not point forward, but node ids "
+                           "are the execution order",
+                     "openView would reject the image at restore; "
+                     "re-emit the image");
+            }
+            for (u32 id = 0; id < n; ++id) {
+                if (gv.order[id] != id) {
                     topology_ok_[gi] = false;
                     emit("MDL303", Severity::kError,
-                         graphLoc(gi) + ".edge[" + std::to_string(e.src) +
-                             "->" + std::to_string(e.dst) + "]",
-                         "edge endpoint is beyond the " +
-                             std::to_string(n) + "-node graph",
-                         "cudaGraphInstantiate would reject the graph at "
-                         "restore; re-emit the image");
+                         graphLoc(gi) + ".order[" + std::to_string(id) +
+                             "]",
+                         "execution order is not node-id order",
+                         "openView would reject the image at restore; "
+                         "re-emit the image");
+                    break;
                 }
-            }
-            // The precomputed order must be what instantiation re-checks:
-            // a permutation of the nodes that respects every edge.
-            constexpr u32 kUnseen = 0xffffffffu;
-            std::vector<u32> position(n, kUnseen);
-            bool permutation = gv.order.size() == n;
-            for (u32 step = 0; permutation && step < n; ++step) {
-                const u32 id = gv.order[step];
-                permutation = id < n && position[id] == kUnseen;
-                if (permutation) {
-                    position[id] = step;
-                }
-            }
-            bool respects_edges = permutation;
-            for (const simcuda::GraphEdge &e : gv.edges) {
-                respects_edges = respects_edges &&
-                                 (e.src >= n || e.dst >= n ||
-                                  position[e.src] < position[e.dst]);
-            }
-            if (!respects_edges) {
-                topology_ok_[gi] = false;
-                emit("MDL303", Severity::kError, graphLoc(gi) + ".order",
-                     permutation ? "execution order runs a node before "
-                                   "one of its dependencies"
-                                 : "execution order is not a permutation "
-                                   "of the " + std::to_string(n) +
-                                       " nodes",
-                     "cudaGraphInstantiate would reject the graph at "
-                     "restore; re-emit the image");
             }
         }
     }
@@ -991,7 +978,7 @@ class ImageLinter
     const MaterializedImage &img_;
     const LintOptions &opt_;
     std::vector<detail::AllocLife> lives_;
-    /** Per graph: edges in range and the order respects them (MDL303). */
+    /** Per graph: edges forward and in range, identity order (MDL303). */
     std::vector<bool> topology_ok_;
     std::vector<SlotInfo> slots_;
     /** Relocations covering each slot (the coverage-proof counter). */
@@ -1058,9 +1045,10 @@ LintReport
 lintImageBytes(std::span<const u8> bytes, const LintOptions &options)
 {
     ImageReadOptions read_options;
-    // Let corrupt relocation tables decode so MDL701/MDL703 can point
-    // at the exact record instead of a generic open failure.
-    read_options.validate_relocations = false;
+    // Let corrupt edges, orders and relocation tables decode so
+    // MDL303/MDL701/MDL703 can point at the exact record instead of a
+    // generic open failure.
+    read_options.validate_indices = false;
     StatusOr<MaterializedImage> image =
         MaterializedImage::openView(bytes, read_options);
     if (!image.isOk()) {

@@ -103,7 +103,7 @@ ruleSummary(const std::string &rule)
         {"MDL105", "replay boundary out of range"},
 {"MDL301", "kernel name missing from the module registry"},
         {"MDL302", "kernel recorded in the wrong module"},
-        {"MDL303", "graph edge out of range or execution order inconsistent"},
+        {"MDL303", "backward or out-of-range edge, or non-identity order"},
         {"MDL304", "duplicate graph for one batch size"},
         {"MDL401", "pointer-shaped permanent word without a fix"},
         {"MDL402", "invalid PointerWordFix record"},

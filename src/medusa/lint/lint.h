@@ -19,7 +19,8 @@
  *  - MDL3xx  kernel-name-table completeness against the module
  *            registry's symbol set (incl. hidden symbols reachable
  *            only via triggering-kernels) and graph topology sanity
- *            (edge endpoints and the precomputed execution order,
+ *            (every edge forward and in range, the order column the
+ *            identity — node ids are the execution order — and
  *            duplicate batch sizes),
  *  - MDL4xx  permanent-buffer content safety: pointer-shaped words not
  *            covered by a PointerWordFix, and fix-table validity,

@@ -296,8 +296,6 @@ instantiatePatched(const MaterializedImage &image,
             g.param_len.size());
         desc.param_len = g.param_len;
         desc.timing = g.timings;
-        desc.order = g.order;
-        desc.edges = g.edges;
         ordered.emplace_back(g.batch_size, desc);
     }
     patch_span.end();

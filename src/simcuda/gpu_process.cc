@@ -397,7 +397,6 @@ GpuProcess::instantiate(const CudaGraph &graph)
     }
     exec.param_begin_ = graph.paramBegin();
     exec.blobs_ = graph.paramBlobs();
-    MEDUSA_ASSIGN_OR_RETURN(exec.order_, graph.topoOrder());
     clock_->advance(units::usToNs(cost_->graph_instantiate_per_node_us *
                                   static_cast<f64>(graph.nodeCount())));
     if (journal_active_) {
@@ -414,7 +413,6 @@ GpuProcess::instantiatePatched(const PatchedGraphDesc &desc)
     }
     const std::size_t n = desc.node_fn.size();
     if (desc.param_begin.size() != n + 1 || desc.timing.size() != n ||
-        desc.order.size() != n ||
         desc.param_bits.size() != desc.param_len.size() ||
         desc.param_begin.front() != 0 ||
         desc.param_begin.back() != desc.param_bits.size()) {
@@ -439,25 +437,6 @@ GpuProcess::instantiatePatched(const PatchedGraphDesc &desc)
         }
         exec.kernels_.push_back(*kernel);
     }
-    // Re-verify the precomputed execution order instead of re-sorting:
-    // it must be a permutation of the node set that respects every edge.
-    constexpr u32 kUnseen = 0xffffffffu;
-    std::vector<u32> position(n, kUnseen);
-    for (std::size_t step = 0; step < n; ++step) {
-        const NodeId id = desc.order[step];
-        if (id >= n || position[id] != kUnseen) {
-            return invalidArgument(
-                "cudaGraphInstantiate: corrupt execution order");
-        }
-        position[id] = static_cast<u32>(step);
-    }
-    for (const GraphEdge &edge : desc.edges) {
-        if (edge.src >= n || edge.dst >= n ||
-            position[edge.src] >= position[edge.dst]) {
-            return invalidArgument("cudaGraphInstantiate: execution order "
-                                   "violates graph dependencies");
-        }
-    }
     exec.param_begin_.assign(desc.param_begin.begin(),
                              desc.param_begin.end());
     exec.blobs_.resize(desc.param_bits.size());
@@ -466,7 +445,6 @@ GpuProcess::instantiatePatched(const PatchedGraphDesc &desc)
         exec.blobs_[j].len = desc.param_len[j];
     }
     exec.timings_.assign(desc.timing.begin(), desc.timing.end());
-    exec.order_.assign(desc.order.begin(), desc.order.end());
     clock_->advance(units::usToNs(cost_->graph_instantiate_per_node_us *
                                   static_cast<f64>(n)));
     if (journal_active_) {
@@ -486,12 +464,9 @@ GpuProcess::launchGraph(const GraphExec &exec, Stream &stream)
     clock_->advance(units::usToNs(cost_->graph_launch_us));
     ++graph_launches_;
     SimTimeNs gpu_time = 0;
-    for (NodeId id : exec.order_) {
-        const u32 begin = exec.param_begin_.at(id);
-        const ParamView params(exec.blobs_.data() + begin,
-                               exec.param_begin_.at(id + 1) - begin);
-        MEDUSA_RETURN_IF_ERROR(execute(exec.kernels_.at(id), params));
-        gpu_time += cost_->kernelExecTime(exec.timings_.at(id),
+    for (NodeId id = 0; id < exec.nodeCount(); ++id) {
+        MEDUSA_RETURN_IF_ERROR(execute(exec.kernel(id), exec.params(id)));
+        gpu_time += cost_->kernelExecTime(exec.timing(id),
                                           cost_->steady_efficiency) +
                     units::usToNs(cost_->graph_node_dispatch_us);
     }

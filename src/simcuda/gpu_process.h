@@ -135,9 +135,10 @@ class Stream
  * An instantiated, ready-to-launch graph (cudaGraphExec_t).
  *
  * Stored as a structure of flat arrays — kernel ids, a shared ParamBlob
- * pool with per-node prefix offsets (CudaGraph's layout), timings and
- * the execution order. The flat form is what the v6 materialized image
- * can produce directly with a relocation patch pass, with no per-node
+ * pool with per-node prefix offsets (CudaGraph's layout) and timings,
+ * all in node-id order, which is the execution order (every edge
+ * points forward). The flat form is what the v6 materialized image can
+ * produce directly with a relocation patch pass, with no per-node
  * reconstruction.
  */
 class GraphExec
@@ -145,29 +146,20 @@ class GraphExec
   public:
     std::size_t nodeCount() const { return kernels_.size(); }
 
-    /** The kernel of the i-th node in execution (topological) order. */
-    KernelId
-    kernelAtStep(std::size_t step) const
-    {
-        return kernels_.at(order_.at(step));
-    }
+    /** The kernel of node @p id (the id-th to execute). */
+    KernelId kernel(NodeId id) const { return kernels_.at(id); }
 
-    /** The flattened params of the i-th node in execution order. */
+    /** The flattened params of node @p id. */
     ParamView
-    paramsAtStep(std::size_t step) const
+    params(NodeId id) const
     {
-        const NodeId node = order_.at(step);
-        const u32 begin = param_begin_.at(node);
+        const u32 begin = param_begin_.at(id);
         return ParamView(blobs_.data() + begin,
-                         param_begin_.at(node + 1) - begin);
+                         param_begin_.at(id + 1) - begin);
     }
 
-    /** The timing metadata of the i-th node in execution order. */
-    const TimingInfo &
-    timingAtStep(std::size_t step) const
-    {
-        return timings_.at(order_.at(step));
-    }
+    /** The timing metadata of node @p id. */
+    const TimingInfo &timing(NodeId id) const { return timings_.at(id); }
 
   private:
     friend class GpuProcess;
@@ -177,8 +169,6 @@ class GraphExec
     std::vector<u32> param_begin_;
     std::vector<ParamBlob> blobs_;
     std::vector<TimingInfo> timings_;
-    /** Execution order (topological). */
-    std::vector<NodeId> order_;
 };
 
 /** Creation options for a GpuProcess. */
@@ -309,7 +299,8 @@ class GpuProcess
 
     /**
      * cudaGraphInstantiate: validates that every node's function address
-     * resolves to a loaded kernel and that the topology is acyclic.
+     * resolves to a loaded kernel. The graph needs no sort: its node ids
+     * are already the execution order (CudaGraph::addKernelNode).
      */
     StatusOr<GraphExec> instantiate(const CudaGraph &graph);
 
@@ -331,18 +322,14 @@ class GpuProcess
         std::span<const u8> param_len;
         /** Per-node timing metadata, node-id order. */
         std::span<const TimingInfo> timing;
-        /** Precomputed execution (topological) order. */
-        std::span<const NodeId> order;
-        /** Dependency edges (src < dst), for order validation. */
-        std::span<const GraphEdge> edges;
     };
 
     /**
      * cudaGraphInstantiate from a patched image graph: the same
      * validation and accounting as instantiate(), but the executable is
      * assembled by copying flat arrays — no CudaGraph object, no
-     * per-node parameter vectors, no topological sort (the offline
-     * phase precomputed the order; it is re-verified here in O(n+e)).
+     * per-node parameter vectors. Node ids are the execution order;
+     * MaterializedImage::openView refuses an image with a backward edge.
      */
     StatusOr<GraphExec> instantiatePatched(const PatchedGraphDesc &desc);
 

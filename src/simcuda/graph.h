@@ -2,10 +2,12 @@
  * @file
  * Simulated CUDA graphs.
  *
- * A CudaGraph is a DAG of kernel nodes. Each node records exactly what a
- * real cudaGraphKernelNodeParams exposes: the kernel's (per-process,
- * randomized) function address, and the raw bytes of every launch
- * parameter. The parameters of all nodes live in one flat ParamBlob
+ * A CudaGraph is a DAG of kernel nodes whose node ids are the execution
+ * order: addKernelNode() only accepts dependencies on earlier nodes, so
+ * every edge points forward and running ids 0..n-1 respects them all.
+ * Each node records exactly what a real cudaGraphKernelNodeParams
+ * exposes: the kernel's (per-process, randomized) function address, and
+ * the raw bytes of every launch parameter. The parameters of all nodes live in one flat ParamBlob
  * array with nodeCount()+1 prefix offsets — the layout GraphExec and
  * the materialized image use — so capture appends inline values and
  * instantiation copies the array whole. Graphs are built either by
@@ -17,7 +19,7 @@
 
 #include <vector>
 
-#include "common/status.h"
+#include "common/logging.h"
 #include "simcuda/kernel.h"
 #include "simtime/cost_model.h"
 
@@ -57,7 +59,8 @@ class CudaGraph
 
     /**
      * Add a kernel node.
-     * @param deps nodes this one depends on (must already exist).
+     * @param deps nodes this one depends on (must already exist; a
+     *        dependency on a future node aborts).
      */
     NodeId
     addKernelNode(KernelAddr fn, ParamView params, const TimingInfo &timing,
@@ -113,27 +116,12 @@ class CudaGraph
         nodes_.at(id).fn = fn;
     }
 
-    /**
-     * Topological order of the nodes; error if the graph has a cycle
-     * (cannot happen via capture, can happen via a corrupt artifact).
-     */
-    StatusOr<std::vector<NodeId>> topoOrder() const;
-
   private:
     std::vector<GraphNode> nodes_;
     std::vector<u32> param_begin_ = {0};
     std::vector<ParamBlob> blobs_;
     std::vector<GraphEdge> edges_;
 };
-
-/**
- * Deterministic topological order (Kahn's algorithm, preferring node-id
- * order) over an explicit edge list. Shared by CudaGraph::topoOrder and
- * the offline image builder, which precomputes execution orders so the
- * online patch pass never sorts.
- */
-StatusOr<std::vector<NodeId>> topoOrderOf(std::size_t node_count,
-                                          const std::vector<GraphEdge> &edges);
 
 } // namespace medusa::simcuda
 

@@ -35,16 +35,16 @@ lockstepLaunch(const std::vector<LockstepRank> &ranks,
 
     std::vector<f32> reduced;
     std::vector<std::vector<f32>> contributions(ranks.size());
-    for (std::size_t step = 0; step < steps; ++step) {
+    for (NodeId step = 0; step < steps; ++step) {
         // Symmetry check: every rank runs the same kernel at a step.
-        const KernelId kernel = ranks[0].exec->kernelAtStep(step);
+        const KernelId kernel = ranks[0].exec->kernel(step);
         for (const LockstepRank &rank : ranks) {
-            if (rank.exec->kernelAtStep(step) != kernel) {
+            if (rank.exec->kernel(step) != kernel) {
                 return invalidArgument(
                     "rank graphs diverge at step " +
                     std::to_string(step) + " (" +
                     reg.def(kernel).mangled_name + " vs " +
-                    reg.def(rank.exec->kernelAtStep(step)).mangled_name +
+                    reg.def(rank.exec->kernel(step)).mangled_name +
                     ")");
             }
         }
@@ -54,8 +54,7 @@ lockstepLaunch(const std::vector<LockstepRank> &ranks,
             const auto &kinds = reg.def(kernel).params;
             i32 count = 0;
             for (std::size_t r = 0; r < ranks.size(); ++r) {
-                const ParamView params =
-                    ranks[r].exec->paramsAtStep(step);
+                const ParamView params = ranks[r].exec->params(step);
                 KernelArgs args(params, kinds);
                 if (r == 0) {
                     count = args.i32At(1);
@@ -84,8 +83,7 @@ lockstepLaunch(const std::vector<LockstepRank> &ranks,
                 }
             }
             for (std::size_t r = 0; r < ranks.size(); ++r) {
-                const ParamView params =
-                    ranks[r].exec->paramsAtStep(step);
+                const ParamView params = ranks[r].exec->params(step);
                 KernelArgs args(params, kinds);
                 MEDUSA_RETURN_IF_ERROR(
                     ranks[r].process->memory().write(
@@ -96,7 +94,7 @@ lockstepLaunch(const std::vector<LockstepRank> &ranks,
             // logical payload per link; charge every rank equally and
             // synchronize their GPU timelines (a collective is a
             // barrier).
-            const TimingInfo &t = ranks[0].exec->timingAtStep(step);
+            const TimingInfo &t = ranks[0].exec->timing(step);
             const f64 payload =
                 t.bytes * 2.0 *
                 (static_cast<f64>(ranks.size()) - 1.0) /
@@ -117,10 +115,10 @@ lockstepLaunch(const std::vector<LockstepRank> &ranks,
 
         for (std::size_t r = 0; r < ranks.size(); ++r) {
             MEDUSA_RETURN_IF_ERROR(ranks[r].process->executeKernel(
-                kernel, ranks[r].exec->paramsAtStep(step)));
+                kernel, ranks[r].exec->params(step)));
             gpu_time[r] +=
                 ranks[r].process->cost().kernelExecTime(
-                    ranks[r].exec->timingAtStep(step),
+                    ranks[r].exec->timing(step),
                     ranks[r].process->cost().steady_efficiency) +
                 units::usToNs(
                     ranks[r].process->cost().graph_node_dispatch_us);

@@ -4,7 +4,8 @@
  * materialize opened, zero-copy open, relocation-patch restore
  * determinism and its per-node cost, concurrent cold starts sharing one
  * image, and rejection of truncated, bit-flipped and misaligned
- * buffers.
+ * buffers and of graphs whose edges or order break "node ids are the
+ * execution order".
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "medusa/image.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
+#include "test_image.h"
 
 namespace medusa {
 namespace {
@@ -346,6 +348,33 @@ TEST(ImageTest, MisalignedBufferRejected)
         std::span<const u8>(shifted.data() + 1, f.image_bytes.size()));
     ASSERT_FALSE(image.isOk());
     EXPECT_EQ(image.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(ImageTest, NonForwardTopologyRejectedAtOpen)
+{
+    core::ImageBuilder b;
+    b.model_name = "two-node";
+    const u64 kernel = b.addKernel("k", "m");
+    // Emission refuses a backward edge outright.
+    EXPECT_FALSE(b.beginGraph(1, 2, {{1, 0}}).isOk());
+    ASSERT_TRUE(b.beginGraph(1, 2, {{0, 1}}).isOk());
+    b.addNode(kernel, {});
+    b.addNode(kernel, {});
+    const std::vector<u8> clean = b.finish({});
+    ASSERT_TRUE(MaterializedImage::openView(std::span<const u8>(clean)).isOk());
+
+    ImageReadOptions lenient;
+    lenient.validate_indices = false;
+    for (const test::ImageCorruption &c : test::topologyCorruptions(clean)) {
+        auto image = MaterializedImage::openView(std::span<const u8>(c.bytes));
+        ASSERT_FALSE(image.isOk()) << c.what;
+        EXPECT_EQ(image.status().code(), StatusCode::kInternal) << c.what;
+        // The bytes decode; only the index check refuses them.
+        EXPECT_TRUE(
+            MaterializedImage::openView(std::span<const u8>(c.bytes), lenient)
+                .isOk())
+            << c.what;
+    }
 }
 
 TEST(ImageTest, OpenFaultInjectable)

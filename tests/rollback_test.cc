@@ -345,16 +345,12 @@ TEST(RollbackTest, FailedInstantiationBatchLeaksNoSlots)
         param_begin.push_back(static_cast<u32>(param_bits.size()));
         timing.push_back(graph->node(n).timing);
     }
-    auto order = graph->topoOrder();
-    ASSERT_TRUE(order.isOk());
     simcuda::GpuProcess::PatchedGraphDesc desc;
     desc.node_fn = node_fn;
     desc.param_begin = param_begin;
     desc.param_bits = param_bits;
     desc.param_len = param_len;
     desc.timing = timing;
-    desc.order = *order;
-    desc.edges = graph->edges();
 
     // The fault fires on the SECOND instantiation: the first slot is
     // registered, then the batch fails and must unregister it.

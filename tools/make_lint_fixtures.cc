@@ -245,8 +245,9 @@ generate(const std::string &dir)
     }
 
     // bad_edge: point the second edge (1 -> 2) at node 7 of the
-    // three-node graph. openView does not check edges; restore would
-    // fail at cudaGraphInstantiate -> MDL303. The corrupt graph has no
+    // three-node graph. openView rejects it at restore (edges must
+    // point forward within the graph); lint, which opens with
+    // validate_indices off, reports MDL303. The corrupt graph has no
     // trustworthy happens-before relation, so the race rules skip it
     // instead of cascading.
     {

@@ -139,12 +139,13 @@ main(int argc, char **argv)
         report = core::lint::lintImageBytes(std::span<const u8>(files[0]),
                                             options);
     } else {
-        // Several paths are ranks: decode each (relocation bounds are
-        // left to MDL701/MDL703) and run the per-rank plus cross-rank
-        // rules. A rank that does not decode is reported as MDL700 and
-        // the cross-rank rules, which need every rank, are skipped.
+        // Several paths are ranks: decode each (edge, order and
+        // relocation bounds are left to MDL303/MDL701/MDL703) and run
+        // the per-rank plus cross-rank rules. A rank that does not
+        // decode is reported as MDL700 and the cross-rank rules, which
+        // need every rank, are skipped.
         core::ImageReadOptions read_options;
-        read_options.validate_relocations = false;
+        read_options.validate_indices = false;
         std::vector<core::MaterializedImage> ranks;
         for (std::size_t r = 0; r < files.size(); ++r) {
             auto image = core::MaterializedImage::openView(
