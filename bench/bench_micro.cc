@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "llm/runtime.h"
 #include "llm/tokenizer.h"
@@ -167,6 +168,36 @@ registerMatmulVariants()
                 {{1, 8, 64, 256}, {32, 96, 128, 256}, {32, 64}, {0}})
             ->Args({256, 256, 32, 1})
             ->MinTime(0.1);
+    }
+}
+
+void
+BM_Crc32(benchmark::State &state, detail::Crc32Fn crc)
+{
+    // One whole-image checksum pass (ImageBuilder::finish and openView
+    // each make one) over the size of the Qwen1.5-4B image.
+    Rng rng(7);
+    std::vector<u8> bytes(3'716'504);
+    for (u8 &b : bytes) {
+        b = static_cast<u8>(rng.nextU64());
+    }
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(crc(bytes.data(), bytes.size()));
+    }
+    state.SetBytesProcessed(
+        static_cast<i64>(state.iterations() * bytes.size()));
+}
+
+void
+registerCrc32Variants()
+{
+    for (const auto &variant : detail::crc32Variants()) {
+        if (!variant.host_supported) {
+            continue;
+        }
+        const std::string name = std::string("BM_Crc32/") + variant.name;
+        benchmark::RegisterBenchmark(name.c_str(), BM_Crc32, variant.fn)
+            ->Unit(benchmark::kMillisecond);
     }
 }
 
@@ -467,6 +498,7 @@ main(int argc, char **argv)
         }
     }
     medusa::registerMatmulVariants();
+    medusa::registerCrc32Variants();
     int n = static_cast<int>(args.size());
     benchmark::Initialize(&n, args.data());
     if (benchmark::ReportUnrecognizedArguments(n, args.data())) {

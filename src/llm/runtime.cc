@@ -690,27 +690,29 @@ ModelRuntime::stageValidationState(u32 bs)
     const u32 d_offset = model_.func.kv_heads >= model_.tp_world
                              ? model_.tp_rank * slot_width
                              : 0;
-    std::vector<f32> kvrow(slot_width);
+    // A sequence's past slots are consecutive in its one block, so each
+    // (layer, sequence) stages its K rows and its V rows in one copy.
+    const u64 past = ctx - 1;
+    std::vector<f32> krows(past * slot_width);
+    std::vector<f32> vrows(past * slot_width);
     for (u32 l = 0; l < model_.num_layers; ++l) {
         for (u32 i = 0; i < bs; ++i) {
-            for (u32 t = 0; t + 1 < ctx; ++t) {
-                const u64 slot =
-                    static_cast<u64>(1 + i) * f.block_size + t;
+            for (u32 t = 0; t < past; ++t) {
                 for (u32 d = 0; d < slot_width; ++d) {
                     const u32 x =
                         l * 131 + i * 17 + t * 5 + (d_offset + d);
-                    kvrow[d] = 0.02f * static_cast<f32>(x % 23) - 0.2f;
+                    const f32 k = 0.02f * static_cast<f32>(x % 23) - 0.2f;
+                    krows[t * slot_width + d] = k;
+                    vrows[t * slot_width + d] = -k * 0.5f;
                 }
-                MEDUSA_RETURN_IF_ERROR(process_->memcpyH2D(
-                    kv_.k_layers[l] + slot * slot_width * sizeof(f32),
-                    kvrow.data(), slot_width * sizeof(f32), 0));
-                for (u32 d = 0; d < slot_width; ++d) {
-                    kvrow[d] = -kvrow[d] * 0.5f;
-                }
-                MEDUSA_RETURN_IF_ERROR(process_->memcpyH2D(
-                    kv_.v_layers[l] + slot * slot_width * sizeof(f32),
-                    kvrow.data(), slot_width * sizeof(f32), 0));
             }
+            const u64 first = static_cast<u64>(1 + i) * f.block_size;
+            const u64 offset = first * slot_width * sizeof(f32);
+            const u64 bytes = krows.size() * sizeof(f32);
+            MEDUSA_RETURN_IF_ERROR(process_->memcpyH2D(
+                kv_.k_layers[l] + offset, krows.data(), bytes, 0));
+            MEDUSA_RETURN_IF_ERROR(process_->memcpyH2D(
+                kv_.v_layers[l] + offset, vrows.data(), bytes, 0));
         }
     }
     return Status::ok();

@@ -279,67 +279,91 @@ initModelStructure(simcuda::CachingAllocator &alloc, const ModelConfig &m)
     return weights;
 }
 
+namespace {
+
+/**
+ * Generate tensor @p index's deterministic contents: the same seed
+ * yields the same "weight file" in every process launch (and on every
+ * tensor-parallel rank, which gathers its shard from @p full into
+ * @p staging). Returns whichever of the two holds the tensor.
+ */
+const std::vector<f32> &
+generateTensor(const ModelConfig &m, const TensorSpec &spec,
+               std::size_t index, std::vector<f32> &full,
+               std::vector<f32> &staging)
+{
+    Rng rng(m.seed * 0x10001ull + index * 7919ull);
+    const u64 gen_elems =
+        spec.shard ? spec.shard->full_rows * spec.shard->full_cols
+                   : spec.func_elems;
+    full.resize(gen_elems);
+    const f32 matrix_scale =
+        1.0f / std::sqrt(static_cast<f32>(spec.func_fan_in));
+    for (auto &v : full) {
+        switch (spec.content) {
+          case TensorContent::kMatrix:
+            v = rng.nextSymmetricFloat() * matrix_scale;
+            break;
+          case TensorContent::kNormWeight:
+            v = 1.0f + 0.05f * rng.nextSymmetricFloat();
+            break;
+          case TensorContent::kBias:
+            v = 0.01f * rng.nextSymmetricFloat();
+            break;
+          case TensorContent::kEmbedding:
+            v = 0.5f * rng.nextSymmetricFloat();
+            break;
+        }
+    }
+    if (!spec.shard) {
+        return full;
+    }
+    // Gather this rank's slice of the full matrix.
+    const ShardSpec &sh = *spec.shard;
+    staging.clear();
+    staging.reserve(spec.func_elems);
+    for (const auto &[row_begin, row_end] : sh.row_ranges) {
+        for (u64 row = row_begin; row < row_end; ++row) {
+            for (u64 col = sh.col_begin; col < sh.col_end; ++col) {
+                staging.push_back(full[row * sh.full_cols + col]);
+            }
+        }
+    }
+    MEDUSA_CHECK(staging.size() == spec.func_elems,
+                 "shard gather size mismatch for " << spec.name);
+    return staging;
+}
+
+} // namespace
+
 Status
 loadModelWeights(simcuda::GpuProcess &process, const ModelConfig &m,
                  ModelWeights &weights)
 {
+    // A process whose contents nobody reads (the shape-only capture)
+    // gets the same charges without the bytes: each tensor is tainted,
+    // so a read of a weight there refuses instead of seeing zeros.
+    const bool charge_only = process.contentsDiscarded();
     std::vector<f32> staging;
     std::vector<f32> full;
     for (std::size_t i = 0; i < weights.specs.size(); ++i) {
         const TensorSpec &spec = weights.specs[i];
-        // Deterministic per-tensor contents: the same seed yields the
-        // same "weight file" in every process launch (and on every
-        // tensor-parallel rank, which then gathers its shard).
-        Rng rng(m.seed * 0x10001ull + i * 7919ull);
-        const u64 gen_elems =
-            spec.shard ? spec.shard->full_rows * spec.shard->full_cols
-                       : spec.func_elems;
-        full.resize(gen_elems);
-        const f32 matrix_scale =
-            1.0f / std::sqrt(static_cast<f32>(spec.func_fan_in));
-        for (auto &v : full) {
-            switch (spec.content) {
-              case TensorContent::kMatrix:
-                v = rng.nextSymmetricFloat() * matrix_scale;
-                break;
-              case TensorContent::kNormWeight:
-                v = 1.0f + 0.05f * rng.nextSymmetricFloat();
-                break;
-              case TensorContent::kBias:
-                v = 0.01f * rng.nextSymmetricFloat();
-                break;
-              case TensorContent::kEmbedding:
-                v = 0.5f * rng.nextSymmetricFloat();
-                break;
-            }
-        }
-        if (spec.shard) {
-            // Gather this rank's slice of the full matrix.
-            const ShardSpec &sh = *spec.shard;
-            staging.clear();
-            staging.reserve(spec.func_elems);
-            for (const auto &[row_begin, row_end] : sh.row_ranges) {
-                for (u64 row = row_begin; row < row_end; ++row) {
-                    for (u64 col = sh.col_begin; col < sh.col_end;
-                         ++col) {
-                        staging.push_back(
-                            full[row * sh.full_cols + col]);
-                    }
-                }
-            }
-            MEDUSA_CHECK(staging.size() == spec.func_elems,
-                         "shard gather size mismatch for " << spec.name);
-        } else {
-            staging = full;
-        }
         // Charge the storage read of the *real* bytes. The SSD-array
         // bandwidth constant subsumes the PCIe hop (the paper's observed
         // effective ~19 GB/s end-to-end path), so the device copy below
         // charges nothing extra.
         process.clock().advance(process.cost().ssdReadTime(
             static_cast<f64>(spec.logical_bytes)));
+        if (charge_only) {
+            MEDUSA_RETURN_IF_ERROR(
+                process.memcpyH2D(weights.addrs[i], nullptr, 0, 0));
+            process.memory().taint(weights.addrs[i]);
+            continue;
+        }
+        const std::vector<f32> &contents =
+            generateTensor(m, spec, i, full, staging);
         MEDUSA_RETURN_IF_ERROR(process.memcpyH2D(
-            weights.addrs[i], staging.data(),
+            weights.addrs[i], contents.data(),
             spec.func_elems * sizeof(f32), /*logical_bytes=*/0));
     }
     return Status::ok();

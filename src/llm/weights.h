@@ -109,7 +109,10 @@ StatusOr<ModelWeights> initModelStructure(simcuda::CachingAllocator &alloc,
 
 /**
  * Stage ❷: generate deterministic functional contents and copy them to
- * the device, charging SSD read time for the real byte sizes.
+ * the device, charging SSD read time for the real byte sizes. On a
+ * process after GpuProcess::discardContents() the contents are neither
+ * generated nor copied: each tensor gets the same charges, a
+ * charge-only H2D copy and a taint, so any read of it refuses.
  */
 Status loadModelWeights(simcuda::GpuProcess &process,
                         const ModelConfig &config, ModelWeights &weights);

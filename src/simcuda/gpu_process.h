@@ -381,6 +381,9 @@ class GpuProcess
      */
     void discardContents() { contents_discarded_ = true; }
 
+    /** Whether discardContents() was called on this process. */
+    bool contentsDiscarded() const { return contents_discarded_; }
+
     u64 eagerLaunchCount() const { return eager_launches_; }
     u64 capturedNodeCount() const { return captured_nodes_; }
     u64 graphLaunchCount() const { return graph_launches_; }

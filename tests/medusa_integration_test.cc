@@ -15,6 +15,7 @@
 #include "common/trace.h"
 #include "llm/engine.h"
 #include "medusa/offline.h"
+#include "medusa/record.h"
 #include "medusa/restore.h"
 #include "test_image.h"
 
@@ -135,6 +136,67 @@ TEST(MedusaIntegration, OfflineSinksReceiveSpansAndAnalysisCounters)
     core::OfflineResult moved = std::move(result).value();
     EXPECT_EQ(moved.image_bytes.data(), begin);
     EXPECT_TRUE(inside(moved.artifact.patch_template.data()));
+}
+
+TEST(MedusaIntegration, CaptureStageLoadsWeightsChargeOnly)
+{
+    // The shape-only capture never reads a weight, so it loads none:
+    // each is a charge-only copy and tainted, and any read refuses.
+    core::Recorder recorder;
+    llm::ModelRuntime::Options ropts;
+    ropts.model = tinyModel();
+    ropts.observer = &recorder;
+    ropts.alloc_observer = &recorder;
+    ropts.launch_observer = &recorder;
+    llm::ModelRuntime shaped(ropts);
+    TraceRecorder shaped_trace(&shaped.clock());
+    shaped.process().beginJournal();
+    const std::vector<u32> batch_sizes = {1, 8};
+    auto captured =
+        core::runCaptureStage(shaped, recorder, batch_sizes, &shaped_trace);
+    ASSERT_TRUE(captured.isOk()) << captured.status().toString();
+
+    const llm::ModelWeights &weights = shaped.weights();
+    ASSERT_GT(weights.tensorCount(), 0u);
+    for (DeviceAddr addr : weights.addrs) {
+        const simcuda::AllocationRecord *rec =
+            shaped.process().memory().findContaining(addr);
+        ASSERT_NE(rec, nullptr);
+        EXPECT_TRUE(rec->tainted);
+    }
+    f32 word = 0.0f;
+    EXPECT_EQ(
+        shaped.process().memcpyD2H(&word, weights.lm_head, 4, 4).code(),
+        StatusCode::kFailedPrecondition);
+
+    // A twin that loads the weights with contents spends the same
+    // virtual time in every loading stage, and with the same warm-ups
+    // (captures make no synchronous copy) as many H2D copies.
+    llm::ModelRuntime::Options twin_opts;
+    twin_opts.model = tinyModel();
+    llm::ModelRuntime loaded(twin_opts);
+    TraceRecorder loaded_trace(&loaded.clock());
+    loaded.process().beginJournal();
+    StageTimes t;
+    ASSERT_TRUE(
+        llm::runLoadingStages(loaded, /*capture=*/false, t, &loaded_trace)
+            .isOk());
+    for (u32 bs : batch_sizes) {
+        ASSERT_TRUE(loaded.warmupDecode(bs).isOk());
+    }
+    EXPECT_EQ(shaped.process().journal().h2d_copies,
+              loaded.process().journal().h2d_copies);
+    std::map<std::string, TraceEvent> stages;
+    for (const TraceEvent &e : shaped_trace.events()) {
+        stages.emplace(e.name, e);
+    }
+    for (const TraceEvent &e : loaded_trace.events()) {
+        SCOPED_TRACE(e.name);
+        ASSERT_EQ(stages.count(e.name), 1u);
+        EXPECT_EQ(stages.at(e.name).start_ns, e.start_ns);
+        EXPECT_EQ(stages.at(e.name).dur_ns, e.dur_ns);
+    }
+    EXPECT_EQ(loaded_trace.events().size(), 4u);
 }
 
 TEST(MedusaIntegration, OnlineRestoreValidatesAgainstEager)

@@ -152,6 +152,19 @@ TEST(ServeHttpTest, RejectsGarbage)
                      .isOk());
 }
 
+TEST(ServeHttpTest, ClosedListenerAcceptsNothing)
+{
+    // A listener closed before the accept loop's next poll reports
+    // "closed" without polling; so does one that never bound.
+    HttpListener unbound;
+    EXPECT_EQ(unbound.acceptFd(0), -2);
+    HttpListener listener;
+    ASSERT_TRUE(listener.bind("127.0.0.1", 0).isOk());
+    EXPECT_EQ(listener.acceptFd(0), -1); // open, nobody connecting
+    listener.close();
+    EXPECT_EQ(listener.acceptFd(60'000), -2);
+}
+
 // ---- OpenAI request validation ------------------------------------------
 
 ApiLimits
@@ -414,6 +427,49 @@ TEST(ServeServerTest, ReapsFinishedConnectionThreads)
     const f64 peak = snap.gaugeValue("server.connection_threads_peak");
     EXPECT_GE(peak, 1.0);
     EXPECT_LE(peak, 4.0);
+}
+
+/**
+ * Reaping joins only finished threads: a connection still open (here
+ * one that has sent nothing) keeps its thread while later requests are
+ * accepted and served.
+ */
+TEST(ServeServerTest, ReapingKeepsOpenConnections)
+{
+    const serverless::ServingProfile profile = toyProfile(1.0);
+    ServeOptions sopts;
+    sopts.cluster.profile = &profile;
+    sopts.time_scale = 0;
+    sopts.model_names = {"toy"};
+
+    Server server(std::move(sopts));
+    ASSERT_TRUE(server.start().isOk());
+    // Accepted first: the listen queue is FIFO and this connect returns
+    // before the next one starts.
+    const int idle = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(idle, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server.port());
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    ASSERT_EQ(::connect(idle, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0)
+        << std::strerror(errno);
+    for (int i = 0; i < 2; ++i) {
+        const std::string streamed = roundTrip(
+            server.port(),
+            postJson("/v1/completions",
+                     R"({"model":"toy","prompt":"hi","max_tokens":2,)"
+                     R"("stream":true})"));
+        ASSERT_NE(streamed.find("data: [DONE]"), std::string::npos)
+            << streamed;
+    }
+    ::close(idle);
+    const serverless::TraceMetrics tm = server.stop();
+    EXPECT_EQ(tm.completed, 2u);
+    const MetricsSnapshot snap = server.metricsSnapshot();
+    EXPECT_GE(snap.gaugeValue("server.connection_threads_peak"), 2.0);
 }
 
 TEST(ServeServerTest, RejectsSubmissionsWhileDraining)

@@ -184,5 +184,45 @@ TEST(WeightsTest, LoadingChargesSsdTime)
                 expected_sec * 0.1);
 }
 
+TEST(WeightsTest, ChargeOnlyLoadChargesLikeALoadWithContents)
+{
+    // A process whose contents are discarded loads no weight bytes, but
+    // its clock and journal move exactly as a twin's that loads them;
+    // every tensor is tainted there, so a read refuses.
+    for (ModelArch arch :
+         {ModelArch::kLlama, ModelArch::kQwen, ModelArch::kFalcon}) {
+        const ModelConfig m = tiny(arch);
+        Harness charged;
+        Harness loaded;
+        charged.process.discardContents();
+        auto cw = initModelStructure(charged.alloc, m);
+        auto lw = initModelStructure(loaded.alloc, m);
+        ASSERT_TRUE(cw.isOk() && lw.isOk());
+        charged.process.beginJournal();
+        loaded.process.beginJournal();
+        ASSERT_TRUE(loadModelWeights(charged.process, m, *cw).isOk());
+        ASSERT_TRUE(loadModelWeights(loaded.process, m, *lw).isOk());
+        EXPECT_EQ(charged.clock.now(), loaded.clock.now());
+        EXPECT_EQ(charged.process.journal().h2d_copies,
+                  loaded.process.journal().h2d_copies);
+        EXPECT_EQ(charged.process.journal().h2d_copies, cw->tensorCount());
+
+        for (std::size_t i = 0; i < cw->addrs.size(); ++i) {
+            const auto *c = charged.process.memory().findContaining(
+                cw->addrs[i]);
+            const auto *l = loaded.process.memory().findContaining(
+                lw->addrs[i]);
+            ASSERT_NE(c, nullptr);
+            ASSERT_NE(l, nullptr);
+            EXPECT_TRUE(c->tainted) << cw->specs[i].name;
+            EXPECT_FALSE(l->tainted) << lw->specs[i].name;
+        }
+        f32 word = 0.0f;
+        EXPECT_EQ(charged.process.memcpyD2H(&word, cw->embed, 4, 4).code(),
+                  StatusCode::kFailedPrecondition);
+        EXPECT_TRUE(loaded.process.memcpyD2H(&word, lw->embed, 4, 4).isOk());
+    }
+}
+
 } // namespace
 } // namespace medusa::llm
