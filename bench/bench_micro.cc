@@ -388,20 +388,30 @@ void
 BM_ImageOpenView(benchmark::State &state)
 {
     // The restore path's decode: open the v6 image straight out of a
-    // borrowed buffer, whole-image CRC included.
+    // borrowed buffer, whole-image CRC included. Full-depth
+    // Qwen1.5-4B, the perfbench model (~3.7 MB image); validate:0 skips
+    // the structural checks (findStructuralDefects), so the two arms
+    // differ by exactly their cost.
     core::OfflineOptions opts;
-    opts.model = tinyModel();
+    opts.model = llm::findModel("Qwen1.5-4B").value();
     opts.pipeline.validate = false;
     auto offline = core::materialize(opts);
+    MEDUSA_CHECK(offline.isOk(), offline.status().toString());
     const std::span<const u8> bytes(offline->image_bytes);
+    core::ImageReadOptions read_options;
+    read_options.validate_indices = state.range(0) != 0;
     for (auto _ : state) {
-        auto image = core::MaterializedImage::openView(bytes);
+        auto image = core::MaterializedImage::openView(bytes, read_options);
         benchmark::DoNotOptimize(image);
     }
     state.SetBytesProcessed(
         static_cast<i64>(state.iterations() * bytes.size()));
 }
-BENCHMARK(BM_ImageOpenView);
+BENCHMARK(BM_ImageOpenView)
+    ->ArgName("validate")
+    ->Arg(1)
+    ->Arg(0)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_AnalyzeAndFinish(benchmark::State &state)

@@ -5,8 +5,10 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 
 #include "common/crc32.h"
 
@@ -43,6 +45,17 @@ skipAlign8(BinaryReader &r)
 {
     const std::size_t pad = (8 - r.position() % 8) % 8;
     return r.skipBytes(pad);
+}
+
+/** The first @p count items of @p column, which then starts after them. */
+template <typename T>
+std::span<const T>
+takeFront(std::span<const T> &column, u64 count)
+{
+    const std::span<const T> head =
+        column.first(static_cast<std::size_t>(count));
+    column = column.subspan(head.size());
+    return head;
 }
 
 /** Append a POD array as raw bytes, 8-aligned. */
@@ -93,7 +106,134 @@ readAllocOp(BinaryReader &r)
     return op;
 }
 
+StatusOr<MaterializedImage::KernelEntry>
+readKernelEntry(BinaryReader &r)
+{
+    MaterializedImage::KernelEntry e;
+    MEDUSA_ASSIGN_OR_RETURN(e.name, r.readString());
+    MEDUSA_ASSIGN_OR_RETURN(e.module, r.readString());
+    return e;
+}
+
+/**
+ * Per StructuralDefect::Kind: its lint rule, and the words around a and
+ * b in its message.
+ */
+constexpr struct
+{
+    const char *rule;
+    const char *before_a;
+    const char *before_b;
+    const char *after_b;
+} kDefectText[] = {
+    {"MDL303", "edge ", "->", " does not point forward inside its graph"},
+    {"MDL303", "order[", "] is ", ", not node-id order"},
+    {"MDL707", "param_begin[", "] is ",
+     ", so the per-node param ramp does not rise from 0 to the param "
+     "count"},
+    {"MDL703", "slot ", " is beyond the ", "-slot patch template"},
+    {"MDL703", "kernel index ", " is beyond the ", "-entry kernel table"},
+    {"MDL701", "slot ", " is beyond the ", "-slot patch template"},
+    {"MDL701", "allocation index ", " is beyond the ",
+     "-allocation replay table"},
+};
+static_assert(std::size(kDefectText) == StructuralDefect::kDataRelocAlloc + 1);
+
 } // namespace
+
+const char *
+StructuralDefect::rule() const
+{
+    return kDefectText[kind].rule;
+}
+
+std::string
+StructuralDefect::location(const MaterializedImage &image) const
+{
+    if (kind > kParamRamp) {
+        return (kind > kKernelIndex ? "data_relocs[" : "kernel_relocs[") +
+               std::to_string(index) + "]";
+    }
+    std::string loc =
+        "graph[bs=" + std::to_string(image.graphs[index].batch_size) + "]";
+    if (kind == kEdge) {
+        loc += ".edge[" + std::to_string(a) + "->" + std::to_string(b) + "]";
+    } else if (kind == kOrder) {
+        loc += ".order[" + std::to_string(a) + "]";
+    }
+    return loc;
+}
+
+std::string
+StructuralDefect::message() const
+{
+    const auto &text = kDefectText[kind];
+    return text.before_a + std::to_string(a) + text.before_b +
+           std::to_string(b) + text.after_b;
+}
+
+std::vector<StructuralDefect>
+findStructuralDefects(const MaterializedImage &image)
+{
+    using D = StructuralDefect;
+    // [[unlikely]]: defects are rare, and openView runs every restore.
+    std::vector<D> defects;
+    for (u64 gi = 0; gi < image.graphs.size(); ++gi) {
+        const MaterializedImage::GraphView &gv = image.graphs[gi];
+        for (const simcuda::GraphEdge &e : gv.edges) {
+            if (!isForwardEdge(e, gv.node_count)) [[unlikely]] {
+                defects.push_back({D::kEdge, gi, e.src, e.dst});
+            }
+        }
+        u32 id = 0;
+        while (id < gv.node_count && gv.order[id] == id) {
+            ++id;
+        }
+        if (id < gv.node_count) {
+            defects.push_back({D::kOrder, gi, id, gv.order[id]});
+        }
+        // Decode carves node_count + 1 ramp entries; they must rise
+        // from 0 to the graph's param count and never fall.
+        const std::span<const u32> ramp = gv.param_begin;
+        std::size_t at = static_cast<std::size_t>(
+            std::is_sorted_until(ramp.begin(), ramp.end()) - ramp.begin());
+        if (ramp[0] != 0) {
+            at = 0;
+        } else if (at == ramp.size() && ramp.back() != gv.param_len.size()) {
+            at = ramp.size() - 1;
+        }
+        if (at < ramp.size()) {
+            defects.push_back({D::kParamRamp, gi, at, ramp[at]});
+        }
+    }
+    // A record reports the first bound it breaks.
+    const u64 slot_count = image.patch_template.size();
+    const u64 kernel_count = image.kernel_table.size();
+    const auto kernel_relocs = image.kernel_relocs; // locals: not reloaded
+    for (u64 ri = 0; ri < kernel_relocs.size(); ++ri) {
+        const MaterializedImage::KernelReloc &rel = kernel_relocs[ri];
+        if (rel.slot >= slot_count) [[unlikely]] {
+            defects.push_back({D::kKernelRelocSlot, ri, rel.slot, slot_count});
+        } else if (rel.kernel_index >= kernel_count) [[unlikely]] {
+            defects.push_back(
+                {D::kKernelIndex, ri, rel.kernel_index, kernel_count});
+        }
+    }
+    const u64 alloc_count = static_cast<u64>(std::count_if(
+        image.ops.begin(), image.ops.end(),
+        [](const AllocOp &op) { return op.kind == AllocOp::kAlloc; }));
+    const auto data_relocs = image.data_relocs;
+    for (u64 ri = 0; ri < data_relocs.size(); ++ri) {
+        const MaterializedImage::DataReloc &rel = data_relocs[ri];
+        if (rel.slot >= slot_count) [[unlikely]] {
+            defects.push_back({D::kDataRelocSlot, ri, rel.slot, slot_count});
+        } else if (rel.alloc_index >= alloc_count) [[unlikely]] {
+            defects.push_back(
+                {D::kDataRelocAlloc, ri, rel.alloc_index, alloc_count});
+        }
+    }
+    return defects;
+}
 
 void
 ImageBuilder::reserve(std::size_t graph_count, std::size_t node_count,
@@ -125,7 +265,7 @@ ImageBuilder::beginGraph(u32 batch_size, u32 node_count,
     // Node ids are the execution order, so every edge must point
     // forward; the order column is then the identity.
     for (const simcuda::GraphEdge &e : graph_edges) {
-        if (e.dst >= node_count || e.src >= e.dst) {
+        if (!isForwardEdge(e, node_count)) {
             return internalError("corrupt edge in graph bs=" +
                                  std::to_string(batch_size));
         }
@@ -338,13 +478,7 @@ MaterializedImage::openView(std::span<const u8> bytes,
     MEDUSA_ASSIGN_OR_RETURN(img.organic_op_count, r.readU64());
     MEDUSA_ASSIGN_OR_RETURN(img.organic_alloc_count, r.readU64());
     MEDUSA_ASSIGN_OR_RETURN(img.total_nodes, r.readU64());
-    {
-        auto ops = r.readVector<AllocOp>(readAllocOp);
-        if (!ops.isOk()) {
-            return ops.status();
-        }
-        img.ops = std::move(ops).value();
-    }
+    MEDUSA_ASSIGN_OR_RETURN(img.ops, r.readVector<AllocOp>(readAllocOp));
     {
         MEDUSA_ASSIGN_OR_RETURN(u64 tag_count, r.readU64());
         for (u64 i = 0; i < tag_count; ++i) {
@@ -353,19 +487,8 @@ MaterializedImage::openView(std::span<const u8> bytes,
             img.tags[tag] = index;
         }
     }
-    {
-        MEDUSA_ASSIGN_OR_RETURN(u64 kernel_count, r.readU64());
-        if (kernel_count > r.remaining()) {
-            return internalError("image kernel-table count exceeds data");
-        }
-        img.kernel_table.reserve(static_cast<std::size_t>(kernel_count));
-        for (u64 i = 0; i < kernel_count; ++i) {
-            KernelEntry e;
-            MEDUSA_ASSIGN_OR_RETURN(e.name, r.readString());
-            MEDUSA_ASSIGN_OR_RETURN(e.module, r.readString());
-            img.kernel_table.push_back(std::move(e));
-        }
-    }
+    MEDUSA_ASSIGN_OR_RETURN(img.kernel_table,
+                            r.readVector<KernelEntry>(readKernelEntry));
     {
         MEDUSA_ASSIGN_OR_RETURN(u64 merge_count, r.readU64());
         if (merge_count > r.remaining() / 8) {
@@ -396,7 +519,6 @@ MaterializedImage::openView(std::span<const u8> bytes,
     }
     MEDUSA_ASSIGN_OR_RETURN(u64 fix_count, r.readU64());
     std::vector<ImageBuilder::GraphMeta> graph_meta;
-    u64 sum_pb = 0;
     u64 sum_nodes = 0;
     u64 sum_edges = 0;
     u64 sum_params = 0;
@@ -413,7 +535,6 @@ MaterializedImage::openView(std::span<const u8> bytes,
             MEDUSA_ASSIGN_OR_RETURN(m.param_count, r.readU32());
             MEDUSA_ASSIGN_OR_RETURN(m.fn_slot_begin, r.readU64());
             MEDUSA_ASSIGN_OR_RETURN(m.param_slot_begin, r.readU64());
-            sum_pb += m.node_count + 1;
             sum_nodes += m.node_count;
             sum_edges += m.edge_count;
             sum_params += m.param_count;
@@ -427,8 +548,9 @@ MaterializedImage::openView(std::span<const u8> bytes,
         return internalError("image node totals disagree");
     }
 
-    MEDUSA_ASSIGN_OR_RETURN(auto all_param_begin,
-                            viewPodArray<u32>(r, sum_pb));
+    MEDUSA_ASSIGN_OR_RETURN(
+        auto all_param_begin,
+        viewPodArray<u32>(r, sum_nodes + graph_meta.size()));
     MEDUSA_ASSIGN_OR_RETURN(auto all_order,
                             viewPodArray<u32>(r, sum_nodes));
     MEDUSA_ASSIGN_OR_RETURN(auto all_edges,
@@ -446,28 +568,16 @@ MaterializedImage::openView(std::span<const u8> bytes,
         viewPodArray<KernelReloc>(r, kernel_reloc_count));
     MEDUSA_ASSIGN_OR_RETURN(img.pointer_fixes,
                             viewPodArray<PointerWordFix>(r, fix_count));
-    {
-        MEDUSA_RETURN_IF_ERROR(skipAlign8(r));
-        MEDUSA_ASSIGN_OR_RETURN(
-            auto blob, r.viewBytes(static_cast<std::size_t>(contents_total)));
-        std::size_t off = 0;
-        for (std::size_t i = 0; i < img.permanent.size(); ++i) {
-            const auto sz =
-                static_cast<std::size_t>(permanent_sizes[i]);
-            if (sz > blob.size() - off) {
-                return internalError(
-                    "image permanent contents exceed their blob");
-            }
-            img.permanent[i].contents = blob.subspan(off, sz);
-            off += sz;
+    MEDUSA_ASSIGN_OR_RETURN(auto contents,
+                            viewPodArray<u8>(r, contents_total));
+    for (std::size_t i = 0; i < img.permanent.size(); ++i) {
+        if (permanent_sizes[i] > contents.size()) {
+            return internalError("image permanent contents exceed their blob");
         }
+        img.permanent[i].contents = takeFront(contents, permanent_sizes[i]);
     }
 
     // ---- carve per-graph views + validate the slot layout ------------
-    u64 pb_off = 0;
-    u64 node_off = 0;
-    u64 edge_off = 0;
-    u64 param_off = 0;
     u64 slot_cursor = 0;
     img.graphs.reserve(graph_meta.size());
     for (const ImageBuilder::GraphMeta &m : graph_meta) {
@@ -481,20 +591,11 @@ MaterializedImage::openView(std::span<const u8> bytes,
         gv.node_count = m.node_count;
         gv.fn_slot_begin = m.fn_slot_begin;
         gv.param_slot_begin = m.param_slot_begin;
-        gv.param_begin = all_param_begin.subspan(
-            static_cast<std::size_t>(pb_off), m.node_count + 1u);
-        gv.order = all_order.subspan(static_cast<std::size_t>(node_off),
-                                     m.node_count);
-        gv.timings = all_timings.subspan(
-            static_cast<std::size_t>(node_off), m.node_count);
-        gv.edges = all_edges.subspan(static_cast<std::size_t>(edge_off),
-                                     m.edge_count);
-        gv.param_len = all_param_len.subspan(
-            static_cast<std::size_t>(param_off), m.param_count);
-        pb_off += m.node_count + 1u;
-        node_off += m.node_count;
-        edge_off += m.edge_count;
-        param_off += m.param_count;
+        gv.param_begin = takeFront(all_param_begin, m.node_count + 1u);
+        gv.order = takeFront(all_order, m.node_count);
+        gv.timings = takeFront(all_timings, m.node_count);
+        gv.edges = takeFront(all_edges, m.edge_count);
+        gv.param_len = takeFront(all_param_len, m.param_count);
         img.graphs.push_back(gv);
     }
     if (slot_cursor != slot_count) {
@@ -502,43 +603,15 @@ MaterializedImage::openView(std::span<const u8> bytes,
     }
     img.payload_decoded_bytes = r.position();
 
-    // Relocations are applied with unchecked indexing on the hot path,
-    // and restore runs each graph's nodes in id order; reject
-    // out-of-bounds records, backward edges and a non-identity order
-    // once, here. medusa-lint disables this to diagnose a corrupt
-    // table record-by-record instead.
+    // The restore path indexes by the structural facts unchecked;
+    // refuse the first broken one here, once.
     if (options.validate_indices) {
-        u64 alloc_count = 0;
-        for (const AllocOp &op : img.ops) {
-            if (op.kind == AllocOp::kAlloc) {
-                ++alloc_count;
-            }
-        }
-        for (const DataReloc &rel : img.data_relocs) {
-            if (rel.slot >= slot_count || rel.alloc_index >= alloc_count) {
-                return internalError("image data relocation out of bounds");
-            }
-        }
-        for (const KernelReloc &rel : img.kernel_relocs) {
-            if (rel.slot >= slot_count ||
-                rel.kernel_index >= img.kernel_table.size()) {
-                return internalError(
-                    "image kernel relocation out of bounds");
-            }
-        }
-        for (const GraphView &gv : img.graphs) {
-            for (const simcuda::GraphEdge &e : gv.edges) {
-                if (e.src >= e.dst || e.dst >= gv.node_count) {
-                    return internalError(
-                        "image graph edge is not forward and in range");
-                }
-            }
-            for (u32 id = 0; id < gv.node_count; ++id) {
-                if (gv.order[id] != id) {
-                    return internalError(
-                        "image graph order is not node-id order");
-                }
-            }
+        const std::vector<StructuralDefect> defects =
+            findStructuralDefects(img);
+        if (!defects.empty()) {
+            const StructuralDefect &d = defects[0];
+            return internalError("image " + d.location(img) + ": " +
+                                 d.message() + " (" + d.rule() + ")");
         }
     }
     return img;

@@ -98,12 +98,11 @@ struct PointerWordFix
 struct ImageReadOptions
 {
     /**
-     * Reject, at open time, what the restore path indexes unchecked:
-     * out-of-bounds relocation records, graph edges that do not point
-     * forward within their graph, and an order column that is not
-     * node-id order. medusa-lint opens with this off so a corrupt
-     * table decodes far enough to be diagnosed precisely
-     * (MDL303/MDL701/MDL703) instead of as a generic open failure.
+     * Refuse, at open time, the first structural defect
+     * (findStructuralDefects): what the restore path indexes
+     * unchecked. medusa-lint opens with this off and reports every
+     * defect at its record (MDL303/MDL701/MDL703/MDL707) instead of
+     * one generic open failure.
      */
     bool validate_indices = true;
     /**
@@ -166,7 +165,10 @@ class MaterializedImage
     {
         u32 batch_size = 0;
         u32 node_count = 0;
-        /** Per-node param-blob prefix (node_count + 1 entries). */
+        /**
+         * Per-node param-blob prefix: node_count + 1 entries, from 0,
+         * never decreasing, ending at param_len.size().
+         */
         std::span<const u32> param_begin;
         /** Per-param byte widths. */
         std::span<const u8> param_len;
@@ -263,6 +265,69 @@ class MaterializedImage
     /** Backing mapping when opened via openFile() with mmap. */
     std::shared_ptr<const void> mapping_;
 };
+
+/**
+ * Whether @p edge may appear in a graph of @p node_count nodes: node
+ * ids are the execution order, so every edge points forward and stays
+ * inside its graph.
+ */
+constexpr bool
+isForwardEdge(const simcuda::GraphEdge &edge, u64 node_count)
+{
+    return edge.src < edge.dst && edge.dst < node_count;
+}
+
+/**
+ * One structural defect of a decoded image: a broken fact that the
+ * restore path indexes by without checking. @c index is the graph
+ * (kEdge, kOrder, kParamRamp) or the relocation record; @c a and @c b
+ * are the offending integers, as each kind says.
+ */
+struct StructuralDefect
+{
+    enum Kind : u8 {
+        /** Edge a -> b breaks isForwardEdge. */
+        kEdge,
+        /** order[a] = b, not the identity. */
+        kOrder,
+        /**
+         * param_begin[a] = b breaks the ramp: it must start at 0, never
+         * decrease and end at the graph's param count.
+         */
+        kParamRamp,
+        /** Kernel relocation slot a is not below the b template slots. */
+        kKernelRelocSlot,
+        /** Kernel index a is not below the b kernel-table entries. */
+        kKernelIndex,
+        /** Data relocation slot a is not below the b template slots. */
+        kDataRelocSlot,
+        /** Alloc index a is not below the b kAlloc ops. */
+        kDataRelocAlloc,
+    };
+
+    Kind kind = kEdge;
+    u64 index = 0;
+    u64 a = 0;
+    u64 b = 0;
+
+    /** The medusa-lint rule that reports this kind ("MDL303", ...). */
+    const char *rule() const;
+    /** Where it is, as lint names it ("graph[bs=1].edge[1->0]"). */
+    std::string location(const MaterializedImage &image) const;
+    /** What is broken, with the offending integers. */
+    std::string message() const;
+};
+
+/**
+ * Every structural defect of @p image: per graph its non-forward edges,
+ * its first non-identity order entry and its first broken param ramp
+ * entry (MDL303, MDL707), then per relocation record the first bound it
+ * breaks (MDL703 for kernel, MDL701 for data relocations). The one
+ * check of these facts: openView refuses the first defect and
+ * medusa-lint reports each. Allocates nothing for a sound image.
+ */
+std::vector<StructuralDefect>
+findStructuralDefects(const MaterializedImage &image);
 
 /**
  * A v6 image under construction: the offline IR. Its members are the

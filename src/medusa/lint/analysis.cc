@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.h"
+
 namespace medusa::core::lint::detail {
 
 std::vector<AllocLife>
@@ -29,17 +31,19 @@ HappensBefore::HappensBefore(std::size_t node_count,
     : n_(node_count), words_((node_count + 63) / 64)
 {
     bits_.assign(n_ * words_, 0);
-    // Group each node's forward edges; capture emits src < dst, so a
+    // Group each node's successors; every edge points forward, so a
     // reverse sweep sees every successor's closure already complete:
     // reach(u) = U over edges (u,v) of ({v} U reach(v)).
     std::vector<std::vector<u32>> succ(n_);
     std::vector<bool> chain_edge(n_ > 0 ? n_ - 1 : 0, false);
     for (const simcuda::GraphEdge &e : edges) {
-        if (e.src < n_ && e.dst < n_ && e.src < e.dst) {
-            succ[e.src].push_back(e.dst);
-            if (e.dst == e.src + 1) {
-                chain_edge[e.src] = true;
-            }
+        MEDUSA_CHECK(isForwardEdge(e, n_), "happens-before over edge "
+                                               << e.src << "->" << e.dst
+                                               << " of a " << n_
+                                               << "-node graph");
+        succ[e.src].push_back(e.dst);
+        if (e.dst == e.src + 1) {
+            chain_edge[e.src] = true;
         }
     }
     total_order_ = std::all_of(chain_edge.begin(), chain_edge.end(),

@@ -51,9 +51,9 @@ std::vector<AllocLife> reconstructLifetimes(std::span<const AllocOp> ops);
  * machinery materializes every stream/event ordering as a dependency
  * edge (program order on a stream chains through the capture frontier;
  * recordEvent/waitEvent fork and join frontiers), so graph reachability
- * IS the happens-before partial order of the capture. Edges must point
- * forward (src < dst) — capture always emits them that way; malformed
- * edges are ignored here and reported by the structural rules.
+ * IS the happens-before partial order of the capture. Every edge must
+ * be forward (isForwardEdge); callers pass only graphs without an
+ * MDL303 defect, and a non-forward edge aborts.
  */
 class HappensBefore
 {

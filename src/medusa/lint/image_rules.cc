@@ -1,17 +1,18 @@
 /**
  * @file
- * MDL7xx: structural verification of the v6 relocation image, plus the
+ * MDL7xx: verification of the v6 relocation image, plus the
  * patch-coverage proof (lint.h family overview; DESIGN.md §14).
  *
- * The image restore path trusts its relocation tables completely: the
- * patch pass copies the template and writes replayed addresses through
- * the relocation records with no per-record checks (that is what makes
- * it fast). These rules re-derive everything the patch pass assumes —
- * replaying the allocation trace symbolically to rebuild the alloc
- * table the online phase will build — and prove, offline, that
+ * The patch pass writes replayed addresses through the relocation
+ * records with no per-record checks (that is what makes it fast). The
+ * structural facts it indexes by are judged once, by
+ * findStructuralDefects (image.h), which openView also runs; this file
+ * reports each of its defects (MDL303/MDL701/MDL703/MDL707) and skips
+ * the broken graphs and records. Replaying the allocation trace
+ * symbolically, the lint-only rules then prove that
  *
- *  (a) every relocation lands inside the template, inside a live
- *      allocation, and inside the kernel table (MDL701-703),
+ *  (a) every data relocation resolves a live allocation at its launch
+ *      and lands inside it (MDL701 addends, MDL702),
  *  (b) no two relocations patch the same slot (MDL704),
  *  (c) every run-specific slot IS patched: a kernel-address slot or a
  *      pointer-typed parameter slot with no covering relocation would
@@ -21,18 +22,17 @@
  *      what keeps module-load order — and therefore ASLR draws and
  *      restore fingerprints — deterministic (MDL706).
  *
- * The image is the one thing medusa-lint checks, so every other family
- * runs over it too: MDL1xx over its op sequence, MDL3xx over its kernel
- * table, edges and execution order, MDL4xx over its permanent buffers
- * and pointer fixes, MDL5xx over its free-memory figure, and MDL8xx
- * over its graphs, deriving per-node access sets from the data
- * relocations plus the kernel registry's declared parameter access
- * sets.
+ * Every other family runs over the image too: MDL1xx over its op
+ * sequence, MDL3xx over its kernel table and batch sizes, MDL4xx over
+ * its permanent buffers and pointer fixes, MDL5xx over its free-memory
+ * figure, and MDL8xx over its graphs, deriving per-node access sets
+ * from the data relocations plus the registry's declared access sets.
  */
 
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -75,7 +75,8 @@ class ImageLinter
         detail::checkAllocSequence(ops, img_.organic_op_count,
                                    img_.organic_alloc_count,
                                    opt_.device_memory_bytes, report_);
-        checkTopology();
+        checkBatchSizes();
+        checkStructure();
         checkPermanentContents();
         checkFreeMemory();
         mapSlots();
@@ -93,13 +94,23 @@ class ImageLinter
         return std::move(report_);
     }
 
+    /**
+     * After run(): the kernel-table index node @p ni of graph @p gi
+     * relocates to, or kInvalidKernel when no sound relocation does.
+     */
+    simcuda::KernelId
+    nodeKernel(u32 gi, u32 ni) const
+    {
+        return node_kernel_[gi][ni];
+    }
+
   private:
     /** What one patch-template slot is, per the graph slot layout. */
     struct SlotInfo
     {
         enum Kind : u8 {
-            kUnmapped = 0, ///< belongs to no graph (cannot happen for
-                           ///< images that pass openView's layout check)
+            kUnmapped = 0, ///< in no node's param slice (the graph's
+                           ///< param ramp is broken, MDL707)
             kFn,           ///< a node's kernel-address slot
             kParam,        ///< a node's parameter-value slot
         };
@@ -129,8 +140,7 @@ class ImageLinter
     std::string
     slotLoc(u64 slot) const
     {
-        if (slot >= slots_.size() ||
-            slots_[slot].kind == SlotInfo::kUnmapped) {
+        if (slots_[slot].kind == SlotInfo::kUnmapped) {
             return "template.slot[" + std::to_string(slot) + "]";
         }
         const SlotInfo &s = slots_[slot];
@@ -142,51 +152,45 @@ class ImageLinter
         return loc;
     }
 
-    // ---- MDL303/MDL304: graph topology and batch-size set -------------
+    // ---- MDL304: one graph per batch size ------------------------------
 
     void
-    checkTopology()
+    checkBatchSizes()
     {
         std::set<u32> seen_batch_sizes;
-        topology_ok_.assign(img_.graphs.size(), true);
         for (u32 gi = 0; gi < img_.graphs.size(); ++gi) {
-            const MaterializedImage::GraphView &gv = img_.graphs[gi];
-            if (!seen_batch_sizes.insert(gv.batch_size).second) {
+            if (!seen_batch_sizes.insert(img_.graphs[gi].batch_size).second) {
                 emit("MDL304", Severity::kError, graphLoc(gi),
                      "duplicate graph for this batch size",
                      "the restore would instantiate one and shadow "
                      "the other; re-emit the image");
             }
-            const u32 n = gv.node_count;
-            for (const simcuda::GraphEdge &e : gv.edges) {
-                if (e.src < e.dst && e.dst < n) {
-                    continue;
-                }
-                topology_ok_[gi] = false;
-                emit("MDL303", Severity::kError,
-                     graphLoc(gi) + ".edge[" + std::to_string(e.src) +
-                         "->" + std::to_string(e.dst) + "]",
-                     e.src >= n || e.dst >= n
-                         ? "edge endpoint is beyond the " +
-                               std::to_string(n) + "-node graph"
-                         : "edge does not point forward, but node ids "
-                           "are the execution order",
-                     "openView would reject the image at restore; "
-                     "re-emit the image");
-            }
-            for (u32 id = 0; id < n; ++id) {
-                if (gv.order[id] != id) {
-                    topology_ok_[gi] = false;
-                    emit("MDL303", Severity::kError,
-                         graphLoc(gi) + ".order[" + std::to_string(id) +
-                             "]",
-                         "execution order is not node-id order",
-                         "openView would reject the image at restore; "
-                         "re-emit the image");
-                    break;
-                }
-            }
         }
+    }
+
+    // ---- MDL303/MDL701/MDL703/MDL707: the structural defects ----------
+
+    /**
+     * Report each structural defect openView refuses, and remember the
+     * broken graphs and records so the later rules skip them instead
+     * of indexing through them.
+     */
+    void
+    checkStructure()
+    {
+        for (const StructuralDefect &d : findStructuralDefects(img_)) {
+            broken_.insert({d.kind, d.index});
+            emit(d.rule(), Severity::kError, d.location(img_), d.message(),
+                 "openView refuses the image at restore; re-emit the "
+                 "image");
+        }
+    }
+
+    /** True when findStructuralDefects reported @p kind at @p index. */
+    bool
+    broken(StructuralDefect::Kind kind, u64 index) const
+    {
+        return broken_.count({kind, index}) != 0;
     }
 
     // ---- MDL4xx: permanent-buffer content safety ----------------------
@@ -392,46 +396,28 @@ class ImageLinter
             node_kernel_[gi].assign(gv.node_count,
                                     simcuda::kInvalidKernel);
             node_def_[gi].assign(gv.node_count, -1);
+            // Decode checked the slot layout: every graph's slots are
+            // inside the template.
             for (u32 ni = 0; ni < gv.node_count; ++ni) {
-                const u64 slot = gv.fn_slot_begin + ni;
-                if (slot < slots_.size()) {
-                    slots_[slot] = {SlotInfo::kFn, gi, ni, 0, 0};
-                }
+                slots_[gv.fn_slot_begin + ni] = {SlotInfo::kFn, gi, ni, 0, 0};
             }
-            // The param index prefix must be a monotone ramp ending at
-            // the param array's length, or the per-node slices are
-            // meaningless (instantiatePatched would mis-slice params).
-            bool consistent = gv.param_begin.size() == gv.node_count + 1 &&
-                              gv.param_begin[0] == 0 &&
-                              gv.param_begin[gv.node_count] ==
-                                  gv.param_len.size();
-            for (u32 ni = 0; consistent && ni < gv.node_count; ++ni) {
-                consistent = gv.param_begin[ni] <= gv.param_begin[ni + 1];
-            }
-            if (!consistent) {
-                emit("MDL707", Severity::kError, graphLoc(gi),
-                     "per-node parameter index prefix is not a monotone "
-                     "ramp over the parameter array",
-                     "the image is corrupt; re-emit it from the "
-                     "artifact");
+            // A broken param ramp (MDL707) slices no node's params.
+            if (broken(StructuralDefect::kParamRamp, gi)) {
                 continue;
             }
             for (u32 ni = 0; ni < gv.node_count; ++ni) {
                 for (u32 pi = gv.param_begin[ni];
                      pi < gv.param_begin[ni + 1]; ++pi) {
-                    const u64 slot = gv.param_slot_begin + pi;
-                    if (slot < slots_.size()) {
-                        slots_[slot] = {SlotInfo::kParam, gi, ni,
-                                        pi - gv.param_begin[ni],
-                                        gv.param_len[pi]};
-                    }
+                    slots_[gv.param_slot_begin + pi] = {
+                        SlotInfo::kParam, gi, ni, pi - gv.param_begin[ni],
+                        gv.param_len[pi]};
                 }
             }
         }
         cover_.assign(slots_.size(), 0);
     }
 
-    // ---- MDL703 + kernel-slot domain checks ---------------------------
+    // ---- MDL707: kernel relocations patch kernel-address slots --------
 
     void
     checkKernelRelocs()
@@ -439,32 +425,17 @@ class ImageLinter
         for (u64 ri = 0; ri < img_.kernel_relocs.size(); ++ri) {
             const MaterializedImage::KernelReloc &kr =
                 img_.kernel_relocs[ri];
-            const std::string loc =
-                "kernel_relocs[" + std::to_string(ri) + "]";
-            if (kr.slot >= slots_.size()) {
-                emit("MDL703", Severity::kError, loc,
-                     "slot " + std::to_string(kr.slot) +
-                         " is beyond the " +
-                         std::to_string(slots_.size()) +
-                         "-slot patch template",
-                     "the patch pass would write out of bounds; "
-                     "re-emit the image");
+            if (broken(StructuralDefect::kKernelRelocSlot, ri)) {
                 continue;
             }
             ++cover_[kr.slot];
-            if (kr.kernel_index >= img_.kernel_table.size()) {
-                emit("MDL703", Severity::kError, loc,
-                     "kernel index " + std::to_string(kr.kernel_index) +
-                         " is beyond the " +
-                         std::to_string(img_.kernel_table.size()) +
-                         "-entry kernel table",
-                     "the patch pass would read past the resolved "
-                     "address table; re-emit the image");
+            if (broken(StructuralDefect::kKernelIndex, ri)) {
                 continue;
             }
             const SlotInfo &s = slots_[kr.slot];
             if (s.kind != SlotInfo::kFn) {
-                emit("MDL707", Severity::kError, loc,
+                emit("MDL707", Severity::kError,
+                     "kernel_relocs[" + std::to_string(ri) + "]",
                      "kernel relocation patches " + slotLoc(kr.slot) +
                          " which is not a kernel-address slot",
                      "a kernel address written into a parameter slot "
@@ -497,8 +468,7 @@ class ImageLinter
             for (u32 ni = 0; ni < gv.node_count; ++ni) {
                 const simcuda::KernelId table_index =
                     node_kernel_[gi][ni];
-                if (table_index == simcuda::kInvalidKernel ||
-                    table_index >= img_.kernel_table.size()) {
+                if (table_index == simcuda::kInvalidKernel) {
                     continue;
                 }
                 const MaterializedImage::KernelEntry &entry =
@@ -528,10 +498,11 @@ class ImageLinter
                          "fail; fix the name -> library mapping");
                     continue;
                 }
+                if (broken(StructuralDefect::kParamRamp, gi)) {
+                    continue; // no param slice to type (MDL707)
+                }
                 const u32 param_count =
-                    gv.param_begin.size() == gv.node_count + 1
-                        ? gv.param_begin[ni + 1] - gv.param_begin[ni]
-                        : 0;
+                    gv.param_begin[ni + 1] - gv.param_begin[ni];
                 if (def.params.size() != param_count) {
                     emit("MDL707", Severity::kError, loc,
                          "node has " + std::to_string(param_count) +
@@ -547,7 +518,7 @@ class ImageLinter
         }
     }
 
-    // ---- MDL701/702/709 + data-slot domain checks ---------------------
+    // ---- MDL701 addends, MDL702, MDL707 data-slot domain, MDL709 -------
 
     /**
      * The exact trace position of node @p node's captured launch in
@@ -581,9 +552,10 @@ class ImageLinter
         // to the same deterministic address; only a free BEFORE it
         // proves the relocation resolves recycled memory.
         std::vector<u64> launch_lb(img_.graphs.size(), 0);
-        for (const MaterializedImage::DataReloc &dr : img_.data_relocs) {
-            if (dr.slot >= slots_.size() ||
-                dr.alloc_index >= lives_.size()) {
+        for (u64 ri = 0; ri < img_.data_relocs.size(); ++ri) {
+            const MaterializedImage::DataReloc &dr = img_.data_relocs[ri];
+            if (broken(StructuralDefect::kDataRelocSlot, ri) ||
+                broken(StructuralDefect::kDataRelocAlloc, ri)) {
                 continue;
             }
             const SlotInfo &s = slots_[dr.slot];
@@ -597,14 +569,7 @@ class ImageLinter
             const MaterializedImage::DataReloc &dr = img_.data_relocs[ri];
             const std::string loc =
                 "data_relocs[" + std::to_string(ri) + "]";
-            if (dr.slot >= slots_.size()) {
-                emit("MDL701", Severity::kError, loc,
-                     "slot " + std::to_string(dr.slot) +
-                         " is beyond the " +
-                         std::to_string(slots_.size()) +
-                         "-slot patch template",
-                     "the patch pass would write out of bounds; "
-                     "re-emit the image");
+            if (broken(StructuralDefect::kDataRelocSlot, ri)) {
                 continue;
             }
             ++cover_[dr.slot];
@@ -628,9 +593,7 @@ class ImageLinter
                 const simcuda::KernelDef &def = registry.def(
                     static_cast<simcuda::KernelId>(
                         node_def_[s.graph][s.node]));
-                if (s.param < def.params.size() &&
-                    def.params[s.param] !=
-                        simcuda::ParamKind::kPointer) {
+                if (def.params[s.param] != simcuda::ParamKind::kPointer) {
                     emit("MDL707", Severity::kError, loc,
                          "data relocation patches " + slotLoc(dr.slot) +
                              " but the kernel declares that parameter "
@@ -640,14 +603,7 @@ class ImageLinter
                          "pointer classification");
                 }
             }
-            if (dr.alloc_index >= lives_.size()) {
-                emit("MDL701", Severity::kError, loc,
-                     "allocation index " + std::to_string(dr.alloc_index) +
-                         " is beyond the " +
-                         std::to_string(lives_.size()) +
-                         "-allocation replay table",
-                     "the patch pass would read past the replayed "
-                     "address table; re-emit the image");
+            if (broken(StructuralDefect::kDataRelocAlloc, ri)) {
                 continue;
             }
             const detail::AllocLife &life = lives_[dr.alloc_index];
@@ -747,16 +703,16 @@ class ImageLinter
             if (s.kind != SlotInfo::kParam) {
                 continue;
             }
-            // Branch (a): the registry types this parameter. A pointer
-            // parameter with no covering relocation replays whatever
-            // the template holds.
+            // A registry-typed parameter (resolveNodeKernels matched
+            // the node's param count to the signature). A pointer with
+            // no covering relocation replays whatever the template
+            // holds; a constant must have the declared width.
             const i64 def_id = node_def_[s.graph][s.node];
             if (def_id >= 0) {
-                const simcuda::KernelDef &def =
-                    registry.def(static_cast<simcuda::KernelId>(def_id));
-                if (s.param < def.params.size() &&
-                    def.params[s.param] ==
-                        simcuda::ParamKind::kPointer) {
+                const simcuda::ParamKind kind =
+                    registry.def(static_cast<simcuda::KernelId>(def_id))
+                        .params[s.param];
+                if (kind == simcuda::ParamKind::kPointer) {
                     if (value == 0) {
                         emit("MDL705", Severity::kWarning,
                              slotLoc(slot),
@@ -780,49 +736,23 @@ class ImageLinter
                     }
                     continue;
                 }
-                // Typed constant: check the declared width while we
-                // are here — a mismatched width corrupts argument
-                // decoding at instantiation.
-                if (s.param < def.params.size() &&
-                    s.len != simcuda::paramKindSize(
-                                 def.params[s.param])) {
+                if (s.len != simcuda::paramKindSize(kind)) {
                     emit("MDL707", Severity::kError, slotLoc(slot),
                          "prefilled constant is " +
                              std::to_string(s.len) +
                              " bytes but the kernel declares a " +
-                             std::to_string(simcuda::paramKindSize(
-                                 def.params[s.param])) +
+                             std::to_string(simcuda::paramKindSize(kind)) +
                              "-byte parameter",
                          "instantiation would decode the wrong "
                          "width; re-emit the image");
                     continue;
                 }
-                // A declared 8-byte scalar whose prefilled value lands
-                // inside the device window is a misclassified pointer:
-                // real tagged scalars (stream tags) live outside it.
-                if (s.len == 8 && value >= window_begin &&
-                    value < window_end) {
-                    emit("MDL705", Severity::kError, slotLoc(slot),
-                         "8-byte scalar constant " + hexValue(value) +
-                             " falls inside device " +
-                             std::to_string(opt_.device_index) +
-                             "'s address window [" +
-                             hexValue(window_begin) + ", " +
-                             hexValue(window_end) +
-                             "); a capture-time pointer was frozen "
-                             "into the template as a constant "
-                             "(Figure 6 silent corruption)",
-                         "re-run the pointer classification and "
-                         "re-emit the image");
-                }
-                continue;
             }
-            // Branch (b): untyped slot. An 8-byte prefilled value that
-            // lands inside the capture device's VA window is a leaked
-            // capture-time address with overwhelming probability —
-            // tagged constants (stream tags) live outside the window.
-            if (s.len == 8 && value >= window_begin &&
-                value < window_end) {
+            // An 8-byte constant, typed or not, that lands inside the
+            // capture device's VA window is a capture-time pointer
+            // frozen into the template: tagged scalars (stream tags)
+            // live outside the window.
+            if (s.len == 8 && value >= window_begin && value < window_end) {
                 emit("MDL705", Severity::kError, slotLoc(slot),
                      "uncovered 8-byte constant " + hexValue(value) +
                          " falls inside device " +
@@ -855,7 +785,6 @@ class ImageLinter
             for (u32 ni = 0; ni < gv.node_count; ++ni) {
                 const simcuda::KernelId ki = node_kernel_[gi][ni];
                 if (ki == simcuda::kInvalidKernel ||
-                    ki >= img_.kernel_table.size() ||
                     !seen.insert(ki).second) {
                     continue;
                 }
@@ -898,11 +827,8 @@ class ImageLinter
     void
     checkTrailingPayload()
     {
-        const u64 payload = img_.serialized_size >
-                                    MaterializedImage::kHeaderBytes
-                                ? img_.serialized_size -
-                                      MaterializedImage::kHeaderBytes
-                                : 0;
+        const u64 payload =
+            img_.serialized_size - MaterializedImage::kHeaderBytes;
         if (img_.payload_decoded_bytes < payload) {
             emit("MDL708", Severity::kWarning, "image",
                  std::to_string(payload - img_.payload_decoded_bytes) +
@@ -929,7 +855,8 @@ class ImageLinter
         for (u32 gi = 0; gi < img_.graphs.size(); ++gi) {
             // A graph whose topology is corrupt (MDL303) has no
             // trustworthy happens-before relation to judge races by.
-            if (!topology_ok_[gi]) {
+            if (broken(StructuralDefect::kEdge, gi) ||
+                broken(StructuralDefect::kOrder, gi)) {
                 continue;
             }
             const MaterializedImage::GraphView &gv = img_.graphs[gi];
@@ -938,18 +865,16 @@ class ImageLinter
             rg.node_count = gv.node_count;
             rg.edges.assign(gv.edges.begin(), gv.edges.end());
             rg.nodes.resize(gv.node_count);
-            const bool ramp_ok =
-                gv.param_begin.size() == gv.node_count + 1;
             for (u32 ni = 0; ni < gv.node_count; ++ni) {
                 detail::NodeAccess &node = rg.nodes[ni];
                 const simcuda::KernelId table_index =
                     node_kernel_[gi][ni];
                 node.kernel_name =
-                    table_index < img_.kernel_table.size()
+                    table_index != simcuda::kInvalidKernel
                         ? img_.kernel_table[table_index].name
                         : "<unresolved>";
                 const i64 def_id = node_def_[gi][ni];
-                if (def_id < 0 || !ramp_ok) {
+                if (def_id < 0) {
                     continue; // unknown effects -> MDL804 territory
                 }
                 const simcuda::KernelDef &def =
@@ -978,8 +903,8 @@ class ImageLinter
     const MaterializedImage &img_;
     const LintOptions &opt_;
     std::vector<detail::AllocLife> lives_;
-    /** Per graph: edges forward and in range, identity order (MDL303). */
-    std::vector<bool> topology_ok_;
+    /** (kind, graph or record) of every structural defect. */
+    std::set<std::pair<StructuralDefect::Kind, u64>> broken_;
     std::vector<SlotInfo> slots_;
     /** Relocations covering each slot (the coverage-proof counter). */
     std::vector<u32> cover_;
@@ -1010,29 +935,24 @@ lintTpImages(const std::vector<MaterializedImage> &rank_images,
     std::vector<detail::RankShape> shapes;
     for (u64 r = 0; r < rank_images.size(); ++r) {
         const MaterializedImage &img = rank_images[r];
-        detail::mergeRankReport(r, lintImage(img, rank_options), report);
-        // A node's kernel is the table entry its fn slot relocates to.
-        std::map<u64, u64> fn_kernel;
-        for (const MaterializedImage::KernelReloc &kr : img.kernel_relocs) {
-            fn_kernel.emplace(kr.slot, kr.kernel_index);
-        }
+        ImageLinter linter(img, rank_options);
+        detail::mergeRankReport(r, linter.run(), report);
         detail::RankShape &shape = shapes.emplace_back();
         shape.model_name = img.model_name;
         shape.model_seed = img.model_seed;
-        for (const MaterializedImage::GraphView &g : img.graphs) {
+        for (u32 gi = 0; gi < img.graphs.size(); ++gi) {
+            const MaterializedImage::GraphView &g = img.graphs[gi];
             detail::RankShape::Graph &sg = shape.graphs[g.batch_size];
             sg.node_count = g.node_count;
             for (const simcuda::GraphEdge &e : g.edges) {
                 sg.edges.emplace_back(e.src, e.dst);
             }
-            for (u64 ni = 0; ni < g.node_count; ++ni) {
-                auto it = fn_kernel.find(g.fn_slot_begin + ni);
-                if (it != fn_kernel.end() &&
-                    it->second < img.kernel_table.size() &&
-                    img.kernel_table[it->second].module ==
+            for (u32 ni = 0; ni < g.node_count; ++ni) {
+                const simcuda::KernelId ki = linter.nodeKernel(gi, ni);
+                if (ki != simcuda::kInvalidKernel &&
+                    img.kernel_table[ki].module ==
                         options.collective_module) {
-                    sg.collectives.push_back(
-                        img.kernel_table[it->second].name);
+                    sg.collectives.push_back(img.kernel_table[ki].name);
                 }
             }
         }
@@ -1041,27 +961,32 @@ lintTpImages(const std::vector<MaterializedImage> &rank_images,
     return report;
 }
 
+std::optional<MaterializedImage>
+decodeForLint(std::span<const u8> bytes, const std::string &location,
+              LintReport &report)
+{
+    // Let structural defects decode, so the rules name each record
+    // instead of one generic open failure.
+    StatusOr<MaterializedImage> image =
+        MaterializedImage::openView(bytes, {.validate_indices = false});
+    if (!image.isOk()) {
+        report.diagnostics.push_back(
+            {"MDL700", Severity::kError, location,
+             "image bytes fail to decode: " + image.status().toString(),
+             "the file is truncated, corrupt, or from an "
+             "incompatible version; re-emit it"});
+        return std::nullopt;
+    }
+    return std::move(image).value();
+}
+
 LintReport
 lintImageBytes(std::span<const u8> bytes, const LintOptions &options)
 {
-    ImageReadOptions read_options;
-    // Let corrupt edges, orders and relocation tables decode so
-    // MDL303/MDL701/MDL703 can point at the exact record instead of a
-    // generic open failure.
-    read_options.validate_indices = false;
-    StatusOr<MaterializedImage> image =
-        MaterializedImage::openView(bytes, read_options);
-    if (!image.isOk()) {
-        LintReport report;
-        report.diagnostics.push_back(
-            {"MDL700", Severity::kError, "image",
-             "image bytes fail to decode: " +
-                 image.status().toString(),
-             "the file is truncated, corrupt, or from an "
-             "incompatible version; re-emit it"});
-        return report;
-    }
-    return lintImage(*image, options);
+    LintReport report;
+    const std::optional<MaterializedImage> image =
+        decodeForLint(bytes, "image", report);
+    return image ? lintImage(*image, options) : report;
 }
 
 } // namespace medusa::core::lint

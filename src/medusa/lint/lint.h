@@ -61,6 +61,7 @@
 #ifndef MEDUSA_MEDUSA_LINT_LINT_H
 #define MEDUSA_MEDUSA_LINT_LINT_H
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -187,11 +188,17 @@ LintReport lintTpImages(const std::vector<MaterializedImage> &rank_images,
                         const LintOptions &options = {});
 
 /**
- * Decode serialized v6 image bytes (CRC-checked, relocation bounds
- * checks deferred to the rules so corruption is diagnosed precisely)
- * and run lintImage. A failure to decode at all is itself reported as
- * rule MDL700.
+ * Decode serialized v6 image bytes for the rules: CRC and section
+ * layout checked, structural defects (findStructuralDefects) left to
+ * MDL303/MDL701/MDL703/MDL707 so each is named at its record. A
+ * failure to decode at all is appended to @p report as MDL700 at
+ * @p location, and yields nullopt.
  */
+std::optional<MaterializedImage> decodeForLint(std::span<const u8> bytes,
+                                               const std::string &location,
+                                               LintReport &report);
+
+/** decodeForLint, then lintImage: one image's whole report. */
 LintReport lintImageBytes(std::span<const u8> bytes,
                           const LintOptions &options = {});
 

@@ -354,22 +354,28 @@ TEST(ImageTest, NonForwardTopologyRejectedAtOpen)
 {
     core::ImageBuilder b;
     b.model_name = "two-node";
+    b.ops.push_back({core::AllocOp::kAlloc, 64, 64, 0});
     const u64 kernel = b.addKernel("k", "m");
     // Emission refuses a backward edge outright.
     EXPECT_FALSE(b.beginGraph(1, 2, {{1, 0}}).isOk());
     ASSERT_TRUE(b.beginGraph(1, 2, {{0, 1}}).isOk());
     b.addNode(kernel, {});
+    b.addPointer(0, 0);
     b.addNode(kernel, {});
     const std::vector<u8> clean = b.finish({});
     ASSERT_TRUE(MaterializedImage::openView(std::span<const u8>(clean)).isOk());
 
+    // Every structural defect, not just the topology ones, is refused
+    // at open with the rule that names it.
     ImageReadOptions lenient;
     lenient.validate_indices = false;
-    for (const test::ImageCorruption &c : test::topologyCorruptions(clean)) {
+    for (const test::ImageCorruption &c : test::structuralCorruptions(clean)) {
         auto image = MaterializedImage::openView(std::span<const u8>(c.bytes));
         ASSERT_FALSE(image.isOk()) << c.what;
         EXPECT_EQ(image.status().code(), StatusCode::kInternal) << c.what;
-        // The bytes decode; only the index check refuses them.
+        EXPECT_NE(image.status().message().find(c.rule), std::string::npos)
+            << c.what << ": " << image.status().message();
+        // The bytes decode; only the structural check refuses them.
         EXPECT_TRUE(
             MaterializedImage::openView(std::span<const u8>(c.bytes), lenient)
                 .isOk())

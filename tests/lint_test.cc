@@ -60,6 +60,19 @@ hasRule(const LintReport &report, const std::string &rule)
                        });
 }
 
+/** The rules @p r reports at error severity. */
+std::set<std::string>
+errorRules(const LintReport &r)
+{
+    std::set<std::string> rules;
+    for (const lint::Diagnostic &d : r.diagnostics) {
+        if (d.severity == Severity::kError) {
+            rules.insert(d.rule);
+        }
+    }
+    return rules;
+}
+
 LintOptions
 corpusOptions()
 {
@@ -437,19 +450,23 @@ TEST(LintTest, EdgeBeyondNodeCountFiresMdl303)
 
 TEST(LintTest, NonForwardTopologyFiresMdl303)
 {
-    // openView refuses these at restore; lint opens them anyway, to
-    // name the broken record.
+    // openView refuses every structural defect at restore; lint opens
+    // the bytes anyway, to name the broken record under its rule.
     const std::vector<u8> clean =
         cleanImage({copyNode(), copyNode()}, {{0, 1}}).finish({});
     ImageReadOptions ropts;
     ropts.validate_indices = false;
-    for (const test::ImageCorruption &c : test::topologyCorruptions(clean)) {
+    for (const test::ImageCorruption &c :
+         test::structuralCorruptions(clean)) {
         auto view =
             MaterializedImage::openView(std::span<const u8>(c.bytes), ropts);
         ASSERT_TRUE(view.isOk()) << c.what << ": " << view.status().toString();
         const LintReport r = lint::lintImage(*view, corpusOptions());
-        EXPECT_TRUE(hasRule(r, "MDL303")) << c.what << "\n" << r.toText();
-        EXPECT_FALSE(r.replaySafe()) << c.what;
+        std::set<std::string> expected{c.rule};
+        if (!c.also.empty()) {
+            expected.insert(c.also);
+        }
+        EXPECT_EQ(errorRules(r), expected) << c.what << "\n" << r.toText();
     }
 }
 
@@ -935,18 +952,6 @@ TEST(LintTest, CaptureWindowAllocationFiresMdl803)
 
 // ---- MDL7xx image rules: the golden corrupt corpus ---------------------
 
-std::set<std::string>
-errorRules(const LintReport &r)
-{
-    std::set<std::string> rules;
-    for (const lint::Diagnostic &d : r.diagnostics) {
-        if (d.severity == Severity::kError) {
-            rules.insert(d.rule);
-        }
-    }
-    return rules;
-}
-
 /**
  * The committed corpus (tools/make_lint_fixtures) records a free-memory
  * figure of 24 bytes after ten 4 KiB allocations: the device it was
@@ -964,20 +969,23 @@ TEST(LintTest, CorruptImageCorpusFiresExactRules)
 {
     // Each committed fixture (tools/make_lint_fixtures) is defective in
     // exactly one way; the linter must fire exactly that rule at error
-    // severity — no cascade, no miss.
+    // severity — no cascade, no miss. The default open must agree:
+    // it refuses exactly the undecodable and structurally broken
+    // fixtures, and leaves the rest to lint.
     const struct
     {
         const char *file;
         const char *rule; // nullptr: must be error-free
+        bool opens;
     } kCases[] = {
-        {"clean.mdsi", nullptr},
-        {"bad_edge.mdsi", "MDL303"},
-        {"truncated_relocs.mdsi", "MDL700"},
-        {"oob_reloc.mdsi", "MDL701"},
-        {"freed_target.mdsi", "MDL702"},
-        {"overlapping_relocs.mdsi", "MDL704"},
-        {"uncovered_slot.mdsi", "MDL705"},
-        {"shuffled_kernel_table.mdsi", "MDL706"},
+        {"clean.mdsi", nullptr, true},
+        {"bad_edge.mdsi", "MDL303", false},
+        {"truncated_relocs.mdsi", "MDL700", false},
+        {"oob_reloc.mdsi", "MDL701", false},
+        {"freed_target.mdsi", "MDL702", true},
+        {"overlapping_relocs.mdsi", "MDL704", true},
+        {"uncovered_slot.mdsi", "MDL705", true},
+        {"shuffled_kernel_table.mdsi", "MDL706", true},
     };
     for (const auto &c : kCases) {
         const std::string path =
@@ -993,6 +1001,10 @@ TEST(LintTest, CorruptImageCorpusFiresExactRules)
                 << c.file << "\n"
                 << r.toText();
         }
+        EXPECT_EQ(
+            MaterializedImage::openView(std::span<const u8>(*bytes)).isOk(),
+            c.opens)
+            << c.file;
     }
 }
 

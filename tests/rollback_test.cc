@@ -370,6 +370,25 @@ TEST(RollbackTest, FailedInstantiationBatchLeaksNoSlots)
     ASSERT_TRUE(rt.instantiatePatchedGraphs(ordered, nullptr).isOk());
     EXPECT_TRUE(rt.hasGraph(1));
     EXPECT_TRUE(rt.hasGraph(2));
+
+    // A batch the driver refuses part-way unregisters the same way.
+    // instantiatePatched keeps its own argument checks (the CUDA API's
+    // contract); an image that passes openView never trips them, so the
+    // broken param ramps go to it directly.
+    std::vector<u32> falling = param_begin;
+    falling[1] = static_cast<u32>(param_bits.size()) + 1;
+    std::vector<u32> ends_short(param_begin.size(), 0);
+    for (const std::vector<u32> *ramp : {&falling, &ends_short}) {
+        simcuda::GpuProcess::PatchedGraphDesc broken = desc;
+        broken.param_begin = *ramp;
+        const Status refused =
+            rt.instantiatePatchedGraphs({{3, desc}, {4, broken}}, nullptr);
+        EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument)
+            << refused.toString();
+        EXPECT_FALSE(rt.hasGraph(3));
+        EXPECT_FALSE(rt.hasGraph(4));
+    }
+    EXPECT_EQ(rt.graphCount(), 2u);
 }
 
 // ---- tensor-parallel coherence ------------------------------------------

@@ -1,8 +1,8 @@
 /**
  * @file
  * Test helpers for serialized v6 image bytes: open them for the one
- * online restore path, byte-edit and reseal them, and the corrupt
- * topologies openView must refuse.
+ * online restore path, byte-edit and reseal them, and the structural
+ * corruptions openView must refuse and lint must name.
  */
 
 #ifndef MEDUSA_TESTS_TEST_IMAGE_H
@@ -52,40 +52,84 @@ offsetIn(const std::vector<u8> &bytes, std::span<const T> view)
 struct ImageCorruption
 {
     std::string what;
+    /** The lint rule the defect is reported as. */
+    std::string rule;
+    /**
+     * A second error rule the edit also fires, or "": a kernel
+     * relocation moved out of the template leaves its node's kernel
+     * slot uncovered (MDL705).
+     */
+    std::string also;
     std::vector<u8> bytes;
 };
 
 /**
- * The ways one graph can break "node ids are the execution order",
- * each a resealed byte edit of @p clean, whose only graph has two nodes
- * and the one edge 0 -> 1: a backward in-range edge, an edge beyond the
- * node count, and an order column of {1, 0}.
+ * One resealed byte edit of @p clean per structural predicate
+ * (core::findStructuralDefects), each breaking only that predicate.
+ * @p clean's only graph has two nodes, the one edge 0 -> 1, at least
+ * one param and one data relocation.
  */
 inline std::vector<ImageCorruption>
-topologyCorruptions(const std::vector<u8> &clean)
+structuralCorruptions(const std::vector<u8> &clean)
 {
     auto view = core::MaterializedImage::openView(std::span<const u8>(clean));
     MEDUSA_CHECK(view.isOk(), "clean image open: " << view.status().toString());
-    MEDUSA_CHECK(view->graphs.size() == 1 &&
-                     view->graphs[0].node_count == 2 &&
-                     view->graphs[0].edges.size() == 1,
-                 "expected one two-node graph with one edge");
-    auto edit = [&clean](std::string what, std::size_t offset,
-                         const void *value, std::size_t size) {
-        ImageCorruption c{std::move(what), clean};
+    const core::MaterializedImage::GraphView &gv = view->graphs.at(0);
+    MEDUSA_CHECK(view->graphs.size() == 1 && gv.node_count == 2 &&
+                     gv.edges.size() == 1 && !gv.param_len.empty() &&
+                     !view->data_relocs.empty(),
+                 "expected one two-node graph with one edge and a "
+                 "data relocation");
+    auto edit = [&clean](std::string what, std::string rule,
+                         std::size_t offset, const void *value,
+                         std::size_t size, std::string also = "") {
+        ImageCorruption c{std::move(what), std::move(rule), std::move(also),
+                          clean};
         std::memcpy(c.bytes.data() + offset, value, size);
         resealImage(c.bytes);
         return c;
     };
-    const std::size_t edge_off = offsetIn(clean, view->graphs[0].edges);
-    const std::size_t order_off = offsetIn(clean, view->graphs[0].order);
+    const std::size_t edge_off = offsetIn(clean, gv.edges);
+    const std::size_t order_off = offsetIn(clean, gv.order);
+    const std::size_t ramp_off = offsetIn(clean, gv.param_begin);
+    const std::size_t data_off = offsetIn(clean, view->data_relocs);
+    const std::size_t kernel_off = offsetIn(clean, view->kernel_relocs);
     const simcuda::GraphEdge backward{1, 0};
-    const simcuda::GraphEdge beyond{0, 5};
+    const simcuda::GraphEdge beyond{0, 2};
     const u32 swapped[] = {1, 0};
-    return {edit("backward edge 1->0", edge_off, &backward, sizeof(backward)),
-            edit("edge 0->5 beyond 2 nodes", edge_off, &beyond,
-                 sizeof(beyond)),
-            edit("order {1, 0}", order_off, swapped, sizeof(swapped))};
+    const u32 params = static_cast<u32>(gv.param_len.size());
+    const u32 falling[] = {0, params + 1, params};
+    const u32 short_ramp[] = {0, 0, 0};
+    const u32 late_ramp[] = {1, params, params};
+    const u64 slots = view->patch_template.size();
+    u64 allocs = 0;
+    for (const core::AllocOp &op : view->ops) {
+        allocs += op.kind == core::AllocOp::kAlloc ? 1 : 0;
+    }
+    const u64 kernels = view->kernel_table.size();
+    // DataReloc is {slot, alloc_index, addend}; KernelReloc is {slot,
+    // kernel_index}: each edit overwrites one u64 of record 0.
+    return {
+        edit("backward edge 1->0", "MDL303", edge_off, &backward,
+             sizeof(backward)),
+        edit("edge 0->2 beyond 2 nodes", "MDL303", edge_off, &beyond,
+             sizeof(beyond)),
+        edit("order {1, 0}", "MDL303", order_off, swapped, sizeof(swapped)),
+        edit("data relocation slot at the template size", "MDL701",
+             data_off, &slots, sizeof(slots)),
+        edit("data relocation alloc index at the allocation count",
+             "MDL701", data_off + sizeof(u64), &allocs, sizeof(allocs)),
+        edit("kernel relocation slot at the template size", "MDL703",
+             kernel_off, &slots, sizeof(slots), "MDL705"),
+        edit("kernel index at the kernel-table size", "MDL703",
+             kernel_off + sizeof(u64), &kernels, sizeof(kernels)),
+        edit("param ramp rises past its end", "MDL707", ramp_off, falling,
+             sizeof(falling)),
+        edit("param ramp {0, 0, 0} ends short of the params", "MDL707",
+             ramp_off, short_ramp, sizeof(short_ramp)),
+        edit("param ramp starts at 1", "MDL707", ramp_off, late_ramp,
+             sizeof(late_ramp)),
+    };
 }
 
 } // namespace medusa::test

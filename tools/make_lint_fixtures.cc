@@ -245,11 +245,11 @@ generate(const std::string &dir)
     }
 
     // bad_edge: point the second edge (1 -> 2) at node 7 of the
-    // three-node graph. openView rejects it at restore (edges must
-    // point forward within the graph); lint, which opens with
-    // validate_indices off, reports MDL303. The corrupt graph has no
-    // trustworthy happens-before relation, so the race rules skip it
-    // instead of cascading.
+    // three-node graph. The default openView refuses it (the first
+    // structural defect, findStructuralDefects); lint reports the same
+    // defect as MDL303. The corrupt graph has no trustworthy
+    // happens-before relation, so the race rules skip it instead of
+    // cascading.
     {
         std::vector<u8> bytes = clean;
         const std::size_t edges_off =

@@ -139,28 +139,18 @@ main(int argc, char **argv)
         report = core::lint::lintImageBytes(std::span<const u8>(files[0]),
                                             options);
     } else {
-        // Several paths are ranks: decode each (edge, order and
-        // relocation bounds are left to MDL303/MDL701/MDL703) and run
-        // the per-rank plus cross-rank rules. A rank that does not
-        // decode is reported as MDL700 and the cross-rank rules, which
-        // need every rank, are skipped.
-        core::ImageReadOptions read_options;
-        read_options.validate_indices = false;
+        // Several paths are ranks: decode each and run the per-rank
+        // plus cross-rank rules. A rank that does not decode is
+        // reported as MDL700 and the cross-rank rules, which need
+        // every rank, are skipped.
         std::vector<core::MaterializedImage> ranks;
         for (std::size_t r = 0; r < files.size(); ++r) {
-            auto image = core::MaterializedImage::openView(
-                std::span<const u8>(files[r]), read_options);
-            if (!image.isOk()) {
-                report.diagnostics.push_back(
-                    {"MDL700", core::lint::Severity::kError,
-                     "rank[" + std::to_string(r) + "]",
-                     paths[r] + " fails to decode: " +
-                         image.status().toString(),
-                     "the file is truncated, corrupt, or from an "
-                     "incompatible version; re-emit it"});
-                continue;
+            auto image = core::lint::decodeForLint(
+                std::span<const u8>(files[r]),
+                "rank[" + std::to_string(r) + "]", report);
+            if (image) {
+                ranks.push_back(std::move(*image));
             }
-            ranks.push_back(std::move(*image));
         }
         if (report.diagnostics.empty()) {
             report = core::lint::lintTpImages(ranks, options);
