@@ -4,7 +4,6 @@
 #include <cstdlib>
 #include <memory>
 
-#include "common/json.h"
 #include "common/plan_spec.h"
 
 namespace medusa {
@@ -244,132 +243,10 @@ FaultPlan::toSpec() const
     return out;
 }
 
-// --------------------------------------------------------------- JSON form
-
-namespace {
-
-/** @p v as an integer in [0, 2^53], or an error naming @p key. */
-StatusOr<u64>
-jsonPlanInteger(const Json &v, const std::string &key)
-{
-    const std::optional<u64> n = v.asUint();
-    if (!n.has_value()) {
-        return invalidArgument("fault json: \"" + key +
-                               "\" must be an integer in [0, 2^53]");
-    }
-    return *n;
-}
-
-Status
-parseRuleObject(const Json &obj, FaultPlan &plan,
-                std::array<bool, kFaultPointCount> &seen)
-{
-    if (!obj.isObject()) {
-        return invalidArgument("fault json: expected rule object");
-    }
-    std::optional<FaultPoint> point;
-    FaultRule rule;
-    bool timed = false; // as in the spec form
-    for (const auto &[key, v] : obj.members()) {
-        if (key == "point") {
-            if (!v.isString()) {
-                return invalidArgument(
-                    "fault json: \"point\" must be a string");
-            }
-            MEDUSA_ASSIGN_OR_RETURN(point,
-                                    faultPointFromName(v.asString()));
-        } else if (key == "probability") {
-            if (!v.isNumber() || !validProbability(v.asNumber())) {
-                return invalidArgument(
-                    "fault json: probability out of [0, 1]");
-            }
-            rule.probability = v.asNumber();
-            timed = true;
-        } else if (key == "fire_on_hit") {
-            MEDUSA_ASSIGN_OR_RETURN(rule.fire_on_hit,
-                                    jsonPlanInteger(v, key));
-            if (rule.fire_on_hit == 0) {
-                return invalidArgument(
-                    "fault json: fire_on_hit must be >= 1");
-            }
-            timed = true;
-        } else if (key == "max_fires") {
-            MEDUSA_ASSIGN_OR_RETURN(rule.max_fires,
-                                    jsonPlanInteger(v, key));
-        } else {
-            return invalidArgument("fault json: unknown rule key \"" +
-                                   key + "\"");
-        }
-    }
-    if (!point.has_value()) {
-        return invalidArgument("fault json: rule missing \"point\"");
-    }
-    if (!timed) {
-        rule.probability = 1.0;
-    }
-    if (seen[static_cast<std::size_t>(*point)]) {
-        return invalidArgument(
-            "fault json: duplicate rule for point \"" +
-            std::string(faultPointName(*point)) + "\"");
-    }
-    seen[static_cast<std::size_t>(*point)] = true;
-    plan.rule(*point) = rule;
-    return Status::ok();
-}
-
-} // namespace
-
-StatusOr<FaultPlan>
-FaultPlan::fromJson(const std::string &json)
-{
-    MEDUSA_ASSIGN_OR_RETURN(const Json root, Json::parse(json));
-    if (!root.isObject()) {
-        return invalidArgument("fault json: expected top-level object");
-    }
-    FaultPlan plan;
-    std::array<bool, kFaultPointCount> seen{};
-    for (const auto &[key, v] : root.members()) {
-        if (key == "seed") {
-            MEDUSA_ASSIGN_OR_RETURN(plan.seed, jsonPlanInteger(v, key));
-        } else if (key == "rules") {
-            if (!v.isArray()) {
-                return invalidArgument(
-                    "fault json: \"rules\" must be an array");
-            }
-            for (const Json &rule : v.items()) {
-                MEDUSA_RETURN_IF_ERROR(parseRuleObject(rule, plan, seen));
-            }
-        } else {
-            return invalidArgument("fault json: unknown key \"" + key +
-                                   "\"");
-        }
-    }
-    return plan;
-}
-
 StatusOr<std::optional<FaultPlan>>
 FaultPlan::fromEnv()
 {
-    const char *spec = std::getenv("MEDUSA_FAULT_PLAN");
-    if (spec == nullptr || spec[0] == '\0') {
-        return std::optional<FaultPlan>{};
-    }
-    const std::string text = spec;
-    auto parsed = text.front() == '{' ? fromJson(text) : fromSpec(text);
-    if (!parsed.isOk()) {
-        return parsed.status();
-    }
-    FaultPlan plan = std::move(parsed).value();
-    if (const char *seed = std::getenv("MEDUSA_FAULT_SEED");
-        seed != nullptr && seed[0] != '\0') {
-        const std::optional<u64> value = parseSpecUint(seed);
-        if (!value.has_value()) {
-            return invalidArgument("MEDUSA_FAULT_SEED: bad seed \"" +
-                                   std::string(seed) + "\"");
-        }
-        plan.seed = *value;
-    }
-    return std::optional<FaultPlan>(plan);
+    return planFromEnv<FaultPlan>("MEDUSA_FAULT_PLAN", "MEDUSA_FAULT_SEED");
 }
 
 // ------------------------------------------------------------ FaultInjector

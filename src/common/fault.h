@@ -13,11 +13,10 @@
  * MEDUSA_FAULT_POINT compiles to a single pointer test when injection
  * is disabled, keeping the default restore path bit-identical.
  *
- * Plans come from code, from a compact spec string, from a JSON object,
- * or from the environment:
+ * Plans come from code, from a compact spec string, or from the
+ * environment:
  *
  *   MEDUSA_FAULT_PLAN='dlsym@3;image_open=0.05' spec form
- *   MEDUSA_FAULT_PLAN='{"seed":7,"rules":[...]}'  JSON form
  *   MEDUSA_FAULT_SEED=7                        seed override
  *
  * Spec entries are separated by ';' or ',': `point=P` fires with
@@ -30,15 +29,8 @@
  * no trailing characters). Naming the same point, or
  * the seed, twice is an error (the second entry would silently
  * overwrite the first), as is an unknown point name — the error lists
- * every valid name.
- *
- * The JSON form parses through common/json.h: `seed` and a `rules`
- * array of objects with `point`, `probability`, `fire_on_hit` and
- * `max_fires`. Integer fields must be integers in [0, 2^53], and
- * `fire_on_hit` at least 1 as in the spec form. A rule with neither
- * `probability` nor `fire_on_hit` fires on every hit, as in the spec
- * form. In both forms a probability must lie in [0, 1] (NaN is
- * rejected).
+ * every valid name. N is at least 1, and a probability must lie in
+ * [0, 1] (NaN is rejected).
  */
 
 #ifndef MEDUSA_COMMON_FAULT_H
@@ -131,18 +123,9 @@ struct FaultPlan
     static StatusOr<FaultPlan> fromSpec(const std::string &spec);
 
     /**
-     * Parse the JSON form:
-     * {"seed":7,"rules":[{"point":"dlsym","probability":0.1,
-     *  "fire_on_hit":3,"max_fires":1}]}
-     * (a self-contained subset parser; no external dependency).
-     */
-    static StatusOr<FaultPlan> fromJson(const std::string &json);
-
-    /**
-     * Build a plan from MEDUSA_FAULT_PLAN (spec or JSON, picked by a
-     * leading '{') with MEDUSA_FAULT_SEED overriding the seed; a
-     * malformed plan or seed is an error. Returns nullopt when the
-     * plan variable is unset or empty.
+     * Build a plan from the MEDUSA_FAULT_PLAN spec with
+     * MEDUSA_FAULT_SEED overriding the seed (planFromEnv,
+     * common/plan_spec.h).
      */
     static StatusOr<std::optional<FaultPlan>> fromEnv();
 

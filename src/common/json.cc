@@ -349,17 +349,6 @@ Json::parse(std::string_view text)
     return Parser(text).run();
 }
 
-std::optional<u64>
-Json::asUint() const
-{
-    constexpr f64 kMaxExact = 9007199254740992.0; // 2^53
-    if (type_ != Type::kNumber || !(num_ >= 0 && num_ <= kMaxExact) ||
-        num_ != std::floor(num_)) {
-        return std::nullopt;
-    }
-    return static_cast<u64>(num_);
-}
-
 const Json *
 Json::find(std::string_view key) const
 {

@@ -5,10 +5,8 @@
  * Json::parse is a depth-limited recursive-descent parser (objects,
  * arrays, strings with \uXXXX escapes, numbers, bools, null) that
  * rejects trailing bytes. It reads every untrusted JSON input: client
- * request bodies (serve/openai.h), MEDUSA_FAULT_PLAN and
- * MEDUSA_CHAOS_PLAN (common/fault.h, serverless/chaos.h) and the
- * exports tools/trace_check validates. Json::dump serializes responses
- * and SSE chunks.
+ * request bodies (serve/openai.h) and the exports tools/trace_check
+ * validates. Json::dump serializes responses and SSE chunks.
  *
  * appendJsonString is the escaper every writer shares: the streaming
  * Chrome-trace, metrics and lint exporters call it directly and build
@@ -18,13 +16,12 @@
  * round-trip guarantees beyond what responses need. Object member
  * order is preserved (insertion order), which keeps serialized
  * responses deterministic for the smoke tests. Duplicate keys are kept
- * as separate members; readers that care reject them.
+ * as separate members; find() returns the first.
  */
 
 #ifndef MEDUSA_COMMON_JSON_H
 #define MEDUSA_COMMON_JSON_H
 
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -72,13 +69,6 @@ class Json
     /** Value accessors; call only after checking the type. */
     bool asBool() const { return bool_; }
     f64 asNumber() const { return num_; }
-    /**
-     * The value as an unsigned integer when it is an integral number
-     * in [0, 2^53] (the range a double holds exactly); nullopt for
-     * anything else, so a count or seed never takes a lossy or
-     * undefined float-to-integer cast.
-     */
-    std::optional<u64> asUint() const;
     const std::string &asString() const { return str_; }
     const std::vector<Json> &items() const { return arr_; }
     const std::vector<std::pair<std::string, Json>> &

@@ -4,17 +4,18 @@
  * the restore-stack FaultPlan (common/fault.h) and the cluster
  * ChaosPlan (serverless/chaos.h). Both accept a compact
  * `key=value;key@N` spec form from an environment variable and want
- * identical entry splitting. Their JSON forms parse through
- * common/json.h.
+ * identical entry splitting, seed parsing and environment reading.
  */
 
 #ifndef MEDUSA_COMMON_PLAN_SPEC_H
 #define MEDUSA_COMMON_PLAN_SPEC_H
 
+#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 
 namespace medusa {
@@ -44,6 +45,33 @@ std::optional<u64> parseSpecUintPrefix(const char *begin, char **end);
  * overrides use it.
  */
 std::optional<u64> parseSpecUint(const std::string &text);
+
+/**
+ * The plan in environment variable @p plan_var, parsed by
+ * Plan::fromSpec, with its seed replaced by @p seed_var when that is
+ * set (parseSpecUint). A malformed plan or seed is an error, a seed's
+ * naming @p seed_var; nullopt when @p plan_var is unset or empty.
+ */
+template <typename Plan>
+StatusOr<std::optional<Plan>>
+planFromEnv(const char *plan_var, const char *seed_var)
+{
+    const char *spec = std::getenv(plan_var);
+    if (spec == nullptr || spec[0] == '\0') {
+        return std::optional<Plan>{};
+    }
+    MEDUSA_ASSIGN_OR_RETURN(Plan plan, Plan::fromSpec(spec));
+    if (const char *seed = std::getenv(seed_var);
+        seed != nullptr && seed[0] != '\0') {
+        const std::optional<u64> value = parseSpecUint(seed);
+        if (!value.has_value()) {
+            return invalidArgument(std::string(seed_var) + ": bad seed \"" +
+                                   seed + "\"");
+        }
+        plan.seed = *value;
+    }
+    return std::optional<Plan>(std::move(plan));
+}
 
 } // namespace medusa
 

@@ -38,23 +38,12 @@ class BinaryWriter
 
     void writeU32(u32 v) { writeRaw(&v, sizeof(v)); }
     void writeU64(u64 v) { writeRaw(&v, sizeof(v)); }
-    void writeI64(i64 v) { writeRaw(&v, sizeof(v)); }
-    void writeF64(f64 v) { writeRaw(&v, sizeof(v)); }
-    void writeF32(f32 v) { writeRaw(&v, sizeof(v)); }
-    void writeBool(bool v) { writeU8(v ? 1 : 0); }
 
     void
     writeString(const std::string &s)
     {
         writeU64(s.size());
         writeRaw(s.data(), s.size());
-    }
-
-    void
-    writeBytes(const std::vector<u8> &bytes)
-    {
-        writeU64(bytes.size());
-        writeRaw(bytes.data(), bytes.size());
     }
 
     /** Append raw bytes with no length prefix (pre-framed payloads). */
@@ -104,36 +93,16 @@ class BinaryWriter
 };
 
 /**
- * Reads values back in the order they were written. All read methods
- * return errors (never crash) on truncated input, so a corrupted artifact
- * is reported as a recoverable failure.
- *
- * Two construction modes:
- *  - owning: the reader takes the byte vector by value (convenient for
- *    one-shot loads where the buffer has no other consumer);
- *  - view: the reader borrows a std::span over bytes owned elsewhere —
- *    zero copies, and many readers can decode disjoint sections of one
- *    buffer concurrently. The caller keeps the backing storage alive.
+ * Reads values back in the order they were written, from bytes the
+ * caller owns and keeps alive (no copy; many readers can decode
+ * disjoint sections of one buffer). All read methods return errors
+ * (never crash) on truncated input, so a corrupted artifact is reported
+ * as a recoverable failure.
  */
 class BinaryReader
 {
   public:
-    /** Owning mode: adopt the buffer. */
-    explicit BinaryReader(std::vector<u8> bytes)
-        : owned_(std::move(bytes)), buf_(owned_), pos_(0)
-    {
-    }
-
-    /** View mode: borrow @p view (no copy; caller owns the bytes). */
-    explicit BinaryReader(std::span<const u8> view)
-        : buf_(view), pos_(0)
-    {
-    }
-
-    // The span member points into owned_; default copy/move would leave
-    // it dangling.
-    BinaryReader(const BinaryReader &) = delete;
-    BinaryReader &operator=(const BinaryReader &) = delete;
+    explicit BinaryReader(std::span<const u8> view) : buf_(view), pos_(0) {}
 
     StatusOr<u8>
     readU8()
@@ -159,37 +128,6 @@ class BinaryReader
         return v;
     }
 
-    StatusOr<i64>
-    readI64()
-    {
-        i64 v{};
-        MEDUSA_RETURN_IF_ERROR(readRaw(&v, sizeof(v)));
-        return v;
-    }
-
-    StatusOr<f64>
-    readF64()
-    {
-        f64 v{};
-        MEDUSA_RETURN_IF_ERROR(readRaw(&v, sizeof(v)));
-        return v;
-    }
-
-    StatusOr<f32>
-    readF32()
-    {
-        f32 v{};
-        MEDUSA_RETURN_IF_ERROR(readRaw(&v, sizeof(v)));
-        return v;
-    }
-
-    StatusOr<bool>
-    readBool()
-    {
-        MEDUSA_ASSIGN_OR_RETURN(u8 v, readU8());
-        return v != 0;
-    }
-
     StatusOr<std::string>
     readString()
     {
@@ -202,27 +140,19 @@ class BinaryReader
         return s;
     }
 
-    StatusOr<std::vector<u8>>
-    readBytes()
-    {
-        MEDUSA_ASSIGN_OR_RETURN(u64 n, readU64());
-        if (n > remaining()) {
-            return truncated("bytes");
-        }
-        std::vector<u8> out(buf_.begin() + pos_, buf_.begin() + pos_ + n);
-        pos_ += n;
-        return out;
-    }
-
-    /** Deserialize a vector given a per-element reader functor. */
+    /**
+     * Deserialize a vector given a per-element reader functor. Every
+     * element encodes to at least @p min_item_bytes, so a count the
+     * remaining bytes cannot hold is a corrupted stream; refusing it
+     * bounds the reserve below by sizeof(T) / min_item_bytes times the
+     * data.
+     */
     template <typename T, typename Fn>
     StatusOr<std::vector<T>>
-    readVector(Fn &&read_item)
+    readVector(std::size_t min_item_bytes, Fn &&read_item)
     {
         MEDUSA_ASSIGN_OR_RETURN(u64 n, readU64());
-        if (n > remaining()) {
-            // Every element consumes at least one byte; a larger count
-            // means a corrupted stream (guards the reserve below).
+        if (n > remaining() / min_item_bytes) {
             return internalError("serialized vector count exceeds data");
         }
         std::vector<T> out;
@@ -237,10 +167,7 @@ class BinaryReader
         return out;
     }
 
-    /**
-     * Borrow @p n bytes at the cursor without copying (view of the
-     * reader's backing storage — valid only while it lives).
-     */
+    /** Borrow @p n bytes at the cursor without copying. */
     StatusOr<std::span<const u8>>
     viewBytes(std::size_t n)
     {
@@ -286,7 +213,6 @@ class BinaryReader
                              what);
     }
 
-    std::vector<u8> owned_;
     std::span<const u8> buf_;
     std::size_t pos_;
 };

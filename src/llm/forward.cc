@@ -16,8 +16,6 @@ constexpr f32 kNormEps = 1e-5f;
 constexpr f32 kRopeTheta = 10000.0f;
 /** Representative real context length for decode-attention timing. */
 constexpr f64 kRepresentativeCtx = 256.0;
-/** Prefix of the stream-tag decoy constant (see paged attention). */
-constexpr u64 kStreamTagPrefix = 0x7fabull << 32;
 
 /** Timing of a GEMM with real dims [n x k] x [k x out]. */
 TimingInfo
@@ -381,7 +379,7 @@ ForwardPass::decode(Stream &stream, u32 bs, u32 layer_begin, u32 layer_end,
                 .i32(static_cast<i32>(f.block_size))
                 .i32(static_cast<i32>(bufs_->max_blocks_per_seq))
                 .i32(static_cast<i32>(stride))
-                .i64(static_cast<i64>(kStreamTagPrefix | bs))
+                .i64(static_cast<i64>(simcuda::kStreamTagPrefix | bs))
                 .f32(scale);
             MEDUSA_RETURN_IF_ERROR(
                 launch(k.paged_attention_decode, pb, t));

@@ -1,10 +1,5 @@
 #include "medusa/image.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -81,6 +76,11 @@ viewPodArray(BinaryReader &r, u64 count)
     return std::span<const T>(reinterpret_cast<const T *>(raw.data()),
                               static_cast<std::size_t>(count));
 }
+
+/** Encoded AllocOp: the kind byte and three u64s. */
+constexpr std::size_t kAllocOpBytes = 1 + 3 * sizeof(u64);
+/** Smallest encoded KernelEntry: two empty strings' length prefixes. */
+constexpr std::size_t kKernelEntryBytes = 2 * sizeof(u64);
 
 void
 writeAllocOp(BinaryWriter &w, const AllocOp &op)
@@ -478,7 +478,8 @@ MaterializedImage::openView(std::span<const u8> bytes,
     MEDUSA_ASSIGN_OR_RETURN(img.organic_op_count, r.readU64());
     MEDUSA_ASSIGN_OR_RETURN(img.organic_alloc_count, r.readU64());
     MEDUSA_ASSIGN_OR_RETURN(img.total_nodes, r.readU64());
-    MEDUSA_ASSIGN_OR_RETURN(img.ops, r.readVector<AllocOp>(readAllocOp));
+    MEDUSA_ASSIGN_OR_RETURN(img.ops,
+                            r.readVector<AllocOp>(kAllocOpBytes, readAllocOp));
     {
         MEDUSA_ASSIGN_OR_RETURN(u64 tag_count, r.readU64());
         for (u64 i = 0; i < tag_count; ++i) {
@@ -487,8 +488,9 @@ MaterializedImage::openView(std::span<const u8> bytes,
             img.tags[tag] = index;
         }
     }
-    MEDUSA_ASSIGN_OR_RETURN(img.kernel_table,
-                            r.readVector<KernelEntry>(readKernelEntry));
+    MEDUSA_ASSIGN_OR_RETURN(
+        img.kernel_table,
+        r.readVector<KernelEntry>(kKernelEntryBytes, readKernelEntry));
     {
         MEDUSA_ASSIGN_OR_RETURN(u64 merge_count, r.readU64());
         if (merge_count > r.remaining() / 8) {
@@ -615,65 +617,6 @@ MaterializedImage::openView(std::span<const u8> bytes,
         }
     }
     return img;
-}
-
-StatusOr<MaterializedImage>
-MaterializedImage::open(std::vector<u8> bytes,
-                        const ImageReadOptions &options)
-{
-    // Decode as a view first, then adopt the buffer: the vector's heap
-    // storage (and thus every span) survives the move below.
-    std::vector<u8> adopted = std::move(bytes);
-    auto img = openView(std::span<const u8>(adopted), options);
-    if (!img.isOk()) {
-        return img.status();
-    }
-    MaterializedImage out = std::move(img).value();
-    out.owned_ = std::move(adopted);
-    return out;
-}
-
-StatusOr<MaterializedImage>
-MaterializedImage::openFile(const std::string &path,
-                            const ImageReadOptions &options)
-{
-    if (options.use_mmap) {
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd >= 0) {
-            struct stat st = {};
-            if (::fstat(fd, &st) == 0 && st.st_size > 0) {
-                const auto size = static_cast<std::size_t>(st.st_size);
-                void *map =
-                    ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-                // The descriptor is not needed once mapped (POSIX keeps
-                // the mapping alive independently).
-                ::close(fd);
-                if (map != MAP_FAILED) {
-                    std::shared_ptr<const void> holder(
-                        map, [size](const void *p) {
-                            ::munmap(const_cast<void *>(p), size);
-                        });
-                    auto img = openView(
-                        std::span<const u8>(
-                            static_cast<const u8 *>(map), size),
-                        options);
-                    if (!img.isOk()) {
-                        return img.status();
-                    }
-                    MaterializedImage out = std::move(img).value();
-                    out.mapping_ = std::move(holder);
-                    return out;
-                }
-            } else {
-                ::close(fd);
-            }
-        }
-        // Fall through to the read-based path: a filesystem without
-        // mmap support (or an unreadable stat) should not change the
-        // caller-visible contract, only the backing.
-    }
-    MEDUSA_ASSIGN_OR_RETURN(std::vector<u8> bytes, readFile(path));
-    return open(std::move(bytes), options);
 }
 
 } // namespace medusa::core

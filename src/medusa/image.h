@@ -49,7 +49,6 @@
 #define MEDUSA_MEDUSA_IMAGE_H
 
 #include <map>
-#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -105,11 +104,6 @@ struct ImageReadOptions
      * one generic open failure.
      */
     bool validate_indices = true;
-    /**
-     * openFile(): map the file read-only instead of reading it into
-     * memory. Falls back to the read path when mapping fails.
-     */
-    bool use_mmap = true;
     /** Inject FaultPoint::kImageOpen before decoding, when set. */
     FaultInjector *fault = nullptr;
     TraceRecorder *trace = nullptr;
@@ -119,9 +113,8 @@ struct ImageReadOptions
  * A decoded view over a serialized v6 image. Small metadata (counts,
  * names, tags, the alloc-op sequence, tokenizer merges) is copied out;
  * the large arrays — graph SoA columns, the patch template and the
- * relocation tables — are zero-copy spans into the backing bytes. The
- * backing is either owned by the image (open) or by the caller
- * (openView), in which case it must outlive the image.
+ * relocation tables — are zero-copy spans into bytes the caller owns
+ * and keeps alive for the image's lifetime (OfflineResult holds both).
  */
 class MaterializedImage
 {
@@ -234,36 +227,13 @@ class MaterializedImage
     static StatusOr<MaterializedImage>
     openView(std::span<const u8> bytes, const ImageReadOptions &options = {});
 
-    /** Open an image adopting @p bytes (kept alive inside the image). */
-    static StatusOr<MaterializedImage>
-    open(std::vector<u8> bytes, const ImageReadOptions &options = {});
-
-    /**
-     * Open an image file. With options.use_mmap (the default) the file
-     * is mapped read-only and the image views the mapping in place — the
-     * kernel pages graph columns in on first touch, which is what makes
-     * many models' images cheap to hold open. Falls back to the
-     * read-based path (open) when mapping is unavailable.
-     */
-    static StatusOr<MaterializedImage>
-    openFile(const std::string &path, const ImageReadOptions &options = {});
-
-    /** True when the backing bytes are a live file mapping. */
-    bool isMapped() const { return mapping_ != nullptr; }
-
-    // Spans point into owned_; copying would leave them dangling, and
-    // moving a vector keeps its heap buffer stable, so moves are safe.
+    // Move-only: a copy would duplicate the decoded metadata and make
+    // one more view that must not outlive the bytes.
     MaterializedImage() = default;
     MaterializedImage(const MaterializedImage &) = delete;
     MaterializedImage &operator=(const MaterializedImage &) = delete;
     MaterializedImage(MaterializedImage &&) = default;
     MaterializedImage &operator=(MaterializedImage &&) = default;
-
-  private:
-    /** Backing bytes when opened via open(); empty for openView(). */
-    std::vector<u8> owned_;
-    /** Backing mapping when opened via openFile() with mmap. */
-    std::shared_ptr<const void> mapping_;
 };
 
 /**

@@ -43,7 +43,9 @@
 #include "medusa/lint/analysis.h"
 #include "medusa/lint/lint.h"
 #include "medusa/record.h"
+#include "simcuda/caching_allocator.h"
 #include "simcuda/kernel.h"
+#include "simcuda/kernels/builtin.h"
 #include "simcuda/memory.h"
 
 namespace medusa::core::lint {
@@ -339,9 +341,7 @@ class ImageLinter
         // classes. The profiling figure the image materializes is
         // capacity minus the live footprint at the profiling point, so
         // SOME prefix of the sequence must reproduce it exactly.
-        const u64 granule = opt_.alloc_round_bytes > 0
-                                ? opt_.alloc_round_bytes
-                                : simcuda::CachingAllocator::kRoundBytes;
+        const u64 granule = simcuda::CachingAllocator::kRoundBytes;
         std::vector<u64> rounded;
         u64 live = 0;
         u64 max_live = 0;
@@ -750,9 +750,10 @@ class ImageLinter
             }
             // An 8-byte constant, typed or not, that lands inside the
             // capture device's VA window is a capture-time pointer
-            // frozen into the template: tagged scalars (stream tags)
-            // live outside the window.
-            if (s.len == 8 && value >= window_begin && value < window_end) {
+            // frozen into the template. Stream tags are scalars by
+            // shape; on device 2 they fall inside the window.
+            if (s.len == 8 && value >= window_begin && value < window_end &&
+                value >> 32 != simcuda::kStreamTagPrefix >> 32) {
                 emit("MDL705", Severity::kError, slotLoc(slot),
                      "uncovered 8-byte constant " + hexValue(value) +
                          " falls inside device " +
@@ -935,6 +936,7 @@ lintTpImages(const std::vector<MaterializedImage> &rank_images,
     std::vector<detail::RankShape> shapes;
     for (u64 r = 0; r < rank_images.size(); ++r) {
         const MaterializedImage &img = rank_images[r];
+        rank_options.device_index = static_cast<u32>(r);
         ImageLinter linter(img, rank_options);
         detail::mergeRankReport(r, linter.run(), report);
         detail::RankShape &shape = shapes.emplace_back();
@@ -950,8 +952,7 @@ lintTpImages(const std::vector<MaterializedImage> &rank_images,
             for (u32 ni = 0; ni < g.node_count; ++ni) {
                 const simcuda::KernelId ki = linter.nodeKernel(gi, ni);
                 if (ki != simcuda::kInvalidKernel &&
-                    img.kernel_table[ki].module ==
-                        options.collective_module) {
+                    img.kernel_table[ki].module == simcuda::kNcclModule) {
                     sg.collectives.push_back(img.kernel_table[ki].name);
                 }
             }

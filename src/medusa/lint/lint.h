@@ -67,7 +67,6 @@
 #include <vector>
 
 #include "medusa/image.h"
-#include "simcuda/caching_allocator.h"
 #include "simcuda/memory.h"
 
 namespace medusa::core {
@@ -113,24 +112,18 @@ struct LintOptions
     u64 device_memory_bytes =
         simcuda::DeviceMemoryManager::kDefaultDeviceBytes;
     /**
-     * Free-list size-class rounding of the caching allocator, used to
-     * reproduce the free-memory figure from logical sizes.
-     */
-    u64 alloc_round_bytes = simcuda::CachingAllocator::kRoundBytes;
-    /**
      * Check kernel names against the in-process KernelRegistry
      * (MDL3xx). Disable when linting an image for a foreign kernel
      * zoo.
      */
     bool check_kernel_registry = true;
-    /** Module whose kernels are collectives (MDL604 ordering). */
-    std::string collective_module = "libsimnccl.so";
     /**
      * Device the image was captured on. The MDL705 coverage heuristic
      * classifies an 8-byte prefilled constant as a leaked capture-time
      * pointer only when its value falls inside THIS device's VA window
-     * — tagged constants that merely look pointer-shaped (e.g. stream
-     * tags in another window) stay silent.
+     * — pointer-shaped constants outside it stay silent, and so do
+     * stream tags (simcuda::kStreamTagPrefix) inside it. lintTpImages
+     * ignores it: rank r is on device r, as TpCluster places it.
      */
     u32 device_index = 0;
     /**
@@ -182,7 +175,8 @@ LintReport lintImage(const MaterializedImage &image,
 
 /**
  * Run the image rules on every rank's image (locations prefixed with
- * "rank[i].") PLUS the cross-rank tensor-parallel rules (MDL6xx).
+ * "rank[i]."; rank i against device i's address window) PLUS the
+ * cross-rank tensor-parallel rules (MDL6xx).
  */
 LintReport lintTpImages(const std::vector<MaterializedImage> &rank_images,
                         const LintOptions &options = {});

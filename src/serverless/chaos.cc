@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 
-#include "common/json.h"
 #include "common/plan_spec.h"
 #include "common/rng.h"
 
@@ -13,24 +12,23 @@ namespace medusa::serverless {
 
 namespace {
 
-/** Spec/JSON key table; `spec_key` drops the `_sec` suffix. */
+/** Spec key table; a key drops its field's `_sec` suffix. */
 struct ChaosKey
 {
     const char *spec_key;
-    const char *json_key;
     f64 ChaosPlan::*field;
 };
 
 constexpr ChaosKey kChaosKeys[] = {
-    {"node_mtbf", "node_mtbf_sec", &ChaosPlan::node_mtbf_sec},
-    {"node_mttr", "node_mttr_sec", &ChaosPlan::node_mttr_sec},
-    {"inst_mtbf", "inst_mtbf_sec", &ChaosPlan::inst_mtbf_sec},
-    {"store_mtbf", "store_mtbf_sec", &ChaosPlan::store_mtbf_sec},
-    {"store_mttr", "store_mttr_sec", &ChaosPlan::store_mttr_sec},
-    {"gray_mtbf", "gray_mtbf_sec", &ChaosPlan::gray_mtbf_sec},
-    {"gray_mttr", "gray_mttr_sec", &ChaosPlan::gray_mttr_sec},
-    {"gray_slowdown", "gray_slowdown", &ChaosPlan::gray_slowdown},
-    {"horizon", "horizon_sec", &ChaosPlan::horizon_sec},
+    {"node_mtbf", &ChaosPlan::node_mtbf_sec},
+    {"node_mttr", &ChaosPlan::node_mttr_sec},
+    {"inst_mtbf", &ChaosPlan::inst_mtbf_sec},
+    {"store_mtbf", &ChaosPlan::store_mtbf_sec},
+    {"store_mttr", &ChaosPlan::store_mttr_sec},
+    {"gray_mtbf", &ChaosPlan::gray_mtbf_sec},
+    {"gray_mttr", &ChaosPlan::gray_mttr_sec},
+    {"gray_slowdown", &ChaosPlan::gray_slowdown},
+    {"horizon", &ChaosPlan::horizon_sec},
 };
 
 constexpr std::size_t kChaosKeyCount =
@@ -132,82 +130,10 @@ ChaosPlan::fromSpec(const std::string &spec)
     return plan;
 }
 
-StatusOr<ChaosPlan>
-ChaosPlan::fromJson(const std::string &json)
-{
-    MEDUSA_ASSIGN_OR_RETURN(const Json root, Json::parse(json));
-    if (!root.isObject()) {
-        return invalidArgument("chaos json: expected top-level object");
-    }
-    ChaosPlan plan;
-    std::array<bool, kChaosKeyCount> seen{};
-    bool seed_seen = false;
-    for (const auto &[key, v] : root.members()) {
-        if (key == "seed") {
-            if (seed_seen) {
-                return invalidArgument(
-                    "chaos json: duplicate key \"seed\"");
-            }
-            seed_seen = true;
-            const std::optional<u64> seed = v.asUint();
-            if (!seed.has_value()) {
-                return invalidArgument(
-                    "chaos json: \"seed\" must be an integer in "
-                    "[0, 2^53]");
-            }
-            plan.seed = *seed;
-            continue;
-        }
-        bool matched = false;
-        for (std::size_t i = 0; i < kChaosKeyCount; ++i) {
-            if (key != kChaosKeys[i].json_key) {
-                continue;
-            }
-            if (seen[i]) {
-                return invalidArgument(
-                    "chaos json: duplicate key \"" + key + "\"");
-            }
-            if (!v.isNumber()) {
-                return invalidArgument("chaos json: \"" + key +
-                                       "\" must be a number");
-            }
-            seen[i] = true;
-            plan.*(kChaosKeys[i].field) = v.asNumber();
-            matched = true;
-            break;
-        }
-        if (!matched) {
-            return invalidArgument("chaos json: unknown key \"" + key +
-                                   "\"");
-        }
-    }
-    MEDUSA_RETURN_IF_ERROR(validatePlan(plan));
-    return plan;
-}
-
 StatusOr<std::optional<ChaosPlan>>
 ChaosPlan::fromEnv()
 {
-    const char *spec = std::getenv("MEDUSA_CHAOS_PLAN");
-    if (spec == nullptr || spec[0] == '\0') {
-        return std::optional<ChaosPlan>{};
-    }
-    const std::string text = spec;
-    auto parsed = text.front() == '{' ? fromJson(text) : fromSpec(text);
-    if (!parsed.isOk()) {
-        return parsed.status();
-    }
-    ChaosPlan plan = std::move(parsed).value();
-    if (const char *seed = std::getenv("MEDUSA_CHAOS_SEED");
-        seed != nullptr && seed[0] != '\0') {
-        const std::optional<u64> value = parseSpecUint(seed);
-        if (!value.has_value()) {
-            return invalidArgument("MEDUSA_CHAOS_SEED: bad seed \"" +
-                                   std::string(seed) + "\"");
-        }
-        plan.seed = *value;
-    }
-    return std::optional<ChaosPlan>(plan);
+    return planFromEnv<ChaosPlan>("MEDUSA_CHAOS_PLAN", "MEDUSA_CHAOS_SEED");
 }
 
 std::string

@@ -28,12 +28,10 @@
  *    `gray_slowdown` times slower — the partial-failure mode that
  *    health checks miss.
  *
- * Plans come from code, a compact spec, JSON, or the environment
- * (mirroring MEDUSA_FAULT_PLAN; the spec splits through
- * common/plan_spec.h, the JSON form parses through common/json.h):
+ * Plans come from code, a compact spec, or the environment (mirroring
+ * MEDUSA_FAULT_PLAN; the spec splits through common/plan_spec.h):
  *
  *   MEDUSA_CHAOS_PLAN='node_mtbf=120;node_mttr=20;inst_mtbf=30'
- *   MEDUSA_CHAOS_PLAN='{"seed":7,"node_mtbf_sec":120,...}'
  *   MEDUSA_CHAOS_SEED=7
  *
  * Spec keys are the field names below without the `_sec` suffix:
@@ -42,10 +40,8 @@
  * A key may appear only once; unknown keys are errors listing the
  * valid set. The spec `seed` and MEDUSA_CHAOS_SEED must be a whole
  * unsigned 64-bit integer, decimal or 0x hex (no sign, no octal, no
- * trailing characters). JSON keys
- * keep the `_sec` suffix; the JSON `seed` must be an integer in
- * [0, 2^53]. In either form every duration and
- * `gray_slowdown` must be finite (NaN and infinity are rejected).
+ * trailing characters). Every duration and `gray_slowdown` must be
+ * finite (NaN and infinity are rejected).
  */
 
 #ifndef MEDUSA_SERVERLESS_CHAOS_H
@@ -103,14 +99,10 @@ struct ChaosPlan
     /** Parse the compact spec form (see file comment). */
     static StatusOr<ChaosPlan> fromSpec(const std::string &spec);
 
-    /** Parse the flat JSON-object form (field names as keys). */
-    static StatusOr<ChaosPlan> fromJson(const std::string &json);
-
     /**
-     * Build a plan from MEDUSA_CHAOS_PLAN (spec or JSON, picked by a
-     * leading '{') with MEDUSA_CHAOS_SEED overriding the seed; a
-     * malformed plan or seed is an error. Returns nullopt when the
-     * plan variable is unset or empty.
+     * Build a plan from the MEDUSA_CHAOS_PLAN spec with
+     * MEDUSA_CHAOS_SEED overriding the seed (planFromEnv,
+     * common/plan_spec.h).
      */
     static StatusOr<std::optional<ChaosPlan>> fromEnv();
 

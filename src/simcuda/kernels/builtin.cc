@@ -639,7 +639,7 @@ pagedAttentionDecode(DeviceMemoryManager &mem, const KernelArgs &args)
     const i32 q_stride = args.i32At(12);
     const i64 stream_tag = args.i64At(13);
     const f32 scale = args.f32At(14);
-    if ((static_cast<u64>(stream_tag) >> 32) != 0x7fabu) {
+    if ((static_cast<u64>(stream_tag) >> 32) != kStreamTagPrefix >> 32) {
         return invalidArgument("paged_attention: corrupted stream tag");
     }
     if (bs < 0 || qh <= 0 || kvh <= 0 || hd <= 0 || block_size <= 0 ||

@@ -40,6 +40,15 @@ inline constexpr const char *kAttnModule = "libsimattn.so";
 inline constexpr const char *kNcclModule = "libsimnccl.so";
 
 /**
+ * High half of the paged-attention stream tag: the forward pass passes
+ * kStreamTagPrefix | batch size and the kernel refuses any other high
+ * half. A pointer-shaped scalar the pointer classification must leave
+ * alone; it lies inside device 2's address window, so medusa-lint's
+ * MDL705 exempts it by shape.
+ */
+inline constexpr u64 kStreamTagPrefix = 0x7fabull << 32;
+
+/**
  * C[n, out] = A[n, k] x W[out, k]^T over row-major f32 operands: the
  * arithmetic of every functional GEMM kernel (DESIGN.md, "Functional
  * kernel arithmetic contract"). Each output is

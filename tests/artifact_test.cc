@@ -137,14 +137,14 @@ TEST(ArtifactTest, RejectsBadMagic)
 {
     std::vector<u8> bytes = sampleImage().finish({{1, 2}});
     bytes[0] ^= 0xff;
-    EXPECT_FALSE(MaterializedImage::open(bytes).isOk());
+    EXPECT_FALSE(MaterializedImage::openView(bytes).isOk());
 }
 
 TEST(ArtifactTest, RejectsWrongVersion)
 {
     std::vector<u8> bytes = sampleImage().finish({{1, 2}});
     bytes[4] += 1;
-    EXPECT_FALSE(MaterializedImage::open(bytes).isOk());
+    EXPECT_FALSE(MaterializedImage::openView(bytes).isOk());
 }
 
 TEST(ArtifactTest, RejectsTruncation)
@@ -156,7 +156,7 @@ TEST(ArtifactTest, RejectsTruncation)
           std::size_t{9}}) {
         std::vector<u8> truncated(bytes.begin(),
                                   bytes.begin() + static_cast<long>(cut));
-        EXPECT_FALSE(MaterializedImage::open(truncated).isOk())
+        EXPECT_FALSE(MaterializedImage::openView(truncated).isOk())
             << "cut=" << cut;
     }
 }
@@ -165,7 +165,8 @@ TEST(ArtifactTest, EmptyArtifactRoundTrips)
 {
     ImageBuilder a;
     a.model_name = "x";
-    auto out = MaterializedImage::open(a.finish({}));
+    const std::vector<u8> bytes = a.finish({});
+    auto out = MaterializedImage::openView(std::span<const u8>(bytes));
     ASSERT_TRUE(out.isOk()) << out.status().toString();
     EXPECT_EQ(out->model_name, "x");
     EXPECT_TRUE(out->graphs.empty());

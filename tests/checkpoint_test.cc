@@ -10,7 +10,6 @@
 #include "medusa/checkpoint.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
-#include "test_image.h"
 
 namespace medusa::core {
 namespace {
@@ -81,9 +80,7 @@ TEST(CheckpointTest, RestoreFasterThanColdStartSlowerThanMedusa)
     ASSERT_TRUE(offline.isOk());
     MedusaEngine::Options mopts;
     mopts.model = m;
-    const core::MaterializedImage medusa_image =
-        test::openImage(offline->image_bytes);
-    auto medusa = MedusaEngine::coldStartFromImage(mopts, medusa_image);
+    auto medusa = MedusaEngine::coldStartFromImage(mopts, offline->artifact);
     ASSERT_TRUE(medusa.isOk());
 
     // The restore cost scales with the device footprint (which, for a

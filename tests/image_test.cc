@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/fault.h"
-#include "common/serialize.h"
 #include "llm/engine.h"
 #include "medusa/image.h"
 #include "medusa/offline.h"
@@ -95,80 +94,6 @@ TEST(ImageTest, RoundTripMatchesArtifact)
         EXPECT_EQ(g.param_begin.size(), g.node_count + 1u);
     }
     EXPECT_EQ(image->patch_template.size(), slots);
-}
-
-TEST(ImageTest, OwningOpenEqualsView)
-{
-    const OfflineResult &f = shared();
-    std::vector<u8> copy = f.image_bytes;
-    auto owned = MaterializedImage::open(std::move(copy));
-    ASSERT_TRUE(owned.isOk()) << owned.status().toString();
-    EXPECT_EQ(owned->model_name, f.artifact.model_name);
-    EXPECT_EQ(owned->total_nodes, f.stats.total_nodes);
-
-    // Moving the image must keep its spans valid (they point into the
-    // adopted buffer, whose heap allocation is move-stable).
-    MaterializedImage moved = std::move(*owned);
-    EXPECT_EQ(moved.total_nodes, f.stats.total_nodes);
-    EXPECT_FALSE(moved.patch_template.empty());
-}
-
-TEST(ImageTest, OpenFileMapsReadOnly)
-{
-    const OfflineResult &f = shared();
-    const std::string path =
-        ::testing::TempDir() + "image_test_mmap.mdsi";
-    ASSERT_TRUE(writeFile(path, f.image_bytes).isOk());
-
-    auto mapped = MaterializedImage::openFile(path);
-    ASSERT_TRUE(mapped.isOk()) << mapped.status().toString();
-    EXPECT_TRUE(mapped->isMapped());
-    EXPECT_EQ(mapped->model_name, f.artifact.model_name);
-    EXPECT_EQ(mapped->serialized_size, f.image_bytes.size());
-    EXPECT_EQ(mapped->total_nodes, f.stats.total_nodes);
-
-    // The mapping stays valid across a move of the image.
-    MaterializedImage moved = std::move(*mapped);
-    EXPECT_TRUE(moved.isMapped());
-    EXPECT_FALSE(moved.patch_template.empty());
-
-    // A mapped image drives the patch restore like an in-memory one.
-    auto engine = patchColdStart(moved, 41);
-    ASSERT_TRUE(engine.isOk()) << engine.status().toString();
-
-    auto missing = MaterializedImage::openFile(path + ".nope");
-    EXPECT_FALSE(missing.isOk());
-}
-
-TEST(ImageTest, OpenFileReadFallbackMatchesMapped)
-{
-    const OfflineResult &f = shared();
-    const std::string path =
-        ::testing::TempDir() + "image_test_read.mdsi";
-    ASSERT_TRUE(writeFile(path, f.image_bytes).isOk());
-
-    ImageReadOptions ropts;
-    ropts.use_mmap = false; // the fallback path, forced
-    auto read = MaterializedImage::openFile(path, ropts);
-    ASSERT_TRUE(read.isOk()) << read.status().toString();
-    EXPECT_FALSE(read->isMapped());
-
-    auto mapped = MaterializedImage::openFile(path);
-    ASSERT_TRUE(mapped.isOk());
-    EXPECT_EQ(read->model_name, mapped->model_name);
-    EXPECT_EQ(read->total_nodes, mapped->total_nodes);
-    EXPECT_EQ(read->data_relocs.size(), mapped->data_relocs.size());
-    EXPECT_EQ(read->kernel_relocs.size(), mapped->kernel_relocs.size());
-    EXPECT_EQ(read->patch_template.size(),
-              mapped->patch_template.size());
-
-    // Both paths restore to the same process state.
-    auto a = patchColdStart(*read, 43);
-    auto b = patchColdStart(*mapped, 43);
-    ASSERT_TRUE(a.isOk()) << a.status().toString();
-    ASSERT_TRUE(b.isOk()) << b.status().toString();
-    EXPECT_EQ((*a)->runtime().process().stateFingerprint(),
-              (*b)->runtime().process().stateFingerprint());
 }
 
 // ---- relocation-patch restore: determinism + cost ----------------------

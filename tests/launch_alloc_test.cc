@@ -3,26 +3,41 @@
  * Heap-allocation counts of the launch path: launch parameters are
  * inline values from ParamsBuilder through eager launch, stream capture
  * and the offline recorder (DESIGN.md §6, "Launch parameters are inline
- * values"), so none of them allocates per argument.
+ * values"), so none of them allocates per argument. Also the largest
+ * single request an image decode makes for a forged count.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "llm/model_config.h"
 #include "llm/runtime.h"
+#include "medusa/image.h"
 #include "medusa/record.h"
 #include "simcuda/gpu_process.h"
 #include "simcuda/kernels/builtin.h"
+#include "test_image.h"
 
 namespace medusa {
 namespace {
 
 /** Global allocation counter. */
 std::atomic<u64> g_allocs{0};
+/** Largest single allocation request, in bytes. */
+std::atomic<std::size_t> g_largest{0};
+
+void
+countAlloc(std::size_t size)
+{
+    ++g_allocs;
+    std::size_t seen = g_largest.load();
+    while (size > seen && !g_largest.compare_exchange_weak(seen, size)) {
+    }
+}
 
 } // namespace
 } // namespace medusa
@@ -38,7 +53,7 @@ std::atomic<u64> g_allocs{0};
 void *
 operator new(std::size_t size)
 {
-    ++medusa::g_allocs;
+    medusa::countAlloc(size);
     void *p = std::malloc(size);
     if (p == nullptr) {
         throw std::bad_alloc();
@@ -55,7 +70,7 @@ operator new[](std::size_t size)
 void *
 operator new(std::size_t size, const std::nothrow_t &) noexcept
 {
-    ++medusa::g_allocs;
+    medusa::countAlloc(size);
     return std::malloc(size);
 }
 
@@ -184,6 +199,41 @@ TEST(LaunchAllocTest, RecorderCopiesNoParameterBytes)
     EXPECT_EQ(wide_allocs, record(simcuda::ParamView()));
     // Amortized growth of one position vector, not one copy per launch.
     EXPECT_LT(wide_allocs, 32u);
+}
+
+TEST(LaunchAllocTest, ForgedImageCountsReserveAtMostFourTimesThePayload)
+{
+    // No ops and no tags: the payload opens with the model name, five
+    // u64 header facts, then the op, tag and kernel counts.
+    core::ImageBuilder b;
+    b.model_name = "m";
+    b.addKernel("kernel", "module");
+    b.addPermanent(0, 4096);
+    const std::vector<u8> clean = b.finish({});
+    const std::size_t ops_at = core::MaterializedImage::kHeaderBytes + 8 +
+                               b.model_name.size() + 5 * 8;
+    const std::size_t kernels_at = ops_at + 2 * 8;
+    u64 kernel_count = 0;
+    std::memcpy(&kernel_count, clean.data() + kernels_at, 8);
+    ASSERT_EQ(kernel_count, 1u);
+
+    const std::size_t payload =
+        clean.size() - core::MaterializedImage::kHeaderBytes;
+    for (const std::size_t count_at : {ops_at, kernels_at}) {
+        // The largest count a bound of one byte per item lets through.
+        std::vector<u8> bytes = clean;
+        const u64 forged = bytes.size() - (count_at + 8);
+        std::memcpy(bytes.data() + count_at, &forged, sizeof(forged));
+        test::resealImage(bytes);
+
+        g_largest = 0;
+        auto image = core::MaterializedImage::openView(bytes);
+        const std::size_t largest = g_largest.load();
+        EXPECT_FALSE(image.isOk()) << "count at " << count_at;
+        EXPECT_LE(largest, 4 * payload)
+            << "count at " << count_at << ": a " << payload
+            << "-byte payload made a " << largest << "-byte request";
+    }
 }
 
 } // namespace

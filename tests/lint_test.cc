@@ -670,6 +670,31 @@ TEST(LintTest, CollectiveOrderMismatchFiresMdl604)
     EXPECT_FALSE(hasRule(r, "MDL603"));
 }
 
+TEST(LintTest, EachRankIsJudgedInItsDevicesAddressWindow)
+{
+    // Rank r runs on device r (TpCluster), so an uncovered 8-byte
+    // constant inside device 1's window is an escaped pointer on rank 1
+    // and an opaque scalar on ranks 0 and 2. A stream tag lies inside
+    // device 2's window and is a scalar there too.
+    const u64 device1_ptr = simcuda::DeviceMemoryManager::kAddrBase +
+                            simcuda::DeviceMemoryManager::kDeviceSlotBytes +
+                            0x4000;
+    std::vector<Node> nodes = tpNodes();
+    nodes[1].params.push_back({.bits = device1_ptr, .width = 8});
+    nodes[2].params.push_back(
+        {.bits = simcuda::kStreamTagPrefix | 1, .width = 8});
+    const ImageBuilder rank = cleanImage(nodes, kTpEdges);
+    const LintReport r = lintTpOf({rank, rank, rank});
+    std::vector<std::string> escapes;
+    for (const lint::Diagnostic &d : r.diagnostics) {
+        if (d.rule == "MDL705") {
+            escapes.push_back(d.location);
+        }
+    }
+    ASSERT_EQ(escapes.size(), 1u) << r.toText();
+    EXPECT_EQ(escapes[0].rfind("rank[1].", 0), 0u) << escapes[0];
+}
+
 // ---- report rendering --------------------------------------------------
 
 TEST(LintTest, ReportRendersTextAndJson)
@@ -1063,8 +1088,7 @@ TEST(LintTest, PreRestoreLintGateRejectsCorruptArtifact)
     eopts.restore.pipeline.lint = true;
 
     // Clean image: the gate lets the restore proceed.
-    const MaterializedImage clean = test::openImage(result->image_bytes);
-    auto ok = MedusaEngine::coldStartFromImage(eopts, clean);
+    auto ok = MedusaEngine::coldStartFromImage(eopts, result->artifact);
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
 
     // Corrupt the op sequence — retarget the last free at an index no
@@ -1078,7 +1102,8 @@ TEST(LintTest, PreRestoreLintGateRejectsCorruptArtifact)
     std::memcpy(bytes.data() + opOffset(result->artifact, last_free) + 17,
                 &unknown, sizeof(unknown));
     resealImage(bytes);
-    const MaterializedImage corrupt_image = test::openImage(bytes);
+    const MaterializedImage corrupt_image =
+        MaterializedImage::openView(bytes).value();
     auto rejected = MedusaEngine::coldStartFromImage(eopts, corrupt_image);
     ASSERT_FALSE(rejected.isOk());
     EXPECT_EQ(rejected.status().code(), StatusCode::kValidationFailure);
@@ -1195,7 +1220,7 @@ TEST(LintTest, TpPreRestoreLintGateRejectsDivergentRank)
                     graphMetaOffset(divergent, (*images)[1], 0),
                 &stray_batch, sizeof(stray_batch));
     resealImage(divergent);
-    (*images)[1] = test::openImage(divergent);
+    (*images)[1] = MaterializedImage::openView(divergent).value();
     auto rejected = TpMedusaEngine::coldStartFromImages(eopts, *images);
     ASSERT_FALSE(rejected.isOk());
     EXPECT_EQ(rejected.status().code(), StatusCode::kValidationFailure);

@@ -14,7 +14,6 @@
 #include "llm/engine.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
-#include "test_image.h"
 
 namespace medusa {
 namespace {
@@ -107,7 +106,7 @@ TEST(IndirectPointerTest, ExtensionRestoresAcrossProcesses)
     eopts.aslr_seed = 90210;
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {1, 8, 64};
-    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    const core::MaterializedImage &image = offline->artifact;
     auto engine = core::MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     EXPECT_TRUE((*engine)->coldStartReport().restore.validated);
@@ -137,7 +136,7 @@ TEST(IndirectPointerTest, BasePaperBehaviourFailsValidation)
     eopts.aslr_seed = 555;
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {1};
-    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    const core::MaterializedImage &image = offline->artifact;
     auto engine = core::MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_FALSE(engine.isOk());
     EXPECT_EQ(engine.status().code(), StatusCode::kValidationFailure);

@@ -9,15 +9,16 @@
 
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 
 #include "common/metrics.h"
+#include "common/serialize.h"
 #include "common/trace.h"
 #include "llm/engine.h"
 #include "medusa/offline.h"
 #include "medusa/record.h"
 #include "medusa/restore.h"
-#include "test_image.h"
 
 namespace medusa {
 namespace {
@@ -212,7 +213,7 @@ TEST(MedusaIntegration, OnlineRestoreValidatesAgainstEager)
     eopts.aslr_seed = 424242; // a very different process layout
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {1, 8, 64};
-    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    const core::MaterializedImage &image = offline->artifact;
     auto engine = MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
 
@@ -246,7 +247,7 @@ TEST(MedusaIntegration, RestoredEngineGenerates)
     MedusaEngine::Options mopts;
     mopts.model = model;
     mopts.aslr_seed = 99;
-    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    const core::MaterializedImage &image = offline->artifact;
     auto restored = MedusaEngine::coldStartFromImage(mopts, image);
     ASSERT_TRUE(restored.isOk()) << restored.status().toString();
 
@@ -275,7 +276,7 @@ TEST(MedusaIntegration, SkippingContentRestorationFailsValidation)
     eopts.restore.restore_contents = false;
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {1};
-    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    const core::MaterializedImage &image = offline->artifact;
     auto engine = MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_FALSE(engine.isOk());
     EXPECT_EQ(engine.status().code(), StatusCode::kValidationFailure);
@@ -291,7 +292,10 @@ TEST(MedusaIntegration, ArtifactSurvivesDiskRoundTrip)
 
     const std::string path = ::testing::TempDir() + "/medusa_roundtrip.mdsi";
     ASSERT_TRUE(writeFile(path, offline->image_bytes).isOk());
-    auto image = core::MaterializedImage::openFile(path);
+    auto bytes = readFile(path);
+    ASSERT_TRUE(bytes.isOk()) << bytes.status().toString();
+    auto image =
+        core::MaterializedImage::openView(std::span<const u8>(*bytes));
     ASSERT_TRUE(image.isOk()) << image.status().toString();
 
     MedusaEngine::Options eopts;
@@ -313,7 +317,7 @@ TEST(MedusaIntegration, WrongModelArtifactRejected)
 
     MedusaEngine::Options eopts;
     eopts.model = findModel("Llama2-7B").value(); // different model
-    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    const core::MaterializedImage &image = offline->artifact;
     auto engine = MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_FALSE(engine.isOk());
     EXPECT_EQ(engine.status().code(), StatusCode::kValidationFailure);
@@ -329,7 +333,7 @@ TEST(MedusaIntegration, RestoredGraphsServeManyBatchSizes)
     MedusaEngine::Options eopts;
     eopts.model = opts.model;
     eopts.aslr_seed = 31337;
-    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    const core::MaterializedImage &image = offline->artifact;
     auto engine = MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_TRUE(engine.isOk());
     // Replay every restored batch size against eager decode.
@@ -367,7 +371,7 @@ TEST(MedusaIntegration, MedusaLoadingFasterThanBaselines)
 
     MedusaEngine::Options mopts;
     mopts.model = model;
-    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    const core::MaterializedImage &image = offline->artifact;
     auto medusa = MedusaEngine::coldStartFromImage(mopts, image);
     ASSERT_TRUE(medusa.isOk());
 

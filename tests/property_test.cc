@@ -371,7 +371,7 @@ TEST(ArtifactRobustness, CorruptArtifactNeverCrashes)
         const u32 crc =
             crc32(corrupt.data() + header, corrupt.size() - header);
         std::memcpy(corrupt.data() + 16, &crc, sizeof(crc));
-        auto image = core::MaterializedImage::open(std::move(corrupt));
+        auto image = core::MaterializedImage::openView(corrupt);
         if (!image.isOk()) {
             ++rejected;
             continue;

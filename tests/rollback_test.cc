@@ -42,16 +42,13 @@ tinyModel()
 const core::MaterializedImage &
 tinyImage()
 {
-    static const core::MaterializedImage image = []() {
+    static const core::OfflineResult result = []() {
         OfflineOptions opts;
         opts.model = tinyModel();
         opts.pipeline.validate = false;
-        auto result = materialize(opts);
-        MEDUSA_CHECK(result.isOk(), result.status().toString());
-        return core::MaterializedImage::open(std::move(result->image_bytes))
-            .value();
+        return materialize(opts).value();
     }();
-    return image;
+    return result.artifact;
 }
 
 // ---- GpuProcess-level invariants ----------------------------------------

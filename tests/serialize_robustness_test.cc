@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 
 #include "common/crc32.h"
 #include "common/serialize.h"
@@ -20,25 +21,21 @@ namespace {
 
 TEST(SerializeRobustness, EmptyBufferFailsEveryPrimitive)
 {
-    BinaryReader r(std::vector<u8>{});
+    BinaryReader r(std::span<const u8>{});
     EXPECT_FALSE(r.readU8().isOk());
     EXPECT_FALSE(r.readU32().isOk());
     EXPECT_FALSE(r.readU64().isOk());
-    EXPECT_FALSE(r.readI64().isOk());
-    EXPECT_FALSE(r.readF32().isOk());
-    EXPECT_FALSE(r.readF64().isOk());
-    EXPECT_FALSE(r.readBool().isOk());
     EXPECT_FALSE(r.readString().isOk());
-    EXPECT_FALSE(r.readBytes().isOk());
+    EXPECT_FALSE(r.viewBytes(1).isOk());
+    EXPECT_FALSE(r.skipBytes(1).isOk());
 }
 
 TEST(SerializeRobustness, MidValueTruncationFails)
 {
     BinaryWriter w;
     w.writeU64(0x0123456789abcdefull);
-    std::vector<u8> bytes = w.takeBytes();
-    bytes.resize(5); // cut inside the u64
-    BinaryReader r(std::move(bytes));
+    const std::vector<u8> bytes = w.takeBytes();
+    BinaryReader r(std::span<const u8>(bytes).first(5)); // inside the u64
     auto v = r.readU64();
     ASSERT_FALSE(v.isOk());
     EXPECT_NE(v.status().message().find("truncated"),
@@ -49,7 +46,8 @@ TEST(SerializeRobustness, StringLengthBeyondDataFails)
 {
     BinaryWriter w;
     w.writeU64(1ull << 40); // claims a terabyte of string
-    BinaryReader r(w.takeBytes());
+    const std::vector<u8> bytes = w.takeBytes();
+    BinaryReader r{std::span<const u8>(bytes)};
     auto s = r.readString();
     ASSERT_FALSE(s.isOk());
     EXPECT_NE(s.status().message().find("truncated"),
@@ -59,19 +57,24 @@ TEST(SerializeRobustness, StringLengthBeyondDataFails)
 TEST(SerializeRobustness, BytesLengthBeyondDataFails)
 {
     BinaryWriter w;
-    w.writeU64(0xffffffffffffffffull); // overflow-bait length
     w.writeU32(0);
-    BinaryReader r(w.takeBytes());
-    EXPECT_FALSE(r.readBytes().isOk());
+    const std::vector<u8> bytes = w.takeBytes();
+    BinaryReader r{std::span<const u8>(bytes)};
+    // An overflow-bait length must not wrap the bounds check.
+    EXPECT_FALSE(r.viewBytes(~std::size_t{0}).isOk());
+    EXPECT_FALSE(r.skipBytes(~std::size_t{0}).isOk());
+    EXPECT_FALSE(r.viewBytes(5).isOk());
+    EXPECT_EQ(r.position(), 0u);
 }
 
 TEST(SerializeRobustness, VectorCountBeyondDataFails)
 {
     BinaryWriter w;
     w.writeU64(1ull << 50); // element count far beyond the stream
-    BinaryReader r(w.takeBytes());
+    const std::vector<u8> bytes = w.takeBytes();
+    BinaryReader r{std::span<const u8>(bytes)};
     auto v = r.readVector<u64>(
-        [](BinaryReader &rr) { return rr.readU64(); });
+        sizeof(u64), [](BinaryReader &rr) { return rr.readU64(); });
     ASSERT_FALSE(v.isOk());
     EXPECT_NE(v.status().message().find("count exceeds"),
               std::string::npos);
@@ -83,10 +86,22 @@ TEST(SerializeRobustness, VectorElementTruncationFails)
     w.writeU64(3); // three u64 elements promised...
     w.writeU64(1);
     w.writeU64(2); // ...but the third is missing
-    BinaryReader r(w.takeBytes());
+    const std::vector<u8> bytes = w.takeBytes();
+    BinaryReader r{std::span<const u8>(bytes)};
+    // Counted against each element's 8 bytes, the count is refused
+    // before any element is read.
     auto v = r.readVector<u64>(
-        [](BinaryReader &rr) { return rr.readU64(); });
-    EXPECT_FALSE(v.isOk());
+        sizeof(u64), [](BinaryReader &rr) { return rr.readU64(); });
+    ASSERT_FALSE(v.isOk());
+    EXPECT_NE(v.status().message().find("count exceeds"),
+              std::string::npos);
+    // With a smaller per-element bound, the missing element is.
+    BinaryReader lenient{std::span<const u8>(bytes)};
+    auto short_read = lenient.readVector<u64>(
+        1, [](BinaryReader &rr) { return rr.readU64(); });
+    ASSERT_FALSE(short_read.isOk());
+    EXPECT_NE(short_read.status().message().find("truncated"),
+              std::string::npos);
 }
 
 TEST(SerializeRobustness, RoundTripSurvivesAndEndsExactly)
@@ -94,13 +109,16 @@ TEST(SerializeRobustness, RoundTripSurvivesAndEndsExactly)
     BinaryWriter w;
     w.writeU32(7);
     w.writeString("medusa");
-    w.writeBytes({1, 2, 3});
-    w.writeBool(true);
-    BinaryReader r(w.takeBytes());
+    w.writeBytesRaw("abc", 3);
+    w.writeU8(1);
+    const std::vector<u8> bytes = w.takeBytes();
+    BinaryReader r{std::span<const u8>(bytes)};
     EXPECT_EQ(r.readU32().value(), 7u);
     EXPECT_EQ(r.readString().value(), "medusa");
-    EXPECT_EQ(r.readBytes().value(), (std::vector<u8>{1, 2, 3}));
-    EXPECT_TRUE(r.readBool().value());
+    const std::span<const u8> raw = r.viewBytes(3).value();
+    EXPECT_EQ(raw.data(), bytes.data() + r.position() - 3); // borrowed
+    EXPECT_EQ(std::string(raw.begin(), raw.end()), "abc");
+    EXPECT_EQ(r.readU8().value(), 1u);
     EXPECT_TRUE(r.atEnd());
 }
 
@@ -132,17 +150,11 @@ sampleImage()
     return sampleBuilder().finish({});
 }
 
-/** Open a copy of @p bytes the way a cold start opens a file. */
-StatusOr<core::MaterializedImage>
-openCopy(std::vector<u8> bytes)
-{
-    return core::MaterializedImage::open(std::move(bytes));
-}
-
 TEST(SerializeRobustness, ArtifactRoundTrips)
 {
     const core::ImageBuilder a = sampleBuilder();
-    auto back = openCopy(sampleImage());
+    const std::vector<u8> bytes = sampleImage();
+    auto back = core::MaterializedImage::openView(bytes);
     ASSERT_TRUE(back.isOk()) << back.status().toString();
     EXPECT_EQ(back->model_name, a.model_name);
     EXPECT_EQ(back->ops.size(), 1u);
@@ -154,7 +166,7 @@ TEST(SerializeRobustness, ArtifactBadMagicFails)
 {
     std::vector<u8> bytes = sampleImage();
     bytes[0] ^= 0xff;
-    auto a = openCopy(std::move(bytes));
+    auto a = core::MaterializedImage::openView(bytes);
     ASSERT_FALSE(a.isOk());
     EXPECT_NE(a.status().message().find("magic"), std::string::npos);
 }
@@ -164,7 +176,7 @@ TEST(SerializeRobustness, ArtifactBadVersionFails)
     std::vector<u8> bytes = sampleImage();
     const u32 wrong = core::MaterializedImage::kVersion + 1;
     std::memcpy(bytes.data() + 4, &wrong, 4);
-    auto a = openCopy(std::move(bytes));
+    auto a = core::MaterializedImage::openView(bytes);
     ASSERT_FALSE(a.isOk());
     EXPECT_NE(a.status().message().find("version"), std::string::npos);
 }
@@ -176,8 +188,8 @@ TEST(SerializeRobustness, TruncatedArtifactAtEveryPrefixFails)
     // the payload size, so every prefix is caught before decoding.
     const std::vector<u8> bytes = sampleImage();
     for (std::size_t len = 0; len < bytes.size(); ++len) {
-        std::vector<u8> prefix(bytes.begin(), bytes.begin() + len);
-        auto a = openCopy(std::move(prefix));
+        const std::vector<u8> prefix(bytes.begin(), bytes.begin() + len);
+        auto a = core::MaterializedImage::openView(prefix);
         EXPECT_FALSE(a.isOk()) << "prefix length " << len;
     }
 }
@@ -193,7 +205,7 @@ TEST(SerializeRobustness, CorruptedInteriorLengthFieldFails)
     std::memcpy(bytes.data() + header, &huge, 8);
     const u32 crc = crc32(bytes.data() + header, bytes.size() - header);
     std::memcpy(bytes.data() + 16, &crc, sizeof(crc));
-    auto a = openCopy(std::move(bytes));
+    auto a = core::MaterializedImage::openView(bytes);
     ASSERT_FALSE(a.isOk());
     EXPECT_EQ(a.status().code(), StatusCode::kInternal)
         << a.status().toString();

@@ -1,8 +1,8 @@
 /**
  * @file
- * Test helpers for serialized v6 image bytes: open them for the one
- * online restore path, byte-edit and reseal them, and the structural
- * corruptions openView must refuse and lint must name.
+ * Test helpers for serialized v6 image bytes: byte-edit and reseal
+ * them, and the structural corruptions openView must refuse and lint
+ * must name.
  */
 
 #ifndef MEDUSA_TESTS_TEST_IMAGE_H
@@ -19,15 +19,6 @@
 #include "medusa/image.h"
 
 namespace medusa::test {
-
-/** Open a copy of @p bytes; aborts on a decode failure. */
-inline core::MaterializedImage
-openImage(std::vector<u8> bytes)
-{
-    auto image = core::MaterializedImage::open(std::move(bytes));
-    MEDUSA_CHECK(image.isOk(), "image open: " << image.status().toString());
-    return std::move(image).value();
-}
 
 /** Recompute the payload CRC after a byte edit (header offset 16). */
 inline void

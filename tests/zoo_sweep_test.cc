@@ -13,7 +13,6 @@
 #include "llm/engine.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
-#include "test_image.h"
 
 namespace medusa {
 namespace {
@@ -50,7 +49,7 @@ TEST_P(ZooSweepTest, OfflineOnlineRoundTripValidates)
     eopts.aslr_seed = 0xabcd;
     eopts.restore.pipeline.validate = true;
     eopts.restore.pipeline.validate_batch_sizes = {4, 128};
-    const core::MaterializedImage image = test::openImage(offline->image_bytes);
+    const core::MaterializedImage &image = offline->artifact;
     auto engine = core::MedusaEngine::coldStartFromImage(eopts, image);
     ASSERT_TRUE(engine.isOk()) << engine.status().toString();
     EXPECT_TRUE((*engine)->coldStartReport().restore.validated);

@@ -16,10 +16,9 @@
  *   --sarif                emit a SARIF 2.1.0 report instead of text
  *   --no-registry          skip kernel-registry rules (MDL301/302)
  *   --device-bytes <n>     device capacity for MDL5xx (default 40 GiB)
- *   --device-index <i>     capture device for the MDL705 pointer-window
- *                          heuristic (default 0)
- *   --collective <module>  collective module for MDL604
- *                          (default libsimnccl.so)
+ *   --device-index <i>     capture device of a single image for the
+ *                          MDL705 pointer-window heuristic (default 0;
+ *                          rank r of several is on device r)
  *   --max-severity <s>     highest severity that still exits 0:
  *                          info (any warning fails), warning (the
  *                          default: only errors fail), or error
@@ -53,7 +52,7 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--json|--sarif] [--no-registry]\n"
         "       [--device-bytes N] [--device-index I]\n"
-        "       [--collective MODULE] [--max-severity info|warning|error]\n"
+        "       [--max-severity info|warning|error]\n"
         "       <image.mdsi> [rank1.mdsi ...]\n",
         argv0);
     return 2;
@@ -91,11 +90,6 @@ main(int argc, char **argv)
             }
             options.device_index = static_cast<u32>(
                 std::strtoul(argv[i], nullptr, 0));
-        } else if (arg == "--collective") {
-            if (++i >= argc) {
-                return usage(argv[0]);
-            }
-            options.collective_module = argv[i];
         } else if (arg == "--max-severity") {
             if (++i >= argc) {
                 return usage(argv[0]);
