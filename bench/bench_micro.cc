@@ -7,6 +7,7 @@
  */
 
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <span>
@@ -22,6 +23,7 @@
 #include "medusa/image.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
+#include "serverless/profile.h"
 #include "simcuda/caching_allocator.h"
 #include "simcuda/kernels/builtin.h"
 
@@ -446,9 +448,34 @@ BM_AnalyzeAndFinish(benchmark::State &state)
 }
 BENCHMARK(BM_AnalyzeAndFinish)->Unit(benchmark::kMillisecond);
 
+/** Minor page faults the process has taken so far. */
+i64
+minorFaults()
+{
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+}
+
+/**
+ * Report minor page faults per iteration as the "minflt" counter.
+ * glibc's dynamic mmap and trim thresholds decide whether a set-up's
+ * large transient heap blocks are faulted in afresh on every
+ * iteration, which moves its time by milliseconds; a time change read
+ * without this count can be a threshold swing, not a code change.
+ */
+void
+reportMinorFaults(benchmark::State &state, i64 faults_before)
+{
+    state.counters["minflt"] = benchmark::Counter(
+        static_cast<f64>(minorFaults() - faults_before),
+        benchmark::Counter::kAvgIterations);
+}
+
 void
 BM_OfflineMaterialize(benchmark::State &state)
 {
+    const i64 faults = minorFaults();
     for (auto _ : state) {
         core::OfflineOptions opts;
         opts.model = tinyModel();
@@ -456,8 +483,35 @@ BM_OfflineMaterialize(benchmark::State &state)
         auto offline = core::materialize(opts);
         benchmark::DoNotOptimize(offline);
     }
+    reportMinorFaults(state, faults);
 }
 BENCHMARK(BM_OfflineMaterialize)->Unit(benchmark::kMillisecond);
+
+/**
+ * perfbench's set-up: materialize full-depth Qwen1.5-4B (validation
+ * on), then measure its Medusa serving profile from the image.
+ */
+void
+BM_SetUp(benchmark::State &state)
+{
+    const llm::ModelConfig model = llm::findModel("Qwen1.5-4B").value();
+    const i64 faults = minorFaults();
+    for (auto _ : state) {
+        core::OfflineOptions oopts;
+        oopts.model = model;
+        auto offline = core::materialize(oopts);
+        MEDUSA_CHECK(offline.isOk(), offline.status().toString());
+        serverless::ProfileOptions popts;
+        popts.model = model;
+        popts.strategy = llm::Strategy::kMedusa;
+        popts.artifact = &offline->artifact;
+        auto profile = serverless::buildServingProfile(popts);
+        MEDUSA_CHECK(profile.isOk(), profile.status().toString());
+        benchmark::DoNotOptimize(profile);
+    }
+    reportMinorFaults(state, faults);
+}
+BENCHMARK(BM_SetUp)->Unit(benchmark::kMillisecond);
 
 /**
  * One traced offline + cold start of the tiny model. Runs only when

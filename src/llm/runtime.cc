@@ -690,6 +690,17 @@ ModelRuntime::stageValidationState(u32 bs)
     const u32 d_offset = model_.func.kv_heads >= model_.tp_world
                              ? model_.tp_rank * slot_width
                              : 0;
+    // Element x of the pattern depends only on x % 23, so each row
+    // copies slot_width consecutive entries of a pattern table, starting
+    // at the row's phase.
+    constexpr u32 kPeriod = 23;
+    std::vector<f32> kpattern(kPeriod + slot_width);
+    std::vector<f32> vpattern(kPeriod + slot_width);
+    for (u32 j = 0; j < kpattern.size(); ++j) {
+        const f32 k = 0.02f * static_cast<f32>(j % kPeriod) - 0.2f;
+        kpattern[j] = k;
+        vpattern[j] = -k * 0.5f;
+    }
     // A sequence's past slots are consecutive in its one block, so each
     // (layer, sequence) stages its K rows and its V rows in one copy.
     const u64 past = ctx - 1;
@@ -698,13 +709,12 @@ ModelRuntime::stageValidationState(u32 bs)
     for (u32 l = 0; l < model_.num_layers; ++l) {
         for (u32 i = 0; i < bs; ++i) {
             for (u32 t = 0; t < past; ++t) {
-                for (u32 d = 0; d < slot_width; ++d) {
-                    const u32 x =
-                        l * 131 + i * 17 + t * 5 + (d_offset + d);
-                    const f32 k = 0.02f * static_cast<f32>(x % 23) - 0.2f;
-                    krows[t * slot_width + d] = k;
-                    vrows[t * slot_width + d] = -k * 0.5f;
-                }
+                const u32 phase =
+                    (l * 131 + i * 17 + t * 5 + d_offset) % kPeriod;
+                std::copy_n(kpattern.begin() + phase, slot_width,
+                            krows.begin() + t * slot_width);
+                std::copy_n(vpattern.begin() + phase, slot_width,
+                            vrows.begin() + t * slot_width);
             }
             const u64 first = static_cast<u64>(1 + i) * f.block_size;
             const u64 offset = first * slot_width * sizeof(f32);

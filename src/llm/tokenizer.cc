@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "common/rng.h"
+#include "llm/synthetic_store.h"
 
 namespace medusa::llm {
 
@@ -217,7 +218,11 @@ syntheticCorpus(u64 seed, std::size_t approx_bytes)
 BpeTokenizer
 trainModelTokenizer(u64 model_seed)
 {
-    return BpeTokenizer::train(syntheticCorpus(model_seed, 8192), 256 + 64);
+    static SyntheticStore<u64, BpeTokenizer> store;
+    return store.get(model_seed, [&] {
+        return BpeTokenizer::train(syntheticCorpus(model_seed, 8192),
+                                   256 + 64);
+    });
 }
 
 } // namespace medusa::llm

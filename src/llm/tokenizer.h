@@ -83,9 +83,10 @@ std::string syntheticCorpus(u64 seed, std::size_t approx_bytes);
 
 /**
  * The tokenizer a model loads: BPE trained over the model's synthetic
- * corpus, deterministic in @p model_seed. ModelRuntime::loadTokenizer
- * trains it, and so does anything that needs the model's merge list
- * without a runtime.
+ * corpus, deterministic in @p model_seed. Trained once per process per
+ * seed (llm/synthetic_store.h); each call returns a copy of that
+ * tokenizer. ModelRuntime::loadTokenizer calls it, and so does anything
+ * that needs the model's merge list without a runtime.
  */
 BpeTokenizer trainModelTokenizer(u64 model_seed);
 

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "llm/synthetic_store.h"
 
 namespace medusa::llm {
 
@@ -282,25 +283,30 @@ initModelStructure(simcuda::CachingAllocator &alloc, const ModelConfig &m)
 namespace {
 
 /**
- * Generate tensor @p index's deterministic contents: the same seed
- * yields the same "weight file" in every process launch (and on every
- * tensor-parallel rank, which gathers its shard from @p full into
- * @p staging). Returns whichever of the two holds the tensor.
+ * Every input the synthesis of one full (unsharded) tensor reads: the
+ * same key yields the same "weight file" bytes in every process launch.
  */
-const std::vector<f32> &
-generateTensor(const ModelConfig &m, const TensorSpec &spec,
-               std::size_t index, std::vector<f32> &full,
-               std::vector<f32> &staging)
+struct TensorKey
 {
-    Rng rng(m.seed * 0x10001ull + index * 7919ull);
-    const u64 gen_elems =
-        spec.shard ? spec.shard->full_rows * spec.shard->full_cols
-                   : spec.func_elems;
-    full.resize(gen_elems);
+    u64 model_seed = 0;
+    u64 index = 0;
+    TensorContent content = TensorContent::kMatrix;
+    u64 fan_in = 1;
+    u64 elems = 0;
+
+    auto operator<=>(const TensorKey &) const = default;
+};
+
+/** Synthesize tensor @p key's deterministic contents. */
+std::vector<f32>
+synthesizeTensor(const TensorKey &key)
+{
+    Rng rng(key.model_seed * 0x10001ull + key.index * 7919ull);
+    std::vector<f32> full(key.elems);
     const f32 matrix_scale =
-        1.0f / std::sqrt(static_cast<f32>(spec.func_fan_in));
+        1.0f / std::sqrt(static_cast<f32>(key.fan_in));
     for (auto &v : full) {
-        switch (spec.content) {
+        switch (key.content) {
           case TensorContent::kMatrix:
             v = rng.nextSymmetricFloat() * matrix_scale;
             break;
@@ -315,23 +321,44 @@ generateTensor(const ModelConfig &m, const TensorSpec &spec,
             break;
         }
     }
-    if (!spec.shard) {
-        return full;
-    }
-    // Gather this rank's slice of the full matrix.
+    return full;
+}
+
+/**
+ * Tensor @p index's full contents, synthesized once per process: every
+ * load, and every tensor-parallel rank, reads the one stored copy.
+ */
+const std::vector<f32> &
+fullTensor(const ModelConfig &m, const TensorSpec &spec, std::size_t index)
+{
+    static SyntheticStore<TensorKey, std::vector<f32>> store;
+    const TensorKey key{
+        m.seed, index, spec.content, spec.func_fan_in,
+        spec.shard ? spec.shard->full_rows * spec.shard->full_cols
+                   : spec.func_elems};
+    return store.get(key, [&] { return synthesizeTensor(key); });
+}
+
+/**
+ * Gather a tensor-parallel rank's slice of @p full into @p staging, so
+ * shards compose exactly into the single-GPU weights.
+ */
+void
+gatherShard(const TensorSpec &spec, const std::vector<f32> &full,
+            std::vector<f32> &staging)
+{
     const ShardSpec &sh = *spec.shard;
     staging.clear();
     staging.reserve(spec.func_elems);
     for (const auto &[row_begin, row_end] : sh.row_ranges) {
         for (u64 row = row_begin; row < row_end; ++row) {
-            for (u64 col = sh.col_begin; col < sh.col_end; ++col) {
-                staging.push_back(full[row * sh.full_cols + col]);
-            }
+            const f32 *src = full.data() + row * sh.full_cols;
+            staging.insert(staging.end(), src + sh.col_begin,
+                           src + sh.col_end);
         }
     }
     MEDUSA_CHECK(staging.size() == spec.func_elems,
                  "shard gather size mismatch for " << spec.name);
-    return staging;
 }
 
 } // namespace
@@ -342,10 +369,10 @@ loadModelWeights(simcuda::GpuProcess &process, const ModelConfig &m,
 {
     // A process whose contents nobody reads (the shape-only capture)
     // gets the same charges without the bytes: each tensor is tainted,
-    // so a read of a weight there refuses instead of seeing zeros.
+    // so a read of a weight there refuses instead of seeing zeros. It
+    // neither reads nor fills the synthetic store.
     const bool charge_only = process.contentsDiscarded();
     std::vector<f32> staging;
-    std::vector<f32> full;
     for (std::size_t i = 0; i < weights.specs.size(); ++i) {
         const TensorSpec &spec = weights.specs[i];
         // Charge the storage read of the *real* bytes. The SSD-array
@@ -360,11 +387,15 @@ loadModelWeights(simcuda::GpuProcess &process, const ModelConfig &m,
             process.memory().taint(weights.addrs[i]);
             continue;
         }
-        const std::vector<f32> &contents =
-            generateTensor(m, spec, i, full, staging);
+        const std::vector<f32> &full = fullTensor(m, spec, i);
+        const f32 *contents = full.data();
+        if (spec.shard) {
+            gatherShard(spec, full, staging);
+            contents = staging.data();
+        }
         MEDUSA_RETURN_IF_ERROR(process.memcpyH2D(
-            weights.addrs[i], contents.data(),
-            spec.func_elems * sizeof(f32), /*logical_bytes=*/0));
+            weights.addrs[i], contents, spec.func_elems * sizeof(f32),
+            /*logical_bytes=*/0));
     }
     return Status::ok();
 }

@@ -35,9 +35,9 @@ enum class TensorContent {
 /**
  * How a tensor-parallel rank's shard is cut out of the full functional
  * matrix (row-major [full_rows x full_cols]): the union of row_ranges,
- * restricted to [col_begin, col_end). Ranks generate the identical full
- * matrix from the tensor's seed and gather their slice, so shards
- * compose exactly into the single-GPU weights.
+ * restricted to [col_begin, col_end). Every rank gathers its slice from
+ * the one full tensor the process synthesized from the tensor's seed,
+ * so shards compose exactly into the single-GPU weights.
  */
 struct ShardSpec
 {
@@ -108,11 +108,14 @@ StatusOr<ModelWeights> initModelStructure(simcuda::CachingAllocator &alloc,
                                           const ModelConfig &config);
 
 /**
- * Stage ❷: generate deterministic functional contents and copy them to
- * the device, charging SSD read time for the real byte sizes. On a
- * process after GpuProcess::discardContents() the contents are neither
- * generated nor copied: each tensor gets the same charges, a
- * charge-only H2D copy and a taint, so any read of it refuses.
+ * Stage ❷: copy each tensor's deterministic functional contents to the
+ * device, charging SSD read time for the real byte sizes. A tensor's
+ * full contents are synthesized on its first load in the process and
+ * copied from the process-wide store after that (llm/synthetic_store.h);
+ * the charges are the same either way. On a process after
+ * GpuProcess::discardContents() the contents are neither synthesized
+ * nor copied: each tensor gets the same charges, a charge-only H2D copy
+ * and a taint, so any read of it refuses.
  */
 Status loadModelWeights(simcuda::GpuProcess &process,
                         const ModelConfig &config, ModelWeights &weights);

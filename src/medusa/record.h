@@ -117,8 +117,11 @@ class Recorder final : public simcuda::AllocObserver,
     std::vector<AllocRecord> allocs_;
     /** live address -> alloc index. */
     std::unordered_map<DeviceAddr, u64> live_;
-    /** driver-block base -> indexes of records at that base, in order. */
-    std::map<DeviceAddr, std::vector<u64>> by_base_;
+    /**
+     * (driver-block base, alloc index) of every record, sorted: the
+     * records at one base are adjacent and in allocation order.
+     */
+    std::vector<std::pair<DeviceAddr, u64>> by_base_;
     std::map<u32, std::vector<CapturedLaunch>> graph_launches_;
     std::map<std::string, u64> tags_;
 

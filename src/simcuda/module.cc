@@ -27,6 +27,11 @@ ModuleTable::isModuleLoaded(const std::string &module_name) const
 bool
 ModuleTable::ensureLoaded(KernelId id)
 {
+    // A kernel with an address belongs to a loaded module: skip hashing
+    // the module's name on every launch after the first.
+    if (isLoaded(id)) {
+        return false;
+    }
     const auto &reg = KernelRegistry::instance();
     return loadModule(reg.def(id).module_name);
 }

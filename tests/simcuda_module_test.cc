@@ -109,6 +109,20 @@ TEST_F(ModuleTest, ModuleLoadIsModuleGranular)
     }
 }
 
+TEST_F(ModuleTest, LoadingALoadedModuleAgainIsANoOp)
+{
+    // Neither a second load by name nor a launch-time ensureLoaded of
+    // one of its kernels loads again or draws another module slide.
+    const auto &k = BuiltinKernels::get();
+    ModuleTable &modules = process_.modules();
+    ASSERT_TRUE(modules.loadModule(kCublasModule));
+    const u64 loaded = modules.stateFingerprint();
+    EXPECT_FALSE(modules.loadModule(kCublasModule));
+    EXPECT_FALSE(modules.ensureLoaded(k.gemm_64x64));
+    EXPECT_EQ(modules.stateFingerprint(), loaded);
+    EXPECT_EQ(modules.loadedModuleCount(), 1u);
+}
+
 TEST_F(ModuleTest, EnumerationRequiresLoadedModule)
 {
     auto funcs = process_.cuModuleEnumerateFunctions(kCublasModule);

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests of the BPE tokenizer substrate: training, exact round-trip
- * encode/decode, determinism and compression behaviour.
+ * encode/decode, determinism and compression behaviour, and the
+ * once-per-process model tokenizer.
  */
 
 #include <gtest/gtest.h>
@@ -174,6 +175,24 @@ TEST(TokenizerTest, TieHeavyCorporaMatchReferenceTrainer)
             EXPECT_EQ(BpeTokenizer::train(corpus, vocab).merges(),
                       referenceMerges(corpus, vocab))
                 << "corpus=\"" << corpus << "\" vocab=" << vocab;
+        }
+    }
+}
+
+TEST(TokenizerTest, ModelTokenizerEqualsAFreshTrainingOnEveryCall)
+{
+    // The first call trains and stores the seed's tokenizer; later calls
+    // return copies of it. Every one must be the training's result.
+    const std::string text = syntheticCorpus(13, 512);
+    for (u64 seed : {101u, 106u}) {
+        const BpeTokenizer want =
+            BpeTokenizer::train(syntheticCorpus(seed, 8192), 320);
+        for (int call = 0; call < 3; ++call) {
+            const BpeTokenizer got = trainModelTokenizer(seed);
+            EXPECT_EQ(got.merges(), want.merges())
+                << "seed=" << seed << " call=" << call;
+            EXPECT_EQ(got.encode(text), want.encode(text));
+            EXPECT_EQ(got.decode(got.encode(text)), text);
         }
     }
 }

@@ -2,11 +2,18 @@
  * @file
  * Tests of stage ❶/❷: tensor inventory per architecture, deterministic
  * allocation order (the control-flow determinism Medusa relies on),
- * role wiring, and cross-process weight-content determinism.
+ * role wiring, cross-process weight-content determinism, and the
+ * process-wide synthetic store that loads copy from.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <latch>
+#include <thread>
+
+#include "common/rng.h"
 #include "llm/weights.h"
 
 namespace medusa::llm {
@@ -44,6 +51,62 @@ struct Harness
     simcuda::GpuProcess process;
     simcuda::CachingAllocator alloc;
 };
+
+/**
+ * Test-side reference for tensor @p index: one xoshiro256** draw per
+ * element of the full tensor through its content kind's formula, then
+ * this rank's shard picked out element by element.
+ */
+std::vector<f32>
+referenceTensor(const ModelConfig &m, const TensorSpec &spec,
+                std::size_t index)
+{
+    const ShardSpec *sh = spec.shard ? &*spec.shard : nullptr;
+    std::vector<f32> full(sh ? sh->full_rows * sh->full_cols
+                             : spec.func_elems);
+    Rng rng(m.seed * 0x10001ull + index * 7919ull);
+    const f32 scale =
+        1.0f / std::sqrt(static_cast<f32>(spec.func_fan_in));
+    for (f32 &v : full) {
+        const f32 u = rng.nextSymmetricFloat();
+        switch (spec.content) {
+          case TensorContent::kMatrix: v = u * scale; break;
+          case TensorContent::kNormWeight: v = 1.0f + 0.05f * u; break;
+          case TensorContent::kBias: v = 0.01f * u; break;
+          case TensorContent::kEmbedding: v = 0.5f * u; break;
+        }
+    }
+    if (sh == nullptr) {
+        return full;
+    }
+    std::vector<f32> shard;
+    for (const auto &[row_begin, row_end] : sh->row_ranges) {
+        for (u64 row = row_begin; row < row_end; ++row) {
+            for (u64 col = sh->col_begin; col < sh->col_end; ++col) {
+                shard.push_back(full[row * sh->full_cols + col]);
+            }
+        }
+    }
+    return shard;
+}
+
+/** Bitwise equality of every loaded tensor with its reference. */
+void
+expectLoadedEqualsReference(Harness &h, const ModelConfig &m,
+                            const ModelWeights &w)
+{
+    for (std::size_t i = 0; i < w.specs.size(); ++i) {
+        const std::vector<f32> want = referenceTensor(m, w.specs[i], i);
+        ASSERT_EQ(want.size(), w.specs[i].func_elems) << w.specs[i].name;
+        std::vector<f32> got(want.size());
+        ASSERT_TRUE(h.process.memory()
+                        .read(w.addrs[i], got.data(), got.size() * 4)
+                        .isOk());
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * 4), 0)
+            << m.name << " rank " << m.tp_rank << "/" << m.tp_world
+            << " " << w.specs[i].name;
+    }
+}
 
 TEST(WeightsTest, SpecCountsPerArch)
 {
@@ -222,6 +285,62 @@ TEST(WeightsTest, ChargeOnlyLoadChargesLikeALoadWithContents)
                   StatusCode::kFailedPrecondition);
         EXPECT_TRUE(loaded.process.memcpyD2H(&word, lw->embed, 4, 4).isOk());
     }
+}
+
+TEST(WeightsTest, LoadsEqualTheReferenceOnAStoreMissAndHit)
+{
+    // Each (architecture, world) loads a seed no other test loads, so
+    // its first load synthesizes every tensor and the second copies
+    // them from the store; ranks after the first gather their shards
+    // from full tensors rank 0 stored.
+    u64 seed = 0x57011000;
+    for (ModelArch arch :
+         {ModelArch::kLlama, ModelArch::kQwen, ModelArch::kFalcon}) {
+        for (u32 world : {1u, 2u, 4u}) {
+            ModelConfig m = tiny(arch);
+            m.seed = ++seed;
+            m.heads = 64; // Falcon's 71 real heads do not shard
+            m.tp_world = world;
+            for (int pass = 0; pass < 2; ++pass) {
+                for (u32 rank = 0; rank < world; ++rank) {
+                    m.tp_rank = rank;
+                    Harness h;
+                    auto w = initModelStructure(h.alloc, m);
+                    ASSERT_TRUE(w.isOk());
+                    ASSERT_TRUE(loadModelWeights(h.process, m, *w).isOk());
+                    expectLoadedEqualsReference(h, m, *w);
+                }
+            }
+        }
+    }
+}
+
+TEST(WeightsTest, ConcurrentFirstLoadsSeeIdenticalBytes)
+{
+    // Two processes load a model nobody has loaded before at the same
+    // moment: both miss, both synthesize, one insert wins, and each
+    // must copy the same bytes.
+    ModelConfig m = tiny(ModelArch::kQwen);
+    m.seed = 0x57012000;
+    Harness h1(1), h2(2);
+    auto w1 = initModelStructure(h1.alloc, m);
+    auto w2 = initModelStructure(h2.alloc, m);
+    ASSERT_TRUE(w1.isOk() && w2.isOk());
+    std::latch start(2);
+    Status s1, s2;
+    std::thread t1([&] {
+        start.arrive_and_wait();
+        s1 = loadModelWeights(h1.process, m, *w1);
+    });
+    std::thread t2([&] {
+        start.arrive_and_wait();
+        s2 = loadModelWeights(h2.process, m, *w2);
+    });
+    t1.join();
+    t2.join();
+    ASSERT_TRUE(s1.isOk() && s2.isOk());
+    expectLoadedEqualsReference(h1, m, *w1);
+    expectLoadedEqualsReference(h2, m, *w2);
 }
 
 } // namespace
