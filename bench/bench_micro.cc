@@ -448,34 +448,46 @@ BM_AnalyzeAndFinish(benchmark::State &state)
 }
 BENCHMARK(BM_AnalyzeAndFinish)->Unit(benchmark::kMillisecond);
 
-/** Minor page faults the process has taken so far. */
-i64
-minorFaults()
+/** The process's minor page faults and system CPU time so far. */
+struct HostCost
 {
-    rusage usage{};
-    getrusage(RUSAGE_SELF, &usage);
-    return usage.ru_minflt;
-}
+    i64 minflt = 0;
+    f64 sys_ms = 0;
+
+    static HostCost
+    now()
+    {
+        rusage usage{};
+        getrusage(RUSAGE_SELF, &usage);
+        return {usage.ru_minflt,
+                static_cast<f64>(usage.ru_stime.tv_sec) * 1e3 +
+                    static_cast<f64>(usage.ru_stime.tv_usec) * 1e-3};
+    }
+};
 
 /**
- * Report minor page faults per iteration as the "minflt" counter.
- * glibc's dynamic mmap and trim thresholds decide whether a set-up's
- * large transient heap blocks are faulted in afresh on every
- * iteration, which moves its time by milliseconds; a time change read
- * without this count can be a threshold swing, not a code change.
+ * Report minor page faults and system milliseconds per iteration as the
+ * "minflt" and "sys_ms" counters. glibc's dynamic mmap and trim
+ * thresholds decide whether a set-up's large transient heap blocks are
+ * faulted in afresh on every iteration, which moves its time by
+ * milliseconds; a time change read without these can be a threshold
+ * swing, not a code change.
  */
 void
-reportMinorFaults(benchmark::State &state, i64 faults_before)
+reportHostCost(benchmark::State &state, const HostCost &before)
 {
+    const HostCost after = HostCost::now();
     state.counters["minflt"] = benchmark::Counter(
-        static_cast<f64>(minorFaults() - faults_before),
+        static_cast<f64>(after.minflt - before.minflt),
         benchmark::Counter::kAvgIterations);
+    state.counters["sys_ms"] = benchmark::Counter(
+        after.sys_ms - before.sys_ms, benchmark::Counter::kAvgIterations);
 }
 
 void
 BM_OfflineMaterialize(benchmark::State &state)
 {
-    const i64 faults = minorFaults();
+    const HostCost before = HostCost::now();
     for (auto _ : state) {
         core::OfflineOptions opts;
         opts.model = tinyModel();
@@ -483,7 +495,7 @@ BM_OfflineMaterialize(benchmark::State &state)
         auto offline = core::materialize(opts);
         benchmark::DoNotOptimize(offline);
     }
-    reportMinorFaults(state, faults);
+    reportHostCost(state, before);
 }
 BENCHMARK(BM_OfflineMaterialize)->Unit(benchmark::kMillisecond);
 
@@ -495,7 +507,7 @@ void
 BM_SetUp(benchmark::State &state)
 {
     const llm::ModelConfig model = llm::findModel("Qwen1.5-4B").value();
-    const i64 faults = minorFaults();
+    const HostCost before = HostCost::now();
     for (auto _ : state) {
         core::OfflineOptions oopts;
         oopts.model = model;
@@ -509,9 +521,41 @@ BM_SetUp(benchmark::State &state)
         MEDUSA_CHECK(profile.isOk(), profile.status().toString());
         benchmark::DoNotOptimize(profile);
     }
-    reportMinorFaults(state, faults);
+    reportHostCost(state, before);
 }
 BENCHMARK(BM_SetUp)->Unit(benchmark::kMillisecond);
+
+/**
+ * The validation dry-run that materialize runs on full-depth
+ * Qwen1.5-4B: a validated cold start from the emitted image in a fresh
+ * process, with materialize's seed and options, destroyed each
+ * iteration. The image is made once, outside the timed loop.
+ */
+void
+BM_ValidationDryRun(benchmark::State &state)
+{
+    core::OfflineOptions oopts;
+    oopts.model = llm::findModel("Qwen1.5-4B").value();
+    oopts.pipeline.validate = false;
+    auto offline = core::materialize(oopts);
+    MEDUSA_CHECK(offline.isOk(), offline.status().toString());
+    core::MedusaEngine::Options vopts;
+    vopts.model = oopts.model;
+    vopts.aslr_seed = oopts.aslr_seed + 7777;
+    vopts.cost = oopts.cost;
+    vopts.restore.pipeline.validate = true;
+    vopts.restore.pipeline.validate_batch_sizes =
+        oopts.pipeline.validate_batch_sizes;
+    const HostCost before = HostCost::now();
+    for (auto _ : state) {
+        auto engine =
+            core::MedusaEngine::coldStartFromImage(vopts, offline->artifact);
+        MEDUSA_CHECK(engine.isOk(), engine.status().toString());
+        benchmark::DoNotOptimize(engine);
+    }
+    reportHostCost(state, before);
+}
+BENCHMARK(BM_ValidationDryRun)->Unit(benchmark::kMillisecond);
 
 /**
  * One traced offline + cold start of the tiny model. Runs only when

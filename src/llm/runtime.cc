@@ -322,14 +322,14 @@ ModelRuntime::instantiateGraph(u32 bs, const CudaGraph &graph)
 
 Status
 ModelRuntime::instantiatePatchedGraphs(
-    const std::vector<std::pair<u32, simcuda::GpuProcess::PatchedGraphDesc>>
-        &ordered,
+    std::vector<std::pair<u32, simcuda::GpuProcess::PatchedGraphDesc>>
+        ordered,
     FaultInjector *fault)
 {
     std::vector<u32> registered;
     registered.reserve(ordered.size());
     Status st = Status::ok();
-    for (const auto &[bs, desc] : ordered) {
+    for (auto &[bs, desc] : ordered) {
         if (fault != nullptr) {
             st = fault->check(FaultPoint::kGraphInstantiate,
                               "graph bs=" + std::to_string(bs));
@@ -337,7 +337,7 @@ ModelRuntime::instantiatePatchedGraphs(
                 break;
             }
         }
-        auto exec = process_->instantiatePatched(desc);
+        auto exec = process_->instantiatePatched(std::move(desc));
         if (!exec.isOk()) {
             st = exec.status();
             break;

@@ -163,8 +163,8 @@ class ModelRuntime
      * FaultPoint::kGraphInstantiate before each instantiation.
      */
     Status instantiatePatchedGraphs(
-        const std::vector<
-            std::pair<u32, simcuda::GpuProcess::PatchedGraphDesc>> &ordered,
+        std::vector<std::pair<u32, simcuda::GpuProcess::PatchedGraphDesc>>
+            ordered,
         FaultInjector *fault = nullptr);
 
     bool hasGraph(u32 bs) const { return graphs_.count(bs) != 0; }

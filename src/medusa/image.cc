@@ -172,37 +172,78 @@ StructuralDefect::message() const
            std::to_string(b) + text.after_b;
 }
 
+namespace {
+
+/**
+ * The OR of @p bits over every index below @p n: a reduction with no
+ * branch in its body, so a sound column is accepted at streaming speed
+ * and only a column it flags is walked record by record.
+ */
+template <typename Bits>
+u64
+orOver(u64 n, Bits bits)
+{
+    u64 acc = 0;
+    for (u64 i = 0; i < n; ++i) {
+        acc |= bits(i);
+    }
+    return acc;
+}
+
+} // namespace
+
 std::vector<StructuralDefect>
 findStructuralDefects(const MaterializedImage &image)
 {
     using D = StructuralDefect;
-    // [[unlikely]]: defects are rare, and openView runs every restore.
+    // Each predicate below is written once, as beyondBound-style bits,
+    // and used twice: by its column's reduction, and by the enumerating
+    // pass that runs only when that reduction flags a defect.
     std::vector<D> defects;
     for (u64 gi = 0; gi < image.graphs.size(); ++gi) {
         const MaterializedImage::GraphView &gv = image.graphs[gi];
-        for (const simcuda::GraphEdge &e : gv.edges) {
-            if (!isForwardEdge(e, gv.node_count)) [[unlikely]] {
-                defects.push_back({D::kEdge, gi, e.src, e.dst});
+        const u64 node_count = gv.node_count;
+        const std::span<const simcuda::GraphEdge> edges = gv.edges;
+        auto edge_bits = [&](u64 i) {
+            return edgeDefectBits(edges[i], node_count);
+        };
+        if (flagged(orOver(edges.size(), edge_bits))) [[unlikely]] {
+            for (u64 i = 0; i < edges.size(); ++i) {
+                if (flagged(edge_bits(i))) {
+                    defects.push_back(
+                        {D::kEdge, gi, edges[i].src, edges[i].dst});
+                }
             }
         }
-        u32 id = 0;
-        while (id < gv.node_count && gv.order[id] == id) {
-            ++id;
-        }
-        if (id < gv.node_count) {
-            defects.push_back({D::kOrder, gi, id, gv.order[id]});
+        // Nonzero where order[i] is not the identity.
+        const std::span<const u32> order = gv.order;
+        auto order_bits = [&](u64 i) { return u64{order[i]} ^ i; };
+        if (orOver(node_count, order_bits) != 0) [[unlikely]] {
+            u64 id = 0;
+            while (order_bits(id) == 0) {
+                ++id;
+            }
+            defects.push_back({D::kOrder, gi, id, order[id]});
         }
         // Decode carves node_count + 1 ramp entries; they must rise
-        // from 0 to the graph's param count and never fall.
+        // from 0 to the graph's param count and never fall. The first
+        // broken entry is reported: a nonzero start, else the first
+        // fall, else the wrong end.
         const std::span<const u32> ramp = gv.param_begin;
-        std::size_t at = static_cast<std::size_t>(
-            std::is_sorted_until(ramp.begin(), ramp.end()) - ramp.begin());
-        if (ramp[0] != 0) {
-            at = 0;
-        } else if (at == ramp.size() && ramp.back() != gv.param_len.size()) {
-            at = ramp.size() - 1;
-        }
-        if (at < ramp.size()) {
+        auto falls_after = [&](u64 i) {
+            return beyondBound(ramp[i], u64{ramp[i + 1]} + 1);
+        };
+        const bool ends_broken =
+            ramp[0] != 0 || ramp.back() != gv.param_len.size();
+        if (ends_broken || flagged(orOver(ramp.size() - 1, falls_after)))
+            [[unlikely]] {
+            u64 at = 0;
+            if (ramp[0] == 0) {
+                while (at + 1 < ramp.size() && !flagged(falls_after(at))) {
+                    ++at;
+                }
+                at = std::min<u64>(at + 1, ramp.size() - 1);
+            }
             defects.push_back({D::kParamRamp, gi, at, ramp[at]});
         }
     }
@@ -210,26 +251,48 @@ findStructuralDefects(const MaterializedImage &image)
     const u64 slot_count = image.patch_template.size();
     const u64 kernel_count = image.kernel_table.size();
     const auto kernel_relocs = image.kernel_relocs; // locals: not reloaded
-    for (u64 ri = 0; ri < kernel_relocs.size(); ++ri) {
-        const MaterializedImage::KernelReloc &rel = kernel_relocs[ri];
-        if (rel.slot >= slot_count) [[unlikely]] {
-            defects.push_back({D::kKernelRelocSlot, ri, rel.slot, slot_count});
-        } else if (rel.kernel_index >= kernel_count) [[unlikely]] {
-            defects.push_back(
-                {D::kKernelIndex, ri, rel.kernel_index, kernel_count});
+    auto kernel_slot_bits = [&](u64 i) {
+        return beyondBound(kernel_relocs[i].slot, slot_count);
+    };
+    auto kernel_index_bits = [&](u64 i) {
+        return beyondBound(kernel_relocs[i].kernel_index, kernel_count);
+    };
+    if (flagged(orOver(kernel_relocs.size(), [&](u64 i) {
+            return kernel_slot_bits(i) | kernel_index_bits(i);
+        }))) [[unlikely]] {
+        for (u64 ri = 0; ri < kernel_relocs.size(); ++ri) {
+            const MaterializedImage::KernelReloc &rel = kernel_relocs[ri];
+            if (flagged(kernel_slot_bits(ri))) {
+                defects.push_back(
+                    {D::kKernelRelocSlot, ri, rel.slot, slot_count});
+            } else if (flagged(kernel_index_bits(ri))) {
+                defects.push_back(
+                    {D::kKernelIndex, ri, rel.kernel_index, kernel_count});
+            }
         }
     }
     const u64 alloc_count = static_cast<u64>(std::count_if(
         image.ops.begin(), image.ops.end(),
         [](const AllocOp &op) { return op.kind == AllocOp::kAlloc; }));
     const auto data_relocs = image.data_relocs;
-    for (u64 ri = 0; ri < data_relocs.size(); ++ri) {
-        const MaterializedImage::DataReloc &rel = data_relocs[ri];
-        if (rel.slot >= slot_count) [[unlikely]] {
-            defects.push_back({D::kDataRelocSlot, ri, rel.slot, slot_count});
-        } else if (rel.alloc_index >= alloc_count) [[unlikely]] {
-            defects.push_back(
-                {D::kDataRelocAlloc, ri, rel.alloc_index, alloc_count});
+    auto data_slot_bits = [&](u64 i) {
+        return beyondBound(data_relocs[i].slot, slot_count);
+    };
+    auto data_alloc_bits = [&](u64 i) {
+        return beyondBound(data_relocs[i].alloc_index, alloc_count);
+    };
+    if (flagged(orOver(data_relocs.size(), [&](u64 i) {
+            return data_slot_bits(i) | data_alloc_bits(i);
+        }))) [[unlikely]] {
+        for (u64 ri = 0; ri < data_relocs.size(); ++ri) {
+            const MaterializedImage::DataReloc &rel = data_relocs[ri];
+            if (flagged(data_slot_bits(ri))) {
+                defects.push_back(
+                    {D::kDataRelocSlot, ri, rel.slot, slot_count});
+            } else if (flagged(data_alloc_bits(ri))) {
+                defects.push_back(
+                    {D::kDataRelocAlloc, ri, rel.alloc_index, alloc_count});
+            }
         }
     }
     return defects;
@@ -276,8 +339,8 @@ ImageBuilder::beginGraph(u32 batch_size, u32 node_count,
     edges.insert(edges.end(), graph_edges.begin(), graph_edges.end());
 
     // Kernel slots first, then param slots — one contiguous range per
-    // graph so the patched template carves directly into a
-    // PatchedGraphDesc.
+    // graph, so each graph's slots lay out directly as its
+    // PatchedGraphDesc arrays.
     GraphMeta meta;
     meta.batch_size = batch_size;
     meta.node_count = node_count;

@@ -31,10 +31,11 @@
  * The analysis stage appends straight into those sections through an
  * ImageBuilder, whose members are the sections themselves; finish()
  * writes the header and columns once and seals them with one CRC.
- * Restore copies the template, applies the relocations in one linear
- * pass, and instantiates executable graphs directly from the patched
- * arrays (GpuProcess::instantiatePatched) — no CudaGraph
- * reconstruction, no per-node name lookups. The kernel name table is
+ * Restore lays the template out as each graph's executable arrays,
+ * applies the relocations to them in one linear pass, and instantiates
+ * executable graphs that adopt those arrays
+ * (GpuProcess::instantiatePatched) — no CudaGraph reconstruction, no
+ * per-node name lookups, no second copy. The kernel name table is
  * in first-occurrence order (graph order, then node order) so
  * resolving it loads modules in the order the capture first launched
  * them, keeping ASLR draws — and therefore restore fingerprints —
@@ -237,6 +238,35 @@ class MaterializedImage
 };
 
 /**
+ * Bit 63 of the result is set iff @p x >= @p bound (for any @p bound up
+ * to 2^63). Made of a subtraction and an OR, with no branch, so a
+ * column's "any defect?" reduction can OR these and vectorize.
+ */
+constexpr u64
+beyondBound(u64 x, u64 bound)
+{
+    return (bound - 1 - x) | x;
+}
+
+/** Whether a beyondBound result (or an OR of them) flags a defect. */
+constexpr bool
+flagged(u64 bits)
+{
+    return (bits >> 63) != 0;
+}
+
+/**
+ * beyondBound bits of @p edge in a graph of @p node_count nodes: set
+ * unless the edge points forward and stays inside its graph.
+ */
+constexpr u64
+edgeDefectBits(const simcuda::GraphEdge &edge, u64 node_count)
+{
+    return beyondBound(edge.src, u64{edge.dst}) |
+           beyondBound(edge.dst, node_count);
+}
+
+/**
  * Whether @p edge may appear in a graph of @p node_count nodes: node
  * ids are the execution order, so every edge points forward and stays
  * inside its graph.
@@ -244,7 +274,7 @@ class MaterializedImage
 constexpr bool
 isForwardEdge(const simcuda::GraphEdge &edge, u64 node_count)
 {
-    return edge.src < edge.dst && edge.dst < node_count;
+    return !flagged(edgeDefectBits(edge, node_count));
 }
 
 /**

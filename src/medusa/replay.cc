@@ -1,5 +1,7 @@
 #include "medusa/replay.h"
 
+#include <algorithm>
+
 namespace medusa::core {
 
 using llm::ModelRuntime;
@@ -221,10 +223,12 @@ resolveImageKernels(const MaterializedImage &image, ModelRuntime &rt,
 }
 
 /**
- * The patch pass: copy the template, apply every relocation, charge
- * the per-node patch cost.
+ * The patch pass: lay each graph's template slots out as its executable
+ * arrays (node function addresses and parameter blobs), write every
+ * relocation straight into them, and charge the per-node patch cost.
+ * Returns one patched graph per image graph, in image order.
  */
-StatusOr<std::vector<u64>>
+StatusOr<std::vector<simcuda::GpuProcess::PatchedGraphDesc>>
 applyImageRelocations(const MaterializedImage &image,
                       const ReplayTable &table,
                       const std::vector<KernelAddr> &kernel_addrs,
@@ -233,17 +237,69 @@ applyImageRelocations(const MaterializedImage &image,
 {
     Span span(options.pipeline.trace, "restore.patch_pass", "restore");
     FaultInjector *fault = options.pipeline.fault;
-    std::vector<u64> slots(image.patch_template.begin(),
-                           image.patch_template.end());
-    // Indexes were bounds-checked once at image open; both sweeps below
-    // run unchecked.
+    const std::span<const MaterializedImage::GraphView> views =
+        image.graphs;
+    std::vector<simcuda::GpuProcess::PatchedGraphDesc> graphs(
+        views.size());
+    for (std::size_t g = 0; g < views.size(); ++g) {
+        const MaterializedImage::GraphView &gv = views[g];
+        simcuda::GpuProcess::PatchedGraphDesc &desc = graphs[g];
+        const u64 *fn = image.patch_template.data() + gv.fn_slot_begin;
+        desc.node_fn.assign(fn, fn + gv.node_count);
+        const u64 *bits =
+            image.patch_template.data() + gv.param_slot_begin;
+        const u8 *len = gv.param_len.data();
+        desc.params.resize(gv.param_len.size());
+        simcuda::ParamBlob *out = desc.params.data();
+        for (std::size_t j = 0; j < gv.param_len.size(); ++j) {
+            out[j].bits = bits[j];
+            out[j].len = len[j];
+        }
+        desc.param_begin = gv.param_begin;
+        desc.timing = gv.timings;
+    }
+
+    // The patched cell of a template slot, through a window over one
+    // graph's slots. openView checked that the graphs' slot ranges tile
+    // the template in order, and relocations come in slot order, so the
+    // window moves about once per graph. It lives in locals, which the
+    // cell stores cannot alias.
+    u64 fn_begin = 0;
+    u64 param_begin = 0;
+    u64 end = 0;
+    u64 *fn = nullptr;
+    simcuda::ParamBlob *params = nullptr;
+    auto cell = [&](u64 slot) -> u64 & {
+        if (slot - fn_begin >= end - fn_begin) [[unlikely]] {
+            const std::size_t g = static_cast<std::size_t>(
+                std::upper_bound(views.begin(), views.end(), slot,
+                                 [](u64 s, const auto &v) {
+                                     return s < v.fn_slot_begin;
+                                 }) -
+                views.begin() - 1);
+            fn_begin = views[g].fn_slot_begin;
+            param_begin = views[g].param_slot_begin;
+            end = param_begin + views[g].param_len.size();
+            fn = graphs[g].node_fn.data();
+            params = graphs[g].params.data();
+        }
+        return slot < param_begin ? fn[slot - fn_begin]
+                                  : params[slot - param_begin].bits;
+    };
+
+    // openView bounded every alloc index by the image's kAlloc count
+    // and every slot by the template; once the table holds the last
+    // allocation of the sequence, both sweeps run unchecked.
+    if (table.sequenceAllocCount() > 0) {
+        MEDUSA_RETURN_IF_ERROR(
+            table.addrOf(table.sequenceAllocCount() - 1).status());
+    }
+    const std::span<const DeviceAddr> addrs = table.addresses();
     MEDUSA_FAULT_POINT(fault, FaultPoint::kImagePatch,
                        "data relocation batch of " +
                            std::to_string(image.data_relocs.size()));
     for (const MaterializedImage::DataReloc &rel : image.data_relocs) {
-        MEDUSA_ASSIGN_OR_RETURN(DeviceAddr base,
-                                table.addrOf(rel.alloc_index));
-        slots[rel.slot] = base + rel.addend;
+        cell(rel.slot) = addrs[rel.alloc_index] + rel.addend;
     }
     MEDUSA_FAULT_POINT(fault, FaultPoint::kImagePatch,
                        "kernel relocation batch of " +
@@ -253,7 +309,7 @@ applyImageRelocations(const MaterializedImage &image,
     }
     for (const MaterializedImage::KernelReloc &rel :
          image.kernel_relocs) {
-        slots[rel.slot] = kernel_addrs[rel.kernel_index];
+        cell(rel.slot) = kernel_addrs[rel.kernel_index];
     }
     const u64 applied =
         image.data_relocs.size() + image.kernel_relocs.size();
@@ -262,47 +318,39 @@ applyImageRelocations(const MaterializedImage &image,
         units::usToNs(rt.process().cost().restore_per_node_us *
                       static_cast<f64>(image.total_nodes)));
     span.arg("relocations", std::to_string(applied));
-    return slots;
+    return graphs;
 }
 
 /**
- * Instantiate every graph from spans carved out of @p patched_slots
- * (which must outlive the call) and the image's SoA columns.
+ * Instantiate every graph from its patched arrays, which the
+ * executables adopt; they copy what they keep of the image's columns.
  */
 Status
 instantiatePatched(const MaterializedImage &image,
-                   const std::vector<u64> &patched_slots,
+                   std::vector<simcuda::GpuProcess::PatchedGraphDesc> patched,
                    ModelRuntime &rt, const RestoreOptions &options,
                    RestoreReport &report)
 {
     TraceRecorder *rec = options.pipeline.trace;
     const std::size_t n = image.graphs.size();
 
-    // Carving spans out of the patched slots and the image columns is
-    // pure pointer arithmetic — the whole "build" is O(graphs), not
-    // O(nodes), which is the point of the format.
+    // Pairing each patched graph with its batch size moves the arrays;
+    // the whole "build" is O(graphs), not O(nodes), which is the point
+    // of the format.
     Span patch_span(rec, "restore.graphs.patch", "restore");
     patch_span.arg("graphs", std::to_string(n));
     std::vector<std::pair<u32, simcuda::GpuProcess::PatchedGraphDesc>>
         ordered;
     ordered.reserve(n);
-    for (const MaterializedImage::GraphView &g : image.graphs) {
-        simcuda::GpuProcess::PatchedGraphDesc desc;
-        desc.node_fn = std::span<const KernelAddr>(
-            patched_slots.data() + g.fn_slot_begin, g.node_count);
-        desc.param_begin = g.param_begin;
-        desc.param_bits = std::span<const u64>(
-            patched_slots.data() + g.param_slot_begin,
-            g.param_len.size());
-        desc.param_len = g.param_len;
-        desc.timing = g.timings;
-        ordered.emplace_back(g.batch_size, desc);
+    for (std::size_t g = 0; g < n; ++g) {
+        ordered.emplace_back(image.graphs[g].batch_size,
+                             std::move(patched[g]));
     }
     patch_span.end();
 
     Span inst_span(rec, "restore.graphs.instantiate", "restore");
-    MEDUSA_RETURN_IF_ERROR(
-        rt.instantiatePatchedGraphs(ordered, options.pipeline.fault));
+    MEDUSA_RETURN_IF_ERROR(rt.instantiatePatchedGraphs(
+        std::move(ordered), options.pipeline.fault));
     report.graphs_patched += n;
     report.graphs_restored += n;
     report.nodes_restored += image.total_nodes;
@@ -355,10 +403,10 @@ patchGraphs(const MaterializedImage &image, const ReplayTable &table,
             resolveImageKernels(image, rt, name_table, options, report));
     }
     MEDUSA_ASSIGN_OR_RETURN(
-        const std::vector<u64> patched,
-        applyImageRelocations(image, table, kernel_addrs, rt, options,
-                              report));
-    return instantiatePatched(image, patched, rt, options, report);
+        auto patched, applyImageRelocations(image, table, kernel_addrs, rt,
+                                            options, report));
+    return instantiatePatched(image, std::move(patched), rt, options,
+                              report);
 }
 
 } // namespace medusa::core

@@ -50,6 +50,12 @@ class ReplayTable final : public simcuda::AllocObserver
     /** The replayed address of an allocation index. */
     StatusOr<DeviceAddr> addrOf(u64 alloc_index) const;
 
+    /** Every replayed address so far, by allocation index. */
+    std::span<const DeviceAddr> addresses() const { return addr_of_; }
+
+    /** The number of kAlloc ops in the observed sequence. */
+    u64 sequenceAllocCount() const { return alloc_ops_.size(); }
+
     /** OK iff the organic prefix matched the materialized sequence. */
     Status organicStatus() const;
 
@@ -108,13 +114,14 @@ Status restoreContents(const MaterializedImage &image,
  *
  * The kernel table is in the order the capture first launched each
  * kernel, so module loads — and the ASLR draws they make — are
- * deterministic. The patch pass copies the image's patch template,
- * applies every data relocation through @p table and every kernel
- * relocation through the resolved addresses in one linear sweep, and
- * charges restore_per_node_us per graph node (the paper-calibrated
- * "patch params + add node" cost). Instantiation registers graphs
- * serially in image order; a failed batch unregisters what it
- * registered.
+ * deterministic. The patch pass lays the image's patch template out
+ * as each graph's executable arrays, writes every data relocation
+ * through @p table and every kernel relocation through the resolved
+ * addresses into them in one linear sweep, and charges
+ * restore_per_node_us per graph node (the paper-calibrated "patch
+ * params + add node" cost). Instantiation adopts those arrays and
+ * registers graphs serially in image order; a failed batch unregisters
+ * what it registered. The executables keep no reference to @p image.
  *
  * Emits the "restore.graphs.resolve", "restore.patch_pass",
  * "restore.graphs.patch" and "restore.graphs.instantiate" spans, and

@@ -1,6 +1,7 @@
 #include "simcuda/gpu_process.h"
 
 #include <algorithm>
+#include <array>
 
 namespace medusa::simcuda {
 
@@ -375,6 +376,56 @@ GpuProcess::endCapture(Stream &stream)
     return graph;
 }
 
+namespace {
+
+/**
+ * Kernel ids of node function addresses, memoized per distinct address
+ * in a small direct-mapped table: a graph runs a few dozen kernels over
+ * thousands of nodes. Only an address that resolved is kept, so an
+ * unknown one is looked up, and refused, at every node that names it.
+ */
+class KernelIdMemo
+{
+  public:
+    explicit KernelIdMemo(const ModuleTable &modules) : modules_(modules) {}
+
+    /** The kernel at @p addr, or null if none is loaded there. */
+    const KernelId *
+    find(KernelAddr addr)
+    {
+        Entry &e = entries_[(addr * 0x9e3779b97f4a7c15ull) >> 58];
+        if (!e.valid || e.addr != addr) {
+            auto kernel = modules_.kernelAt(addr);
+            if (!kernel.isOk()) {
+                return nullptr;
+            }
+            e = {addr, *kernel, true};
+        }
+        return &e.id;
+    }
+
+  private:
+    struct Entry
+    {
+        KernelAddr addr = 0;
+        KernelId id = 0;
+        bool valid = false;
+    };
+
+    const ModuleTable &modules_;
+    std::array<Entry, 64> entries_{};
+};
+
+Status
+unknownKernelAddress(KernelAddr addr)
+{
+    return invalidArgument(
+        "cudaGraphInstantiate: node references unknown kernel address " +
+        std::to_string(addr));
+}
+
+} // namespace
+
 StatusOr<GraphExec>
 GpuProcess::instantiate(const CudaGraph &graph)
 {
@@ -384,13 +435,11 @@ GpuProcess::instantiate(const CudaGraph &graph)
     GraphExec exec;
     exec.kernels_.reserve(graph.nodeCount());
     exec.timings_.reserve(graph.nodeCount());
+    KernelIdMemo kernels(modules_);
     for (const GraphNode &node : graph.nodes()) {
-        auto kernel = modules_.kernelAt(node.fn);
-        if (!kernel.isOk()) {
-            return invalidArgument(
-                "cudaGraphInstantiate: node references unknown kernel "
-                "address " +
-                std::to_string(node.fn));
+        const KernelId *kernel = kernels.find(node.fn);
+        if (kernel == nullptr) {
+            return unknownKernelAddress(node.fn);
         }
         exec.kernels_.push_back(*kernel);
         exec.timings_.push_back(node.timing);
@@ -406,16 +455,15 @@ GpuProcess::instantiate(const CudaGraph &graph)
 }
 
 StatusOr<GraphExec>
-GpuProcess::instantiatePatched(const PatchedGraphDesc &desc)
+GpuProcess::instantiatePatched(PatchedGraphDesc desc)
 {
     if (captureActive()) {
         return captureViolation("cudaGraphInstantiate during capture");
     }
     const std::size_t n = desc.node_fn.size();
     if (desc.param_begin.size() != n + 1 || desc.timing.size() != n ||
-        desc.param_bits.size() != desc.param_len.size() ||
         desc.param_begin.front() != 0 ||
-        desc.param_begin.back() != desc.param_bits.size()) {
+        desc.param_begin.back() != desc.params.size()) {
         return invalidArgument(
             "cudaGraphInstantiate: inconsistent patched graph arrays");
     }
@@ -427,23 +475,17 @@ GpuProcess::instantiatePatched(const PatchedGraphDesc &desc)
     }
     GraphExec exec;
     exec.kernels_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        auto kernel = modules_.kernelAt(desc.node_fn[i]);
-        if (!kernel.isOk()) {
-            return invalidArgument(
-                "cudaGraphInstantiate: node references unknown kernel "
-                "address " +
-                std::to_string(desc.node_fn[i]));
+    KernelIdMemo kernels(modules_);
+    for (KernelAddr fn : desc.node_fn) {
+        const KernelId *kernel = kernels.find(fn);
+        if (kernel == nullptr) {
+            return unknownKernelAddress(fn);
         }
         exec.kernels_.push_back(*kernel);
     }
     exec.param_begin_.assign(desc.param_begin.begin(),
                              desc.param_begin.end());
-    exec.blobs_.resize(desc.param_bits.size());
-    for (std::size_t j = 0; j < desc.param_bits.size(); ++j) {
-        exec.blobs_[j].bits = desc.param_bits[j];
-        exec.blobs_[j].len = desc.param_len[j];
-    }
+    exec.blobs_ = std::move(desc.params);
     exec.timings_.assign(desc.timing.begin(), desc.timing.end());
     clock_->advance(units::usToNs(cost_->graph_instantiate_per_node_us *
                                   static_cast<f64>(n)));

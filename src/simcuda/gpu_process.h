@@ -305,33 +305,32 @@ class GpuProcess
     StatusOr<GraphExec> instantiate(const CudaGraph &graph);
 
     /**
-     * One graph of a relocation-patched materialized image: flat node
-     * arrays whose pointer and kernel-address slots have already been
-     * patched in place. Spans borrow the caller's (patched) buffers;
-     * instantiatePatched copies what it keeps.
+     * One graph of a relocation-patched materialized image, in node-id
+     * order: the patched arrays, which instantiatePatched takes over,
+     * and spans of the image's columns, which it copies. The
+     * executable thus outlives the image.
      */
     struct PatchedGraphDesc
     {
-        /** Patched per-node kernel function addresses, node-id order. */
-        std::span<const KernelAddr> node_fn;
-        /** nodeCount()+1 prefix offsets into param_bits/param_len. */
+        /** Patched per-node kernel function addresses. */
+        std::vector<KernelAddr> node_fn;
+        /** nodeCount()+1 prefix offsets into params. */
         std::span<const u32> param_begin;
-        /** Patched 8-byte parameter value slots. */
-        std::span<const u64> param_bits;
-        /** Byte width of each parameter. */
-        std::span<const u8> param_len;
-        /** Per-node timing metadata, node-id order. */
+        /** Patched parameters; the executable adopts them as they are. */
+        std::vector<ParamBlob> params;
+        /** Per-node timing metadata. */
         std::span<const TimingInfo> timing;
     };
 
     /**
      * cudaGraphInstantiate from a patched image graph: the same
      * validation and accounting as instantiate(), but the executable is
-     * assembled by copying flat arrays — no CudaGraph object, no
-     * per-node parameter vectors. Node ids are the execution order;
+     * assembled from flat arrays — no CudaGraph object, no per-node
+     * parameter vectors, and the patched parameters are moved in, not
+     * copied. Node ids are the execution order;
      * MaterializedImage::openView refuses an image with a backward edge.
      */
-    StatusOr<GraphExec> instantiatePatched(const PatchedGraphDesc &desc);
+    StatusOr<GraphExec> instantiatePatched(PatchedGraphDesc desc);
 
     /**
      * cudaGraphLaunch: one CPU-side launch, then the whole node set

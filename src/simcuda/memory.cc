@@ -1,18 +1,101 @@
 #include "simcuda/memory.h"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <mutex>
+#include <unordered_map>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace medusa::simcuda {
+
+namespace {
+
+/**
+ * Idle mmap-class stores, by exact size: what every released store
+ * becomes instead of an munmap. Leaked on purpose, so a store released
+ * during static destruction still finds it.
+ */
+struct IdleMappings
+{
+    std::mutex mu;
+    std::unordered_map<u64, std::vector<u8 *>> by_size;
+};
+
+IdleMappings &
+idleMappings()
+{
+    static IdleMappings *idle = new IdleMappings;
+    return *idle;
+}
+
+/**
+ * Zero every page of the @p n-byte mapping at @p p that a process
+ * touched, and no other: mincore names the resident pages, which are
+ * cleared in place; a run of non-resident pages is dropped with
+ * MADV_DONTNEED, so a page that was swapped out reads as zero too.
+ */
+void
+rezeroTouchedPages(u8 *p, u64 n)
+{
+    static const u64 kPage = static_cast<u64>(::sysconf(_SC_PAGESIZE));
+    const u64 pages = (n + kPage - 1) / kPage;
+    unsigned char resident[4096];
+    for (u64 first = 0; first < pages; first += sizeof(resident)) {
+        const u64 count = std::min<u64>(sizeof(resident), pages - first);
+        MEDUSA_CHECK(::mincore(p + first * kPage, count * kPage,
+                               resident) == 0,
+                     "mincore of a ZeroBytes mapping failed");
+        for (u64 i = 0; i < count;) {
+            const bool in_core = (resident[i] & 1) != 0;
+            u64 end = i + 1;
+            while (end < count && ((resident[end] & 1) != 0) == in_core) {
+                ++end;
+            }
+            const u64 offset = (first + i) * kPage;
+            const u64 bytes = (end - i) * kPage;
+            if (in_core) {
+                std::memset(p + offset, 0, std::min(bytes, n - offset));
+            } else {
+                MEDUSA_CHECK(
+                    ::madvise(p + offset, bytes, MADV_DONTNEED) == 0,
+                    "madvise of a ZeroBytes mapping failed");
+            }
+            i = end;
+        }
+    }
+}
+
+} // namespace
 
 u8 *
 ZeroBytes::allocateZeroed(u64 n)
 {
     void *p = nullptr;
     if (n >= kMmapBytes) {
+        IdleMappings &idle = idleMappings();
+        {
+            std::lock_guard<std::mutex> lock(idle.mu);
+            std::vector<u8 *> &stores = idle.by_size[n];
+            if (!stores.empty()) {
+                p = stores.back();
+                stores.pop_back();
+            }
+        }
+        if (p != nullptr) {
+            ASAN_UNPOISON_MEMORY_REGION(p, n);
+            return static_cast<u8 *>(p);
+        }
         p = ::mmap(nullptr, n, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
         p = p == MAP_FAILED ? nullptr : p;
@@ -28,7 +111,13 @@ ZeroBytes::release()
 {
     if (data_ != nullptr) {
         if (size_ >= kMmapBytes) {
-            ::munmap(data_, size_);
+            rezeroTouchedPages(data_, size_);
+            // A stale host pointer into an idle store is a use after
+            // free; ASan reports it as one.
+            ASAN_POISON_MEMORY_REGION(data_, size_);
+            IdleMappings &idle = idleMappings();
+            std::lock_guard<std::mutex> lock(idle.mu);
+            idle.by_size[size_].push_back(data_);
         } else {
             std::free(data_);
         }

@@ -50,6 +50,18 @@ namespace medusa::simcuda {
  * from the heap, which clears them eagerly).
  * Smaller stores (every per-tensor buffer) come from calloc. The size
  * alone selects the class, so release() frees by the same rule.
+ *
+ * Mappings are recycled, never unmapped. release() re-zeroes exactly
+ * the pages the store's process touched (mincore finds them) and puts
+ * the mapping on one process-wide free list keyed by exact size;
+ * allocateZeroed() takes a same-size mapping from it before it maps a
+ * new one. A fresh simulated process thus reuses the pages an earlier
+ * one already faulted in, instead of mapping, faulting and unmapping
+ * its KV caches again. The list has no cap: a new mapping is made only
+ * when no idle one of that size exists, so the mappings of one size
+ * never outnumber the most stores of that size ever live at once.
+ * Under AddressSanitizer an idle mapping is poisoned, so a stale host
+ * pointer into a dead process's store is still reported.
  */
 class ZeroBytes
 {
@@ -122,7 +134,10 @@ class ZeroBytes
     /** @p n zero bytes, from the size class kMmapBytes selects. */
     static u8 *allocateZeroed(u64 n);
 
-    /** Free the buffer by its size class and become empty. */
+    /**
+     * Free the buffer by its size class (a mapping goes back to the
+     * idle list, re-zeroed) and become empty.
+     */
     void release();
 
     void

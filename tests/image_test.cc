@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <span>
 #include <thread>
 #include <vector>
@@ -151,6 +153,102 @@ TEST(ImageTest, PatchPassChargesRestorePerNodeCostPerNode)
     EXPECT_NEAR((*b)->coldStartReport().times.capture -
                     (*a)->coldStartReport().times.capture,
                 10e-6 * static_cast<f64>(f.stats.total_nodes), 1e-9);
+}
+
+/** The host buffers of every materialized KV store of @p engine. */
+std::vector<const u8 *>
+kvBackings(MedusaEngine &engine)
+{
+    llm::ModelRuntime &rt = engine.runtime();
+    std::vector<const u8 *> out;
+    for (const auto *layers : {&rt.kv().k_layers, &rt.kv().v_layers}) {
+        for (DeviceAddr addr : *layers) {
+            const simcuda::AllocationRecord *rec =
+                rt.process().memory().findContaining(addr);
+            if (rec != nullptr && rec->backing.materialized()) {
+                out.push_back(rec->backing.rawData());
+            }
+        }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+TEST(ImageTest, ValidatedRestoreOnRecycledBackingEqualsTheFirst)
+{
+    // The second restore's KV stores are the first one's mappings,
+    // dirtied and then re-zeroed: it must land in the same state, decode
+    // the same logits and charge the same validation time.
+    const OfflineResult &f = shared();
+    MedusaEngine::Options opts;
+    opts.model = tinyModel();
+    opts.aslr_seed = 31;
+    opts.restore.pipeline.validate = true;
+    auto restore = [&]() {
+        auto engine = MedusaEngine::coldStartFromImage(opts, f.artifact);
+        EXPECT_TRUE(engine.isOk()) << engine.status().toString();
+        return std::move(engine).value();
+    };
+
+    std::unique_ptr<MedusaEngine> first = restore();
+    ASSERT_TRUE(first->coldStartReport().restore.validated);
+    const u64 fingerprint =
+        first->runtime().process().logicalStateFingerprint();
+    const f64 validation_sec = first->runtime().clock().nowSec();
+    const std::vector<const u8 *> first_kv = kvBackings(*first);
+    ASSERT_FALSE(first_kv.empty());
+    auto logits = first->runtime().graphDecodeLogits(4);
+    ASSERT_TRUE(logits.isOk()) << logits.status().toString();
+    // Dirty every byte of every KV store before the process dies: the
+    // recycled mappings must come back all-zero anyway.
+    llm::ModelRuntime &rt = first->runtime();
+    for (const auto *layers : {&rt.kv().k_layers, &rt.kv().v_layers}) {
+        for (DeviceAddr addr : *layers) {
+            const u64 bytes =
+                rt.process().memory().findContaining(addr)->backing.size();
+            ASSERT_TRUE(
+                rt.process().memory().memset(addr, 0xab, bytes).isOk());
+        }
+    }
+    first.reset();
+
+    std::unique_ptr<MedusaEngine> second = restore();
+    const std::vector<const u8 *> second_kv = kvBackings(*second);
+    EXPECT_TRUE(std::includes(first_kv.begin(), first_kv.end(),
+                              second_kv.begin(), second_kv.end()))
+        << "the second restore did not reuse the first one's mappings";
+    EXPECT_EQ(second->runtime().process().logicalStateFingerprint(),
+              fingerprint);
+    EXPECT_EQ(second->runtime().clock().nowSec(), validation_sec);
+    auto again = second->runtime().graphDecodeLogits(4);
+    ASSERT_TRUE(again.isOk()) << again.status().toString();
+    EXPECT_EQ(*again, *logits);
+}
+
+TEST(ImageTest, RestoredEngineOutlivesItsImageAndBytes)
+{
+    // Executable graphs adopt their patched arrays and copy the image
+    // columns they keep: once the view and its bytes are gone (the
+    // bytes overwritten first, so a borrowed span would read garbage),
+    // the engine still replays its graphs to the reference logits.
+    const OfflineResult &f = shared();
+    auto reference = patchColdStart(f.artifact, 5);
+    ASSERT_TRUE(reference.isOk()) << reference.status().toString();
+    auto expected = (*reference)->runtime().graphDecodeLogits(4);
+    ASSERT_TRUE(expected.isOk()) << expected.status().toString();
+
+    auto bytes = std::make_unique<std::vector<u8>>(f.image_bytes);
+    auto image = std::make_unique<MaterializedImage>(
+        MaterializedImage::openView(std::span<const u8>(*bytes)).value());
+    auto engine = patchColdStart(*image, 5);
+    ASSERT_TRUE(engine.isOk()) << engine.status().toString();
+    image.reset();
+    std::fill(bytes->begin(), bytes->end(), u8{0xee});
+    bytes.reset();
+
+    auto logits = (*engine)->runtime().graphDecodeLogits(4);
+    ASSERT_TRUE(logits.isOk()) << logits.status().toString();
+    EXPECT_EQ(*logits, *expected);
 }
 
 // ---- concurrent restores from one image --------------------------------

@@ -327,26 +327,19 @@ TEST(RollbackTest, FailedInstantiationBatchLeaksNoSlots)
 
     // Flatten the captured graph into the patched arrays the image
     // restore instantiates from (its live addresses need no patching).
-    std::vector<KernelAddr> node_fn;
     std::vector<u32> param_begin = {0};
-    std::vector<u64> param_bits;
-    std::vector<u8> param_len;
     std::vector<TimingInfo> timing;
+    simcuda::GpuProcess::PatchedGraphDesc desc;
     for (simcuda::NodeId n = 0; n < graph->nodeCount(); ++n) {
-        node_fn.push_back(graph->node(n).fn);
+        desc.node_fn.push_back(graph->node(n).fn);
         const simcuda::ParamView params = graph->params(n);
         for (std::size_t p = 0; p < params.size(); ++p) {
-            param_bits.push_back(params.at(p).bits);
-            param_len.push_back(params.at(p).len);
+            desc.params.push_back(params.at(p));
         }
-        param_begin.push_back(static_cast<u32>(param_bits.size()));
+        param_begin.push_back(static_cast<u32>(desc.params.size()));
         timing.push_back(graph->node(n).timing);
     }
-    simcuda::GpuProcess::PatchedGraphDesc desc;
-    desc.node_fn = node_fn;
     desc.param_begin = param_begin;
-    desc.param_bits = param_bits;
-    desc.param_len = param_len;
     desc.timing = timing;
 
     // The fault fires on the SECOND instantiation: the first slot is
@@ -373,7 +366,7 @@ TEST(RollbackTest, FailedInstantiationBatchLeaksNoSlots)
     // contract); an image that passes openView never trips them, so the
     // broken param ramps go to it directly.
     std::vector<u32> falling = param_begin;
-    falling[1] = static_cast<u32>(param_bits.size()) + 1;
+    falling[1] = static_cast<u32>(desc.params.size()) + 1;
     std::vector<u32> ends_short(param_begin.size(), 0);
     for (const std::vector<u32> *ramp : {&falling, &ends_short}) {
         simcuda::GpuProcess::PatchedGraphDesc broken = desc;

@@ -2,17 +2,27 @@
  * @file
  * Unit tests for the simulated device memory: allocation accounting,
  * address non-determinism across process launches (ASLR), bounds
- * checking of functional accesses, containment queries, and the
- * demand-zero backing store on both sides of its size cut-off.
+ * checking of functional accesses, containment queries, the
+ * demand-zero backing store on both sides of its size cut-off, and the
+ * recycling of large stores across simulated processes.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstring>
+#include <thread>
 #include <vector>
 
+#include "llm/model_config.h"
+#include "medusa/offline.h"
+#include "medusa/restore.h"
 #include "simcuda/memory.h"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace medusa::simcuda {
 namespace {
@@ -339,6 +349,130 @@ TEST(ZeroBytesTest, F32TailSpansWholeLargeBacking)
     f32 out = 0;
     ASSERT_TRUE(mem.read(*a + big - 4, &out, 4).isOk());
     EXPECT_EQ(out, -2.0f);
+}
+
+// ---- recycled mappings --------------------------------------------------
+//
+// Each test uses a size of its own, so the mapping it releases is the
+// only idle one of that size and the next store of that size gets it.
+
+/** The host page size. */
+u64
+pageBytes()
+{
+    return static_cast<u64>(::sysconf(_SC_PAGESIZE));
+}
+
+/** The mapping a store of @p n bytes gets: released, then reused. */
+u8 *
+recycledOnce(u64 n, void (*touch)(u8 *, u64))
+{
+    ZeroBytes z;
+    z.assign(n, 0);
+    u8 *first = z.data();
+    touch(first, n);
+    z.assign(n, 0); // releases the mapping to the idle list
+#if defined(__SANITIZE_ADDRESS__)
+    // A stale pointer into an idle store is still reported.
+    EXPECT_NE(__asan_address_is_poisoned(first), 0);
+#endif
+    return first;
+}
+
+bool
+allZero(const u8 *p, u64 n)
+{
+    return std::all_of(p, p + n, [](u8 b) { return b == 0; });
+}
+
+TEST(ZeroBytesTest, RecycledStoreReadsAllZero)
+{
+    // A last page only partly inside the store.
+    const u64 n = kLarge + 5 * pageBytes() + 123;
+    u8 *first = recycledOnce(n, [](u8 *p, u64 size) {
+        p[0] = 0xa5;
+        std::memset(p + (size / pageBytes() / 2) * pageBytes() + 17, 0x5a,
+                    pageBytes());
+        p[size - 1] = 0x3c;
+    });
+    ZeroBytes again;
+    again.assign(n, 0);
+    ASSERT_EQ(again.data(), first) << "the idle mapping was not reused";
+    EXPECT_TRUE(allZero(again.rawData(), n));
+}
+
+TEST(ZeroBytesTest, RecycledMappingServesOnlyItsOwnSize)
+{
+    const u64 n = kLarge + 7 * pageBytes();
+    u8 *first = recycledOnce(n, [](u8 *p, u64) { p[0] = 1; });
+    for (u64 other : {n - 8, n + 8, n + pageBytes()}) {
+        ZeroBytes z;
+        z.assign(other, 0);
+        EXPECT_NE(z.data(), first) << "size " << other;
+        EXPECT_TRUE(allZero(z.rawData(), other));
+    }
+    ZeroBytes same;
+    same.assign(n, 0);
+    EXPECT_EQ(same.data(), first);
+    EXPECT_TRUE(allZero(same.rawData(), n));
+}
+
+TEST(ZeroBytesTest, UntouchedStoreRecyclesCleanly)
+{
+    const u64 n = kLarge + 11 * pageBytes() + 5;
+    u8 *first = recycledOnce(n, [](u8 *, u64) {});
+    ZeroBytes again;
+    again.assign(n, 0);
+    ASSERT_EQ(again.data(), first);
+    EXPECT_TRUE(allZero(again.rawData(), n));
+    again.data()[n / 2] = 7;
+    EXPECT_EQ(again.rawData()[n / 2], 7);
+}
+
+/**
+ * Two threads each run validated cold starts and destroy them, so both
+ * take stores from and give them back to the one idle list while the
+ * other does; every restore must still validate and charge the same
+ * virtual time.
+ */
+TEST(ZeroBytesTest, ConcurrentValidatedColdStartsRecycleStores)
+{
+    llm::ModelConfig model = llm::findModel("Qwen1.5-0.5B").value();
+    model.num_layers = 2;
+    core::OfflineOptions oopts;
+    oopts.model = model;
+    oopts.pipeline.validate = false;
+    auto offline = core::materialize(oopts);
+    ASSERT_TRUE(offline.isOk()) << offline.status().toString();
+
+    core::MedusaEngine::Options opts;
+    opts.model = model;
+    opts.restore.pipeline.validate = true;
+    constexpr int kThreads = 2;
+    constexpr int kRounds = 3;
+    std::vector<std::vector<f64>> seconds(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t]() {
+            for (int r = 0; r < kRounds; ++r) {
+                auto engine = core::MedusaEngine::coldStartFromImage(
+                    opts, offline->artifact);
+                seconds[t].push_back(
+                    engine.isOk()
+                        ? (*engine)->runtime().clock().nowSec()
+                        : -1.0);
+            }
+        });
+    }
+    for (std::thread &t : threads) {
+        t.join();
+    }
+    ASSERT_GT(seconds[0][0], 0.0);
+    for (const std::vector<f64> &per_thread : seconds) {
+        for (f64 sec : per_thread) {
+            EXPECT_EQ(sec, seconds[0][0]);
+        }
+    }
 }
 
 } // namespace
