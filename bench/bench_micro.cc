@@ -10,6 +10,7 @@
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <chrono>
 #include <span>
 #include <string>
 #include <vector>
@@ -447,6 +448,51 @@ BM_AnalyzeAndFinish(benchmark::State &state)
         static_cast<i64>(state.iterations() * image_bytes));
 }
 BENCHMARK(BM_AnalyzeAndFinish)->Unit(benchmark::kMillisecond);
+
+/**
+ * The offline capture stage as materialize runs it: full-depth
+ * Qwen1.5-4B on a fresh recorded runtime, contents discarded, warm-up
+ * and capture of every batch size. Only runCaptureStage is timed (the
+ * runtime's construction and teardown are not). "ns_per_launch" divides
+ * that wall time by the stage's simulated launches, eager and captured:
+ * the host cost of one launch through the whole launch path.
+ */
+void
+BM_CaptureStage(benchmark::State &state)
+{
+    const llm::ModelConfig model = llm::findModel("Qwen1.5-4B").value();
+    std::vector<u32> sizes = llm::captureBatchSizes();
+    std::sort(sizes.begin(), sizes.end(), std::greater<>());
+    f64 total_ns = 0;
+    f64 total_launches = 0;
+    for (auto _ : state) {
+        core::Recorder recorder;
+        llm::ModelRuntime::Options ropts;
+        ropts.model = model;
+        ropts.observer = &recorder;
+        ropts.alloc_observer = &recorder;
+        ropts.launch_observer = &recorder;
+        llm::ModelRuntime rt(ropts);
+        const auto start = std::chrono::steady_clock::now();
+        auto captured = core::runCaptureStage(rt, recorder, sizes, nullptr);
+        const auto stop = std::chrono::steady_clock::now();
+        MEDUSA_CHECK(captured.isOk(), captured.status().toString());
+        const f64 ns = static_cast<f64>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(stop -
+                                                                 start)
+                .count());
+        state.SetIterationTime(ns * 1e-9);
+        total_ns += ns;
+        total_launches += static_cast<f64>(
+            rt.process().eagerLaunchCount() +
+            rt.process().capturedNodeCount());
+        benchmark::DoNotOptimize(captured);
+    }
+    state.counters["ns_per_launch"] = total_ns / total_launches;
+    state.counters["launches"] =
+        total_launches / static_cast<f64>(state.iterations());
+}
+BENCHMARK(BM_CaptureStage)->UseManualTime()->Unit(benchmark::kMillisecond);
 
 /** The process's minor page faults and system CPU time so far. */
 struct HostCost

@@ -204,15 +204,25 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
     image.organic_alloc_count = recorder.organicAllocCount();
     image.tags = recorder.tags();
 
+    // Only a pointer-shaped param can become a data relocation; the
+    // rest (most of them) are constants.
+    auto pointer_shaped = [](const simcuda::ParamBlob &blob) {
+        return blob.len == 8 && looksLikeDevicePointer(blob.bits);
+    };
     std::size_t node_total = 0;
     std::size_t edge_total = 0;
     std::size_t param_total = 0;
+    std::size_t pointer_total = 0;
     for (const auto &[batch_size, graph] : graphs) {
         node_total += graph.nodeCount();
         edge_total += graph.edges().size();
         param_total += graph.paramBlobs().size();
+        pointer_total += static_cast<std::size_t>(
+            std::count_if(graph.paramBlobs().begin(),
+                          graph.paramBlobs().end(), pointer_shaped));
     }
-    image.reserve(graphs.size(), node_total, edge_total, param_total);
+    image.reserve(graphs.size(), node_total, edge_total, param_total,
+                  pointer_total);
 
     // The kernel name table (§5), keyed by kernel address in
     // first-occurrence order. Only a first occurrence asks the process
@@ -274,7 +284,7 @@ analyze(const Recorder &recorder, simcuda::GpuProcess &process,
                 const simcuda::ParamBlob &blob = params.at(p);
                 const AllocRecord *match = nullptr;
                 const u64 value = blob.bits;
-                if (blob.len == 8 && looksLikeDevicePointer(value)) {
+                if (pointer_shaped(blob)) {
                     recorder.recordsContaining(value, candidates);
                     match = options.trace_based_matching
                                 ? matchTraceBased(candidates, launch.op_pos)

@@ -300,7 +300,8 @@ findStructuralDefects(const MaterializedImage &image)
 
 void
 ImageBuilder::reserve(std::size_t graph_count, std::size_t node_count,
-                      std::size_t edge_count, std::size_t param_count)
+                      std::size_t edge_count, std::size_t param_count,
+                      std::size_t pointer_count)
 {
     graphs.reserve(graph_count);
     param_begin.reserve(node_count + graph_count);
@@ -309,7 +310,7 @@ ImageBuilder::reserve(std::size_t graph_count, std::size_t node_count,
     timings.reserve(node_count);
     param_len.reserve(param_count);
     slots.reserve(node_count + param_count);
-    data_relocs.reserve(param_count);
+    data_relocs.reserve(pointer_count);
     kernel_relocs.reserve(node_count);
 }
 
@@ -367,29 +368,6 @@ ImageBuilder::addNode(u64 kernel_index, const TimingInfo &timing)
     // The node's param range ends where it begins until params arrive.
     param_begin.push_back(meta.param_count);
     ++graph_nodes_;
-}
-
-void
-ImageBuilder::addConstant(std::span<const u8> bytes)
-{
-    MEDUSA_CHECK(bytes.size() <= sizeof(u64),
-                 "constant param wider than 8 bytes");
-    u64 bits = 0;
-    std::memcpy(&bits, bytes.data(), bytes.size());
-    slots.push_back(bits);
-    param_len.push_back(static_cast<u8>(bytes.size()));
-    ++graphs.back().param_count;
-    ++param_begin.back();
-}
-
-void
-ImageBuilder::addPointer(u64 alloc_index, u64 offset)
-{
-    data_relocs.push_back({slots.size(), alloc_index, offset});
-    slots.push_back(0);
-    param_len.push_back(sizeof(u64));
-    ++graphs.back().param_count;
-    ++param_begin.back();
 }
 
 std::span<u8>

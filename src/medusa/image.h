@@ -49,6 +49,7 @@
 #ifndef MEDUSA_MEDUSA_IMAGE_H
 #define MEDUSA_MEDUSA_IMAGE_H
 
+#include <cstring>
 #include <map>
 #include <span>
 #include <string>
@@ -397,9 +398,14 @@ class ImageBuilder
     /** Every permanent buffer's bytes, back to back. */
     std::vector<u8> contents;
 
-    /** Reserve the columns for the given totals. */
+    /**
+     * Reserve the columns for the given totals. @p pointer_count bounds
+     * the data relocations: the params that may be pointers, not all
+     * params.
+     */
     void reserve(std::size_t graph_count, std::size_t node_count,
-                 std::size_t edge_count, std::size_t param_count);
+                 std::size_t edge_count, std::size_t param_count,
+                 std::size_t pointer_count);
 
     /** Append a kernel-table entry; returns its index. */
     u64 addKernel(std::string name, std::string module);
@@ -415,11 +421,33 @@ class ImageBuilder
     /** Append the current graph's next node. */
     void addNode(u64 kernel_index, const TimingInfo &timing);
 
-    /** Append a constant param (at most 8 bytes, prefilled). */
-    void addConstant(std::span<const u8> bytes);
+    /**
+     * Append a constant param (at most 8 bytes, prefilled). Inline, like
+     * addPointer: the analysis appends one per captured param.
+     */
+    void
+    addConstant(std::span<const u8> bytes)
+    {
+        MEDUSA_CHECK(bytes.size() <= sizeof(u64),
+                     "constant param wider than 8 bytes");
+        u64 bits = 0;
+        std::memcpy(&bits, bytes.data(), bytes.size());
+        slots.push_back(bits);
+        param_len.push_back(static_cast<u8>(bytes.size()));
+        ++graphs.back().param_count;
+        ++param_begin.back();
+    }
 
     /** Append a data-pointer param: a relocation against an allocation. */
-    void addPointer(u64 alloc_index, u64 offset);
+    void
+    addPointer(u64 alloc_index, u64 offset)
+    {
+        data_relocs.push_back({slots.size(), alloc_index, offset});
+        slots.push_back(0);
+        param_len.push_back(sizeof(u64));
+        ++graphs.back().param_count;
+        ++param_begin.back();
+    }
 
     /**
      * Append a permanent buffer of @p size bytes; returns where its

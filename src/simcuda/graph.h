@@ -68,9 +68,7 @@ class CudaGraph
     {
         const NodeId id = static_cast<NodeId>(nodes_.size());
         nodes_.push_back(GraphNode{fn, timing});
-        for (std::size_t i = 0; i < params.size(); ++i) {
-            blobs_.push_back(params.at(i));
-        }
+        blobs_.insert(blobs_.end(), params.begin(), params.end());
         param_begin_.push_back(static_cast<u32>(blobs_.size()));
         for (NodeId d : deps) {
             MEDUSA_CHECK(d < id, "graph dependency on future node " << d);

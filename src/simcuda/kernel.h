@@ -21,7 +21,6 @@
 
 #include <array>
 #include <cstring>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -132,6 +131,8 @@ class ParamView
     }
 
     std::size_t size() const { return count_; }
+    const ParamBlob *begin() const { return blobs_; }
+    const ParamBlob *end() const { return blobs_ + count_; }
 
     const ParamBlob &
     at(std::size_t i) const
@@ -183,28 +184,28 @@ class ParamsBuilder
     ParamsBuilder &
     ptr(DeviceAddr addr)
     {
-        append(&addr, sizeof(addr));
+        append(addr);
         return *this;
     }
 
     ParamsBuilder &
     i32(i32 v)
     {
-        append(&v, sizeof(v));
+        append(v);
         return *this;
     }
 
     ParamsBuilder &
     i64(i64 v)
     {
-        append(&v, sizeof(v));
+        append(v);
         return *this;
     }
 
     ParamsBuilder &
     f32(f32 v)
     {
-        append(&v, sizeof(v));
+        append(v);
         return *this;
     }
 
@@ -212,12 +213,18 @@ class ParamsBuilder
     ParamView view() const { return params_.view(); }
 
   private:
+    /**
+     * Append @p v at its compile-time width, so the copy into the blob
+     * is one register move rather than a memcpy call.
+     */
+    template <typename T>
     void
-    append(const void *data, u64 n)
+    append(T v)
     {
+        static_assert(sizeof(T) <= sizeof(u64));
         ParamBlob blob;
-        blob.len = static_cast<u8>(n);
-        std::memcpy(&blob.bits, data, n);
+        blob.len = static_cast<u8>(sizeof(T));
+        std::memcpy(&blob.bits, &v, sizeof(T));
         params_.push(blob);
     }
 
@@ -266,9 +273,11 @@ class KernelArgs
     const std::vector<ParamKind> &kinds_;
 };
 
-/** Functional body of a kernel: computes over simulated device memory. */
-using KernelFn =
-    std::function<Status(DeviceMemoryManager &, const KernelArgs &)>;
+/**
+ * Functional body of a kernel: computes over simulated device memory.
+ * A plain function pointer, called directly on every executed launch.
+ */
+using KernelFn = Status (*)(DeviceMemoryManager &, const KernelArgs &);
 
 /**
  * Static definition of a kernel: identity, module membership, symbol
@@ -301,7 +310,7 @@ struct KernelDef
      * its parameter buffers points into.
      */
     bool indirect_access = false;
-    KernelFn fn;
+    KernelFn fn = nullptr;
 };
 
 /**

@@ -164,11 +164,12 @@ DeviceMemoryManager::malloc(u64 logical_size, u64 backing_size)
     // (findContaining relies on this).
     next_addr_ = base + ((logical_size + 255) & ~255ull);
 
-    AllocationRecord rec;
+    // The bump pointer only grows, so the new base is above every live
+    // one and the table stays sorted by appending.
+    AllocationRecord &rec = allocs_.emplace_back();
     rec.base = base;
     rec.logical_size = logical_size;
     rec.backing.assign(backing_size, 0);
-    allocs_.emplace(base, std::move(rec));
     used_logical_ += logical_size;
     return base;
 }
@@ -176,24 +177,40 @@ DeviceMemoryManager::malloc(u64 logical_size, u64 backing_size)
 Status
 DeviceMemoryManager::free(DeviceAddr base)
 {
-    auto it = allocs_.find(base);
-    if (it == allocs_.end()) {
+    const AllocationRecord *rec = lastAtOrBelow(base);
+    if (rec == nullptr || rec->base != base) {
         return invalidArgument("cudaFree of unmapped address");
     }
-    used_logical_ -= it->second.logical_size;
-    allocs_.erase(it);
+    used_logical_ -= rec->logical_size;
+    allocs_.erase(allocs_.begin() + (rec - allocs_.data()));
     return Status::ok();
+}
+
+const AllocationRecord *
+DeviceMemoryManager::lastAtOrBelow(DeviceAddr addr) const
+{
+    if (allocs_.empty() || allocs_.front().base > addr) {
+        return nullptr;
+    }
+    // Branch-free binary search: the comparisons are unpredictable, and
+    // a mispredicted branch per level costs more than the level itself.
+    const AllocationRecord *last = allocs_.data();
+    for (std::size_t n = allocs_.size(); n > 1;) {
+        const std::size_t half = n / 2;
+        last = last[half].base <= addr ? last + half : last;
+        n -= half;
+    }
+    return last;
 }
 
 StatusOr<std::pair<AllocationRecord *, u64>>
 DeviceMemoryManager::resolve(DeviceAddr addr, u64 bytes)
 {
-    auto it = allocs_.upper_bound(addr);
-    if (it == allocs_.begin()) {
+    const AllocationRecord *found = lastAtOrBelow(addr);
+    if (found == nullptr) {
         return invalidArgument("illegal device access: unmapped address");
     }
-    --it;
-    AllocationRecord &rec = it->second;
+    AllocationRecord &rec = const_cast<AllocationRecord &>(*found);
     const u64 offset = addr - rec.base;
     if (offset > rec.backing.size() ||
         bytes > rec.backing.size() - offset) {
@@ -296,14 +313,9 @@ DeviceMemoryManager::f32Tail(DeviceAddr addr)
 const AllocationRecord *
 DeviceMemoryManager::findContaining(DeviceAddr addr) const
 {
-    auto it = allocs_.upper_bound(addr);
-    if (it == allocs_.begin()) {
-        return nullptr;
-    }
-    --it;
-    const AllocationRecord &rec = it->second;
-    if (addr < rec.base + rec.logical_size) {
-        return &rec;
+    const AllocationRecord *rec = lastAtOrBelow(addr);
+    if (rec != nullptr && addr < rec->base + rec->logical_size) {
+        return rec;
     }
     return nullptr;
 }
@@ -320,8 +332,8 @@ DeviceMemoryManager::stateFingerprint() const
     h = mix(h, used_logical_);
     h = mix(h, next_addr_);
     h = mix(h, rng_.stateHash());
-    for (const auto &[base, rec] : allocs_) {
-        h = mix(h, base);
+    for (const AllocationRecord &rec : allocs_) {
+        h = mix(h, rec.base);
         h = mix(h, rec.logical_size);
         h = mix(h, rec.backing.size());
         // An unmaterialized store is all zeros by construction; hash the

@@ -22,7 +22,6 @@
 #define MEDUSA_SIMCUDA_MEMORY_H
 
 #include <cstring>
-#include <map>
 #include <span>
 #include <utility>
 #include <vector>
@@ -178,6 +177,11 @@ struct AllocationRecord
  * see the same addresses. Address *reuse* — the false-positive hazard of
  * the paper's Figure 6 — is produced one level up by CachingAllocator,
  * which returns previously freed blocks.
+ *
+ * Because bases only grow, the live allocations are one flat table in
+ * base order: malloc appends, free erases in place, and every address
+ * lookup (resolve, findContaining, taint) is a branch-free binary search
+ * over it.
  */
 class DeviceMemoryManager
 {
@@ -277,7 +281,8 @@ class DeviceMemoryManager
     /**
      * The allocation containing @p addr, or nullptr. Containment is
      * judged by *logical* extent, matching how the paper's trace analysis
-     * matches pointers that land inside an allocated buffer.
+     * matches pointers that land inside an allocated buffer. Valid until
+     * the next malloc or free.
      */
     const AllocationRecord *findContaining(DeviceAddr addr) const;
 
@@ -292,6 +297,13 @@ class DeviceMemoryManager
     u64 stateFingerprint() const;
 
   private:
+    /**
+     * The live allocation with the greatest base at or below @p addr,
+     * or null: the only candidate to contain it, since logical extents
+     * never overlap.
+     */
+    const AllocationRecord *lastAtOrBelow(DeviceAddr addr) const;
+
     /** Resolve addr to (record, byte offset), checked against backing. */
     StatusOr<std::pair<AllocationRecord *, u64>>
     resolve(DeviceAddr addr, u64 bytes);
@@ -300,7 +312,8 @@ class DeviceMemoryManager
     u64 used_logical_ = 0;
     DeviceAddr next_addr_;
     Rng rng_;
-    std::map<DeviceAddr, AllocationRecord> allocs_;
+    /** Live allocations in increasing base order. */
+    std::vector<AllocationRecord> allocs_;
 };
 
 } // namespace medusa::simcuda

@@ -9,12 +9,9 @@ constexpr KernelAddr kTextBase = 0x7fd000000000ull;
 
 } // namespace
 
-ModuleTable::ModuleTable(u64 aslr_seed) : rng_(aslr_seed) {}
-
-bool
-ModuleTable::isLoaded(KernelId id) const
+ModuleTable::ModuleTable(u64 aslr_seed)
+    : rng_(aslr_seed), addr_of_(KernelRegistry::instance().kernelCount(), 0)
 {
-    return addr_of_.count(id) != 0;
 }
 
 bool
@@ -29,7 +26,7 @@ ModuleTable::ensureLoaded(KernelId id)
 {
     // A kernel with an address belongs to a loaded module: skip hashing
     // the module's name on every launch after the first.
-    if (isLoaded(id)) {
+    if (isLoaded(id)) [[likely]] {
         return false;
     }
     const auto &reg = KernelRegistry::instance();
@@ -61,16 +58,15 @@ ModuleTable::loadModule(const std::string &module_name)
     return true;
 }
 
-StatusOr<KernelAddr>
-ModuleTable::addressOf(KernelId id) const
+Status
+ModuleTable::notLoaded(KernelId id) const
 {
-    auto it = addr_of_.find(id);
-    if (it == addr_of_.end()) {
-        return failedPrecondition(
-            "kernel's module not loaded: " +
-            KernelRegistry::instance().def(id).mangled_name);
+    if (id >= addr_of_.size()) {
+        return invalidArgument("unknown kernel id " + std::to_string(id));
     }
-    return it->second;
+    return failedPrecondition(
+        "kernel's module not loaded: " +
+        KernelRegistry::instance().def(id).mangled_name);
 }
 
 StatusOr<KernelId>
@@ -169,10 +165,13 @@ ModuleTable::stateFingerprint() const
         }
         h ^= e;
     }
-    for (const auto &[id, addr] : addr_of_) {
+    for (KernelId id = 0; id < addr_of_.size(); ++id) {
+        if (addr_of_[id] == 0) {
+            continue;
+        }
         u64 e = 0xcbf29ce484222325ull;
         e = (e ^ id) * 0x100000001b3ull;
-        e = (e ^ addr) * 0x100000001b3ull;
+        e = (e ^ addr_of_[id]) * 0x100000001b3ull;
         h ^= e;
     }
     return h;

@@ -36,7 +36,10 @@ struct DsoSymbol
 
 /**
  * Tracks which modules are loaded in one simulated process, and the
- * randomized address of every loaded kernel.
+ * randomized address of every loaded kernel. KernelIds are dense
+ * registry indexes, so the address of each is one slot of a flat
+ * table: isLoaded, addressOf and ensureLoaded — asked on every launch —
+ * are one array read.
  */
 class ModuleTable
 {
@@ -45,7 +48,11 @@ class ModuleTable
     explicit ModuleTable(u64 aslr_seed);
 
     /** True if the module that contains @p id has been loaded. */
-    bool isLoaded(KernelId id) const;
+    bool
+    isLoaded(KernelId id) const
+    {
+        return id < addr_of_.size() && addr_of_[id] != 0;
+    }
 
     /** True if the named module has been loaded. */
     bool isModuleLoaded(const std::string &module_name) const;
@@ -60,8 +67,18 @@ class ModuleTable
     /** Load a module by name. @return true if a load happened. */
     bool loadModule(const std::string &module_name);
 
-    /** Address of a loaded kernel; error if its module is not loaded. */
-    StatusOr<KernelAddr> addressOf(KernelId id) const;
+    /**
+     * Address of a loaded kernel; error if its module is not loaded or
+     * @p id is not a registered kernel.
+     */
+    StatusOr<KernelAddr>
+    addressOf(KernelId id) const
+    {
+        if (isLoaded(id)) [[likely]] {
+            return addr_of_[id];
+        }
+        return notLoaded(id);
+    }
 
     /** Reverse-resolve an address to a kernel id; error if unknown. */
     StatusOr<KernelId> kernelAt(KernelAddr addr) const;
@@ -106,11 +123,17 @@ class ModuleTable
     u64 stateFingerprint() const;
 
   private:
+    /** addressOf's refusal of a kernel that has no address. */
+    Status notLoaded(KernelId id) const;
+
     Rng rng_;
     /** module name -> loaded? */
     std::unordered_map<std::string, bool> loaded_modules_;
-    /** kernel id -> randomized address (only for loaded modules). */
-    std::unordered_map<KernelId, KernelAddr> addr_of_;
+    /**
+     * Kernel id -> randomized address, sized to the registry; 0 (never
+     * a kernel address) for a kernel whose module is not loaded.
+     */
+    std::vector<KernelAddr> addr_of_;
     /** randomized address -> kernel id. */
     std::unordered_map<KernelAddr, KernelId> kernel_at_;
 };

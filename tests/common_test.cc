@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the common library: Status/StatusOr, RNG
+ * Unit tests for the common library: the always-on check, Status/StatusOr, RNG
  * distributions, the virtual clock, binary serialization and the
  * statistics accumulators.
  */
@@ -11,6 +11,7 @@
 #include <span>
 
 #include "common/clock.h"
+#include "common/logging.h"
 #include "common/rng.h"
 #include "common/serialize.h"
 #include "common/stats.h"
@@ -18,6 +19,27 @@
 
 namespace medusa {
 namespace {
+
+// ---------------------------------------------------------- MEDUSA_CHECK
+
+TEST(CheckDeathTest, FailingCheckAbortsWithConditionAndMessage)
+{
+    const int params = 16;
+    EXPECT_DEATH(MEDUSA_CHECK(params <= 15,
+                              "more than " << 15 << " launch params, got "
+                                           << params),
+                 "\\[PANIC\\] .*common_test\\.cc:[0-9]+: check failed: "
+                 "params <= 15: more than 15 launch params, got 16");
+}
+
+TEST(CheckDeathTest, PassingCheckNeverFormatsItsMessage)
+{
+    int formatted = 0;
+    for (int i = 0; i < 3; ++i) {
+        MEDUSA_CHECK(i < 3, "formatted " << ++formatted);
+    }
+    EXPECT_EQ(formatted, 0);
+}
 
 // ---------------------------------------------------------------- Status
 

@@ -2,8 +2,9 @@
  * @file
  * Unit tests for the simulated device memory: allocation accounting,
  * address non-determinism across process launches (ASLR), bounds
- * checking of functional accesses, containment queries, the
- * demand-zero backing store on both sides of its size cut-off, and the
+ * checking of functional accesses, containment queries and the flat
+ * allocation table's lookups at every boundary, the demand-zero
+ * backing store on both sides of its size cut-off, and the
  * recycling of large stores across simulated processes.
  */
 
@@ -18,6 +19,7 @@
 #include "llm/model_config.h"
 #include "medusa/offline.h"
 #include "medusa/restore.h"
+#include "simcuda/gpu_process.h"
 #include "simcuda/memory.h"
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -207,6 +209,131 @@ TEST(DeviceMemoryTest, FindContainingUsesLogicalExtent)
     ASSERT_NE(rec, nullptr);
     EXPECT_EQ(rec->base, *a);
     EXPECT_EQ(mem.findContaining(*a + 4096 + 100000), nullptr);
+}
+
+/** Byte 0 at @p addr: the status of a one-byte read there. */
+Status
+readByte(const DeviceMemoryManager &mem, DeviceAddr addr)
+{
+    u8 byte = 0;
+    return mem.read(addr, &byte, 1);
+}
+
+TEST(DeviceMemoryTest, FlatTableLookupsAtEveryBoundary)
+{
+    DeviceMemoryManager mem(units::GiB, 7);
+    // Logical sizes below their 256-byte footprint leave a gap after
+    // each extent; backings shorter than the logical size leave a
+    // logical-only tail.
+    const DeviceAddr a = *mem.malloc(4000, 64);
+    const DeviceAddr b = *mem.malloc(1000, 1000);
+    const DeviceAddr c = *mem.malloc(300, 16);
+    ASSERT_LT(a, b);
+    ASSERT_LT(b, c);
+
+    // Below the first base.
+    EXPECT_EQ(mem.findContaining(a - 1), nullptr);
+    EXPECT_EQ(readByte(mem, a - 1).message(),
+              "illegal device access: unmapped address");
+    mem.taint(a - 1);
+
+    // The gap between a's logical end and b's base.
+    for (DeviceAddr gap : {a + 4000, b - 1}) {
+        EXPECT_EQ(mem.findContaining(gap), nullptr);
+        EXPECT_EQ(readByte(mem, gap).code(), StatusCode::kInvalidArgument);
+        mem.taint(gap);
+    }
+    EXPECT_EQ(readByte(mem, a + 4000).message(),
+              "illegal device access: out of backing bounds (offset 4000 "
+              "+ 1 > 64)");
+
+    // Between the backing end and the logical end: containment by the
+    // logical extent finds the allocation, functional access refuses.
+    const AllocationRecord *tail = mem.findContaining(a + 64);
+    ASSERT_NE(tail, nullptr);
+    EXPECT_EQ(tail->base, a);
+    EXPECT_EQ(mem.findContaining(a + 3999), tail);
+    EXPECT_EQ(readByte(mem, a + 64).message(),
+              "illegal device access: out of backing bounds (offset 64 + "
+              "1 > 64)");
+
+    // No taint above reached an allocation; a logical-tail taint does.
+    EXPECT_TRUE(readByte(mem, a).isOk());
+    EXPECT_TRUE(readByte(mem, b).isOk());
+    EXPECT_TRUE(readByte(mem, c).isOk());
+    mem.taint(a + 3999);
+    EXPECT_EQ(readByte(mem, a).code(), StatusCode::kFailedPrecondition);
+    EXPECT_TRUE(readByte(mem, b).isOk());
+
+    // Every base and last logical byte resolves to its own record.
+    for (auto [base, size] : {std::pair{a, 4000}, std::pair{b, 1000},
+                              std::pair{c, 300}}) {
+        ASSERT_NE(mem.findContaining(base), nullptr);
+        EXPECT_EQ(mem.findContaining(base)->base, base);
+        EXPECT_EQ(mem.findContaining(base + size - 1)->base, base);
+        EXPECT_EQ(mem.findContaining(base + size), nullptr);
+    }
+
+    // Free the middle allocation, then the last one.
+    ASSERT_TRUE(mem.free(b).isOk());
+    EXPECT_EQ(mem.liveAllocations(), 2u);
+    EXPECT_EQ(mem.findContaining(b), nullptr);
+    EXPECT_EQ(mem.findContaining(b + 999), nullptr);
+    EXPECT_EQ(mem.free(b).message(), "cudaFree of unmapped address");
+    EXPECT_EQ(mem.free(b + 8).message(), "cudaFree of unmapped address");
+    EXPECT_EQ(mem.findContaining(a + 10)->base, a);
+    EXPECT_EQ(mem.findContaining(c + 10)->base, c);
+    ASSERT_TRUE(mem.free(c).isOk());
+    EXPECT_EQ(mem.findContaining(c), nullptr);
+    EXPECT_EQ(mem.findContaining(a + 10)->base, a);
+
+    // The next allocation lands above every freed one and is found.
+    const DeviceAddr d = *mem.malloc(512, 8);
+    EXPECT_GT(d, c);
+    EXPECT_EQ(mem.findContaining(d + 511)->base, d);
+    EXPECT_EQ(mem.findContaining(c), nullptr);
+    EXPECT_EQ(mem.liveAllocations(), 2u);
+    EXPECT_EQ(mem.usedLogicalBytes(), 4000u + 512u);
+
+    // Freeing the first base leaves only d.
+    ASSERT_TRUE(mem.free(a).isOk());
+    EXPECT_EQ(mem.findContaining(a), nullptr);
+    EXPECT_EQ(readByte(mem, a).message(),
+              "illegal device access: unmapped address");
+    EXPECT_EQ(mem.findContaining(d)->base, d);
+}
+
+TEST(DeviceMemoryTest, FlatTableIsEmptyAfterResetToPristine)
+{
+    SimClock clock;
+    CostModel cost;
+    GpuProcessOptions opts;
+    opts.aslr_seed = 5;
+    GpuProcess process(opts, &clock, &cost);
+    ASSERT_EQ(process.memory().liveAllocations(), 0u);
+    const u64 fingerprint_at_launch = process.memory().stateFingerprint();
+    std::vector<DeviceAddr> addrs;
+    for (int i = 0; i < 5; ++i) {
+        addrs.push_back(*process.memory().malloc(1000 + 100 * i, 32));
+    }
+    ASSERT_TRUE(process.memory().free(addrs[2]).isOk());
+
+    process.resetToPristine();
+    EXPECT_EQ(process.memory().liveAllocations(), 0u);
+    EXPECT_EQ(process.memory().stateFingerprint(), fingerprint_at_launch);
+    for (DeviceAddr addr : addrs) {
+        EXPECT_EQ(process.memory().findContaining(addr), nullptr);
+        EXPECT_EQ(readByte(process.memory(), addr).message(),
+                  "illegal device access: unmapped address");
+    }
+    // The relaunched process draws the same addresses again.
+    for (int i = 0; i < 5; ++i) {
+        const DeviceAddr again =
+            *process.memory().malloc(1000 + 100 * i, 32);
+        EXPECT_EQ(again, addrs[i]);
+        EXPECT_EQ(process.memory().findContaining(again + 999)->base,
+                  again);
+    }
 }
 
 constexpr u64 kLarge = ZeroBytes::kMmapBytes;

@@ -175,8 +175,71 @@ TEST_F(ModuleTest, FuncGetModuleReportsOwningLibrary)
 TEST_F(ModuleTest, AddressOfUnloadedKernelFails)
 {
     const auto &k = BuiltinKernels::get();
-    EXPECT_EQ(process_.modules().addressOf(k.rope).status().code(),
-              StatusCode::kFailedPrecondition);
+    const auto addr = process_.modules().addressOf(k.rope);
+    EXPECT_EQ(addr.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(addr.status().message(),
+              "kernel's module not loaded: " + def(k.rope).mangled_name);
+    EXPECT_FALSE(process_.modules().isLoaded(k.rope));
+}
+
+TEST_F(ModuleTest, IdPastTheTableIsNeverLoaded)
+{
+    const KernelId past =
+        static_cast<KernelId>(KernelRegistry::instance().kernelCount());
+    ModuleTable table(3);
+    for (const std::string &module :
+         KernelRegistry::instance().moduleNames()) {
+        ASSERT_TRUE(table.loadModule(module));
+    }
+    for (KernelId id : {past, past + 1, kInvalidKernel}) {
+        EXPECT_FALSE(table.isLoaded(id));
+        const auto addr = table.addressOf(id);
+        EXPECT_EQ(addr.status().code(), StatusCode::kInvalidArgument);
+        EXPECT_EQ(addr.status().message(),
+                  "unknown kernel id " + std::to_string(id));
+    }
+    // Every registered id, the last included, is loaded and addressed.
+    for (KernelId id = 0; id < past; ++id) {
+        EXPECT_TRUE(table.isLoaded(id));
+        ASSERT_TRUE(table.addressOf(id).isOk());
+        EXPECT_EQ(*table.kernelAt(*table.addressOf(id)), id);
+    }
+}
+
+TEST_F(ModuleTest, FingerprintKeepsItsValueInEitherLoadOrder)
+{
+    // One hash per loaded kernel, XOR-combined: the digest depends on
+    // which addresses were assigned, not on how the table stores or
+    // visits them. The values are those of the hash-map table this
+    // flat table replaced, for one seed and two load orders.
+    ModuleTable none(11);
+    EXPECT_EQ(none.stateFingerprint(), 0xc620f2d8dcf32862ull);
+
+    ModuleTable forward(11);
+    ModuleTable backward(11);
+    for (const char *module : {kTorchModule, kCublasModule, kAttnModule}) {
+        ASSERT_TRUE(forward.loadModule(module));
+    }
+    for (const char *module : {kAttnModule, kCublasModule, kTorchModule}) {
+        ASSERT_TRUE(backward.loadModule(module));
+    }
+    EXPECT_EQ(forward.stateFingerprint(), 0xf6810546dc06b62aull);
+    EXPECT_EQ(backward.stateFingerprint(), 0x68d266824795185aull);
+
+    // The same loads through ensureLoaded, one kernel per module, reach
+    // the same state.
+    const auto &k = BuiltinKernels::get();
+    ModuleTable by_kernel(11);
+    const KernelId first_of[] = {k.rmsnorm, k.gemm_128x128,
+                                 k.paged_attention_decode};
+    ASSERT_EQ(def(first_of[0]).module_name, kTorchModule);
+    ASSERT_EQ(def(first_of[1]).module_name, kCublasModule);
+    ASSERT_EQ(def(first_of[2]).module_name, kAttnModule);
+    for (KernelId id : first_of) {
+        EXPECT_TRUE(by_kernel.ensureLoaded(id));
+        EXPECT_FALSE(by_kernel.ensureLoaded(id));
+    }
+    EXPECT_EQ(by_kernel.stateFingerprint(), forward.stateFingerprint());
 }
 
 TEST_F(ModuleTest, LoadedModulesListed)
